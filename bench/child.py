@@ -21,7 +21,6 @@ import math
 import os
 import resource
 import shutil
-import statistics
 import sys
 import time
 import traceback

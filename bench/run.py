@@ -29,7 +29,7 @@ ROOT = BENCH.parent
 CHILD = BENCH / "child.py"
 OUT_DIR = ROOT / ".bench_out"
 WORKLOADS = ("varopoulos_sweep", "large_sets", "perforated_family", "cli_batch")
-DEFAULT_SEED = 0
+DEFAULT_SEED = 0  # workloads.DEFAULT_SEED; this process never imports the library
 # Seconds one round of each operation list took at the seed commit on a
 # 2-vCPU Xeon. A run makes seconds // nominal rounds (at least one), fixed
 # before it starts, so that every run of a workload, before and after an
