@@ -6,9 +6,11 @@ from its standard output. Modes:
 * ``setup``: set up and report when set-up ended (``time.monotonic``, which
   is comparable across processes), then exit.
 * ``run``: set up, then run the operation list ``--rounds`` times (fewer
-  if a round would end after ``--seconds``), one operation at a time, then
-  check every output.
-* ``trace``: like ``run`` for one round, with spans around every public
+  if a round would end after ``--seconds``), one operation at a time, with
+  a calibration kernel between every two, then check every output.
+* ``base``: like ``run`` without the calibration kernels: the untraced
+  twin of a traced run.
+* ``trace``: like ``base`` for one round, with spans around every public
   library function, set-up included.
 * ``probe-stats``: peak-memory rise of one ``counterexample.stats`` call.
 """
@@ -26,16 +28,29 @@ import time
 import traceback
 from pathlib import Path
 
+import speed
+
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 OUT_DIR = Path(".bench_out")
 
 
-def _run_round(ops, tracer=None) -> dict:
+def _run_round(ops, tracer=None, kernel=None) -> dict:
+    """Run ``ops`` once. With a ``kernel``, time that calibration kernel
+    before every operation and after the last (see ``speed.py``); ``*_at``
+    hold the ``perf_counter`` readings at which operations and kernels
+    started."""
     records, latencies, failed = [], [], []
-    t0 = time.perf_counter()
+    op_at, kernel_at, kernel_s = [], [], []
+
+    def calibrate():
+        kernel_at.append(time.perf_counter())
+        kernel_s.append(speed.timed(kernel))
+
     for index, op in enumerate(ops):
         if tracer is not None:
             tracer.op = index
+        if kernel is not None:
+            calibrate()
         start = time.perf_counter()
         try:
             record = op.run()
@@ -45,9 +60,13 @@ def _run_round(ops, tracer=None) -> dict:
             print(f"operation failed: {op.name}\n{traceback.format_exc(limit=3)}",
                   file=sys.stderr)
         latencies.append(time.perf_counter() - start)
+        op_at.append(start)
         records.append(record)
-    return {"wall_s": time.perf_counter() - t0, "lat_s": latencies,
-            "failed": failed, "records": records}
+    if kernel is not None:
+        calibrate()
+    return {"wall_s": sum(latencies), "lat_s": latencies, "op_at": op_at,
+            "kernel_s": kernel_s, "kernel_at": kernel_at, "failed": failed,
+            "records": records}
 
 
 def _finish_round(rnd: dict, plan, digest, golden) -> dict:
@@ -101,7 +120,7 @@ def _probe_stats(i: int, k: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--mode", choices=["setup", "run", "trace", "probe-stats"],
+    parser.add_argument("--mode", choices=["setup", "run", "base", "trace", "probe-stats"],
                         required=True)
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=0)
@@ -162,20 +181,28 @@ def _measure(args, plan, tracer, workloads) -> dict:
             tracer.write(args.spans_out)
         return out
 
+    kernel = plan.kernel if args.mode == "run" else None
+    if kernel is not None:
+        for _ in range(3):  # warm the kernel's code, data and files
+            speed.timed(kernel)
     raw = []
     started = time.perf_counter()
+    last = 0.0
     for ops in plan.rounds:
         # on a machine much slower than the nominal one, stop before a round
         # that would end after --seconds, to bound the run's length
-        if raw and time.perf_counter() - started + raw[-1]["wall_s"] > args.seconds:
+        if raw and time.perf_counter() - started + last > args.seconds:
             break
-        raw.append(_run_round(ops))
+        round_start = time.perf_counter()
+        raw.append(_run_round(ops, kernel=kernel))
+        last = time.perf_counter() - round_start
     rounds = [_finish_round(r, plan, workloads.digest, golden) for r in raw]
     # every round ran the same inputs, so every output must repeat
     for rnd in rounds[1:]:
         rnd["failed"] = sorted(set(rnd["failed"])
                                | set(_mismatches(rnd["digests"], rounds[0]["digests"])))
     out["rounds"] = rounds
+    out["kernel"] = kernel
     if plan.reference:
         ref = _finish_round(_run_round(plan.reference), plan, workloads.digest, golden)
         for rnd in rounds:

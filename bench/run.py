@@ -14,8 +14,10 @@ every workload in turn.
 from __future__ import annotations
 
 import argparse
+import bisect
 import hashlib
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -24,23 +26,25 @@ import threading
 import time
 from pathlib import Path
 
+import speed
+
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 CHILD = BENCH / "child.py"
 OUT_DIR = ROOT / ".bench_out"
 WORKLOADS = ("varopoulos_sweep", "large_sets", "perforated_family", "cli_batch")
 DEFAULT_SEED = 0  # workloads.DEFAULT_SEED; this process never imports the library
-# Seconds one round of each operation list took at the seed commit on a
-# 2-vCPU Xeon. A run makes seconds // nominal rounds (at least one), fixed
-# before it starts, so that every run of a workload, before and after an
-# optimisation, times the same operations and its tail sits at the same
-# percentile. Only on a machine about a quarter slower than the nominal one
-# does a run stop early, so that it measures for at most 1.25 * seconds.
+# Seconds one round of each operation list, with its calibration kernels,
+# took at the seed commit on a 2-vCPU Xeon. A run makes seconds // nominal
+# rounds (at least one), fixed before it starts, so that every run of a
+# workload, before and after an optimisation, times the same operations and
+# its tail sits at the same percentile. Only on a machine more than half again as slow as the nominal
+# one does a run stop early, so that it measures for at most 1.6 * seconds.
 NOMINAL_ROUND_S = {
-    "varopoulos_sweep": 4.0,
-    "large_sets": 5.0,
-    "perforated_family": 5.0,
-    "cli_batch": 5.0,
+    "varopoulos_sweep": 8.0,
+    "large_sets": 8.0,
+    "perforated_family": 6.25,
+    "cli_batch": 17.0,
 }
 SETUP_REPEATS = 5
 STARTUP_REPEATS = 5
@@ -168,15 +172,36 @@ def environment(seed: int, runs: int) -> dict:
     }
 
 
+def quantile(xs: list, q: float) -> float:
+    """Harrell-Davis estimate of the q-quantile of ``xs``: the mean of all
+    order statistics, the i-th weighted by the chance that a
+    Beta((n+1)q, (n+1)(1-q)) variable falls between (i-1)/n and i/n.
+
+    Latencies come in clusters, one per operation size, with gaps between
+    them. The plain sample quantile then jumps from the edge of one cluster
+    to the next with every small shift; this estimate moves smoothly."""
+    xs = sorted(xs)
+    n = len(xs)
+    a, b = q * (n + 1), (1 - q) * (n + 1)
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    steps = 16  # midpoints per order statistic for the Beta integral
+    weights = []
+    for i in range(n):
+        points = ((i + (j + 0.5) / steps) / n for j in range(steps))
+        weights.append(sum(math.exp(log_norm + (a - 1) * math.log(x)
+                                    + (b - 1) * math.log1p(-x)) for x in points))
+    return sum(w * x for w, x in zip(weights, xs)) / sum(weights)
+
+
 def tail(latencies: list):
     """(value, percentile, operations above it) at the highest percentile
     that still has at least ten operations above it; the maximum when there
     are too few operations for that."""
-    xs = sorted(latencies)
-    n = len(xs)
+    n = len(latencies)
     if n <= 10:
-        return xs[-1], 100.0, 0
-    return xs[n - 11], 100.0 * (n - 10) / n, 10
+        return max(latencies), 100.0, 0
+    q = (n - 10) / n
+    return quantile(latencies, q), 100.0 * q, 10
 
 
 def _failed_ops(result: dict) -> tuple:
@@ -184,29 +209,64 @@ def _failed_ops(result: dict) -> tuple:
     return sum(len(r["digests"]) for r in rounds), sum(len(r["failed"]) for r in rounds)
 
 
+def _scaled_latencies(rounds: list, kernel: str) -> list:
+    """Each round's latencies at the reference speed (``speed.py``).
+
+    An operation of t seconds is scaled by the mean of the kernel times
+    taken from t before its start to t after its end, and always by the two
+    taken just before and just after it. A short operation shares its
+    speed with the kernels next to it. A long one averages the machine's
+    speed over its own length, and so is set against as long a stretch of
+    kernel samples, from its own round and the next."""
+    at = [a for rnd in rounds for a in rnd["kernel_at"]]
+    kernel_s = [k for rnd in rounds for k in rnd["kernel_s"]]
+    out = []
+    first = 0  # index of this round's first kernel in ``at``
+    for rnd in rounds:
+        row = []
+        for i, (start, t) in enumerate(zip(rnd["op_at"], rnd["lat_s"])):
+            lo = min(bisect.bisect_left(at, start - t), first + i)
+            hi = max(bisect.bisect_right(at, start + 2 * t), first + i + 2)
+            row.append(speed.scaled(t, kernel, statistics.fmean(kernel_s[lo:hi])))
+        out.append(row)
+        first += len(rnd["kernel_s"])
+    return out
+
+
+def setup_times(common: list, deadline: float) -> tuple:
+    """Set-up times of SETUP_REPEATS fresh processes, raw and at the
+    reference speed, with the spawn kernel timed between each two."""
+    kernel_s = [speed.timed("spawn", env=child_env())]
+    raw = []
+    for _ in range(SETUP_REPEATS):
+        result, _ = spawn(["--mode", "setup", *common], deadline)
+        raw.append(result["setup_done"] - result["spawned"])
+        kernel_s.append(speed.timed("spawn", env=child_env()))
+    scaled = [speed.scaled(t, "spawn", (kernel_s[i] + kernel_s[i + 1]) / 2)
+              for i, t in enumerate(raw)]
+    return raw, scaled
+
+
 def run_untraced(workload: str, seed: int, seconds: float, smoke: bool,
                  deadline: float) -> tuple:
     common = ["--workload", workload, "--seed", str(seed)] + (["--smoke"] if smoke else [])
     common += ["--rounds", str(max(1, int(seconds // NOMINAL_ROUND_S[workload])))]
-    setups = []
-    for _ in range(SETUP_REPEATS - 1):
-        result, _ = spawn(["--mode", "setup", *common], deadline)
-        setups.append(result["setup_done"] - result["spawned"])
-    main, usage = spawn(["--mode", "run", "--seconds", str(1.25 * seconds), *common],
+    setups_raw, setups = setup_times(common, deadline)
+    main, usage = spawn(["--mode", "run", "--seconds", str(1.6 * seconds), *common],
                         deadline)
-    setups.append(main["setup_done"] - main["spawned"])
     rounds = main["rounds"]
-    # Best of the rounds for each operation: on a shared host, interference
-    # from other tenants only ever adds time. Each operation counts once per
-    # round it ran in, so the tail has executed operations above it.
-    best = [min(samples) for samples in zip(*(rnd["lat_s"] for rnd in rounds))]
-    latencies = best * len(rounds)
+    # Every latency is scaled to the reference speed (speed.py). An
+    # operation's time is its median over the rounds; every executed
+    # operation counts towards the median and the tail.
+    scaled = _scaled_latencies(rounds, main["kernel"])
+    per_op = [statistics.median(samples) for samples in zip(*scaled)]
+    latencies = [t for rnd in scaled for t in rnd]
     attempted, failed = _failed_ops(main)
     tail_s, tail_pct, above = tail(latencies)
     metrics = {
         "setup_s": statistics.median(setups),
-        "wall_s": sum(best),
-        "op_p50_ms": 1000 * statistics.median(latencies),
+        "wall_s": sum(per_op),
+        "op_p50_ms": 1000 * quantile(latencies, 0.5),
         "op_tail_ms": 1000 * tail_s,
         "peak_rss_mb": usage.ru_maxrss / 1024,
         "ok_rate": 1 - failed / attempted,
@@ -218,8 +278,12 @@ def run_untraced(workload: str, seed: int, seconds: float, smoke: bool,
         "error_rate": failed / attempted,
         "op_tail_percentile": tail_pct,
         "op_tail_ops_above": above,
+        "kernel": main["kernel"],
         "setup_samples_s": setups,
+        "setup_raw_s": setups_raw,
+        "raw_wall_s": sum(statistics.median(s) for s in zip(*(r["lat_s"] for r in rounds))),
         "round_wall_s": [rnd["wall_s"] for rnd in rounds],
+        "round_kernel_median_s": [statistics.median(rnd["kernel_s"]) for rnd in rounds],
         "numpy": main["numpy"],
         "golden_checked": seed == DEFAULT_SEED and not main.get("golden_missing", True),
     }
@@ -240,7 +304,7 @@ def cli_startup_s(deadline: float) -> float:
 def run_traced(workload: str, seed: int, smoke: bool, deadline: float) -> tuple:
     """One untraced round, then two traced rounds of the same inputs."""
     common = ["--workload", workload, "--seed", str(seed)] + (["--smoke"] if smoke else [])
-    base, _ = spawn(["--mode", "run", "--rounds", "1", *common], deadline)
+    base, _ = spawn(["--mode", "base", "--rounds", "1", *common], deadline)
     OUT_DIR.mkdir(exist_ok=True)
     spans_path = OUT_DIR / f"spans-{workload}-seed{seed}.jsonl"
     traced = [spawn(["--mode", "trace", "--spans-out", str(spans_path), *common],
@@ -291,7 +355,7 @@ def write_golden(deadline: float) -> None:
     for mode, extra in (("full", []), ("smoke", ["--smoke"])):
         table[mode] = {}
         for workload in WORKLOADS:
-            result, _ = spawn(["--mode", "run", "--rounds", "1", "--no-golden",
+            result, _ = spawn(["--mode", "base", "--rounds", "1", "--no-golden",
                                "--workload", workload, "--seed", str(DEFAULT_SEED),
                                *extra], deadline)
             rnd = result["reference"] if "reference" in result else result["rounds"][0]
@@ -336,9 +400,9 @@ def main(argv=None) -> int:
             print(f"error: {workload}: {exc}", file=sys.stderr)
             return 1
         correct, attempted, failed, metrics, detail = outcome
-        # child processes behind the metrics: the set-up repeats, or one
-        # untraced and two traced runs
-        runs = 3 if args.trace else SETUP_REPEATS
+        # child processes behind the metrics: the set-up repeats and the
+        # measured run, or one untraced and two traced runs
+        runs = 3 if args.trace else SETUP_REPEATS + 1
         detail.update(workload=workload, trace=args.trace, smoke=args.smoke,
                       env=environment(args.seed, runs))
         print(json.dumps(detail))

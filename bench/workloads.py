@@ -57,9 +57,12 @@ class Plan:
     in-process twins whose records must equal those of a round one for one;
     the traced run times them in place of a round, because spans cannot
     reach a subprocess. ``check_round`` returns the indices of operations
-    that fail a check spanning several outputs."""
+    that fail a check spanning several outputs. ``kernel`` names the
+    calibration kernel of ``speed.py`` that does this workload's kind of
+    work."""
 
     rounds: List[List[Op]]
+    kernel: str
     reference: Optional[List[Op]] = None
     check_round: Callable[[list], List[int]] = field(default=lambda records: [])
 
@@ -85,6 +88,7 @@ def _log_steps(count: int, top: int) -> List[int]:
 # work repeated per set dominates and the bitmap kernels never run.
 
 SWEEP_HOSTS = ("z^2", "z^1", "free:2", "cyl:3")
+SMALL_COPIES = 3
 
 
 def _sweep_op(host, size: int, set_seed: int) -> Op:
@@ -102,15 +106,19 @@ def _sweep_op(host, size: int, set_seed: int) -> Op:
 
 def varopoulos_sweep(seed: int, smoke: bool, workdir: Path, rounds: int) -> Plan:
     # fourteen sizes per host from 100 to 10^4, a subset of acceptance
-    # criterion 05; with the default seed each set is the one criterion 05
-    # grows for its size
+    # criterion 05; with the default seed the first set of each size is the
+    # one criterion 05 grows for it. Sizes up to 10^3 get SMALL_COPIES sets
+    # each, so that most operations are small, as in a sweep over many
+    # small sets, and the median latency falls among many similar ones.
     steps = _log_steps(4, 5) if smoke else _log_steps(14, 100)
-    plan = Plan([])
+    plan = Plan([], "python")
     for _ in range(rounds):
         hosts = {family: groups.parse_group(family) for family in SWEEP_HOSTS}
         plan.rounds.append([
-            _sweep_op(hosts[family], 100 * step, step - 1 + 1000 * seed)
-            for step in steps for family in SWEEP_HOSTS
+            _sweep_op(hosts[family], 100 * step, step - 1 + 1000 * seed + 100 * copy)
+            for step in steps
+            for copy in range(SMALL_COPIES if step <= 10 else 1)
+            for family in SWEEP_HOSTS
         ])
     return plan
 
@@ -176,7 +184,7 @@ def large_sets(seed: int, smoke: bool, workdir: Path, rounds: int) -> Plan:
         for family, size in (SMOKE_LARGE_SETS if smoke else LARGE_SETS)
     ]
     i, k = (2, 3) if smoke else rng.choice(EMBED_PARAMS)
-    plan = Plan([])
+    plan = Plan([], "python")
     for _ in range(rounds):
         ops = []
         for A in grown:
@@ -245,12 +253,17 @@ def perforated_family(seed: int, smoke: bool, workdir: Path, rounds: int) -> Pla
     rng = random.Random(seed)
     ladder = (4, 8) if smoke else LADDER
     # the criterion 03 diagonal ladder, plus one member A(i, k) with
-    # ki = 4t^2 for each t, the size of the diagonal member j = 2t
+    # ki = 4t^2 for each t, the size of the diagonal member j = 2t; for
+    # t <= 10 SMALL_COPIES members each, so that the median latency falls
+    # among many similar operations
     sides = [4 * t * t for t in range(1, 4 if smoke else 21)]
-    params = [(j, j) for j in ladder] + [_grid_params(rng, side) for side in sides]
+    params = [(j, j) for j in ladder] + [
+        _grid_params(rng, side)
+        for side in sides for _ in range(SMALL_COPIES if side <= 400 else 1)
+    ]
     ops = [_stats_op(i, k) for i, k in sorted(params, key=lambda ik: (ik[0] * ik[1], ik))]
     ops += [_find_op(*expected) for expected in FIND_EXPECTED[:1 if smoke else 2]]
-    return Plan([ops] * rounds, check_round=_diagonal_check)
+    return Plan([ops] * rounds, "numpy", check_round=_diagonal_check)
 
 
 # --- cli_batch --------------------------------------------------------------
@@ -355,7 +368,7 @@ def cli_batch(seed: int, smoke: bool, workdir: Path, rounds: int) -> Plan:
     argvs = _cli_argvs(random.Random(seed), smoke, workdir)
     entry = _console_entry()
     ops = [_cli_subprocess_op(entry, argv) for argv in argvs]
-    return Plan([ops] * rounds,
+    return Plan([ops] * rounds, "spawn",
                 reference=[_cli_inprocess_op(argv) for argv in argvs])
 
 
