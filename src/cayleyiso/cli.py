@@ -29,6 +29,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
 
+WINDOW_HELP = "block window, validated (>= 1) and echoed; q does not depend on it"
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors; this CLI reserves 2 for
@@ -243,15 +245,8 @@ def _cmd_ringlike_check(args, budget):
 
 def _cmd_ringlike_cover(args, budget):
     A = _resolve_set(args, budget)
-    host = A.host
-    system = ringlike.cyclic_system(host, window=args.window)
-    cover = ringlike.interval_cover(system, A)
-    payload = system.to_dict()
-    payload.update(cover.to_dict())
-    violations = system.violations()
-    if not cover.holds:
-        violations.append("|Q\\A| <= 2s^2t^2k + 2stk")
-    return ("json", payload), violations
+    report = ringlike.ring_like_obligations(A, window=args.window)
+    return ("json", report.payload()), report.violations()
 
 
 def _cmd_sweep_ratio(args, budget):
@@ -314,7 +309,8 @@ def build_parser() -> _Parser:
                            help="also write the boundary as a JSON set file")
         if name == "separation":
             p.add_argument("--window", type=int, default=50,
-                           help="block window for delegated cylinder checks")
+                           help="block window for the cylinder block system on the "
+                                "ring-like branch, which needs >= 1; q does not depend on it")
         _add_common(p)
         p.set_defaults(handler=handler)
 
@@ -348,15 +344,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ringlike", help="cylinder block-system checks")
     rsub = p.add_subparsers(dest="subcommand", required=True)
 
-    q = rsub.add_parser("check", help="verify block system properties on a window")
+    q = rsub.add_parser("check", help="block system of a cylinder and its cohesiveness")
     q.add_argument("--group", required=True)
-    q.add_argument("--window", type=int, default=50)
+    q.add_argument("--window", type=int, default=50, help=WINDOW_HELP)
     _add_common(q)
     q.set_defaults(handler=_cmd_ringlike_check)
 
     q = rsub.add_parser("cover", help="interval cover slack bound for a set")
     _add_set_source(q)
-    q.add_argument("--window", type=int, default=50)
+    q.add_argument("--window", type=int, default=50, help=WINDOW_HELP)
     _add_common(q)
     q.set_defaults(handler=_cmd_ringlike_cover)
 

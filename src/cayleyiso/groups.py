@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import ast
 import math
-from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Collection, Container, Iterator, Optional, Sequence, Tuple
 
 Vertex = Tuple[int, ...]
 
@@ -289,6 +289,14 @@ class Cylinder(GroupGraph):
 
     The generator list is closed under inverses (missing inverses are added)
     and must generate the whole group; non-generating sets are rejected.
+
+    Z x Z_m is Z^2 modulo the row (0, m), so the generators span it exactly
+    when their rows together with (0, m) span the lattice Z^2. By the Smith
+    normal form the index of the lattice L spanned by these rows is the gcd
+    D of their 2x2 minors, so the test is D == 1. When the z-shifts have gcd
+    1, L meets the column z = 0 in {0} x DZ, and D divides m (the minor of
+    (dz, dr) with (0, m) is dz*m), so exactly the residues 0, D, 2D, ... are
+    reachable at z = 0.
     """
 
     def __init__(self, m: int, generators: Optional[Sequence[Tuple[int, int]]] = None):
@@ -319,34 +327,19 @@ class Cylinder(GroupGraph):
         self.vertex_count = None
 
     def _check_generates(self) -> None:
-        # The set generates Z x Z_m iff the z-shifts have gcd 1 and the
-        # column z=0 is fully reachable; a walk hitting every residue at
-        # z=0 can always be rearranged to stay within |z| <= max shift,
-        # so a box-restricted BFS is exact.
         m = self.m
-        g = 0
-        for dz, _ in self.generators:
-            g = gcd(g, abs(dz))
+        g = gcd(*(dz for dz, _ in self.generators))
         if g != 1:
             raise ValueError(
                 f"generators {list(self.generators)} do not generate Z x Z_{m}: "
                 f"z-shifts have gcd {g}"
             )
-        box = m * self.max_z_shift
-        seen = {(0, 0)}
-        queue = deque([(0, 0)])
-        while queue:
-            z, r = queue.popleft()
-            for dz, dr in self.generators:
-                u = (z + dz, (r + dr) % m)
-                if abs(u[0]) <= box and u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        column = {r for z, r in seen if z == 0}
-        if len(column) != m:
+        rows = self.generators + ((0, m),)
+        d = gcd(*(a * y - b * x for (a, b), (x, y) in combinations(rows, 2)))
+        if d != 1:
             raise ValueError(
                 f"generators {list(self.generators)} do not generate Z x Z_{m}: "
-                f"only residues {sorted(column)} are reachable at z=0"
+                f"only residues {list(range(0, m, d))} are reachable at z=0"
             )
 
     def identity(self) -> Vertex:
@@ -424,17 +417,24 @@ def parse_group(text: str) -> GroupGraph:
 
 
 def _bfs_levels(
-    g: GroupGraph, center: Vertex, budget: int, max_radius: Optional[int] = None
+    g: GroupGraph,
+    sources: Collection[Vertex],
+    budget: int,
+    max_radius: Optional[int] = None,
+    within: Optional[Container[Vertex]] = None,
 ) -> Iterator[set]:
-    """Yield the BFS spheres around ``center``: level r is yielded at step r.
+    """Yield the BFS spheres around the ``sources``: level r is yielded at step r.
 
-    Stops after ``max_radius`` levels if given, or when the frontier empties
-    (finite hosts). Raises BudgetExceeded when the visited set would grow
-    past ``budget``; the exception records the last completed radius.
+    When ``within`` is given, expansion enters only vertices it contains
+    (the sources themselves need not be in it). Stops after ``max_radius``
+    levels if given, or when the frontier empties. Raises BudgetExceeded
+    when the visited set would grow past ``budget``; the exception records
+    the last completed radius.
     """
-    g.validate_vertex(center)
-    seen = {center}
-    frontier = {center}
+    for v in sources:
+        g.validate_vertex(v)
+    frontier = set(sources)
+    seen = set(frontier)
     r = 0
     yield frontier
     while frontier:
@@ -443,7 +443,7 @@ def _bfs_levels(
         nxt = set()
         for v in frontier:
             for u in g.neighbors(v):
-                if u not in seen:
+                if u not in seen and (within is None or u in within):
                     # checked per vertex so memory cannot overshoot the
                     # budget by a whole level on fast-growing graphs
                     if len(seen) >= budget:
@@ -464,7 +464,7 @@ def ball(
         raise ValueError(f"radius must be >= 0, got {r}")
     budget = DEFAULT_BUDGET if budget is None else budget
     out: set = set()
-    for sphere in _bfs_levels(g, center, budget, max_radius=r):
+    for sphere in _bfs_levels(g, (center,), budget, max_radius=r):
         out |= sphere
     return out
 
@@ -490,7 +490,7 @@ def ball_profile(
             return exact
     sizes = []
     total = 0
-    for sphere in _bfs_levels(g, center, budget, max_radius=r):
+    for sphere in _bfs_levels(g, (center,), budget, max_radius=r):
         total += len(sphere)
         sizes.append(total)
     while len(sizes) < r + 1:
@@ -515,7 +515,7 @@ def minimal_ball_radius(
         raise ValueError(f"minimal_ball_radius needs an infinite host, got {g.family}")
     budget = DEFAULT_BUDGET if budget is None else budget
     total = 0
-    for r, sphere in enumerate(_bfs_levels(g, g.identity(), budget)):
+    for r, sphere in enumerate(_bfs_levels(g, (g.identity(),), budget)):
         total += len(sphere)
         if r >= 1 and total >= target:
             return r

@@ -19,6 +19,7 @@ from .groups import (
     Cylinder,
     GroupGraph,
     Vertex,
+    _bfs_levels,
     minimal_ball_radius,
     parse_group,
 )
@@ -129,40 +130,26 @@ def depth(A: VertexSet) -> int:
         raise ValueError(
             f"depth undefined: set exhausts the finite host {A.host.family}"
         )
-    g = A.host
-    seen = set(sources)
-    frontier = sources
-    level = 0
-    while frontier:
-        nxt = set()
-        for v in frontier:
-            for u in g.neighbors(v):
-                if u in A.elements and u not in seen:
-                    seen.add(u)
-                    nxt.add(u)
-        if nxt:
-            level += 1
-        frontier = nxt
-    return level
+    return _depth(A, sources)
+
+
+def _depth(A: VertexSet, bd: set) -> int:
+    # the BFS visits only bd and A, so its budget cannot trip
+    levels = _bfs_levels(A.host, bd, len(bd) + len(A), within=A.elements)
+    return sum(1 for _ in levels) - 1
 
 
 def is_connected_with_boundary(A: VertexSet) -> bool:
     """True iff the subgraph induced on A union boundary(A) is connected."""
     _require_nonempty(A)
-    closure = A.elements | _boundary_elements(A)
-    g = A.host
+    return _closure_connected(A, _boundary_elements(A))
+
+
+def _closure_connected(A: VertexSet, bd: set) -> bool:
+    closure = A.elements | bd
     start = next(iter(A.elements))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in g.neighbors(v):
-                if u in closure and u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return len(seen) == len(closure)
+    levels = _bfs_levels(A.host, (start,), len(closure), within=closure)
+    return sum(len(sphere) for sphere in levels) == len(closure)
 
 
 class VaropoulosReport(NamedTuple):
@@ -267,10 +254,11 @@ def classify_separation(A: VertexSet, window: int = 50) -> SeparationReport:
     _require_nonempty(A)
     if A.host.is_finite:
         raise ValueError(f"separation dichotomy needs an infinite host, got {A.host.family}")
-    if not is_connected_with_boundary(A):
+    bd = _boundary_elements(A)
+    if not _closure_connected(A, bd):
         raise ValueError("classify_separation requires A union boundary(A) connected")
-    k = len(_boundary_elements(A))
-    d = depth(A)
+    k = len(bd)
+    d = _depth(A, bd)
     size = len(A)
     unconditional = A.host.declared_ends in (1, math.inf)
     small = size <= 16 * k * k
@@ -289,16 +277,7 @@ def classify_separation(A: VertexSet, window: int = 50) -> SeparationReport:
         if isinstance(A.host, Cylinder):
             from . import ringlike
 
-            system = ringlike.cyclic_system(A.host, window=window)
-            cover = ringlike.interval_cover(system, A)
-            inequalities.append(
-                Inequality("q <= 2st", system.q, 2 * system.s * system.t,
-                           system.cohesive_ok, True)
-            )
-            inequalities.append(
-                Inequality("|Q\\A| <= 2s^2t^2k + 2stk", cover.slack, cover.bound,
-                           cover.holds, True)
-            )
+            inequalities += ringlike.ring_like_obligations(A, window, bd).inequalities()
     else:
         branch = "Inapplicable"
     return SeparationReport(

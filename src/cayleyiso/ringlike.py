@@ -8,28 +8,33 @@ joined by a path of length <= 2st (2st-cohesiveness). For a finite connected
 set A with connected closure and |boundary(A)| = k, the interval of blocks
 spanned by A covers A with slack |Q \\ A| <= 2s^2t^2k + 2stk.
 
-This module instantiates the known block system and verifies those
-definitional properties exhaustively on a window of blocks; it does not
-search for block systems on arbitrary graphs.
+The partition and edge-locality properties hold by construction: the blocks
+are the z-fibres, so they partition the vertices into blocks of exactly s
+vertices, and a generator (dz, dr) moves the block index by dz, where
+|dz| <= t by the definition of t. They are reported, not checked. What is
+checked is cohesiveness, exactly, and the slack bound of each cover. This
+module instantiates the known block system; it does not search for block
+systems on arbitrary graphs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
-from .groups import Cylinder, GroupGraph, Vertex
-from .isoperimetry import VertexSet, _boundary_elements, is_connected_with_boundary
+from .groups import Cylinder, GroupGraph, Vertex, _bfs_levels
+from .isoperimetry import Inequality, VertexSet, _boundary_elements, _closure_connected
 
 
 @dataclass
 class CyclicSystem:
-    """The z-fiber block system of a cylinder, with sampled-window checks.
+    """The z-fiber block system of a cylinder and its cohesiveness.
 
-    ``q`` is the exact cohesiveness over the window when ``cohesive_ok`` is
-    True; otherwise it is a lower bound (some pair distance exceeded the
-    search radius, which already refutes q <= 2st).
+    ``q`` is the exact cohesiveness when ``cohesive_ok`` is True; otherwise
+    it is a lower bound (some pair distance exceeded the search radius,
+    which already refutes q <= 2st). ``window`` is echoed in the output and
+    does no work: q does not depend on it.
     """
 
     host: Cylinder
@@ -37,9 +42,12 @@ class CyclicSystem:
     t: int
     q: int
     window: int
-    partition_ok: bool
-    ring_like_ok: bool
     cohesive_ok: bool
+
+    #: true by construction: the blocks are the z-fibres
+    partition_ok = True
+    #: true by construction: t is the largest |zShift| of a generator
+    ring_like_ok = True
 
     def block_of(self, v: Vertex) -> int:
         self.host.validate_vertex(v)
@@ -62,46 +70,43 @@ class CyclicSystem:
         }
 
     def violations(self) -> list:
-        out = []
-        if not self.partition_ok:
-            out.append("blocks partition the window into size-s fibers")
-        if not self.ring_like_ok:
-            out.append("every edge joins blocks at distance <= t")
-        if not self.cohesive_ok:
-            out.append("q <= 2st")
-        return out
+        return [] if self.cohesive_ok else ["q <= 2st"]
 
 
 def _distance_table(host: Cylinder, radius: int) -> Dict[Vertex, Dict[Tuple[int, int], int]]:
-    """BFS distance from each (0, r) out to ``radius``, keyed by source then
-    target. Generators act by z-translation, so these tables give the
+    """BFS distance from each (0, r), keyed by source then target. Each BFS
+    stops at ``radius`` or once every vertex of blocks 0 and 1 has its
+    distance. Generators act by z-translation, so these tables give the
     distance between any two vertices via d((z1,r1),(z2,r2)) =
     d((0,r1),(z2-z1,r2))."""
+    # a ball of this radius spans |z| <= t*radius, so the budget cannot trip
+    budget = host.m * (2 * host.max_z_shift * radius + 1)
     tables: Dict[Vertex, Dict[Tuple[int, int], int]] = {}
     for r in range(host.m):
-        source = (0, r)
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            if dist[v] == radius:
-                continue
-            for u in host.neighbors(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        tables[source] = dist
+        dist = {}
+        found = 0
+        for d, sphere in enumerate(_bfs_levels(host, ((0, r),), budget, radius)):
+            for v in sphere:
+                dist[v] = d
+                if 0 <= v[0] <= 1:
+                    found += 1
+            if found == 2 * host.m:
+                break
+        tables[(0, r)] = dist
     return tables
 
 
 def cyclic_system(host: GroupGraph, window: int = 50) -> CyclicSystem:
-    """Instantiate the z-fiber block system and verify its properties on the
-    blocks -window..window (2*window + 1 blocks, exhaustively).
+    """Instantiate the z-fiber block system of a cylinder and compute its
+    cohesiveness q exactly.
 
-    Checks: the window's vertices fall into blocks of exactly s vertices
-    each; every edge leaving a window vertex moves the block index by at
-    most t; and any two vertices in the same or adjacent blocks are within
-    distance 2st (cohesiveness q, exact by z-translation invariance).
+    q is the largest distance from (0, r1) to (dz, r2), over dz in {0, 1}
+    and residues r1, r2 other than the vertex itself, read from one BFS per
+    residue capped at radius 2st + 1; a pair the BFS does not reach counts
+    as the cap, which refutes q <= 2st. By z-translation this is the largest
+    distance between two vertices in the same or adjacent blocks anywhere,
+    so ``window`` is only validated (>= 1) and echoed. Partition and edge
+    locality hold by construction (see the module docstring).
     """
     if not isinstance(host, Cylinder):
         raise ValueError(f"block system requires a cylinder host, got {host.family}")
@@ -109,47 +114,17 @@ def cyclic_system(host: GroupGraph, window: int = 50) -> CyclicSystem:
         raise ValueError(f"window must be >= 1, got {window}")
     s = host.m
     t = host.max_z_shift
-
-    partition_ok = True
-    ring_like_ok = True
-    for z in range(-window, window + 1):
-        block = {(z, r) for r in range(s)}
-        if len(block) != s or any(v[0] != z for v in block):
-            partition_ok = False
-        for v in block:
-            for u in host.neighbors(v):
-                if abs(u[0] - v[0]) > t:
-                    ring_like_ok = False
-
     cap = 2 * s * t + 1
     tables = _distance_table(host, cap)
-    q = 0
-    cohesive_ok = True
-    for z in range(-window, window + 1):
-        for r1 in range(s):
-            for dz in (0, 1):
-                if z + dz > window:
-                    continue
-                for r2 in range(s):
-                    if dz == 0 and r1 == r2:
-                        continue
-                    d = tables[(0, r1)].get((dz, r2))
-                    if d is None:
-                        q = max(q, cap)
-                        cohesive_ok = False
-                    else:
-                        q = max(q, d)
-    if q > 2 * s * t:
-        cohesive_ok = False
+    q = max(
+        tables[(0, r1)].get((dz, r2), cap)
+        for r1 in range(s)
+        for dz in (0, 1)
+        for r2 in range(s)
+        if (dz, r2) != (0, r1)
+    )
     return CyclicSystem(
-        host=host,
-        s=s,
-        t=t,
-        q=q,
-        window=window,
-        partition_ok=partition_ok,
-        ring_like_ok=ring_like_ok,
-        cohesive_ok=cohesive_ok,
+        host=host, s=s, t=t, q=q, window=window, cohesive_ok=q <= 2 * s * t
     )
 
 
@@ -157,25 +132,33 @@ def cyclic_system(host: GroupGraph, window: int = 50) -> CyclicSystem:
 class IntervalCover:
     """The interval of blocks spanned by A, its union Q, and the slack bound.
 
-    slack = |Q \\ A| and bound = 2s^2t^2k + 2stk with k = |boundary(A)|;
-    ``holds`` records slack <= bound, a claim for every connected A with
-    connected closure.
+    slack = |Q \\ A| = (j_hi - j_lo + 1)s - |A| and bound = 2s^2t^2k + 2stk
+    with k = |boundary(A)|; ``holds`` records slack <= bound, a claim for
+    every connected A with connected closure. Q itself is built only when
+    ``q_vertices`` is read.
     """
 
+    host: Cylinder
     j_lo: int
     j_hi: int
-    q_vertices: VertexSet
     sizeA: int
     k: int
     slack: int
     bound: int
     holds: bool
 
+    @cached_property
+    def q_vertices(self) -> VertexSet:
+        return VertexSet(
+            self.host,
+            ((z, r) for z in range(self.j_lo, self.j_hi + 1) for r in range(self.host.m)),
+        )
+
     def to_dict(self) -> dict:
         return {
             "jLo": self.j_lo,
             "jHi": self.j_hi,
-            "sizeQ": len(self.q_vertices),
+            "sizeQ": (self.j_hi - self.j_lo + 1) * self.host.m,
             "sizeA": self.sizeA,
             "k": self.k,
             "slack": self.slack,
@@ -193,21 +176,22 @@ def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
         )
     if not A.elements:
         raise ValueError("interval cover needs a non-empty set")
-    if not is_connected_with_boundary(A):
+    bd = _boundary_elements(A)
+    if not _closure_connected(A, bd):
         raise ValueError("interval cover requires A union boundary(A) connected")
+    return _cover(system, A, len(bd))
+
+
+def _cover(system: CyclicSystem, A: VertexSet, k: int) -> IntervalCover:
     lo = min(v[0] for v in A.elements)
     hi = max(v[0] for v in A.elements)
     s, t = system.s, system.t
-    q_vertices = VertexSet(
-        A.host, ((z, r) for z in range(lo, hi + 1) for r in range(s))
-    )
-    k = len(_boundary_elements(A))
-    slack = len(q_vertices) - len(A)
+    slack = (hi - lo + 1) * s - len(A)
     bound = 2 * s * s * t * t * k + 2 * s * t * k
     return IntervalCover(
+        host=system.host,
         j_lo=lo,
         j_hi=hi,
-        q_vertices=q_vertices,
         sizeA=len(A),
         k=k,
         slack=slack,
@@ -222,31 +206,53 @@ class BranchError(ValueError):
 
 @dataclass
 class Branch2Report:
-    """Combined ring-like obligations for a large set on a cylinder."""
+    """Combined ring-like obligations for a set on a cylinder."""
 
     system: CyclicSystem
     cover: IntervalCover
 
+    def inequalities(self) -> list:
+        system, cover = self.system, self.cover
+        return [
+            Inequality("q <= 2st", system.q, 2 * system.s * system.t,
+                       system.cohesive_ok, True),
+            Inequality("|Q\\A| <= 2s^2t^2k + 2stk", cover.slack, cover.bound,
+                       cover.holds, True),
+        ]
+
     @property
     def holds(self) -> bool:
-        return (
-            self.system.partition_ok
-            and self.system.ring_like_ok
-            and self.system.cohesive_ok
-            and self.cover.holds
-        )
+        return not self.violations()
 
     def violations(self) -> list:
-        out = self.system.violations()
-        if not self.cover.holds:
-            out.append("|Q\\A| <= 2s^2t^2k + 2stk")
-        return out
+        return [q.name for q in self.inequalities() if not q.holds]
 
-    def to_dict(self) -> dict:
+    def payload(self) -> dict:
+        """The system's fields, then the cover's; ``holds`` is the cover's."""
         merged = self.system.to_dict()
         merged.update(self.cover.to_dict())
+        return merged
+
+    def to_dict(self) -> dict:
+        merged = self.payload()
         merged["holds"] = self.holds
         return merged
+
+
+def ring_like_obligations(
+    A: VertexSet, window: int = 50, bd: Optional[set] = None
+) -> Branch2Report:
+    """Assemble the ring-like obligations for a set on a cylinder host: its
+    block system and its interval cover, for a set of any size.
+
+    ``bd`` is boundary(A) when the caller has already computed it and
+    checked that A union bd is connected; without it, the interval cover
+    computes and checks both itself.
+    """
+    system = cyclic_system(A.host, window=window)
+    if bd is None:
+        return Branch2Report(system, interval_cover(system, A))
+    return Branch2Report(system, _cover(system, A, len(bd)))
 
 
 def theorem_impr_branch2(A: VertexSet, window: int = 50) -> Branch2Report:
@@ -267,6 +273,4 @@ def theorem_impr_branch2(A: VertexSet, window: int = 50) -> Branch2Report:
             f"|A| = {len(A)} <= 16k^2 = {16 * k * k}: small-set branch; "
             "use classify_separation"
         )
-    system = cyclic_system(A.host, window=window)
-    cover = interval_cover(system, A)
-    return Branch2Report(system=system, cover=cover)
+    return ring_like_obligations(A, window)

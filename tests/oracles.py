@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from math import gcd
 
 from cayleyiso.groups import Cylinder, FreeGroup, IntegerLattice, Torus
 
@@ -91,6 +92,60 @@ def bfs_ball(g, center, r: int) -> set:
                     nxt.append(u)
         frontier = nxt
     return out
+
+
+def bfs_distance(g, u, v) -> int:
+    """d(u, v) by a breadth-first search from u that stops when it meets v;
+    the graph must be connected."""
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        w = queue.popleft()
+        if w == v:
+            return dist[w]
+        for x in g.neighbors(w):
+            if x not in dist:
+                dist[x] = dist[w] + 1
+                queue.append(x)
+    raise ValueError(f"{v!r} is not reachable from {u!r}")
+
+
+def cylinder_cohesiveness(host) -> int:
+    """Largest distance between two distinct vertices of block 0, or a
+    vertex of block 0 and one of block 1, one BFS per pair."""
+    block0 = [(0, r) for r in range(host.m)]
+    targets = block0 + [(1, r) for r in range(host.m)]
+    return max(bfs_distance(host, u, v) for u in block0 for v in targets if u != v)
+
+
+def cylinder_generates(m: int, gens) -> tuple:
+    """Whether the (zShift, rShift) pairs ``gens`` generate Z x Z_m, and the
+    sorted residues reachable at z = 0, by breadth-first search from (0, 0).
+
+    The search is confined to |z| <= m * max |zShift|: a walk that reaches
+    a residue at z = 0 can be rearranged to stay in that box. The pairs
+    generate exactly when their z-shifts have gcd 1 and every residue is
+    reachable at z = 0.
+    """
+    steps = set()
+    for dz, dr in gens:
+        steps.add((dz, dr % m))
+        steps.add((-dz, -dr % m))
+    box = m * max(abs(dz) for dz, _ in steps)
+    seen = {(0, 0)}
+    queue = deque([(0, 0)])
+    while queue:
+        z, r = queue.popleft()
+        for dz, dr in steps:
+            u = (z + dz, (r + dr) % m)
+            if abs(u[0]) <= box and u not in seen:
+                seen.add(u)
+                queue.append(u)
+    column = sorted(r for z, r in seen if z == 0)
+    z_gcd = 0
+    for dz, _ in steps:
+        z_gcd = gcd(z_gcd, dz)
+    return z_gcd == 1 and len(column) == m, column
 
 
 def boundary_by_distance(g, elements) -> set:

@@ -65,6 +65,17 @@ def test_growth_json(capsys):
     assert payload["ballSizes"][:3] == [1, 5, 11]
 
 
+def test_growth_on_cylinder_with_a_huge_shift(run_capped):
+    # generation is decided by integer arithmetic, not by a search whose box
+    # grows with the shift
+    proc = run_capped("-m", "cayleyiso.cli", "growth", "--group",
+                      "cyl:3:[(1,0),(0,1),(1000000,0)]", "--max-radius", "2")
+    assert proc.returncode == 0, proc.stderr
+    # radius 2: 11 standard vertices, 5 around each of (+-10^6, 0), and
+    # (+-2*10^6, 0)
+    assert proc.stdout.splitlines() == ["r,ballSize", "0,1", "1,7", "2,23"]
+
+
 def test_growth_branch2_json(capsys):
     rc, payload, _ = run_json(
         ["growth", "--group", "free:2", "--max-radius", "20", "--format", "json"],

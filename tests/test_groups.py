@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -339,6 +340,23 @@ def test_cylinder_accepts_shifted_generators():
     g = Cylinder(4, [(2, 1), (1, 0)])
     assert g.max_z_shift == 2
     assert g.degree == 4
+
+
+def test_cylinder_generation_matches_bfs_oracle():
+    # every set of one or two generators with |zShift| <= 3, for m <= 6
+    for m in range(2, 7):
+        steps = [(dz, dr) for dz in range(-3, 4) for dr in range(m) if (dz, dr) != (0, 0)]
+        for gens in [[a] for a in steps] + list(combinations(steps, 2)):
+            generates, column = oracles.cylinder_generates(m, gens)
+            if generates:
+                Cylinder(m, gens)
+                continue
+            with pytest.raises(ValueError) as exc:
+                Cylinder(m, gens)
+            if math.gcd(*(dz for dz, _ in gens)) == 1:
+                assert f"only residues {column} are reachable at z=0" in str(exc.value)
+            else:
+                assert "z-shifts have gcd" in str(exc.value)
 
 
 @settings(max_examples=30)

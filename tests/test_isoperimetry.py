@@ -2,6 +2,7 @@
 classifier, checked against slow per-vertex oracles."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,30 @@ def test_closure_connectivity_on_torus():
     g = Torus(7, 2)
     A = VertexSet(g, [(0, 0), (3, 3)])
     assert not is_connected_with_boundary(A)
+
+
+def test_closure_connectivity_matches_oracle():
+    # random connected sets, unions of two random sets at independent random
+    # places, and random subsets of a ball; the last two kinds include sets
+    # whose closure is disconnected
+    rng = random.Random(7)
+    for g in INFINITE_FAMILIES + [Torus(11, 2)]:
+        radius = 3 if isinstance(g, FreeGroup) else 4
+        around = sorted(ball(g, g.identity(), radius), key=g.sort_key)
+        verdicts = set()
+        for seed in range(30):
+            single = random_connected_set(g, 1 + seed * 3, seed=seed).elements
+            far = oracles.random_vertex(g, rng)
+            pair = random_connected_set(g, 1 + seed % 15, seed=seed).elements | (
+                random_connected_set(g, 1 + seed % 7, seed=seed, start=far).elements
+            )
+            subset = [v for v in around if rng.random() < 0.5] or [g.identity()]
+            for points in (single, pair, subset):
+                closure = set(points) | oracles.boundary_by_distance(g, points)
+                expected = oracles.connected_within(g, closure)
+                assert is_connected_with_boundary(VertexSet(g, points)) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 # --- varopoulos --------------------------------------------------------------

@@ -3,6 +3,7 @@ and the interval-cover slack bound."""
 
 import pytest
 
+import oracles
 from cayleyiso import Cylinder, IntegerLattice, VertexSet, random_connected_set
 from cayleyiso.ringlike import (
     Branch2Report,
@@ -96,6 +97,36 @@ def test_cohesiveness_is_window_independent():
     assert qs == {2}
     qs = {cyclic_system(Cylinder(4, [(2, 1), (1, 0)]), window=w).q for w in (1, 20)}
     assert qs == {6}
+
+
+def test_cohesiveness_matches_pairwise_bfs_oracle():
+    for host in (
+        Cylinder(2),
+        Cylinder(3),
+        Cylinder(2, [(1, 1), (1, 0)]),
+        Cylinder(4, [(2, 1), (1, 0)]),
+        Cylinder(3, [(3, 1), (1, 0)]),
+        Cylinder(5, [(2, 1), (3, 0)]),
+        Cylinder(4, [(4, 1), (3, 2)]),
+        Cylinder(6, [(1, 1), (4, 3)]),
+    ):
+        sysm = cyclic_system(host)
+        assert sysm.q == oracles.cylinder_cohesiveness(host)
+        assert sysm.cohesive_ok == (sysm.q <= 2 * sysm.s * sysm.t)
+
+
+def test_cohesiveness_with_a_huge_shift(run_capped):
+    # the distance search stops once blocks 0 and 1 are reached, so a shift
+    # of 10^6 costs no more than a shift of 1; a search out to radius 2st + 1
+    # would not fit in the child's memory cap
+    proc = run_capped(
+        "-c",
+        "from cayleyiso import Cylinder, cyclic_system; "
+        "s = cyclic_system(Cylinder(3, [(1, 0), (0, 1), (10**6, 0)])); "
+        "print(s.t, s.q, s.cohesive_ok)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1000000", "2", "True"]
 
 
 # --- interval covers ---------------------------------------------------------
