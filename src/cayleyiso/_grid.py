@@ -5,6 +5,13 @@ tuples, which is fine up to ~10^5 vertices. Perforated-grid families reach
 millions of vertices, so this module redoes the two hot statistics (boundary
 size and depth) on a padded boolean array. Results are exact and must agree
 with the generic path; the unit tests compare both routes.
+
+Memory is the limit here, not time, so the kernels hold at most one full-size
+array besides the 1-byte-per-cell mask: ``boundary_count`` one boolean
+(2 bytes per cell in all), ``depth`` one distance array of ``int16`` when the
+shape allows it and ``int32`` otherwise (3 or 5 bytes per cell in all; see
+:func:`_distance_dtype`). Every other temporary spans at most ``_CHUNK``
+lines of the array.
 """
 
 from __future__ import annotations
@@ -12,6 +19,9 @@ from __future__ import annotations
 from typing import Iterable, Tuple
 
 import numpy as np
+
+#: lines (columns in the first depth pass, rows in the second) per chunk
+_CHUNK = 64
 
 
 class Bitmap:
@@ -37,12 +47,7 @@ class Bitmap:
         return cls(mask, (int(x0), int(y0)))
 
     def count(self) -> int:
-        return int(self.mask.sum())
-
-    def points(self) -> list:
-        xs, ys = np.nonzero(self.mask)
-        x0, y0 = self.origin
-        return [(int(x) + x0 - 1, int(y) + y0 - 1) for x, y in zip(xs, ys)]
+        return int(np.count_nonzero(self.mask))
 
 
 def boundary_mask(bm: Bitmap) -> np.ndarray:
@@ -53,34 +58,44 @@ def boundary_mask(bm: Bitmap) -> np.ndarray:
     out[1:, :] |= mask[:-1, :]
     out[:, :-1] |= mask[:, 1:]
     out[:, 1:] |= mask[:, :-1]
-    out &= ~mask
-    return out
+    return np.greater(out, mask, out=out)
 
 
 def boundary_count(bm: Bitmap) -> int:
-    return int(boundary_mask(bm).sum())
+    return int(np.count_nonzero(boundary_mask(bm)))
 
 
-def boundary_points(bm: Bitmap) -> list:
-    xs, ys = np.nonzero(boundary_mask(bm))
-    x0, y0 = bm.origin
-    return [(int(x) + x0 - 1, int(y) + y0 - 1) for x, y in zip(xs, ys)]
+def _distance_dtype(shape: Tuple[int, int]) -> type:
+    """``int16`` if every value ``depth`` forms on this shape fits, else ``int32``.
 
-
-def _axis_min_transform(d: np.ndarray, axis: int) -> np.ndarray:
-    """One separable pass: out[i] = min_j (d[j] + |i - j|) along ``axis``.
-
-    Uses the identity min_{j<=i}(d[j] + i - j) = i + cummin(d[j] - j), so
-    each direction is a single vectorized accumulate.
+    With inf = h + w + 1 on members and 0 elsewhere, a pass along an axis of
+    length n forms d[j] - j >= -(n - 1) and d[j] + j <= inf + n - 1, keeps
+    their running minima in the same range, and returns
+    min_j (d[j] + |i - j|), which lies in [0, inf] because j = i is a
+    candidate. So the second pass reads the same range as the first, and
+    every intermediate of both lies in [-max(h, w), h + w + 1 + max(h, w)].
     """
-    n = d.shape[axis]
-    shape = [1, 1]
-    shape[axis] = n
-    idx = np.arange(n, dtype=d.dtype).reshape(shape)
-    fwd = np.minimum.accumulate(d - idx, axis=axis) + idx
+    h, w = shape
+    return np.int16 if h + w + 1 + max(h, w) <= np.iinfo(np.int16).max else np.int32
+
+
+def _scan(src: np.ndarray, idx: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """One separable pass: out[i] = min_j (src[j] + |i - j|) along ``axis``.
+
+    Uses min_{j<=i}(src[j] + i - j) = i + cummin(src[j] - j) and its mirror,
+    so each direction is one vectorized accumulate, done in place: the
+    forward one in a chunk-size buffer, the backward one in ``src``, which is
+    overwritten. ``out`` may be ``src``.
+    """
     rev = (slice(None), slice(None, None, -1)) if axis else (slice(None, None, -1),)
-    bwd = np.minimum.accumulate((d + idx)[rev], axis=axis)[rev] - idx
-    return np.minimum(fwd, bwd)
+    fwd = np.subtract(src, idx)
+    np.minimum.accumulate(fwd, axis=axis, out=fwd)
+    fwd += idx
+    src += idx
+    bwd = src[rev]
+    np.minimum.accumulate(bwd, axis=axis, out=bwd)
+    src -= idx
+    return np.minimum(fwd, src, out=out)
 
 
 def depth(bm: Bitmap) -> int:
@@ -88,17 +103,32 @@ def depth(bm: Bitmap) -> int:
 
     Lattice distance is L1, so the distance-to-complement field is the L1
     distance transform of the non-member cells, computed by the separable
-    two-axis scan in O(area). The padding ring is non-member, which is
-    correct: any complement point beyond the array is strictly farther than
-    the ring cell on the same ray.
+    two-axis scan in O(area) (Rosenfeld–Pfaltz 1966; Felzenszwalb–Huttenlocher
+    2012). The padding ring is non-member, which is correct: any complement
+    point beyond the array is strictly farther than the ring cell on the same
+    ray. Non-members are at distance 0, so the largest value of the field is
+    the largest over members.
+
+    The column pass writes one full-size array of :func:`_distance_dtype`,
+    ``_CHUNK`` columns at a time; the row pass reads it ``_CHUNK`` rows at a
+    time and keeps only the running maximum.
     """
-    free = ~bm.mask
-    h, w = free.shape
-    inf = np.int32(h + w + 1)
-    d = np.where(free, np.int32(0), inf)
-    d = _axis_min_transform(d, axis=0)
-    d = _axis_min_transform(d, axis=1)
-    return int(d[bm.mask].max())
+    mask = bm.mask
+    h, w = mask.shape
+    dtype = _distance_dtype(mask.shape)
+    inf = dtype(h + w + 1)
+    d = np.empty(mask.shape, dtype=dtype)
+    rows = np.arange(h, dtype=dtype).reshape(h, 1)
+    for c in range(0, w, _CHUNK):
+        src = mask[:, c : c + _CHUNK].astype(dtype)
+        src *= inf
+        _scan(src, rows, 0, d[:, c : c + _CHUNK])
+    cols = np.arange(w, dtype=dtype)
+    best = 0
+    for r in range(0, h, _CHUNK):
+        src = d[r : r + _CHUNK]
+        best = max(best, int(_scan(src, cols, 1, src).max()))
+    return best
 
 
 def perforated_block(i: int, k: int) -> Bitmap:

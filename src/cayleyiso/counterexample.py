@@ -11,7 +11,11 @@ family a witness against any hoped-for lower bound of the form
 Statistics come from bitmap kernels (exact, tested against the generic set
 path in the unit suite) so multi-million-vertex instances stay cheap; the
 torus embedding recomputes everything on the torus host as an independent
-route.
+route. The kernels peak at about 3 bytes per cell of the padded
+(ki+3) x (ki+3) grid: the boolean mask plus one ``int16`` distance array.
+Past ki + 3 = 10922 the distances need ``int32`` and the peak is about
+5 bytes per cell. So ``stats(GridParams(100, 100))``, 10^8 cells, peaks
+near 320 MB.
 """
 
 from __future__ import annotations

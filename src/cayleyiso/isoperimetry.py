@@ -248,9 +248,12 @@ def classify_separation(A: VertexSet, window: int = 50) -> SeparationReport:
     """Classify a finite set with connected closure per the separation dichotomy.
 
     Requires an infinite host and A union boundary(A) connected. ``window``
-    is passed through to the cylinder block-system checks when the ring-like
-    branch delegates to them.
+    is validated (>= 1) first, whatever branch the set falls in, and passed
+    through to the cylinder block-system checks when the ring-like branch
+    delegates to them.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     _require_nonempty(A)
     if A.host.is_finite:
         raise ValueError(f"separation dichotomy needs an infinite host, got {A.host.family}")
@@ -277,7 +280,9 @@ def classify_separation(A: VertexSet, window: int = 50) -> SeparationReport:
         if isinstance(A.host, Cylinder):
             from . import ringlike
 
-            inequalities += ringlike.ring_like_obligations(A, window, bd).inequalities()
+            inequalities += ringlike.ring_like_obligations(
+                A, window, bd, connected=True
+            ).inequalities()
     else:
         branch = "Inapplicable"
     return SeparationReport(

@@ -177,9 +177,13 @@ def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
     if not A.elements:
         raise ValueError("interval cover needs a non-empty set")
     bd = _boundary_elements(A)
+    _require_closure_connected(A, bd)
+    return _cover(system, A, len(bd))
+
+
+def _require_closure_connected(A: VertexSet, bd: set) -> None:
     if not _closure_connected(A, bd):
         raise ValueError("interval cover requires A union boundary(A) connected")
-    return _cover(system, A, len(bd))
 
 
 def _cover(system: CyclicSystem, A: VertexSet, k: int) -> IntervalCover:
@@ -240,18 +244,22 @@ class Branch2Report:
 
 
 def ring_like_obligations(
-    A: VertexSet, window: int = 50, bd: Optional[set] = None
+    A: VertexSet, window: int = 50, bd: Optional[set] = None,
+    connected: bool = False,
 ) -> Branch2Report:
     """Assemble the ring-like obligations for a set on a cylinder host: its
     block system and its interval cover, for a set of any size.
 
-    ``bd`` is boundary(A) when the caller has already computed it and
-    checked that A union bd is connected; without it, the interval cover
-    computes and checks both itself.
+    ``bd`` is boundary(A) when the caller has already computed it, and
+    ``connected`` says the caller has also checked that A union bd is
+    connected. What the caller has not done is done here, after the window
+    is validated, so a bad window is reported before a disconnected set.
     """
     system = cyclic_system(A.host, window=window)
     if bd is None:
         return Branch2Report(system, interval_cover(system, A))
+    if not connected:
+        _require_closure_connected(A, bd)
     return Branch2Report(system, _cover(system, A, len(bd)))
 
 
@@ -259,7 +267,10 @@ def theorem_impr_branch2(A: VertexSet, window: int = 50) -> Branch2Report:
     """Check the ring-like branch obligations for a set with |A| > 16k^2.
 
     Sets with |A| <= 16k^2 belong to the small-set branch and are rejected
-    with BranchError; the separation classifier handles them.
+    with BranchError; the separation classifier handles them. Errors come in
+    this order: empty set, non-cylinder host, BranchError, bad window,
+    disconnected closure. The boundary is computed once, for k and for the
+    closure check.
     """
     if not A.elements:
         raise ValueError("theorem_impr_branch2 needs a non-empty set")
@@ -267,10 +278,11 @@ def theorem_impr_branch2(A: VertexSet, window: int = 50) -> Branch2Report:
         raise ValueError(
             f"ring-like branch requires a cylinder host, got {A.host.family}"
         )
-    k = len(_boundary_elements(A))
+    bd = _boundary_elements(A)
+    k = len(bd)
     if len(A) <= 16 * k * k:
         raise BranchError(
             f"|A| = {len(A)} <= 16k^2 = {16 * k * k}: small-set branch; "
             "use classify_separation"
         )
-    return ring_like_obligations(A, window)
+    return ring_like_obligations(A, window, bd)

@@ -159,6 +159,17 @@ def test_separation_ring_like_set(tmp_path, capsys):
     assert err == ""
 
 
+def test_separation_rejects_window_zero_for_any_set_size(tmp_path, capsys):
+    # a 300-vertex set stays in the small-set branch, a 3000-vertex block set
+    # reaches the ring-like branch; both must reject the window up front
+    for source in (["--group", "cyl:3", "--random", "300"],
+                   ["--set", save_block_set(tmp_path)]):
+        rc, out, err = run(["separation", *source, "--window", "0"], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err == "error: window must be >= 1, got 0\n"
+
+
 # --- counterexample ----------------------------------------------------------
 
 

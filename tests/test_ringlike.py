@@ -4,6 +4,7 @@ and the interval-cover slack bound."""
 import pytest
 
 import oracles
+from cayleyiso import ringlike
 from cayleyiso import Cylinder, IntegerLattice, VertexSet, random_connected_set
 from cayleyiso.ringlike import (
     Branch2Report,
@@ -285,6 +286,40 @@ def test_branch2_rejects_bad_hosts_and_empty_sets():
         theorem_impr_branch2(VertexSet(IntegerLattice(2), [(0, 0)]))
     with pytest.raises(ValueError):
         theorem_impr_branch2(VertexSet(Cylinder(3), []))
+
+
+def test_branch2_error_order():
+    # each step fails alone while every later one would fail too:
+    # empty set, non-cylinder host, BranchError, window, connectivity
+    host = Cylinder(3)
+    apart = block_interval(host, 2000, skip=[(z, r) for z in (999, 1000, 1001)
+                                             for r in range(3)])
+    assert len(apart) > 16 * 12**2  # two intervals, k = 12: large-set branch
+    cases = [
+        (VertexSet(IntegerLattice(2), []), ValueError, "non-empty"),
+        (VertexSet(IntegerLattice(2), apart.elements), ValueError, "cylinder host"),
+        (VertexSet(host, [(0, 0), (9, 0)]), BranchError, "small-set branch"),
+        (apart, ValueError, "window must be >= 1, got 0"),
+    ]
+    for A, error, message in cases:
+        with pytest.raises(error, match=message):
+            theorem_impr_branch2(A, window=0)
+    with pytest.raises(ValueError, match="A union boundary\\(A\\) connected"):
+        theorem_impr_branch2(apart, window=1)
+
+
+def test_branch2_computes_the_boundary_once(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(len(A))
+        return original(A)
+
+    original = ringlike._boundary_elements
+    monkeypatch.setattr(ringlike, "_boundary_elements", counted)
+    report = theorem_impr_branch2(block_interval(Cylinder(3), 1000))
+    assert report.cover.k == 6
+    assert calls == [3000]
 
 
 def test_branch2_serialization_merges_system_and_cover():
