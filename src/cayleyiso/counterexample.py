@@ -261,7 +261,8 @@ def embed_torus(params: GridParams, budget: Optional[int] = None) -> TorusEmbedd
     n = 3 * k * i + 1
     lattice_set = build(params, budget=budget)
     torus = Torus(n, 2)
-    torus_set = VertexSet(torus, ((x % n, y % n) for x, y in lattice_set))
+    # 0 <= x, y <= ki < n, so the lattice coordinates are already residues
+    torus_set = VertexSet(torus, lattice_set.elements)
 
     size_lat = len(lattice_set)
     boundary_lat = len(boundary(lattice_set))

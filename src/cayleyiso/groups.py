@@ -19,7 +19,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 from typing import Collection, Container, Iterator, Optional, Sequence, Tuple
 
@@ -358,14 +358,8 @@ class Cylinder(GroupGraph):
     def neighbors(self, v: Vertex) -> list:
         self.validate_vertex(v)
         z, r = v
-        out = []
-        seen = set()
-        for dz, dr in self.generators:
-            u = (z + dz, (r + dr) % self.m)
-            if u not in seen:
-                seen.add(u)
-                out.append(u)
-        return out
+        # the generators are distinct (dz, dr mod m) pairs, so these are too
+        return [(z + dz, (r + dr) % self.m) for dz, dr in self.generators]
 
 
 def parse_group(text: str) -> GroupGraph:
@@ -419,7 +413,7 @@ def parse_group(text: str) -> GroupGraph:
 def _bfs_levels(
     g: GroupGraph,
     sources: Collection[Vertex],
-    budget: int,
+    budget: Optional[int],
     max_radius: Optional[int] = None,
     within: Optional[Container[Vertex]] = None,
 ) -> Iterator[set]:
@@ -428,11 +422,11 @@ def _bfs_levels(
     When ``within`` is given, expansion enters only vertices it contains
     (the sources themselves need not be in it). Stops after ``max_radius``
     levels if given, or when the frontier empties. Raises BudgetExceeded
-    when the visited set would grow past ``budget``; the exception records
-    the last completed radius.
+    when the visited set would grow past ``budget`` (DEFAULT_BUDGET if None);
+    the exception records the last completed radius. Sources are not
+    validated: ``ball`` and ``ball_profile`` check a caller's center.
     """
-    for v in sources:
-        g.validate_vertex(v)
+    budget = DEFAULT_BUDGET if budget is None else budget
     frontier = set(sources)
     seen = set(frontier)
     r = 0
@@ -462,11 +456,29 @@ def ball(
     """Exact metric ball {u : d(u, center) <= r}, by breadth-first expansion."""
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    budget = DEFAULT_BUDGET if budget is None else budget
+    g.validate_vertex(center)
     out: set = set()
     for sphere in _bfs_levels(g, (center,), budget, max_radius=r):
         out |= sphere
     return out
+
+
+def _ball_sizes(
+    g: GroupGraph, budget: Optional[int], center: Optional[Vertex] = None
+) -> Iterator[int]:
+    """Yield b(0), b(1), ... around ``center``: counted (budget-exempt) when no
+    center is given and the family has a rule, else by BFS until exhausted."""
+    if center is None:
+        n = 0
+        # doubling the counted radius keeps the counting linear in the radius read
+        while (sizes := g.exact_ball_profile(2 * n + 1)) is not None:
+            yield from sizes[n:]
+            n = len(sizes)
+        center = g.identity()
+    total = 0
+    for sphere in _bfs_levels(g, (center,), budget):
+        total += len(sphere)
+        yield total
 
 
 def ball_profile(
@@ -482,20 +494,12 @@ def ball_profile(
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if center is None:
-        center = g.identity()
-        exact = g.exact_ball_profile(r)
-        if exact is not None:
-            return exact
-    sizes = []
-    total = 0
-    for sphere in _bfs_levels(g, (center,), budget, max_radius=r):
-        total += len(sphere)
-        sizes.append(total)
-    while len(sizes) < r + 1:
-        sizes.append(total)
-    return sizes
+    if center is not None:
+        g.validate_vertex(center)
+    elif (exact := g.exact_ball_profile(r)) is not None:
+        return exact  # a known radius is counted in one pass
+    sizes = list(islice(_ball_sizes(g, budget, center), r + 1))
+    return sizes + sizes[-1:] * (r + 1 - len(sizes))
 
 
 def ball_size(
@@ -508,18 +512,14 @@ def ball_size(
 def minimal_ball_radius(
     g: GroupGraph, target: int, budget: Optional[int] = None
 ) -> int:
-    """Smallest positive m with b(m) >= target; the host must be infinite."""
+    """Smallest positive m with b(m) >= target; the host must be infinite.
+    The sizes are those of ``ball_profile``: counted where there is a rule."""
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
     if g.is_finite:
         raise ValueError(f"minimal_ball_radius needs an infinite host, got {g.family}")
-    budget = DEFAULT_BUDGET if budget is None else budget
-    total = 0
-    for r, sphere in enumerate(_bfs_levels(g, (g.identity(),), budget)):
-        total += len(sphere)
-        if r >= 1 and total >= target:
-            return r
-    raise RuntimeError(f"BFS frontier emptied on infinite host {g.family}")
+    sizes = enumerate(_ball_sizes(g, budget))
+    return next(r for r, b in sizes if r >= 1 and b >= target)
 
 
 @dataclass

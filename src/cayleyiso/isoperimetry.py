@@ -5,6 +5,9 @@ deepest member is from the complement), closure connectivity, the Varopoulos
 inequality check, and the small-set / ring-like separation classifier. Also
 houses the seedable random connected-set generator and the JSON set-file
 format shared with the CLI.
+
+Every checker reads a set's boundary, and whether A union boundary(A) is
+connected, from the ``VertexSet`` itself, which computes each once.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .groups import (
@@ -26,7 +30,13 @@ from .groups import (
 
 
 class VertexSet:
-    """A finite set of vertices with O(1) membership, bound to its host graph."""
+    """A finite set of vertices with O(1) membership, bound to its host graph.
+
+    Immutable: its exterior boundary and the connectivity of A union
+    boundary(A) are computed on first use and kept (``_boundary``,
+    ``_closure_is_connected``), so every checker that reads them shares one
+    computation per set.
+    """
 
     def __init__(self, host: GroupGraph, elements: Iterable[Vertex]):
         self.host = host
@@ -66,6 +76,17 @@ class VertexSet:
             "group": self.host.family,
             "vertices": [self.host.vertex_to_json(v) for v in self.sorted_elements()],
         }
+
+    @cached_property
+    def _boundary(self) -> frozenset:
+        return frozenset(_boundary_elements(self))
+
+    @cached_property
+    def _closure_is_connected(self) -> bool:
+        closure = self.elements | self._boundary
+        start = next(iter(self.elements))
+        levels = _bfs_levels(self.host, (start,), len(closure), within=closure)
+        return sum(len(sphere) for sphere in levels) == len(closure)
 
 
 def load_set(path: str) -> VertexSet:
@@ -112,7 +133,7 @@ def boundary(A: VertexSet) -> VertexSet:
     a finite host.
     """
     _require_nonempty(A)
-    return VertexSet(A.host, _boundary_elements(A))
+    return VertexSet(A.host, A._boundary)
 
 
 def depth(A: VertexSet) -> int:
@@ -125,15 +146,11 @@ def depth(A: VertexSet) -> int:
     covers all of A even when A is disconnected.
     """
     _require_nonempty(A)
-    sources = _boundary_elements(A)
-    if not sources:
+    bd = A._boundary
+    if not bd:
         raise ValueError(
             f"depth undefined: set exhausts the finite host {A.host.family}"
         )
-    return _depth(A, sources)
-
-
-def _depth(A: VertexSet, bd: set) -> int:
     # the BFS visits only bd and A, so its budget cannot trip
     levels = _bfs_levels(A.host, bd, len(bd) + len(A), within=A.elements)
     return sum(1 for _ in levels) - 1
@@ -142,14 +159,7 @@ def _depth(A: VertexSet, bd: set) -> int:
 def is_connected_with_boundary(A: VertexSet) -> bool:
     """True iff the subgraph induced on A union boundary(A) is connected."""
     _require_nonempty(A)
-    return _closure_connected(A, _boundary_elements(A))
-
-
-def _closure_connected(A: VertexSet, bd: set) -> bool:
-    closure = A.elements | bd
-    start = next(iter(A.elements))
-    levels = _bfs_levels(A.host, (start,), len(closure), within=closure)
-    return sum(len(sphere) for sphere in levels) == len(closure)
+    return A._closure_is_connected
 
 
 class VaropoulosReport(NamedTuple):
@@ -178,7 +188,7 @@ def varopoulos_check(A: VertexSet, budget: Optional[int] = None) -> VaropoulosRe
         )
     m = minimal_ball_radius(A.host, 2 * len(A), budget=budget)
     lhs = len(A)
-    rhs = 2 * m * len(_boundary_elements(A))
+    rhs = 2 * m * len(A._boundary)
     return VaropoulosReport(m, lhs <= rhs, lhs, rhs)
 
 
@@ -257,11 +267,10 @@ def classify_separation(A: VertexSet, window: int = 50) -> SeparationReport:
     _require_nonempty(A)
     if A.host.is_finite:
         raise ValueError(f"separation dichotomy needs an infinite host, got {A.host.family}")
-    bd = _boundary_elements(A)
-    if not _closure_connected(A, bd):
+    if not is_connected_with_boundary(A):
         raise ValueError("classify_separation requires A union boundary(A) connected")
-    k = len(bd)
-    d = _depth(A, bd)
+    k = len(A._boundary)
+    d = depth(A)
     size = len(A)
     unconditional = A.host.declared_ends in (1, math.inf)
     small = size <= 16 * k * k
@@ -280,9 +289,7 @@ def classify_separation(A: VertexSet, window: int = 50) -> SeparationReport:
         if isinstance(A.host, Cylinder):
             from . import ringlike
 
-            inequalities += ringlike.ring_like_obligations(
-                A, window, bd, connected=True
-            ).inequalities()
+            inequalities += ringlike.ring_like_obligations(A, window).inequalities()
     else:
         branch = "Inapplicable"
     return SeparationReport(

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .groups import Cylinder, GroupGraph, Vertex, _bfs_levels
-from .isoperimetry import Inequality, VertexSet, _boundary_elements, _closure_connected
+from .isoperimetry import Inequality, VertexSet, is_connected_with_boundary
 
 
 @dataclass
@@ -176,20 +176,11 @@ def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
         )
     if not A.elements:
         raise ValueError("interval cover needs a non-empty set")
-    bd = _boundary_elements(A)
-    _require_closure_connected(A, bd)
-    return _cover(system, A, len(bd))
-
-
-def _require_closure_connected(A: VertexSet, bd: set) -> None:
-    if not _closure_connected(A, bd):
+    if not is_connected_with_boundary(A):
         raise ValueError("interval cover requires A union boundary(A) connected")
-
-
-def _cover(system: CyclicSystem, A: VertexSet, k: int) -> IntervalCover:
     lo = min(v[0] for v in A.elements)
     hi = max(v[0] for v in A.elements)
-    s, t = system.s, system.t
+    s, t, k = system.s, system.t, len(A._boundary)
     slack = (hi - lo + 1) * s - len(A)
     bound = 2 * s * s * t * t * k + 2 * s * t * k
     return IntervalCover(
@@ -243,24 +234,17 @@ class Branch2Report:
         return merged
 
 
-def ring_like_obligations(
-    A: VertexSet, window: int = 50, bd: Optional[set] = None,
-    connected: bool = False,
-) -> Branch2Report:
+def ring_like_obligations(A: VertexSet, window: int = 50) -> Branch2Report:
     """Assemble the ring-like obligations for a set on a cylinder host: its
     block system and its interval cover, for a set of any size.
 
-    ``bd`` is boundary(A) when the caller has already computed it, and
-    ``connected`` says the caller has also checked that A union bd is
-    connected. What the caller has not done is done here, after the window
-    is validated, so a bad window is reported before a disconnected set.
+    The window is validated before the closure is checked, so a bad window
+    is reported before a disconnected set. The set computes its boundary
+    and closure connectivity once, so callers that read them first do not
+    pay for them again here.
     """
     system = cyclic_system(A.host, window=window)
-    if bd is None:
-        return Branch2Report(system, interval_cover(system, A))
-    if not connected:
-        _require_closure_connected(A, bd)
-    return Branch2Report(system, _cover(system, A, len(bd)))
+    return Branch2Report(system, interval_cover(system, A))
 
 
 def theorem_impr_branch2(A: VertexSet, window: int = 50) -> Branch2Report:
@@ -269,8 +253,7 @@ def theorem_impr_branch2(A: VertexSet, window: int = 50) -> Branch2Report:
     Sets with |A| <= 16k^2 belong to the small-set branch and are rejected
     with BranchError; the separation classifier handles them. Errors come in
     this order: empty set, non-cylinder host, BranchError, bad window,
-    disconnected closure. The boundary is computed once, for k and for the
-    closure check.
+    disconnected closure.
     """
     if not A.elements:
         raise ValueError("theorem_impr_branch2 needs a non-empty set")
@@ -278,11 +261,10 @@ def theorem_impr_branch2(A: VertexSet, window: int = 50) -> Branch2Report:
         raise ValueError(
             f"ring-like branch requires a cylinder host, got {A.host.family}"
         )
-    bd = _boundary_elements(A)
-    k = len(bd)
+    k = len(A._boundary)
     if len(A) <= 16 * k * k:
         raise BranchError(
             f"|A| = {len(A)} <= 16k^2 = {16 * k * k}: small-set branch; "
             "use classify_separation"
         )
-    return ring_like_obligations(A, window, bd)
+    return ring_like_obligations(A, window)

@@ -141,6 +141,18 @@ def test_varopoulos_ok(capsys):
     assert err == ""
 
 
+def test_varopoulos_on_free_group_counts_growth_outside_the_budget(capsys):
+    # the free group's ball sizes are counted, not enumerated, so a budget of
+    # 100 binds only the set, as it does for `growth`
+    rc, payload, err = run_json(
+        ["varopoulos", "--group", "free:2", "--random", "50", "--budget", "100"],
+        capsys,
+    )
+    assert rc == 0, err
+    assert payload["m"] == 4  # b(3) = 53 < 100 <= b(4) = 161
+    assert payload["holds"] is True
+
+
 def test_separation_small_set(capsys):
     rc, payload, _ = run_json(
         ["separation", "--group", "z^2", "--random", "50"], capsys

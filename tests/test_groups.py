@@ -55,7 +55,14 @@ def test_torus_neighbors_wrap_around():
 
 
 def test_neighbors_deduplicated_count():
-    for g in all_families():
+    # non-standard cylinders too: the generators are distinct (dz, dr mod m)
+    # pairs, so their neighbors are distinct without a dedup pass
+    extra = [
+        parse_group("cyl:2"),
+        Cylinder(4, [(2, 1), (1, 0)]),
+        Cylinder(3, [(1, 0), (0, 1), (10**6, 0)]),
+    ]
+    for g in all_families() + extra:
         v = g.identity()
         nbrs = g.neighbors(v)
         assert len(nbrs) == len(set(nbrs)) == g.degree
@@ -117,6 +124,12 @@ def test_invalid_vertices_rejected():
         Cylinder(3).neighbors((0, 3))
     with pytest.raises(InvalidVertexError):
         FreeGroup(2).parse_word("a1b")
+    # a caller's center is checked even when the BFS never expands it
+    with pytest.raises(InvalidVertexError):
+        ball(IntegerLattice(2), (0, 0, 0), 0)
+    for r in (0, 3):
+        with pytest.raises(InvalidVertexError):
+            ball_profile(Cylinder(3), r, center=(0, 3))
 
 
 # --- balls -------------------------------------------------------------------
@@ -216,6 +229,22 @@ def test_minimal_ball_radius():
         minimal_ball_radius(Torus(5, 2), 10)
     with pytest.raises(ValueError):
         minimal_ball_radius(g, 0)
+
+
+def test_minimal_ball_radius_counts_free_groups():
+    for rank, radius in ((2, 6), (3, 4)):
+        g = FreeGroup(rank)
+        sizes = [len(oracles.bfs_ball(g, g.identity(), r)) for r in range(radius + 1)]
+        for target in range(1, sizes[radius] + 1):
+            expected = next(r for r in range(1, radius + 1) if sizes[r] >= target)
+            assert minimal_ball_radius(g, target) == expected
+        # past BFS reach, against the closed form, across the counted chunks
+        for r in range(1, 40):
+            b = oracles.free_ball_size(rank, r)
+            assert minimal_ball_radius(g, b, budget=1) == r
+            assert minimal_ball_radius(g, b + 1, budget=1) == r + 1
+    # counted, so exempt from the budget: b(11) = 354293 < 10^6 <= b(12)
+    assert minimal_ball_radius(FreeGroup(2), 10**6, budget=10) == 12
 
 
 # --- growth ------------------------------------------------------------------

@@ -27,6 +27,7 @@ from cayleyiso import (
     save_set,
     varopoulos_check,
 )
+from cayleyiso import isoperimetry
 from cayleyiso.counterexample import GridParams
 from cayleyiso.isoperimetry import set_from_json_obj
 
@@ -298,6 +299,24 @@ def test_separation_report_serialization():
         set(q) == {"name", "lhs", "rhs", "holds", "required"}
         for q in d["inequalities"]
     )
+
+
+def test_a_set_computes_its_boundary_once(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(len(A))
+        return original(A)
+
+    original = isoperimetry._boundary_elements
+    monkeypatch.setattr(isoperimetry, "_boundary_elements", counted)
+    for g in INFINITE_FAMILIES:
+        A = random_connected_set(g, 200, seed=7)
+        var = varopoulos_check(A)
+        sep = classify_separation(A)
+        assert var.rhs == 2 * var.m * sep.boundarySize == 2 * var.m * len(boundary(A))
+        assert sep.depth == depth(A) and is_connected_with_boundary(A)
+    assert calls == [200] * len(INFINITE_FAMILIES)
 
 
 # --- random connected sets ---------------------------------------------------

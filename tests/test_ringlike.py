@@ -4,8 +4,14 @@ and the interval-cover slack bound."""
 import pytest
 
 import oracles
-from cayleyiso import ringlike
-from cayleyiso import Cylinder, IntegerLattice, VertexSet, random_connected_set
+from cayleyiso import isoperimetry
+from cayleyiso import (
+    Cylinder,
+    IntegerLattice,
+    VertexSet,
+    classify_separation,
+    random_connected_set,
+)
 from cayleyiso.ringlike import (
     Branch2Report,
     BranchError,
@@ -315,11 +321,28 @@ def test_branch2_computes_the_boundary_once(monkeypatch):
         calls.append(len(A))
         return original(A)
 
-    original = ringlike._boundary_elements
-    monkeypatch.setattr(ringlike, "_boundary_elements", counted)
+    original = isoperimetry._boundary_elements
+    monkeypatch.setattr(isoperimetry, "_boundary_elements", counted)
     report = theorem_impr_branch2(block_interval(Cylinder(3), 1000))
     assert report.cover.k == 6
     assert calls == [3000]
+
+
+def test_ring_like_separation_runs_the_closure_bfs_once(monkeypatch):
+    calls = []
+
+    def counted(g, sources, budget, max_radius=None, within=None):
+        calls.append((len(sources), len(within)))
+        return original(g, sources, budget, max_radius, within)
+
+    original = isoperimetry._bfs_levels
+    monkeypatch.setattr(isoperimetry, "_bfs_levels", counted)
+    report = classify_separation(block_interval(Cylinder(3), 1000))
+    assert report.branch == "RingLike" and not report.violations()
+    # the closure BFS from one member over A and its 6 boundary vertices,
+    # then the depth BFS from the boundary; the interval cover reads the
+    # set's closure verdict and boundary instead of scanning again
+    assert calls == [(1, 3006), (6, 3000)]
 
 
 def test_branch2_serialization_merges_system_and_cover():
