@@ -154,7 +154,7 @@ def _cmd_growth(args, budget):
 def _cmd_ball(args, budget):
     g = parse_group(args.group)
     vertices = ball(g, g.identity(), args.radius, budget=budget)
-    A = isoperimetry.VertexSet(g, vertices)
+    A = isoperimetry.VertexSet._trusted(g, vertices)
     if args.emit_set:
         isoperimetry.save_set(A, args.emit_set)
     payload = {"group": g.family, "radius": args.radius, "size": len(A)}

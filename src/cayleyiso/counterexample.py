@@ -83,7 +83,7 @@ def build(params: GridParams, budget: Optional[int] = None) -> VertexSet:
         for y in range(k * i + 1)
         if (x, y) not in pins
     )
-    return VertexSet(IntegerLattice(2), points)
+    return VertexSet._trusted(IntegerLattice(2), points)
 
 
 @dataclass
@@ -261,7 +261,8 @@ def embed_torus(params: GridParams, budget: Optional[int] = None) -> TorusEmbedd
     n = 3 * k * i + 1
     lattice_set = build(params, budget=budget)
     torus = Torus(n, 2)
-    # 0 <= x, y <= ki < n, so the lattice coordinates are already residues
+    # 0 <= x, y <= ki < n, so the lattice coordinates are already residues;
+    # the validating constructor is what shows it
     torus_set = VertexSet(torus, lattice_set.elements)
 
     size_lat = len(lattice_set)

@@ -1,8 +1,11 @@
 """Implicit Cayley graphs for a fixed family of groups.
 
 Each graph exposes only local structure (neighbor enumeration from an exact
-vertex representation); balls and growth statistics are computed by
-breadth-first expansion under an explicit vertex budget.
+vertex representation). Balls and growth statistics are computed by
+breadth-first expansion under an explicit vertex budget, except that ball
+sizes are counted, outside the budget, on free groups, ``z^d`` and cylinders
+with the standard generators. Public entry points validate a caller's
+vertices; internal loops step from the library's own vertices unchecked.
 
 Supported families and vertex representations:
 
@@ -18,9 +21,10 @@ from __future__ import annotations
 
 import ast
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, islice
-from math import gcd
+from itertools import islice
+from math import comb, gcd
 from typing import Collection, Container, Iterator, Optional, Sequence, Tuple
 
 Vertex = Tuple[int, ...]
@@ -77,6 +81,11 @@ class GroupGraph:
 
     def neighbors(self, v: Vertex) -> list:
         """All vertices adjacent to ``v``, deduplicated, in a fixed order."""
+        self.validate_vertex(v)
+        return self._step(v)
+
+    def _step(self, v: Vertex) -> list:
+        """``neighbors`` of a vertex already known to be valid, unchecked."""
         raise NotImplementedError
 
     def validate_vertex(self, v) -> None:
@@ -115,6 +124,12 @@ class GroupGraph:
         must agree with BFS wherever both are feasible; the tests compare
         them on overlapping radii.
         """
+        if self._ball_count(0) is None:
+            return None
+        return [self._ball_count(n) for n in range(r + 1)]
+
+    def _ball_count(self, r: int) -> Optional[int]:
+        """b(r) by this family's counting rule, or None if it has none."""
         return None
 
     def __eq__(self, other) -> bool:
@@ -150,13 +165,17 @@ class IntegerLattice(GroupGraph):
         ):
             raise InvalidVertexError(f"{v!r} is not a length-{self.d} integer tuple")
 
-    def neighbors(self, v: Vertex) -> list:
-        self.validate_vertex(v)
+    def _step(self, v: Vertex) -> list:
         out = []
         for i in range(self.d):
             for step in (1, -1):
                 out.append(v[:i] + (v[i] + step,) + v[i + 1 :])
         return out
+
+    def _ball_count(self, r: int) -> int:
+        # Delannoy numbers: choose the k nonzero coordinates, their signs,
+        # and positive values summing to at most r (C(r, k) ways)
+        return sum(2**k * comb(self.d, k) * comb(r, k) for k in range(min(self.d, r) + 1))
 
 
 class Torus(GroupGraph):
@@ -187,8 +206,7 @@ class Torus(GroupGraph):
                 f"{v!r} is not a length-{self.d} tuple of residues mod {self.n}"
             )
 
-    def neighbors(self, v: Vertex) -> list:
-        self.validate_vertex(v)
+    def _step(self, v: Vertex) -> list:
         out = []
         for i in range(self.d):
             for step in (1, -1):
@@ -228,8 +246,7 @@ class FreeGroup(GroupGraph):
             if a == -b:
                 raise InvalidVertexError(f"word {v!r} is not reduced")
 
-    def neighbors(self, v: Vertex) -> list:
-        self.validate_vertex(v)
+    def _step(self, v: Vertex) -> list:
         out = []
         for i in range(1, self.rank + 1):
             for g in (i, -i):
@@ -280,6 +297,9 @@ class FreeGroup(GroupGraph):
             sphere *= 2 * self.rank - 1
         return sizes
 
+    def _ball_count(self, r: int) -> int:
+        return 1 + self.rank * ((2 * self.rank - 1) ** r - 1) // (self.rank - 1)
+
 
 STANDARD_CYLINDER_GENERATORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -293,10 +313,11 @@ class Cylinder(GroupGraph):
     Z x Z_m is Z^2 modulo the row (0, m), so the generators span it exactly
     when their rows together with (0, m) span the lattice Z^2. By the Smith
     normal form the index of the lattice L spanned by these rows is the gcd
-    D of their 2x2 minors, so the test is D == 1. When the z-shifts have gcd
-    1, L meets the column z = 0 in {0} x DZ, and D divides m (the minor of
-    (dz, dr) with (0, m) is dz*m), so exactly the residues 0, D, 2D, ... are
-    reachable at z = 0.
+    D of their 2x2 minors, so the test is D == 1. D is computed as |det| of
+    a triangular basis of L, in one pass over the rows. When the z-shifts
+    have gcd 1, L meets the column z = 0 in {0} x DZ, and D divides m (the
+    minor of (dz, dr) with (0, m) is dz*m), so exactly the residues 0, D,
+    2D, ... are reachable at z = 0.
     """
 
     def __init__(self, m: int, generators: Optional[Sequence[Tuple[int, int]]] = None):
@@ -318,9 +339,11 @@ class Cylinder(GroupGraph):
         self._check_generates()
         self.degree = len(self.generators)
         self.declared_ends = 2
-        if self.generators == tuple(
-            sorted((dz, dr % m) for dz, dr in STANDARD_CYLINDER_GENERATORS)
-        ):
+        standard = sorted((dz, dr % m) for dz, dr in STANDARD_CYLINDER_GENERATORS)
+        # counting needs only the generator set; the family string compares
+        # the 4-tuple, which repeats (0, 1) when m = 2, so cyl:2 gets the long form
+        self._standard = set(self.generators) == set(standard)
+        if self.generators == tuple(standard):
             self.family = f"cyl:{m}"
         else:
             self.family = f"cyl:{m}:{list(self.generators)!r}".replace(" ", "")
@@ -334,9 +357,17 @@ class Cylinder(GroupGraph):
                 f"generators {list(self.generators)} do not generate Z x Z_{m}: "
                 f"z-shifts have gcd {g}"
             )
-        rows = self.generators + ((0, m),)
-        d = gcd(*(a * y - b * x for (a, b), (x, y) in combinations(rows, 2)))
-        if d != 1:
+        # D is the index of L. Fold the rows one at a time into a triangular
+        # basis (a, b), (0, d) of L, starting from (0, m): Euclid on a pair
+        # of rows keeps the lattice they span and leaves (+-gcd, b), (0, y)
+        a, b, d = 0, 0, m
+        for x, y in self.generators:
+            while x:
+                q = a // x
+                a, b, x, y = x, y, a - q * x, b - q * y
+            d = gcd(d, y)
+            b %= d
+        if d != 1:  # D = |a| * d, and |a| = 1 as the z-shifts have gcd 1
             raise ValueError(
                 f"generators {list(self.generators)} do not generate Z x Z_{m}: "
                 f"only residues {list(range(0, m, d))} are reachable at z=0"
@@ -344,6 +375,15 @@ class Cylinder(GroupGraph):
 
     def identity(self) -> Vertex:
         return (0, 0)
+
+    def _ball_count(self, r: int) -> Optional[int]:
+        if not self._standard:
+            return None
+        # d((0, 0), (z, x)) = |z| + the circular distance of x; the column at
+        # |z| = r - j holds min(m, 2j + 1) residues, twice for j < r
+        h = min(r, (self.m - 1) // 2)
+        columns = (h + 1) ** 2 + (r - h) * self.m  # sum of min(m, 2j+1), j <= r
+        return 2 * columns - min(self.m, 2 * r + 1)
 
     def validate_vertex(self, v) -> None:
         if (
@@ -355,8 +395,7 @@ class Cylinder(GroupGraph):
         ):
             raise InvalidVertexError(f"{v!r} is not a (z, residue mod {self.m}) pair")
 
-    def neighbors(self, v: Vertex) -> list:
-        self.validate_vertex(v)
+    def _step(self, v: Vertex) -> list:
         z, r = v
         # the generators are distinct (dz, dr mod m) pairs, so these are too
         return [(z + dz, (r + dr) % self.m) for dz, dr in self.generators]
@@ -424,7 +463,8 @@ def _bfs_levels(
     levels if given, or when the frontier empties. Raises BudgetExceeded
     when the visited set would grow past ``budget`` (DEFAULT_BUDGET if None);
     the exception records the last completed radius. Sources are not
-    validated: ``ball`` and ``ball_profile`` check a caller's center.
+    validated and are expanded by the unchecked ``_step``: ``ball`` and
+    ``ball_profile`` check a caller's center.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     frontier = set(sources)
@@ -436,7 +476,7 @@ def _bfs_levels(
             return
         nxt = set()
         for v in frontier:
-            for u in g.neighbors(v):
+            for u in g._step(v):
                 if u not in seen and (within is None or u in within):
                     # checked per vertex so memory cannot overshoot the
                     # budget by a whole level on fast-growing graphs
@@ -463,18 +503,8 @@ def ball(
     return out
 
 
-def _ball_sizes(
-    g: GroupGraph, budget: Optional[int], center: Optional[Vertex] = None
-) -> Iterator[int]:
-    """Yield b(0), b(1), ... around ``center``: counted (budget-exempt) when no
-    center is given and the family has a rule, else by BFS until exhausted."""
-    if center is None:
-        n = 0
-        # doubling the counted radius keeps the counting linear in the radius read
-        while (sizes := g.exact_ball_profile(2 * n + 1)) is not None:
-            yield from sizes[n:]
-            n = len(sizes)
-        center = g.identity()
+def _ball_sizes(g: GroupGraph, budget: Optional[int], center: Vertex) -> Iterator[int]:
+    """Yield b(0), b(1), ... around ``center`` by BFS until the frontier empties."""
     total = 0
     for sphere in _bfs_levels(g, (center,), budget):
         total += len(sphere)
@@ -488,16 +518,19 @@ def ball_profile(
 
     On a finite host the profile is padded with the saturated total once the
     frontier empties. When no center is given and the family has an exact
-    counting rule (free groups), the profile is counted without enumerating
-    vertices and is exempt from the budget; passing an explicit center always
-    forces BFS, which is what the transitivity tests rely on.
+    counting rule (free groups, ``z^d``, cylinders with the standard
+    generators), the profile is counted without enumerating vertices and is
+    exempt from the budget; passing an explicit center always forces BFS,
+    which is what the transitivity tests rely on.
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     if center is not None:
         g.validate_vertex(center)
     elif (exact := g.exact_ball_profile(r)) is not None:
-        return exact  # a known radius is counted in one pass
+        return exact
+    else:
+        center = g.identity()
     sizes = list(islice(_ball_sizes(g, budget, center), r + 1))
     return sizes + sizes[-1:] * (r + 1 - len(sizes))
 
@@ -513,13 +546,21 @@ def minimal_ball_radius(
     g: GroupGraph, target: int, budget: Optional[int] = None
 ) -> int:
     """Smallest positive m with b(m) >= target; the host must be infinite.
-    The sizes are those of ``ball_profile``: counted where there is a rule."""
+    The sizes are those of ``ball_profile``: counted where there is a rule,
+    with O(log m) single-radius counts."""
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
     if g.is_finite:
         raise ValueError(f"minimal_ball_radius needs an infinite host, got {g.family}")
-    sizes = enumerate(_ball_sizes(g, budget))
-    return next(r for r, b in sizes if r >= 1 and b >= target)
+    count = g._ball_count
+    if count(1) is None:
+        sizes = enumerate(_ball_sizes(g, budget, g.identity()))
+        return next(r for r, b in sizes if r >= 1 and b >= target)
+    hi = 1  # gallop to a radius that reaches the target, then bisect below it
+    while count(hi) < target:
+        hi *= 2
+    lo = hi // 2 + 1
+    return lo + bisect_left(range(lo, hi + 1), target, key=count)
 
 
 @dataclass

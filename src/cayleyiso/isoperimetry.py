@@ -32,6 +32,8 @@ from .groups import (
 class VertexSet:
     """A finite set of vertices with O(1) membership, bound to its host graph.
 
+    The constructor validates every element; sets the library builds from
+    vertices it produced use ``_trusted``, which does not check them again.
     Immutable: its exterior boundary and the connectivity of A union
     boundary(A) are computed on first use and kept (``_boundary``,
     ``_closure_is_connected``), so every checker that reads them shares one
@@ -45,6 +47,14 @@ class VertexSet:
             host.validate_vertex(v)
             elems.add(v)
         self.elements = frozenset(elems)
+
+    @classmethod
+    def _trusted(cls, host: GroupGraph, elements: Iterable[Vertex]) -> "VertexSet":
+        """A set of vertices the library produced as valid, not checked again."""
+        A = cls.__new__(cls)
+        A.host = host
+        A.elements = frozenset(elements)
+        return A
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -102,7 +112,8 @@ def set_from_json_obj(obj) -> VertexSet:
     host = parse_group(obj["group"])
     if not isinstance(obj["vertices"], list):
         raise ValueError('"vertices" must be a list')
-    return VertexSet(host, (host.vertex_from_json(item) for item in obj["vertices"]))
+    # vertex_from_json validates each item
+    return VertexSet._trusted(host, (host.vertex_from_json(item) for item in obj["vertices"]))
 
 
 def save_set(A: VertexSet, path: str) -> None:
@@ -120,7 +131,7 @@ def _boundary_elements(A: VertexSet) -> set:
     g = A.host
     out = set()
     for v in A.elements:
-        for u in g.neighbors(v):
+        for u in g._step(v):
             if u not in A.elements:
                 out.add(u)
     return out
@@ -133,7 +144,7 @@ def boundary(A: VertexSet) -> VertexSet:
     a finite host.
     """
     _require_nonempty(A)
-    return VertexSet(A.host, A._boundary)
+    return VertexSet._trusted(A.host, A._boundary)
 
 
 def depth(A: VertexSet) -> int:
@@ -321,7 +332,7 @@ def random_connected_set(
         start = g.identity()
     g.validate_vertex(start)
     members = {start}
-    candidates = list(g.neighbors(start))
+    candidates = g._step(start)
     candidate_set = set(candidates)
     while len(members) < size:
         j = rng.randrange(len(candidates))
@@ -329,8 +340,8 @@ def random_connected_set(
         v = candidates.pop()
         candidate_set.discard(v)
         members.add(v)
-        for u in g.neighbors(v):
+        for u in g._step(v):
             if u not in members and u not in candidate_set:
                 candidate_set.add(u)
                 candidates.append(u)
-    return VertexSet(g, members)
+    return VertexSet._trusted(g, members)

@@ -54,7 +54,7 @@ class CyclicSystem:
         return v[0]
 
     def block(self, z: int) -> VertexSet:
-        return VertexSet(self.host, ((z, r) for r in range(self.s)))
+        return VertexSet._trusted(self.host, ((z, r) for r in range(self.s)))
 
     def to_dict(self) -> dict:
         return {
@@ -149,7 +149,7 @@ class IntervalCover:
 
     @cached_property
     def q_vertices(self) -> VertexSet:
-        return VertexSet(
+        return VertexSet._trusted(
             self.host,
             ((z, r) for z in range(self.j_lo, self.j_hi + 1) for r in range(self.host.m)),
         )

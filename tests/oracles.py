@@ -50,6 +50,14 @@ def enumerate_reduced_words(rank: int, r: int) -> set:
     return words
 
 
+def lattice_ball_size(d: int, r: int) -> int:
+    """Count the points of Z^d with |x_1| + ... + |x_d| <= r, one
+    coordinate value at a time."""
+    if d == 0:
+        return 1
+    return sum(lattice_ball_size(d - 1, r - abs(x)) for x in range(-r, r + 1))
+
+
 def torus_ball_size(n: int, d: int, r: int) -> int:
     """Count residue vectors whose coordinatewise wraparound distances sum
     to <= r."""

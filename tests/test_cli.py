@@ -153,6 +153,31 @@ def test_varopoulos_on_free_group_counts_growth_outside_the_budget(capsys):
     assert payload["holds"] is True
 
 
+def test_counted_growth_on_lattices_and_cylinders_is_outside_the_budget(capsys):
+    rc, payload, err = run_json(
+        ["varopoulos", "--group", "z^2", "--random", "50", "--budget", "100"],
+        capsys,
+    )
+    assert rc == 0, err
+    assert payload["m"] == 7  # b(6) = 85 < 100 <= b(7) = 113
+    assert payload["holds"] is True
+    rc, payload, err = run_json(
+        ["growth", "--group", "cyl:3", "--max-radius", "200", "--budget", "10",
+         "--format", "json"],
+        capsys,
+    )
+    assert rc == 0, err
+    # all 3 residues at each |z| < 200, only residue 0 at z = +-200
+    assert payload["ballSizes"][200] == 3 * 399 + 2
+    # a non-standard cylinder still enumerates, so the budget binds there
+    rc, _, err = run(
+        ["growth", "--group", "cyl:4:[(2,1),(1,0)]", "--max-radius", "200",
+         "--budget", "10"],
+        capsys,
+    )
+    assert rc == 1 and "budget" in err
+
+
 def test_separation_small_set(capsys):
     rc, payload, _ = run_json(
         ["separation", "--group", "z^2", "--random", "50"], capsys

@@ -247,6 +247,34 @@ def test_minimal_ball_radius_counts_free_groups():
     assert minimal_ball_radius(FreeGroup(2), 10**6, budget=10) == 12
 
 
+def test_minimal_ball_radius_counts_lattices_and_cylinders():
+    cases = (
+        (IntegerLattice(1), 12, oracles.z1_ball_size),
+        (IntegerLattice(2), 8, oracles.z2_ball_size),
+        (Cylinder(3), 12, lambda r: oracles.cylinder_standard_ball_size(3, r)),
+    )
+    for g, radius, size in cases:
+        sizes = [len(oracles.bfs_ball(g, g.identity(), r)) for r in range(radius + 1)]
+        for target in range(1, sizes[radius] + 1):
+            expected = next(r for r in range(1, radius + 1) if sizes[r] >= target)
+            assert minimal_ball_radius(g, target) == expected
+        # far past BFS reach, where only counting can answer within budget 1
+        for r in list(range(1, 70)) + [1000, 4097, 10**5]:
+            b = size(r)
+            assert minimal_ball_radius(g, b, budget=1) == r
+            assert minimal_ball_radius(g, b + 1, budget=1) == r + 1
+
+
+def test_minimal_ball_radius_counts_each_radius_o_log_m_times():
+    g = IntegerLattice(1)
+    counted = []
+    rule = g._ball_count
+    g._ball_count = lambda r: counted.append(r) or rule(r)
+    m = 10**12
+    assert minimal_ball_radius(g, 2 * m + 1) == m
+    assert len(counted) <= 2 * 41  # gallop and bisect, 2^40 < 10^12 < 2^41
+
+
 # --- growth ------------------------------------------------------------------
 
 
@@ -371,21 +399,54 @@ def test_cylinder_accepts_shifted_generators():
     assert g.degree == 4
 
 
-def test_cylinder_generation_matches_bfs_oracle():
+def test_counted_ball_profiles_match_bfs_and_oracles():
+    for d, radius in ((1, 30), (2, 20), (3, 10), (4, 6)):
+        g = IntegerLattice(d)
+        bfs = ball_profile(g, radius, center=g.identity())
+        assert g.exact_ball_profile(radius) == bfs
+        assert bfs == [oracles.lattice_ball_size(d, r) for r in range(radius + 1)]
+    for m in range(2, 8):
+        direct = [oracles.cylinder_standard_ball_size(m, r) for r in range(26)]
+        # the same generator set, given three ways; m = 2 has the long family
+        for g in (Cylinder(m), Cylinder(m, [(-1, 0), (0, -1), (1, 0), (0, 1)]),
+                  parse_group(Cylinder(m).family)):
+            assert g.exact_ball_profile(25) == direct
+            assert ball_profile(g, 25, center=g.identity()) == direct
+    assert Cylinder(4, [(2, 1), (1, 0)]).exact_ball_profile(5) is None
+    assert parse_group("torus:7x7").exact_ball_profile(5) is None
+
+
+def _generator_lists():
     # every set of one or two generators with |zShift| <= 3, for m <= 6
     for m in range(2, 7):
         steps = [(dz, dr) for dz in range(-3, 4) for dr in range(m) if (dz, dr) != (0, 0)]
         for gens in [[a] for a in steps] + list(combinations(steps, 2)):
-            generates, column = oracles.cylinder_generates(m, gens)
-            if generates:
-                Cylinder(m, gens)
-                continue
-            with pytest.raises(ValueError) as exc:
-                Cylinder(m, gens)
-            if math.gcd(*(dz for dz, _ in gens)) == 1:
-                assert f"only residues {column} are reachable at z=0" in str(exc.value)
-            else:
-                assert "z-shifts have gcd" in str(exc.value)
+            yield m, gens
+    # long lists of rows of the lattice spanned by (1, c) and (0, e), of index e | m
+    rng = random.Random(7)
+    for _ in range(300):
+        m = rng.randint(2, 9)
+        c = rng.randrange(m)
+        e = rng.choice([e for e in range(1, m + 1) if m % e == 0])
+        gens = []
+        for _ in range(rng.randint(1, 40)):
+            x = rng.choice((0, 1, -1, 2, -3, 4)) * rng.choice((1, 1, 2, 3))
+            gens.append((x, (c * x + e * rng.randrange(m)) % m))
+        yield m, [gen for gen in gens if gen != (0, 0)] or [(0, 1)]
+
+
+def test_cylinder_generation_matches_bfs_oracle():
+    for m, gens in _generator_lists():
+        generates, column = oracles.cylinder_generates(m, gens)
+        if generates:
+            Cylinder(m, gens)
+            continue
+        with pytest.raises(ValueError) as exc:
+            Cylinder(m, gens)
+        if math.gcd(*(dz for dz, _ in gens)) == 1:
+            assert f"only residues {column} are reachable at z=0" in str(exc.value)
+        else:
+            assert "z-shifts have gcd" in str(exc.value)
 
 
 @settings(max_examples=30)

@@ -319,6 +319,53 @@ def test_a_set_computes_its_boundary_once(monkeypatch):
     assert calls == [200] * len(INFINITE_FAMILIES)
 
 
+def _count_validations(monkeypatch, *hosts):
+    """Record every vertex that ``validate_vertex`` checks on these hosts' classes."""
+    calls = []
+    for cls in {type(g) for g in hosts}:
+        def counted(self, v, original=cls.validate_vertex):
+            calls.append(v)
+            return original(self, v)
+
+        monkeypatch.setattr(cls, "validate_vertex", counted)
+    return calls
+
+
+def test_the_set_calculus_validates_only_the_start_vertex(monkeypatch):
+    hosts = [IntegerLattice(2), FreeGroup(2), Cylinder(3)]
+    calls = _count_validations(monkeypatch, *hosts)
+    for g in hosts:
+        calls.clear()
+        A = random_connected_set(g, 300, seed=3)
+        assert varopoulos_check(A).holds
+        classify_separation(A)
+        assert calls == [g.identity()]
+
+
+def test_sets_the_library_builds_are_not_validated_again(monkeypatch, capsys):
+    from cayleyiso import cli, ringlike
+
+    host = Cylinder(3)
+    A = random_connected_set(host, 300, seed=3)
+    system = ringlike.cyclic_system(host)
+    obj = A.to_json_obj()
+    calls = _count_validations(monkeypatch, Z2, host, Torus(3, 2))
+    boundary(A)
+    system.block(5)
+    ringlike.interval_cover(system, A).q_vertices
+    counterexample.build(GridParams(3, 3))
+    assert calls == []
+    assert cli.main(["ball", "--group", "z^2", "--radius", "3"]) == 0
+    assert calls == [(0, 0)]  # the center, checked by ``ball``
+    calls.clear()
+    assert set_from_json_obj(obj) == A
+    assert len(calls) == len(A)  # once per item, by vertex_from_json
+    calls.clear()
+    # the torus set is checked: that is what shows it lies in [0, n)^2
+    embedding = counterexample.embed_torus(GridParams(2, 2))
+    assert len(calls) == len(embedding.vertex_set)
+
+
 # --- random connected sets ---------------------------------------------------
 
 
