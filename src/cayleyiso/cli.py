@@ -246,7 +246,7 @@ def _cmd_ringlike_check(args, budget):
 def _cmd_ringlike_cover(args, budget):
     A = _resolve_set(args, budget)
     report = ringlike.ring_like_obligations(A, window=args.window)
-    return ("json", report.payload()), report.violations()
+    return ("json", report.to_dict()), report.violations()
 
 
 def _cmd_sweep_ratio(args, budget):

@@ -26,7 +26,7 @@ from typing import Optional, Tuple, Union
 
 from . import _grid
 from .groups import DEFAULT_BUDGET, BudgetExceeded, IntegerLattice, Torus
-from .isoperimetry import VertexSet, boundary, depth, is_connected_with_boundary
+from .isoperimetry import VertexSet, boundary, depth
 
 
 @dataclass(frozen=True)
@@ -292,8 +292,3 @@ def embed_torus(params: GridParams, budget: Optional[int] = None) -> TorusEmbedd
     )
     return TorusEmbedding(torus, torus_set, report)
 
-
-def closure_connected(params: GridParams, budget: Optional[int] = None) -> bool:
-    """True iff A(i,k) union its boundary is connected (it always is: the
-    pins are isolated boundary vertices surrounded by members when i >= 2)."""
-    return is_connected_with_boundary(build(params, budget=budget))

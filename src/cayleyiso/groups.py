@@ -327,9 +327,13 @@ class Cylinder(GroupGraph):
         raw = list(generators) if generators is not None else [(1, 0), (0, 1)]
         gens = set()
         for item in raw:
-            if not (isinstance(item, (tuple, list)) and len(item) == 2):
+            if not (
+                isinstance(item, (tuple, list))
+                and len(item) == 2
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in item)
+            ):
                 raise ValueError(f"generator {item!r} is not a (zShift, rShift) pair")
-            dz, dr = int(item[0]), int(item[1]) % m
+            dz, dr = item[0], item[1] % m
             if dz == 0 and dr == 0:
                 raise ValueError("identity (0,0) is not allowed as a generator")
             gens.add((dz, dr))
@@ -463,8 +467,8 @@ def _bfs_levels(
     levels if given, or when the frontier empties. Raises BudgetExceeded
     when the visited set would grow past ``budget`` (DEFAULT_BUDGET if None);
     the exception records the last completed radius. Sources are not
-    validated and are expanded by the unchecked ``_step``: ``ball`` and
-    ``ball_profile`` check a caller's center.
+    validated and are expanded by the unchecked ``_step``: ``ball`` checks
+    a caller's center.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     frontier = set(sources)
@@ -503,43 +507,35 @@ def ball(
     return out
 
 
-def _ball_sizes(g: GroupGraph, budget: Optional[int], center: Vertex) -> Iterator[int]:
-    """Yield b(0), b(1), ... around ``center`` by BFS until the frontier empties."""
+def _ball_sizes(g: GroupGraph, budget: Optional[int]) -> Iterator[int]:
+    """Yield b(0), b(1), ... by BFS from the identity until the frontier empties."""
     total = 0
-    for sphere in _bfs_levels(g, (center,), budget):
+    for sphere in _bfs_levels(g, (g.identity(),), budget):
         total += len(sphere)
         yield total
 
 
-def ball_profile(
-    g: GroupGraph, r: int, budget: Optional[int] = None, center: Optional[Vertex] = None
-) -> list:
-    """Cumulative ball sizes [b(0), b(1), ..., b(r)] around ``center``.
+def ball_profile(g: GroupGraph, r: int, budget: Optional[int] = None) -> list:
+    """Cumulative ball sizes [b(0), b(1), ..., b(r)].
 
-    On a finite host the profile is padded with the saturated total once the
-    frontier empties. When no center is given and the family has an exact
-    counting rule (free groups, ``z^d``, cylinders with the standard
-    generators), the profile is counted without enumerating vertices and is
-    exempt from the budget; passing an explicit center always forces BFS,
-    which is what the transitivity tests rely on.
+    The host is vertex-transitive, so ball sizes do not depend on the
+    center. When the family has an exact counting rule (free groups,
+    ``z^d``, cylinders with the standard generators), the profile is counted
+    without enumerating vertices and is exempt from the budget; otherwise it
+    comes from a BFS from the identity. On a finite host the profile is
+    padded with the saturated total once the frontier empties.
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    if center is not None:
-        g.validate_vertex(center)
-    elif (exact := g.exact_ball_profile(r)) is not None:
+    if (exact := g.exact_ball_profile(r)) is not None:
         return exact
-    else:
-        center = g.identity()
-    sizes = list(islice(_ball_sizes(g, budget, center), r + 1))
+    sizes = list(islice(_ball_sizes(g, budget), r + 1))
     return sizes + sizes[-1:] * (r + 1 - len(sizes))
 
 
-def ball_size(
-    g: GroupGraph, r: int, budget: Optional[int] = None, center: Optional[Vertex] = None
-) -> int:
-    """Number of vertices in a ball of radius ``r`` (center-independent)."""
-    return ball_profile(g, r, budget=budget, center=center)[r]
+def ball_size(g: GroupGraph, r: int, budget: Optional[int] = None) -> int:
+    """Number of vertices in a ball of radius ``r``, by ``ball_profile``."""
+    return ball_profile(g, r, budget=budget)[r]
 
 
 def minimal_ball_radius(
@@ -554,7 +550,7 @@ def minimal_ball_radius(
         raise ValueError(f"minimal_ball_radius needs an infinite host, got {g.family}")
     count = g._ball_count
     if count(1) is None:
-        sizes = enumerate(_ball_sizes(g, budget, g.identity()))
+        sizes = enumerate(_ball_sizes(g, budget))
         return next(r for r, b in sizes if r >= 1 and b >= target)
     hi = 1  # gallop to a radius that reaches the target, then bisect below it
     while count(hi) < target:

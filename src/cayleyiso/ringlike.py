@@ -12,18 +12,17 @@ The partition and edge-locality properties hold by construction: the blocks
 are the z-fibres, so they partition the vertices into blocks of exactly s
 vertices, and a generator (dz, dr) moves the block index by dz, where
 |dz| <= t by the definition of t. They are reported, not checked. What is
-checked is cohesiveness, exactly, and the slack bound of each cover. This
-module instantiates the known block system; it does not search for block
-systems on arbitrary graphs.
+checked is cohesiveness, exactly, and the slack bound of each cover.
+Cohesiveness depends on the host alone: translations are automorphisms, so
+one BFS from the identity gives it. This module instantiates the known block
+system; it does not search for block systems on arbitrary graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Tuple
 
-from .groups import Cylinder, GroupGraph, Vertex, _bfs_levels
+from .groups import Cylinder, GroupGraph, _bfs_levels
 from .isoperimetry import Inequality, VertexSet, is_connected_with_boundary
 
 
@@ -32,9 +31,9 @@ class CyclicSystem:
     """The z-fiber block system of a cylinder and its cohesiveness.
 
     ``q`` is the exact cohesiveness when ``cohesive_ok`` is True; otherwise
-    it is a lower bound (some pair distance exceeded the search radius,
-    which already refutes q <= 2st). ``window`` is echoed in the output and
-    does no work: q does not depend on it.
+    it is a lower bound (some distance exceeded the search radius, which
+    already refutes q <= 2st). ``window`` is echoed in the output and does
+    no work: q does not depend on it.
     """
 
     host: Cylinder
@@ -48,13 +47,6 @@ class CyclicSystem:
     partition_ok = True
     #: true by construction: t is the largest |zShift| of a generator
     ring_like_ok = True
-
-    def block_of(self, v: Vertex) -> int:
-        self.host.validate_vertex(v)
-        return v[0]
-
-    def block(self, z: int) -> VertexSet:
-        return VertexSet._trusted(self.host, ((z, r) for r in range(self.s)))
 
     def to_dict(self) -> dict:
         return {
@@ -73,40 +65,21 @@ class CyclicSystem:
         return [] if self.cohesive_ok else ["q <= 2st"]
 
 
-def _distance_table(host: Cylinder, radius: int) -> Dict[Vertex, Dict[Tuple[int, int], int]]:
-    """BFS distance from each (0, r), keyed by source then target. Each BFS
-    stops at ``radius`` or once every vertex of blocks 0 and 1 has its
-    distance. Generators act by z-translation, so these tables give the
-    distance between any two vertices via d((z1,r1),(z2,r2)) =
-    d((0,r1),(z2-z1,r2))."""
-    # a ball of this radius spans |z| <= t*radius, so the budget cannot trip
-    budget = host.m * (2 * host.max_z_shift * radius + 1)
-    tables: Dict[Vertex, Dict[Tuple[int, int], int]] = {}
-    for r in range(host.m):
-        dist = {}
-        found = 0
-        for d, sphere in enumerate(_bfs_levels(host, ((0, r),), budget, radius)):
-            for v in sphere:
-                dist[v] = d
-                if 0 <= v[0] <= 1:
-                    found += 1
-            if found == 2 * host.m:
-                break
-        tables[(0, r)] = dist
-    return tables
-
-
 def cyclic_system(host: GroupGraph, window: int = 50) -> CyclicSystem:
     """Instantiate the z-fiber block system of a cylinder and compute its
     cohesiveness q exactly.
 
-    q is the largest distance from (0, r1) to (dz, r2), over dz in {0, 1}
-    and residues r1, r2 other than the vertex itself, read from one BFS per
-    residue capped at radius 2st + 1; a pair the BFS does not reach counts
-    as the cap, which refutes q <= 2st. By z-translation this is the largest
-    distance between two vertices in the same or adjacent blocks anywhere,
-    so ``window`` is only validated (>= 1) and echoed. Partition and edge
-    locality hold by construction (see the module docstring).
+    Translations are automorphisms of the Cayley graph of an abelian group,
+    so d((z1, r1), (z2, r2)) = d((0, 0), (z2 - z1, r2 - r1)), and the
+    generator set is symmetric, so d((0, 0), (-1, x)) = d((0, 0), (1, -x)).
+    The largest distance between two vertices in the same or adjacent blocks
+    is therefore the largest distance from (0, 0) to a vertex of
+    ({0, 1} x Z_m) minus (0, 0). One BFS from (0, 0), capped at radius
+    2st + 1 and under the default vertex budget, reads it: it stops at the
+    level where the last of these 2m - 1 vertices appears, and a vertex it
+    does not reach counts as the cap, which refutes q <= 2st. ``window`` is
+    only validated (>= 1) and echoed. Partition and edge locality hold by
+    construction (see the module docstring).
     """
     if not isinstance(host, Cylinder):
         raise ValueError(f"block system requires a cylinder host, got {host.family}")
@@ -115,14 +88,13 @@ def cyclic_system(host: GroupGraph, window: int = 50) -> CyclicSystem:
     s = host.m
     t = host.max_z_shift
     cap = 2 * s * t + 1
-    tables = _distance_table(host, cap)
-    q = max(
-        tables[(0, r1)].get((dz, r2), cap)
-        for r1 in range(s)
-        for dz in (0, 1)
-        for r2 in range(s)
-        if (dz, r2) != (0, r1)
-    )
+    found = 0  # vertices of blocks 0 and 1 reached, (0, 0) included
+    for q, sphere in enumerate(_bfs_levels(host, (host.identity(),), None, cap)):
+        found += sum(1 for z, _ in sphere if 0 <= z <= 1)
+        if found == 2 * s:
+            break
+    else:
+        q = cap
     return CyclicSystem(
         host=host, s=s, t=t, q=q, window=window, cohesive_ok=q <= 2 * s * t
     )
@@ -134,11 +106,10 @@ class IntervalCover:
 
     slack = |Q \\ A| = (j_hi - j_lo + 1)s - |A| and bound = 2s^2t^2k + 2stk
     with k = |boundary(A)|; ``holds`` records slack <= bound, a claim for
-    every connected A with connected closure. Q itself is built only when
-    ``q_vertices`` is read.
+    every connected A with connected closure. Q contains A, so
+    |Q| = |A| + slack.
     """
 
-    host: Cylinder
     j_lo: int
     j_hi: int
     sizeA: int
@@ -147,18 +118,11 @@ class IntervalCover:
     bound: int
     holds: bool
 
-    @cached_property
-    def q_vertices(self) -> VertexSet:
-        return VertexSet._trusted(
-            self.host,
-            ((z, r) for z in range(self.j_lo, self.j_hi + 1) for r in range(self.host.m)),
-        )
-
     def to_dict(self) -> dict:
         return {
             "jLo": self.j_lo,
             "jHi": self.j_hi,
-            "sizeQ": (self.j_hi - self.j_lo + 1) * self.host.m,
+            "sizeQ": self.sizeA + self.slack,
             "sizeA": self.sizeA,
             "k": self.k,
             "slack": self.slack,
@@ -184,7 +148,6 @@ def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
     slack = (hi - lo + 1) * s - len(A)
     bound = 2 * s * s * t * t * k + 2 * s * t * k
     return IntervalCover(
-        host=system.host,
         j_lo=lo,
         j_hi=hi,
         sizeA=len(A),
@@ -222,15 +185,11 @@ class Branch2Report:
     def violations(self) -> list:
         return [q.name for q in self.inequalities() if not q.holds]
 
-    def payload(self) -> dict:
-        """The system's fields, then the cover's; ``holds`` is the cover's."""
+    def to_dict(self) -> dict:
+        """The system's fields, then the cover's; ``holds`` is the cover's.
+        ``holds`` and ``violations()`` above give the combined verdict."""
         merged = self.system.to_dict()
         merged.update(self.cover.to_dict())
-        return merged
-
-    def to_dict(self) -> dict:
-        merged = self.payload()
-        merged["holds"] = self.holds
         return merged
 
 

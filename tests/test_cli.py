@@ -345,9 +345,12 @@ def test_missing_set_file(capsys):
 
 
 def test_bad_group_grammar(capsys):
-    rc, out, err = run(["growth", "--group", "zzz^2"], capsys)
-    assert rc == 1
-    assert err.startswith("error:")
+    for argv in (["growth", "--group", "zzz^2"],
+                 ["ringlike", "check", "--group", "cyl:3:[(1.9,0),(0,1)]"],
+                 ["ringlike", "check", "--group", "cyl:3:[(True,0),(0,1)]"]):
+        rc, out, err = run(argv, capsys)
+        assert rc == 1
+        assert err.startswith("error:")
 
 
 def test_group_set_mismatch(tmp_path, capsys):
@@ -453,9 +456,10 @@ def test_violation_exit_on_broken_varopoulos(monkeypatch, capsys):
 
 
 def test_violation_exit_on_broken_cohesiveness(monkeypatch, capsys):
+    # a BFS that reaches nothing past its source leaves every target at the cap
     monkeypatch.setattr(
-        "cayleyiso.ringlike._distance_table",
-        lambda host, radius: {(0, r): {} for r in range(host.m)},
+        "cayleyiso.ringlike._bfs_levels",
+        lambda host, sources, budget, max_radius: iter([set(sources)]),
     )
     rc, out, err = run(["ringlike", "check", "--group", "cyl:3"], capsys)
     assert rc == 2

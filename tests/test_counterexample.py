@@ -13,6 +13,7 @@ from cayleyiso import (
     VertexSet,
     boundary,
     depth,
+    is_connected_with_boundary,
 )
 from cayleyiso.counterexample import (
     CounterexampleStats,
@@ -21,7 +22,6 @@ from cayleyiso.counterexample import (
     boundary_closed_form,
     build,
     claimed_size,
-    closure_connected,
     embed_torus,
     enumerated_size,
     find_params,
@@ -157,7 +157,7 @@ def test_stats_respects_budget():
 def test_closure_connected_over_sweep_range():
     for i in range(2, 7):
         for k in range(2, 9):
-            assert closure_connected(GridParams(i, k))
+            assert is_connected_with_boundary(build(GridParams(i, k)))
 
 
 def test_pins_are_boundary_vertices_over_sweep_range():

@@ -1,10 +1,12 @@
 """Block systems on cylinders: fiber partition, edge locality, cohesiveness,
 and the interval-cover slack bound."""
 
+import random
+
 import pytest
 
 import oracles
-from cayleyiso import isoperimetry
+from cayleyiso import isoperimetry, ringlike
 from cayleyiso import (
     Cylinder,
     IntegerLattice,
@@ -67,15 +69,6 @@ def test_cyclic_system_long_shift_host():
     assert sysm.partition_ok and sysm.ring_like_ok and sysm.cohesive_ok
 
 
-def test_cyclic_system_block_accessors():
-    sysm = cyclic_system(Cylinder(3))
-    assert sysm.block_of((7, 2)) == 7
-    assert sysm.block_of((-4, 0)) == -4
-    assert sysm.block(5).elements == {(5, 0), (5, 1), (5, 2)}
-    with pytest.raises(Exception):
-        sysm.block_of((0, 3))
-
-
 def test_cyclic_system_serialization():
     d = cyclic_system(Cylinder(3), window=7).to_dict()
     assert d == {
@@ -106,8 +99,23 @@ def test_cohesiveness_is_window_independent():
     assert qs == {6}
 
 
+def _random_cylinders(count, seed=11):
+    # generating sets of one to three generators, m <= 8 and |dz| <= 3;
+    # draws that do not generate Z x Z_m are skipped
+    rng = random.Random(seed)
+    hosts = []
+    while len(hosts) < count:
+        m = rng.randint(2, 8)
+        gens = [(rng.randint(-3, 3), rng.randrange(m)) for _ in range(rng.randint(1, 3))]
+        try:
+            hosts.append(Cylinder(m, gens))
+        except ValueError:
+            continue
+    return hosts
+
+
 def test_cohesiveness_matches_pairwise_bfs_oracle():
-    for host in (
+    for host in [
         Cylinder(2),
         Cylinder(3),
         Cylinder(2, [(1, 1), (1, 0)]),
@@ -116,10 +124,49 @@ def test_cohesiveness_matches_pairwise_bfs_oracle():
         Cylinder(5, [(2, 1), (3, 0)]),
         Cylinder(4, [(4, 1), (3, 2)]),
         Cylinder(6, [(1, 1), (4, 3)]),
-    ):
+    ] + _random_cylinders(150):
         sysm = cyclic_system(host)
         assert sysm.q == oracles.cylinder_cohesiveness(host)
         assert sysm.cohesive_ok == (sysm.q <= 2 * sysm.s * sysm.t)
+
+
+def test_cohesiveness_runs_one_bfs(monkeypatch):
+    calls = []
+
+    def counted(g, sources, budget, max_radius=None, within=None):
+        calls.append(tuple(sources))
+        return original(g, sources, budget, max_radius, within)
+
+    original = ringlike._bfs_levels
+    monkeypatch.setattr(ringlike, "_bfs_levels", counted)
+    for host, q in ((Cylinder(3), 2), (Cylinder(7), 4), (Cylinder(4, [(2, 1), (1, 0)]), 6)):
+        calls.clear()
+        assert cyclic_system(host).q == q
+        assert calls == [((0, 0),)]
+
+
+def test_cohesiveness_of_standard_cylinders():
+    # d((0,0),(1,x)) = 1 + min(x, m - x) peaks at x = floor(m/2)
+    for m in range(2, 101):
+        sysm = cyclic_system(Cylinder(m))
+        assert sysm.q == m // 2 + 1
+        assert sysm.cohesive_ok
+
+
+def test_cohesiveness_search_is_budgeted(run_capped):
+    # the BFS runs under the default vertex budget, so a wide cylinder
+    # raises instead of filling the child's memory
+    proc = run_capped(
+        "-c",
+        "from cayleyiso import BudgetExceeded, Cylinder, cyclic_system, groups\n"
+        "groups.DEFAULT_BUDGET = 10**5\n"
+        "try:\n"
+        "    cyclic_system(Cylinder(10**4))\n"
+        "except BudgetExceeded:\n"
+        "    print('budget')\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["budget"]
 
 
 def test_cohesiveness_with_a_huge_shift(run_capped):
@@ -144,7 +191,7 @@ def test_interval_cover_of_full_block_interval():
     sysm = cyclic_system(host)
     cover = interval_cover(sysm, block_interval(host, 1000))
     assert (cover.j_lo, cover.j_hi) == (0, 999)
-    assert len(cover.q_vertices) == 3000
+    assert cover.to_dict()["sizeQ"] == 3000
     assert (cover.sizeA, cover.k) == (3000, 6)
     assert (cover.slack, cover.bound) == (0, 144)
     assert cover.holds
@@ -157,7 +204,7 @@ def test_interval_cover_small_pinned_examples():
     # block-aligned interval: zero slack, k = 6 from the two end-blocks
     cover = interval_cover(sysm, block_interval(host, 10))
     assert (cover.j_lo, cover.j_hi) == (0, 9)
-    assert cover.q_vertices.elements == block_interval(host, 10).elements
+    assert cover.to_dict()["sizeQ"] == 30
     assert (cover.k, cover.slack, cover.bound) == (6, 0, 144)
 
     # one missing interior vertex joins the boundary
@@ -198,10 +245,9 @@ def test_interval_cover_contains_a():
     for seed in range(5):
         A = random_connected_set(host, 80, seed=seed)
         cover = interval_cover(sysm, A)
-        assert A.elements <= cover.q_vertices.elements
         assert cover.j_lo == min(v[0] for v in A)
         assert cover.j_hi == max(v[0] for v in A)
-        assert len(cover.q_vertices) == (cover.j_hi - cover.j_lo + 1) * 3
+        assert cover.to_dict()["sizeQ"] == (cover.j_hi - cover.j_lo + 1) * 3
 
 
 def test_interval_cover_holds_on_random_sets():
