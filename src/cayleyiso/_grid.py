@@ -27,13 +27,15 @@ _CHUNK = 64
 class Bitmap:
     """A set of lattice points stored as a padded boolean grid.
 
-    ``mask[x - x0 + 1, y - y0 + 1]`` is True iff (x, y) is in the set; one
-    ring of padding keeps every 4-neighbor of a member inside the array.
+    ``mask[x - x0 + 1, y - y0 + 1]`` is True iff (x, y) is in the set, for
+    the least coordinates x0, y0 of the set; one ring of padding keeps every
+    4-neighbor of a member inside the array. Boundary size and depth are
+    translation-invariant, so the kernels never need (x0, y0) and it is not
+    kept.
     """
 
-    def __init__(self, mask: np.ndarray, origin: Tuple[int, int]):
+    def __init__(self, mask: np.ndarray):
         self.mask = mask
-        self.origin = origin
 
     @classmethod
     def from_points(cls, points: Iterable[Tuple[int, int]]) -> "Bitmap":
@@ -44,7 +46,7 @@ class Bitmap:
         x1, y1 = pts.max(axis=0)
         mask = np.zeros((int(x1 - x0) + 3, int(y1 - y0) + 3), dtype=bool)
         mask[pts[:, 0] - x0 + 1, pts[:, 1] - y0 + 1] = True
-        return cls(mask, (int(x0), int(y0)))
+        return cls(mask)
 
     def count(self) -> int:
         return int(np.count_nonzero(self.mask))
@@ -135,14 +137,12 @@ def perforated_block(i: int, k: int) -> Bitmap:
     """The square {0..ki}^2 minus interior pins {(m*i, n*i) : 1 <= m,n <= k-1}.
 
     Built directly at bitmap resolution so multi-million-vertex instances
-    never materialize point lists.
+    never materialize point lists. Its caller passes ``GridParams``, which
+    holds i, k > 1.
     """
-    if i < 1 or k < 1:
-        raise ValueError(f"parameters must be >= 1, got i={i}, k={k}")
     side = k * i + 1
     mask = np.zeros((side + 2, side + 2), dtype=bool)
     mask[1 : side + 1, 1 : side + 1] = True
-    if k >= 2:
-        idx = np.arange(1, k) * i + 1
-        mask[np.ix_(idx, idx)] = False
-    return Bitmap(mask, (0, 0))
+    idx = np.arange(1, k) * i + 1
+    mask[np.ix_(idx, idx)] = False
+    return Bitmap(mask)

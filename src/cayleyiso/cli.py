@@ -8,7 +8,7 @@ claim fails (the report is still emitted), 1 for usage, input, and resource
 errors. JSON output carries numbers only as exact integers or rational
 strings "p/q"; CSV is available for growth tables and parameter sweeps. The
 ISO_BUDGET environment variable overrides the BFS vertex budget; the
---budget flag overrides both.
+--budget flag overrides both. Whichever applies must be a positive integer.
 """
 
 from __future__ import annotations
@@ -62,25 +62,25 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} value {obj!r}")
 
 
+def _render(result: tuple) -> str:
+    """The whole text of a handler's ``("json", payload)`` or
+    ``("csv", header, rows)`` result, before any of it is written."""
+    if result[0] == "json":
+        return json.dumps(_jsonify(result[1]), indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(result[1])
+    for row in result[2]:
+        writer.writerow([_jsonify(cell) for cell in row])
+    return buf.getvalue()
+
+
 def _write_output(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(payload: dict, out: Optional[str]) -> None:
-    _write_output(json.dumps(_jsonify(payload), indent=2) + "\n", out)
-
-
-def _emit_csv(header: list, rows: list, out: Optional[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_jsonify(cell) for cell in row])
-    _write_output(buf.getvalue(), out)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -91,18 +91,17 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _resolve_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("ISO_BUDGET")
-    if env is not None:
-        try:
-            value = int(env)
-            if value < 1:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"ISO_BUDGET must be a positive integer, got {env!r}")
-        return value
-    return DEFAULT_BUDGET
+    """--budget, else ISO_BUDGET, else DEFAULT_BUDGET; it must be positive."""
+    source, raw = "--budget", args.budget
+    if raw is None:
+        source, raw = "ISO_BUDGET", os.environ.get("ISO_BUDGET", DEFAULT_BUDGET)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{source} must be a positive integer, got {raw!r}")
+    return value
 
 
 def _resolve_set(args, budget: int) -> isoperimetry.VertexSet:
@@ -189,8 +188,7 @@ def _cmd_varopoulos(args, budget):
     report = isoperimetry.varopoulos_check(A, budget=budget)
     payload = {"group": A.host.family, "sizeA": len(A)}
     payload.update(report.to_dict())
-    violations = [] if report.holds else ["|A| <= 2m|boundary(A)|"]
-    return ("json", payload), violations
+    return ("json", payload), report.violations()
 
 
 def _cmd_separation(args, budget):
@@ -205,8 +203,7 @@ def _cmd_counterexample_stats(args, budget):
     if args.emit_set:
         isoperimetry.save_set(counterexample.build(params, budget=budget),
                               args.emit_set)
-    violations = [] if st.closedFormsMatch else ["closed forms match enumeration"]
-    return ("json", st.to_dict()), violations
+    return ("json", st.to_dict()), st.violations()
 
 
 def _cmd_counterexample_find(args, budget):
@@ -217,10 +214,7 @@ def _cmd_counterexample_find(args, budget):
                               args.emit_set)
     payload = {"target": target}
     payload.update(st.to_dict())
-    violations = [] if st.closedFormsMatch else ["closed forms match enumeration"]
-    if not st.ratio < target:
-        violations.append("ratio < target")
-    return ("json", payload), violations
+    return ("json", payload), st.violations()
 
 
 def _cmd_counterexample_torus(args, budget):
@@ -228,13 +222,7 @@ def _cmd_counterexample_torus(args, budget):
     embedding = counterexample.embed_torus(params, budget=budget)
     if args.emit_set:
         isoperimetry.save_set(embedding.vertex_set, args.emit_set)
-    report = embedding.report
-    violations = []
-    if not report.preserved:
-        violations.append("embedding preserves (|A|, |boundary|, depth)")
-    if not report.halfVolumeHolds:
-        violations.append("2|A| <= n^2")
-    return ("json", report.to_dict()), violations
+    return ("json", embedding.report.to_dict()), embedding.report.violations()
 
 
 def _cmd_ringlike_check(args, budget):
@@ -264,8 +252,7 @@ def _cmd_sweep_ratio(args, budget):
     violations = []
     for i, k in sorted(pairs):
         st = counterexample.stats(counterexample.GridParams(i, k), budget=budget)
-        if not st.closedFormsMatch:
-            violations.append(f"closed forms match enumeration at i={i}, k={k}")
+        violations += [f"{name} at i={i}, k={k}" for name in st.violations()]
         rows.append([i, k, st.sizeA, st.boundarySize, st.depthOracle, st.ratio])
     header = ["i", "k", "sizeA", "boundarySize", "depthOracle", "ratio"]
     if args.format == "json":
@@ -376,14 +363,12 @@ def main(argv=None) -> int:
     try:
         budget = _resolve_budget(args)
         result, violations = args.handler(args, budget)
+        # rendered whole before writing, so a failure leaves no partial output
+        _write_output(_render(result), args.out)
     except (ValueError, OSError, json.JSONDecodeError, BudgetExceeded,
             counterexample.SearchCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if result[0] == "csv":
-        _emit_csv(result[1], result[2], args.out)
-    else:
-        _emit_json(result[1], args.out)
     if violations:
         for name in violations:
             print(f"claim violated: {name}", file=sys.stderr)

@@ -20,7 +20,7 @@ near 320 MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -92,12 +92,13 @@ class CounterexampleStats:
 
     ``ratio`` is |boundary| * depth / |A| as an exact rational.
     ``closedFormsMatch`` asserts the bitmap oracle equals the enumeration
-    closed forms (strict). ``claimedSizeMatches`` compares against the
-    historically claimed (ki)^2-based size and is advisory: it is expected
-    to be False. ``depthMeetsHalfIBound`` records whether depth <= i/2, a
-    stronger depth bound claimed for this family that the oracle does not
-    reproduce (depth is close to i); it is expected to be False and the
-    ratio argument does not rely on it.
+    closed forms (strict; ``violations()`` names it when False).
+    ``claimedSizeMatches`` compares against the historically claimed
+    (ki)^2-based size and is advisory: it is expected to be False.
+    ``depthMeetsHalfIBound`` records whether depth <= i/2, a stronger depth
+    bound claimed for this family that the oracle does not reproduce (depth
+    is close to i); it is expected to be False and the ratio argument does
+    not rely on it.
     """
 
     params: GridParams
@@ -123,6 +124,9 @@ class CounterexampleStats:
             "claimedSizeMatches": self.claimedSizeMatches,
             "depthMeetsHalfIBound": self.depthMeetsHalfIBound,
         }
+
+    def violations(self) -> list:
+        return [] if self.closedFormsMatch else ["closed forms match enumeration"]
 
 
 def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleStats:
@@ -209,6 +213,8 @@ class EmbedReport:
     The torus column is computed independently on the torus host (generic
     neighbor scans and BFS with wraparound), never copied from the lattice
     side; ``preserved`` asserts the triple (|A|, |boundary|, depth) agrees.
+    ``violations()`` names each of ``preserved`` and ``halfVolumeHolds``
+    that is False.
     """
 
     i: int
@@ -225,20 +231,12 @@ class EmbedReport:
     halfVolumeHolds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "k": self.k,
-            "n": self.n,
-            "volume": self.volume,
-            "sizeLattice": self.sizeLattice,
-            "sizeTorus": self.sizeTorus,
-            "boundaryLattice": self.boundaryLattice,
-            "boundaryTorus": self.boundaryTorus,
-            "depthLattice": self.depthLattice,
-            "depthTorus": self.depthTorus,
-            "preserved": self.preserved,
-            "halfVolumeHolds": self.halfVolumeHolds,
-        }
+        return asdict(self)
+
+    def violations(self) -> list:
+        claims = [(self.preserved, "embedding preserves (|A|, |boundary|, depth)"),
+                  (self.halfVolumeHolds, "2|A| <= n^2")]
+        return [name for holds, name in claims if not holds]
 
 
 @dataclass
@@ -256,7 +254,6 @@ def embed_torus(params: GridParams, budget: Optional[int] = None) -> TorusEmbedd
     and 2|A| <= n^2 must hold; both are recorded, and a False is a claim
     violation for callers.
     """
-    _check_budget(params, budget)
     i, k = params.i, params.k
     n = 3 * k * i + 1
     lattice_set = build(params, budget=budget)

@@ -23,7 +23,7 @@ import ast
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, count, islice
 from math import comb, gcd
 from typing import Collection, Container, Iterator, Optional, Sequence, Tuple
 
@@ -116,20 +116,14 @@ class GroupGraph:
         """Canonical ordering key, used to serialize sets deterministically."""
         return v
 
-    def exact_ball_profile(self, r: int) -> Optional[list]:
-        """Cumulative ball sizes [b(0)..b(r)] by exact counting, when the
-        family admits a counting rule that needs no vertex enumeration.
-
-        Returns None when only BFS enumeration is available. Counting rules
-        must agree with BFS wherever both are feasible; the tests compare
-        them on overlapping radii.
-        """
-        if self._ball_count(0) is None:
-            return None
-        return [self._ball_count(n) for n in range(r + 1)]
-
     def _ball_count(self, r: int) -> Optional[int]:
-        """b(r) by this family's counting rule, or None if it has none."""
+        """b(r) by this family's counting rule, or None if it has none.
+
+        The one hook through which a host knows its own growth: a rule needs
+        no vertex enumeration, so ``_ball_sizes`` and ``minimal_ball_radius``
+        read it outside the budget. Rules must agree with BFS wherever both
+        are feasible; the tests compare them on overlapping radii.
+        """
         return None
 
     def __eq__(self, other) -> bool:
@@ -288,16 +282,9 @@ class FreeGroup(GroupGraph):
     def sort_key(self, v: Vertex):
         return (len(v), v)
 
-    def exact_ball_profile(self, r: int) -> list:
-        # spheres of a (2*rank)-regular tree: 2*rank*(2*rank-1)^(n-1)
-        sizes = [1]
-        sphere = 2 * self.rank
-        for _ in range(r):
-            sizes.append(sizes[-1] + sphere)
-            sphere *= 2 * self.rank - 1
-        return sizes
-
     def _ball_count(self, r: int) -> int:
+        # the sphere of radius n >= 1 in a (2*rank)-regular tree holds
+        # 2*rank*(2*rank-1)^(n-1) words; summed over n <= r, with the identity
         return 1 + self.rank * ((2 * self.rank - 1) ** r - 1) // (self.rank - 1)
 
 
@@ -508,27 +495,30 @@ def ball(
 
 
 def _ball_sizes(g: GroupGraph, budget: Optional[int]) -> Iterator[int]:
-    """Yield b(0), b(1), ... by BFS from the identity until the frontier empties."""
-    total = 0
-    for sphere in _bfs_levels(g, (g.identity(),), budget):
-        total += len(sphere)
-        yield total
+    """The sequence b(0), b(1), ... of the host, the one route to its growth.
+
+    Where the host has a counting rule the sequence is ``g._ball_count`` at
+    r = 0, 1, ..., endless and outside the budget; otherwise it comes from a
+    BFS from the identity under ``budget`` and ends when the frontier empties
+    (a finite host).
+    """
+    if g._ball_count(0) is not None:
+        return map(g._ball_count, count())
+    levels = _bfs_levels(g, (g.identity(),), budget)
+    return accumulate(len(sphere) for sphere in levels)
 
 
 def ball_profile(g: GroupGraph, r: int, budget: Optional[int] = None) -> list:
-    """Cumulative ball sizes [b(0), b(1), ..., b(r)].
+    """Cumulative ball sizes [b(0), b(1), ..., b(r)], read from ``_ball_sizes``.
 
     The host is vertex-transitive, so ball sizes do not depend on the
-    center. When the family has an exact counting rule (free groups,
-    ``z^d``, cylinders with the standard generators), the profile is counted
-    without enumerating vertices and is exempt from the budget; otherwise it
-    comes from a BFS from the identity. On a finite host the profile is
-    padded with the saturated total once the frontier empties.
+    center. Counted hosts (free groups, ``z^d``, cylinders with the standard
+    generators) are exempt from the budget; the others are enumerated by
+    BFS. On a finite host the profile is padded with the saturated total
+    once the frontier empties.
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    if (exact := g.exact_ball_profile(r)) is not None:
-        return exact
     sizes = list(islice(_ball_sizes(g, budget), r + 1))
     return sizes + sizes[-1:] * (r + 1 - len(sizes))
 
@@ -542,21 +532,24 @@ def minimal_ball_radius(
     g: GroupGraph, target: int, budget: Optional[int] = None
 ) -> int:
     """Smallest positive m with b(m) >= target; the host must be infinite.
-    The sizes are those of ``ball_profile``: counted where there is a rule,
-    with O(log m) single-radius counts."""
+
+    Where the host has a counting rule, a gallop and bisection over
+    ``_ball_count`` finds m with O(log m) single-radius counts; otherwise
+    ``_ball_sizes`` is scanned up to m.
+    """
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
     if g.is_finite:
         raise ValueError(f"minimal_ball_radius needs an infinite host, got {g.family}")
-    count = g._ball_count
-    if count(1) is None:
+    rule = g._ball_count
+    if rule(1) is None:
         sizes = enumerate(_ball_sizes(g, budget))
         return next(r for r, b in sizes if r >= 1 and b >= target)
     hi = 1  # gallop to a radius that reaches the target, then bisect below it
-    while count(hi) < target:
+    while rule(hi) < target:
         hi *= 2
     lo = hi // 2 + 1
-    return lo + bisect_left(range(lo, hi + 1), target, key=count)
+    return lo + bisect_left(range(lo, hi + 1), target, key=rule)
 
 
 @dataclass

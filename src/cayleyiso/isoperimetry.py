@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
@@ -184,6 +184,9 @@ class VaropoulosReport(NamedTuple):
     def to_dict(self) -> dict:
         return {"m": self.m, "holds": self.holds, "lhs": self.lhs, "rhs": self.rhs}
 
+    def violations(self) -> list:
+        return [] if self.holds else ["|A| <= 2m|boundary(A)|"]
+
 
 def varopoulos_check(A: VertexSet, budget: Optional[int] = None) -> VaropoulosReport:
     """Check |A| <= 2m|boundary(A)| with m minimal such that b(m) >= 2|A|.
@@ -219,13 +222,7 @@ class Inequality:
     required: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "required": self.required,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -254,15 +251,7 @@ class SeparationReport:
         return [q.name for q in self.inequalities if q.required and not q.holds]
 
     def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "sizeA": self.sizeA,
-            "boundarySize": self.boundarySize,
-            "depth": self.depth,
-            "connectedAUnionBoundary": self.connectedAUnionBoundary,
-            "branch": self.branch,
-            "inequalities": [q.to_dict() for q in self.inequalities],
-        }
+        return asdict(self)
 
 
 def classify_separation(A: VertexSet, window: int = 50) -> SeparationReport:

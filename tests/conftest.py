@@ -1,15 +1,26 @@
-"""Shared test configuration: prints one PASS/FAIL line per acceptance
-criterion in the terminal summary, regardless of capture settings, and
-provides the ``run_capped`` fixture."""
+"""Shared test configuration: imports the package from ``src``, prints one
+PASS/FAIL line per acceptance criterion in the terminal summary, regardless
+of capture settings, and provides the ``run_capped`` fixture."""
 
 from __future__ import annotations
 
+import os
 import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+# The suite tests the checkout, not an installed copy, so `python -m pytest`
+# needs no install and no PYTHONPATH: src goes first on this process's path
+# and on the PYTHONPATH that subprocesses (run_capped, the CLI runs) inherit.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 CHILD_MEMORY_CAP = 1 << 30
 

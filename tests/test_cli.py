@@ -418,6 +418,14 @@ def test_bad_iso_budget_env(monkeypatch, capsys):
     rc, out, err = run(["ball", "--group", "z^2", "--radius", "2"], capsys)
     assert rc == 1
     assert "ISO_BUDGET" in err
+    # a budget from the flag is held to the same rule, on counted hosts too,
+    # and the message names where the budget came from
+    monkeypatch.delenv("ISO_BUDGET")
+    for argv, value in ((["ball", "--group", "z^2", "--radius", "1"], "0"),
+                        (["growth", "--group", "z^2", "--max-radius", "5"], "-5")):
+        rc, out, err = run([*argv, "--budget", value], capsys)
+        assert (rc, out) == (1, "")
+        assert err == f"error: --budget must be a positive integer, got {value}\n"
 
 
 def test_random_size_checked_against_budget(capsys):
@@ -441,6 +449,26 @@ def test_violation_exit_on_broken_closed_form(monkeypatch, capsys):
     payload = json.loads(out)
     assert payload["closedFormsMatch"] is False
     assert "claim violated: closed forms match enumeration" in err
+    rc, out, err = run(["counterexample", "find", "--c", "0.5"], capsys)
+    assert rc == 2
+    assert json.loads(out)["closedFormsMatch"] is False
+    assert err == "claim violated: closed forms match enumeration\n"
+    # the sweep names the member that broke the claim
+    rc, out, err = run(["sweep", "ratio", "--diag", "4"], capsys)
+    assert rc == 2
+    assert out.splitlines()[1] == "4,4,280,77,4,11/10"
+    assert err == "claim violated: closed forms match enumeration at i=4, k=4\n"
+
+
+def test_violation_exit_on_broken_torus_embedding(monkeypatch, capsys):
+    # a depth that differs between the lattice and the torus host
+    monkeypatch.setattr("cayleyiso.counterexample.depth",
+                        lambda A: 1 if A.host.is_finite else 2)
+    rc, out, err = run(["counterexample", "torus", "--i", "2", "--k", "2"], capsys)
+    assert rc == 2
+    payload = json.loads(out)
+    assert payload["preserved"] is False and payload["halfVolumeHolds"] is True
+    assert err == "claim violated: embedding preserves (|A|, |boundary|, depth)\n"
 
 
 def test_violation_exit_on_broken_varopoulos(monkeypatch, capsys):
@@ -481,6 +509,22 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(path.read_text(), parse_float=_reject_float)
     assert payload["ratio"] == "7/4"
+
+
+def test_output_errors_exit_one_and_write_nothing(tmp_path, capsys):
+    rc, out, err = run(["ball", "--group", "z^2", "--radius", "1",
+                        "--out", "/nonexistent/x.json"], capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    # b(9100) of free:2 has more decimal digits than Python converts to text;
+    # the text is rendered whole before anything is written
+    path = tmp_path / "growth.json"
+    for dest in (["--format", "csv"], ["--format", "json", "--out", str(path)]):
+        rc, out, err = run(["growth", "--group", "free:2", "--max-radius", "9100",
+                            *dest], capsys)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert not path.exists()
 
 
 def test_output_is_deterministic(tmp_path, capsys):

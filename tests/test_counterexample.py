@@ -264,11 +264,11 @@ def test_embed_torus_side_leaves_wraparound_margin():
 def test_embed_torus_serialization_and_budget():
     d = embed_torus(GridParams(2, 2)).report.to_dict()
     assert d["preserved"] is True and d["halfVolumeHolds"] is True
-    assert set(d) == {
+    assert list(d) == [
         "i", "k", "n", "volume", "sizeLattice", "sizeTorus",
         "boundaryLattice", "boundaryTorus", "depthLattice", "depthTorus",
         "preserved", "halfVolumeHolds",
-    }
+    ]
     with pytest.raises(BudgetExceeded):
         embed_torus(GridParams(20, 20), budget=100)
 

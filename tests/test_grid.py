@@ -83,7 +83,7 @@ def test_depth_of_a_thick_strip_near_the_int16_limit():
     bm = _grid.Bitmap.from_points(points)
     assert _grid._distance_dtype(bm.mask.shape) is np.int16
     assert _grid.depth(bm) == 3
-    assert _grid.depth(_grid.Bitmap(np.ascontiguousarray(bm.mask.T), (0, 0))) == 3
+    assert _grid.depth(_grid.Bitmap(np.ascontiguousarray(bm.mask.T))) == 3
 
 
 def test_stats_100_fits_in_one_gib(run_capped):

@@ -285,7 +285,7 @@ def test_separation_small_branch_on_one_ended_and_tree_hosts():
 
 def test_separation_report_serialization():
     d = classify_separation(perforated(2, 2)).to_dict()
-    assert set(d) == {
+    assert list(d) == [
         "group",
         "sizeA",
         "boundarySize",
@@ -293,10 +293,10 @@ def test_separation_report_serialization():
         "connectedAUnionBoundary",
         "branch",
         "inequalities",
-    }
+    ]
     assert d["group"] == "z^2"
     assert all(
-        set(q) == {"name", "lhs", "rhs", "holds", "required"}
+        list(q) == ["name", "lhs", "rhs", "holds", "required"]
         for q in d["inequalities"]
     )
 
