@@ -17,7 +17,6 @@ from .groups import (
     Torus,
     ball,
     ball_profile,
-    ball_size,
     classify_growth,
     minimal_ball_radius,
     parse_group,
@@ -47,12 +46,10 @@ from .counterexample import (
 )
 from .ringlike import (
     Branch2Report,
-    BranchError,
     CyclicSystem,
     IntervalCover,
     cyclic_system,
     interval_cover,
-    theorem_impr_branch2,
 )
 from . import counterexample, groups, isoperimetry, ringlike
 
@@ -70,7 +67,6 @@ __all__ = [
     "Torus",
     "ball",
     "ball_profile",
-    "ball_size",
     "classify_growth",
     "minimal_ball_radius",
     "parse_group",
@@ -94,12 +90,10 @@ __all__ = [
     "embed_torus",
     "find_params",
     "Branch2Report",
-    "BranchError",
     "CyclicSystem",
     "IntervalCover",
     "cyclic_system",
     "interval_cover",
-    "theorem_impr_branch2",
     "counterexample",
     "groups",
     "isoperimetry",

@@ -193,7 +193,7 @@ def _cmd_varopoulos(args, budget):
 
 def _cmd_separation(args, budget):
     A = _resolve_set(args, budget)
-    report = isoperimetry.classify_separation(A, window=args.window)
+    report = isoperimetry.classify_separation(A)
     return ("json", report.to_dict()), report.violations()
 
 
@@ -208,7 +208,7 @@ def _cmd_counterexample_stats(args, budget):
 
 def _cmd_counterexample_find(args, budget):
     target = _parse_fraction(args.c)
-    params, st = counterexample.find_params(target, cap=args.cap, budget=budget)
+    params, st = counterexample.find_params(target, budget=budget)
     if args.emit_set:
         isoperimetry.save_set(counterexample.build(params, budget=budget),
                               args.emit_set)
@@ -294,10 +294,6 @@ def build_parser() -> _Parser:
         if name == "boundary":
             p.add_argument("--emit-set", metavar="PATH",
                            help="also write the boundary as a JSON set file")
-        if name == "separation":
-            p.add_argument("--window", type=int, default=50,
-                           help="block window for the cylinder block system on the "
-                                "ring-like branch, which needs >= 1; q does not depend on it")
         _add_common(p)
         p.set_defaults(handler=handler)
 
@@ -314,8 +310,6 @@ def build_parser() -> _Parser:
 
     q = csub.add_parser("find", help="first diagonal member with ratio < c")
     q.add_argument("--c", required=True, help="target ratio, e.g. 0.5 or 1/2")
-    q.add_argument("--cap", type=int, default=2**20,
-                   help="hard cap on the diagonal index i = k")
     q.add_argument("--emit-set", metavar="PATH")
     _add_common(q)
     q.set_defaults(handler=_cmd_counterexample_find)

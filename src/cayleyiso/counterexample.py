@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Optional, Tuple, Union
 
 from . import _grid
@@ -64,12 +65,11 @@ def boundary_closed_form(params: GridParams) -> int:
     return (k - 1) ** 2 + 4 * (k * i + 1)
 
 
-def _check_budget(params: GridParams, budget: Optional[int]) -> int:
+def _check_budget(params: GridParams, budget: Optional[int]) -> None:
     budget = DEFAULT_BUDGET if budget is None else budget
     needed = enumerated_size(params)
     if needed > budget:
         raise BudgetExceeded(budget, needed)
-    return budget
 
 
 def build(params: GridParams, budget: Optional[int] = None) -> VertexSet:
@@ -155,13 +155,11 @@ class SearchCapExceeded(RuntimeError):
     """The diagonal parameter search stopped before reaching the target ratio.
 
     Carries the best parameters seen so far and why the walk stopped (the
-    hard cap, or the vertex budget at the next step).
+    vertex budget at the next step).
     """
 
-    def __init__(self, target: Fraction, cap: int, best: "CounterexampleStats",
-                 reason: str):
+    def __init__(self, target: Fraction, best: "CounterexampleStats", reason: str):
         self.target = target
-        self.cap = cap
         self.best = best
         self.reason = reason
         super().__init__(
@@ -171,25 +169,21 @@ class SearchCapExceeded(RuntimeError):
 
 
 def find_params(
-    c: Union[Fraction, int, str],
-    cap: int = 2**20,
-    budget: Optional[int] = None,
+    c: Union[Fraction, int, str], budget: Optional[int] = None
 ) -> Tuple[GridParams, CounterexampleStats]:
     """Walk the diagonal i = k = 2, 3, ... and return the first member with
     ratio < c.
 
     The diagonal ratio behaves like 5/i, so the walk terminates for any
-    reachable c; ``cap`` bounds i = k against astronomically small targets,
-    and the vertex budget bounds per-step memory. Either stop raises
-    SearchCapExceeded carrying the best ratio found.
+    reachable c. The vertex budget bounds it against smaller targets: the
+    first member that does not fit stops the walk with SearchCapExceeded,
+    carrying the best ratio found.
     """
     target = Fraction(c)
     if target <= 0:
         raise ValueError(f"target ratio must be positive, got {target}")
-    if cap < 2:
-        raise ValueError(f"cap must be >= 2, got {cap}")
     best: Optional[CounterexampleStats] = None
-    for j in range(2, cap + 1):
+    for j in count(2):
         params = GridParams(j, j)
         try:
             st = stats(params, budget=budget)
@@ -197,13 +191,12 @@ def find_params(
             if best is None:
                 raise
             raise SearchCapExceeded(
-                target, cap, best, f"vertex budget {exc.budget} hit at i=k={j}"
+                target, best, f"vertex budget {exc.budget} hit at i=k={j}"
             ) from exc
         if best is None or st.ratio < best.ratio:
             best = st
         if st.ratio < target:
             return params, st
-    raise SearchCapExceeded(target, cap, best, f"diagonal cap i=k={cap} reached")
 
 
 @dataclass
@@ -241,7 +234,6 @@ class EmbedReport:
 
 @dataclass
 class TorusEmbedding:
-    host: Torus
     vertex_set: VertexSet
     report: EmbedReport
 
@@ -257,10 +249,9 @@ def embed_torus(params: GridParams, budget: Optional[int] = None) -> TorusEmbedd
     i, k = params.i, params.k
     n = 3 * k * i + 1
     lattice_set = build(params, budget=budget)
-    torus = Torus(n, 2)
     # 0 <= x, y <= ki < n, so the lattice coordinates are already residues;
     # the validating constructor is what shows it
-    torus_set = VertexSet(torus, lattice_set.elements)
+    torus_set = VertexSet(Torus(n, 2), lattice_set.elements)
 
     size_lat = len(lattice_set)
     boundary_lat = len(boundary(lattice_set))
@@ -287,5 +278,5 @@ def embed_torus(params: GridParams, budget: Optional[int] = None) -> TorusEmbedd
         ),
         halfVolumeHolds=2 * size_tor <= n * n,
     )
-    return TorusEmbedding(torus, torus_set, report)
+    return TorusEmbedding(torus_set, report)
 

@@ -523,11 +523,6 @@ def ball_profile(g: GroupGraph, r: int, budget: Optional[int] = None) -> list:
     return sizes + sizes[-1:] * (r + 1 - len(sizes))
 
 
-def ball_size(g: GroupGraph, r: int, budget: Optional[int] = None) -> int:
-    """Number of vertices in a ball of radius ``r``, by ``ball_profile``."""
-    return ball_profile(g, r, budget=budget)[r]
-
-
 def minimal_ball_radius(
     g: GroupGraph, target: int, budget: Optional[int] = None
 ) -> int:

@@ -182,7 +182,7 @@ class VaropoulosReport(NamedTuple):
     rhs: int
 
     def to_dict(self) -> dict:
-        return {"m": self.m, "holds": self.holds, "lhs": self.lhs, "rhs": self.rhs}
+        return self._asdict()
 
     def violations(self) -> list:
         return [] if self.holds else ["|A| <= 2m|boundary(A)|"]
@@ -254,16 +254,13 @@ class SeparationReport:
         return asdict(self)
 
 
-def classify_separation(A: VertexSet, window: int = 50) -> SeparationReport:
+def classify_separation(A: VertexSet) -> SeparationReport:
     """Classify a finite set with connected closure per the separation dichotomy.
 
-    Requires an infinite host and A union boundary(A) connected. ``window``
-    is validated (>= 1) first, whatever branch the set falls in, and passed
-    through to the cylinder block-system checks when the ring-like branch
-    delegates to them.
+    Requires an infinite host and A union boundary(A) connected. This is the
+    one place that decides the |A| <= 16k^2 branch; on a cylinder the
+    ring-like branch takes its obligations from ``ring_like_obligations``.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     _require_nonempty(A)
     if A.host.is_finite:
         raise ValueError(f"separation dichotomy needs an infinite host, got {A.host.family}")
@@ -289,7 +286,7 @@ def classify_separation(A: VertexSet, window: int = 50) -> SeparationReport:
         if isinstance(A.host, Cylinder):
             from . import ringlike
 
-            inequalities += ringlike.ring_like_obligations(A, window).inequalities()
+            inequalities += ringlike.ring_like_obligations(A).inequalities()
     else:
         branch = "Inapplicable"
     return SeparationReport(

@@ -158,10 +158,6 @@ def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
     )
 
 
-class BranchError(ValueError):
-    """The set belongs to the small-set branch; use classify_separation."""
-
-
 @dataclass
 class Branch2Report:
     """Combined ring-like obligations for a set on a cylinder."""
@@ -195,35 +191,15 @@ class Branch2Report:
 
 def ring_like_obligations(A: VertexSet, window: int = 50) -> Branch2Report:
     """Assemble the ring-like obligations for a set on a cylinder host: its
-    block system and its interval cover, for a set of any size.
+    block system and its interval cover, for a set of any size. This is the
+    one assembler; ``classify_separation`` decides when the ring-like branch
+    applies (|A| > 16k^2) and calls it there.
 
-    The window is validated before the closure is checked, so a bad window
-    is reported before a disconnected set. The set computes its boundary
-    and closure connectivity once, so callers that read them first do not
-    pay for them again here.
+    Errors come in this order: non-cylinder host, bad window, then the
+    set's own (empty, or closure not connected). The set computes its
+    boundary and closure connectivity once, so callers that read them first
+    do not pay for them again here.
     """
     system = cyclic_system(A.host, window=window)
     return Branch2Report(system, interval_cover(system, A))
 
-
-def theorem_impr_branch2(A: VertexSet, window: int = 50) -> Branch2Report:
-    """Check the ring-like branch obligations for a set with |A| > 16k^2.
-
-    Sets with |A| <= 16k^2 belong to the small-set branch and are rejected
-    with BranchError; the separation classifier handles them. Errors come in
-    this order: empty set, non-cylinder host, BranchError, bad window,
-    disconnected closure.
-    """
-    if not A.elements:
-        raise ValueError("theorem_impr_branch2 needs a non-empty set")
-    if not isinstance(A.host, Cylinder):
-        raise ValueError(
-            f"ring-like branch requires a cylinder host, got {A.host.family}"
-        )
-    k = len(A._boundary)
-    if len(A) <= 16 * k * k:
-        raise BranchError(
-            f"|A| = {len(A)} <= 16k^2 = {16 * k * k}: small-set branch; "
-            "use classify_separation"
-        )
-    return ring_like_obligations(A, window)

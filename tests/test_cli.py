@@ -196,17 +196,6 @@ def test_separation_ring_like_set(tmp_path, capsys):
     assert err == ""
 
 
-def test_separation_rejects_window_zero_for_any_set_size(tmp_path, capsys):
-    # a 300-vertex set stays in the small-set branch, a 3000-vertex block set
-    # reaches the ring-like branch; both must reject the window up front
-    for source in (["--group", "cyl:3", "--random", "300"],
-                   ["--set", save_block_set(tmp_path)]):
-        rc, out, err = run(["separation", *source, "--window", "0"], capsys)
-        assert rc == 1
-        assert out == ""
-        assert err == "error: window must be >= 1, got 0\n"
-
-
 # --- counterexample ----------------------------------------------------------
 
 
@@ -250,7 +239,7 @@ def test_counterexample_torus(capsys):
 
 def test_counterexample_find_cap_exceeded(capsys):
     rc, out, err = run(
-        ["counterexample", "find", "--c", "1/10", "--cap", "5"], capsys
+        ["counterexample", "find", "--c", "1/10", "--budget", "660"], capsys
     )
     assert rc == 1
     assert out == ""
@@ -368,9 +357,13 @@ def test_set_and_random_are_mutually_exclusive(tmp_path, capsys):
 
 
 def test_usage_error_exits_one(capsys):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["no-such-command"])
-    assert exc_info.value.code == 1
+    for argv in (["no-such-command"],
+                 ["separation", "--group", "cyl:3", "--random", "300",
+                  "--window", "0"],
+                 ["counterexample", "find", "--c", "0.5", "--cap", "5"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 1
 
 
 def test_set_source_required(capsys):

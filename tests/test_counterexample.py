@@ -190,22 +190,19 @@ def test_find_params_accepts_string_targets():
     assert params == GridParams(9, 9)
 
 
-def test_find_params_cap_stop_carries_best():
-    with pytest.raises(SearchCapExceeded) as exc_info:
-        find_params(Fraction(1, 10), cap=5)
-    err = exc_info.value
-    assert err.cap == 5
-    assert err.best.params == GridParams(5, 5)
-    assert err.best.ratio == Fraction(8, 11)
-    assert "cap" in err.reason
-
-
 def test_find_params_budget_stop_carries_best():
     # budget 3000 admits i = k up to 7 (|A(7,7)| = 2464, |A(8,8)| = 4176)
     with pytest.raises(SearchCapExceeded) as exc_info:
         find_params(Fraction(1, 100), budget=3000)
     err = exc_info.value
     assert err.best.params.i <= 7
+    assert "budget" in err.reason
+    # budget 660 admits i = k = 5 exactly (|A(5,5)| = 660, |A(6,6)| = 1344)
+    with pytest.raises(SearchCapExceeded) as exc_info:
+        find_params(Fraction(1, 10), budget=660)
+    err = exc_info.value
+    assert err.best.params == GridParams(5, 5)
+    assert err.best.ratio == Fraction(8, 11)
     assert "budget" in err.reason
 
 
@@ -214,8 +211,6 @@ def test_find_params_rejects_bad_arguments():
         find_params(0)
     with pytest.raises(ValueError):
         find_params(-1)
-    with pytest.raises(ValueError):
-        find_params(Fraction(1, 2), cap=1)
 
 
 def test_diagonal_envelope_is_decreasing():
@@ -236,7 +231,7 @@ def test_diagonal_envelope_is_decreasing():
 def test_embed_torus_pins():
     emb = embed_torus(GridParams(2, 5))
     r = emb.report
-    assert emb.host.family == "torus:31x31"
+    assert emb.vertex_set.host.family == "torus:31x31"
     assert (r.n, r.volume) == (31, 961)
     assert (r.sizeLattice, r.sizeTorus) == (105, 105)
     assert (r.boundaryLattice, r.boundaryTorus) == (60, 60)
@@ -249,7 +244,7 @@ def test_embed_torus_pins():
 def test_embed_torus_more_members():
     for i, k, n in [(2, 2, 13), (3, 4, 37)]:
         emb = embed_torus(GridParams(i, k))
-        assert emb.host.family == f"torus:{n}x{n}"
+        assert emb.vertex_set.host.family == f"torus:{n}x{n}"
         assert emb.report.preserved
         assert emb.report.halfVolumeHolds
 

@@ -18,7 +18,6 @@ from cayleyiso import (
     Torus,
     ball,
     ball_profile,
-    ball_size,
     classify_growth,
     minimal_ball_radius,
     parse_group,
@@ -140,12 +139,12 @@ def test_ball_radius_zero_is_center():
 def test_z2_ball_examples():
     g = IntegerLattice(2)
     assert ball(g, (0, 0), 2) == oracles.z2_ball_points(2)
-    assert ball_size(g, 2) == 13
-    assert ball_size(g, 8) == 145
+    assert ball_profile(g, 2)[2] == 13
+    assert ball_profile(g, 8)[8] == 145
 
 
 def test_z1_ball_size():
-    assert ball_size(IntegerLattice(1), 5) == 11
+    assert ball_profile(IntegerLattice(1), 5)[5] == 11
 
 
 def test_free_ball_size_17():
@@ -156,26 +155,26 @@ def test_free_ball_size_17():
 
 
 def test_torus_ball_saturates():
-    assert ball_size(Torus(31, 2), 100) == 961
+    assert ball_profile(Torus(31, 2), 100)[100] == 961
 
 
 def test_torus_ball_matches_wraparound_count():
     g = Torus(7, 2)
     for r in range(0, 9):
-        assert ball_size(g, r) == oracles.torus_ball_size(7, 2, r)
+        assert ball_profile(g, r)[r] == oracles.torus_ball_size(7, 2, r)
 
 
 def test_cylinder_ball_matches_direct_count():
     g = Cylinder(3)
     for r in range(0, 11):
-        assert ball_size(g, r) == oracles.cylinder_standard_ball_size(3, r)
+        assert ball_profile(g, r)[r] == oracles.cylinder_standard_ball_size(3, r)
 
 
 def test_ball_size_center_independent():
     rng = random.Random(99)
     for g in all_families():
         r = 3 if isinstance(g, FreeGroup) else 6
-        reference = ball_size(g, r)
+        reference = ball_profile(g, r)[r]
         for _ in range(10):
             center = oracles.random_vertex(g, rng)
             assert len(ball(g, center, r)) == reference
@@ -206,7 +205,7 @@ def test_negative_radius_rejected():
     with pytest.raises(ValueError):
         ball(IntegerLattice(2), (0, 0), -1)
     with pytest.raises(ValueError):
-        ball_size(IntegerLattice(2), -3)
+        ball_profile(IntegerLattice(2), -3)
 
 
 def test_budget_exceeded_reports_partial_radius():

@@ -16,11 +16,10 @@ from cayleyiso import (
 )
 from cayleyiso.ringlike import (
     Branch2Report,
-    BranchError,
     CyclicSystem,
     cyclic_system,
     interval_cover,
-    theorem_impr_branch2,
+    ring_like_obligations,
 )
 
 
@@ -289,7 +288,7 @@ def test_interval_cover_serialization():
 
 
 def test_branch2_full_interval():
-    report = theorem_impr_branch2(block_interval(Cylinder(3), 1000))
+    report = ring_like_obligations(block_interval(Cylinder(3), 1000))
     assert isinstance(report, Branch2Report)
     assert report.holds
     assert (report.cover.k, report.cover.slack, report.cover.bound) == (6, 0, 144)
@@ -305,7 +304,7 @@ def test_branch2_punched_intervals():
         ([(100, 0), (2000, 1), (1500, 2)], 9, 3, 216),
     ]:
         A = VertexSet(host, set(base) - set(holes))
-        report = theorem_impr_branch2(A)
+        report = ring_like_obligations(A)
         assert report.holds
         assert (report.cover.k, report.cover.slack, report.cover.bound) == (
             k, slack, bound,
@@ -314,7 +313,7 @@ def test_branch2_punched_intervals():
 
 def test_branch2_width_two_host():
     # 1000 vertices > 16 * 4^2 = 256, so the large-set branch applies
-    report = theorem_impr_branch2(block_interval(Cylinder(2), 500))
+    report = ring_like_obligations(block_interval(Cylinder(2), 500))
     assert report.holds
     assert (report.system.s, report.system.t) == (2, 1)
     assert (report.cover.k, report.cover.slack, report.cover.bound) == (4, 0, 48)
@@ -322,42 +321,39 @@ def test_branch2_width_two_host():
 
 def test_branch2_long_shift_host():
     A = block_interval(Cylinder(4, [(2, 1), (1, 0)]), 1100)
-    report = theorem_impr_branch2(A)
+    report = ring_like_obligations(A)
     assert report.holds
     assert (report.cover.k, report.cover.slack, report.cover.bound) == (16, 0, 2304)
 
 
 def test_branch2_rejects_small_sets():
     small = block_interval(Cylinder(3), 100)  # 300 <= 16 * 6^2 = 576
-    with pytest.raises(BranchError):
-        theorem_impr_branch2(small)
+    assert classify_separation(small).branch == "SmallSet"
 
 
 def test_branch2_rejects_bad_hosts_and_empty_sets():
     with pytest.raises(ValueError):
-        theorem_impr_branch2(VertexSet(IntegerLattice(2), [(0, 0)]))
+        ring_like_obligations(VertexSet(IntegerLattice(2), [(0, 0)]))
     with pytest.raises(ValueError):
-        theorem_impr_branch2(VertexSet(Cylinder(3), []))
+        ring_like_obligations(VertexSet(Cylinder(3), []))
 
 
 def test_branch2_error_order():
     # each step fails alone while every later one would fail too:
-    # empty set, non-cylinder host, BranchError, window, connectivity
+    # non-cylinder host, window, connectivity
     host = Cylinder(3)
     apart = block_interval(host, 2000, skip=[(z, r) for z in (999, 1000, 1001)
                                              for r in range(3)])
     assert len(apart) > 16 * 12**2  # two intervals, k = 12: large-set branch
     cases = [
-        (VertexSet(IntegerLattice(2), []), ValueError, "non-empty"),
-        (VertexSet(IntegerLattice(2), apart.elements), ValueError, "cylinder host"),
-        (VertexSet(host, [(0, 0), (9, 0)]), BranchError, "small-set branch"),
-        (apart, ValueError, "window must be >= 1, got 0"),
+        (VertexSet(IntegerLattice(2), apart.elements), "cylinder host"),
+        (apart, "window must be >= 1, got 0"),
     ]
-    for A, error, message in cases:
-        with pytest.raises(error, match=message):
-            theorem_impr_branch2(A, window=0)
+    for A, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ring_like_obligations(A, window=0)
     with pytest.raises(ValueError, match="A union boundary\\(A\\) connected"):
-        theorem_impr_branch2(apart, window=1)
+        ring_like_obligations(apart, window=1)
 
 
 def test_branch2_computes_the_boundary_once(monkeypatch):
@@ -369,7 +365,7 @@ def test_branch2_computes_the_boundary_once(monkeypatch):
 
     original = isoperimetry._boundary_elements
     monkeypatch.setattr(isoperimetry, "_boundary_elements", counted)
-    report = theorem_impr_branch2(block_interval(Cylinder(3), 1000))
+    report = ring_like_obligations(block_interval(Cylinder(3), 1000))
     assert report.cover.k == 6
     assert calls == [3000]
 
@@ -392,7 +388,7 @@ def test_ring_like_separation_runs_the_closure_bfs_once(monkeypatch):
 
 
 def test_branch2_serialization_merges_system_and_cover():
-    d = theorem_impr_branch2(block_interval(Cylinder(3), 1000)).to_dict()
+    d = ring_like_obligations(block_interval(Cylinder(3), 1000)).to_dict()
     assert d["group"] == "cyl:3"
     assert d["holds"] is True
     assert {"s", "t", "q", "qBound", "window", "jLo", "jHi", "sizeQ",
