@@ -45,7 +45,6 @@ from .counterexample import (
     find_params,
 )
 from .ringlike import (
-    Branch2Report,
     CyclicSystem,
     IntervalCover,
     cyclic_system,
@@ -89,7 +88,6 @@ __all__ = [
     "TorusEmbedding",
     "embed_torus",
     "find_params",
-    "Branch2Report",
     "CyclicSystem",
     "IntervalCover",
     "cyclic_system",

@@ -146,31 +146,27 @@ def _cmd_growth(args, budget):
     report = classify_growth(g, args.max_radius, budget=budget)
     if args.format == "csv":
         rows = list(enumerate(report.ball_sizes))
-        return ("csv", ["r", "ballSize"], rows), []
-    return ("json", report.to_dict()), []
+        return ("csv", ["r", "ballSize"], rows), [], None
+    return ("json", report.to_dict()), [], None
 
 
 def _cmd_ball(args, budget):
     g = parse_group(args.group)
     vertices = ball(g, g.identity(), args.radius, budget=budget)
     A = isoperimetry.VertexSet._trusted(g, vertices)
-    if args.emit_set:
-        isoperimetry.save_set(A, args.emit_set)
     payload = {"group": g.family, "radius": args.radius, "size": len(A)}
-    return ("json", payload), []
+    return ("json", payload), [], A if args.emit_set else None
 
 
 def _cmd_boundary(args, budget):
     A = _resolve_set(args, budget)
     B = isoperimetry.boundary(A)
-    if args.emit_set:
-        isoperimetry.save_set(B, args.emit_set)
     payload = {
         "group": A.host.family,
         "sizeA": len(A),
         "boundarySize": len(B),
     }
-    return ("json", payload), []
+    return ("json", payload), [], B if args.emit_set else None
 
 
 def _cmd_depth(args, budget):
@@ -180,7 +176,7 @@ def _cmd_depth(args, budget):
         "sizeA": len(A),
         "depth": isoperimetry.depth(A),
     }
-    return ("json", payload), []
+    return ("json", payload), [], None
 
 
 def _cmd_varopoulos(args, budget):
@@ -188,53 +184,49 @@ def _cmd_varopoulos(args, budget):
     report = isoperimetry.varopoulos_check(A, budget=budget)
     payload = {"group": A.host.family, "sizeA": len(A)}
     payload.update(report.to_dict())
-    return ("json", payload), report.violations()
+    return ("json", payload), report.violations(), None
 
 
 def _cmd_separation(args, budget):
     A = _resolve_set(args, budget)
     report = isoperimetry.classify_separation(A)
-    return ("json", report.to_dict()), report.violations()
+    return ("json", report.to_dict()), report.violations(), None
 
 
 def _cmd_counterexample_stats(args, budget):
     params = counterexample.GridParams(args.i, args.k)
     st = counterexample.stats(params, budget=budget)
-    if args.emit_set:
-        isoperimetry.save_set(counterexample.build(params, budget=budget),
-                              args.emit_set)
-    return ("json", st.to_dict()), st.violations()
+    emitted = counterexample.build(params, budget=budget) if args.emit_set else None
+    return ("json", st.to_dict()), st.violations(), emitted
 
 
 def _cmd_counterexample_find(args, budget):
     target = _parse_fraction(args.c)
     params, st = counterexample.find_params(target, budget=budget)
-    if args.emit_set:
-        isoperimetry.save_set(counterexample.build(params, budget=budget),
-                              args.emit_set)
+    emitted = counterexample.build(params, budget=budget) if args.emit_set else None
     payload = {"target": target}
     payload.update(st.to_dict())
-    return ("json", payload), st.violations()
+    return ("json", payload), st.violations(), emitted
 
 
 def _cmd_counterexample_torus(args, budget):
     params = counterexample.GridParams(args.i, args.k)
     embedding = counterexample.embed_torus(params, budget=budget)
-    if args.emit_set:
-        isoperimetry.save_set(embedding.vertex_set, args.emit_set)
-    return ("json", embedding.report.to_dict()), embedding.report.violations()
+    emitted = embedding.vertex_set if args.emit_set else None
+    return ("json", embedding.report.to_dict()), embedding.report.violations(), emitted
 
 
 def _cmd_ringlike_check(args, budget):
     host = parse_group(args.group)
     system = ringlike.cyclic_system(host, window=args.window)
-    return ("json", system.to_dict()), system.violations()
+    return ("json", system.to_dict()), system.violations(), None
 
 
 def _cmd_ringlike_cover(args, budget):
     A = _resolve_set(args, budget)
-    report = ringlike.ring_like_obligations(A, window=args.window)
-    return ("json", report.to_dict()), report.violations()
+    system = ringlike.cyclic_system(A.host, window=args.window)
+    report = ringlike.interval_cover(system, A)
+    return ("json", report.to_dict()), report.violations(), None
 
 
 def _cmd_sweep_ratio(args, budget):
@@ -259,8 +251,8 @@ def _cmd_sweep_ratio(args, budget):
         payload = {
             "rows": [dict(zip(header, row)) for row in rows],
         }
-        return ("json", payload), violations
-    return ("csv", header, rows), violations
+        return ("json", payload), violations, None
+    return ("csv", header, rows), violations, None
 
 
 def build_parser() -> _Parser:
@@ -356,9 +348,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         budget = _resolve_budget(args)
-        result, violations = args.handler(args, budget)
-        # rendered whole before writing, so a failure leaves no partial output
-        _write_output(_render(result), args.out)
+        result, violations, emitted = args.handler(args, budget)
+        # rendered whole before the set file or the output is written, so a
+        # failure to render leaves no partial output
+        text = _render(result)
+        if emitted is not None:
+            isoperimetry.save_set(emitted, args.emit_set)
+        _write_output(text, args.out)
     except (ValueError, OSError, json.JSONDecodeError, BudgetExceeded,
             counterexample.SearchCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

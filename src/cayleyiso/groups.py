@@ -69,7 +69,8 @@ class GroupGraph:
 
     #: number of distinct neighbors of any vertex (multi-edges collapsed)
     degree: int
-    #: declared number of ends (0, 1, 2, or math.inf); metadata only
+    #: declared number of ends (0, 1, 2, or math.inf); ``classify_separation``
+    #: reads it to choose the branch and which inequalities are required
     declared_ends: float
     #: canonical grammar string, e.g. ``z^2`` or ``cyl:3``
     family: str
@@ -100,12 +101,10 @@ class GroupGraph:
         return list(v)
 
     def vertex_from_json(self, obj) -> Vertex:
-        if not isinstance(obj, (list, tuple)):
-            raise InvalidVertexError(f"expected a coordinate list, got {obj!r}")
-        try:
-            v = tuple(int(x) for x in obj)
-        except (TypeError, ValueError) as exc:
-            raise InvalidVertexError(f"non-integer coordinate in {obj!r}") from exc
+        # type(x) is int: floats, strings and booleans are not coordinates
+        if not isinstance(obj, (list, tuple)) or not all(type(x) is int for x in obj):
+            raise InvalidVertexError(f"expected a list of integer coordinates, got {obj!r}")
+        v = tuple(obj)
         self.validate_vertex(v)
         return v
 

@@ -259,7 +259,7 @@ def classify_separation(A: VertexSet) -> SeparationReport:
 
     Requires an infinite host and A union boundary(A) connected. This is the
     one place that decides the |A| <= 16k^2 branch; on a cylinder the
-    ring-like branch takes its obligations from ``ring_like_obligations``.
+    ring-like branch takes its obligations from ``ringlike.interval_cover``.
     """
     _require_nonempty(A)
     if A.host.is_finite:
@@ -286,7 +286,8 @@ def classify_separation(A: VertexSet) -> SeparationReport:
         if isinstance(A.host, Cylinder):
             from . import ringlike
 
-            inequalities += ringlike.ring_like_obligations(A).inequalities()
+            system = ringlike.cyclic_system(A.host)
+            inequalities += ringlike.interval_cover(system, A).inequalities()
     else:
         branch = "Inapplicable"
     return SeparationReport(

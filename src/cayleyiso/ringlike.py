@@ -102,14 +102,16 @@ def cyclic_system(host: GroupGraph, window: int = 50) -> CyclicSystem:
 
 @dataclass
 class IntervalCover:
-    """The interval of blocks spanned by A, its union Q, and the slack bound.
+    """The ring-like report of a set A on a cylinder: the host's block
+    system, the interval of blocks A touches, and the slack of their union Q.
 
-    slack = |Q \\ A| = (j_hi - j_lo + 1)s - |A| and bound = 2s^2t^2k + 2stk
-    with k = |boundary(A)|; ``holds`` records slack <= bound, a claim for
-    every connected A with connected closure. Q contains A, so
-    |Q| = |A| + slack.
+    slack = |Q \\ A| = (j_hi - j_lo + 1)s - |A| (Q contains A) and
+    bound = 2s^2t^2k + 2stk with k = |boundary(A)|; ``holds`` records
+    slack <= bound, a claim for every connected A with connected closure.
+    ``violations()`` gives the combined verdict, cohesiveness and slack.
     """
 
+    system: CyclicSystem
     j_lo: int
     j_hi: int
     sizeA: int
@@ -118,8 +120,22 @@ class IntervalCover:
     bound: int
     holds: bool
 
+    def inequalities(self) -> list:
+        system = self.system
+        return [
+            Inequality("q <= 2st", system.q, 2 * system.s * system.t,
+                       system.cohesive_ok, True),
+            Inequality("|Q\\A| <= 2s^2t^2k + 2stk", self.slack, self.bound,
+                       self.holds, True),
+        ]
+
+    def violations(self) -> list:
+        return [q.name for q in self.inequalities() if not q.holds]
+
     def to_dict(self) -> dict:
+        """The system's fields, then the cover's; ``holds`` is the cover's."""
         return {
+            **self.system.to_dict(),
             "jLo": self.j_lo,
             "jHi": self.j_hi,
             "sizeQ": self.sizeA + self.slack,
@@ -132,7 +148,11 @@ class IntervalCover:
 
 
 def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
-    """Cover A by the blocks it touches and check the slack bound."""
+    """The ring-like report of A: cover A by the blocks it touches and check
+    the slack bound. ``classify_separation`` decides when the ring-like
+    branch applies (|A| > 16k^2). Building ``system`` first keeps the error
+    order: non-cylinder host, bad window, then the set's own errors.
+    """
     if A.host != system.host:
         raise ValueError(
             f"set lives on {A.host.family} but the block system is on "
@@ -148,6 +168,7 @@ def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
     slack = (hi - lo + 1) * s - len(A)
     bound = 2 * s * s * t * t * k + 2 * s * t * k
     return IntervalCover(
+        system=system,
         j_lo=lo,
         j_hi=hi,
         sizeA=len(A),
@@ -156,50 +177,3 @@ def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
         bound=bound,
         holds=slack <= bound,
     )
-
-
-@dataclass
-class Branch2Report:
-    """Combined ring-like obligations for a set on a cylinder."""
-
-    system: CyclicSystem
-    cover: IntervalCover
-
-    def inequalities(self) -> list:
-        system, cover = self.system, self.cover
-        return [
-            Inequality("q <= 2st", system.q, 2 * system.s * system.t,
-                       system.cohesive_ok, True),
-            Inequality("|Q\\A| <= 2s^2t^2k + 2stk", cover.slack, cover.bound,
-                       cover.holds, True),
-        ]
-
-    @property
-    def holds(self) -> bool:
-        return not self.violations()
-
-    def violations(self) -> list:
-        return [q.name for q in self.inequalities() if not q.holds]
-
-    def to_dict(self) -> dict:
-        """The system's fields, then the cover's; ``holds`` is the cover's.
-        ``holds`` and ``violations()`` above give the combined verdict."""
-        merged = self.system.to_dict()
-        merged.update(self.cover.to_dict())
-        return merged
-
-
-def ring_like_obligations(A: VertexSet, window: int = 50) -> Branch2Report:
-    """Assemble the ring-like obligations for a set on a cylinder host: its
-    block system and its interval cover, for a set of any size. This is the
-    one assembler; ``classify_separation`` decides when the ring-like branch
-    applies (|A| > 16k^2) and calls it there.
-
-    Errors come in this order: non-cylinder host, bad window, then the
-    set's own (empty, or closure not connected). The set computes its
-    boundary and closure connectivity once, so callers that read them first
-    do not pay for them again here.
-    """
-    system = cyclic_system(A.host, window=window)
-    return Branch2Report(system, interval_cover(system, A))
-

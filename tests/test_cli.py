@@ -237,22 +237,15 @@ def test_counterexample_torus(capsys):
     assert payload["halfVolumeHolds"] is True
 
 
-def test_counterexample_find_cap_exceeded(capsys):
-    rc, out, err = run(
-        ["counterexample", "find", "--c", "1/10", "--budget", "660"], capsys
-    )
-    assert rc == 1
-    assert out == ""
-    assert err.startswith("error:")
-    assert "best so far" in err
-
-
 def test_counterexample_find_budget_exceeded(capsys):
-    rc, out, err = run(
-        ["counterexample", "find", "--c", "1/100", "--budget", "3000"], capsys
-    )
-    assert rc == 1
-    assert "budget" in err
+    for target, budget in [("1/10", "660"), ("1/100", "3000")]:
+        rc, out, err = run(
+            ["counterexample", "find", "--c", target, "--budget", budget], capsys
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "budget" in err and "best so far" in err
 
 
 # --- ringlike ----------------------------------------------------------------
@@ -383,6 +376,10 @@ def test_malformed_set_file(tmp_path, capsys):
     path.write_text("{not json")
     rc, out, err = run(["depth", "--set", str(path)], capsys)
     assert rc == 1
+    assert err.startswith("error:")
+    path.write_text('{"group": "z^2", "vertices": [[1.9, 0]]}')
+    rc, out, err = run(["boundary", "--set", str(path)], capsys)
+    assert (rc, out) == (1, "")
     assert err.startswith("error:")
 
 

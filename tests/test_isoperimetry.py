@@ -441,6 +441,13 @@ def test_set_file_rejects_malformed_payloads():
         set_from_json_obj({"group": "torus:5x5", "vertices": [[9, 0]]})
     with pytest.raises(InvalidVertexError):
         set_from_json_obj({"group": "free:2", "vertices": [[1, 2]]})
+    # coordinates are JSON integers: no float, string or boolean is coerced
+    for vertices in ([[1.9, 0]], [["3", 0]], [[True, 0]], [[1e0, 0]],
+                     [[1.9, 0], [1.2, 0]]):
+        with pytest.raises(InvalidVertexError):
+            set_from_json_obj({"group": "z^2", "vertices": vertices})
+    with pytest.raises(InvalidVertexError):
+        set_from_json_obj({"group": "cyl:3", "vertices": [[0, 2.7]]})
 
 
 @settings(max_examples=40)

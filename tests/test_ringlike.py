@@ -15,11 +15,10 @@ from cayleyiso import (
     random_connected_set,
 )
 from cayleyiso.ringlike import (
-    Branch2Report,
     CyclicSystem,
+    IntervalCover,
     cyclic_system,
     interval_cover,
-    ring_like_obligations,
 )
 
 
@@ -31,6 +30,12 @@ def block_interval(host, n_blocks, skip=()):
         if (z, r) not in set(skip)
     )
     return VertexSet(host, points)
+
+
+def ring_like_report(A, window=50):
+    """The ring-like report as classify_separation and `ringlike cover`
+    build it: the host's block system first, then the cover."""
+    return interval_cover(cyclic_system(A.host, window=window), A)
 
 
 # --- cyclic systems ----------------------------------------------------------
@@ -273,6 +278,15 @@ def test_interval_cover_serialization():
     sysm = cyclic_system(Cylinder(3))
     d = interval_cover(sysm, block_interval(Cylinder(3), 1000)).to_dict()
     assert d == {
+        "group": "cyl:3",
+        "s": 3,
+        "t": 1,
+        "q": 2,
+        "qBound": 6,
+        "window": 50,
+        "partitionOk": True,
+        "ringLikeOk": True,
+        "cohesiveOk": True,
         "jLo": 0,
         "jHi": 999,
         "sizeQ": 3000,
@@ -288,11 +302,10 @@ def test_interval_cover_serialization():
 
 
 def test_branch2_full_interval():
-    report = ring_like_obligations(block_interval(Cylinder(3), 1000))
-    assert isinstance(report, Branch2Report)
-    assert report.holds
-    assert (report.cover.k, report.cover.slack, report.cover.bound) == (6, 0, 144)
+    report = ring_like_report(block_interval(Cylinder(3), 1000))
+    assert isinstance(report, IntervalCover)
     assert report.violations() == []
+    assert (report.k, report.slack, report.bound) == (6, 0, 144)
 
 
 def test_branch2_punched_intervals():
@@ -304,26 +317,26 @@ def test_branch2_punched_intervals():
         ([(100, 0), (2000, 1), (1500, 2)], 9, 3, 216),
     ]:
         A = VertexSet(host, set(base) - set(holes))
-        report = ring_like_obligations(A)
-        assert report.holds
-        assert (report.cover.k, report.cover.slack, report.cover.bound) == (
+        report = ring_like_report(A)
+        assert report.violations() == []
+        assert (report.k, report.slack, report.bound) == (
             k, slack, bound,
         )
 
 
 def test_branch2_width_two_host():
     # 1000 vertices > 16 * 4^2 = 256, so the large-set branch applies
-    report = ring_like_obligations(block_interval(Cylinder(2), 500))
-    assert report.holds
+    report = ring_like_report(block_interval(Cylinder(2), 500))
+    assert report.violations() == []
     assert (report.system.s, report.system.t) == (2, 1)
-    assert (report.cover.k, report.cover.slack, report.cover.bound) == (4, 0, 48)
+    assert (report.k, report.slack, report.bound) == (4, 0, 48)
 
 
 def test_branch2_long_shift_host():
     A = block_interval(Cylinder(4, [(2, 1), (1, 0)]), 1100)
-    report = ring_like_obligations(A)
-    assert report.holds
-    assert (report.cover.k, report.cover.slack, report.cover.bound) == (16, 0, 2304)
+    report = ring_like_report(A)
+    assert report.violations() == []
+    assert (report.k, report.slack, report.bound) == (16, 0, 2304)
 
 
 def test_branch2_rejects_small_sets():
@@ -333,9 +346,9 @@ def test_branch2_rejects_small_sets():
 
 def test_branch2_rejects_bad_hosts_and_empty_sets():
     with pytest.raises(ValueError):
-        ring_like_obligations(VertexSet(IntegerLattice(2), [(0, 0)]))
+        ring_like_report(VertexSet(IntegerLattice(2), [(0, 0)]))
     with pytest.raises(ValueError):
-        ring_like_obligations(VertexSet(Cylinder(3), []))
+        ring_like_report(VertexSet(Cylinder(3), []))
 
 
 def test_branch2_error_order():
@@ -351,9 +364,9 @@ def test_branch2_error_order():
     ]
     for A, message in cases:
         with pytest.raises(ValueError, match=message):
-            ring_like_obligations(A, window=0)
+            ring_like_report(A, window=0)
     with pytest.raises(ValueError, match="A union boundary\\(A\\) connected"):
-        ring_like_obligations(apart, window=1)
+        ring_like_report(apart, window=1)
 
 
 def test_branch2_computes_the_boundary_once(monkeypatch):
@@ -365,8 +378,8 @@ def test_branch2_computes_the_boundary_once(monkeypatch):
 
     original = isoperimetry._boundary_elements
     monkeypatch.setattr(isoperimetry, "_boundary_elements", counted)
-    report = ring_like_obligations(block_interval(Cylinder(3), 1000))
-    assert report.cover.k == 6
+    report = ring_like_report(block_interval(Cylinder(3), 1000))
+    assert report.k == 6
     assert calls == [3000]
 
 
@@ -388,7 +401,7 @@ def test_ring_like_separation_runs_the_closure_bfs_once(monkeypatch):
 
 
 def test_branch2_serialization_merges_system_and_cover():
-    d = ring_like_obligations(block_interval(Cylinder(3), 1000)).to_dict()
+    d = ring_like_report(block_interval(Cylinder(3), 1000)).to_dict()
     assert d["group"] == "cyl:3"
     assert d["holds"] is True
     assert {"s", "t", "q", "qBound", "window", "jLo", "jHi", "sizeQ",
