@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import counterexample, isoperimetry, ringlike
 from .groups import DEFAULT_BUDGET, BudgetExceeded, ball, classify_growth, parse_group
@@ -75,12 +74,34 @@ def _render(result: tuple) -> str:
     return buf.getvalue()
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_text(text: str, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_all(targets: list) -> None:
+    """Write every ``(path, write)`` target, where ``write(p)`` writes the
+    file at ``p``, or leave every path as it was.
+
+    Each file is written to a temporary beside its target; the targets are
+    replaced only after every temporary is complete, and the temporaries are
+    removed if any write fails.
+    """
+    temps = []
+    try:
+        for path, write in targets:
+            temps.append(f"{path}.{os.getpid()}.tmp")
+            try:
+                write(temps[-1])
+            except OSError as exc:  # name the target, not the temporary
+                raise OSError(exc.errno, exc.strerror, path) from None
+        for tmp, (path, _) in zip(temps, targets):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -218,13 +239,13 @@ def _cmd_counterexample_torus(args, budget):
 
 def _cmd_ringlike_check(args, budget):
     host = parse_group(args.group)
-    system = ringlike.cyclic_system(host, window=args.window)
+    system = ringlike.cyclic_system(host, window=args.window, budget=budget)
     return ("json", system.to_dict()), system.violations(), None
 
 
 def _cmd_ringlike_cover(args, budget):
     A = _resolve_set(args, budget)
-    system = ringlike.cyclic_system(A.host, window=args.window)
+    system = ringlike.cyclic_system(A.host, window=args.window, budget=budget)
     report = ringlike.interval_cover(system, A)
     return ("json", report.to_dict()), report.violations(), None
 
@@ -349,12 +370,18 @@ def main(argv=None) -> int:
     try:
         budget = _resolve_budget(args)
         result, violations, emitted = args.handler(args, budget)
-        # rendered whole before the set file or the output is written, so a
-        # failure to render leaves no partial output
+        # rendered whole, and the files written together, so a run that fails
+        # leaves no partial output and no set file
         text = _render(result)
+        targets = []
         if emitted is not None:
-            isoperimetry.save_set(emitted, args.emit_set)
-        _write_output(text, args.out)
+            targets.append((args.emit_set,
+                            lambda path: isoperimetry.save_set(emitted, path)))
+        if args.out:
+            targets.append((args.out, lambda path: _write_text(text, path)))
+        _write_all(targets)
+        if not args.out:
+            sys.stdout.write(text)
     except (ValueError, OSError, json.JSONDecodeError, BudgetExceeded,
             counterexample.SearchCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

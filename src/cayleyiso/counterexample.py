@@ -16,6 +16,10 @@ route. The kernels peak at about 3 bytes per cell of the padded
 Past ki + 3 = 10922 the distances need ``int32`` and the peak is about
 5 bytes per cell. So ``stats(GridParams(100, 100))``, 10^8 cells, peaks
 near 320 MB.
+
+numpy is loaded by ``stats`` alone (so by ``find_params`` and the CLI's
+``counterexample stats``/``find`` and ``sweep ratio``), not when the package
+is imported: everything else in the package is pure Python.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from fractions import Fraction
 from itertools import count
 from typing import Optional, Tuple, Union
 
-from . import _grid
 from .groups import DEFAULT_BUDGET, BudgetExceeded, IntegerLattice, Torus
 from .isoperimetry import VertexSet, boundary, depth
 
@@ -131,6 +134,9 @@ class CounterexampleStats:
 
 def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleStats:
     """Boundary, depth, and exact ratio of A(i,k) from the bitmap kernels."""
+    # imported here so that only the bitmap path pays for loading numpy
+    from . import _grid
+
     _check_budget(params, budget)
     bm = _grid.perforated_block(params.i, params.k)
     size = bm.count()

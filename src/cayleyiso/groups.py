@@ -311,6 +311,8 @@ class Cylinder(GroupGraph):
             raise ValueError(f"cylinder modulus must be >= 2, got {m}")
         self.m = m
         raw = list(generators) if generators is not None else [(1, 0), (0, 1)]
+        if not raw:
+            raise ValueError(f"cyl:{m}:[] has no generators; give at least one pair")
         gens = set()
         for item in raw:
             if not (

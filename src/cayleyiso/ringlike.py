@@ -21,6 +21,7 @@ system; it does not search for block systems on arbitrary graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .groups import Cylinder, GroupGraph, _bfs_levels
 from .isoperimetry import Inequality, VertexSet, is_connected_with_boundary
@@ -65,7 +66,9 @@ class CyclicSystem:
         return [] if self.cohesive_ok else ["q <= 2st"]
 
 
-def cyclic_system(host: GroupGraph, window: int = 50) -> CyclicSystem:
+def cyclic_system(
+    host: GroupGraph, window: int = 50, budget: Optional[int] = None
+) -> CyclicSystem:
     """Instantiate the z-fiber block system of a cylinder and compute its
     cohesiveness q exactly.
 
@@ -75,11 +78,11 @@ def cyclic_system(host: GroupGraph, window: int = 50) -> CyclicSystem:
     The largest distance between two vertices in the same or adjacent blocks
     is therefore the largest distance from (0, 0) to a vertex of
     ({0, 1} x Z_m) minus (0, 0). One BFS from (0, 0), capped at radius
-    2st + 1 and under the default vertex budget, reads it: it stops at the
-    level where the last of these 2m - 1 vertices appears, and a vertex it
-    does not reach counts as the cap, which refutes q <= 2st. ``window`` is
-    only validated (>= 1) and echoed. Partition and edge locality hold by
-    construction (see the module docstring).
+    2st + 1 and under ``budget`` (DEFAULT_BUDGET if None), reads it: it
+    stops at the level where the last of these 2m - 1 vertices appears, and
+    a vertex it does not reach counts as the cap, which refutes q <= 2st.
+    ``window`` is only validated (>= 1) and echoed. Partition and edge
+    locality hold by construction (see the module docstring).
     """
     if not isinstance(host, Cylinder):
         raise ValueError(f"block system requires a cylinder host, got {host.family}")
@@ -89,7 +92,7 @@ def cyclic_system(host: GroupGraph, window: int = 50) -> CyclicSystem:
     t = host.max_z_shift
     cap = 2 * s * t + 1
     found = 0  # vertices of blocks 0 and 1 reached, (0, 0) included
-    for q, sphere in enumerate(_bfs_levels(host, (host.identity(),), None, cap)):
+    for q, sphere in enumerate(_bfs_levels(host, (host.identity(),), budget, cap)):
         found += sum(1 for z, _ in sphere if 0 <= z <= 1)
         if found == 2 * s:
             break

@@ -289,6 +289,19 @@ def test_ringlike_cover(tmp_path, capsys):
     assert payload["holds"] is True
 
 
+def test_ringlike_honours_budget(tmp_path, monkeypatch, capsys):
+    # the cohesiveness BFS of cyl:3 visits 11 vertices, so 5 stops it
+    rc, out, err = run(["ringlike", "check", "--group", "cyl:3", "--budget", "5"],
+                       capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: vertex budget 5 exceeded")
+    monkeypatch.setenv("ISO_BUDGET", "5")
+    rc, out, err = run(["ringlike", "cover", "--set", save_block_set(tmp_path)],
+                       capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: vertex budget 5 exceeded")
+
+
 def test_ringlike_cover_rejects_lattice_set(capsys):
     rc, out, err = run(["ringlike", "cover", "--group", "z^2", "--random", "20"],
                        capsys)
@@ -526,6 +539,21 @@ def test_output_errors_exit_one_and_write_nothing(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_failed_output_leaves_no_set_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(["ball", "--group", "z^2", "--radius", "2", "--emit-set",
+                        "s.json", "--out", "/nonexistent/x.json"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: [Errno 2] No such file or directory: '/nonexistent/x.json'\n"
+    assert list(tmp_path.iterdir()) == []
+    # both files land when both writes succeed, and no temporary is left
+    rc, _, _ = run(["ball", "--group", "z^2", "--radius", "2", "--emit-set",
+                    "s.json", "--out", "o.json"], capsys)
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.json", "s.json"]
+    assert json.loads((tmp_path / "o.json").read_text())["size"] == 13
+
+
 def test_output_is_deterministic(tmp_path, capsys):
     argv = ["separation", "--group", "cyl:3", "--random", "120", "--seed", "9"]
     rc1, out1, _ = run(argv, capsys)
@@ -599,3 +627,21 @@ def test_console_script_runs():
         installed = subprocess.run([script, *argv], capture_output=True)
         assert installed.returncode == 0
         assert installed.stdout == proc.stdout
+
+
+def test_numpy_loads_only_on_the_bitmap_path():
+    # each probe runs in a fresh interpreter; the PYTHONPATH set by conftest
+    # points it at the checkout
+    def numpy_loaded(code):
+        probe = f"import sys\n{code}\nprint('numpy' in sys.modules, file=sys.stderr)"
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr.splitlines()[-1] == "True"
+
+    assert not numpy_loaded("import cayleyiso, cayleyiso.cli")
+    assert not numpy_loaded("from cayleyiso import cli\n"
+                            "cli.main(['growth', '--group', 'z^2', '--max-radius', '5'])")
+    # the probe can see numpy when the bitmap kernels run
+    assert numpy_loaded("from cayleyiso import cli\n"
+                        "cli.main(['counterexample', 'stats', '--i', '3', '--k', '3'])")

@@ -350,6 +350,9 @@ def test_parse_group_rejects_garbage():
                  "cyl:x", "", "cyl:3:oops"):
         with pytest.raises(ValueError):
             parse_group(text)
+    # an empty list names the spec instead of failing inside max()
+    with pytest.raises(ValueError, match=r"cyl:3:\[\] has no generators"):
+        parse_group("cyl:3:[]")
 
 
 def test_family_constructor_bounds():

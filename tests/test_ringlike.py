@@ -8,6 +8,7 @@ import pytest
 import oracles
 from cayleyiso import isoperimetry, ringlike
 from cayleyiso import (
+    BudgetExceeded,
     Cylinder,
     IntegerLattice,
     VertexSet,
@@ -171,6 +172,13 @@ def test_cohesiveness_search_is_budgeted(run_capped):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["budget"]
+
+
+def test_cohesiveness_search_takes_a_budget():
+    # on cyl:3 the search stops at radius q = 2, whose ball has 11 vertices
+    with pytest.raises(BudgetExceeded):
+        cyclic_system(Cylinder(3), budget=10)
+    assert cyclic_system(Cylinder(3), budget=11).q == 2
 
 
 def test_cohesiveness_with_a_huge_shift(run_capped):
