@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -74,34 +75,44 @@ def _render(result: tuple) -> str:
     return buf.getvalue()
 
 
-def _write_text(text: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _write_all(targets: list) -> None:
-    """Write every ``(path, write)`` target, where ``write(p)`` writes the
-    file at ``p``, or leave every path as it was.
+    """Write the text of every ``(path, text)`` target.
 
-    Each file is written to a temporary beside its target; the targets are
-    replaced only after every temporary is complete, and the temporaries are
-    removed if any write fails.
+    A target that is a regular file, or does not exist yet, is written to a
+    temporary beside it, after symlinks are followed; the temporaries are
+    renamed onto their targets only after every write has succeeded, and
+    are removed if one fails. An existing file keeps its permission bits.
+    Other targets (``/dev/null``, a FIFO, a terminal) cannot be replaced and
+    are written directly, after the temporaries and before the renames.
     """
-    temps = []
+    staged, direct = [], []
+    for n, (path, text) in enumerate(targets):
+        if os.path.exists(path) and not os.path.isfile(path):
+            direct.append((path, text))
+        else:
+            real = os.path.realpath(path)
+            staged.append((path, real, f"{real}.{os.getpid()}.{n}.tmp", text))
     try:
-        for path, write in targets:
-            temps.append(f"{path}.{os.getpid()}.tmp")
+        for path, real, tmp, text in staged:
             try:
-                write(temps[-1])
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                if os.path.exists(real):
+                    os.chmod(tmp, stat.S_IMODE(os.stat(real).st_mode))
             except OSError as exc:  # name the target, not the temporary
                 raise OSError(exc.errno, exc.strerror, path) from None
-        for tmp, (path, _) in zip(temps, targets):
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp in temps:
+        for path, text in direct:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for path, real, tmp, _ in staged:
+            try:
+                os.replace(tmp, real)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        for _, _, tmp, _ in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
-        raise
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -375,10 +386,10 @@ def main(argv=None) -> int:
         text = _render(result)
         targets = []
         if emitted is not None:
-            targets.append((args.emit_set,
-                            lambda path: isoperimetry.save_set(emitted, path)))
+            set_text = json.dumps(emitted.to_json_obj(), indent=2) + "\n"
+            targets.append((args.emit_set, set_text))
         if args.out:
-            targets.append((args.out, lambda path: _write_text(text, path)))
+            targets.append((args.out, text))
         _write_all(targets)
         if not args.out:
             sys.stdout.write(text)

@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: payload shapes, exit codes, determinism, and the
 no-floats-in-JSON guarantee."""
 
+import glob
 import json
+import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -552,6 +555,38 @@ def test_failed_output_leaves_no_set_file(tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o.json", "s.json"]
     assert json.loads((tmp_path / "o.json").read_text())["size"] == 13
+
+
+def test_output_to_a_device_writes_through_it(capsys, run_capped):
+    rc, out, err = run(["ball", "--group", "z^2", "--radius", "2", "--emit-set",
+                        os.devnull, "--out", os.devnull], capsys)
+    assert (rc, out, err) == (0, "", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert glob.glob(os.devnull + ".*.tmp") == []
+    # /dev/stdout is a symlink to a pipe here; the text goes through it
+    proc = run_capped("-m", "cayleyiso.cli", "ball", "--group", "z^2",
+                      "--radius", "2", "--out", "/dev/stdout")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["size"] == 13
+
+
+def test_output_replaces_the_file_a_symlink_names(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("real.json").write_text("old\n")
+    os.chmod("real.json", 0o640)
+    os.symlink("real.json", "link.json")
+    rc, _, _ = run(["ball", "--group", "z^2", "--radius", "2",
+                    "--out", "link.json"], capsys)
+    assert rc == 0
+    assert os.path.islink("link.json")
+    assert json.loads(Path("real.json").read_text())["size"] == 13
+    assert stat.S_IMODE(os.stat("real.json").st_mode) == 0o640
+    # the same path for both files: the output is written last, as before
+    rc, _, _ = run(["ball", "--group", "z^2", "--radius", "2", "--emit-set",
+                    "same.json", "--out", "same.json"], capsys)
+    assert rc == 0
+    assert json.loads(Path("same.json").read_text())["size"] == 13
+    assert sorted(os.listdir()) == ["link.json", "real.json", "same.json"]
 
 
 def test_output_is_deterministic(tmp_path, capsys):
