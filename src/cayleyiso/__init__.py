@@ -39,7 +39,6 @@ from .counterexample import (
     CounterexampleStats,
     EmbedReport,
     GridParams,
-    SearchCapExceeded,
     TorusEmbedding,
     embed_torus,
     find_params,
@@ -84,7 +83,6 @@ __all__ = [
     "CounterexampleStats",
     "EmbedReport",
     "GridParams",
-    "SearchCapExceeded",
     "TorusEmbedding",
     "embed_torus",
     "find_params",

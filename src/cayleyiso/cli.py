@@ -221,7 +221,7 @@ def _cmd_varopoulos(args, budget):
 
 def _cmd_separation(args, budget):
     A = _resolve_set(args, budget)
-    report = isoperimetry.classify_separation(A)
+    report = isoperimetry.classify_separation(A, budget=budget)
     return ("json", report.to_dict()), report.violations(), None
 
 
@@ -393,8 +393,7 @@ def main(argv=None) -> int:
         _write_all(targets)
         if not args.out:
             sys.stdout.write(text)
-    except (ValueError, OSError, json.JSONDecodeError, BudgetExceeded,
-            counterexample.SearchCapExceeded) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if violations:

@@ -8,10 +8,11 @@ near i while the boundary stays near 4ki + k^2, so the ratio
 family a witness against any hoped-for lower bound of the form
 |boundary| * depth >= c * |A|.
 
-Statistics come from bitmap kernels (exact, tested against the generic set
-path in the unit suite) so multi-million-vertex instances stay cheap; the
-torus embedding recomputes everything on the torus host as an independent
-route. The kernels peak at about 3 bytes per cell of the padded
+Size, boundary and depth have closed forms, which ``find_params`` walks on.
+``stats`` measures a member with bitmap kernels (exact, tested against the
+generic set path in the unit suite) and checks the closed forms against
+them; the torus embedding recomputes everything on the torus host as an
+independent route. The kernels peak at about 3 bytes per cell of the padded
 (ki+3) x (ki+3) grid: the boolean mask plus one ``int16`` distance array.
 Past ki + 3 = 10922 the distances need ``int32`` and the peak is about
 5 bytes per cell. So ``stats(GridParams(100, 100))``, 10^8 cells, peaks
@@ -68,6 +69,30 @@ def boundary_closed_form(params: GridParams) -> int:
     return (k - 1) ** 2 + 4 * (k * i + 1)
 
 
+def depth_closed_form(params: GridParams) -> int:
+    """depth(A(i,k)) = 2*floor(i/2) for k >= 3 and floor((2i+2)/3) for k = 2.
+
+    The lines x, y in iZ cut the square into k^2 cells of side i. Each cell
+    corner is a pin or lies on the square's edge, one step from the
+    exterior, and the point of iZ^2 nearest to a point of a cell is one of
+    the cell's corners. Let (a, b) be a point's offsets in its cell.
+    - Four pin corners (k >= 3 only): the exterior is over i away, so the
+      distance is min(a + b, 2i - a - b, i - |a - b|). That is at most i,
+      and at most i - 1 for odd i (a + b = i makes a - b odd); a = b =
+      floor(i/2) attains 2*floor(i/2).
+    - Corner cell, offsets from the square's corner: the pin (i, i) and the
+      exterior bound it by min(a + 1, b + 1, 2i - a - b) <= min(a + 1, 2i - 2a)
+      for a <= b, with equality at a = b when k = 2. The maximum,
+      floor((2i+2)/3) at a = floor((2i-1)/3), is <= 2*floor(i/2).
+    - Edge cell (k >= 3), a measured from the edge: two pins and the
+      exterior bound it by min(a + 1, i - a + floor(i/2)), an integer at
+      most (i + floor(i/2) + 1) / 2, so at most 2*floor(i/2).
+    For k = 2 every cell is a corner cell.
+    """
+    i, k = params.i, params.k
+    return 2 * (i // 2) if k >= 3 else (2 * i + 2) // 3
+
+
 def _check_budget(params: GridParams, budget: Optional[int]) -> None:
     budget = DEFAULT_BUDGET if budget is None else budget
     needed = enumerated_size(params)
@@ -80,12 +105,8 @@ def build(params: GridParams, budget: Optional[int] = None) -> VertexSet:
     _check_budget(params, budget)
     i, k = params.i, params.k
     pins = {(m * i, n * i) for m in range(1, k) for n in range(1, k)}
-    points = (
-        (x, y)
-        for x in range(k * i + 1)
-        for y in range(k * i + 1)
-        if (x, y) not in pins
-    )
+    side = range(k * i + 1)
+    points = ((x, y) for x in side for y in side if (x, y) not in pins)
     return VertexSet._trusted(IntegerLattice(2), points)
 
 
@@ -94,14 +115,13 @@ class CounterexampleStats:
     """Exact statistics of one family member.
 
     ``ratio`` is |boundary| * depth / |A| as an exact rational.
-    ``closedFormsMatch`` asserts the bitmap oracle equals the enumeration
-    closed forms (strict; ``violations()`` names it when False).
+    ``closedFormsMatch`` asserts that the bitmap's size, boundary and depth
+    equal the closed forms (strict; ``violations()`` names it when False).
     ``claimedSizeMatches`` compares against the historically claimed
     (ki)^2-based size and is advisory: it is expected to be False.
     ``depthMeetsHalfIBound`` records whether depth <= i/2, a stronger depth
-    bound claimed for this family that the oracle does not reproduce (depth
-    is close to i); it is expected to be False and the ratio argument does
-    not rely on it.
+    bound claimed for this family. By ``depth_closed_form`` it is False for
+    every i >= 2, and the ratio argument does not rely on it.
     """
 
     params: GridParams
@@ -149,7 +169,9 @@ def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleSta
         depthOracle=d,
         ratio=Fraction(bsize * d, size),
         closedFormsMatch=(
-            size == enumerated_size(params) and bsize == boundary_closed_form(params)
+            size == enumerated_size(params)
+            and bsize == boundary_closed_form(params)
+            and d == depth_closed_form(params)
         ),
         claimedSize=claimed_size(params),
         claimedSizeMatches=claimed_size(params) == size,
@@ -157,52 +179,27 @@ def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleSta
     )
 
 
-class SearchCapExceeded(RuntimeError):
-    """The diagonal parameter search stopped before reaching the target ratio.
-
-    Carries the best parameters seen so far and why the walk stopped (the
-    vertex budget at the next step).
-    """
-
-    def __init__(self, target: Fraction, best: "CounterexampleStats", reason: str):
-        self.target = target
-        self.best = best
-        self.reason = reason
-        super().__init__(
-            f"no ratio < {target} found: {reason}; best so far is "
-            f"{best.ratio} at i=k={best.params.i}"
-        )
-
-
 def find_params(
     c: Union[Fraction, int, str], budget: Optional[int] = None
 ) -> Tuple[GridParams, CounterexampleStats]:
     """Walk the diagonal i = k = 2, 3, ... and return the first member with
-    ratio < c.
+    ratio < c, with its ``stats``.
 
-    The diagonal ratio behaves like 5/i, so the walk terminates for any
-    reachable c. The vertex budget bounds it against smaller targets: the
-    first member that does not fit stops the walk with SearchCapExceeded,
-    carrying the best ratio found.
+    The walk reads each ratio from the closed forms and runs the bitmap once,
+    on the member it returns. The diagonal ratio behaves like 5/i, so the
+    walk terminates for any reachable c. The vertex budget bounds it against
+    smaller targets: the first member that does not fit stops the walk with
+    its ``BudgetExceeded``.
     """
     target = Fraction(c)
     if target <= 0:
         raise ValueError(f"target ratio must be positive, got {target}")
-    best: Optional[CounterexampleStats] = None
     for j in count(2):
         params = GridParams(j, j)
-        try:
-            st = stats(params, budget=budget)
-        except BudgetExceeded as exc:
-            if best is None:
-                raise
-            raise SearchCapExceeded(
-                target, best, f"vertex budget {exc.budget} hit at i=k={j}"
-            ) from exc
-        if best is None or st.ratio < best.ratio:
-            best = st
-        if st.ratio < target:
-            return params, st
+        _check_budget(params, budget)
+        bd = boundary_closed_form(params) * depth_closed_form(params)
+        if Fraction(bd, enumerated_size(params)) < target:
+            return params, stats(params, budget=budget)
 
 
 @dataclass

@@ -254,12 +254,13 @@ class SeparationReport:
         return asdict(self)
 
 
-def classify_separation(A: VertexSet) -> SeparationReport:
+def classify_separation(A: VertexSet, budget: Optional[int] = None) -> SeparationReport:
     """Classify a finite set with connected closure per the separation dichotomy.
 
     Requires an infinite host and A union boundary(A) connected. This is the
     one place that decides the |A| <= 16k^2 branch; on a cylinder the
-    ring-like branch takes its obligations from ``ringlike.interval_cover``.
+    ring-like branch takes its obligations from ``ringlike.interval_cover``,
+    with ``budget`` bounding the cohesiveness search of ``cyclic_system``.
     """
     _require_nonempty(A)
     if A.host.is_finite:
@@ -286,7 +287,7 @@ def classify_separation(A: VertexSet) -> SeparationReport:
         if isinstance(A.host, Cylinder):
             from . import ringlike
 
-            system = ringlike.cyclic_system(A.host)
+            system = ringlike.cyclic_system(A.host, budget=budget)
             inequalities += ringlike.interval_cover(system, A).inequalities()
     else:
         branch = "Inapplicable"

@@ -247,7 +247,7 @@ def test_counterexample_find_cap_exceeded(capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:")
-    assert "budget" in err and "best so far" in err
+    assert "budget" in err and "needs 1344 vertices" in err
 
 
 def test_counterexample_find_budget_exceeded(capsys):
@@ -257,7 +257,7 @@ def test_counterexample_find_budget_exceeded(capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:")
-    assert "budget" in err and "best so far" in err
+    assert "budget" in err and "needs 4176 vertices" in err
 
 
 # --- ringlike ----------------------------------------------------------------
@@ -299,10 +299,11 @@ def test_ringlike_honours_budget(tmp_path, monkeypatch, capsys):
     assert (rc, out) == (1, "")
     assert err.startswith("error: vertex budget 5 exceeded")
     monkeypatch.setenv("ISO_BUDGET", "5")
-    rc, out, err = run(["ringlike", "cover", "--set", save_block_set(tmp_path)],
-                       capsys)
-    assert (rc, out) == (1, "")
-    assert err.startswith("error: vertex budget 5 exceeded")
+    blocks = save_block_set(tmp_path)
+    for command in (["ringlike", "cover"], ["separation"]):
+        rc, out, err = run([*command, "--set", blocks], capsys)
+        assert (rc, out) == (1, ""), command
+        assert err.startswith("error: vertex budget 5 exceeded"), command
 
 
 def test_ringlike_cover_rejects_lattice_set(capsys):

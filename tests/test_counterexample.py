@@ -11,6 +11,7 @@ from cayleyiso import (
     BudgetExceeded,
     IntegerLattice,
     VertexSet,
+    _grid,
     boundary,
     depth,
     is_connected_with_boundary,
@@ -18,10 +19,10 @@ from cayleyiso import (
 from cayleyiso.counterexample import (
     CounterexampleStats,
     GridParams,
-    SearchCapExceeded,
     boundary_closed_form,
     build,
     claimed_size,
+    depth_closed_form,
     embed_torus,
     enumerated_size,
     find_params,
@@ -86,6 +87,19 @@ def test_closed_forms_match_oracles_over_sweep_range():
             assert boundary_closed_form(params) == len(
                 oracles.z2_boundary_scan(points)
             )
+
+
+def test_depth_closed_form_matches_bitmap_and_per_vertex_oracle():
+    pairs = {(i, k) for i in range(2, 41) for k in range(2, 9)}
+    pairs |= {(j, j) for j in range(2, 33)}
+    for i, k in sorted(pairs):
+        bm = _grid.perforated_block(i, k)
+        assert depth_closed_form(GridParams(i, k)) == _grid.depth(bm), (i, k)
+    for i in range(2, 6):
+        for k in range(2, 6):
+            points = oracles.perforated_points(i, k)
+            expected = oracles.per_vertex_depth(Z2, points)
+            assert depth_closed_form(GridParams(i, k)) == expected, (i, k)
 
 
 def test_claimed_size_undercounts_by_rim():
@@ -191,19 +205,35 @@ def test_find_params_accepts_string_targets():
 
 
 def test_find_params_budget_stop_carries_best():
-    # budget 3000 admits i = k up to 7 (|A(7,7)| = 2464, |A(8,8)| = 4176)
-    with pytest.raises(SearchCapExceeded) as exc_info:
+    # the first member that does not fit stops the walk with its own
+    # BudgetExceeded: |A(7,7)| = 2464 fits 3000, |A(8,8)| = 4176 does not
+    with pytest.raises(BudgetExceeded) as exc_info:
         find_params(Fraction(1, 100), budget=3000)
-    err = exc_info.value
-    assert err.best.params.i <= 7
-    assert "budget" in err.reason
+    assert (exc_info.value.budget, exc_info.value.visited) == (3000, 4176)
     # budget 660 admits i = k = 5 exactly (|A(5,5)| = 660, |A(6,6)| = 1344)
-    with pytest.raises(SearchCapExceeded) as exc_info:
+    with pytest.raises(BudgetExceeded) as exc_info:
         find_params(Fraction(1, 10), budget=660)
-    err = exc_info.value
-    assert err.best.params == GridParams(5, 5)
-    assert err.best.ratio == Fraction(8, 11)
-    assert "budget" in err.reason
+    assert (exc_info.value.budget, exc_info.value.visited) == (660, 1344)
+
+
+def test_find_params_builds_one_bitmap(monkeypatch):
+    built = []
+    real = _grid.perforated_block
+
+    def counting(i, k):
+        built.append((i, k))
+        return real(i, k)
+
+    monkeypatch.setattr(_grid, "perforated_block", counting)
+    params, st = find_params(Fraction(1, 10))
+    assert params == GridParams(49, 49)
+    assert st.ratio < Fraction(1, 10) and st.closedFormsMatch
+    assert built == [(49, 49)]
+    # the walk stops at the default budget before any member qualifies
+    built.clear()
+    with pytest.raises(BudgetExceeded):
+        find_params(Fraction(1, 10**9))
+    assert built == []
 
 
 def test_find_params_rejects_bad_arguments():
