@@ -29,9 +29,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
 
-WINDOW_HELP = "block window, validated (>= 1) and echoed; q does not depend on it"
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors; this CLI reserves 2 for
     claim violations, so usage errors are remapped to exit code 1."""
@@ -149,28 +146,10 @@ def _resolve_set(args, budget: int) -> isoperimetry.VertexSet:
     if args.random is not None:
         if args.group is None:
             raise ValueError("--random requires --group")
-        if args.random > budget:
-            raise BudgetExceeded(budget, args.random)
         g = parse_group(args.group)
-        return isoperimetry.random_connected_set(g, args.random, seed=args.seed)
+        return isoperimetry.random_connected_set(g, args.random, seed=args.seed,
+                                                 budget=budget)
     raise ValueError("provide a set via --set PATH or --random SIZE")
-
-
-def _add_set_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", help="group grammar string, e.g. z^2 or cyl:3")
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--set", help="path to a JSON set file")
-    src.add_argument("--random", type=int, metavar="SIZE",
-                     help="grow a random connected set of SIZE vertices")
-    p.add_argument("--seed", type=int, default=0,
-                   help="PRNG seed for --random (default 0)")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--budget", type=int,
-                   help=f"BFS vertex budget (default {DEFAULT_BUDGET}; "
-                        "env ISO_BUDGET also honored)")
 
 
 def _cmd_growth(args, budget):
@@ -288,90 +267,75 @@ def _cmd_sweep_ratio(args, budget):
 
 
 def build_parser() -> _Parser:
+    # each shared flag is declared once, in a parent parser that the leaves
+    # using it inherit. A leaf's own flags are parents too, so its help lists
+    # its flags in the order given, with ``common`` (--out, --budget) last.
+    def parent(*names, **options) -> argparse.ArgumentParser:
+        flags = argparse.ArgumentParser(add_help=False)
+        flags.add_argument(*names, **options)
+        return flags
+
+    common = parent("--out", help="write output to this path instead of stdout")
+    common.add_argument("--budget", type=int,
+                        help=f"BFS vertex budget (default {DEFAULT_BUDGET}; "
+                             "env ISO_BUDGET also honored)")
+    source = parent("--group", help="group grammar string, e.g. z^2 or cyl:3")
+    one_of = source.add_mutually_exclusive_group()
+    one_of.add_argument("--set", help="path to a JSON set file")
+    one_of.add_argument("--random", type=int, metavar="SIZE",
+                        help="grow a random connected set of SIZE vertices")
+    source.add_argument("--seed", type=int, default=0,
+                        help="PRNG seed for --random (default 0)")
+    emit = parent("--emit-set", metavar="PATH",
+                  help="also write the resulting set as a JSON set file")
+    window = parent("--window", type=int, default=50,
+                    help="block window, validated (>= 1) and echoed; q does not depend on it")
+    grid = parent("--i", type=int, required=True)
+    grid.add_argument("--k", type=int, required=True)
+    group = parent("--group", required=True)
+    fmt = parent("--format", choices=["csv", "json"], default="csv")
+
+    def leaf(sub, name, handler, description, *parents) -> None:
+        p = sub.add_parser(name, help=description, parents=[*parents, common])
+        p.set_defaults(handler=handler)
+
+    def branch(name, description):
+        p = sub.add_parser(name, help=description)
+        return p.add_subparsers(dest="subcommand", required=True)
+
     parser = _Parser(prog="cayleyiso",
                      description="Isoperimetry on implicit Cayley graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("growth", help="ball sizes and growth dichotomy branch")
-    p.add_argument("--group", required=True)
-    p.add_argument("--max-radius", type=int, default=20)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_growth)
-
-    p = sub.add_parser("ball", help="ball around the identity")
-    p.add_argument("--group", required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--emit-set", metavar="PATH",
-                   help="also write the ball as a JSON set file")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ball)
-
-    for name, handler, description in [
-        ("boundary", _cmd_boundary, "exterior vertex boundary of a set"),
-        ("depth", _cmd_depth, "max distance from a member to the complement"),
-        ("varopoulos", _cmd_varopoulos, "|A| <= 2m|boundary(A)| check"),
-        ("separation", _cmd_separation, "small-set / ring-like classification"),
+    leaf(sub, "growth", _cmd_growth, "ball sizes and growth dichotomy branch", group,
+         parent("--max-radius", type=int, default=20), fmt)
+    leaf(sub, "ball", _cmd_ball, "ball around the identity", group,
+         parent("--radius", type=int, required=True), emit)
+    for name, handler, description, *parents in [
+        ("boundary", _cmd_boundary, "exterior vertex boundary of a set", source, emit),
+        ("depth", _cmd_depth, "max distance from a member to the complement", source),
+        ("varopoulos", _cmd_varopoulos, "|A| <= 2m|boundary(A)| check", source),
+        ("separation", _cmd_separation, "small-set / ring-like classification", source),
     ]:
-        p = sub.add_parser(name, help=description)
-        _add_set_source(p)
-        if name == "boundary":
-            p.add_argument("--emit-set", metavar="PATH",
-                           help="also write the boundary as a JSON set file")
-        _add_common(p)
-        p.set_defaults(handler=handler)
+        leaf(sub, name, handler, description, *parents)
 
-    p = sub.add_parser("counterexample",
-                       help="perforated-grid family operations")
-    csub = p.add_subparsers(dest="subcommand", required=True)
+    csub = branch("counterexample", "perforated-grid family operations")
+    leaf(csub, "stats", _cmd_counterexample_stats, "exact statistics of A(i,k)", grid, emit)
+    leaf(csub, "find", _cmd_counterexample_find, "first diagonal member with ratio < c",
+         parent("--c", required=True, help="target ratio, e.g. 0.5 or 1/2"), emit)
+    leaf(csub, "torus", _cmd_counterexample_torus,
+         "embed A(i,k) into the torus of side 3ki+1", grid, emit)
 
-    q = csub.add_parser("stats", help="exact statistics of A(i,k)")
-    q.add_argument("--i", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--emit-set", metavar="PATH")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_counterexample_stats)
+    rsub = branch("ringlike", "cylinder block-system checks")
+    leaf(rsub, "check", _cmd_ringlike_check,
+         "block system of a cylinder and its cohesiveness", group, window)
+    leaf(rsub, "cover", _cmd_ringlike_cover, "interval cover slack bound for a set",
+         source, window)
 
-    q = csub.add_parser("find", help="first diagonal member with ratio < c")
-    q.add_argument("--c", required=True, help="target ratio, e.g. 0.5 or 1/2")
-    q.add_argument("--emit-set", metavar="PATH")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_counterexample_find)
-
-    q = csub.add_parser("torus", help="embed A(i,k) into the torus of side 3ki+1")
-    q.add_argument("--i", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--emit-set", metavar="PATH",
-                   help="write the embedded torus set as a JSON set file")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_counterexample_torus)
-
-    p = sub.add_parser("ringlike", help="cylinder block-system checks")
-    rsub = p.add_subparsers(dest="subcommand", required=True)
-
-    q = rsub.add_parser("check", help="block system of a cylinder and its cohesiveness")
-    q.add_argument("--group", required=True)
-    q.add_argument("--window", type=int, default=50, help=WINDOW_HELP)
-    _add_common(q)
-    q.set_defaults(handler=_cmd_ringlike_check)
-
-    q = rsub.add_parser("cover", help="interval cover slack bound for a set")
-    _add_set_source(q)
-    q.add_argument("--window", type=int, default=50, help=WINDOW_HELP)
-    _add_common(q)
-    q.set_defaults(handler=_cmd_ringlike_cover)
-
-    p = sub.add_parser("sweep", help="parameter sweeps")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-
-    q = ssub.add_parser("ratio", help="ratio table over (i,k) parameters")
-    q.add_argument("--imax", type=int)
-    q.add_argument("--kmax", type=int)
-    q.add_argument("--diag", help="comma-separated diagonal values, e.g. 4,8,16")
-    q.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_sweep_ratio)
-
+    ssub = branch("sweep", "parameter sweeps")
+    ranges = parent("--imax", type=int)
+    ranges.add_argument("--kmax", type=int)
+    ranges.add_argument("--diag", help="comma-separated diagonal values, e.g. 4,8,16")
+    leaf(ssub, "ratio", _cmd_sweep_ratio, "ratio table over (i,k) parameters", ranges, fmt)
     return parser
 
 
@@ -386,14 +350,13 @@ def main(argv=None) -> int:
         text = _render(result)
         targets = []
         if emitted is not None:
-            set_text = json.dumps(emitted.to_json_obj(), indent=2) + "\n"
-            targets.append((args.emit_set, set_text))
+            targets.append((args.emit_set, isoperimetry.set_file_text(emitted)))
         if args.out:
             targets.append((args.out, text))
         _write_all(targets)
         if not args.out:
             sys.stdout.write(text)
-    except (ValueError, OSError, json.JSONDecodeError, BudgetExceeded) as exc:
+    except (ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if violations:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, count, islice
@@ -393,52 +394,43 @@ class Cylinder(GroupGraph):
         return [(z + dz, (r + dr) % self.m) for dz, dr in self.generators]
 
 
+# one anchored pattern for the whole grammar; ASCII digits only, so int()
+# never sees a sign, an underscore or a non-ASCII digit. DOTALL lets a
+# cylinder's generator list span lines.
+_GRAMMAR = re.compile(
+    r"z\^(?P<z>[0-9]+)|torus:(?P<torus>[0-9]+(?:x[0-9]+)*)|free:(?P<free>[0-9]+)"
+    r"|cyl:(?P<cyl>[0-9]+)(?::(?P<gens>.*))?",
+    re.DOTALL,
+)
+
+
 def parse_group(text: str) -> GroupGraph:
     """Build a GroupGraph from the compact grammar used by the CLI and set files.
 
     Examples: ``z^2``, ``torus:31x31``, ``free:2``, ``cyl:3``,
-    ``cyl:3:[(1,0),(-1,0),(0,1),(0,-1)]``.
+    ``cyl:3:[(1,0),(-1,0),(0,1),(0,-1)]``. The stripped spec must match whole.
     """
-    s = text.strip()
-    if s.startswith("z^"):
-        try:
-            d = int(s[2:])
-        except ValueError:
-            raise ValueError(f"bad lattice spec {text!r}") from None
-        return IntegerLattice(d)
-    if s.startswith("torus:"):
-        sides = s[len("torus:") :].split("x")
-        try:
-            ns = [int(x) for x in sides]
-        except ValueError:
-            raise ValueError(f"bad torus spec {text!r}") from None
-        if not ns or any(n != ns[0] for n in ns):
+    match = _GRAMMAR.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"unknown group grammar {text!r}")
+    if match["z"]:
+        return IntegerLattice(int(match["z"]))
+    if match["torus"]:
+        ns = [int(x) for x in match["torus"].split("x")]
+        if any(n != ns[0] for n in ns):
             raise ValueError(f"torus spec {text!r} must repeat one side, e.g. torus:31x31")
         return Torus(ns[0], len(ns))
-    if s.startswith("free:"):
+    if match["free"]:
+        return FreeGroup(int(match["free"]))
+    gens = match["gens"]
+    if gens is not None:
         try:
-            rank = int(s[len("free:") :])
-        except ValueError:
-            raise ValueError(f"bad free group spec {text!r}") from None
-        return FreeGroup(rank)
-    if s.startswith("cyl:"):
-        rest = s[len("cyl:") :]
-        if ":" in rest:
-            m_text, gens_text = rest.split(":", 1)
-            try:
-                gens = ast.literal_eval(gens_text)
-            except (ValueError, SyntaxError):
-                raise ValueError(f"bad cylinder generators in {text!r}") from None
-            if not isinstance(gens, (list, tuple)):
-                raise ValueError(f"cylinder generators in {text!r} must be a list of pairs")
-        else:
-            m_text, gens = rest, None
-        try:
-            m = int(m_text)
-        except ValueError:
-            raise ValueError(f"bad cylinder modulus in {text!r}") from None
-        return Cylinder(m, gens)
-    raise ValueError(f"unknown group grammar {text!r}")
+            gens = ast.literal_eval(gens)
+        except (ValueError, SyntaxError, TypeError):  # TypeError: {[1]: 2}
+            raise ValueError(f"bad cylinder generators in {text!r}") from None
+        if not isinstance(gens, (list, tuple)):
+            raise ValueError(f"cylinder generators in {text!r} must be a list of pairs")
+    return Cylinder(int(match["cyl"]), gens)
 
 
 def _bfs_levels(

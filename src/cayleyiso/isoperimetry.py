@@ -20,6 +20,8 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .groups import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
     Cylinder,
     GroupGraph,
     Vertex,
@@ -102,7 +104,10 @@ class VertexSet:
 def load_set(path: str) -> VertexSet:
     """Read a set file: {"group": "<grammar>", "vertices": [...]}."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"set file {path!r} is nested too deeply to parse") from None
     return set_from_json_obj(obj)
 
 
@@ -116,10 +121,14 @@ def set_from_json_obj(obj) -> VertexSet:
     return VertexSet._trusted(host, (host.vertex_from_json(item) for item in obj["vertices"]))
 
 
+def set_file_text(A: VertexSet) -> str:
+    """The text of A's set file, as ``save_set`` and the CLI write it."""
+    return json.dumps(A.to_json_obj(), indent=2) + "\n"
+
+
 def save_set(A: VertexSet, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(A.to_json_obj(), fh, indent=2)
-        fh.write("\n")
+        fh.write(set_file_text(A))
 
 
 def _require_nonempty(A: VertexSet) -> None:
@@ -262,7 +271,6 @@ def classify_separation(A: VertexSet, budget: Optional[int] = None) -> Separatio
     ring-like branch takes its obligations from ``ringlike.interval_cover``,
     with ``budget`` bounding the cohesiveness search of ``cyclic_system``.
     """
-    _require_nonempty(A)
     if A.host.is_finite:
         raise ValueError(f"separation dichotomy needs an infinite host, got {A.host.family}")
     if not is_connected_with_boundary(A):
@@ -303,16 +311,21 @@ def classify_separation(A: VertexSet, budget: Optional[int] = None) -> Separatio
 
 
 def random_connected_set(
-    g: GroupGraph, size: int, seed: int = 0, start: Optional[Vertex] = None
+    g: GroupGraph, size: int, seed: int = 0, start: Optional[Vertex] = None,
+    budget: Optional[int] = None,
 ) -> VertexSet:
     """Grow a connected set by BFS accretion: repeatedly absorb a boundary
     vertex chosen uniformly at random.
 
     Deterministic for a given (seed, size, start): the candidate list is kept
     in insertion order and sampled by index with swap-and-pop removal.
+    A ``size`` over ``budget`` (DEFAULT_BUDGET if None) raises BudgetExceeded.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if size > budget:
+        raise BudgetExceeded(budget, size)
     if g.is_finite and size > g.vertex_count:
         raise ValueError(f"size {size} exceeds |V| = {g.vertex_count} on {g.family}")
     rng = random.Random(seed)

@@ -161,8 +161,6 @@ def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
             f"set lives on {A.host.family} but the block system is on "
             f"{system.host.family}"
         )
-    if not A.elements:
-        raise ValueError("interval cover needs a non-empty set")
     if not is_connected_with_boundary(A):
         raise ValueError("interval cover requires A union boundary(A) connected")
     lo = min(v[0] for v in A.elements)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: payload shapes, exit codes, determinism, and the
 no-floats-in-JSON guarantee."""
 
+import argparse
 import glob
 import json
 import os
@@ -407,6 +408,43 @@ def test_malformed_set_file(tmp_path, capsys):
     rc, out, err = run(["boundary", "--set", str(path)], capsys)
     assert (rc, out) == (1, "")
     assert err.startswith("error:")
+
+
+def test_malformed_set_file_exits_one_with_one_error_line(tmp_path, capsys):
+    # a non-string "group" and a nesting too deep for the JSON decoder
+    for name, text in [("int.json", '{"group": 5, "vertices": []}'),
+                       ("list.json", '{"group": ["z^2"], "vertices": []}'),
+                       ("deep.json", '{"group": "z^2", "vertices": ' + "[" * 200_000)]:
+        path = tmp_path / name
+        path.write_text(text)
+        rc, out, err = run(["depth", "--set", str(path)], capsys)
+        assert (rc, out) == (1, ""), name
+        assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(path) in err
+
+
+def _leaves(parser, path=()):
+    """(command path, parser) of every leaf under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaves(child, (*path, name))
+            return
+    yield " ".join(path), parser
+
+
+def test_parser_shape():
+    leaves = dict(_leaves(cli.build_parser()))
+    assert len(leaves) == 12
+
+    def accepting(flag):
+        return {name for name, p in leaves.items() if flag in p._option_string_actions}
+
+    assert accepting("--out") == accepting("--budget") == set(leaves)
+    assert accepting("--emit-set") == {"ball", "boundary", "counterexample stats",
+                                       "counterexample find", "counterexample torus"}
+    assert accepting("--window") == {"ringlike check", "ringlike cover"}
+    assert all(type(p) is cli._Parser for p in leaves.values())
 
 
 # --- budgets -----------------------------------------------------------------

@@ -347,9 +347,21 @@ def test_parse_group_round_trip():
 
 def test_parse_group_rejects_garbage():
     for text in ("z^x", "torus:31x30", "torus:", "free:one", "q8", "cyl:3:[(1)]",
-                 "cyl:x", "", "cyl:3:oops"):
+                 "cyl:x", "", "cyl:3:oops", "cyl:3:{[1]: 2}"):
         with pytest.raises(ValueError):
             parse_group(text)
+    # the whole spec must match, in ASCII digits; non-strings are specs too
+    for spec in (5, ["z^2"], None, "z^+2", "z^1_0", "z^ 2", "z^-1", "z^\u0663",
+                 "torus:3x", "cyl:3x"):
+        with pytest.raises(ValueError, match="unknown group grammar"):
+            parse_group(spec)
+
+
+def test_parse_group_accepts_whitespace_and_leading_zeros():
+    for text, family in [(" z^2\n", "z^2"), ("z^02", "z^2"), ("torus:07x7", "torus:7x7"),
+                         ("\tfree:002 ", "free:2"), ("cyl:03", "cyl:3"),
+                         ("cyl:3:[(1,0),\n(0,1)]", "cyl:3")]:
+        assert parse_group(text).family == family
     # an empty list names the spec instead of failing inside max()
     with pytest.raises(ValueError, match=r"cyl:3:\[\] has no generators"):
         parse_group("cyl:3:[]")

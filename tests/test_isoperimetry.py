@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cayleyiso import (
+    BudgetExceeded,
     Cylinder,
     FreeGroup,
     IntegerLattice,
@@ -395,6 +396,13 @@ def test_random_set_size_validation():
         random_connected_set(Z2, 0)
     with pytest.raises(ValueError):
         random_connected_set(Torus(3, 2), 10)
+
+
+def test_random_set_owns_its_budget():
+    with pytest.raises(BudgetExceeded) as exc_info:
+        random_connected_set(IntegerLattice(2), 1000, budget=100)
+    assert (exc_info.value.budget, exc_info.value.visited) == (100, 1000)
+    assert len(random_connected_set(IntegerLattice(2), 100, budget=100)) == 100
 
 
 # --- vertex sets and set files -----------------------------------------------
