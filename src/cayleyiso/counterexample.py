@@ -107,7 +107,8 @@ def build(params: GridParams, budget: Optional[int] = None) -> VertexSet:
     pins = {(m * i, n * i) for m in range(1, k) for n in range(1, k)}
     side = range(k * i + 1)
     points = ((x, y) for x in side for y in side if (x, y) not in pins)
-    return VertexSet._trusted(IntegerLattice(2), points)
+    host = IntegerLattice(2)
+    return VertexSet._trusted(host, map(host._encode, points))
 
 
 @dataclass

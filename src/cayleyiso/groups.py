@@ -7,6 +7,12 @@ sizes are counted, outside the budget, on free groups, ``z^d`` and cylinders
 with the standard generators. Public entry points validate a caller's
 vertices; internal loops step from the library's own vertices unchecked.
 
+Internally a vertex is a hashable host *key*: ``_encode`` maps a vertex to
+its key and ``_decode`` maps it back, and ``_step`` and ``_bfs_levels`` run
+on keys. On the tuple hosts a key is the vertex itself; a free-group key is
+the reduced word packed into one integer. Public functions take and return
+vertices; only this module knows the key layout.
+
 Supported families and vertex representations:
 
 * ``IntegerLattice(d)``  - tuples of ints, standard generators +-e_i
@@ -33,6 +39,13 @@ Vertex = Tuple[int, ...]
 DEFAULT_BUDGET = 10_000_000
 
 INFINITE_ENDS = math.inf
+
+
+def _clip(value) -> str:
+    """``repr(value)`` for an error message, cut to 100 characters with an
+    ellipsis."""
+    text = repr(value)
+    return text if len(text) <= 100 else text[:97] + "..."
 
 
 class InvalidVertexError(ValueError):
@@ -77,6 +90,9 @@ class GroupGraph:
     family: str
     #: total vertex count for finite hosts, None for infinite ones
     vertex_count: Optional[int]
+    #: True when a vertex is its own key (``_encode`` and ``_decode`` are
+    #: the identity), so that sets of vertices need no conversion
+    _keys_are_vertices = True
 
     def identity(self) -> Vertex:
         raise NotImplementedError
@@ -84,10 +100,21 @@ class GroupGraph:
     def neighbors(self, v: Vertex) -> list:
         """All vertices adjacent to ``v``, deduplicated, in a fixed order."""
         self.validate_vertex(v)
-        return self._step(v)
+        if self._keys_are_vertices:
+            return self._step(v)
+        return [self._decode(u) for u in self._step(self._encode(v))]
 
-    def _step(self, v: Vertex) -> list:
-        """``neighbors`` of a vertex already known to be valid, unchecked."""
+    def _encode(self, v: Vertex):
+        """The key of a valid vertex."""
+        return v
+
+    def _decode(self, key) -> Vertex:
+        """The vertex of a key."""
+        return key
+
+    def _step(self, key) -> list:
+        """The keys of the neighbors of a valid vertex's key, unchecked, in
+        the order ``neighbors`` lists them."""
         raise NotImplementedError
 
     def validate_vertex(self, v) -> None:
@@ -104,7 +131,9 @@ class GroupGraph:
     def vertex_from_json(self, obj) -> Vertex:
         # type(x) is int: floats, strings and booleans are not coordinates
         if not isinstance(obj, (list, tuple)) or not all(type(x) is int for x in obj):
-            raise InvalidVertexError(f"expected a list of integer coordinates, got {obj!r}")
+            raise InvalidVertexError(
+                f"expected a list of integer coordinates, got {_clip(obj)}"
+            )
         v = tuple(obj)
         self.validate_vertex(v)
         return v
@@ -157,7 +186,7 @@ class IntegerLattice(GroupGraph):
             or len(v) != self.d
             or not all(isinstance(x, int) for x in v)
         ):
-            raise InvalidVertexError(f"{v!r} is not a length-{self.d} integer tuple")
+            raise InvalidVertexError(f"{_clip(v)} is not a length-{self.d} integer tuple")
 
     def _step(self, v: Vertex) -> list:
         out = []
@@ -197,7 +226,7 @@ class Torus(GroupGraph):
             or not all(isinstance(x, int) and 0 <= x < self.n for x in v)
         ):
             raise InvalidVertexError(
-                f"{v!r} is not a length-{self.d} tuple of residues mod {self.n}"
+                f"{_clip(v)} is not a length-{self.d} tuple of residues mod {self.n}"
             )
 
     def _step(self, v: Vertex) -> list:
@@ -216,6 +245,8 @@ class FreeGroup(GroupGraph):
     their inverses (``"aB"`` is a * b^-1).
     """
 
+    _keys_are_vertices = False
+
     def __init__(self, rank: int):
         if rank < 2:
             raise ValueError(f"free group rank must be >= 2, got {rank}")
@@ -226,28 +257,55 @@ class FreeGroup(GroupGraph):
         self.declared_ends = INFINITE_ENDS
         self.family = f"free:{rank}"
         self.vertex_count = None
+        # The key of a word packs one digit per letter, +i as 2i - 1 and -i
+        # as 2i, in ``_bits`` bits each, first letter most significant; the
+        # identity is 0. No digit is 0, so the key determines the word, and
+        # appending digit d is (key << _bits) | d, the parent is
+        # key >> _bits and the last digit is key & _mask. Conversions go
+        # through binary strings, linear in the word length.
+        self._bits = bits = (2 * rank).bit_length()
+        self._mask = (1 << bits) - 1
+        # digits 1, 2, ... in ``neighbors`` order: generator i, then its inverse
+        letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+        self._chunk = {x: format(d, f"0{bits}b") for d, x in enumerate(letters, 1)}
+        self._letter = {chunk: x for x, chunk in self._chunk.items()}
+        # _step lists digit d at index d - 1; _cancels[d] is the index of
+        # the digit that undoes d (the identity's 0 has none)
+        self._cancels = [None] + [d if d % 2 else d - 2 for d in range(1, 2 * rank + 1)]
 
     def identity(self) -> Vertex:
         return ()
 
+    def _encode(self, v: Vertex) -> int:
+        return int("".join(map(self._chunk.__getitem__, v)) or "0", 2)
+
+    def _decode(self, key: int) -> Vertex:
+        if not key:
+            return ()
+        bits = self._bits
+        text = format(key, "b")
+        text = text.zfill(len(text) + -len(text) % bits)
+        return tuple(map(self._letter.__getitem__,
+                         (text[i : i + bits] for i in range(0, len(text), bits))))
+
     def validate_vertex(self, v) -> None:
         if not isinstance(v, tuple):
-            raise InvalidVertexError(f"{v!r} is not a word tuple")
+            raise InvalidVertexError(f"{_clip(v)} is not a word tuple")
         for x in v:
             if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
-                raise InvalidVertexError(f"letter {x!r} out of range for rank {self.rank}")
+                raise InvalidVertexError(
+                    f"letter {_clip(x)} out of range for rank {self.rank}"
+                )
         for a, b in zip(v, v[1:]):
             if a == -b:
-                raise InvalidVertexError(f"word {v!r} is not reduced")
+                raise InvalidVertexError(f"word {_clip(v)} is not reduced")
 
-    def _step(self, v: Vertex) -> list:
-        out = []
-        for i in range(1, self.rank + 1):
-            for g in (i, -i):
-                if v and v[-1] == -g:
-                    out.append(v[:-1])
-                else:
-                    out.append(v + (g,))
+    def _step(self, key: int) -> list:
+        # the children are consecutive: key << _bits plus each digit
+        base = key << self._bits
+        out = list(range(base + 1, base + self.degree + 1))
+        if key:
+            out[self._cancels[key & self._mask]] = key >> self._bits
         return out
 
     def vertex_to_json(self, v: Vertex) -> str:
@@ -255,7 +313,9 @@ class FreeGroup(GroupGraph):
 
     def vertex_from_json(self, obj) -> Vertex:
         if not isinstance(obj, str):
-            raise InvalidVertexError(f"free group vertex must be a word string, got {obj!r}")
+            raise InvalidVertexError(
+                f"free group vertex must be a word string, got {_clip(obj)}"
+            )
         return self.parse_word(obj)
 
     def vertex_str(self, v: Vertex) -> str:
@@ -273,7 +333,7 @@ class FreeGroup(GroupGraph):
             elif "A" <= ch <= "Z":
                 x = -(ord(ch) - ord("A") + 1)
             else:
-                raise InvalidVertexError(f"bad letter {ch!r} in word {text!r}")
+                raise InvalidVertexError(f"bad letter {ch!r} in word {_clip(text)}")
             word.append(x)
         v = tuple(word)
         self.validate_vertex(v)
@@ -321,7 +381,7 @@ class Cylinder(GroupGraph):
                 and len(item) == 2
                 and all(isinstance(x, int) and not isinstance(x, bool) for x in item)
             ):
-                raise ValueError(f"generator {item!r} is not a (zShift, rShift) pair")
+                raise ValueError(f"generator {_clip(item)} is not a (zShift, rShift) pair")
             dz, dr = item[0], item[1] % m
             if dz == 0 and dr == 0:
                 raise ValueError("identity (0,0) is not allowed as a generator")
@@ -386,7 +446,7 @@ class Cylinder(GroupGraph):
             or not isinstance(v[1], int)
             or not 0 <= v[1] < self.m
         ):
-            raise InvalidVertexError(f"{v!r} is not a (z, residue mod {self.m}) pair")
+            raise InvalidVertexError(f"{_clip(v)} is not a (z, residue mod {self.m}) pair")
 
     def _step(self, v: Vertex) -> list:
         z, r = v
@@ -412,43 +472,53 @@ def parse_group(text: str) -> GroupGraph:
     """
     match = _GRAMMAR.fullmatch(text.strip()) if isinstance(text, str) else None
     if match is None:
-        raise ValueError(f"unknown group grammar {text!r}")
+        raise ValueError(f"unknown group grammar {_clip(text)}")
+
+    def number(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ValueError(f"number too long in group spec {_clip(text)}") from None
+
     if match["z"]:
-        return IntegerLattice(int(match["z"]))
+        return IntegerLattice(number(match["z"]))
     if match["torus"]:
-        ns = [int(x) for x in match["torus"].split("x")]
+        ns = [number(x) for x in match["torus"].split("x")]
         if any(n != ns[0] for n in ns):
-            raise ValueError(f"torus spec {text!r} must repeat one side, e.g. torus:31x31")
+            raise ValueError(
+                f"torus spec {_clip(text)} must repeat one side, e.g. torus:31x31"
+            )
         return Torus(ns[0], len(ns))
     if match["free"]:
-        return FreeGroup(int(match["free"]))
+        return FreeGroup(number(match["free"]))
     gens = match["gens"]
     if gens is not None:
         try:
             gens = ast.literal_eval(gens)
         except (ValueError, SyntaxError, TypeError):  # TypeError: {[1]: 2}
-            raise ValueError(f"bad cylinder generators in {text!r}") from None
+            raise ValueError(f"bad cylinder generators in {_clip(text)}") from None
         if not isinstance(gens, (list, tuple)):
-            raise ValueError(f"cylinder generators in {text!r} must be a list of pairs")
-    return Cylinder(int(match["cyl"]), gens)
+            raise ValueError(f"cylinder generators in {_clip(text)} must be a list of pairs")
+    return Cylinder(number(match["cyl"]), gens)
 
 
 def _bfs_levels(
     g: GroupGraph,
-    sources: Collection[Vertex],
+    sources: Collection,
     budget: Optional[int],
     max_radius: Optional[int] = None,
-    within: Optional[Container[Vertex]] = None,
+    within: Optional[Container] = None,
 ) -> Iterator[set]:
     """Yield the BFS spheres around the ``sources``: level r is yielded at step r.
 
-    When ``within`` is given, expansion enters only vertices it contains
-    (the sources themselves need not be in it). Stops after ``max_radius``
-    levels if given, or when the frontier empties. Raises BudgetExceeded
-    when the visited set would grow past ``budget`` (DEFAULT_BUDGET if None);
-    the exception records the last completed radius. Sources are not
-    validated and are expanded by the unchecked ``_step``: ``ball`` checks
-    a caller's center.
+    Sources, ``within`` and the yielded spheres hold host keys. When
+    ``within`` is given, expansion enters only keys it contains (the sources
+    themselves need not be in it). Stops after ``max_radius`` levels if
+    given, or when the frontier empties. Raises BudgetExceeded when the
+    visited set would grow past ``budget`` (DEFAULT_BUDGET if None); the
+    exception records the last completed radius. Sources are not validated
+    and are expanded by the unchecked ``_step``: ``ball`` checks a caller's
+    center.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     frontier = set(sources)
@@ -478,11 +548,19 @@ def ball(
     g: GroupGraph, center: Vertex, r: int, budget: Optional[int] = None
 ) -> set:
     """Exact metric ball {u : d(u, center) <= r}, by breadth-first expansion."""
+    keys = _ball_keys(g, center, r, budget)
+    return keys if g._keys_are_vertices else set(map(g._decode, keys))
+
+
+def _ball_keys(
+    g: GroupGraph, center: Vertex, r: int, budget: Optional[int] = None
+) -> set:
+    """The keys of the vertices of ``ball(g, center, r)``."""
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     g.validate_vertex(center)
     out: set = set()
-    for sphere in _bfs_levels(g, (center,), budget, max_radius=r):
+    for sphere in _bfs_levels(g, (g._encode(center),), budget, max_radius=r):
         out |= sphere
     return out
 
@@ -497,7 +575,7 @@ def _ball_sizes(g: GroupGraph, budget: Optional[int]) -> Iterator[int]:
     """
     if g._ball_count(0) is not None:
         return map(g._ball_count, count())
-    levels = _bfs_levels(g, (g.identity(),), budget)
+    levels = _bfs_levels(g, (g._encode(g.identity()),), budget)
     return accumulate(len(sphere) for sphere in levels)
 
 

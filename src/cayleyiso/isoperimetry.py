@@ -34,12 +34,16 @@ from .groups import (
 class VertexSet:
     """A finite set of vertices with O(1) membership, bound to its host graph.
 
-    The constructor validates every element; sets the library builds from
-    vertices it produced use ``_trusted``, which does not check them again.
-    Immutable: its exterior boundary and the connectivity of A union
+    The set holds host keys (``_keys``); on the tuple hosts a key is the
+    vertex itself, on free groups a packed integer. The constructor
+    validates every element and encodes it; sets the library builds from
+    keys it produced use ``_trusted``, which does not check them again.
+    ``elements``, iteration, membership and serialization see vertices,
+    decoded once per set on first use. Immutable: its exterior boundary, the
+    members next to the complement and the connectivity of A union
     boundary(A) are computed on first use and kept (``_boundary``,
-    ``_closure_is_connected``), so every checker that reads them shares one
-    computation per set.
+    ``_inner``, ``_closure_is_connected``), so every checker that reads them
+    shares one computation per set.
     """
 
     def __init__(self, host: GroupGraph, elements: Iterable[Vertex]):
@@ -48,18 +52,26 @@ class VertexSet:
         for v in elements:
             host.validate_vertex(v)
             elems.add(v)
-        self.elements = frozenset(elems)
+        if not host._keys_are_vertices:
+            elems = map(host._encode, elems)
+        self._keys = frozenset(elems)
 
     @classmethod
-    def _trusted(cls, host: GroupGraph, elements: Iterable[Vertex]) -> "VertexSet":
-        """A set of vertices the library produced as valid, not checked again."""
+    def _trusted(cls, host: GroupGraph, keys: Iterable) -> "VertexSet":
+        """A set of host keys the library produced as valid, not checked again."""
         A = cls.__new__(cls)
         A.host = host
-        A.elements = frozenset(elements)
+        A._keys = frozenset(keys)
         return A
 
+    @cached_property
+    def elements(self) -> frozenset:
+        if self.host._keys_are_vertices:
+            return self._keys
+        return frozenset(map(self.host._decode, self._keys))
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._keys)
 
     def __iter__(self):
         return iter(self.elements)
@@ -71,14 +83,14 @@ class VertexSet:
         return (
             isinstance(other, VertexSet)
             and self.host == other.host
-            and self.elements == other.elements
+            and self._keys == other._keys
         )
 
     def __hash__(self) -> int:
-        return hash((self.host, self.elements))
+        return hash((self.host, self._keys))
 
     def __repr__(self) -> str:
-        return f"VertexSet({self.host.family!r}, {len(self.elements)} vertices)"
+        return f"VertexSet({self.host.family!r}, {len(self._keys)} vertices)"
 
     def sorted_elements(self) -> list:
         return sorted(self.elements, key=self.host.sort_key)
@@ -90,14 +102,29 @@ class VertexSet:
         }
 
     @cached_property
+    def _boundary_pass(self) -> tuple:
+        return _boundary_elements(self)
+
+    @property
     def _boundary(self) -> frozenset:
-        return frozenset(_boundary_elements(self))
+        return self._boundary_pass[0]
+
+    @property
+    def _inner(self) -> list:
+        return self._boundary_pass[1]
 
     @cached_property
     def _closure_is_connected(self) -> bool:
-        closure = self.elements | self._boundary
-        start = next(iter(self.elements))
-        levels = _bfs_levels(self.host, (start,), len(closure), within=closure)
+        # every boundary vertex has a neighbor in A, so A connected implies
+        # A union boundary(A) connected; only a disconnected A needs the
+        # BFS over the closure
+        keys = self._keys
+        start = (next(iter(keys)),)
+        levels = _bfs_levels(self.host, start, len(keys), within=keys)
+        if sum(len(sphere) for sphere in levels) == len(keys):
+            return True
+        closure = keys | self._boundary
+        levels = _bfs_levels(self.host, start, len(closure), within=closure)
         return sum(len(sphere) for sphere in levels) == len(closure)
 
 
@@ -118,7 +145,8 @@ def set_from_json_obj(obj) -> VertexSet:
     if not isinstance(obj["vertices"], list):
         raise ValueError('"vertices" must be a list')
     # vertex_from_json validates each item
-    return VertexSet._trusted(host, (host.vertex_from_json(item) for item in obj["vertices"]))
+    vertices = (host.vertex_from_json(item) for item in obj["vertices"])
+    return VertexSet._trusted(host, map(host._encode, vertices))
 
 
 def set_file_text(A: VertexSet) -> str:
@@ -132,18 +160,23 @@ def save_set(A: VertexSet, path: str) -> None:
 
 
 def _require_nonempty(A: VertexSet) -> None:
-    if not A.elements:
+    if not A._keys:
         raise ValueError(f"operation needs a non-empty set on {A.host.family}")
 
 
-def _boundary_elements(A: VertexSet) -> set:
-    g = A.host
-    out = set()
-    for v in A.elements:
-        for u in g._step(v):
-            if u not in A.elements:
-                out.add(u)
-    return out
+def _boundary_elements(A: VertexSet) -> tuple:
+    """(boundary keys, keys of the members with a neighbor outside A), in
+    one scan of A."""
+    keys = A._keys
+    step = A.host._step
+    out: set = set()
+    inner = []
+    for v in keys:
+        outside = [u for u in step(v) if u not in keys]
+        if outside:
+            out.update(outside)
+            inner.append(v)
+    return frozenset(out), inner
 
 
 def boundary(A: VertexSet) -> VertexSet:
@@ -159,21 +192,21 @@ def boundary(A: VertexSet) -> VertexSet:
 def depth(A: VertexSet) -> int:
     """max over u in A of d(u, complement of A), distances in the whole graph.
 
-    Computed as one multi-source BFS seeded at the boundary and expanded only
-    into A: a geodesic from u to its nearest complement vertex stays inside A
-    until its final step, so d(u, complement) = d(u, boundary) along paths
-    within A. Every finite component of A touches the boundary, so the BFS
-    covers all of A even when A is disconnected.
+    Computed as one multi-source BFS inside A, seeded at level 1 with the
+    members that have a neighbor outside A: a geodesic from u to its nearest
+    complement vertex stays inside A until its final step, so
+    d(u, complement) = 1 + d(u, those members) along paths within A. Every
+    finite component of A has such a member, so the BFS covers all of A
+    even when A is disconnected.
     """
     _require_nonempty(A)
-    bd = A._boundary
-    if not bd:
+    if not A._inner:
         raise ValueError(
             f"depth undefined: set exhausts the finite host {A.host.family}"
         )
-    # the BFS visits only bd and A, so its budget cannot trip
-    levels = _bfs_levels(A.host, bd, len(bd) + len(A), within=A.elements)
-    return sum(1 for _ in levels) - 1
+    # the BFS visits only A, so its budget cannot trip
+    levels = _bfs_levels(A.host, A._inner, len(A), within=A._keys)
+    return sum(1 for _ in levels)
 
 
 def is_connected_with_boundary(A: VertexSet) -> bool:
@@ -332,6 +365,7 @@ def random_connected_set(
     if start is None:
         start = g.identity()
     g.validate_vertex(start)
+    start = g._encode(start)
     members = {start}
     candidates = g._step(start)
     candidate_set = set(candidates)

@@ -92,8 +92,9 @@ def cyclic_system(
     t = host.max_z_shift
     cap = 2 * s * t + 1
     found = 0  # vertices of blocks 0 and 1 reached, (0, 0) included
-    for q, sphere in enumerate(_bfs_levels(host, (host.identity(),), budget, cap)):
-        found += sum(1 for z, _ in sphere if 0 <= z <= 1)
+    origin = host._encode(host.identity())
+    for q, sphere in enumerate(_bfs_levels(host, (origin,), budget, cap)):
+        found += sum(1 for z, _ in map(host._decode, sphere) if 0 <= z <= 1)
         if found == 2 * s:
             break
     else:

@@ -53,14 +53,15 @@ def run_capped():
 
     For inputs that stay small only because a search stops early: if that
     regresses to unbounded work, the child fails with MemoryError instead of
-    taking the memory of the whole machine.
+    taking the memory of the whole machine. ``timeout`` (seconds, 300 by
+    default) bounds the child's run time the same way.
     """
 
     def limit():
         resource.setrlimit(resource.RLIMIT_DATA, (CHILD_MEMORY_CAP, CHILD_MEMORY_CAP))
 
-    def run(*args):
+    def run(*args, timeout=300):
         return subprocess.run([sys.executable, *args], capture_output=True,
-                              text=True, preexec_fn=limit, timeout=300)
+                              text=True, preexec_fn=limit, timeout=timeout)
 
     return run

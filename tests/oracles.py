@@ -88,13 +88,55 @@ def cylinder_standard_ball_size(m: int, r: int) -> int:
     return total
 
 
+def neighbor_function(g):
+    """A function listing the neighbors of a vertex of ``g``, in the order
+    ``g.neighbors`` lists them.
+
+    On a free group they are enumerated on the word itself: generator i,
+    then its inverse, each appended to the word or, when it undoes the last
+    letter, cancelling that letter. Other hosts use ``g.neighbors``.
+    """
+    if not isinstance(g, FreeGroup):
+        return g.neighbors
+    letters = [x for i in range(1, g.rank + 1) for x in (i, -i)]
+
+    def word_neighbors(v):
+        return [v[:-1] if v and v[-1] == -x else v + (x,) for x in letters]
+
+    return word_neighbors
+
+
+def accretion_set(g, size: int, seed: int = 0, start=None) -> set:
+    """The vertices ``random_connected_set`` grows, by the same protocol on
+    vertices: candidates in discovery order, one ``randrange`` per absorbed
+    vertex, swap-and-pop removal."""
+    neighbors = neighbor_function(g)
+    rng = random.Random(seed)
+    start = g.identity() if start is None else start
+    members = {start}
+    candidates = neighbors(start)
+    pending = set(candidates)
+    while len(members) < size:
+        j = rng.randrange(len(candidates))
+        candidates[j], candidates[-1] = candidates[-1], candidates[j]
+        v = candidates.pop()
+        pending.discard(v)
+        members.add(v)
+        for u in neighbors(v):
+            if u not in members and u not in pending:
+                pending.add(u)
+                candidates.append(u)
+    return members
+
+
 def bfs_ball(g, center, r: int) -> set:
+    neighbors = neighbor_function(g)
     out = {center}
     frontier = [center]
     for _ in range(r):
         nxt = []
         for v in frontier:
-            for u in g.neighbors(v):
+            for u in neighbors(v):
                 if u not in out:
                     out.add(u)
                     nxt.append(u)
@@ -105,13 +147,14 @@ def bfs_ball(g, center, r: int) -> set:
 def bfs_distance(g, u, v) -> int:
     """d(u, v) by a breadth-first search from u that stops when it meets v;
     the graph must be connected."""
+    neighbors = neighbor_function(g)
     dist = {u: 0}
     queue = deque([u])
     while queue:
         w = queue.popleft()
         if w == v:
             return dist[w]
-        for x in g.neighbors(w):
+        for x in neighbors(w):
             if x not in dist:
                 dist[x] = dist[w] + 1
                 queue.append(x)
@@ -159,22 +202,24 @@ def cylinder_generates(m: int, gens) -> tuple:
 def boundary_by_distance(g, elements) -> set:
     """{u : d(u, A) = 1}: candidates within distance 2 of A, kept when their
     own neighbor scan finds A at distance exactly 1."""
+    neighbors = neighbor_function(g)
     members = set(elements)
     candidates = set()
     for v in members:
-        for u in g.neighbors(v):
+        for u in neighbors(v):
             candidates.add(u)
-            for w in g.neighbors(u):
+            for w in neighbors(u):
                 candidates.add(w)
     out = set()
     for u in candidates - members:
-        if any(w in members for w in g.neighbors(u)):
+        if any(w in members for w in neighbors(u)):
             out.add(u)
     return out
 
 
 def per_vertex_depth(g, elements) -> int:
     """max over members of d(u, complement), one full-graph BFS per member."""
+    neighbors = neighbor_function(g)
     members = set(elements)
     best = 0
     for u in members:
@@ -185,7 +230,7 @@ def per_vertex_depth(g, elements) -> int:
             if v not in members:
                 best = max(best, dist[v])
                 break
-            for w in g.neighbors(v):
+            for w in neighbors(v):
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)
@@ -193,6 +238,7 @@ def per_vertex_depth(g, elements) -> int:
 
 
 def connected_within(g, elements) -> bool:
+    neighbors = neighbor_function(g)
     members = set(elements)
     if not members:
         return True
@@ -202,7 +248,7 @@ def connected_within(g, elements) -> bool:
     while frontier:
         nxt = []
         for v in frontier:
-            for u in g.neighbors(v):
+            for u in neighbors(v):
                 if u in members and u not in seen:
                     seen.add(u)
                     nxt.append(u)

@@ -423,6 +423,43 @@ def test_malformed_set_file_exits_one_with_one_error_line(tmp_path, capsys):
     assert str(path) in err
 
 
+def test_error_lines_clip_echoed_values(tmp_path, capsys):
+    # a malformed value of 2*10^5 items is echoed as a short prefix
+    huge = list(range(200_000))
+    for name, obj in [("group.json", {"group": huge, "vertices": []}),
+                      ("lattice.json", {"group": "z^2", "vertices": [huge]}),
+                      ("free.json", {"group": "free:2", "vertices": [huge]}),
+                      ("word.json", {"group": "free:2", "vertices": ["ab" * 10**5 + "?"]})]:
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        rc, out, err = run(["depth", "--set", str(path)], capsys)
+        assert (rc, out) == (1, ""), name
+        assert err.startswith("error:") and err.count("\n") == 1, name
+        assert len(err.encode()) < 300 and "..." in err, name
+    rc, out, err = run(["growth", "--group", "z^" + "9" * 5000], capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: number too long in group spec 'z^999")
+    assert len(err.encode()) < 300 and "int_max_str_digits" not in err
+
+
+def test_long_words_stay_linear(tmp_path, run_capped):
+    # one word of 2*10^5 letters: reading, stepping and writing it are
+    # linear in its length, so both commands finish well inside the timeout
+    word = "ab" * 10**5
+    path, emitted = tmp_path / "long.json", tmp_path / "boundary.json"
+    path.write_text(json.dumps({"group": "free:2", "vertices": [word]}))
+    proc = run_capped("-m", "cayleyiso.cli", "boundary", "--set", str(path),
+                      "--emit-set", str(emitted), timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["boundarySize"] == 4
+    words = json.loads(emitted.read_text())["vertices"]
+    assert words == [word[:-1], word + "A", word + "a", word + "b"]
+    proc = run_capped("-m", "cayleyiso.cli", "separation", "--set", str(path), timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["sizeA"], report["boundarySize"], report["depth"]) == (1, 4, 1)
+
+
 def _leaves(parser, path=()):
     """(command path, parser) of every leaf under ``parser``."""
     for action in parser._actions:

@@ -110,6 +110,34 @@ def test_word_string_round_trip(w):
     assert g.parse_word(g.vertex_str(w)) == w
 
 
+# --- free-group keys ----------------------------------------------------------
+
+
+def test_free_keys_round_trip_every_short_word():
+    for rank in (2, 3):
+        g = FreeGroup(rank)
+        words = oracles.enumerate_reduced_words(rank, 5)
+        keys = {g._encode(w) for w in words}
+        assert len(keys) == len(words)  # one key per word
+        assert g._encode(g.identity()) == 0
+        for w in words:
+            assert g._decode(g._encode(w)) == w
+
+
+@settings(derandomize=True, max_examples=200)
+@given(w=reduced_words(rank=26, max_len=60))
+def test_free_keys_round_trip_rank_26(w):
+    g = FreeGroup(26)
+    assert g._decode(g._encode(w)) == w
+
+
+def test_free_neighbors_match_word_oracle_in_order():
+    for rank in (2, 3):
+        g = FreeGroup(rank)
+        for w in oracles.enumerate_reduced_words(rank, 4):
+            assert g.neighbors(w) == oracles.neighbor_function(g)(w)
+
+
 def test_invalid_vertices_rejected():
     with pytest.raises(InvalidVertexError):
         IntegerLattice(2).neighbors((0, 0, 0))
@@ -355,6 +383,44 @@ def test_parse_group_rejects_garbage():
                  "torus:3x", "cyl:3x"):
         with pytest.raises(ValueError, match="unknown group grammar"):
             parse_group(spec)
+
+
+def test_error_messages_clip_long_values():
+    # short values are echoed whole, as before
+    for call, text in [
+        (lambda: parse_group("q8"), "unknown group grammar 'q8'"),
+        (lambda: IntegerLattice(2).vertex_from_json("x"),
+         "expected a list of integer coordinates, got 'x'"),
+        (lambda: FreeGroup(2).vertex_from_json(5),
+         "free group vertex must be a word string, got 5"),
+        (lambda: FreeGroup(2).parse_word("a1b"), "bad letter '1' in word 'a1b'"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == text
+    # long ones are cut to a fixed length, with an ellipsis
+    huge = list(range(200_000))
+    for call, start in [
+        (lambda: parse_group(huge), "unknown group grammar [0, 1, 2"),
+        (lambda: IntegerLattice(2).vertex_from_json(huge), "(0, 1, 2"),
+        (lambda: FreeGroup(2).vertex_from_json(huge), "free group vertex must"),
+        (lambda: FreeGroup(2).parse_word("ab" * 10**5 + "1"), "bad letter '1' in word"),
+        (lambda: FreeGroup(2).parse_word("ab" * 10**5 + "Ba"), "word (1, 2, 1"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            call()
+        message = str(info.value)
+        assert message.startswith(start) and "..." in message and len(message) < 200
+
+
+def test_parse_group_names_a_spec_whose_number_is_too_long():
+    for spec in ("z^" + "9" * 5000, "torus:3x" + "9" * 5000, "free:" + "0" * 5000 + "2",
+                 "cyl:" + "9" * 5000):
+        with pytest.raises(ValueError) as info:
+            parse_group(spec)
+        message = str(info.value)
+        assert message.startswith(f"number too long in group spec {spec[:20]!r}"[:-1])
+        assert message.endswith("...") and len(message) < 200
 
 
 def test_parse_group_accepts_whitespace_and_leading_zeros():

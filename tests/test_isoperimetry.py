@@ -405,6 +405,18 @@ def test_random_set_owns_its_budget():
     assert len(random_connected_set(IntegerLattice(2), 100, budget=100)) == 100
 
 
+def test_random_set_on_free_groups_matches_the_accretion_oracle():
+    # the same RNG calls over the same candidate order grow the same set
+    for rank in (2, 3):
+        g = FreeGroup(rank)
+        for size, seed in [(1, 0), (2, 5), (60, 1), (400, 2), (2000, 3)]:
+            A = random_connected_set(g, size, seed=seed)
+            assert A.elements == oracles.accretion_set(g, size, seed=seed)
+        start = (1, 2, -1)
+        A = random_connected_set(g, 500, seed=9, start=start)
+        assert A.elements == oracles.accretion_set(g, 500, seed=9, start=start)
+
+
 # --- vertex sets and set files -----------------------------------------------
 
 

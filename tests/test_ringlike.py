@@ -13,6 +13,7 @@ from cayleyiso import (
     IntegerLattice,
     VertexSet,
     classify_separation,
+    is_connected_with_boundary,
     random_connected_set,
 )
 from cayleyiso.ringlike import (
@@ -402,10 +403,21 @@ def test_ring_like_separation_runs_the_closure_bfs_once(monkeypatch):
     monkeypatch.setattr(isoperimetry, "_bfs_levels", counted)
     report = classify_separation(block_interval(Cylinder(3), 1000))
     assert report.branch == "RingLike" and not report.violations()
-    # the closure BFS from one member over A and its 6 boundary vertices,
-    # then the depth BFS from the boundary; the interval cover reads the
-    # set's closure verdict and boundary instead of scanning again
-    assert calls == [(1, 3006), (6, 3000)]
+    # the connectivity BFS from one member over A, which reaches all of A,
+    # so the closure needs no BFS of its own; then the depth BFS from the 6
+    # members next to the complement; the interval cover reads the set's
+    # closure verdict and boundary instead of scanning again
+    assert calls == [(1, 3000), (6, 3000)]
+    # A in two pieces with a connected closure: the BFS over A misses a
+    # piece, so the closure BFS runs once, over A and its boundary
+    calls.clear()
+    host = Cylinder(5)
+    A = VertexSet(host, [(0, 0), (1, 1)])  # (1, 0) and (0, 1) join them
+    assert is_connected_with_boundary(A) and is_connected_with_boundary(A)
+    assert calls == [(1, 2), (1, 2 + 6)]
+    calls.clear()
+    assert not is_connected_with_boundary(VertexSet(host, [(0, 0), (4, 0)]))
+    assert calls == [(1, 2), (1, 2 + 8)]
 
 
 def test_branch2_serialization_merges_system_and_cover():
