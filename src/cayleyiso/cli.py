@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import counterexample, isoperimetry, ringlike
-from .groups import DEFAULT_BUDGET, BudgetExceeded, _ball_keys, classify_growth, parse_group
+from .groups import DEFAULT_BUDGET, BudgetExceeded, ball, classify_growth, parse_group
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -163,8 +163,8 @@ def _cmd_growth(args, budget):
 
 def _cmd_ball(args, budget):
     g = parse_group(args.group)
-    keys = _ball_keys(g, g.identity(), args.radius, budget=budget)
-    A = isoperimetry.VertexSet._trusted(g, keys)
+    vertices = ball(g, g.identity(), args.radius, budget=budget)
+    A = isoperimetry.VertexSet._trusted(g, map(g._encode, vertices))
     payload = {"group": g.family, "radius": args.radius, "size": len(A)}
     return ("json", payload), [], A if args.emit_set else None
 

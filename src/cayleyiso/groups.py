@@ -91,7 +91,8 @@ class GroupGraph:
     #: total vertex count for finite hosts, None for infinite ones
     vertex_count: Optional[int]
     #: True when a vertex is its own key (``_encode`` and ``_decode`` are
-    #: the identity), so that sets of vertices need no conversion
+    #: the identity); read only to skip copying a whole set of keys into a
+    #: set of vertices (``ball``, ``VertexSet.elements``)
     _keys_are_vertices = True
 
     def identity(self) -> Vertex:
@@ -100,8 +101,6 @@ class GroupGraph:
     def neighbors(self, v: Vertex) -> list:
         """All vertices adjacent to ``v``, deduplicated, in a fixed order."""
         self.validate_vertex(v)
-        if self._keys_are_vertices:
-            return self._step(v)
         return [self._decode(u) for u in self._step(self._encode(v))]
 
     def _encode(self, v: Vertex):
@@ -548,21 +547,13 @@ def ball(
     g: GroupGraph, center: Vertex, r: int, budget: Optional[int] = None
 ) -> set:
     """Exact metric ball {u : d(u, center) <= r}, by breadth-first expansion."""
-    keys = _ball_keys(g, center, r, budget)
-    return keys if g._keys_are_vertices else set(map(g._decode, keys))
-
-
-def _ball_keys(
-    g: GroupGraph, center: Vertex, r: int, budget: Optional[int] = None
-) -> set:
-    """The keys of the vertices of ``ball(g, center, r)``."""
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     g.validate_vertex(center)
-    out: set = set()
+    keys: set = set()
     for sphere in _bfs_levels(g, (g._encode(center),), budget, max_radius=r):
-        out |= sphere
-    return out
+        keys |= sphere
+    return keys if g._keys_are_vertices else set(map(g._decode, keys))
 
 
 def _ball_sizes(g: GroupGraph, budget: Optional[int]) -> Iterator[int]:

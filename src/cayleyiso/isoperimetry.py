@@ -48,13 +48,11 @@ class VertexSet:
 
     def __init__(self, host: GroupGraph, elements: Iterable[Vertex]):
         self.host = host
-        elems = set()
+        keys = set()
         for v in elements:
             host.validate_vertex(v)
-            elems.add(v)
-        if not host._keys_are_vertices:
-            elems = map(host._encode, elems)
-        self._keys = frozenset(elems)
+            keys.add(host._encode(v))
+        self._keys = frozenset(keys)
 
     @classmethod
     def _trusted(cls, host: GroupGraph, keys: Iterable) -> "VertexSet":
