@@ -53,45 +53,5 @@ from . import counterexample, groups, isoperimetry, ringlike
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_BUDGET",
-    "BudgetExceeded",
-    "Cylinder",
-    "FreeGroup",
-    "GroupGraph",
-    "GrowthReport",
-    "IntegerLattice",
-    "InvalidVertexError",
-    "Torus",
-    "ball",
-    "ball_profile",
-    "classify_growth",
-    "minimal_ball_radius",
-    "parse_group",
-    "Inequality",
-    "SeparationReport",
-    "VaropoulosReport",
-    "VertexSet",
-    "boundary",
-    "classify_separation",
-    "depth",
-    "is_connected_with_boundary",
-    "load_set",
-    "random_connected_set",
-    "save_set",
-    "varopoulos_check",
-    "CounterexampleStats",
-    "EmbedReport",
-    "GridParams",
-    "TorusEmbedding",
-    "embed_torus",
-    "find_params",
-    "CyclicSystem",
-    "IntervalCover",
-    "cyclic_system",
-    "interval_cover",
-    "counterexample",
-    "groups",
-    "isoperimetry",
-    "ringlike",
-]
+# every public name bound above, submodules included
+__all__ = [name for name in dir() if not name.startswith("_")]

@@ -52,19 +52,15 @@ class Bitmap:
         return int(np.count_nonzero(self.mask))
 
 
-def boundary_mask(bm: Bitmap) -> np.ndarray:
-    """Mask of the exterior vertex boundary: non-members adjacent to a member."""
+def boundary_count(bm: Bitmap) -> int:
+    """Size of the exterior vertex boundary: non-members adjacent to a member."""
     mask = bm.mask
     out = np.zeros_like(mask)
     out[:-1, :] |= mask[1:, :]
     out[1:, :] |= mask[:-1, :]
     out[:, :-1] |= mask[:, 1:]
     out[:, 1:] |= mask[:, :-1]
-    return np.greater(out, mask, out=out)
-
-
-def boundary_count(bm: Bitmap) -> int:
-    return int(np.count_nonzero(boundary_mask(bm)))
+    return int(np.count_nonzero(np.greater(out, mask, out=out)))
 
 
 def _distance_dtype(shape: Tuple[int, int]) -> type:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Optional, Tuple, Union
 
-from .groups import DEFAULT_BUDGET, BudgetExceeded, IntegerLattice, Torus
+from .groups import IntegerLattice, Torus, _require_budget
 from .isoperimetry import VertexSet, boundary, depth
 
 
@@ -93,16 +93,9 @@ def depth_closed_form(params: GridParams) -> int:
     return 2 * (i // 2) if k >= 3 else (2 * i + 2) // 3
 
 
-def _check_budget(params: GridParams, budget: Optional[int]) -> None:
-    budget = DEFAULT_BUDGET if budget is None else budget
-    needed = enumerated_size(params)
-    if needed > budget:
-        raise BudgetExceeded(budget, needed)
-
-
 def build(params: GridParams, budget: Optional[int] = None) -> VertexSet:
     """Materialize A(i,k) as a VertexSet on the square lattice."""
-    _check_budget(params, budget)
+    _require_budget(budget, enumerated_size(params))
     i, k = params.i, params.k
     pins = {(m * i, n * i) for m in range(1, k) for n in range(1, k)}
     side = range(k * i + 1)
@@ -136,18 +129,10 @@ class CounterexampleStats:
     depthMeetsHalfIBound: bool
 
     def to_dict(self) -> dict:
-        return {
-            "i": self.params.i,
-            "k": self.params.k,
-            "sizeA": self.sizeA,
-            "boundarySize": self.boundarySize,
-            "depthOracle": self.depthOracle,
-            "ratio": f"{self.ratio.numerator}/{self.ratio.denominator}",
-            "closedFormsMatch": self.closedFormsMatch,
-            "claimedSize": self.claimedSize,
-            "claimedSizeMatches": self.claimedSizeMatches,
-            "depthMeetsHalfIBound": self.depthMeetsHalfIBound,
-        }
+        """The fields in order, with ``params`` as its keys i and k."""
+        fields = asdict(self)
+        fields["ratio"] = f"{self.ratio.numerator}/{self.ratio.denominator}"
+        return {**fields.pop("params"), **fields}
 
     def violations(self) -> list:
         return [] if self.closedFormsMatch else ["closed forms match enumeration"]
@@ -158,7 +143,7 @@ def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleSta
     # imported here so that only the bitmap path pays for loading numpy
     from . import _grid
 
-    _check_budget(params, budget)
+    _require_budget(budget, enumerated_size(params))
     bm = _grid.perforated_block(params.i, params.k)
     size = bm.count()
     bsize = _grid.boundary_count(bm)
@@ -197,7 +182,7 @@ def find_params(
         raise ValueError(f"target ratio must be positive, got {target}")
     for j in count(2):
         params = GridParams(j, j)
-        _check_budget(params, budget)
+        _require_budget(budget, enumerated_size(params))
         bd = boundary_closed_form(params) * depth_closed_form(params)
         if Fraction(bd, enumerated_size(params)) < target:
             return params, stats(params, budget=budget)
@@ -256,13 +241,8 @@ def embed_torus(params: GridParams, budget: Optional[int] = None) -> TorusEmbedd
     # 0 <= x, y <= ki < n, so the lattice coordinates are already residues;
     # the validating constructor is what shows it
     torus_set = VertexSet(Torus(n, 2), lattice_set.elements)
-
-    size_lat = len(lattice_set)
-    boundary_lat = len(boundary(lattice_set))
-    depth_lat = depth(lattice_set)
-    size_tor = len(torus_set)
-    boundary_tor = len(boundary(torus_set))
-    depth_tor = depth(torus_set)
+    lattice, torus = [(len(A), len(boundary(A)), depth(A)) for A in (lattice_set, torus_set)]
+    (size_lat, boundary_lat, depth_lat), (size_tor, boundary_tor, depth_tor) = lattice, torus
 
     report = EmbedReport(
         i=i,
@@ -275,11 +255,7 @@ def embed_torus(params: GridParams, budget: Optional[int] = None) -> TorusEmbedd
         boundaryTorus=boundary_tor,
         depthLattice=depth_lat,
         depthTorus=depth_tor,
-        preserved=(
-            size_lat == size_tor
-            and boundary_lat == boundary_tor
-            and depth_lat == depth_tor
-        ),
+        preserved=lattice == torus,
         halfVolumeHolds=2 * size_tor <= n * n,
     )
     return TorusEmbedding(torus_set, report)

@@ -52,6 +52,15 @@ class InvalidVertexError(ValueError):
     """A vertex value is malformed for its host graph."""
 
 
+def _check_dimension(kind: str, d: int) -> None:
+    """d >= 1, and 2d^2 <= DEFAULT_BUDGET: one ``_step`` builds 2d neighbors
+    of d coordinates each."""
+    if d < 1:
+        raise ValueError(f"{kind} dimension must be >= 1, got {d}")
+    if 2 * d * d > DEFAULT_BUDGET:
+        raise ValueError(f"{kind} dimension {d} too large: needs 2d^2 <= {DEFAULT_BUDGET}")
+
+
 class BudgetExceeded(RuntimeError):
     """An operation would touch more vertices than the budget allows.
 
@@ -74,6 +83,14 @@ class BudgetExceeded(RuntimeError):
         )
 
 
+def _require_budget(budget: Optional[int], needed: int) -> None:
+    """Raise BudgetExceeded(budget, needed) if work sized up front needs more
+    than ``budget`` vertices (DEFAULT_BUDGET if None)."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if needed > budget:
+        raise BudgetExceeded(budget, needed)
+
+
 class GroupGraph:
     """Base class: an implicit, locally finite, vertex-transitive graph.
 
@@ -90,10 +107,6 @@ class GroupGraph:
     family: str
     #: total vertex count for finite hosts, None for infinite ones
     vertex_count: Optional[int]
-    #: True when a vertex is its own key (``_encode`` and ``_decode`` are
-    #: the identity); read only to skip copying a whole set of keys into a
-    #: set of vertices (``ball``, ``VertexSet.elements``)
-    _keys_are_vertices = True
 
     def identity(self) -> Vertex:
         raise NotImplementedError
@@ -137,9 +150,6 @@ class GroupGraph:
         self.validate_vertex(v)
         return v
 
-    def vertex_str(self, v: Vertex) -> str:
-        return repr(v)
-
     def sort_key(self, v: Vertex):
         """Canonical ordering key, used to serialize sets deterministically."""
         return v
@@ -168,8 +178,7 @@ class IntegerLattice(GroupGraph):
     """Cayley graph of Z^d with the standard generating set."""
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ValueError(f"lattice dimension must be >= 1, got {d}")
+        _check_dimension("lattice", d)
         self.d = d
         self.degree = 2 * d
         self.declared_ends = 2 if d == 1 else 1
@@ -206,8 +215,7 @@ class Torus(GroupGraph):
     def __init__(self, n: int, d: int = 2):
         if n < 3:
             raise ValueError(f"torus side must be >= 3, got {n}")
-        if d < 1:
-            raise ValueError(f"torus dimension must be >= 1, got {d}")
+        _check_dimension("torus", d)
         self.n = n
         self.d = d
         self.degree = 2 * d
@@ -244,7 +252,11 @@ class FreeGroup(GroupGraph):
     their inverses (``"aB"`` is a * b^-1).
     """
 
-    _keys_are_vertices = False
+    #: a word's letters: generator i is the i-th lowercase letter, its
+    #: inverse the uppercase one (ranks above 26 are rejected)
+    _char_index = {chr(ord(a) + i - 1): sign * i
+                   for i in range(1, 27) for a, sign in (("a", 1), ("A", -1))}
+    _index_char = {x: ch for ch, x in _char_index.items()}
 
     def __init__(self, rank: int):
         if rank < 2:
@@ -318,23 +330,13 @@ class FreeGroup(GroupGraph):
         return self.parse_word(obj)
 
     def vertex_str(self, v: Vertex) -> str:
-        letters = []
-        for x in v:
-            base = ord("a") + abs(x) - 1
-            letters.append(chr(base) if x > 0 else chr(base).upper())
-        return "".join(letters)
+        return "".join(map(self._index_char.__getitem__, v))
 
     def parse_word(self, text: str) -> Vertex:
-        word = []
-        for ch in text:
-            if "a" <= ch <= "z":
-                x = ord(ch) - ord("a") + 1
-            elif "A" <= ch <= "Z":
-                x = -(ord(ch) - ord("A") + 1)
-            else:
-                raise InvalidVertexError(f"bad letter {ch!r} in word {_clip(text)}")
-            word.append(x)
-        v = tuple(word)
+        bad = next((ch for ch in text if ch not in self._char_index), None)
+        if bad is not None:
+            raise InvalidVertexError(f"bad letter {bad!r} in word {_clip(text)}")
+        v = tuple(map(self._char_index.__getitem__, text))
         self.validate_vertex(v)
         return v
 
@@ -406,8 +408,8 @@ class Cylinder(GroupGraph):
         g = gcd(*(dz for dz, _ in self.generators))
         if g != 1:
             raise ValueError(
-                f"generators {list(self.generators)} do not generate Z x Z_{m}: "
-                f"z-shifts have gcd {g}"
+                f"generators {_clip(list(self.generators))} do not generate "
+                f"Z x Z_{m}: z-shifts have gcd {g}"
             )
         # D is the index of L. Fold the rows one at a time into a triangular
         # basis (a, b), (0, d) of L, starting from (0, m): Euclid on a pair
@@ -420,9 +422,11 @@ class Cylinder(GroupGraph):
             d = gcd(d, y)
             b %= d
         if d != 1:  # D = |a| * d, and |a| = 1 as the z-shifts have gcd 1
+            # at most 100 residues: enough to fill the clipped message
+            residues = list(range(0, min(m, 100 * d), d))
             raise ValueError(
-                f"generators {list(self.generators)} do not generate Z x Z_{m}: "
-                f"only residues {list(range(0, m, d))} are reachable at z=0"
+                f"generators {_clip(list(self.generators))} do not generate "
+                f"Z x Z_{m}: only residues {_clip(residues)} are reachable at z=0"
             )
 
     def identity(self) -> Vertex:
@@ -494,7 +498,9 @@ def parse_group(text: str) -> GroupGraph:
     if gens is not None:
         try:
             gens = ast.literal_eval(gens)
-        except (ValueError, SyntaxError, TypeError):  # TypeError: {[1]: 2}
+        # TypeError: {[1]: 2}; MemoryError and RecursionError: nesting too
+        # deep for the parser ("-" * 10**5 + "1", "1+" * 10**5 + "1")
+        except (ValueError, SyntaxError, TypeError, MemoryError, RecursionError):
             raise ValueError(f"bad cylinder generators in {_clip(text)}") from None
         if not isinstance(gens, (list, tuple)):
             raise ValueError(f"cylinder generators in {_clip(text)} must be a list of pairs")
@@ -553,7 +559,7 @@ def ball(
     keys: set = set()
     for sphere in _bfs_levels(g, (g._encode(center),), budget, max_radius=r):
         keys |= sphere
-    return keys if g._keys_are_vertices else set(map(g._decode, keys))
+    return set(map(g._decode, keys))
 
 
 def _ball_sizes(g: GroupGraph, budget: Optional[int]) -> Iterator[int]:

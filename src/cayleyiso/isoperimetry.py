@@ -20,12 +20,11 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .groups import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
     Cylinder,
     GroupGraph,
     Vertex,
     _bfs_levels,
+    _require_budget,
     minimal_ball_radius,
     parse_group,
 )
@@ -64,8 +63,6 @@ class VertexSet:
 
     @cached_property
     def elements(self) -> frozenset:
-        if self.host._keys_are_vertices:
-            return self._keys
         return frozenset(map(self.host._decode, self._keys))
 
     def __len__(self) -> int:
@@ -261,9 +258,6 @@ class Inequality:
     holds: bool
     required: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class SeparationReport:
@@ -354,9 +348,7 @@ def random_connected_set(
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if size > budget:
-        raise BudgetExceeded(budget, size)
+    _require_budget(budget, size)
     if g.is_finite and size > g.vertex_count:
         raise ValueError(f"size {size} exceeds |V| = {g.vertex_count} on {g.family}")
     rng = random.Random(seed)

@@ -49,13 +49,16 @@ class CyclicSystem:
     #: true by construction: t is the largest |zShift| of a generator
     ring_like_ok = True
 
+    def _cohesion(self) -> Inequality:
+        return Inequality("q <= 2st", self.q, 2 * self.s * self.t, self.cohesive_ok, True)
+
     def to_dict(self) -> dict:
         return {
             "group": self.host.family,
             "s": self.s,
             "t": self.t,
             "q": self.q,
-            "qBound": 2 * self.s * self.t,
+            "qBound": self._cohesion().rhs,
             "window": self.window,
             "partitionOk": self.partition_ok,
             "ringLikeOk": self.ring_like_ok,
@@ -63,7 +66,8 @@ class CyclicSystem:
         }
 
     def violations(self) -> list:
-        return [] if self.cohesive_ok else ["q <= 2st"]
+        claim = self._cohesion()
+        return [] if claim.holds else [claim.name]
 
 
 def cyclic_system(
@@ -125,10 +129,8 @@ class IntervalCover:
     holds: bool
 
     def inequalities(self) -> list:
-        system = self.system
         return [
-            Inequality("q <= 2st", system.q, 2 * system.s * system.t,
-                       system.cohesive_ok, True),
+            self.system._cohesion(),
             Inequality("|Q\\A| <= 2s^2t^2k + 2stk", self.slack, self.bound,
                        self.holds, True),
         ]

@@ -1,6 +1,7 @@
-"""Shared test configuration: imports the package from ``src``, prints one
-PASS/FAIL line per acceptance criterion in the terminal summary, regardless
-of capture settings, and provides the ``run_capped`` fixture."""
+"""Shared test configuration: imports the package from ``src``, loads one
+hypothesis profile for the whole suite, prints one PASS/FAIL line per
+acceptance criterion in the terminal summary, regardless of capture
+settings, and provides the ``run_capped`` fixture."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 # The suite tests the checkout, not an installed copy, so `python -m pytest`
 # needs no install and no PYTHONPATH: src goes first on this process's path
@@ -21,6 +23,11 @@ sys.path.insert(0, SRC)
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p
 )
+
+# every property test draws the same examples on every run, and none writes
+# an example database into the checkout; each test keeps its own max_examples
+settings.register_profile("cayleyiso", derandomize=True, database=None)
+settings.load_profile("cayleyiso")
 
 CHILD_MEMORY_CAP = 1 << 30
 

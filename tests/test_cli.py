@@ -442,6 +442,66 @@ def test_error_lines_clip_echoed_values(tmp_path, capsys):
     assert len(err.encode()) < 300 and "int_max_str_digits" not in err
 
 
+def test_nested_cylinder_generators_exit_one(tmp_path, capsys):
+    for name, gens in [("minus.json", "-" * 10**5 + "1"), ("plus.json", "1+" * 10**5 + "1")]:
+        path = tmp_path / name
+        path.write_text(json.dumps({"group": "cyl:3:" + gens, "vertices": []}))
+        rc, out, err = run(["depth", "--set", str(path)], capsys)
+        assert (rc, out) == (1, ""), name
+        assert err.startswith("error: bad cylinder generators in 'cyl:3:"), name
+        assert err.count("\n") == 1 and len(err.encode()) < 300, name
+
+
+def test_find_refuses_a_target_with_too_many_digits(run_capped):
+    # Fraction would build 10**e; a huge e is refused from the text
+    limit = sys.get_int_max_str_digits()
+    for c in ("1e999999999", "1e-999999999", "1e5000", f"1e{limit}", "0.5e-4300",
+              "1e" + "9" * 5000):
+        proc = run_capped("-m", "cayleyiso.cli", "counterexample", "find", "--c", c,
+                          timeout=20)
+        assert (proc.returncode, proc.stdout) == (1, ""), c
+        assert proc.stderr.startswith(f"error: --c {c[:20]!r}"[:-1]), proc.stderr
+        assert f"needs more than {limit} digits as p/q" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "int_max_str_digits" not in proc.stderr
+    # a zero mantissa is zero whatever its exponent
+    proc = run_capped("-m", "cayleyiso.cli", "counterexample", "find", "--c", "0e999999999",
+                      timeout=20)
+    assert (proc.returncode, proc.stderr) == (1, "error: target ratio must be positive, got 0\n")
+
+
+def test_find_targets_within_the_digit_limit_behave_as_before(capsys):
+    rc, out, err = run(["counterexample", "find", "--c", "1e-3"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: vertex budget 10000000 exceeded: needs 10559364 vertices\n"
+    for c in ("x", "1/0"):
+        rc, out, err = run(["counterexample", "find", "--c", c], capsys)
+        assert (rc, err) == (1, f"error: expected a rational number like 1/2 or 0.5, got {c!r}\n")
+    limit = sys.get_int_max_str_digits()
+    rc, payload, _ = run_json(["counterexample", "find", "--c", f"1e{limit - 1}"], capsys)
+    assert rc == 0 and payload["target"] == f"{10 ** (limit - 1)}/1"
+    assert (payload["i"], payload["k"]) == (2, 2)
+
+
+def test_dimension_guard(tmp_path, capsys, run_capped):
+    rc, out, err = run(["growth", "--group", "z^2237"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: lattice dimension 2237 too large: needs 2d^2 <= 10000000\n"
+    rc, payload, _ = run_json(["growth", "--group", "z^2236", "--format", "json",
+                               "--max-radius", "2"], capsys)
+    assert rc == 0 and payload["ballSizes"] == [1, 4473, 2 * 2236**2 + 2 * 2236 + 1]
+    proc = run_capped("-m", "cayleyiso.cli", "ball", "--group", "z^2236", "--radius", "1",
+                      timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["size"] == 4473
+    # a set file of about 80 KB that names a 20000-dimensional torus
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"group": "torus:" + "x".join(["3"] * 20000),
+                                "vertices": [[0] * 20000]}))
+    proc = run_capped("-m", "cayleyiso.cli", "depth", "--set", str(path), timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: torus dimension 20000 too large: needs 2d^2 <= 10000000\n"
+
+
 def test_long_words_stay_linear(tmp_path, run_capped):
     # one word of 2*10^5 letters: reading, stepping and writing it are
     # linear in its length, so both commands finish well inside the timeout

@@ -5,11 +5,12 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from cayleyiso import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     Cylinder,
     FreeGroup,
@@ -124,7 +125,7 @@ def test_free_keys_round_trip_every_short_word():
             assert g._decode(g._encode(w)) == w
 
 
-@settings(derandomize=True, max_examples=200)
+@settings(max_examples=200)
 @given(w=reduced_words(rank=26, max_len=60))
 def test_free_keys_round_trip_rank_26(w):
     g = FreeGroup(26)
@@ -411,6 +412,67 @@ def test_error_messages_clip_long_values():
             call()
         message = str(info.value)
         assert message.startswith(start) and "..." in message and len(message) < 200
+
+
+def _parses_whole_or_raises_value_error(text):
+    try:
+        g = parse_group(text)
+    except ValueError:
+        return
+    assert parse_group(g.family) == g
+
+
+@settings(max_examples=300)
+@given(text=st.text(max_size=40))
+def test_parse_group_on_arbitrary_text(text):
+    _parses_whole_or_raises_value_error(text)
+
+
+# a family prefix and a random tail, or a cylinder with a random pair list
+GRAMMAR_SHAPED = st.builds(
+    str.__add__,
+    st.sampled_from(["z^", "torus:", "free:", "cyl:", "cyl:3:", "cyl:4:[("]),
+    st.text(alphabet="0123456789x:[](),-+ 'e", max_size=30) | st.text(max_size=8),
+) | st.builds(
+    "cyl:{}:{!r}".format,
+    st.integers(0, 12),
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=4),
+)
+
+
+# nesting too deep for Python's parser: MemoryError and RecursionError
+# inside ast.literal_eval; the explicit examples may take over the deadline
+@settings(max_examples=500, deadline=None)
+@given(text=GRAMMAR_SHAPED)
+@example(text="cyl:3:" + "-" * 10**5 + "1")
+@example(text="cyl:3:" + "1+" * 10**5 + "1")
+def test_parse_group_on_grammar_shaped_text(text):
+    _parses_whole_or_raises_value_error(text)
+
+
+def test_cylinder_errors_clip_long_generator_and_residue_lists():
+    # 10^12 residues would be listed whole; 2*10^4 generators would be echoed
+    for spec, words in [("cyl:1000000000000:[(1,0),(0,2)]", "only residues [0, 2, 4,"),
+                        ("cyl:3:[" + ",".join(f"({2 * i + 2},0)" for i in range(20000)) + "]",
+                         "z-shifts have gcd 2")]:
+        with pytest.raises(ValueError) as info:
+            parse_group(spec)
+        message = str(info.value)
+        assert words in message and "..." in message and len(message) < 300
+
+
+def test_dimension_is_bounded_by_the_default_budget():
+    # one step on z^d or a d-dimensional torus builds 2d neighbors of d
+    # coordinates each, so 2d^2 may not exceed DEFAULT_BUDGET: d <= 2236
+    assert 2 * 2236**2 <= DEFAULT_BUDGET < 2 * 2237**2
+    for make in (lambda: IntegerLattice(2237), lambda: parse_group("z^2237"),
+                 lambda: Torus(3, 2237), lambda: parse_group("torus:" + "x".join(["3"] * 2237)),
+                 lambda: parse_group("z^" + "9" * 4000)):
+        with pytest.raises(ValueError, match=r"dimension \d+ too large: needs 2d\^2 <= 10000000"):
+            make()
+    assert IntegerLattice(2236).degree == Torus(3, 2236).degree == 4472
+    with pytest.raises(ValueError, match="lattice dimension must be >= 1, got 0"):
+        IntegerLattice(0)
 
 
 def test_parse_group_names_a_spec_whose_number_is_too_long():

@@ -482,6 +482,52 @@ def test_boundary_properties_hold_for_arbitrary_plane_sets(points):
         assert any(w in A for w in Z2.neighbors(u))
 
 
+# JSON values of every type, nested a few levels
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+# set-file objects that get as far as the vertices: a valid group (or text)
+# and vertices that are often well-formed
+SET_FILES = st.fixed_dictionaries({
+    "group": st.sampled_from(["z^1", "z^2", "torus:5x5", "free:2", "cyl:3", "cyl:2:[(1,1)]"])
+    | st.text(max_size=8),
+    "vertices": st.lists(
+        st.lists(st.integers(-6, 6), max_size=3) | st.text(alphabet="abAB?", max_size=4)
+        | JSON_VALUES,
+        max_size=6,
+    ),
+})
+
+
+@settings(max_examples=300)
+@given(obj=JSON_VALUES | SET_FILES)
+def test_set_from_json_obj_returns_a_set_or_raises_value_error(obj):
+    try:
+        A = set_from_json_obj(obj)
+    except ValueError:  # InvalidVertexError included
+        return
+    assert isinstance(A, VertexSet)
+    assert set_from_json_obj(A.to_json_obj()) == A
+
+
+def test_vertex_isoperimetry_lower_bound_on_z2():
+    # Wang & Wang (SIAM J. Appl. Math., 1977): on Z^2 no set of 2r^2 + 2r + 1
+    # vertices has fewer than 4r + 4 boundary vertices, and the diamond
+    # {|x| + |y| <= r} attains it (cited, not proved here). A boundary scan
+    # that drops a vertex fails the diamond's equality.
+    for r in range(12):
+        size, least = 2 * r * r + 2 * r + 1, 4 * r + 4
+        diamond = VertexSet(Z2, ball(Z2, (0, 0), r))
+        assert (len(diamond), len(boundary(diamond))) == (size, least)
+        for seed in range(30):
+            A = random_connected_set(Z2, size, seed=seed)
+            assert len(boundary(A)) >= least, (r, seed)
+
+
 def test_varopoulos_report_serialization():
     d = varopoulos_check(VertexSet(Z2, [(0, 0)])).to_dict()
     assert d == {"m": 1, "holds": True, "lhs": 1, "rhs": 8}
