@@ -18,13 +18,12 @@ import csv
 import io
 import json
 import os
-import re
 import stat
 import sys
 from fractions import Fraction
 
 from . import counterexample, isoperimetry, ringlike
-from .groups import DEFAULT_BUDGET, BudgetExceeded, _clip, ball, classify_growth, parse_group
+from .groups import DEFAULT_BUDGET, BudgetExceeded, ball, classify_growth, parse_group
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -111,32 +110,6 @@ def _write_all(targets: list) -> None:
         for _, _, tmp, _ in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
-
-
-def _parse_fraction(text: str) -> Fraction:
-    """--c as a rational whose p and q print within Python's digit limit.
-    ``Fraction`` builds 10**e for an exponent e, so e is read from the text
-    first: with a nonzero mantissa, |e| >= limit + len(text) puts |c| at or
-    over 10**limit or under 10**-limit, so p or q has too many digits."""
-    limit = sys.get_int_max_str_digits()
-    too_long = ValueError(f"--c {_clip(text)} needs more than {limit} digits as p/q")
-    exponent = re.search(r"[eE][-+]?([\d_]+)\s*\Z", text)
-    number = text
-    if limit and exponent and "/" not in text:
-        digits = exponent[1].replace("_", "").lstrip("0") or "0"
-        bound = limit + len(text)
-        if len(digits) > len(str(bound)) or int(digits) >= bound:
-            number = text[: exponent.start()]
-            if any(ch.isdecimal() and int(ch) for ch in number):
-                raise too_long
-            # every digit of the mantissa is zero, and so is c
-    try:
-        value = Fraction(number)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected a rational number like 1/2 or 0.5, got {_clip(text)}")
-    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
-        raise too_long
-    return value
 
 
 def _resolve_budget(args) -> int:
@@ -232,7 +205,7 @@ def _cmd_counterexample_stats(args, budget):
 
 
 def _cmd_counterexample_find(args, budget):
-    target = _parse_fraction(args.c)
+    target = counterexample._parse_fraction(args.c, "--c")
     params, st = counterexample.find_params(target, budget=budget)
     emitted = counterexample.build(params, budget=budget) if args.emit_set else None
     payload = {"target": target}

@@ -25,12 +25,14 @@ is imported: everything else in the package is pure Python.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import count
 from typing import Optional, Tuple, Union
 
-from .groups import IntegerLattice, Torus, _require_budget
+from .groups import IntegerLattice, Torus, _clip, _require_budget
 from .isoperimetry import VertexSet, boundary, depth
 
 
@@ -165,6 +167,35 @@ def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleSta
     )
 
 
+def _parse_fraction(text: str, name: str = "c") -> Fraction:
+    """``text`` as a rational whose p and q print within Python's digit limit.
+    ``Fraction`` builds 10**e, so an exponent e is read from the text first:
+    with a nonzero mantissa, |e| >= limit + len(text) puts p or q past the
+    limit. ``int``'s error names the limit when a number in the text passes it.
+    """
+    limit = sys.get_int_max_str_digits()
+    too_long = ValueError(f"{name} {_clip(text)} needs more than {limit} digits as p/q")
+    exponent = re.search(r"[eE][-+]?([\d_]+)\s*\Z", text)
+    number = text
+    if limit and exponent and "/" not in text:
+        digits = exponent[1].replace("_", "").lstrip("0") or "0"
+        bound = limit + len(text)
+        if len(digits) > len(str(bound)) or int(digits) >= bound:
+            number = text[: exponent.start()]
+            if any(ch.isdecimal() and int(ch) for ch in number):
+                raise too_long
+            # every digit of the mantissa is zero, and so is the value
+    try:
+        value = Fraction(number)
+    except (ValueError, ZeroDivisionError) as exc:
+        if "int_max_str_digits" in str(exc):
+            raise too_long from None
+        raise ValueError(f"expected a rational number like 1/2 or 0.5, got {_clip(text)}")
+    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise too_long
+    return value
+
+
 def find_params(
     c: Union[Fraction, int, str], budget: Optional[int] = None
 ) -> Tuple[GridParams, CounterexampleStats]:
@@ -175,9 +206,9 @@ def find_params(
     on the member it returns. The diagonal ratio behaves like 5/i, so the
     walk terminates for any reachable c. The vertex budget bounds it against
     smaller targets: the first member that does not fit stops the walk with
-    its ``BudgetExceeded``.
+    its ``BudgetExceeded``. A string c too long for p/q raises ValueError.
     """
-    target = Fraction(c)
+    target = _parse_fraction(c) if isinstance(c, str) else Fraction(c)
     if target <= 0:
         raise ValueError(f"target ratio must be positive, got {target}")
     for j in count(2):

@@ -7,7 +7,7 @@ houses the seedable random connected-set generator and the JSON set-file
 format shared with the CLI.
 
 Every checker reads a set's boundary, and whether A union boundary(A) is
-connected, from the ``VertexSet`` itself, which computes each once.
+connected, from the ``VertexSet`` itself, which computes each at most once.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ class VertexSet:
     ``elements``, iteration, membership and serialization see vertices,
     decoded once per set on first use. Immutable: its exterior boundary, the
     members next to the complement and the connectivity of A union
-    boundary(A) are computed on first use and kept (``_boundary``,
-    ``_inner``, ``_closure_is_connected``), so every checker that reads them
-    shares one computation per set.
+    boundary(A) are kept once known (``_boundary``, ``_inner``,
+    ``_closure_is_connected``). ``random_connected_set`` hands over the
+    first and the last; any other set computes each on first use.
     """
 
     def __init__(self, host: GroupGraph, elements: Iterable[Vertex]):
@@ -97,16 +97,18 @@ class VertexSet:
         }
 
     @cached_property
-    def _boundary_pass(self) -> tuple:
+    def _boundary(self) -> frozenset:
         return _boundary_elements(self)
 
-    @property
-    def _boundary(self) -> frozenset:
-        return self._boundary_pass[0]
-
-    @property
-    def _inner(self) -> list:
-        return self._boundary_pass[1]
+    @cached_property
+    def _inner(self) -> set:
+        # the members next to the complement, read from the smaller side:
+        # every host's generators are symmetric, so they are the members
+        # next to some boundary vertex (a tree's boundary outgrows A)
+        keys, step = self._keys, self.host._step
+        if len(self._boundary) < len(keys):
+            return {v for u in self._boundary for v in step(u) if v in keys}
+        return {v for v in keys if any(u not in keys for u in step(v))}
 
     @cached_property
     def _closure_is_connected(self) -> bool:
@@ -159,19 +161,10 @@ def _require_nonempty(A: VertexSet) -> None:
         raise ValueError(f"operation needs a non-empty set on {A.host.family}")
 
 
-def _boundary_elements(A: VertexSet) -> tuple:
-    """(boundary keys, keys of the members with a neighbor outside A), in
-    one scan of A."""
-    keys = A._keys
-    step = A.host._step
-    out: set = set()
-    inner = []
-    for v in keys:
-        outside = [u for u in step(v) if u not in keys]
-        if outside:
-            out.update(outside)
-            inner.append(v)
-    return frozenset(out), inner
+def _boundary_elements(A: VertexSet) -> frozenset:
+    """The boundary keys of A, in one scan of A."""
+    keys, step = A._keys, A.host._step
+    return frozenset(u for v in keys for u in step(v) if u not in keys)
 
 
 def boundary(A: VertexSet) -> VertexSet:
@@ -345,6 +338,8 @@ def random_connected_set(
     Deterministic for a given (seed, size, start): the candidate list is kept
     in insertion order and sampled by index with swap-and-pop removal.
     A ``size`` over ``budget`` (DEFAULT_BUDGET if None) raises BudgetExceeded.
+    The set carries its boundary, the final candidates (a candidate leaves
+    only by joining A), and a connected closure, as A grew by neighbors.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -369,4 +364,7 @@ def random_connected_set(
             if u not in members and u not in candidate_set:
                 candidate_set.add(u)
                 candidates.append(u)
-    return VertexSet._trusted(g, members)
+    A = VertexSet._trusted(g, members)
+    A._boundary = frozenset(candidate_set)
+    A._closure_is_connected = True
+    return A

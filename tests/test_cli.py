@@ -482,6 +482,15 @@ def test_find_targets_within_the_digit_limit_behave_as_before(capsys):
     assert (payload["i"], payload["k"]) == (2, 2)
 
 
+def test_find_reports_a_long_target_without_an_exponent_by_its_digits(capsys):
+    # a 1 followed by 5000 zeros is a rational; only its length is refused
+    limit = sys.get_int_max_str_digits()
+    c = "1" + "0" * 5000
+    rc, out, err = run(["counterexample", "find", "--c", c], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: --c {repr(c)[:97]}... needs more than {limit} digits as p/q\n"
+
+
 def test_dimension_guard(tmp_path, capsys, run_capped):
     rc, out, err = run(["growth", "--group", "z^2237"], capsys)
     assert (rc, out) == (1, "")

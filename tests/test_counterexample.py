@@ -2,6 +2,7 @@
 diagonal search, and the torus embedding, all checked against independent
 enumeration oracles."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,36 @@ def test_find_params_half():
 def test_find_params_accepts_string_targets():
     params, st = find_params("1/2")
     assert params == GridParams(9, 9)
+
+
+def test_find_params_refuses_a_string_past_the_digit_limit_at_once(run_capped):
+    # Fraction('1e999999999') would build 10**999999999; the child is capped,
+    # so a regression fails on its timeout instead of hanging the suite
+    code = ("import time\n"
+            "from cayleyiso.counterexample import find_params\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    find_params('1e999999999')\n"
+            "except ValueError as exc:\n"
+            "    print(time.perf_counter() - start < 1, exc)\n")
+    proc = run_capped("-c", code, timeout=20)
+    limit = sys.get_int_max_str_digits()
+    assert proc.stdout == f"True c '1e999999999' needs more than {limit} digits as p/q\n"
+
+
+def test_find_params_names_a_long_string_by_its_digits():
+    # a well-formed number whose p or q passes the digit limit is too long,
+    # with or without an exponent; malformed text and a zero denominator
+    # are not rationals, however long
+    limit = sys.get_int_max_str_digits()
+    for c in ("1" + "0" * limit, "0." + "0" * limit + "1", "1/" + "0" * limit + "3",
+              "1_0" * limit, "1e" + str(limit)):
+        with pytest.raises(ValueError, match=f"needs more than {limit} digits as p/q"):
+            find_params(c)
+    for c in ("x" + "1" * limit, "1/" + "0" * limit, "1/0", "1/2/3", "0x10"):
+        with pytest.raises(ValueError, match="expected a rational number like 1/2 or 0.5"):
+            find_params(c)
+    assert find_params("1" + "0" * (limit - 1))[0] == GridParams(2, 2)
 
 
 def test_find_params_budget_stop_carries_best():

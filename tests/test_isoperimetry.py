@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -24,6 +24,7 @@ from cayleyiso import (
     depth,
     is_connected_with_boundary,
     load_set,
+    parse_group,
     random_connected_set,
     save_set,
     varopoulos_check,
@@ -303,21 +304,41 @@ def test_separation_report_serialization():
 
 
 def test_a_set_computes_its_boundary_once(monkeypatch):
-    calls = []
+    # never twice: a grown set carries its boundary and connected closure,
+    # so it scans for neither; a copy of it scans A once for its boundary
+    # and runs the connectivity BFS once, however many checks read them
+    scans, searches = [], []
 
-    def counted(A):
-        calls.append(len(A))
-        return original(A)
+    def counted_scan(A):
+        scans.append(len(A))
+        return scan(A)
 
-    original = isoperimetry._boundary_elements
-    monkeypatch.setattr(isoperimetry, "_boundary_elements", counted)
-    for g in INFINITE_FAMILIES:
-        A = random_connected_set(g, 200, seed=7)
+    def counted_search(g, sources, budget, max_radius=None, within=None):
+        searches.append(len(sources))
+        return search(g, sources, budget, max_radius, within)
+
+    scan, search = isoperimetry._boundary_elements, isoperimetry._bfs_levels
+    monkeypatch.setattr(isoperimetry, "_boundary_elements", counted_scan)
+    monkeypatch.setattr(isoperimetry, "_bfs_levels", counted_search)
+
+    def checks(A):
         var = varopoulos_check(A)
         sep = classify_separation(A)
         assert var.rhs == 2 * var.m * sep.boundarySize == 2 * var.m * len(boundary(A))
         assert sep.depth == depth(A) and is_connected_with_boundary(A)
-    assert calls == [200] * len(INFINITE_FAMILIES)
+        return var, sep
+
+    for g in INFINITE_FAMILIES:
+        A = random_connected_set(g, 200, seed=7)
+        grown = checks(A)
+        # one BFS per depth call, from the members next to the complement
+        depth_searches = [len(A._inner)] * 2
+        assert scans == [] and searches == depth_searches
+        scans.clear(), searches.clear()
+        assert checks(VertexSet(g, A)) == grown
+        # the copy adds the connectivity BFS from one member
+        assert scans == [200] and searches == [1] + depth_searches
+        scans.clear(), searches.clear()
 
 
 def _count_validations(monkeypatch, *hosts):
@@ -375,6 +396,94 @@ def test_random_set_is_connected_and_sized():
             A = random_connected_set(g, 150, seed=seed)
             assert len(A) == 150
             assert oracles.connected_within(g, A.elements)
+
+
+CARRYING_FAMILIES = ["z^1", "z^2", "z^3", "cyl:3", "cyl:4:[(2,1),(1,0)]", "free:2",
+                     "free:3", "torus:31x31"]
+
+
+def test_a_grown_set_carries_the_facts_the_independent_routes_find():
+    for family in CARRYING_FAMILIES:
+        g = parse_group(family)
+        for size, seed in [(1, 0), (2, 4), (37, 1), (150, 2), (400, 3)]:
+            A = random_connected_set(g, size, seed=seed)
+            copy = VertexSet(g, A)
+            assert {"_boundary", "_closure_is_connected"} <= set(vars(A))
+            assert not {"_boundary", "_inner", "_closure_is_connected"} & set(vars(copy))
+            members = A.elements
+            outside = oracles.boundary_by_distance(g, members)
+            assert A._boundary == copy._boundary
+            assert boundary(A).elements == boundary(copy).elements == outside
+            next_to_outside = {v for v in members
+                               if any(u not in members for u in g.neighbors(v))}
+            assert {g._decode(v) for v in A._inner} == next_to_outside
+            assert A._inner == copy._inner
+            assert depth(A) == depth(copy) == oracles.per_vertex_depth(g, members)
+            closure = oracles.connected_within(g, members | outside)
+            assert is_connected_with_boundary(A) is closure is True
+            assert is_connected_with_boundary(copy) is True
+
+
+def test_a_grown_set_that_exhausts_a_torus_carries_an_empty_boundary():
+    g = Torus(3, 2)
+    A = random_connected_set(g, 9, seed=5)
+    copy = VertexSet(g, A)
+    assert A._boundary == copy._boundary == frozenset()
+    assert is_connected_with_boundary(A) and is_connected_with_boundary(copy)
+    errors = []
+    for B in (A, copy):
+        with pytest.raises(ValueError) as exc_info:
+            depth(B)
+        errors.append(str(exc_info.value))
+    assert errors[0] == errors[1] == "depth undefined: set exhausts the finite host torus:3x3"
+
+
+def test_only_grown_sets_carry_facts(monkeypatch, tmp_path):
+    # sets from files, balls, the perforated family and both sides of the
+    # torus embedding scan A for their boundary
+    scans = []
+
+    def counted(A):
+        scans.append(len(A))
+        return scan(A)
+
+    scan = isoperimetry._boundary_elements
+    monkeypatch.setattr(isoperimetry, "_boundary_elements", counted)
+    path = tmp_path / "grown.json"
+    save_set(random_connected_set(Z2, 50, seed=1), str(path))
+    assert scans == []
+    sets = [load_set(str(path)), VertexSet(Z2, ball(Z2, (0, 0), 3)),
+            perforated(2, 3)]
+    for A in sets:
+        assert is_connected_with_boundary(A) and depth(A) >= 1
+    assert scans == [len(A) for A in sets]
+    scans.clear()
+    report = counterexample.embed_torus(GridParams(2, 3)).report
+    assert report.preserved and scans == [report.sizeLattice, report.sizeTorus]
+
+
+@settings(max_examples=12)
+@example(rank=3, size=20_000, seed=1, start=random.Random(0))
+@given(rank=st.sampled_from([2, 3]), size=st.integers(1, 20_000),
+       seed=st.integers(0, 2**32), start=st.randoms(use_true_random=False))
+def test_a_grown_tree_set_has_the_tree_boundary(rank, size, seed, start):
+    # in the 2r-regular tree a connected A spans |A| - 1 edges and no vertex
+    # outside it has two neighbors in it: |boundary| = (2r - 2)|A| + 2
+    g = FreeGroup(rank)
+    A = random_connected_set(g, size, seed=seed, start=oracles.random_vertex(g, start))
+    assert len(boundary(A)) == (2 * rank - 2) * size + 2
+
+
+@settings(max_examples=12)
+@example(size=20_000, seed=1, start=0)
+@given(size=st.integers(1, 20_000), seed=st.integers(0, 2**32),
+       start=st.integers(-10**6, 10**6))
+def test_a_grown_line_set_is_an_interval(size, seed, start):
+    # a connected set of Z is an interval: two boundary points, and its
+    # middle point is ceil(|A|/2) steps from the nearer one
+    A = random_connected_set(IntegerLattice(1), size, seed=seed, start=(start,))
+    assert len(boundary(A)) == 2
+    assert depth(A) == (size + 1) // 2
 
 
 def test_random_set_is_deterministic_per_seed():
