@@ -25,6 +25,7 @@ is imported: everything else in the package is pure Python.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -167,33 +168,53 @@ def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleSta
     )
 
 
+# Fraction's string grammar: [sign] p [/ q], or [sign] digits [. digits]
+# [e exponent], digits grouped by single underscores, blanks around the whole.
+# Compiled by ``re`` on first use, so that only a parse pays for it.
+_RATIONAL = (
+    r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>(?:\d+(?:_\d+)*)?)"
+    r"(?:/(?P<den>\d+(?:_\d+)*)"
+    r"|(?:\.(?P<frac>(?:\d+(?:_\d+)*)?))?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)\s*"
+)
+
+
 def _parse_fraction(text: str, name: str = "c") -> Fraction:
-    """``text`` as a rational whose p and q print within Python's digit limit.
-    ``Fraction`` builds 10**e, so an exponent e is read from the text first:
-    with a nonzero mantissa, |e| >= limit + len(text) puts p or q past the
-    limit. ``int``'s error names the limit when a number in the text passes it.
+    """``text`` as a rational, in ``Fraction``'s string grammar, refused when
+    p or q of its value needs more digits than Python's limit for converting
+    an int to text.
+
+    The digits are counted on the value: leading zeros and a decimal part's
+    trailing zeros do not count, and an exponent moves the count instead of
+    building 10**e, so ``'1e999999999'`` is refused at once. A numerator, a
+    denominator or a mantissa that keeps more significant digits than the
+    limit is refused, even where the rest of the text would cancel them.
     """
-    limit = sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits() or math.inf  # 0: no limit
     too_long = ValueError(f"{name} {_clip(text)} needs more than {limit} digits as p/q")
-    exponent = re.search(r"[eE][-+]?([\d_]+)\s*\Z", text)
-    number = text
-    if limit and exponent and "/" not in text:
-        digits = exponent[1].replace("_", "").lstrip("0") or "0"
-        bound = limit + len(text)
-        if len(digits) > len(str(bound)) or int(digits) >= bound:
-            number = text[: exponent.start()]
-            if any(ch.isdecimal() and int(ch) for ch in number):
-                raise too_long
-            # every digit of the mantissa is zero, and so is the value
-    try:
-        value = Fraction(number)
-    except (ValueError, ZeroDivisionError) as exc:
-        if "int_max_str_digits" in str(exc):
-            raise too_long from None
+    match = re.fullmatch(_RATIONAL, text)
+    den = (match["den"] or "1").replace("_", "").lstrip("0") if match else ""
+    if not den:  # no match, or a zero denominator
         raise ValueError(f"expected a rational number like 1/2 or 0.5, got {_clip(text)}")
-    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+    frac = (match["frac"] or "").replace("_", "")
+    digits = (match["num"].replace("_", "") + frac).lstrip("0")
+    mantissa = digits.rstrip("0")
+    if not mantissa:
+        return Fraction(0)
+    exp = (match["exp"] or "0").replace("_", "")
+    magnitude = exp.lstrip("+-").lstrip("0") or "0"
+    # an exponent with more digits than the limit is past every bound below
+    e = int(magnitude) if len(magnitude) <= limit else math.inf
+    if exp.startswith("-"):
+        e = -e
+    # the value is +-mantissa * 10**e / den
+    e += len(digits) - len(mantissa) - len(frac)
+    # p has at most len(mantissa) + e digits and q at least -e - len(mantissa)
+    if len(mantissa) + max(e, 0) > limit or len(den) > limit or -e > limit + len(mantissa):
         raise too_long
-    return value
+    value = Fraction(int(mantissa) * 10 ** max(e, 0), int(den) * 10 ** max(-e, 0))
+    if value.denominator >= 10**limit:
+        raise too_long
+    return -value if match["sign"] == "-" else value
 
 
 def find_params(

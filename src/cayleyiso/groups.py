@@ -7,11 +7,13 @@ sizes are counted, outside the budget, on free groups, ``z^d`` and cylinders
 with the standard generators. Public entry points validate a caller's
 vertices; internal loops step from the library's own vertices unchecked.
 
-Internally a vertex is a hashable host *key*: ``_encode`` maps a vertex to
-its key and ``_decode`` maps it back, and ``_step`` and ``_bfs_levels`` run
-on keys. On the tuple hosts a key is the vertex itself; a free-group key is
-the reduced word packed into one integer. Public functions take and return
-vertices; only this module knows the key layout.
+Internally a vertex is an integer *key*: ``_encode`` maps a vertex to its
+key and ``_decode`` maps it back, and ``_step`` and ``_bfs_levels`` run on
+keys, so a step is a few integer additions from a per-host offset table.
+A ``z^d`` key reads the coordinates as digits in base 2^40, a torus key as
+digits in base n, a cylinder key (z, r) is z*m + r, and a free-group key
+packs the reduced word. Public functions take and return vertices; only
+this module knows the key layout.
 
 Supported families and vertex representations:
 
@@ -116,15 +118,15 @@ class GroupGraph:
         self.validate_vertex(v)
         return [self._decode(u) for u in self._step(self._encode(v))]
 
-    def _encode(self, v: Vertex):
+    def _encode(self, v: Vertex) -> int:
         """The key of a valid vertex."""
-        return v
+        raise NotImplementedError
 
-    def _decode(self, key) -> Vertex:
+    def _decode(self, key: int) -> Vertex:
         """The vertex of a key."""
-        return key
+        raise NotImplementedError
 
-    def _step(self, key) -> list:
+    def _step(self, key: int) -> list:
         """The keys of the neighbors of a valid vertex's key, unchecked, in
         the order ``neighbors`` lists them."""
         raise NotImplementedError
@@ -174,8 +176,28 @@ class GroupGraph:
         return f"{type(self).__name__}({self.family!r})"
 
 
+#: a ``z^d`` key's digits are 2^_LATTICE_BITS apart
+_LATTICE_BITS = 40
+#: ``validate_vertex`` bounds every ``z^d`` coordinate but the first below this
+LATTICE_COORDINATE_BOUND = 1 << 38
+
+
 class IntegerLattice(GroupGraph):
-    """Cayley graph of Z^d with the standard generating set."""
+    """Cayley graph of Z^d with the standard generating set.
+
+    The key of (x_0, ..., x_{d-1}) is (...(x_0*S + x_1)*S + ...)*S + x_{d-1}
+    with S = 2^40: the lower coordinates are balanced digits in base S and
+    the first is the quotient, so on z^1 the key is the coordinate itself
+    and no coordinate there is bounded. Stepping along e_i adds
+    +-S^(d-1-i). A key determines its vertex while every lower coordinate
+    has magnitude below S/2 = 2^39. For d >= 2 ``validate_vertex`` admits
+    only lower coordinates below 2^38 in magnitude, and a step moves one
+    coordinate by one, so a key the library forms is exact unless a search
+    walks about 2^38 steps from a valid vertex; a search holds every vertex
+    it visits, so that needs far more memory than any run has. S is a power
+    of two below 2^61: CPython hashes an int modulo 2^61 - 1, so S = 2^64
+    (8 modulo 2^61 - 1) would give (x, y) and (x - 1, y + 8) one hash.
+    """
 
     def __init__(self, d: int):
         _check_dimension("lattice", d)
@@ -184,6 +206,9 @@ class IntegerLattice(GroupGraph):
         self.declared_ends = 2 if d == 1 else 1
         self.family = f"z^{d}"
         self.vertex_count = None
+        # +e_0, -e_0, +e_1, -e_1, ...: the order ``neighbors`` lists them
+        self._offsets = [sign << _LATTICE_BITS * (d - 1 - i)
+                         for i in range(d) for sign in (1, -1)]
 
     def identity(self) -> Vertex:
         return (0,) * self.d
@@ -195,13 +220,31 @@ class IntegerLattice(GroupGraph):
             or not all(isinstance(x, int) for x in v)
         ):
             raise InvalidVertexError(f"{_clip(v)} is not a length-{self.d} integer tuple")
+        bound = LATTICE_COORDINATE_BOUND
+        if not all(-bound < x < bound for x in v[1:]):
+            raise InvalidVertexError(
+                f"{_clip(v)} has a coordinate after the first of magnitude >= 2^38"
+            )
 
-    def _step(self, v: Vertex) -> list:
-        out = []
-        for i in range(self.d):
-            for step in (1, -1):
-                out.append(v[:i] + (v[i] + step,) + v[i + 1 :])
-        return out
+    def _encode(self, v: Vertex) -> int:
+        key = v[0]
+        for x in v[1:]:
+            key = (key << _LATTICE_BITS) + x
+        return key
+
+    def _decode(self, key: int) -> Vertex:
+        half = 1 << _LATTICE_BITS - 1
+        mask = (1 << _LATTICE_BITS) - 1
+        digits = []
+        for _ in range(self.d - 1):
+            x = ((key + half) & mask) - half  # the balanced digit
+            digits.append(x)
+            key = (key - x) >> _LATTICE_BITS
+        digits.append(key)
+        return tuple(reversed(digits))
+
+    def _step(self, key: int) -> list:
+        return [key + o for o in self._offsets]
 
     def _ball_count(self, r: int) -> int:
         # Delannoy numbers: choose the k nonzero coordinates, their signs,
@@ -210,7 +253,13 @@ class IntegerLattice(GroupGraph):
 
 
 class Torus(GroupGraph):
-    """Cayley graph of (Z_n)^d with the standard generating set; n >= 3."""
+    """Cayley graph of (Z_n)^d with the standard generating set; n >= 3.
+
+    The key of (x_0, ..., x_{d-1}) is the number with digits x_0 ... x_{d-1}
+    in base n, x_0 most significant: an exact bijection onto 0 .. n^d - 1.
+    Stepping along +-e_i adds +-n^(d-1-i), or subtracts or adds
+    (n-1)*n^(d-1-i) where the digit x_i wraps around.
+    """
 
     def __init__(self, n: int, d: int = 2):
         if n < 3:
@@ -222,6 +271,9 @@ class Torus(GroupGraph):
         self.declared_ends = 0
         self.family = f"torus:{'x'.join(str(n) for _ in range(d))}"
         self.vertex_count = n**d
+        # per coordinate, in ``neighbors`` order: its place value and the
+        # offset that wraps its digit from n - 1 to 0
+        self._places = [(n ** (d - 1 - i), (n - 1) * n ** (d - 1 - i)) for i in range(d)]
 
     def identity(self) -> Vertex:
         return (0,) * self.d
@@ -236,11 +288,26 @@ class Torus(GroupGraph):
                 f"{_clip(v)} is not a length-{self.d} tuple of residues mod {self.n}"
             )
 
-    def _step(self, v: Vertex) -> list:
+    def _encode(self, v: Vertex) -> int:
+        key = 0
+        for x in v:
+            key = key * self.n + x
+        return key
+
+    def _decode(self, key: int) -> Vertex:
+        digits = []
+        for _ in range(self.d):
+            key, x = divmod(key, self.n)
+            digits.append(x)
+        return tuple(reversed(digits))
+
+    def _step(self, key: int) -> list:
+        top = self.n - 1
         out = []
-        for i in range(self.d):
-            for step in (1, -1):
-                out.append(v[:i] + ((v[i] + step) % self.n,) + v[i + 1 :])
+        for place, wrap in self._places:
+            x = key // place % self.n
+            out.append(key + place if x < top else key - wrap)
+            out.append(key - place if x else key + wrap)
         return out
 
 
@@ -351,6 +418,23 @@ class FreeGroup(GroupGraph):
 
 STANDARD_CYLINDER_GENERATORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
+class _ResidueRows(dict):
+    """A cylinder's key offsets by residue: row r lists, in generator order,
+    what each generator (dz, dr) adds to a key z*m + r. Each row is built on
+    first use, so a cylinder of any width costs only the residues a search
+    reaches; filling in a row is idempotent, so sharing the host stays safe.
+    """
+
+    def __init__(self, m: int, generators: Sequence[Tuple[int, int]]):
+        super().__init__()
+        self._m = m
+        self._generators = generators
+
+    def __missing__(self, r: int) -> list:
+        m = self._m
+        row = self[r] = [dz * m + (r + dr) % m - r for dz, dr in self._generators]
+        return row
+
 
 class Cylinder(GroupGraph):
     """Cayley graph of Z x Z_m with an explicit symmetrized generating set.
@@ -366,6 +450,11 @@ class Cylinder(GroupGraph):
     have gcd 1, L meets the column z = 0 in {0} x DZ, and D divides m (the
     minor of (dz, dr) with (0, m) is dz*m), so exactly the residues 0, D,
     2D, ... are reachable at z = 0.
+
+    The key of (z, r) is z*m + r, an exact bijection onto the integers.
+    Generator (dz, dr) moves key z*m + r by dz*m + (r + dr) % m - r, so the
+    offsets depend on the residue alone: ``_step`` adds the row of
+    ``_rows`` for key % m.
     """
 
     def __init__(self, m: int, generators: Optional[Sequence[Tuple[int, int]]] = None):
@@ -402,6 +491,7 @@ class Cylinder(GroupGraph):
         else:
             self.family = f"cyl:{m}:{list(self.generators)!r}".replace(" ", "")
         self.vertex_count = None
+        self._rows = _ResidueRows(m, self.generators)
 
     def _check_generates(self) -> None:
         m = self.m
@@ -451,10 +541,19 @@ class Cylinder(GroupGraph):
         ):
             raise InvalidVertexError(f"{_clip(v)} is not a (z, residue mod {self.m}) pair")
 
-    def _step(self, v: Vertex) -> list:
-        z, r = v
+    def _encode(self, v: Vertex) -> int:
+        return v[0] * self.m + v[1]
+
+    def _decode(self, key: int) -> Vertex:
+        return divmod(key, self.m)
+
+    def _block(self, key: int) -> int:
+        """The block index z of a key: the z-fibre {z} x Z_m it lies in."""
+        return key // self.m
+
+    def _step(self, key: int) -> list:
         # the generators are distinct (dz, dr mod m) pairs, so these are too
-        return [(z + dz, (r + dr) % self.m) for dz, dr in self.generators]
+        return [key + o for o in self._rows[key % self.m]]
 
 
 # one anchored pattern for the whole grammar; ASCII digits only, so int()
@@ -576,6 +675,12 @@ def _ball_sizes(g: GroupGraph, budget: Optional[int]) -> Iterator[int]:
     return accumulate(len(sphere) for sphere in levels)
 
 
+#: the largest radius ``ball_profile`` samples. Counted sizes are exempt
+#: from the vertex budget, so the profile needs a bound of its own: free:26's
+#: profile to radius 10^4 already peaks near 55 MB and takes about 1.6 s
+MAX_PROFILE_RADIUS = 10_000
+
+
 def ball_profile(g: GroupGraph, r: int, budget: Optional[int] = None) -> list:
     """Cumulative ball sizes [b(0), b(1), ..., b(r)], read from ``_ball_sizes``.
 
@@ -583,10 +688,12 @@ def ball_profile(g: GroupGraph, r: int, budget: Optional[int] = None) -> list:
     center. Counted hosts (free groups, ``z^d``, cylinders with the standard
     generators) are exempt from the budget; the others are enumerated by
     BFS. On a finite host the profile is padded with the saturated total
-    once the frontier empties.
+    once the frontier empties. r may not exceed MAX_PROFILE_RADIUS.
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
+    if r > MAX_PROFILE_RADIUS:
+        raise ValueError(f"radius {r} exceeds the growth profile cap {MAX_PROFILE_RADIUS}")
     sizes = list(islice(_ball_sizes(g, budget), r + 1))
     return sizes + sizes[-1:] * (r + 1 - len(sizes))
 

@@ -33,16 +33,16 @@ from .groups import (
 class VertexSet:
     """A finite set of vertices with O(1) membership, bound to its host graph.
 
-    The set holds host keys (``_keys``); on the tuple hosts a key is the
-    vertex itself, on free groups a packed integer. The constructor
-    validates every element and encodes it; sets the library builds from
-    keys it produced use ``_trusted``, which does not check them again.
-    ``elements``, iteration, membership and serialization see vertices,
-    decoded once per set on first use. Immutable: its exterior boundary, the
-    members next to the complement and the connectivity of A union
-    boundary(A) are kept once known (``_boundary``, ``_inner``,
-    ``_closure_is_connected``). ``random_connected_set`` hands over the
-    first and the last; any other set computes each on first use.
+    The set holds host keys (``_keys``), integers whose layout only the
+    host knows. The constructor validates every element and encodes it;
+    sets the library builds from keys it produced use ``_trusted``, which
+    does not check them again. ``elements``, iteration, membership and
+    serialization see vertices, decoded once per set on first use.
+    Immutable: its exterior boundary, the members next to the complement,
+    the connectivity of A union boundary(A) and its depth are kept once
+    known (``_boundary``, ``_inner``, ``_closure_is_connected``,
+    ``_depth``). ``random_connected_set`` hands over the first and the
+    third; any other set computes each on first use.
     """
 
     def __init__(self, host: GroupGraph, elements: Iterable[Vertex]):
@@ -124,6 +124,12 @@ class VertexSet:
         levels = _bfs_levels(self.host, start, len(closure), within=closure)
         return sum(len(sphere) for sphere in levels) == len(closure)
 
+    @cached_property
+    def _depth(self) -> int:
+        # the BFS visits only A, so its budget cannot trip
+        levels = _bfs_levels(self.host, self._inner, len(self._keys), within=self._keys)
+        return sum(1 for _ in levels)
+
 
 def load_set(path: str) -> VertexSet:
     """Read a set file: {"group": "<grammar>", "vertices": [...]}."""
@@ -185,16 +191,14 @@ def depth(A: VertexSet) -> int:
     complement vertex stays inside A until its final step, so
     d(u, complement) = 1 + d(u, those members) along paths within A. Every
     finite component of A has such a member, so the BFS covers all of A
-    even when A is disconnected.
+    even when A is disconnected. The set keeps the result.
     """
     _require_nonempty(A)
     if not A._inner:
         raise ValueError(
             f"depth undefined: set exhausts the finite host {A.host.family}"
         )
-    # the BFS visits only A, so its budget cannot trip
-    levels = _bfs_levels(A.host, A._inner, len(A), within=A._keys)
-    return sum(1 for _ in levels)
+    return A._depth
 
 
 def is_connected_with_boundary(A: VertexSet) -> bool:
@@ -351,20 +355,19 @@ def random_connected_set(
         start = g.identity()
     g.validate_vertex(start)
     start = g._encode(start)
-    members = {start}
-    candidates = g._step(start)
-    candidate_set = set(candidates)
-    while len(members) < size:
-        j = rng.randrange(len(candidates))
+    # the candidate list is exactly the keys seen but not absorbed
+    randrange, step = rng.randrange, g._step
+    candidates = step(start)
+    seen = {start, *candidates}
+    for _ in range(size - 1):
+        j = randrange(len(candidates))
         candidates[j], candidates[-1] = candidates[-1], candidates[j]
         v = candidates.pop()
-        candidate_set.discard(v)
-        members.add(v)
-        for u in g._step(v):
-            if u not in members and u not in candidate_set:
-                candidate_set.add(u)
+        for u in step(v):
+            if u not in seen:
+                seen.add(u)
                 candidates.append(u)
-    A = VertexSet._trusted(g, members)
-    A._boundary = frozenset(candidate_set)
+    A = VertexSet._trusted(g, seen.difference(candidates))
+    A._boundary = frozenset(candidates)
     A._closure_is_connected = True
     return A

@@ -98,7 +98,7 @@ def cyclic_system(
     found = 0  # vertices of blocks 0 and 1 reached, (0, 0) included
     origin = host._encode(host.identity())
     for q, sphere in enumerate(_bfs_levels(host, (origin,), budget, cap)):
-        found += sum(1 for z, _ in map(host._decode, sphere) if 0 <= z <= 1)
+        found += sum(1 for key in sphere if 0 <= host._block(key) <= 1)
         if found == 2 * s:
             break
     else:
@@ -166,8 +166,8 @@ def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
         )
     if not is_connected_with_boundary(A):
         raise ValueError("interval cover requires A union boundary(A) connected")
-    lo = min(v[0] for v in A.elements)
-    hi = max(v[0] for v in A.elements)
+    lo = min(map(A.host._block, A._keys))
+    hi = max(map(A.host._block, A._keys))
     s, t, k = system.s, system.t, len(A._boundary)
     slack = (hi - lo + 1) * s - len(A)
     bound = 2 * s * s * t * t * k + 2 * s * t * k

@@ -90,20 +90,26 @@ def cylinder_standard_ball_size(m: int, r: int) -> int:
 
 def neighbor_function(g):
     """A function listing the neighbors of a vertex of ``g``, in the order
-    ``g.neighbors`` lists them.
+    ``g.neighbors`` lists them, enumerated on the vertex itself and never
+    through the host's keys.
 
-    On a free group they are enumerated on the word itself: generator i,
-    then its inverse, each appended to the word or, when it undoes the last
-    letter, cancelling that letter. Other hosts use ``g.neighbors``.
+    On ``z^d`` and tori: +e_0, -e_0, +e_1, -e_1, ..., wrapping mod n on a
+    torus. On a cylinder: each generator (dz, dr) in ``g.generators`` order.
+    On a free group: generator i, then its inverse, each appended to the
+    word or, when it undoes the last letter, cancelling that letter.
     """
-    if not isinstance(g, FreeGroup):
-        return g.neighbors
-    letters = [x for i in range(1, g.rank + 1) for x in (i, -i)]
-
-    def word_neighbors(v):
-        return [v[:-1] if v and v[-1] == -x else v + (x,) for x in letters]
-
-    return word_neighbors
+    if isinstance(g, IntegerLattice):
+        return lambda v: [v[:i] + (v[i] + step,) + v[i + 1:]
+                          for i in range(g.d) for step in (1, -1)]
+    if isinstance(g, Torus):
+        return lambda v: [v[:i] + ((v[i] + step) % g.n,) + v[i + 1:]
+                          for i in range(g.d) for step in (1, -1)]
+    if isinstance(g, Cylinder):
+        return lambda v: [(v[0] + dz, (v[1] + dr) % g.m) for dz, dr in g.generators]
+    if isinstance(g, FreeGroup):
+        letters = [x for i in range(1, g.rank + 1) for x in (i, -i)]
+        return lambda v: [v[:-1] if v and v[-1] == -x else v + (x,) for x in letters]
+    raise TypeError(f"no neighbor rule for {type(g).__name__}")
 
 
 def accretion_set(g, size: int, seed: int = 0, start=None) -> set:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cayleyiso import Cylinder, IntegerLattice, VertexSet, cli, save_set
+from cayleyiso import Cylinder, IntegerLattice, VertexSet, cli, groups, save_set
 from cayleyiso.cli import main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -180,6 +180,29 @@ def test_counted_growth_on_lattices_and_cylinders_is_outside_the_budget(capsys):
         capsys,
     )
     assert rc == 1 and "budget" in err
+
+
+def test_growth_radius_has_a_cap_of_its_own(capsys):
+    # counted sizes are outside the vertex budget, so the radius is capped
+    cap = groups.MAX_PROFILE_RADIUS
+    rc, out, err = run(["growth", "--group", "z^1", "--max-radius", str(cap + 1)], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: radius {cap + 1} exceeds the growth profile cap {cap}\n"
+    rc, payload, _ = run_json(["growth", "--group", "z^1", "--max-radius", str(cap),
+                               "--format", "json"], capsys)
+    assert rc == 0 and payload["ballSizes"][-1] == 2 * cap + 1
+
+
+def test_lattice_coordinates_past_the_bound_exit_one(tmp_path, capsys):
+    # z^d keys hold every coordinate but the first as a digit below 2^38
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"group": "z^2", "vertices": [[0, 0], [0, 2**38]]}))
+    rc, out, err = run(["depth", "--set", str(path)], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: (0, {2**38}) has a coordinate after the first of magnitude >= 2^38\n"
+    path.write_text(json.dumps({"group": "z^2", "vertices": [[2**40, 0], [2**40, 2**38 - 1]]}))
+    rc, payload, _ = run_json(["depth", "--set", str(path)], capsys)
+    assert rc == 0 and payload["depth"] == 1
 
 
 def test_separation_small_set(capsys):

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cayleyiso import (
@@ -20,6 +22,7 @@ from cayleyiso import (
 from cayleyiso.counterexample import (
     CounterexampleStats,
     GridParams,
+    _parse_fraction,
     boundary_closed_form,
     build,
     claimed_size,
@@ -225,7 +228,7 @@ def test_find_params_names_a_long_string_by_its_digits():
     # with or without an exponent; malformed text and a zero denominator
     # are not rationals, however long
     limit = sys.get_int_max_str_digits()
-    for c in ("1" + "0" * limit, "0." + "0" * limit + "1", "1/" + "0" * limit + "3",
+    for c in ("1" + "0" * limit, "0." + "0" * limit + "1", "1/" + "1" * (limit + 1),
               "1_0" * limit, "1e" + str(limit)):
         with pytest.raises(ValueError, match=f"needs more than {limit} digits as p/q"):
             find_params(c)
@@ -233,6 +236,38 @@ def test_find_params_names_a_long_string_by_its_digits():
         with pytest.raises(ValueError, match="expected a rational number like 1/2 or 0.5"):
             find_params(c)
     assert find_params("1" + "0" * (limit - 1))[0] == GridParams(2, 2)
+
+
+def test_parse_fraction_counts_the_digits_of_the_value():
+    # zeros that do not change the value do not count towards the limit
+    limit = sys.get_int_max_str_digits()
+    for text, value in (("0" * 5000 + "1", 1), ("1e" + "0" * 5000 + "1", 10),
+                        ("1." + "0" * 5000, 1), ("1" + "0" * 5000 + "e-5000", 1),
+                        ("1/" + "0" * limit + "3", Fraction(1, 3)),
+                        ("-0_0012.500e-0_002", Fraction(-1, 8))):
+        assert _parse_fraction(text) == value, text[:20]
+    assert find_params("1e" + "0" * 5000 + "1")[0] == GridParams(2, 2)
+
+
+DIGIT_RUNS = st.text("00123456789_", max_size=6)
+
+
+@settings(max_examples=2000)
+@given(sign=st.sampled_from(["", "-", "+", " "]), num=DIGIT_RUNS,
+       tail=st.one_of(st.just(""), st.builds("/{}".format, DIGIT_RUNS),
+                      st.builds("{}{}{}".format, st.sampled_from(["", ".", ". "]), DIGIT_RUNS,
+                            st.sampled_from(["", "e", "E-", "e+", "e_"]))),
+       exp=st.text("0123_", max_size=3), pad=st.sampled_from(["", " ", "\n", "x"]))
+def test_parse_fraction_reads_what_fraction_reads(sign, num, tail, exp, pad):
+    # exponents of at most three digits, so Fraction itself stays quick
+    text = sign + num + tail + (exp if tail[-1:] in ("e", "-", "+", "_") else "") + pad
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError, match="expected a rational number"):
+            _parse_fraction(text)
+    else:
+        assert _parse_fraction(text) == expected
 
 
 def test_find_params_budget_stop_carries_best():

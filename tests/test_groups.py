@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import defaultdict
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cayleyiso import groups
 from cayleyiso import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -155,6 +157,73 @@ def test_invalid_vertices_rejected():
     # a caller's center is checked even when the BFS never expands it
     with pytest.raises(InvalidVertexError):
         ball(IntegerLattice(2), (0, 0, 0), 0)
+
+
+# --- integer keys on the abelian hosts ----------------------------------------
+
+# lower z^d coordinates: anywhere, or at the edge of the validated range
+LOWER_BOUND = groups.LATTICE_COORDINATE_BOUND - 1
+LOWER = st.integers(-10**6, 10**6) | st.sampled_from([LOWER_BOUND, -LOWER_BOUND, 0])
+KEYED_CYLINDERS = [
+    Cylinder(2), Cylinder(3), Cylinder(7), Cylinder(4, [(2, 1), (1, 0)]),
+    Cylinder(3, [(1, 0), (0, 1), (10**6, 0)]),
+    Cylinder(5000), Cylinder(10**12, [(1, 0), (0, 1), (3, 10**11 + 7)]),
+]
+
+
+def _keys_agree_with_the_oracle(g, v):
+    key = g._encode(v)
+    assert g._decode(key) == v
+    assert [g._decode(u) for u in g._step(key)] == oracles.neighbor_function(g)(v)
+
+
+@settings(max_examples=300)
+@given(d=st.integers(1, 4), data=st.data())
+def test_lattice_keys_round_trip_and_step_like_the_oracle(d, data):
+    # the first coordinate is the key's quotient and has no bound
+    first = data.draw(st.integers(-10**30, 10**30) | st.sampled_from([LOWER_BOUND, -LOWER_BOUND]))
+    rest = data.draw(st.lists(LOWER, min_size=d - 1, max_size=d - 1))
+    _keys_agree_with_the_oracle(IntegerLattice(d), (first, *rest))
+
+
+@settings(max_examples=300)
+@given(n=st.integers(3, 12), d=st.integers(1, 3), data=st.data())
+def test_torus_keys_round_trip_and_step_like_the_oracle(n, d, data):
+    residue = st.integers(0, n - 1) | st.sampled_from([0, n - 1])
+    v = tuple(data.draw(st.lists(residue, min_size=d, max_size=d)))
+    _keys_agree_with_the_oracle(Torus(n, d), v)
+
+
+@settings(max_examples=300)
+@given(g=st.sampled_from(KEYED_CYLINDERS), data=st.data())
+def test_cylinder_keys_round_trip_and_step_like_the_oracle(g, data):
+    z = data.draw(st.integers(-10**12, 10**12) | st.integers(-3, 3))
+    r = data.draw(st.integers(0, g.m - 1) | st.sampled_from([0, g.m - 1]))
+    _keys_agree_with_the_oracle(g, (z, r))
+
+
+def test_lattice_lower_coordinates_are_bounded():
+    bound = groups.LATTICE_COORDINATE_BOUND
+    for d in (2, 3):
+        g = IntegerLattice(d)
+        for x in (bound, -bound, 10**40):
+            v = (0,) * (d - 1) + (x,)
+            with pytest.raises(InvalidVertexError, match="magnitude >= 2\\^38"):
+                g.validate_vertex(v)
+        g.validate_vertex((10**40,) + (bound - 1,) * (d - 1))
+    IntegerLattice(1).validate_vertex((10**40,))
+
+
+def test_keys_of_a_ball_spread_under_the_hash():
+    # a radix of 2^64 would fold (x, y) and (x - 1, y + 8) into one hash, as
+    # CPython hashes an int modulo 2^61 - 1; the one shared hash left is
+    # CPython's own hash(-1) == hash(-2)
+    for g in (IntegerLattice(2), IntegerLattice(3), Torus(31, 2), Cylinder(3)):
+        by_hash = defaultdict(set)
+        for v in ball(g, g.identity(), 15):
+            by_hash[hash(g._encode(v))].add(g._encode(v))
+        shared = [keys for keys in by_hash.values() if len(keys) > 1]
+        assert shared in ([], [{-1, -2}]), g
 
 
 # --- balls -------------------------------------------------------------------

@@ -148,7 +148,8 @@ def test_cohesiveness_runs_one_bfs(monkeypatch):
     for host, q in ((Cylinder(3), 2), (Cylinder(7), 4), (Cylinder(4, [(2, 1), (1, 0)]), 6)):
         calls.clear()
         assert cyclic_system(host).q == q
-        assert calls == [((0, 0),)]
+        # one search, from the identity's key
+        assert calls == [(host._encode(host.identity()),)]
 
 
 def test_cohesiveness_of_standard_cylinders():
