@@ -9,14 +9,20 @@ family a witness against any hoped-for lower bound of the form
 |boundary| * depth >= c * |A|.
 
 Size, boundary and depth have closed forms, which ``find_params`` walks on.
-``stats`` measures a member with bitmap kernels (exact, tested against the
-generic set path in the unit suite) and checks the closed forms against
-them; the torus embedding recomputes everything on the torus host as an
-independent route. The kernels peak at about 3 bytes per cell of the padded
-(ki+3) x (ki+3) grid: the boolean mask plus one ``int16`` distance array.
-Past ki + 3 = 10922 the distances need ``int32`` and the peak is about
-5 bytes per cell. So ``stats(GridParams(100, 100))``, 10^8 cells, peaks
-near 320 MB.
+``stats`` measures a member's patch A(i, min(k, 3)), of side 3i + 1, with
+bitmap kernels (exact, tested against the generic set path in the unit
+suite), checks the closed forms against them, and reads the member's depth
+off the patch: for k >= 3, depth(A(i, k)) = depth(A(i, 3)), since every
+cell of A(i, k) is a corner, edge or interior cell, A(i, 3) has all three
+kinds, and ``depth_closed_form``'s proof bounds each kind by its own
+corners and the square's edge alone. The torus embedding recomputes
+everything on the torus host as an independent route. The kernels peak at
+about 3 bytes per cell of the padded patch, at most (3i+3) x (3i+3) cells:
+the boolean mask plus one ``int16`` distance array (``int32``, about
+5 bytes per cell, past a padded side of 10922). So
+``stats(GridParams(200, 200))`` builds about 3.6 * 10^5 cells, where the
+whole member has 1.6 * 10^9. ``build`` and ``embed_torus`` still
+materialise the whole member.
 
 numpy is loaded by ``stats`` alone (so by ``find_params`` and the CLI's
 ``counterexample stats``/``find`` and ``sweep ratio``), not when the package
@@ -112,8 +118,9 @@ class CounterexampleStats:
     """Exact statistics of one family member.
 
     ``ratio`` is |boundary| * depth / |A| as an exact rational.
-    ``closedFormsMatch`` asserts that the bitmap's size, boundary and depth
-    equal the closed forms (strict; ``violations()`` names it when False).
+    ``closedFormsMatch`` asserts that the patch bitmap's size, boundary and
+    depth equal the closed forms, and its depth the member's (strict;
+    ``violations()`` names it when False; see ``stats``).
     ``claimedSizeMatches`` compares against the historically claimed
     (ki)^2-based size and is advisory: it is expected to be False.
     ``depthMeetsHalfIBound`` records whether depth <= i/2, a stronger depth
@@ -141,16 +148,30 @@ class CounterexampleStats:
         return [] if self.closedFormsMatch else ["closed forms match enumeration"]
 
 
+def _patch(params: GridParams) -> GridParams:
+    """A(i, min(k, 3)): the member whose bitmap ``stats`` builds for A(i, k)."""
+    return GridParams(params.i, min(params.k, 3))
+
+
 def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleStats:
-    """Boundary, depth, and exact ratio of A(i,k) from the bitmap kernels."""
+    """Boundary, depth, and exact ratio of A(i,k), measured on its patch.
+
+    The bitmap kernels measure the patch A(i, min(k, 3)), whose side is
+    3i + 1, and its size, boundary and depth must equal the closed forms at
+    the patch. Its depth is the member's by the lemma in the module
+    docstring, which ``depth_closed_form`` at (i, k) must confirm; size and
+    boundary are the closed forms at (i, k). ``closedFormsMatch`` is False
+    when any of these checks fails. The budget counts the patch's vertices,
+    the bitmap that is built.
+    """
     # imported here so that only the bitmap path pays for loading numpy
     from . import _grid
 
-    _require_budget(budget, enumerated_size(params))
-    bm = _grid.perforated_block(params.i, params.k)
-    size = bm.count()
-    bsize = _grid.boundary_count(bm)
+    measured = _patch(params)
+    _require_budget(budget, enumerated_size(measured))
+    bm = _grid.perforated_block(measured.i, measured.k)
     d = _grid.depth(bm)
+    size, bsize = enumerated_size(params), boundary_closed_form(params)
     return CounterexampleStats(
         params=params,
         sizeA=size,
@@ -158,9 +179,9 @@ def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleSta
         depthOracle=d,
         ratio=Fraction(bsize * d, size),
         closedFormsMatch=(
-            size == enumerated_size(params)
-            and bsize == boundary_closed_form(params)
-            and d == depth_closed_form(params)
+            bm.count() == enumerated_size(measured)
+            and _grid.boundary_count(bm) == boundary_closed_form(measured)
+            and d == depth_closed_form(measured) == depth_closed_form(params)
         ),
         claimedSize=claimed_size(params),
         claimedSizeMatches=claimed_size(params) == size,
@@ -224,17 +245,18 @@ def find_params(
     ratio < c, with its ``stats``.
 
     The walk reads each ratio from the closed forms and runs the bitmap once,
-    on the member it returns. The diagonal ratio behaves like 5/i, so the
-    walk terminates for any reachable c. The vertex budget bounds it against
-    smaller targets: the first member that does not fit stops the walk with
-    its ``BudgetExceeded``. A string c too long for p/q raises ValueError.
+    on the patch of the member it returns. The diagonal ratio behaves like
+    5/i, so the walk terminates for any reachable c. The vertex budget
+    bounds it against smaller targets: the first member whose patch
+    A(j, min(j, 3)) does not fit stops the walk with that patch's
+    ``BudgetExceeded``. A string c too long for p/q raises ValueError.
     """
     target = _parse_fraction(c) if isinstance(c, str) else Fraction(c)
     if target <= 0:
         raise ValueError(f"target ratio must be positive, got {target}")
     for j in count(2):
         params = GridParams(j, j)
-        _require_budget(budget, enumerated_size(params))
+        _require_budget(budget, enumerated_size(_patch(params)))
         bd = boundary_closed_form(params) * depth_closed_form(params)
         if Fraction(bd, enumerated_size(params)) < target:
             return params, stats(params, budget=budget)

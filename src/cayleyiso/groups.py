@@ -166,6 +166,11 @@ class GroupGraph:
         """
         return None
 
+    def _ball_counts(self) -> Iterator[int]:
+        """b(0), b(1), ... by the counting rule, one ``_ball_count`` per
+        radius; a host with a cheaper exact recurrence overrides it."""
+        return map(self._ball_count, count())
+
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupGraph) and self.family == other.family
 
@@ -250,6 +255,14 @@ class IntegerLattice(GroupGraph):
         # Delannoy numbers: choose the k nonzero coordinates, their signs,
         # and positive values summing to at most r (C(r, k) ways)
         return sum(2**k * comb(self.d, k) * comb(r, k) for k in range(min(self.d, r) + 1))
+
+    def _ball_counts(self) -> Iterator[int]:
+        # the generating function (1+x)^d / (1-x)^(d+1) of the sizes gives
+        # (r+1) b(r+1) = (2d+1) b(r) + r b(r-1): one step per radius, exact
+        prev, cur = 0, 1
+        for r in count():
+            yield cur
+            prev, cur = cur, ((2 * self.d + 1) * cur + r * prev) // (r + 1)
 
 
 class Torus(GroupGraph):
@@ -664,13 +677,13 @@ def ball(
 def _ball_sizes(g: GroupGraph, budget: Optional[int]) -> Iterator[int]:
     """The sequence b(0), b(1), ... of the host, the one route to its growth.
 
-    Where the host has a counting rule the sequence is ``g._ball_count`` at
-    r = 0, 1, ..., endless and outside the budget; otherwise it comes from a
+    Where the host has a counting rule the sequence is ``g._ball_counts()``,
+    endless and outside the budget; otherwise it comes from a
     BFS from the identity under ``budget`` and ends when the frontier empties
     (a finite host).
     """
     if g._ball_count(0) is not None:
-        return map(g._ball_count, count())
+        return g._ball_counts()
     levels = _bfs_levels(g, (g._encode(g.identity()),), budget)
     return accumulate(len(sphere) for sphere in levels)
 

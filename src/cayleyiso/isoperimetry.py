@@ -153,7 +153,14 @@ def set_from_json_obj(obj) -> VertexSet:
 
 
 def set_file_text(A: VertexSet) -> str:
-    """The text of A's set file, as ``save_set`` and the CLI write it."""
+    """The text of A's set file, as ``save_set`` and the CLI write it.
+
+    Raises ``InvalidVertexError`` for a member that the host would refuse
+    to load, so no set file is written that cannot be read back: the
+    boundary of a ``z^d`` set can reach a coordinate bound its members keep.
+    """
+    for v in A.elements:
+        A.host.validate_vertex(v)
     return json.dumps(A.to_json_obj(), indent=2) + "\n"
 
 

@@ -205,6 +205,23 @@ def test_lattice_coordinates_past_the_bound_exit_one(tmp_path, capsys):
     assert rc == 0 and payload["depth"] == 1
 
 
+def test_emit_set_refuses_a_set_that_cannot_be_loaded(tmp_path, capsys):
+    # the boundary of a member at the z^2 coordinate bound reaches 2^38
+    edge = tmp_path / "edge.json"
+    edge.write_text(json.dumps({"group": "z^2", "vertices": [[0, 2**38 - 1]]}))
+    emitted = tmp_path / "b.json"
+    rc, out, err = run(["boundary", "--set", str(edge), "--emit-set", str(emitted)], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: (0, {2**38}) has a coordinate after the first of magnitude >= 2^38\n"
+    assert not emitted.exists()
+    # the set it would have written does not load
+    boundary_set = [[-1, 2**38 - 1], [0, 2**38 - 2], [0, 2**38], [1, 2**38 - 1]]
+    emitted.write_text(json.dumps({"group": "z^2", "vertices": boundary_set}))
+    rc, out, err = run(["depth", "--set", str(emitted)], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: (0, {2**38}) has a coordinate after the first of magnitude >= 2^38\n"
+
+
 def test_separation_small_set(capsys):
     rc, payload, _ = run_json(
         ["separation", "--group", "z^2", "--random", "50"], capsys
@@ -271,7 +288,8 @@ def test_counterexample_find_cap_exceeded(capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:")
-    assert "budget" in err and "needs 1344 vertices" in err
+    # the budget counts the patch A(j, 3): 660 admits j = 8, not j = 9
+    assert "budget" in err and "needs 780 vertices" in err
 
 
 def test_counterexample_find_budget_exceeded(capsys):
@@ -281,7 +299,20 @@ def test_counterexample_find_budget_exceeded(capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:")
-    assert "budget" in err and "needs 4176 vertices" in err
+    # the first patch past 3000 vertices is A(18, 3)
+    assert "budget" in err and "needs 3021 vertices" in err
+
+
+def test_counterexample_runs_past_the_full_member_budget(capsys):
+    # A(200, 200) has 1.6 * 10^9 vertices, but stats builds its patch
+    # A(200, 3); find --c 0.05 reaches j = 99, whose patch has 88,800
+    rc, payload, err = run_json(["counterexample", "stats", "--i", "200", "--k", "200"], capsys)
+    assert (rc, err) == (0, "")
+    assert (payload["sizeA"], payload["depthOracle"]) == (40001**2 - 199**2, 200)
+    assert payload["closedFormsMatch"] is True
+    rc, payload, err = run_json(["counterexample", "find", "--c", "0.05"], capsys)
+    assert (rc, err) == (0, "")
+    assert (payload["i"], payload["k"], payload["closedFormsMatch"]) == (99, 99, True)
 
 
 # --- ringlike ----------------------------------------------------------------
@@ -495,7 +526,8 @@ def test_find_refuses_a_target_with_too_many_digits(run_capped):
 def test_find_targets_within_the_digit_limit_behave_as_before(capsys):
     rc, out, err = run(["counterexample", "find", "--c", "1e-3"], capsys)
     assert (rc, out) == (1, "")
-    assert err == "error: vertex budget 10000000 exceeded: needs 10559364 vertices\n"
+    # the walk stops at j = 1054, whose patch A(1054, 3) has 3163^2 - 4 vertices
+    assert err == "error: vertex budget 10000000 exceeded: needs 10004565 vertices\n"
     for c in ("x", "1/0"):
         rc, out, err = run(["counterexample", "find", "--c", c], capsys)
         assert (rc, err) == (1, f"error: expected a rational number like 1/2 or 0.5, got {c!r}\n")
@@ -636,10 +668,12 @@ def test_violation_exit_on_broken_closed_form(monkeypatch, capsys):
     assert rc == 2
     assert json.loads(out)["closedFormsMatch"] is False
     assert err == "claim violated: closed forms match enumeration\n"
-    # the sweep names the member that broke the claim
+    # the sweep names the member that broke the claim; stats reports the
+    # member's size and boundary from the closed forms, so the row shows
+    # the broken boundary
     rc, out, err = run(["sweep", "ratio", "--diag", "4"], capsys)
     assert rc == 2
-    assert out.splitlines()[1] == "4,4,280,77,4,11/10"
+    assert out.splitlines()[1] == "4,4,280,1,4,1/70"
     assert err == "claim violated: closed forms match enumeration at i=4, k=4\n"
 
 

@@ -106,6 +106,26 @@ def test_depth_closed_form_matches_bitmap_and_per_vertex_oracle():
             assert depth_closed_form(GridParams(i, k)) == expected, (i, k)
 
 
+def test_depth_of_a_member_is_the_depth_of_its_patch():
+    # the lemma stats rests on: depth(A(i, k)) = depth(A(i, 3)) for k >= 3,
+    # on full-member bitmaps
+    for i in range(2, 81):
+        patch_depth = _grid.depth(_grid.perforated_block(i, 3))
+        for k in range(4, 11):
+            assert _grid.depth(_grid.perforated_block(i, k)) == patch_depth, (i, k)
+
+
+def test_full_members_on_the_diagonal_match_the_closed_forms():
+    # the criterion 03 ladder, enumerated whole: stats reads these members
+    # off their patches
+    for j in (4, 8, 16, 32, 64):
+        params = GridParams(j, j)
+        bm = _grid.perforated_block(j, j)
+        assert bm.count() == enumerated_size(params)
+        assert _grid.boundary_count(bm) == boundary_closed_form(params)
+        assert _grid.depth(bm) == depth_closed_form(params)
+
+
 def test_claimed_size_undercounts_by_rim():
     for i in range(2, 7):
         for k in range(2, 9):
@@ -165,8 +185,11 @@ def test_stats_serialization():
 
 
 def test_stats_respects_budget():
-    with pytest.raises(BudgetExceeded):
-        stats(GridParams(100, 100), budget=10**4)
+    # the budget counts the patch A(100, 3), 301^2 - 4 = 90597 vertices
+    with pytest.raises(BudgetExceeded) as exc_info:
+        stats(GridParams(100, 100), budget=90596)
+    assert (exc_info.value.budget, exc_info.value.visited) == (90596, 90597)
+    assert stats(GridParams(100, 100), budget=90597).closedFormsMatch
 
 
 # --- closure connectivity and pin placement ----------------------------------
@@ -271,15 +294,16 @@ def test_parse_fraction_reads_what_fraction_reads(sign, num, tail, exp, pad):
 
 
 def test_find_params_budget_stop_carries_best():
-    # the first member that does not fit stops the walk with its own
-    # BudgetExceeded: |A(7,7)| = 2464 fits 3000, |A(8,8)| = 4176 does not
+    # the first member whose patch A(j, 3) does not fit stops the walk with
+    # that patch's BudgetExceeded: |A(17,3)| = 2700 fits 3000,
+    # |A(18,3)| = 3021 does not
     with pytest.raises(BudgetExceeded) as exc_info:
         find_params(Fraction(1, 100), budget=3000)
-    assert (exc_info.value.budget, exc_info.value.visited) == (3000, 4176)
-    # budget 660 admits i = k = 5 exactly (|A(5,5)| = 660, |A(6,6)| = 1344)
+    assert (exc_info.value.budget, exc_info.value.visited) == (3000, 3021)
+    # budget 660 admits j = 8 (|A(8,3)| = 621), not j = 9 (|A(9,3)| = 780)
     with pytest.raises(BudgetExceeded) as exc_info:
         find_params(Fraction(1, 10), budget=660)
-    assert (exc_info.value.budget, exc_info.value.visited) == (660, 1344)
+    assert (exc_info.value.budget, exc_info.value.visited) == (660, 780)
 
 
 def test_find_params_builds_one_bitmap(monkeypatch):
@@ -294,7 +318,7 @@ def test_find_params_builds_one_bitmap(monkeypatch):
     params, st = find_params(Fraction(1, 10))
     assert params == GridParams(49, 49)
     assert st.ratio < Fraction(1, 10) and st.closedFormsMatch
-    assert built == [(49, 49)]
+    assert built == [(49, 3)]
     # the walk stops at the default budget before any member qualifies
     built.clear()
     with pytest.raises(BudgetExceeded):

@@ -86,13 +86,27 @@ def test_depth_of_a_thick_strip_near_the_int16_limit():
     assert _grid.depth(_grid.Bitmap(np.ascontiguousarray(bm.mask.T))) == 3
 
 
-def test_stats_100_fits_in_one_gib(run_capped):
-    # 10^8 cells: at about 3 bytes per cell this fits; a kernel with
-    # full-size int32 temporaries fails here with MemoryError
+def test_kernels_100_fit_in_one_gib(run_capped):
+    # the full member A(100, 100): 10^8 cells; at about 3 bytes per cell
+    # this fits, a kernel with full-size int32 temporaries fails here with
+    # MemoryError
     proc = run_capped("-c", (
-        "from cayleyiso.counterexample import GridParams, stats; "
-        "st = stats(GridParams(100, 100), budget=2 * 10**8); "
-        "print(st.closedFormsMatch, st.depthOracle)"
+        "from cayleyiso import _grid; "
+        "bm = _grid.perforated_block(100, 100); "
+        "print(bm.count(), _grid.boundary_count(bm), _grid.depth(bm))"
     ))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "100"]
+    assert proc.stdout.split() == [str(10001**2 - 99**2), str(99**2 + 4 * 10001), "100"]
+
+
+def test_stats_200_fits_in_one_gib(run_capped):
+    # stats measures A(200, 200) on its patch A(200, 3), within the default
+    # budget; the full member would need about 1.6 * 10^9 padded cells
+    proc = run_capped("-c", (
+        "from cayleyiso.counterexample import GridParams, stats; "
+        "st = stats(GridParams(200, 200)); "
+        "print(st.closedFormsMatch, st.sizeA, st.boundarySize, st.depthOracle)"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", str(40001**2 - 199**2),
+                                   str(199**2 + 4 * 40001), "200"]

@@ -624,6 +624,12 @@ def test_counted_ball_profiles_match_bfs_and_oracles():
     assert parse_group("torus:7x7")._ball_count(5) is None
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 50, 2236])
+def test_lattice_growth_recurrence_matches_the_single_radius_count(d):
+    g = IntegerLattice(d)
+    assert ball_profile(g, 60) == [g._ball_count(r) for r in range(61)]
+
+
 def _generator_lists():
     # every set of one or two generators with |zShift| <= 3, for m <= 6
     for m in range(2, 7):
