@@ -22,7 +22,6 @@ import stat
 import sys
 from fractions import Fraction
 
-from . import counterexample, isoperimetry, ringlike
 from .groups import DEFAULT_BUDGET, BudgetExceeded, ball, classify_growth, parse_group
 
 EXIT_OK = 0
@@ -128,6 +127,8 @@ def _resolve_budget(args) -> int:
 
 def _resolve_set(args, budget: int) -> isoperimetry.VertexSet:
     """Load --set PATH, or grow --random SIZE on --group with --seed."""
+    from . import isoperimetry
+
     if args.set is not None:
         A = isoperimetry.load_set(args.set)
         if args.group is not None and parse_group(args.group).family != A.host.family:
@@ -157,12 +158,17 @@ def _cmd_growth(args, budget):
 def _cmd_ball(args, budget):
     g = parse_group(args.group)
     vertices = ball(g, g.identity(), args.radius, budget=budget)
-    A = isoperimetry.VertexSet._trusted(g, map(g._encode, vertices))
-    payload = {"group": g.family, "radius": args.radius, "size": len(A)}
-    return ("json", payload), [], A if args.emit_set else None
+    payload = {"group": g.family, "radius": args.radius, "size": len(vertices)}
+    if not args.emit_set:
+        return ("json", payload), [], None
+    from .isoperimetry import VertexSet
+
+    return ("json", payload), [], VertexSet._trusted(g, map(g._encode, vertices))
 
 
 def _cmd_boundary(args, budget):
+    from . import isoperimetry
+
     A = _resolve_set(args, budget)
     B = isoperimetry.boundary(A)
     payload = {
@@ -174,6 +180,8 @@ def _cmd_boundary(args, budget):
 
 
 def _cmd_depth(args, budget):
+    from . import isoperimetry
+
     A = _resolve_set(args, budget)
     payload = {
         "group": A.host.family,
@@ -184,6 +192,8 @@ def _cmd_depth(args, budget):
 
 
 def _cmd_varopoulos(args, budget):
+    from . import isoperimetry
+
     A = _resolve_set(args, budget)
     report = isoperimetry.varopoulos_check(A, budget=budget)
     payload = {"group": A.host.family, "sizeA": len(A)}
@@ -192,12 +202,16 @@ def _cmd_varopoulos(args, budget):
 
 
 def _cmd_separation(args, budget):
+    from . import isoperimetry
+
     A = _resolve_set(args, budget)
     report = isoperimetry.classify_separation(A, budget=budget)
     return ("json", report.to_dict()), report.violations(), None
 
 
 def _cmd_counterexample_stats(args, budget):
+    from . import counterexample
+
     params = counterexample.GridParams(args.i, args.k)
     st = counterexample.stats(params, budget=budget)
     emitted = counterexample.build(params, budget=budget) if args.emit_set else None
@@ -205,6 +219,8 @@ def _cmd_counterexample_stats(args, budget):
 
 
 def _cmd_counterexample_find(args, budget):
+    from . import counterexample
+
     target = counterexample._parse_fraction(args.c, "--c")
     params, st = counterexample.find_params(target, budget=budget)
     emitted = counterexample.build(params, budget=budget) if args.emit_set else None
@@ -214,6 +230,8 @@ def _cmd_counterexample_find(args, budget):
 
 
 def _cmd_counterexample_torus(args, budget):
+    from . import counterexample
+
     params = counterexample.GridParams(args.i, args.k)
     embedding = counterexample.embed_torus(params, budget=budget)
     emitted = embedding.vertex_set if args.emit_set else None
@@ -221,12 +239,16 @@ def _cmd_counterexample_torus(args, budget):
 
 
 def _cmd_ringlike_check(args, budget):
+    from . import ringlike
+
     host = parse_group(args.group)
     system = ringlike.cyclic_system(host, window=args.window, budget=budget)
     return ("json", system.to_dict()), system.violations(), None
 
 
 def _cmd_ringlike_cover(args, budget):
+    from . import ringlike
+
     A = _resolve_set(args, budget)
     system = ringlike.cyclic_system(A.host, window=args.window, budget=budget)
     report = ringlike.interval_cover(system, A)
@@ -234,6 +256,8 @@ def _cmd_ringlike_cover(args, budget):
 
 
 def _cmd_sweep_ratio(args, budget):
+    from . import counterexample
+
     if args.diag is not None:
         try:
             diag = sorted({int(x) for x in args.diag.split(",") if x.strip()})
@@ -343,7 +367,9 @@ def main(argv=None) -> int:
         text = _render(result)
         targets = []
         if emitted is not None:
-            targets.append((args.emit_set, isoperimetry.set_file_text(emitted)))
+            from .isoperimetry import set_file_text
+
+            targets.append((args.emit_set, set_file_text(emitted)))
         if args.out:
             targets.append((args.out, text))
         _write_all(targets)

@@ -16,17 +16,11 @@ off the patch: for k >= 3, depth(A(i, k)) = depth(A(i, 3)), since every
 cell of A(i, k) is a corner, edge or interior cell, A(i, 3) has all three
 kinds, and ``depth_closed_form``'s proof bounds each kind by its own
 corners and the square's edge alone. The torus embedding recomputes
-everything on the torus host as an independent route. The kernels peak at
-about 3 bytes per cell of the padded patch, at most (3i+3) x (3i+3) cells:
-the boolean mask plus one ``int16`` distance array (``int32``, about
-5 bytes per cell, past a padded side of 10922). So
-``stats(GridParams(200, 200))`` builds about 3.6 * 10^5 cells, where the
-whole member has 1.6 * 10^9. ``build`` and ``embed_torus`` still
-materialise the whole member.
-
-numpy is loaded by ``stats`` alone (so by ``find_params`` and the CLI's
-``counterexample stats``/``find`` and ``sweep ratio``), not when the package
-is imported: everything else in the package is pure Python.
+everything on the torus host as an independent route. The kernels hold the
+padded patch, about (3i+3)^2 cells, at one bit per cell in each of a few
+Python ints, so ``stats(GridParams(200, 200))`` builds about 3.6 * 10^5
+cells, where the whole member has 1.6 * 10^9. ``build`` and
+``embed_torus`` still materialise the whole member.
 """
 
 from __future__ import annotations
@@ -39,6 +33,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Optional, Tuple, Union
 
+from . import _grid
 from .groups import IntegerLattice, Torus, _clip, _require_budget
 from .isoperimetry import VertexSet, boundary, depth
 
@@ -164,9 +159,6 @@ def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleSta
     when any of these checks fails. The budget counts the patch's vertices,
     the bitmap that is built.
     """
-    # imported here so that only the bitmap path pays for loading numpy
-    from . import _grid
-
     measured = _patch(params)
     _require_budget(budget, enumerated_size(measured))
     bm = _grid.perforated_block(measured.i, measured.k)

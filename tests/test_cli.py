@@ -866,19 +866,30 @@ def test_console_script_runs():
         assert installed.stdout == proc.stdout
 
 
-def test_numpy_loads_only_on_the_bitmap_path():
-    # each probe runs in a fresh interpreter; the PYTHONPATH set by conftest
+def test_no_subcommand_loads_numpy():
+    # each probe runs in a fresh interpreter where importing numpy fails, and
+    # reports the package modules it loaded; the PYTHONPATH set by conftest
     # points it at the checkout
-    def numpy_loaded(code):
-        probe = f"import sys\n{code}\nprint('numpy' in sys.modules, file=sys.stderr)"
-        proc = subprocess.run([sys.executable, "-c", probe],
-                              capture_output=True, text=True)
+    def loaded(*argv):
+        probe = ("import json, sys\n"
+                 "sys.modules['numpy'] = None\n"
+                 "from cayleyiso import cli\n"
+                 f"code = cli.main({list(argv)!r})\n"
+                 "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        return proc.stderr.splitlines()[-1] == "True"
+        code, modules = json.loads(proc.stderr.splitlines()[-1])
+        assert code == 0, proc.stderr
+        return {m.removeprefix("cayleyiso.") for m in modules}
 
-    assert not numpy_loaded("import cayleyiso, cayleyiso.cli")
-    assert not numpy_loaded("from cayleyiso import cli\n"
-                            "cli.main(['growth', '--group', 'z^2', '--max-radius', '5'])")
-    # the probe can see numpy when the bitmap kernels run
-    assert numpy_loaded("from cayleyiso import cli\n"
-                        "cli.main(['counterexample', 'stats', '--i', '3', '--k', '3'])")
+    # the probe sees the bitmap kernels load
+    assert "_grid" in loaded("counterexample", "stats", "--i", "3", "--k", "3")
+    loaded("counterexample", "find", "--c", "1/2")
+    loaded("counterexample", "torus", "--i", "2", "--k", "2")
+    loaded("sweep", "ratio", "--diag", "4,8")
+    growth = loaded("growth", "--group", "z^2", "--max-radius", "5")
+    assert growth.isdisjoint({"isoperimetry", "counterexample", "ringlike"})
+    for command in ("boundary", "depth"):
+        modules = loaded(command, "--group", "z^2", "--random", "30")
+        assert "isoperimetry" in modules
+        assert modules.isdisjoint({"counterexample", "ringlike"})

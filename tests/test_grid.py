@@ -1,7 +1,9 @@
 """The bitmap kernels against the generic set path and the slow oracles:
-chunked scans with ragged last chunks, and both distance dtypes."""
+every row width modulo 8, negative coordinates, long one-row strips and a
+deep member under a memory cap."""
 
-import numpy as np
+import random
+
 import pytest
 
 import oracles
@@ -23,73 +25,82 @@ def random_sets():
         yield blown_up(A, 2 + seed % 3, 1 + seed % 4)
 
 
-@pytest.mark.parametrize("chunk", [2, 3, 5])
-def test_kernels_match_generic_path_and_oracles(monkeypatch, chunk):
-    monkeypatch.setattr(_grid, "_CHUNK", chunk)
-    ragged = []
+def assert_kernels_match(A):
+    bm = _grid.Bitmap.from_points(A)
+    assert bm.count() == len(A)
+    assert _grid.depth(bm) == depth(A) == oracles.per_vertex_depth(Z2, A.elements)
+    assert _grid.boundary_count(bm) == len(boundary(A)) == len(
+        oracles.boundary_by_distance(Z2, A.elements))
+
+
+def test_kernels_match_generic_path_and_oracles():
     for A in random_sets():
-        bm = _grid.Bitmap.from_points(A)
-        h, w = bm.mask.shape
-        # non-square, and at least three chunks along each axis
-        if h == w or min(h, w) <= 2 * chunk:
-            continue
-        ragged += [n % chunk != 0 for n in (h, w)]
-        d = _grid.depth(bm)
-        assert d == depth(A) == oracles.per_vertex_depth(Z2, A.elements)
-        assert _grid.boundary_count(bm) == len(boundary(A)) == len(
-            oracles.boundary_by_distance(Z2, A.elements))
-    # whole and short last chunks both ran, on at least a dozen sets
-    assert len(ragged) >= 24 and set(ragged) == {True, False}
+        assert_kernels_match(A)
 
 
-def test_depth_of_thick_blocks_with_holes(monkeypatch):
+def test_depth_of_thick_blocks_with_holes():
     # deeper fields than accretion sets reach: rectangles with random holes
-    monkeypatch.setattr(_grid, "_CHUNK", 4)
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for h, w in [(13, 30), (31, 9), (22, 23)]:
-        keep = rng.random((h, w)) > 0.01
-        A = VertexSet(Z2, ((x, y) for x in range(h) for y in range(w) if keep[x, y]))
+        A = VertexSet(Z2, ((x, y) for x in range(h) for y in range(w) if rng.random() > 0.01))
         bm = _grid.Bitmap.from_points(A)
         assert _grid.depth(bm) == depth(A) == oracles.per_vertex_depth(Z2, A.elements)
         assert _grid.boundary_count(bm) == len(boundary(A))
 
 
-def test_distance_dtype_threshold():
-    # h + w + 1 + max(h, w) must not exceed 32767 for int16
-    assert _grid._distance_dtype((3, 16381)) is np.int16
-    assert _grid._distance_dtype((3, 16382)) is np.int32
-    assert _grid._distance_dtype((16381, 3)) is np.int16
-    assert _grid._distance_dtype((10003, 10003)) is np.int16
-    assert _grid._distance_dtype((10923, 10923)) is np.int32
+@pytest.mark.parametrize("cols", range(1, 25))
+def test_row_padding_for_every_width_mod_8(cols):
+    # rows of 8 * stride bits hold cols members and a zero column on each
+    # side; a cols-wide block with one hole, and a diagonal, on every residue
+    bm = _grid.Bitmap.from_points([(0, c) for c in range(cols)])
+    assert bm.width % 8 == 0 and cols + 2 <= bm.width < cols + 10
+    assert bm.height == 3
+    block = VertexSet(Z2, ((x, y) for x in range(4) for y in range(cols) if (x, y) != (1, 1)))
+    assert_kernels_match(block)
+    assert_kernels_match(VertexSet(Z2, ((c, c) for c in range(cols))))
 
 
-@pytest.mark.parametrize("length, dtype", [(16378, np.int16), (32998, np.int32)])
+def test_sets_at_negative_coordinates():
+    rng = random.Random(7)
+    for shift in [(-1, -1), (-40, 3), (5, -1000), (-(2**37), -(2**37))]:
+        A = VertexSet(Z2, ((x + shift[0], y + shift[1]) for x in range(9) for y in range(11)
+                           if rng.random() > 0.2))
+        assert_kernels_match(A)
+
+
+def test_a_single_point():
+    bm = _grid.Bitmap.from_points([(-3, 4)])
+    assert (bm.count(), _grid.depth(bm), _grid.boundary_count(bm)) == (1, 1, 4)
+
+
+# the ids name the integer type that a two-pass L1 distance transform's
+# field needs on each strip (int16 while 2 * length + 8 <= 32767);
+# the bit kernels need none, and the strips stay as long-row inputs
+@pytest.mark.parametrize("length, width", [(16378, 16384), (32998, 33000)],
+                         ids=["16378-int16", "32998-int32"])
 @pytest.mark.parametrize("transpose", [False, True])
-def test_one_row_strips_on_both_sides_of_the_dtype_threshold(length, dtype, transpose):
-    # the transposed strip runs its longest column through the first pass,
-    # where d + j reaches its largest value, inf + length
+def test_one_row_strips_on_both_sides_of_the_dtype_threshold(length, width, transpose):
+    # one row of ``length`` cells, padded to a multiple of 8, or one column
+    # of them in rows of 8
     points = [(y, 0) if transpose else (0, y) for y in range(length)]
     bm = _grid.Bitmap.from_points(points)
-    assert bm.mask.shape == ((length + 2, 3) if transpose else (3, length + 2))
-    assert _grid._distance_dtype(bm.mask.shape) is dtype
+    assert (bm.height, bm.width) == ((length + 2, 8) if transpose else (3, width))
     A = VertexSet(Z2, points)
     assert _grid.depth(bm) == depth(A) == 1
     assert _grid.boundary_count(bm) == len(boundary(A)) == 2 * length + 2
 
 
 def test_depth_of_a_thick_strip_near_the_int16_limit():
-    # a 5-wide strip in a 7 x 16377 bitmap, and its transpose: depth 3
+    # a 5-wide strip 16375 long, and its transpose: depth 3
     points = [(x, y) for x in range(5) for y in range(16375)]
-    bm = _grid.Bitmap.from_points(points)
-    assert _grid._distance_dtype(bm.mask.shape) is np.int16
-    assert _grid.depth(bm) == 3
-    assert _grid.depth(_grid.Bitmap(np.ascontiguousarray(bm.mask.T))) == 3
+    for pts in (points, [(y, x) for x, y in points]):
+        bm = _grid.Bitmap.from_points(pts)
+        assert (_grid.depth(bm), _grid.boundary_count(bm)) == (3, 2 * 16375 + 10)
 
 
 def test_kernels_100_fit_in_one_gib(run_capped):
-    # the full member A(100, 100): 10^8 cells; at about 3 bytes per cell
-    # this fits, a kernel with full-size int32 temporaries fails here with
-    # MemoryError
+    # the full member A(100, 100): 10^8 cells, which the kernels hold at
+    # about one bit per cell in each of a few ints
     proc = run_capped("-c", (
         "from cayleyiso import _grid; "
         "bm = _grid.perforated_block(100, 100); "
