@@ -18,11 +18,14 @@ def blown_up(A, sx, sy):
                           for a in range(sx) for b in range(sy)))
 
 
-def random_sets():
+def random_sets(scale):
+    """Twelve random connected sets, each also blown up by ``scale`` along
+    one axis and by 1 to 4 along the other, both ways round."""
     for seed in range(12):
         A = random_connected_set(Z2, 20 + 17 * seed, seed=seed)
         yield A
-        yield blown_up(A, 2 + seed % 3, 1 + seed % 4)
+        yield blown_up(A, scale, 1 + seed % 4)
+        yield blown_up(A, 1 + seed % 4, scale)
 
 
 def assert_kernels_match(A):
@@ -33,8 +36,9 @@ def assert_kernels_match(A):
         oracles.boundary_by_distance(Z2, A.elements))
 
 
-def test_kernels_match_generic_path_and_oracles():
-    for A in random_sets():
+@pytest.mark.parametrize("scale", [2, 3, 5])
+def test_kernels_match_generic_path_and_oracles(scale):
+    for A in random_sets(scale):
         assert_kernels_match(A)
 
 
