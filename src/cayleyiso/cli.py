@@ -14,13 +14,11 @@ ISO_BUDGET environment variable overrides the BFS vertex budget; the
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import stat
 import sys
-from fractions import Fraction
 
 from .groups import DEFAULT_BUDGET, BudgetExceeded, ball, classify_growth, parse_group
 
@@ -41,11 +39,13 @@ def _jsonify(obj):
     """Restrict payloads to ints, bools, strings, rationals, lists, dicts.
 
     Fractions become "p/q" strings; floats are rejected outright so no
-    inexact number can reach persisted output.
+    inexact number can reach persisted output. Until some module imports
+    ``fractions``, no value can be a Fraction, so this does not import it.
     """
     if isinstance(obj, bool) or isinstance(obj, int):
         return obj
-    if isinstance(obj, Fraction):
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(obj, fractions.Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, float):
         raise TypeError(f"refusing to serialize a float: {obj!r}")
@@ -63,6 +63,8 @@ def _render(result: tuple) -> str:
     ``("csv", header, rows)`` result, before any of it is written."""
     if result[0] == "json":
         return json.dumps(_jsonify(result[1]), indent=2) + "\n"
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(result[1])
@@ -283,82 +285,115 @@ def _cmd_sweep_ratio(args, budget):
     return ("csv", header, rows), violations, None
 
 
-def build_parser() -> _Parser:
-    # each shared flag is declared once, in a parent parser that the leaves
-    # using it inherit. A leaf's own flags are parents too, so its help lists
-    # its flags in the order given, with ``common`` (--out, --budget) last.
-    def parent(*names, **options) -> argparse.ArgumentParser:
-        flags = argparse.ArgumentParser(add_help=False)
-        flags.add_argument(*names, **options)
-        return flags
+def _flag(*names, **options):
+    """A flag, as a function that adds it to the parser of a leaf taking it."""
+    return lambda parser: parser.add_argument(*names, **options)
 
-    common = parent("--out", help="write output to this path instead of stdout")
-    common.add_argument("--budget", type=int,
-                        help=f"BFS vertex budget (default {DEFAULT_BUDGET}; "
-                             "env ISO_BUDGET also honored)")
-    source = parent("--group", help="group grammar string, e.g. z^2 or cyl:3")
-    one_of = source.add_mutually_exclusive_group()
+
+def _source(parser) -> None:
+    """The flags that give a command its set: --set PATH, or --random SIZE on --group."""
+    parser.add_argument("--group", help="group grammar string, e.g. z^2 or cyl:3")
+    one_of = parser.add_mutually_exclusive_group()
     one_of.add_argument("--set", help="path to a JSON set file")
     one_of.add_argument("--random", type=int, metavar="SIZE",
                         help="grow a random connected set of SIZE vertices")
-    source.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int, default=0,
                         help="PRNG seed for --random (default 0)")
-    emit = parent("--emit-set", metavar="PATH",
-                  help="also write the resulting set as a JSON set file")
-    window = parent("--window", type=int, default=50,
-                    help="block window, validated (>= 1) and echoed; q does not depend on it")
-    grid = parent("--i", type=int, required=True)
-    grid.add_argument("--k", type=int, required=True)
-    group = parent("--group", required=True)
-    fmt = parent("--format", choices=["csv", "json"], default="csv")
 
-    def leaf(sub, name, handler, description, *parents) -> None:
-        p = sub.add_parser(name, help=description, parents=[*parents, common])
-        p.set_defaults(handler=handler)
 
-    def branch(name, description):
-        p = sub.add_parser(name, help=description)
-        return p.add_subparsers(dest="subcommand", required=True)
+# every leaf takes these, after its own flags
+_COMMON = (_flag("--out", help="write output to this path instead of stdout"),
+           _flag("--budget", type=int, help=f"BFS vertex budget (default {DEFAULT_BUDGET}; "
+                                            "env ISO_BUDGET also honored)"))
+_GROUP = _flag("--group", required=True)
+_EMIT = _flag("--emit-set", metavar="PATH",
+              help="also write the resulting set as a JSON set file")
+_WINDOW = _flag("--window", type=int, default=50,
+                help="block window, validated (>= 1) and echoed; q does not depend on it")
+_GRID = (_flag("--i", type=int, required=True), _flag("--k", type=int, required=True))
+_FORMAT = _flag("--format", choices=["csv", "json"], default="csv")
 
+# the command tree, in help order: a leaf is (handler, help, its flags in
+# help order), a branch is (help, {name: leaf})
+_COMMANDS = {
+    "growth": (_cmd_growth, "ball sizes and growth dichotomy branch", _GROUP,
+               _flag("--max-radius", type=int, default=20), _FORMAT),
+    "ball": (_cmd_ball, "ball around the identity", _GROUP,
+             _flag("--radius", type=int, required=True), _EMIT),
+    "boundary": (_cmd_boundary, "exterior vertex boundary of a set", _source, _EMIT),
+    "depth": (_cmd_depth, "max distance from a member to the complement", _source),
+    "varopoulos": (_cmd_varopoulos, "|A| <= 2m|boundary(A)| check", _source),
+    "separation": (_cmd_separation, "small-set / ring-like classification", _source),
+    "counterexample": ("perforated-grid family operations", {
+        "stats": (_cmd_counterexample_stats, "exact statistics of A(i,k)", *_GRID, _EMIT),
+        "find": (_cmd_counterexample_find, "first diagonal member with ratio < c",
+                 _flag("--c", required=True, help="target ratio, e.g. 0.5 or 1/2"), _EMIT),
+        "torus": (_cmd_counterexample_torus, "embed A(i,k) into the torus of side 3ki+1",
+                  *_GRID, _EMIT),
+    }),
+    "ringlike": ("cylinder block-system checks", {
+        "check": (_cmd_ringlike_check, "block system of a cylinder and its cohesiveness",
+                  _GROUP, _WINDOW),
+        "cover": (_cmd_ringlike_cover, "interval cover slack bound for a set",
+                  _source, _WINDOW),
+    }),
+    "sweep": ("parameter sweeps", {
+        "ratio": (_cmd_sweep_ratio, "ratio table over (i,k) parameters",
+                  _flag("--imax", type=int), _flag("--kmax", type=int),
+                  _flag("--diag", help="comma-separated diagonal values, e.g. 4,8,16"),
+                  _FORMAT),
+    }),
+}
+
+
+def _leaf_path(argv) -> tuple:
+    """The names of the leaf command that the first words of ``argv`` name,
+    e.g. ``("counterexample", "stats")``; empty when they name none."""
+    commands, words = _COMMANDS, tuple(argv or ())[:2]
+    for n, word in enumerate(words):
+        spec = commands.get(word)
+        if spec is None:
+            return ()
+        if not isinstance(spec[1], dict):
+            return words[:n + 1]
+        commands = spec[1]
+    return ()
+
+
+def _add_commands(parser, dest: str, commands: dict, path: tuple) -> None:
+    """Add ``commands`` as subcommands of ``parser``: all of them, or with a
+    ``path``, only the one it names, down to its leaf. The usage still lists
+    every name."""
+    listing = "{" + ",".join(commands) + "}" if path else None
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=listing)
+    for name, spec in commands.items():
+        if path and name != path[0]:
+            continue
+        if isinstance(spec[1], dict):
+            _add_commands(sub.add_parser(name, help=spec[0]), "subcommand", spec[1], path[1:])
+            continue
+        handler, description, *flags = spec
+        leaf = sub.add_parser(name, help=description)
+        for add in (*flags, *_COMMON):
+            add(leaf)
+        leaf.set_defaults(handler=handler)
+
+
+def build_parser(argv=None) -> _Parser:
+    """The parser of every command or, when the first words of ``argv`` name
+    a leaf command (``growth``, ``counterexample stats``), of that leaf
+    alone, with the same flags, help and usage. ``argv`` missing, starting
+    with an option or naming no leaf selects every command, so help and
+    usage errors read as from the whole tree."""
     parser = _Parser(prog="cayleyiso",
                      description="Isoperimetry on implicit Cayley graphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    leaf(sub, "growth", _cmd_growth, "ball sizes and growth dichotomy branch", group,
-         parent("--max-radius", type=int, default=20), fmt)
-    leaf(sub, "ball", _cmd_ball, "ball around the identity", group,
-         parent("--radius", type=int, required=True), emit)
-    for name, handler, description, *parents in [
-        ("boundary", _cmd_boundary, "exterior vertex boundary of a set", source, emit),
-        ("depth", _cmd_depth, "max distance from a member to the complement", source),
-        ("varopoulos", _cmd_varopoulos, "|A| <= 2m|boundary(A)| check", source),
-        ("separation", _cmd_separation, "small-set / ring-like classification", source),
-    ]:
-        leaf(sub, name, handler, description, *parents)
-
-    csub = branch("counterexample", "perforated-grid family operations")
-    leaf(csub, "stats", _cmd_counterexample_stats, "exact statistics of A(i,k)", grid, emit)
-    leaf(csub, "find", _cmd_counterexample_find, "first diagonal member with ratio < c",
-         parent("--c", required=True, help="target ratio, e.g. 0.5 or 1/2"), emit)
-    leaf(csub, "torus", _cmd_counterexample_torus,
-         "embed A(i,k) into the torus of side 3ki+1", grid, emit)
-
-    rsub = branch("ringlike", "cylinder block-system checks")
-    leaf(rsub, "check", _cmd_ringlike_check,
-         "block system of a cylinder and its cohesiveness", group, window)
-    leaf(rsub, "cover", _cmd_ringlike_cover, "interval cover slack bound for a set",
-         source, window)
-
-    ssub = branch("sweep", "parameter sweeps")
-    ranges = parent("--imax", type=int)
-    ranges.add_argument("--kmax", type=int)
-    ranges.add_argument("--diag", help="comma-separated diagonal values, e.g. 4,8,16")
-    leaf(ssub, "ratio", _cmd_sweep_ratio, "ratio table over (i,k) parameters", ranges, fmt)
+    _add_commands(parser, "command", _COMMANDS, _leaf_path(argv))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         budget = _resolve_budget(args)
         result, violations, emitted = args.handler(args, budget)

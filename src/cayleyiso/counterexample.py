@@ -28,26 +28,32 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from . import _grid
 from .groups import IntegerLattice, Torus, _clip, _require_budget
-from .isoperimetry import VertexSet, boundary, depth
 
 
-@dataclass(frozen=True)
-class GridParams:
-    """Side multiplier i and pin count parameter k; both must exceed 1."""
-
+class _Params(NamedTuple):
     i: int
     k: int
 
-    def __post_init__(self):
-        if self.i <= 1 or self.k <= 1:
-            raise ValueError(f"parameters must satisfy i, k > 1, got i={self.i}, k={self.k}")
+
+class GridParams(_Params):
+    """Side multiplier i and pin count parameter k; both must exceed 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, k: int):
+        if i <= 1 or k <= 1:
+            raise ValueError(f"parameters must satisfy i, k > 1, got i={i}, k={k}")
+        return super().__new__(cls, i, k)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 def enumerated_size(params: GridParams) -> int:
@@ -99,6 +105,8 @@ def depth_closed_form(params: GridParams) -> int:
 
 def build(params: GridParams, budget: Optional[int] = None) -> VertexSet:
     """Materialize A(i,k) as a VertexSet on the square lattice."""
+    from .isoperimetry import VertexSet  # loaded only where a set is built
+
     _require_budget(budget, enumerated_size(params))
     i, k = params.i, params.k
     pins = {(m * i, n * i) for m in range(1, k) for n in range(1, k)}
@@ -108,8 +116,7 @@ def build(params: GridParams, budget: Optional[int] = None) -> VertexSet:
     return VertexSet._trusted(host, map(host._encode, points))
 
 
-@dataclass
-class CounterexampleStats:
+class CounterexampleStats(NamedTuple):
     """Exact statistics of one family member.
 
     ``ratio`` is |boundary| * depth / |A| as an exact rational.
@@ -135,9 +142,9 @@ class CounterexampleStats:
 
     def to_dict(self) -> dict:
         """The fields in order, with ``params`` as its keys i and k."""
-        fields = asdict(self)
+        fields = self._asdict()
         fields["ratio"] = f"{self.ratio.numerator}/{self.ratio.denominator}"
-        return {**fields.pop("params"), **fields}
+        return {**fields.pop("params")._asdict(), **fields}
 
     def violations(self) -> list:
         return [] if self.closedFormsMatch else ["closed forms match enumeration"]
@@ -254,8 +261,7 @@ def find_params(
             return params, stats(params, budget=budget)
 
 
-@dataclass
-class EmbedReport:
+class EmbedReport(NamedTuple):
     """Lattice-vs-torus comparison for one family member.
 
     The torus column is computed independently on the torus host (generic
@@ -279,7 +285,7 @@ class EmbedReport:
     halfVolumeHolds: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     def violations(self) -> list:
         claims = [(self.preserved, "embedding preserves (|A|, |boundary|, depth)"),
@@ -287,8 +293,7 @@ class EmbedReport:
         return [name for holds, name in claims if not holds]
 
 
-@dataclass
-class TorusEmbedding:
+class TorusEmbedding(NamedTuple):
     vertex_set: VertexSet
     report: EmbedReport
 
@@ -301,6 +306,8 @@ def embed_torus(params: GridParams, budget: Optional[int] = None) -> TorusEmbedd
     and 2|A| <= n^2 must hold; both are recorded, and a False is a claim
     violation for callers.
     """
+    from .isoperimetry import VertexSet, boundary, depth  # as in build
+
     i, k = params.i, params.k
     n = 3 * k * i + 1
     lattice_set = build(params, budget=budget)
@@ -308,21 +315,8 @@ def embed_torus(params: GridParams, budget: Optional[int] = None) -> TorusEmbedd
     # the validating constructor is what shows it
     torus_set = VertexSet(Torus(n, 2), lattice_set.elements)
     lattice, torus = [(len(A), len(boundary(A)), depth(A)) for A in (lattice_set, torus_set)]
-    (size_lat, boundary_lat, depth_lat), (size_tor, boundary_tor, depth_tor) = lattice, torus
-
-    report = EmbedReport(
-        i=i,
-        k=k,
-        n=n,
-        volume=n * n,
-        sizeLattice=size_lat,
-        sizeTorus=size_tor,
-        boundaryLattice=boundary_lat,
-        boundaryTorus=boundary_tor,
-        depthLattice=depth_lat,
-        depthTorus=depth_tor,
-        preserved=lattice == torus,
-        halfVolumeHolds=2 * size_tor <= n * n,
-    )
+    # the report's columns pair each lattice statistic with the torus's
+    paired = [x for pair in zip(lattice, torus) for x in pair]
+    report = EmbedReport(i, k, n, n * n, *paired, lattice == torus, 2 * torus[0] <= n * n)
     return TorusEmbedding(torus_set, report)
 

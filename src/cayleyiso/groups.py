@@ -27,14 +27,12 @@ Supported families and vertex representations:
 
 from __future__ import annotations
 
-import ast
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, count, islice
 from math import comb, gcd
-from typing import Collection, Container, Iterator, Optional, Sequence, Tuple
+from typing import Collection, Container, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 Vertex = Tuple[int, ...]
 
@@ -608,6 +606,8 @@ def parse_group(text: str) -> GroupGraph:
         return FreeGroup(number(match["free"]))
     gens = match["gens"]
     if gens is not None:
+        import ast
+
         try:
             gens = ast.literal_eval(gens)
         # TypeError: {[1]: 2}; MemoryError and RecursionError: nesting too
@@ -735,8 +735,7 @@ def minimal_ball_radius(
     return lo + bisect_left(range(lo, hi + 1), target, key=rule)
 
 
-@dataclass
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Sampled growth of a graph and the branch of the linear/quadratic dichotomy.
 
     branch 1: b(n) stays under a linear envelope alpha*n + beta on the sample

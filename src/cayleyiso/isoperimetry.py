@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
@@ -247,8 +246,7 @@ def varopoulos_check(A: VertexSet, budget: Optional[int] = None) -> VaropoulosRe
     return VaropoulosReport(m, lhs <= rhs, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(NamedTuple):
     """One checked claim: lhs REL rhs, with both sides in exact integer form.
 
     ``required`` marks claims the host's end count makes unconditional; a
@@ -263,8 +261,7 @@ class Inequality:
     required: bool
 
 
-@dataclass
-class SeparationReport:
+class SeparationReport(NamedTuple):
     """Which branch of the small-set / ring-like separation dichotomy applies.
 
     branch SmallSet: |A| <= 16k^2, and the depth bound depth < 4*sqrt(2)*k is
@@ -289,7 +286,7 @@ class SeparationReport:
         return [q.name for q in self.inequalities if q.required and not q.holds]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "inequalities": [q._asdict() for q in self.inequalities]}
 
 
 def classify_separation(A: VertexSet, budget: Optional[int] = None) -> SeparationReport:
@@ -328,15 +325,7 @@ def classify_separation(A: VertexSet, budget: Optional[int] = None) -> Separatio
             inequalities += ringlike.interval_cover(system, A).inequalities()
     else:
         branch = "Inapplicable"
-    return SeparationReport(
-        group=A.host.family,
-        sizeA=size,
-        boundarySize=k,
-        depth=d,
-        connectedAUnionBoundary=True,
-        branch=branch,
-        inequalities=inequalities,
-    )
+    return SeparationReport(A.host.family, size, k, d, True, branch, inequalities)
 
 
 def random_connected_set(

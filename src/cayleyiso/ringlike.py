@@ -20,15 +20,13 @@ system; it does not search for block systems on arbitrary graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .groups import Cylinder, GroupGraph, _bfs_levels
 from .isoperimetry import Inequality, VertexSet, is_connected_with_boundary
 
 
-@dataclass
-class CyclicSystem:
+class CyclicSystem(NamedTuple):
     """The z-fiber block system of a cylinder and its cohesiveness.
 
     ``q`` is the exact cohesiveness when ``cohesive_ok`` is True; otherwise
@@ -103,13 +101,10 @@ def cyclic_system(
             break
     else:
         q = cap
-    return CyclicSystem(
-        host=host, s=s, t=t, q=q, window=window, cohesive_ok=q <= 2 * s * t
-    )
+    return CyclicSystem(host, s, t, q, window, q <= 2 * s * t)
 
 
-@dataclass
-class IntervalCover:
+class IntervalCover(NamedTuple):
     """The ring-like report of a set A on a cylinder: the host's block
     system, the interval of blocks A touches, and the slack of their union Q.
 
@@ -171,13 +166,4 @@ def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
     s, t, k = system.s, system.t, len(A._boundary)
     slack = (hi - lo + 1) * s - len(A)
     bound = 2 * s * s * t * t * k + 2 * s * t * k
-    return IntervalCover(
-        system=system,
-        j_lo=lo,
-        j_hi=hi,
-        sizeA=len(A),
-        k=k,
-        slack=slack,
-        bound=bound,
-        holds=slack <= bound,
-    )
+    return IntervalCover(system, lo, hi, len(A), k, slack, bound, slack <= bound)

@@ -9,6 +9,7 @@ import shutil
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -594,6 +595,14 @@ def _leaves(parser, path=()):
     yield " ".join(path), parser
 
 
+def _settings(parser):
+    """Each flag of ``parser`` as it parses, in order, and its defaults."""
+    flags = [(a.option_strings, a.dest, a.default, a.required, a.type, a.choices,
+              a.metavar, a.help, a.nargs) for a in parser._actions]
+    groups = [[a.dest for a in g._group_actions] for g in parser._mutually_exclusive_groups]
+    return flags, groups, parser._defaults
+
+
 def test_parser_shape():
     leaves = dict(_leaves(cli.build_parser()))
     assert len(leaves) == 12
@@ -606,6 +615,47 @@ def test_parser_shape():
                                        "counterexample find", "counterexample torus"}
     assert accepting("--window") == {"ringlike check", "ringlike cover"}
     assert all(type(p) is cli._Parser for p in leaves.values())
+
+
+def test_a_command_builds_only_its_own_parser():
+    full = cli.build_parser()
+    for path, leaf in _leaves(full):
+        # the leaf's words, then anything: only the first two words choose
+        partial = cli.build_parser([*path.split(), "--budget", "5"])
+        (only, built), = _leaves(partial)
+        assert only == path
+        assert built.format_help() == leaf.format_help()
+        assert _settings(built) == _settings(leaf)
+        assert type(built) is cli._Parser
+        # an unrecognized argument is reported with the whole tree's usage
+        assert partial.format_usage() == full.format_usage()
+    # no argv, an option first or a word that names no leaf: the whole tree
+    for argv in (None, [], ["--help"], ["bogus"], ["counterexample"],
+                 ["counterexample", "statz"], ["counterexample", "-h", "stats"]):
+        assert len(dict(_leaves(cli.build_parser(argv)))) == 12, argv
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["--help"], 0, "Isoperimetry on implicit Cayley graphs."),
+    (["bogus"], 1, "cayleyiso: error: argument command: invalid choice: 'bogus' "),
+    (["counterexample"], 1, "cayleyiso counterexample: error: the following arguments "
+                            "are required: subcommand"),
+    (["counterexample", "statz"], 1, "cayleyiso counterexample: error: argument "
+                                     "subcommand: invalid choice: 'statz' "),
+    (["counterexample", "stats", "--i", "2"], 1, "cayleyiso counterexample stats: error: "
+                                                 "the following arguments are required: --k"),
+    (["growth", "--group", "z^2", "extra"], 1, "cayleyiso: error: unrecognized arguments: extra"),
+    (["sweep", "ratio", "-h"], 0, "usage: cayleyiso sweep ratio [-h] [--imax IMAX]"),
+])
+def test_help_and_usage_errors_read_as_from_the_whole_tree(argv, code, line, capsys):
+    with pytest.raises(SystemExit) as whole:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as ran:
+        main(argv)
+    assert capsys.readouterr() == expected
+    assert ran.value.code == whole.value.code == code
+    assert any(out.startswith(line) for out in (expected.out + expected.err).splitlines())
 
 
 # --- budgets -----------------------------------------------------------------
@@ -678,8 +728,9 @@ def test_violation_exit_on_broken_closed_form(monkeypatch, capsys):
 
 
 def test_violation_exit_on_broken_torus_embedding(monkeypatch, capsys):
-    # a depth that differs between the lattice and the torus host
-    monkeypatch.setattr("cayleyiso.counterexample.depth",
+    # a depth that differs between the lattice and the torus host;
+    # embed_torus imports it from isoperimetry when it runs
+    monkeypatch.setattr("cayleyiso.isoperimetry.depth",
                         lambda A: 1 if A.host.is_finite else 2)
     rc, out, err = run(["counterexample", "torus", "--i", "2", "--k", "2"], capsys)
     assert rc == 2
@@ -816,6 +867,13 @@ def test_jsonify_rejects_floats_directly():
         cli._jsonify({"x": 1.5})
 
 
+def test_jsonify_writes_rationals_as_p_over_q():
+    assert cli._jsonify(Fraction(1, 3)) == "1/3"
+    assert cli._jsonify({"r": [Fraction(-2, 4), Fraction(6, 3)]}) == {"r": ["-1/2", "2/1"]}
+    with pytest.raises(TypeError):
+        cli._jsonify([Fraction(1, 3), 1 / 3])
+
+
 def _declared_console_script():
     """The ``(module, attr)`` target of the ``cayleyiso`` entry in
     ``[project.scripts]``; fails the test if it is missing or malformed."""
@@ -866,21 +924,25 @@ def test_console_script_runs():
         assert installed.stdout == proc.stdout
 
 
+def _modules_loaded_by(*argv):
+    """The modules loaded by a fresh interpreter, where importing numpy fails,
+    once ``cli.main(argv)`` has returned 0; the PYTHONPATH set by conftest
+    points it at the checkout."""
+    probe = ("import json, sys\n"
+             "sys.modules['numpy'] = None\n"
+             "from cayleyiso import cli\n"
+             f"code = cli.main({list(argv)!r})\n"
+             "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
 def test_no_subcommand_loads_numpy():
-    # each probe runs in a fresh interpreter where importing numpy fails, and
-    # reports the package modules it loaded; the PYTHONPATH set by conftest
-    # points it at the checkout
     def loaded(*argv):
-        probe = ("import json, sys\n"
-                 "sys.modules['numpy'] = None\n"
-                 "from cayleyiso import cli\n"
-                 f"code = cli.main({list(argv)!r})\n"
-                 "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)")
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        code, modules = json.loads(proc.stderr.splitlines()[-1])
-        assert code == 0, proc.stderr
-        return {m.removeprefix("cayleyiso.") for m in modules}
+        return {m.removeprefix("cayleyiso.") for m in _modules_loaded_by(*argv)}
 
     # the probe sees the bitmap kernels load
     assert "_grid" in loaded("counterexample", "stats", "--i", "3", "--k", "3")
@@ -893,3 +955,40 @@ def test_no_subcommand_loads_numpy():
         modules = loaded(command, "--group", "z^2", "--random", "30")
         assert "isoperimetry" in modules
         assert modules.isdisjoint({"counterexample", "ringlike"})
+
+
+def test_a_command_loads_only_the_modules_it_uses(tmp_path):
+    # dataclasses (which loads inspect, dis, ast and tokenize) loads under no
+    # command, fractions only where a rational is made, csv only for CSV
+    # output, ast only to read a cylinder's generator list, and isoperimetry
+    # under counterexample and sweep only where a set is built
+    emitted = str(tmp_path / "set.json")
+    runs = {
+        "growth": ["growth", "--group", "z^2", "--max-radius", "3"],
+        "growth json": ["growth", "--group", "z^2", "--max-radius", "3", "--format", "json"],
+        "growth cyl:m:[...]": ["growth", "--group", "cyl:3:[(1,0),(0,1)]", "--format", "json"],
+        "ball": ["ball", "--group", "cyl:3", "--radius", "2"],
+        **{name: [name, "--group", "z^2", "--random", "30"]
+           for name in ("boundary", "depth", "varopoulos", "separation")},
+        "counterexample stats": ["counterexample", "stats", "--i", "3", "--k", "3"],
+        "counterexample stats --emit-set": ["counterexample", "stats", "--i", "3", "--k", "3",
+                                            "--emit-set", emitted],
+        "counterexample find": ["counterexample", "find", "--c", "1/2"],
+        "counterexample torus": ["counterexample", "torus", "--i", "2", "--k", "2"],
+        "ringlike check": ["ringlike", "check", "--group", "cyl:3"],
+        "ringlike cover": ["ringlike", "cover", "--group", "cyl:3", "--random", "30"],
+        "sweep ratio": ["sweep", "ratio", "--diag", "4,8"],
+        "sweep ratio json": ["sweep", "ratio", "--diag", "4,8", "--format", "json"],
+    }
+    loaded = {name: _modules_loaded_by(*argv) for name, argv in runs.items()}
+
+    def loading(module):
+        return {name for name, modules in loaded.items() if module in modules}
+
+    assert loading("dataclasses") == set()
+    assert loading("fractions") == {name for name in runs if name.startswith(("counter", "sweep"))}
+    assert loading("csv") == {"growth", "sweep ratio"}
+    assert loading("ast") == {"growth cyl:m:[...]"}
+    assert loading("cayleyiso.isoperimetry") == {
+        "boundary", "depth", "varopoulos", "separation", "counterexample stats --emit-set",
+        "counterexample torus", "ringlike check", "ringlike cover"}

@@ -1,12 +1,20 @@
 """The package's public surface: every name in ``cayleyiso.__all__``
 resolves, a star import works, every name in the export table is defined in
-the submodule it names, and no name exported before the exports were bound
-lazily is dropped."""
+the submodule it names, no name exported before the exports were bound
+lazily is dropped, and the report records are immutable named tuples whose
+``to_dict`` keys keep their order."""
 
 import inspect
 from importlib import import_module
 
+import pytest
+
 import cayleyiso
+from cayleyiso import (
+    Cylinder, GridParams, IntegerLattice, classify_growth, classify_separation, cyclic_system,
+    embed_torus, interval_cover, random_connected_set, varopoulos_check,
+)
+from cayleyiso.counterexample import stats
 
 # ``__all__`` when ``__init__.py`` imported every submodule eagerly
 EAGER_EXPORTS = """
@@ -45,3 +53,55 @@ def test_every_imported_public_name_is_exported():
         assert getattr(cayleyiso, name) is value
     # a name outside the table is an AttributeError, which hasattr reads
     assert not hasattr(cayleyiso, "no_such_name")
+
+
+def _records() -> dict:
+    """One record of each report type, made by the function that returns it."""
+    A = random_connected_set(Cylinder(3), 300, seed=2)
+    system = cyclic_system(Cylinder(3))
+    separation = classify_separation(A)
+    embedding = embed_torus(GridParams(2, 2))
+    records = [classify_growth(IntegerLattice(2), 3), separation, separation.inequalities[0],
+               varopoulos_check(A), GridParams(2, 3), stats(GridParams(2, 3)), embedding,
+               embedding.report, system, interval_cover(system, A)]
+    return {type(record).__name__: record for record in records}
+
+
+def test_records_compare_by_value_and_refuse_assignment():
+    records = _records()
+    assert set(records) == {
+        "GrowthReport", "SeparationReport", "Inequality", "VaropoulosReport", "GridParams",
+        "CounterexampleStats", "TorusEmbedding", "EmbedReport", "CyclicSystem", "IntervalCover"}
+    for name, record in records.items():
+        copy = type(record)(*record)
+        assert copy == record and copy is not record, name
+        last = record._fields[-1]
+        assert record._replace(**{last: 7}) != record, name
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    with pytest.raises(ValueError, match="i, k > 1"):
+        GridParams(1, 3)
+    with pytest.raises(ValueError, match="i, k > 1"):
+        GridParams(i=3, k=0)
+    with pytest.raises(ValueError, match="i, k > 1"):
+        GridParams(2, 3)._replace(k=1)
+
+
+def test_record_keys_keep_their_order():
+    records = _records()
+    assert list(records["GrowthReport"].to_dict()) == [
+        "group", "maxRadius", "ballSizes", "branch", "alpha", "beta"]
+    assert list(records["EmbedReport"].to_dict()) == [
+        "i", "k", "n", "volume", "sizeLattice", "sizeTorus", "boundaryLattice",
+        "boundaryTorus", "depthLattice", "depthTorus", "preserved", "halfVolumeHolds"]
+    assert list(records["IntervalCover"].to_dict()) == [
+        "group", "s", "t", "q", "qBound", "window", "partitionOk", "ringLikeOk",
+        "cohesiveOk", "jLo", "jHi", "sizeQ", "sizeA", "k", "slack", "bound", "holds"]
+    # nested records become dicts too: a report's inequalities, a member's parameters
+    separation = records["SeparationReport"].to_dict()
+    assert list(separation) == ["group", "sizeA", "boundarySize", "depth",
+                                "connectedAUnionBoundary", "branch", "inequalities"]
+    assert [list(q) for q in separation["inequalities"]] == [
+        ["name", "lhs", "rhs", "holds", "required"]] * len(separation["inequalities"])
+    assert list(records["CounterexampleStats"].to_dict())[:3] == ["i", "k", "sizeA"]
+    assert records["CounterexampleStats"].to_dict()["ratio"] == "64/45"
