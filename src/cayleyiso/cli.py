@@ -20,7 +20,7 @@ import os
 import stat
 import sys
 
-from .groups import DEFAULT_BUDGET, BudgetExceeded, ball, classify_growth, parse_group
+from .groups import DEFAULT_BUDGET, BudgetExceeded, _ball_keys, classify_growth, parse_group
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -159,13 +159,13 @@ def _cmd_growth(args, budget):
 
 def _cmd_ball(args, budget):
     g = parse_group(args.group)
-    vertices = ball(g, g.identity(), args.radius, budget=budget)
-    payload = {"group": g.family, "radius": args.radius, "size": len(vertices)}
+    keys = _ball_keys(g, g.identity(), args.radius, budget)
+    payload = {"group": g.family, "radius": args.radius, "size": len(keys)}
     if not args.emit_set:
         return ("json", payload), [], None
     from .isoperimetry import VertexSet
 
-    return ("json", payload), [], VertexSet._trusted(g, map(g._encode, vertices))
+    return ("json", payload), [], VertexSet._trusted(g, keys)
 
 
 def _cmd_boundary(args, budget):

@@ -10,6 +10,9 @@ vertices; internal loops step from the library's own vertices unchecked.
 Internally a vertex is an integer *key*: ``_encode`` maps a vertex to its
 key and ``_decode`` maps it back, and ``_step`` and ``_bfs_levels`` run on
 keys, so a step is a few integer additions from a per-host offset table.
+``_bfs_levels`` is the one BFS loop: a search of the host under the vertex
+budget, or a search inside a set the caller holds, built level by level
+by set algebra.
 A ``z^d`` key reads the coordinates as digits in base 2^40, a torus key as
 digits in base n, a cylinder key (z, r) is z*m + r, and a free-group key
 packs the reduced word. Public functions take and return vertices; only
@@ -29,10 +32,11 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_left
-from itertools import accumulate, count, islice
+from itertools import accumulate, chain, count, islice
 from math import comb, gcd
-from typing import Collection, Container, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 Vertex = Tuple[int, ...]
 
@@ -181,6 +185,12 @@ class GroupGraph:
 
 #: a ``z^d`` key's digits are 2^_LATTICE_BITS apart
 _LATTICE_BITS = 40
+#: from this dimension on a ``z^d`` key is read and written through one bytes
+#: string, linear in d; below it the digit loop, quadratic in d, is faster
+#: (measured crossovers: decoding near d = 25, encoding near d = 50)
+_BYTES_FROM_DIMENSION = 40
+#: a byte's sign fill: 0xFF where its top bit is set, else 0
+_SIGN_FILL = bytes(128) + b"\xff" * 128
 #: ``validate_vertex`` bounds every ``z^d`` coordinate but the first below this
 LATTICE_COORDINATE_BOUND = 1 << 38
 
@@ -200,6 +210,12 @@ class IntegerLattice(GroupGraph):
     it visits, so that needs far more memory than any run has. S is a power
     of two below 2^61: CPython hashes an int modulo 2^61 - 1, so S = 2^64
     (8 modulo 2^61 - 1) would give (x, y) and (x - 1, y + 8) one hash.
+
+    From d = 40 on (``_BYTES_FROM_DIMENSION``) a key is decoded and
+    encoded in time linear in d: adding the bias H, with 2^39 in every
+    lower digit, makes those digits unsigned without carries, so
+    ``(key + H) >> 40(d - 1)`` is the first coordinate and one ``to_bytes``
+    of the low 40(d - 1) bits holds the others, five bytes each.
     """
 
     def __init__(self, d: int):
@@ -212,6 +228,8 @@ class IntegerLattice(GroupGraph):
         # +e_0, -e_0, +e_1, -e_1, ...: the order ``neighbors`` lists them
         self._offsets = [sign << _LATTICE_BITS * (d - 1 - i)
                          for i in range(d) for sign in (1, -1)]
+        # H: 2^39 in each of the d - 1 lower digits
+        self._bias = int.from_bytes(b"\x80\0\0\0\0" * (d - 1), "big")
 
     def identity(self) -> Vertex:
         return (0,) * self.d
@@ -230,12 +248,19 @@ class IntegerLattice(GroupGraph):
             )
 
     def _encode(self, v: Vertex) -> int:
+        if self.d >= _BYTES_FROM_DIMENSION:
+            half = 1 << _LATTICE_BITS - 1
+            lower = b"".join([(x + half).to_bytes(5, "big") for x in v[1:]])
+            shift = _LATTICE_BITS * (self.d - 1)
+            return (v[0] << shift) + int.from_bytes(lower, "big") - self._bias
         key = v[0]
         for x in v[1:]:
             key = (key << _LATTICE_BITS) + x
         return key
 
     def _decode(self, key: int) -> Vertex:
+        if self.d >= _BYTES_FROM_DIMENSION:
+            return self._decode_bytes(key)
         half = 1 << _LATTICE_BITS - 1
         mask = (1 << _LATTICE_BITS) - 1
         digits = []
@@ -245,6 +270,22 @@ class IntegerLattice(GroupGraph):
             key = (key - x) >> _LATTICE_BITS
         digits.append(key)
         return tuple(reversed(digits))
+
+    def _decode_bytes(self, key: int) -> Vertex:
+        lower = self.d - 1
+        shift = _LATTICE_BITS * lower
+        biased = key + self._bias
+        # the XOR leaves each digit's 40-bit two's complement: five bytes,
+        # widened to a signed machine word by three copies of its sign fill
+        digits = ((biased & (1 << shift) - 1) ^ self._bias).to_bytes(5 * lower, "big")
+        fill = digits[::5].translate(_SIGN_FILL)
+        words = bytearray(8 * lower)
+        little = sys.byteorder == "little"
+        for k in range(8):  # byte k of every word, from its least significant
+            words[k if little else 7 - k::8] = digits[4 - k::5] if k < 5 else fill
+        coordinates = memoryview(words).cast("q").tolist()
+        coordinates.insert(0, biased >> shift)
+        return tuple(coordinates)
 
     def _step(self, key: int) -> list:
         return [key + o for o in self._offsets]
@@ -624,37 +665,49 @@ def _bfs_levels(
     sources: Collection,
     budget: Optional[int],
     max_radius: Optional[int] = None,
-    within: Optional[Container] = None,
+    within: Optional[AbstractSet] = None,
 ) -> Iterator[set]:
     """Yield the BFS spheres around the ``sources``: level r is yielded at step r.
 
-    Sources, ``within`` and the yielded spheres hold host keys. When
-    ``within`` is given, expansion enters only keys it contains (the sources
-    themselves need not be in it). Stops after ``max_radius`` levels if
-    given, or when the frontier empties. Raises BudgetExceeded when the
-    visited set would grow past ``budget`` (DEFAULT_BUDGET if None); the
-    exception records the last completed radius. Sources are not validated
-    and are expanded by the unchecked ``_step``: ``ball`` checks a caller's
-    center.
+    Sources, ``within`` and the yielded spheres hold host keys. Stops after
+    ``max_radius`` levels if given, or when the frontier empties. Sources
+    are not validated and are expanded by the unchecked ``_step``: ``ball``
+    checks a caller's center.
+
+    A host search (no ``within``) raises BudgetExceeded when the visited set
+    would grow past ``budget`` (DEFAULT_BUDGET if None); the exception
+    records the last completed radius. A search inside ``within`` enters
+    only keys it contains (the sources themselves need not be in it). It
+    builds each level by set algebra on one mutable copy of ``within``,
+    which sheds every level it reaches. It can hold no more keys than the
+    caller already holds, so ``budget`` does not apply.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     frontier = set(sources)
-    seen = set(frontier)
-    r = 0
     yield frontier
+    step = g._step
+    if within is None:
+        budget = DEFAULT_BUDGET if budget is None else budget
+        seen = set(frontier)
+    else:
+        remaining = set(within)
+    r = 0
     while frontier:
         if max_radius is not None and r >= max_radius:
             return
-        nxt = set()
-        for v in frontier:
-            for u in g._step(v):
-                if u not in seen and (within is None or u in within):
-                    # checked per vertex so memory cannot overshoot the
-                    # budget by a whole level on fast-growing graphs
-                    if len(seen) >= budget:
-                        raise BudgetExceeded(budget, len(seen) + 1, r)
-                    seen.add(u)
-                    nxt.add(u)
+        if within is None:
+            nxt = set()
+            for v in frontier:
+                for u in step(v):
+                    if u not in seen:
+                        # checked per vertex so memory cannot overshoot the
+                        # budget by a whole level on fast-growing graphs
+                        if len(seen) >= budget:
+                            raise BudgetExceeded(budget, len(seen) + 1, r)
+                        seen.add(u)
+                        nxt.add(u)
+        else:
+            remaining -= frontier
+            nxt = remaining.intersection(chain.from_iterable(map(step, frontier)))
         frontier = nxt
         r += 1
         if frontier:
@@ -665,13 +718,18 @@ def ball(
     g: GroupGraph, center: Vertex, r: int, budget: Optional[int] = None
 ) -> set:
     """Exact metric ball {u : d(u, center) <= r}, by breadth-first expansion."""
+    return set(map(g._decode, _ball_keys(g, center, r, budget)))
+
+
+def _ball_keys(g: GroupGraph, center: Vertex, r: int, budget: Optional[int]) -> set:
+    """The keys of ``ball(g, center, r)``, for callers that need no vertex."""
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     g.validate_vertex(center)
     keys: set = set()
     for sphere in _bfs_levels(g, (g._encode(center),), budget, max_radius=r):
         keys |= sphere
-    return set(map(g._decode, keys))
+    return keys
 
 
 def _ball_sizes(g: GroupGraph, budget: Optional[int]) -> Iterator[int]:

@@ -16,7 +16,8 @@ import json
 import math
 import random
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from itertools import chain
+from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .groups import (
     Cylinder,
@@ -100,14 +101,14 @@ class VertexSet:
         return _boundary_elements(self)
 
     @cached_property
-    def _inner(self) -> set:
+    def _inner(self) -> AbstractSet:
         # the members next to the complement, read from the smaller side:
         # every host's generators are symmetric, so they are the members
         # next to some boundary vertex (a tree's boundary outgrows A)
         keys, step = self._keys, self.host._step
         if len(self._boundary) < len(keys):
-            return {v for u in self._boundary for v in step(u) if v in keys}
-        return {v for v in keys if any(u not in keys for u in step(v))}
+            return keys.intersection(chain.from_iterable(map(step, self._boundary)))
+        return {v for v in keys if not keys.issuperset(step(v))}
 
     @cached_property
     def _closure_is_connected(self) -> bool:
@@ -116,17 +117,16 @@ class VertexSet:
         # BFS over the closure
         keys = self._keys
         start = (next(iter(keys)),)
-        levels = _bfs_levels(self.host, start, len(keys), within=keys)
+        levels = _bfs_levels(self.host, start, None, within=keys)
         if sum(len(sphere) for sphere in levels) == len(keys):
             return True
         closure = keys | self._boundary
-        levels = _bfs_levels(self.host, start, len(closure), within=closure)
+        levels = _bfs_levels(self.host, start, None, within=closure)
         return sum(len(sphere) for sphere in levels) == len(closure)
 
     @cached_property
     def _depth(self) -> int:
-        # the BFS visits only A, so its budget cannot trip
-        levels = _bfs_levels(self.host, self._inner, len(self._keys), within=self._keys)
+        levels = _bfs_levels(self.host, self._inner, None, within=self._keys)
         return sum(1 for _ in levels)
 
 
@@ -336,7 +336,10 @@ def random_connected_set(
     vertex chosen uniformly at random.
 
     Deterministic for a given (seed, size, start): the candidate list is kept
-    in insertion order and sampled by index with swap-and-pop removal.
+    in insertion order and sampled by index with swap-and-pop removal. The
+    index is drawn by ``randrange``'s own rejection loop on ``getrandbits``,
+    inlined, so the sets are those ``randrange`` grows; a test pins the two
+    draws against each other.
     A ``size`` over ``budget`` (DEFAULT_BUDGET if None) raises BudgetExceeded.
     The set carries its boundary, the final candidates (a candidate leaves
     only by joining A), and a connected closure, as A grew by neighbors.
@@ -352,17 +355,24 @@ def random_connected_set(
     g.validate_vertex(start)
     start = g._encode(start)
     # the candidate list is exactly the keys seen but not absorbed
-    randrange, step = rng.randrange, g._step
+    getrandbits, step = rng.getrandbits, g._step
     candidates = step(start)
     seen = {start, *candidates}
+    add, append, pop = seen.add, candidates.append, candidates.pop
     for _ in range(size - 1):
-        j = randrange(len(candidates))
-        candidates[j], candidates[-1] = candidates[-1], candidates[j]
-        v = candidates.pop()
+        n = len(candidates)
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        # swap-and-pop: the last candidate takes slot j
+        v = pop()
+        if j < n - 1:
+            v, candidates[j] = candidates[j], v
         for u in step(v):
             if u not in seen:
-                seen.add(u)
-                candidates.append(u)
+                add(u)
+                append(u)
     A = VertexSet._trusted(g, seen.difference(candidates))
     A._boundary = frozenset(candidates)
     A._closure_is_connected = True

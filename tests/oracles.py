@@ -243,6 +243,21 @@ def per_vertex_depth(g, elements) -> int:
     return best
 
 
+def levels_within(g, sources, elements) -> list:
+    """The BFS levels, as vertex sets, from ``sources`` along paths that
+    enter only ``elements``; level 0 is the sources, inside or not."""
+    neighbors = neighbor_function(g)
+    members = set(elements)
+    levels = [set(sources)]
+    seen = set(sources)
+    while True:
+        nxt = {u for v in levels[-1] for u in neighbors(v) if u in members and u not in seen}
+        if not nxt:
+            return levels
+        seen |= nxt
+        levels.append(nxt)
+
+
 def connected_within(g, elements) -> bool:
     neighbors = neighbor_function(g)
     members = set(elements)

@@ -186,6 +186,31 @@ def test_lattice_keys_round_trip_and_step_like_the_oracle(d, data):
     _keys_agree_with_the_oracle(IntegerLattice(d), (first, *rest))
 
 
+WIDE = groups._BYTES_FROM_DIMENSION
+
+
+@settings(max_examples=40, deadline=None)
+@example(d=2236, first=-(10**30), rng=random.Random(0), edge=True)
+@given(d=st.sampled_from([WIDE - 2, WIDE - 1, WIDE, WIDE + 1, 100, 2236]),
+       first=st.integers(-10**30, 10**30) | st.sampled_from([LOWER_BOUND, -LOWER_BOUND]),
+       rng=st.randoms(use_true_random=False), edge=st.booleans())
+def test_wide_lattice_keys_round_trip_and_keep_their_layout(d, first, rng, edge):
+    # both sides of the switch to the bytes codec, and the largest d: the key
+    # is x_0 * S^(d-1) + ... + x_{d-1} with S = 2^40, summed here by Horner's
+    # rule, and below d = 2236 every step decodes like the oracle's neighbor
+    g = IntegerLattice(d)
+    values = [-LOWER_BOUND, -1, 0, 1, LOWER_BOUND]
+    v = (first, *(rng.choice(values) if edge else rng.randint(-LOWER_BOUND, LOWER_BOUND)
+                  for _ in range(d - 1)))
+    key = g._encode(v)
+    expected = 0
+    for x in v:
+        expected = (expected << 40) + x
+    assert key == expected and g._decode(key) == v
+    if d < 2236:
+        _keys_agree_with_the_oracle(g, v)
+
+
 @settings(max_examples=300)
 @given(n=st.integers(3, 12), d=st.integers(1, 3), data=st.data())
 def test_torus_keys_round_trip_and_step_like_the_oracle(n, d, data):

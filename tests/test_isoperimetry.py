@@ -31,6 +31,7 @@ from cayleyiso import (
 )
 from cayleyiso import isoperimetry
 from cayleyiso.counterexample import GridParams
+from cayleyiso.groups import _bfs_levels
 from cayleyiso.isoperimetry import set_from_json_obj
 
 Z2 = IntegerLattice(2)
@@ -114,6 +115,62 @@ def test_depth_of_disconnected_set():
     A = VertexSet(Z2, [(0, 0), (10, 10), (10, 11)])
     assert depth(A) == 1
     assert depth(A) == oracles.per_vertex_depth(Z2, A.elements)
+
+
+def test_depth_of_components_that_stop_at_different_levels():
+    # the depth search runs on inside the ball after the strip is used up
+    members = ball(Z2, (0, 0), 6) | {(40, y) for y in range(3)}
+    A = VertexSet(Z2, members)
+    assert depth(A) == 7 == oracles.per_vertex_depth(Z2, members)
+    levels = _bfs_levels(Z2, A._inner, None, within=A._keys)
+    assert [len(sphere) for sphere in levels] == [24 + 3, 20, 16, 12, 8, 4, 1]
+
+
+def test_depth_of_a_long_interval_takes_a_level_per_step():
+    # 5000 levels of two members each; the per-vertex oracle, quadratic in
+    # the length, checks a shorter interval
+    g = IntegerLattice(1)
+    A = VertexSet(g, ((x,) for x in range(10**4)))
+    assert depth(A) == 5000
+    levels = _bfs_levels(g, A._inner, None, within=A._keys)
+    assert [len(sphere) for sphere in levels] == [2] * 5000
+    members = {(x,) for x in range(-200, 201)}
+    assert depth(VertexSet(g, members)) == 201 == oracles.per_vertex_depth(g, members)
+
+
+def test_a_search_inside_a_set_may_start_outside_it():
+    # a closure search from outside A: the source is level 0, never entered
+    # again, and each level is the oracle's; from the annulus's hole, the
+    # centre reaches nothing and (0, 2) reaches the whole annulus
+    rng = random.Random(3)
+    annulus = ball(Z2, (0, 0), 6) - ball(Z2, (0, 0), 2)
+    cases = [(Z2, annulus, (0, 0)), (Z2, annulus, (0, 2))]
+    for g in INFINITE_FAMILIES + [Torus(11, 2)]:
+        members = random_connected_set(g, 120, seed=5).elements
+        outside = sorted(oracles.boundary_by_distance(g, members), key=g.sort_key)
+        cases.append((g, members, rng.choice(outside)))
+    for g, members, source in cases:
+        within = frozenset(map(g._encode, members))
+        levels = _bfs_levels(g, (g._encode(source),), None, within=within)
+        assert [set(map(g._decode, sphere)) for sphere in levels] == (
+            oracles.levels_within(g, [source], members))
+    assert len(oracles.levels_within(Z2, [(0, 0)], annulus)) == 1
+    assert set().union(*oracles.levels_within(Z2, [(0, 2)], annulus)) == annulus | {(0, 2)}
+
+
+def test_inner_members_on_both_sides_of_the_boundary_switch():
+    # read from the boundary where it is the smaller side (z^2, holes
+    # included), else from A (free:3, whose boundary outgrows A)
+    cases = [("free:3", random_connected_set(FreeGroup(3), 300, seed=4).elements, True),
+             ("z^2", random_connected_set(Z2, 300, seed=4).elements, False),
+             ("z^2", perforated(3, 4).elements, False)]
+    for family, members, larger in cases:
+        g = parse_group(family)
+        A = VertexSet(g, members)
+        assert (len(A._boundary) > len(A)) is larger
+        neighbors = oracles.neighbor_function(g)
+        expected = {v for v in members if any(u not in members for u in neighbors(v))}
+        assert set(map(g._decode, A._inner)) == expected
 
 
 def test_depth_of_lattice_balls_is_radius_plus_one():
@@ -515,16 +572,39 @@ def test_random_set_owns_its_budget():
     assert len(random_connected_set(IntegerLattice(2), 100, budget=100)) == 100
 
 
-def test_random_set_on_free_groups_matches_the_accretion_oracle():
-    # the same RNG calls over the same candidate order grow the same set
-    for rank in (2, 3):
-        g = FreeGroup(rank)
+def test_random_set_matches_the_accretion_oracle_on_every_host():
+    # the same draws over the same candidate order grow the same set; the
+    # oracle draws with randrange, the generator with its inlined loop
+    rng = random.Random(9)
+    for family in CARRYING_FAMILIES:
+        g = parse_group(family)
         for size, seed in [(1, 0), (2, 5), (60, 1), (400, 2), (2000, 3)]:
+            size = min(size, g.vertex_count or size)
             A = random_connected_set(g, size, seed=seed)
-            assert A.elements == oracles.accretion_set(g, size, seed=seed)
-        start = (1, 2, -1)
+            assert A.elements == oracles.accretion_set(g, size, seed=seed), family
+        start = oracles.random_vertex(g, rng)
         A = random_connected_set(g, 500, seed=9, start=start)
-        assert A.elements == oracles.accretion_set(g, 500, seed=9, start=start)
+        assert A.elements == oracles.accretion_set(g, 500, seed=9, start=start), family
+
+
+def test_the_inlined_draw_is_randranges_own():
+    # random_connected_set draws an index below n as randrange(n) does on
+    # CPython 3.10-3.12: getrandbits(n.bit_length()) until the value is below
+    # n. An interpreter whose randrange draws otherwise fails here instead of
+    # growing other sets
+    bounds = [*range(1, 4097), *(2**k + e for k in range(1, 41) for e in (-1, 0, 1))]
+    for seed in (0, 1, 2, 12345):
+        reference, inlined = random.Random(seed), random.Random(seed)
+        getrandbits = inlined.getrandbits
+        draws = []
+        for n in bounds:
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            draws.append(j)
+        assert draws == [reference.randrange(n) for n in bounds]
+        assert inlined.getstate() == reference.getstate()
 
 
 # --- vertex sets and set files -----------------------------------------------
