@@ -30,7 +30,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import count
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 from . import _grid
 from .groups import IntegerLattice, Torus, _clip, _require_budget
@@ -103,17 +103,21 @@ def depth_closed_form(params: GridParams) -> int:
     return 2 * (i // 2) if k >= 3 else (2 * i + 2) // 3
 
 
+def _points(params: GridParams) -> Iterator[Tuple[int, int]]:
+    """The points of A(i,k): [0, ki]^2 without its (k-1)^2 inner pins."""
+    i, k = params.i, params.k
+    pins = {(m * i, n * i) for m in range(1, k) for n in range(1, k)}
+    side = range(k * i + 1)
+    return ((x, y) for x in side for y in side if (x, y) not in pins)
+
+
 def build(params: GridParams, budget: Optional[int] = None) -> VertexSet:
     """Materialize A(i,k) as a VertexSet on the square lattice."""
     from .isoperimetry import VertexSet  # loaded only where a set is built
 
     _require_budget(budget, enumerated_size(params))
-    i, k = params.i, params.k
-    pins = {(m * i, n * i) for m in range(1, k) for n in range(1, k)}
-    side = range(k * i + 1)
-    points = ((x, y) for x in side for y in side if (x, y) not in pins)
     host = IntegerLattice(2)
-    return VertexSet._trusted(host, map(host._encode, points))
+    return VertexSet._trusted(host, map(host._encode, _points(params)))
 
 
 class CounterexampleStats(NamedTuple):
@@ -311,9 +315,9 @@ def embed_torus(params: GridParams, budget: Optional[int] = None) -> TorusEmbedd
     i, k = params.i, params.k
     n = 3 * k * i + 1
     lattice_set = build(params, budget=budget)
-    # 0 <= x, y <= ki < n, so the lattice coordinates are already residues;
-    # the validating constructor is what shows it
-    torus_set = VertexSet(Torus(n, 2), lattice_set.elements)
+    # 0 <= x, y <= ki < n, so the points are already residues; the
+    # validating constructor is what shows it
+    torus_set = VertexSet(Torus(n, 2), _points(params))
     lattice, torus = [(len(A), len(boundary(A)), depth(A)) for A in (lattice_set, torus_set)]
     # the report's columns pair each lattice statistic with the torus's
     paired = [x for pair in zip(lattice, torus) for x in pair]

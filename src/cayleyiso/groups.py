@@ -30,19 +30,16 @@ Supported families and vertex representations:
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from bisect import bisect_left
 from itertools import accumulate, chain, count, islice
-from math import comb, gcd
+from math import comb, gcd, inf
 from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 Vertex = Tuple[int, ...]
 
 DEFAULT_BUDGET = 10_000_000
-
-INFINITE_ENDS = math.inf
 
 
 def _clip(value) -> str:
@@ -384,7 +381,7 @@ class FreeGroup(GroupGraph):
             raise ValueError("free group rank capped at 26 (one letter per generator)")
         self.rank = rank
         self.degree = 2 * rank
-        self.declared_ends = INFINITE_ENDS
+        self.declared_ends = inf
         self.family = f"free:{rank}"
         self.vertex_count = None
         # The key of a word packs one digit per letter, +i as 2i - 1 and -i
@@ -663,24 +660,24 @@ def parse_group(text: str) -> GroupGraph:
 def _bfs_levels(
     g: GroupGraph,
     sources: Collection,
-    budget: Optional[int],
-    max_radius: Optional[int] = None,
+    budget: Optional[int] = None,
     within: Optional[AbstractSet] = None,
 ) -> Iterator[set]:
     """Yield the BFS spheres around the ``sources``: level r is yielded at step r.
 
-    Sources, ``within`` and the yielded spheres hold host keys. Stops after
-    ``max_radius`` levels if given, or when the frontier empties. Sources
-    are not validated and are expanded by the unchecked ``_step``: ``ball``
-    checks a caller's center.
+    Sources, ``within`` and the yielded spheres hold host keys. The search
+    stops when the frontier empties or when its consumer stops taking
+    levels: level r + 1 is built only when asked for. Sources are not
+    validated and are expanded by the unchecked ``_step``: ``ball`` checks
+    a caller's center.
 
-    A host search (no ``within``) raises BudgetExceeded when the visited set
-    would grow past ``budget`` (DEFAULT_BUDGET if None); the exception
-    records the last completed radius. A search inside ``within`` enters
-    only keys it contains (the sources themselves need not be in it). It
-    builds each level by set algebra on one mutable copy of ``within``,
-    which sheds every level it reaches. It can hold no more keys than the
-    caller already holds, so ``budget`` does not apply.
+    ``budget`` applies to a host search (no ``within``) only: it raises
+    BudgetExceeded when the visited set would grow past ``budget``
+    (DEFAULT_BUDGET if None), recording the last completed radius. A search
+    inside ``within`` enters only keys it contains (the sources themselves
+    need not be in it). It builds each level by set algebra on one mutable
+    copy of ``within``, which sheds every level it reaches, and holds no
+    more keys than the caller already holds.
     """
     frontier = set(sources)
     yield frontier
@@ -692,8 +689,6 @@ def _bfs_levels(
         remaining = set(within)
     r = 0
     while frontier:
-        if max_radius is not None and r >= max_radius:
-            return
         if within is None:
             nxt = set()
             for v in frontier:
@@ -727,7 +722,8 @@ def _ball_keys(g: GroupGraph, center: Vertex, r: int, budget: Optional[int]) -> 
         raise ValueError(f"radius must be >= 0, got {r}")
     g.validate_vertex(center)
     keys: set = set()
-    for sphere in _bfs_levels(g, (g._encode(center),), budget, max_radius=r):
+    # a range, unlike islice, takes radii past sys.maxsize (a whole finite host)
+    for _, sphere in zip(range(r + 1), _bfs_levels(g, (g._encode(center),), budget)):
         keys |= sphere
     return keys
 

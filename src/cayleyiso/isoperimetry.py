@@ -117,16 +117,16 @@ class VertexSet:
         # BFS over the closure
         keys = self._keys
         start = (next(iter(keys)),)
-        levels = _bfs_levels(self.host, start, None, within=keys)
+        levels = _bfs_levels(self.host, start, within=keys)
         if sum(len(sphere) for sphere in levels) == len(keys):
             return True
         closure = keys | self._boundary
-        levels = _bfs_levels(self.host, start, None, within=closure)
+        levels = _bfs_levels(self.host, start, within=closure)
         return sum(len(sphere) for sphere in levels) == len(closure)
 
     @cached_property
     def _depth(self) -> int:
-        levels = _bfs_levels(self.host, self._inner, None, within=self._keys)
+        levels = _bfs_levels(self.host, self._inner, within=self._keys)
         return sum(1 for _ in levels)
 
 

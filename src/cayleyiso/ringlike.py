@@ -95,7 +95,7 @@ def cyclic_system(
     cap = 2 * s * t + 1
     found = 0  # vertices of blocks 0 and 1 reached, (0, 0) included
     origin = host._encode(host.identity())
-    for q, sphere in enumerate(_bfs_levels(host, (origin,), budget, cap)):
+    for q, sphere in zip(range(cap + 1), _bfs_levels(host, (origin,), budget)):
         found += sum(1 for key in sphere if 0 <= host._block(key) <= 1)
         if found == 2 * s:
             break

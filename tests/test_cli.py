@@ -381,6 +381,12 @@ def test_sweep_ratio_diag_csv(capsys):
     assert lines[2].startswith("8,8,")
 
 
+def test_sweep_ratio_rejects_a_diag_that_is_not_integers(capsys):
+    rc, out, err = run(["sweep", "ratio", "--diag", "4,x"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: --diag expects comma-separated integers, got '4,x'\n"
+
+
 def test_sweep_ratio_grid_json(capsys):
     rc, payload, _ = run_json(
         ["sweep", "ratio", "--imax", "3", "--kmax", "3", "--format", "json"],
@@ -755,7 +761,7 @@ def test_violation_exit_on_broken_cohesiveness(monkeypatch, capsys):
     # a BFS that reaches nothing past its source leaves every target at the cap
     monkeypatch.setattr(
         "cayleyiso.ringlike._bfs_levels",
-        lambda host, sources, budget, max_radius: iter([set(sources)]),
+        lambda host, sources, budget: iter([set(sources)]),
     )
     rc, out, err = run(["ringlike", "check", "--group", "cyl:3"], capsys)
     assert rc == 2
@@ -808,6 +814,24 @@ def test_failed_output_leaves_no_set_file(tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o.json", "s.json"]
     assert json.loads((tmp_path / "o.json").read_text())["size"] == 13
+
+
+def test_a_failed_replace_names_the_target_and_leaves_no_temporary(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    Path("o.json").write_text("old\n")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", src)
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    rc, out, err = run(["ball", "--group", "z^2", "--radius", "2", "--emit-set",
+                        "s.json", "--out", "o.json"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: [Errno 13] Permission denied: 's.json'\n"
+    assert sorted(os.listdir()) == ["o.json"]
+    assert Path("o.json").read_text() == "old\n"
 
 
 def test_output_to_a_device_writes_through_it(capsys, run_capped):
@@ -877,10 +901,8 @@ def test_jsonify_writes_rationals_as_p_over_q():
 def _declared_console_script():
     """The ``(module, attr)`` target of the ``cayleyiso`` entry in
     ``[project.scripts]``; fails the test if it is missing or malformed."""
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # Python 3.10
-        tomllib = pytest.importorskip("tomli")
+    import tomllib
+
     with open(PYPROJECT, "rb") as f:
         scripts = tomllib.load(f).get("project", {}).get("scripts", {})
     if "cayleyiso" not in scripts:

@@ -279,6 +279,7 @@ def test_free_ball_size_17():
 
 def test_torus_ball_saturates():
     assert ball_profile(Torus(31, 2), 100)[100] == 961
+    assert len(ball(Torus(3, 2), (0, 0), 10**20)) == 9  # a radius past sys.maxsize
 
 
 def test_torus_ball_matches_wraparound_count():
@@ -338,6 +339,8 @@ def test_budget_exceeded_reports_partial_radius():
     assert exc.value.budget == 100
     assert exc.value.radius_reached == 3  # b(3) = 53 fits, level 4 does not
     assert exc.value.visited == 101
+    # radius 3 takes levels 0..3 and builds no level past them
+    assert len(ball(g, (), 3, budget=53)) == 53
 
 
 def test_minimal_ball_radius():
@@ -392,6 +395,31 @@ def test_minimal_ball_radius_counts_each_radius_o_log_m_times():
     m = 10**12
     assert minimal_ball_radius(g, 2 * m + 1) == m
     assert len(counted) <= 2 * 41  # gallop and bisect, 2^40 < 10^12 < 2^41
+
+
+def test_minimal_ball_radius_scans_bfs_levels_without_a_counting_rule():
+    # a cylinder with non-standard generators has no counting rule, so m is
+    # read off its BFS levels, under the vertex budget
+    g = Cylinder(4, [(2, 1), (1, 0)])
+    assert g._ball_count(1) is None
+    sizes = [1]
+    while sizes[-1] < 400:
+        sizes.append(len(oracles.bfs_ball(g, g.identity(), len(sizes))))
+    for target in range(1, 401):
+        expected = next(r for r in range(1, len(sizes)) if sizes[r] >= target)
+        assert minimal_ball_radius(g, target) == expected
+    with pytest.raises(BudgetExceeded) as exc:
+        minimal_ball_radius(g, 400, budget=50)
+    assert exc.value.budget == 50 and exc.value.visited == 51
+    assert exc.value.radius_reached == max(r for r, b in enumerate(sizes) if b <= 50)
+
+
+def test_a_wide_lattice_ball_decodes_in_linear_time(run_capped):
+    # 4473 keys of 2236 coordinates each: about a second with the bytes
+    # codec, about a minute if decoding turned quadratic in d again
+    proc = run_capped("-c", "from cayleyiso import IntegerLattice, ball; "
+                      "print(len(ball(IntegerLattice(2236), (0,) * 2236, 1)))", timeout=20)
+    assert (proc.returncode, proc.stdout) == (0, "4473\n"), proc.stderr
 
 
 # --- growth ------------------------------------------------------------------

@@ -3,6 +3,7 @@ classifier, checked against slow per-vertex oracles."""
 
 import math
 import random
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
@@ -249,6 +250,15 @@ def test_varopoulos_rejects_finite_host():
         varopoulos_check(VertexSet(g, [(0, 0)]))
 
 
+def test_varopoulos_on_a_host_without_a_counting_rule():
+    # m comes from the host's BFS levels, not from a counting rule
+    g = Cylinder(4, [(2, 1), (1, 0)])
+    A = random_connected_set(g, 150, seed=3)
+    m = next(r for r in count(1) if len(oracles.bfs_ball(g, g.identity(), r)) >= 300)
+    k = len(oracles.boundary_by_distance(g, A.elements))
+    assert varopoulos_check(A) == (m, True, 150, 2 * m * k)
+
+
 def test_varopoulos_holds_on_random_sets():
     for g in INFINITE_FAMILIES:
         for seed in range(20):
@@ -370,9 +380,9 @@ def test_a_set_computes_its_boundary_once(monkeypatch):
         scans.append(len(A))
         return scan(A)
 
-    def counted_search(g, sources, budget, max_radius=None, within=None):
+    def counted_search(g, sources, budget=None, within=None):
         searches.append(len(sources))
-        return search(g, sources, budget, max_radius, within)
+        return search(g, sources, budget, within)
 
     scan, search = isoperimetry._boundary_elements, isoperimetry._bfs_levels
     monkeypatch.setattr(isoperimetry, "_boundary_elements", counted_scan)
@@ -615,6 +625,9 @@ def test_vertex_set_validates_and_deduplicates():
     assert len(A) == 2
     with pytest.raises(InvalidVertexError):
         VertexSet(Torus(5, 2), [(5, 0)])
+    # a free-group word is a tuple; a list is named, not read letter by letter
+    with pytest.raises(InvalidVertexError, match=r"^\[1\] is not a word tuple$"):
+        VertexSet(FreeGroup(2), [[1]])
 
 
 def test_set_file_round_trip(tmp_path):

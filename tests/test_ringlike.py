@@ -2,6 +2,7 @@
 and the interval-cover slack bound."""
 
 import random
+from itertools import count
 
 import pytest
 
@@ -130,6 +131,7 @@ def test_cohesiveness_matches_pairwise_bfs_oracle():
         Cylinder(5, [(2, 1), (3, 0)]),
         Cylinder(4, [(4, 1), (3, 2)]),
         Cylinder(6, [(1, 1), (4, 3)]),
+        Cylinder(3, [(1, 0), (0, 1), (10**19, 0)]),  # a cap 2st + 1 past sys.maxsize
     ] + _random_cylinders(150):
         sysm = cyclic_system(host)
         assert sysm.q == oracles.cylinder_cohesiveness(host)
@@ -139,9 +141,9 @@ def test_cohesiveness_matches_pairwise_bfs_oracle():
 def test_cohesiveness_runs_one_bfs(monkeypatch):
     calls = []
 
-    def counted(g, sources, budget, max_radius=None, within=None):
+    def counted(g, sources, budget=None, within=None):
         calls.append(tuple(sources))
-        return original(g, sources, budget, max_radius, within)
+        return original(g, sources, budget, within)
 
     original = ringlike._bfs_levels
     monkeypatch.setattr(ringlike, "_bfs_levels", counted)
@@ -150,6 +152,22 @@ def test_cohesiveness_runs_one_bfs(monkeypatch):
         assert cyclic_system(host).q == q
         # one search, from the identity's key
         assert calls == [(host._encode(host.identity()),)]
+
+
+def test_cohesiveness_takes_no_level_past_the_cap(monkeypatch):
+    # a search that never reaches block 1 leaves q at the cap 2st + 1 = 7;
+    # the system takes levels 0..7 of it and asks for no more
+    taken = []
+
+    def endless(g, sources, budget=None):
+        for r in count():
+            taken.append(r)
+            yield set(sources) if r == 0 else set()
+
+    monkeypatch.setattr(ringlike, "_bfs_levels", endless)
+    system = cyclic_system(Cylinder(3))
+    assert (system.q, system.cohesive_ok) == (7, False)
+    assert taken == list(range(8))
 
 
 def test_cohesiveness_of_standard_cylinders():
@@ -396,9 +414,9 @@ def test_branch2_computes_the_boundary_once(monkeypatch):
 def test_ring_like_separation_runs_the_closure_bfs_once(monkeypatch):
     calls = []
 
-    def counted(g, sources, budget, max_radius=None, within=None):
+    def counted(g, sources, budget=None, within=None):
         calls.append((len(sources), len(within)))
-        return original(g, sources, budget, max_radius, within)
+        return original(g, sources, budget, within)
 
     original = isoperimetry._bfs_levels
     monkeypatch.setattr(isoperimetry, "_bfs_levels", counted)
