@@ -677,7 +677,10 @@ def _bfs_levels(
     inside ``within`` enters only keys it contains (the sources themselves
     need not be in it). It builds each level by set algebra on one mutable
     copy of ``within``, which sheds every level it reaches, and holds no
-    more keys than the caller already holds.
+    more keys than the caller already holds. A level is pushed from the
+    frontier, or pulled into the unreached keys when they are fewer
+    (Beamer et al. 2012): every host's generators are symmetric, so the
+    two agree.
     """
     frontier = set(sources)
     yield frontier
@@ -702,7 +705,10 @@ def _bfs_levels(
                         nxt.add(u)
         else:
             remaining -= frontier
-            nxt = remaining.intersection(chain.from_iterable(map(step, frontier)))
+            if len(frontier) > len(remaining):
+                nxt = {v for v in remaining if not frontier.isdisjoint(step(v))}
+            else:
+                nxt = remaining.intersection(chain.from_iterable(map(step, frontier)))
         frontier = nxt
         r += 1
         if frontier:

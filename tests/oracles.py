@@ -243,6 +243,18 @@ def per_vertex_depth(g, elements) -> int:
     return best
 
 
+def erosion_depth(points) -> int:
+    """Depth of a plane set as its number of erosions, one level at a time:
+    each keeps the points whose four neighbors are all kept."""
+    level = set(points)
+    t = 0
+    while level:
+        level = {(x, y) for x, y in level
+                 if {(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)} <= level}
+        t += 1
+    return t
+
+
 def levels_within(g, sources, elements) -> list:
     """The BFS levels, as vertex sets, from ``sources`` along paths that
     enter only ``elements``; level 0 is the sources, inside or not."""

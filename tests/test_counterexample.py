@@ -96,6 +96,7 @@ def test_closed_forms_match_oracles_over_sweep_range():
 def test_depth_closed_form_matches_bitmap_and_per_vertex_oracle():
     pairs = {(i, k) for i in range(2, 41) for k in range(2, 9)}
     pairs |= {(j, j) for j in range(2, 33)}
+    pairs |= {(i, k) for i in range(41, 101) for k in (2, 3)}
     for i, k in sorted(pairs):
         bm = _grid.perforated_block(i, k)
         assert depth_closed_form(GridParams(i, k)) == _grid.depth(bm), (i, k)

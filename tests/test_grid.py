@@ -1,6 +1,7 @@
 """The bitmap kernels against the generic set path and the slow oracles:
-every row width modulo 8, negative coordinates, long one-row strips and a
-deep member under a memory cap."""
+every row width modulo 8, negative coordinates, long one-row strips, L1
+diamonds deep enough to cross each power of two in depth's gallop, and a
+deep member under a memory cap and a deep patch under a timeout."""
 
 import random
 
@@ -36,6 +37,19 @@ def assert_kernels_match(A):
         oracles.boundary_by_distance(Z2, A.elements))
 
 
+def diamond(r, x0=0, y0=0):
+    """The L1 ball of radius r around (x0, y0), of depth r + 1."""
+    return {(x0 + x, y0 + y) for x in range(-r, r + 1) for y in range(abs(x) - r, r - abs(x) + 1)}
+
+
+def assert_depth_matches_oracles(points, per_vertex=True):
+    d = _grid.depth(_grid.Bitmap.from_points(points))
+    assert d == oracles.erosion_depth(points)
+    if per_vertex:
+        assert d == oracles.per_vertex_depth(Z2, points)
+    return d
+
+
 @pytest.mark.parametrize("scale", [2, 3, 5])
 def test_kernels_match_generic_path_and_oracles(scale):
     for A in random_sets(scale):
@@ -62,6 +76,18 @@ def test_row_padding_for_every_width_mod_8(cols):
     block = VertexSet(Z2, ((x, y) for x in range(4) for y in range(cols) if (x, y) != (1, 1)))
     assert_kernels_match(block)
     assert_kernels_match(VertexSet(Z2, ((c, c) for c in range(cols))))
+    if cols >= 6:
+        # depth's runs along (1, 1) and (1, -1) end on a padding column and
+        # must not wrap into the next row: a holed block and bands along
+        # both diagonals, all cols wide and of depth 3 or more
+        rng = random.Random(cols)
+        deep = {(x, y) for x in range(2 * cols) for y in range(cols)}
+        deep -= {(rng.randrange(2 * cols), rng.randrange(cols)) for _ in range(3)}
+        up = {(x + y, y) for x in range(7) for y in range(cols)}
+        down = {(x - y, y) for x in range(7) for y in range(cols)}
+        for points in (deep, up, down, deep | {(x + 2 * cols, y) for x, y in up}):
+            assert {y for _, y in points} == set(range(cols))
+            assert assert_depth_matches_oracles(points) >= 3
 
 
 def test_sets_at_negative_coordinates():
@@ -75,6 +101,31 @@ def test_sets_at_negative_coordinates():
 def test_a_single_point():
     bm = _grid.Bitmap.from_points([(-3, 4)])
     assert (bm.count(), _grid.depth(bm), _grid.boundary_count(bm)) == (1, 1, 4)
+
+
+def test_depth_of_diamonds_across_every_power_of_two():
+    # depth r + 1 for r = 0..70 ends the gallop on each side of every
+    # 2^j <= 64; the erosion oracle, cubic in r, checks r <= 33 and r = 63
+    for r in range(71):
+        points = diamond(r)
+        assert _grid.depth(_grid.Bitmap.from_points(points)) == r + 1
+        if r <= 33 or r == 63:
+            assert assert_depth_matches_oracles(points, per_vertex=r <= 12) == r + 1
+
+
+def test_depth_of_unions_of_diamonds_and_holed_rectangles():
+    rng = random.Random(11)
+    for _ in range(30):
+        points = set()
+        for _ in range(rng.randint(1, 4)):
+            x0, y0 = rng.randint(-30, 30), rng.randint(-30, 30)
+            if rng.random() < 0.5:
+                points |= diamond(rng.randint(0, 16), x0, y0)
+            else:
+                points |= {(x0 + x, y0 + y) for x in range(rng.randint(1, 32))
+                           for y in range(rng.randint(1, 32))}
+        points -= set(rng.sample(sorted(points), min(len(points) - 1, rng.randint(0, 6))))
+        assert_depth_matches_oracles(points, per_vertex=len(points) <= 600)
 
 
 # the ids name the integer type that a two-pass L1 distance transform's
@@ -125,3 +176,16 @@ def test_stats_200_fits_in_one_gib(run_capped):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", str(40001**2 - 199**2),
                                    str(199**2 + 4 * 40001), "200"]
+
+
+def test_depth_of_a_deep_patch_is_logarithmic_in_its_depth(run_capped):
+    # the patch A(2000, 3), 3.6 * 10^7 cells of depth 2000: one erosion per
+    # level took 19-21 s on a 2-vCPU Xeon, over twice the timeout, and the
+    # gallop 0.35-0.5 s, under a sixteenth of it
+    proc = run_capped("-c", (
+        "from cayleyiso.counterexample import GridParams, stats; "
+        "st = stats(GridParams(2000, 3), budget=4 * 10**7); "
+        "print(st.closedFormsMatch, st.depthOracle)"
+    ), timeout=8)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "2000"]

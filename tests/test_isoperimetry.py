@@ -159,6 +159,26 @@ def test_a_search_inside_a_set_may_start_outside_it():
     assert set().union(*oracles.levels_within(Z2, [(0, 2)], annulus)) == annulus | {(0, 2)}
 
 
+def test_in_set_levels_pulled_where_the_frontier_outgrows_the_rest():
+    # a level is pulled into the unreached members when they are fewer than
+    # the frontier: from the inner members of an accreted free:2 set, and in
+    # the last levels of a Euclidean z^2 disc searched from its centre
+    g = FreeGroup(2)
+    tree = oracles.accretion_set(g, 400, seed=2)
+    disc = {(x, y) for x in range(-15, 16) for y in range(-15, 16) if x * x + y * y <= 225}
+    cases = [(g, tree, list(map(g._decode, VertexSet(g, tree)._inner))), (Z2, disc, [(0, 0)])]
+    for g, members, sources in cases:
+        expected = oracles.levels_within(g, sources, members)
+        reached = set()
+        pulls = 0
+        for level in expected[:-1]:
+            reached |= level
+            pulls += len(level) > len(members - reached)
+        assert pulls
+        levels = _bfs_levels(g, list(map(g._encode, sources)), within=set(map(g._encode, members)))
+        assert [set(map(g._decode, sphere)) for sphere in levels] == expected
+
+
 def test_inner_members_on_both_sides_of_the_boundary_switch():
     # read from the boundary where it is the smaller side (z^2, holes
     # included), else from A (free:3, whose boundary outgrows A)
