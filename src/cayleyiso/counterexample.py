@@ -167,13 +167,14 @@ def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleSta
     the patch. Its depth is the member's by the lemma in the module
     docstring, which ``depth_closed_form`` at (i, k) must confirm; size and
     boundary are the closed forms at (i, k). ``closedFormsMatch`` is False
-    when any of these checks fails. The budget counts the patch's vertices,
-    the bitmap that is built.
+    when any of these checks fails. The depth search tries the closed form
+    first, which two erosions confirm exactly when it is the depth. The
+    budget counts the patch's vertices, the bitmap that is built.
     """
     measured = _patch(params)
     _require_budget(budget, enumerated_size(measured))
     bm = _grid.perforated_block(measured.i, measured.k)
-    d = _grid.depth(bm)
+    d = _grid.depth(bm, depth_closed_form(measured))
     size, bsize = enumerated_size(params), boundary_closed_form(params)
     return CounterexampleStats(
         params=params,

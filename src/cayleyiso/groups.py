@@ -170,6 +170,11 @@ class GroupGraph:
         radius; a host with a cheaper exact recurrence overrides it."""
         return map(self._ball_count, count())
 
+    def _bitmap_depth(self, keys: Collection) -> Optional[int]:
+        """The depth of a nonempty key set by ``_grid``'s erosions, or None
+        where the host has no bitmap layout or the set is past the bits cap."""
+        return None
+
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupGraph) and self.family == other.family
 
@@ -291,6 +296,25 @@ class IntegerLattice(GroupGraph):
         # Delannoy numbers: choose the k nonzero coordinates, their signs,
         # and positive values summing to at most r (C(r, k) ways)
         return sum(2**k * comb(self.d, k) * comb(r, k) for k in range(min(self.d, r) + 1))
+
+    def _bitmap_depth(self, keys: Collection) -> Optional[int]:
+        if self.d > 2:
+            return None
+        from . import _grid
+
+        if self.d == 1:  # Z x Z_1
+            return _grid.wrapped_depth(keys, 1)
+        # key + S/2 is x*S + c for the column c = y + S/2. Read as the key
+        # x*m + c - c0 of Z x Z_m, c0 the least column and m the span plus
+        # one, a member keeps its member neighbors, and its neighbors outside
+        # the set stay outside: columns c0 - 1 and c0 + m - 1 both become
+        # residue m - 1, which is empty. So the set has one depth on both
+        # hosts, one BFS inside it from the members next to the outside
+        h, low = 1 << _LATTICE_BITS - 1, (1 << _LATTICE_BITS) - 1
+        c0 = min(k + h & low for k in keys)
+        m = max(k + h & low for k in keys) - c0 + 2
+        return _grid.wrapped_depth([(k + h >> _LATTICE_BITS) * m + (k + h & low) - c0
+                                    for k in keys], m)
 
     def _ball_counts(self) -> Iterator[int]:
         # the generating function (1+x)^d / (1-x)^(d+1) of the sizes gives
@@ -579,6 +603,13 @@ class Cylinder(GroupGraph):
         h = min(r, (self.m - 1) // 2)
         columns = (h + 1) ** 2 + (r - h) * self.m  # sum of min(m, 2j+1), j <= r
         return 2 * columns - min(self.m, 2 * r + 1)
+
+    def _bitmap_depth(self, keys: Collection) -> Optional[int]:
+        if not self._standard:
+            return None
+        from . import _grid
+
+        return _grid.wrapped_depth(keys, self.m)
 
     def validate_vertex(self, v) -> None:
         if (

@@ -126,8 +126,9 @@ class VertexSet:
 
     @cached_property
     def _depth(self) -> int:
-        levels = _bfs_levels(self.host, self._inner, within=self._keys)
-        return sum(1 for _ in levels)
+        # a depth is at least 1, so a host's None falls through to the BFS
+        return self.host._bitmap_depth(self._keys) or sum(
+            1 for _ in _bfs_levels(self.host, self._inner, within=self._keys))
 
 
 def load_set(path: str) -> VertexSet:
@@ -192,15 +193,19 @@ def boundary(A: VertexSet) -> VertexSet:
 def depth(A: VertexSet) -> int:
     """max over u in A of d(u, complement of A), distances in the whole graph.
 
-    Computed as one multi-source BFS inside A, seeded at level 1 with the
-    members that have a neighbor outside A: a geodesic from u to its nearest
-    complement vertex stays inside A until its final step, so
+    On z^1, z^2 and standard cylinders the host erodes A's bitmap by L1
+    balls (``_bitmap_depth``) unless it would take over 64 bits per member.
+    Other sets take one multi-source BFS inside A, seeded at level 1 with
+    the members that have a neighbor outside A: a geodesic from u to its
+    nearest complement vertex stays inside A until its final step, so
     d(u, complement) = 1 + d(u, those members) along paths within A. Every
     finite component of A has such a member, so the BFS covers all of A
     even when A is disconnected. The set keeps the result.
     """
     _require_nonempty(A)
-    if not A._inner:
+    # hosts are connected, so only a set that is the whole host has no
+    # member next to the complement
+    if A.host.is_finite and len(A) == A.host.vertex_count:
         raise ValueError(
             f"depth undefined: set exhausts the finite host {A.host.family}"
         )

@@ -243,14 +243,15 @@ def per_vertex_depth(g, elements) -> int:
     return best
 
 
-def erosion_depth(points) -> int:
-    """Depth of a plane set as its number of erosions, one level at a time:
-    each keeps the points whose four neighbors are all kept."""
+def erosion_depth(points, g=None) -> int:
+    """Depth of a set of vertices of ``g`` (the plane if None) as its number
+    of erosions, one level at a time: each keeps the vertices whose
+    neighbors are all kept."""
+    neighbors = neighbor_function(g or IntegerLattice(2))
     level = set(points)
     t = 0
     while level:
-        level = {(x, y) for x, y in level
-                 if {(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)} <= level}
+        level = {v for v in level if all(u in level for u in neighbors(v))}
         t += 1
     return t
 

@@ -982,8 +982,10 @@ def test_no_subcommand_loads_numpy():
 def test_a_command_loads_only_the_modules_it_uses(tmp_path):
     # dataclasses (which loads inspect, dis, ast and tokenize) loads under no
     # command, fractions only where a rational is made, csv only for CSV
-    # output, ast only to read a cylinder's generator list, and isoperimetry
-    # under counterexample and sweep only where a set is built
+    # output, ast only to read a cylinder's generator list, isoperimetry
+    # under counterexample and sweep only where a set is built, and the
+    # bitmap kernels under counterexample and sweep, and where a depth is
+    # taken on a bitmap host
     emitted = str(tmp_path / "set.json")
     runs = {
         "growth": ["growth", "--group", "z^2", "--max-radius", "3"],
@@ -1014,3 +1016,5 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
     assert loading("cayleyiso.isoperimetry") == {
         "boundary", "depth", "varopoulos", "separation", "counterexample stats --emit-set",
         "counterexample torus", "ringlike check", "ringlike cover"}
+    assert loading("cayleyiso._grid") == {
+        name for name in runs if name.startswith(("counter", "sweep"))} | {"depth", "separation"}

@@ -16,6 +16,7 @@ from cayleyiso import (
     VertexSet,
     _grid,
     boundary,
+    counterexample,
     depth,
     is_connected_with_boundary,
 )
@@ -105,6 +106,29 @@ def test_depth_closed_form_matches_bitmap_and_per_vertex_oracle():
             points = oracles.perforated_points(i, k)
             expected = oracles.per_vertex_depth(Z2, points)
             assert depth_closed_form(GridParams(i, k)) == expected, (i, k)
+
+
+def test_stats_confirms_the_closed_form_depth_in_two_erosions(monkeypatch):
+    # E_{d-1}(A) nonempty and E_1(E_{d-1}(A)) empty: depth d, with no gallop
+    erosions = []
+    erode = _grid._erode
+    monkeypatch.setattr(_grid, "_erode", lambda x, r, w: erosions.append(r) or erode(x, r, w))
+    for i in range(2, 150):
+        for k in (2, 3):
+            d = depth_closed_form(GridParams(i, k))
+            erosions.clear()
+            st = stats(GridParams(i, k))
+            assert (st.depthOracle, st.closedFormsMatch, erosions) == (d, True, [d - 1, 1])
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_stats_measures_the_depth_where_the_closed_form_is_off(monkeypatch, off):
+    monkeypatch.setattr(counterexample, "depth_closed_form", lambda p: depth_closed_form(p) + off)
+    for i in range(2, 41):
+        for k in (2, 3, 7):
+            st = stats(GridParams(i, k))
+            assert st.depthOracle == depth_closed_form(GridParams(i, k)), (i, k)
+            assert not st.closedFormsMatch and st.violations()
 
 
 def test_depth_of_a_member_is_the_depth_of_its_patch():

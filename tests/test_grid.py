@@ -1,16 +1,36 @@
-"""The bitmap kernels against the generic set path and the slow oracles:
+"""The bitmap kernels against the in-set BFS levels and the slow oracles:
 every row width modulo 8, negative coordinates, long one-row strips, L1
-diamonds deep enough to cross each power of two in depth's gallop, and a
-deep member under a memory cap and a deep patch under a timeout."""
+diamonds deep enough to cross each power of two in depth's gallop, a deep
+member under a memory cap and a deep patch under a timeout; the wrapped
+rows of z^1, z^2 and cylinders, across the residue seam, and sets past the
+bits cap, which take the BFS."""
 
 import random
 
 import pytest
 
 import oracles
-from cayleyiso import IntegerLattice, VertexSet, _grid, boundary, depth, random_connected_set
+from cayleyiso import (
+    Cylinder,
+    FreeGroup,
+    IntegerLattice,
+    Torus,
+    VertexSet,
+    _grid,
+    boundary,
+    depth,
+    isoperimetry,
+    random_connected_set,
+)
+from cayleyiso.groups import _bfs_levels
 
-Z2 = IntegerLattice(2)
+Z1, Z2 = IntegerLattice(1), IntegerLattice(2)
+
+
+def bfs_depth(A):
+    """depth by the in-set BFS levels, called directly, so that they stay an
+    oracle on the hosts whose ``depth`` erodes a bitmap."""
+    return sum(1 for _ in _bfs_levels(A.host, A._inner, within=A._keys))
 
 
 def blown_up(A, sx, sy):
@@ -32,7 +52,8 @@ def random_sets(scale):
 def assert_kernels_match(A):
     bm = _grid.Bitmap.from_points(A)
     assert bm.count() == len(A)
-    assert _grid.depth(bm) == depth(A) == oracles.per_vertex_depth(Z2, A.elements)
+    assert _grid.depth(bm) == depth(A) == bfs_depth(A) == oracles.per_vertex_depth(
+        Z2, A.elements)
     assert _grid.boundary_count(bm) == len(boundary(A)) == len(
         oracles.boundary_by_distance(Z2, A.elements))
 
@@ -62,7 +83,8 @@ def test_depth_of_thick_blocks_with_holes():
     for h, w in [(13, 30), (31, 9), (22, 23)]:
         A = VertexSet(Z2, ((x, y) for x in range(h) for y in range(w) if rng.random() > 0.01))
         bm = _grid.Bitmap.from_points(A)
-        assert _grid.depth(bm) == depth(A) == oracles.per_vertex_depth(Z2, A.elements)
+        assert _grid.depth(bm) == depth(A) == bfs_depth(A) == oracles.per_vertex_depth(
+            Z2, A.elements)
         assert _grid.boundary_count(bm) == len(boundary(A))
 
 
@@ -128,6 +150,14 @@ def test_depth_of_unions_of_diamonds_and_holed_rectangles():
         assert_depth_matches_oracles(points, per_vertex=len(points) <= 600)
 
 
+def test_a_guessed_depth_is_confirmed_or_searched_past():
+    # a right guess is confirmed, a wrong one leaves the search to go on
+    for r in range(40):
+        bm = _grid.Bitmap.from_points(diamond(r))
+        for guess in range(r + 5):
+            assert _grid.depth(bm, guess) == r + 1
+
+
 # the ids name the integer type that a two-pass L1 distance transform's
 # field needs on each strip (int16 while 2 * length + 8 <= 32767);
 # the bit kernels need none, and the strips stay as long-row inputs
@@ -141,7 +171,7 @@ def test_one_row_strips_on_both_sides_of_the_dtype_threshold(length, width, tran
     bm = _grid.Bitmap.from_points(points)
     assert (bm.height, bm.width) == ((length + 2, 8) if transpose else (3, width))
     A = VertexSet(Z2, points)
-    assert _grid.depth(bm) == depth(A) == 1
+    assert _grid.depth(bm) == depth(A) == bfs_depth(A) == 1
     assert _grid.boundary_count(bm) == len(boundary(A)) == 2 * length + 2
 
 
@@ -189,3 +219,107 @@ def test_depth_of_a_deep_patch_is_logarithmic_in_its_depth(run_capped):
     ), timeout=8)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "2000"]
+
+
+# --- z^1, z^2 and cylinders: rows of m bits whose columns wrap ---------------
+
+
+def assert_routes_agree(g, members, oracles_too=True):
+    """The bitmap route, which must run, against the BFS levels and, where
+    ``oracles_too``, the erosion and per-vertex oracles."""
+    A = VertexSet(g, members)
+    d = depth(A)
+    assert g._bitmap_depth(A._keys) == d == bfs_depth(A)
+    if oracles_too:
+        assert d == oracles.erosion_depth(members, g) == oracles.per_vertex_depth(g, members)
+    return d
+
+
+def test_z1_intervals_components_and_isolated_points():
+    # an interval of n points has depth ceil(n / 2)
+    for n in range(1, 71):
+        for x0 in (0, -n, 3 - 10**12):
+            assert assert_routes_agree(Z1, {(x0 + x,) for x in range(n)}) == (n + 1) // 2
+    rng = random.Random(13)
+    for _ in range(40):
+        members = {(rng.randint(-300, 300),) for _ in range(rng.randint(0, 4))}
+        for _ in range(rng.randint(1, 5)):
+            x0 = rng.randint(-200, 200)
+            members |= {(x0 + x,) for x in range(rng.randint(1, 40))}
+        assert_routes_agree(Z1, members)
+
+
+def test_z2_holed_sets():
+    rng = random.Random(17)
+    for _ in range(25):
+        x0, y0 = rng.randint(-50, 50), rng.randint(-50, 50)
+        members = {(x0 + x, y0 + y) for x in range(rng.randint(1, 40))
+                   for y in range(rng.randint(1, 40))}
+        members -= set(rng.sample(sorted(members), min(len(members) - 1, rng.randint(0, 12))))
+        assert_routes_agree(Z2, members, oracles_too=len(members) <= 600)
+
+
+@pytest.mark.parametrize("m", range(2, 18))
+def test_cylinder_sets_across_the_residue_seam(m):
+    g = Cylinder(m)
+    rng = random.Random(m)
+    rows = range(-3, 2 * m + 1)  # 2m + 4 rows, so full rings are m + 2 > m deep
+    cases = {
+        "across the seam": {(z, r % m) for z in rows for r in range(-2, 2)},
+        "no residue 0": {(z, r) for z in rows for r in range(1, m)},
+        "full rings": {(z, r) for z in rows for r in range(m)},
+        "a single block": {(7, r) for r in range(m)},
+    }
+    for name, members in cases.items():
+        d = assert_routes_agree(g, members)
+        assert d == {"full rings": m + 2, "a single block": 1}.get(name, d)
+    for seed in range(6):
+        # arcs from a random residue, with holes, and accreted sets
+        start, width = rng.randrange(m), rng.randint(1, m)
+        members = {(z, (start + r) % m) for z in range(rng.randint(1, 2 * m)) for r in range(width)}
+        members -= set(rng.sample(sorted(members), min(len(members) - 1, rng.randint(0, 3))))
+        assert_routes_agree(g, members)
+        assert_routes_agree(g, random_connected_set(g, 40 + 60 * seed, seed=seed).elements,
+                            oracles_too=seed < 3)
+
+
+def test_only_z1_z2_and_standard_cylinders_erode_a_bitmap(monkeypatch):
+    searches = []
+
+    def counted(g, sources, budget=None, within=None):
+        searches.append(g.family)
+        return search(g, sources, budget, within)
+
+    search = isoperimetry._bfs_levels
+    monkeypatch.setattr(isoperimetry, "_bfs_levels", counted)
+    bitmap_hosts = [Z1, Z2, *map(Cylinder, range(2, 18))]
+    bfs_hosts = [FreeGroup(2), Torus(9, 2), IntegerLattice(3), Cylinder(5, [(1, 0), (0, 2)])]
+    for g in bitmap_hosts + bfs_hosts:
+        A = random_connected_set(g, 60, seed=3)
+        searches.clear()
+        assert depth(A) == oracles.per_vertex_depth(g, A.elements)
+        assert searches == ([] if g in bitmap_hosts else [g.family])
+
+
+def test_sets_past_the_bits_cap_take_the_bfs(run_capped):
+    far = 10**14
+    blocks = {(z, r) for z in (0, 1, 2, far, far + 1, far + 2) for r in range(7)}
+    cases = [(Z1, {(0,), (10**15,)}, 1), (Z2, {(i, i) for i in range(100)}, 1),
+             (Cylinder(7), blocks, 2)]
+    for g, members, expected in cases:
+        A = VertexSet(g, members)
+        assert g._bitmap_depth(A._keys) is None
+        assert depth(A) == expected == oracles.per_vertex_depth(g, members)
+    # bitmaps of 10^15, 10^10 and 7 * 10^14 bits, and residue masks of 10^12
+    # bits on a row of two members, all past the child's 1 GiB cap
+    proc = run_capped("-c", (
+        "from cayleyiso import Cylinder, IntegerLattice, VertexSet, depth; "
+        f"far = {far}; "
+        "print(depth(VertexSet(IntegerLattice(1), [(0,), (10**15,)])), "
+        "depth(VertexSet(IntegerLattice(2), ((i, i) for i in range(10**5)))), "
+        "depth(VertexSet(Cylinder(7), ((z, r) for z in (0, 1, 2, far, far + 1, far + 2) "
+        "for r in range(7)))), "
+        "depth(VertexSet(Cylinder(10**12), [(0, 0), (0, 1)])))"
+    ), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "2", "1"]

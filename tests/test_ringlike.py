@@ -423,10 +423,10 @@ def test_ring_like_separation_runs_the_closure_bfs_once(monkeypatch):
     report = classify_separation(block_interval(Cylinder(3), 1000))
     assert report.branch == "RingLike" and not report.violations()
     # the connectivity BFS from one member over A, which reaches all of A,
-    # so the closure needs no BFS of its own; then the depth BFS from the 6
-    # members next to the complement; the interval cover reads the set's
-    # closure verdict and boundary instead of scanning again
-    assert calls == [(1, 3000), (6, 3000)]
+    # so the closure needs no BFS of its own; depth erodes a bitmap; the
+    # interval cover reads the set's closure verdict and boundary instead
+    # of scanning again
+    assert calls == [(1, 3000)]
     # A in two pieces with a connected closure: the BFS over A misses a
     # piece, so the closure BFS runs once, over A and its boundary
     calls.clear()
