@@ -33,8 +33,10 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left
-from itertools import accumulate, chain, count, islice
+from collections import Counter
+from itertools import accumulate, chain, compress, count, islice, repeat
 from math import comb, gcd, inf
+from operator import add, and_, ge, mul, rshift, sub
 from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 Vertex = Tuple[int, ...]
@@ -170,9 +172,9 @@ class GroupGraph:
         radius; a host with a cheaper exact recurrence overrides it."""
         return map(self._ball_count, count())
 
-    def _bitmap_depth(self, keys: Collection) -> Optional[int]:
-        """The depth of a nonempty key set by ``_grid``'s erosions, or None
-        where the host has no bitmap layout or the set is past the bits cap."""
+    def _erosion_depth(self, keys: Collection) -> Optional[int]:
+        """The depth of a nonempty key set by erosions in the host's own key
+        layout, or None where the host has none or the set is past its cap."""
         return None
 
     def __eq__(self, other) -> bool:
@@ -297,7 +299,7 @@ class IntegerLattice(GroupGraph):
         # and positive values summing to at most r (C(r, k) ways)
         return sum(2**k * comb(self.d, k) * comb(r, k) for k in range(min(self.d, r) + 1))
 
-    def _bitmap_depth(self, keys: Collection) -> Optional[int]:
+    def _erosion_depth(self, keys: Collection) -> Optional[int]:
         if self.d > 2:
             return None
         from . import _grid
@@ -309,12 +311,15 @@ class IntegerLattice(GroupGraph):
         # one, a member keeps its member neighbors, and its neighbors outside
         # the set stay outside: columns c0 - 1 and c0 + m - 1 both become
         # residue m - 1, which is empty. So the set has one depth on both
-        # hosts, one BFS inside it from the members next to the outside
+        # hosts, one BFS inside it from the members next to the outside. Both
+        # passes add S/2 afresh: a list of 10^4 sums would peak 0.4 MB higher
+        # to save about 0.6 ms
         h, low = 1 << _LATTICE_BITS - 1, (1 << _LATTICE_BITS) - 1
-        c0 = min(k + h & low for k in keys)
-        m = max(k + h & low for k in keys) - c0 + 2
-        return _grid.wrapped_depth([(k + h >> _LATTICE_BITS) * m + (k + h & low) - c0
-                                    for k in keys], m)
+        columns = list(map(and_, map(add, keys, repeat(h)), repeat(low)))
+        c0 = min(columns)
+        m = max(columns) - c0 + 2
+        rows = map(mul, map(rshift, map(add, keys, repeat(h)), repeat(_LATTICE_BITS)), repeat(m))
+        return _grid.wrapped_depth(list(map(add, rows, map(sub, columns, repeat(c0)))), m)
 
     def _ball_counts(self) -> Iterator[int]:
         # the generating function (1+x)^d / (1-x)^(d+1) of the sizes gives
@@ -458,6 +463,22 @@ class FreeGroup(GroupGraph):
         if key:
             out[self._cancels[key & self._mask]] = key >> self._bits
         return out
+
+    def _erosion_depth(self, keys: Collection) -> int:
+        # E_1(A), the members whose neighbors are all members: those whose
+        # parent key >> _bits is a member and that have degree - 1 member
+        # children. The identity is its own parent, so it counts itself, and
+        # needs degree children, one more than the others: its count drops by 2.
+        # A induces a forest, so |E_1(A)| < 2|A| / degree: O(|A|) in all
+        bits, need, t = self._bits, self.degree - 1, 0
+        while keys:
+            counts = Counter(map(rshift, keys, repeat(bits)))
+            if 0 in keys:
+                counts[0] -= 2
+            full = keys.intersection(compress(counts, map(ge, counts.values(), repeat(need))))
+            keys = set(compress(full, map(keys.__contains__, map(rshift, full, repeat(bits)))))
+            t += 1
+        return t
 
     def vertex_to_json(self, v: Vertex) -> str:
         return self.vertex_str(v)
@@ -604,7 +625,7 @@ class Cylinder(GroupGraph):
         columns = (h + 1) ** 2 + (r - h) * self.m  # sum of min(m, 2j+1), j <= r
         return 2 * columns - min(self.m, 2 * r + 1)
 
-    def _bitmap_depth(self, keys: Collection) -> Optional[int]:
+    def _erosion_depth(self, keys: Collection) -> Optional[int]:
         if not self._standard:
             return None
         from . import _grid
@@ -628,7 +649,8 @@ class Cylinder(GroupGraph):
         return divmod(key, self.m)
 
     def _block(self, key: int) -> int:
-        """The block index z of a key: the z-fibre {z} x Z_m it lies in."""
+        """The block index z of a key: the z-fibre {z} x Z_m it lies in. It is
+        key // m, so it never decreases as the key grows."""
         return key // self.m
 
     def _step(self, key: int) -> list:

@@ -161,8 +161,7 @@ def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
         )
     if not is_connected_with_boundary(A):
         raise ValueError("interval cover requires A union boundary(A) connected")
-    lo = min(map(A.host._block, A._keys))
-    hi = max(map(A.host._block, A._keys))
+    lo, hi = A.host._block(min(A._keys)), A.host._block(max(A._keys))
     s, t, k = system.s, system.t, len(A._boundary)
     slack = (hi - lo + 1) * s - len(A)
     bound = 2 * s * s * t * t * k + 2 * s * t * k

@@ -290,6 +290,15 @@ def connected_within(g, elements) -> bool:
     return len(seen) == len(members)
 
 
+def pack_cells(cells, size: int) -> int:
+    """The int whose set bits are ``cells``, each below ``size``: one byte
+    per 8 cells, each cell or-ed into its byte."""
+    buf = bytearray(size + 7 >> 3)
+    for c in cells:
+        buf[c >> 3] |= 1 << (c & 7)
+    return int.from_bytes(buf, "little")
+
+
 def perforated_points(i: int, k: int) -> set:
     """Direct enumeration of the square {0..ki}^2 minus the interior pins."""
     square = {(x, y) for x in range(k * i + 1) for y in range(k * i + 1)}

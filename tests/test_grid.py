@@ -1,11 +1,13 @@
 """The bitmap kernels against the in-set BFS levels and the slow oracles:
 every row width modulo 8, negative coordinates, long one-row strips, L1
 diamonds deep enough to cross each power of two in depth's gallop, a deep
-member under a memory cap and a deep patch under a timeout; the wrapped
-rows of z^1, z^2 and cylinders, across the residue seam, and sets past the
-bits cap, which take the BFS."""
+member under a memory cap and a deep patch under a timeout; packing cells
+against a byte loop; the wrapped rows of z^1, z^2 and cylinders, across the
+residue seam, and sets past the bits cap, which take the BFS; free groups'
+erosions by parent keys, at the identity and elsewhere."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -221,15 +223,47 @@ def test_depth_of_a_deep_patch_is_logarithmic_in_its_depth(run_capped):
     assert proc.stdout.split() == ["True", "2000"]
 
 
+# --- packing cells into an int ------------------------------------------------
+
+
+def test_pack_matches_a_byte_loop():
+    rng = random.Random(5)
+    for size in range(1, 65):
+        cases = [{0}, {size - 1}, {0, size - 1}, set(range(size))]
+        cases += [set(rng.sample(range(size), rng.randint(1, max(1, size // 8))))
+                  for _ in range(3)]
+        cases += [set(rng.sample(range(size), rng.randint(size // 2, size))) for _ in range(3)]
+        for cells in cases:
+            assert _grid._pack(iter(cells), size) == oracles.pack_cells(cells, size)
+    for size in (1000, 4099, 64 * 10**4 + 3):
+        for count in (1, size // 64, size // 2):
+            cells = rng.sample(range(size), count)
+            assert _grid._pack(iter(cells), size) == oracles.pack_cells(cells, size)
+
+
+def test_pack_at_the_bits_cap_peaks_under_two_bytes_per_cell():
+    # wrapped_depth's cap: 64 cells per member, here for 10^5 members
+    size = 64 * 10**5
+    cells = list(range(0, size, 64))
+    tracemalloc.start()
+    try:
+        bits = _grid._pack(iter(cells), size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits == oracles.pack_cells(cells, size)
+    assert peak <= 2 * size
+
+
 # --- z^1, z^2 and cylinders: rows of m bits whose columns wrap ---------------
 
 
 def assert_routes_agree(g, members, oracles_too=True):
-    """The bitmap route, which must run, against the BFS levels and, where
+    """The erosion route, which must run, against the BFS levels and, where
     ``oracles_too``, the erosion and per-vertex oracles."""
     A = VertexSet(g, members)
     d = depth(A)
-    assert g._bitmap_depth(A._keys) == d == bfs_depth(A)
+    assert g._erosion_depth(A._keys) == d == bfs_depth(A)
     if oracles_too:
         assert d == oracles.erosion_depth(members, g) == oracles.per_vertex_depth(g, members)
     return d
@@ -283,7 +317,7 @@ def test_cylinder_sets_across_the_residue_seam(m):
                             oracles_too=seed < 3)
 
 
-def test_only_z1_z2_and_standard_cylinders_erode_a_bitmap(monkeypatch):
+def test_only_tori_z3_and_other_cylinders_take_the_depth_bfs(monkeypatch):
     searches = []
 
     def counted(g, sources, budget=None, within=None):
@@ -292,13 +326,13 @@ def test_only_z1_z2_and_standard_cylinders_erode_a_bitmap(monkeypatch):
 
     search = isoperimetry._bfs_levels
     monkeypatch.setattr(isoperimetry, "_bfs_levels", counted)
-    bitmap_hosts = [Z1, Z2, *map(Cylinder, range(2, 18))]
-    bfs_hosts = [FreeGroup(2), Torus(9, 2), IntegerLattice(3), Cylinder(5, [(1, 0), (0, 2)])]
-    for g in bitmap_hosts + bfs_hosts:
+    erosion_hosts = [Z1, Z2, *map(Cylinder, range(2, 18)), FreeGroup(2), FreeGroup(3)]
+    bfs_hosts = [Torus(9, 2), IntegerLattice(3), Cylinder(5, [(1, 0), (0, 2)])]
+    for g in erosion_hosts + bfs_hosts:
         A = random_connected_set(g, 60, seed=3)
         searches.clear()
         assert depth(A) == oracles.per_vertex_depth(g, A.elements)
-        assert searches == ([] if g in bitmap_hosts else [g.family])
+        assert searches == ([] if g in erosion_hosts else [g.family])
 
 
 def test_sets_past_the_bits_cap_take_the_bfs(run_capped):
@@ -308,7 +342,7 @@ def test_sets_past_the_bits_cap_take_the_bfs(run_capped):
              (Cylinder(7), blocks, 2)]
     for g, members, expected in cases:
         A = VertexSet(g, members)
-        assert g._bitmap_depth(A._keys) is None
+        assert g._erosion_depth(A._keys) is None
         assert depth(A) == expected == oracles.per_vertex_depth(g, members)
     # bitmaps of 10^15, 10^10 and 7 * 10^14 bits, and residue masks of 10^12
     # bits on a row of two members, all past the child's 1 GiB cap
@@ -323,3 +357,72 @@ def test_sets_past_the_bits_cap_take_the_bfs(run_capped):
     ), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "1", "2", "1"]
+
+
+# --- free groups: erosions by parent keys ------------------------------------
+
+
+@pytest.mark.parametrize("rank", [2, 3, 26])
+def test_free_group_accreted_sets(rank):
+    g = FreeGroup(rank)
+    for seed, size in enumerate((1, 2, 5, 30, 120, 400, 1500)):
+        A = random_connected_set(g, size, seed=seed)
+        assert_routes_agree(g, A.elements, oracles_too=size <= 400)
+
+
+def reduced(word):
+    """The free reduction of a tuple of signed generator indices."""
+    out = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_free_group_balls_are_one_deeper_than_their_radius(rank):
+    # B_r around the identity, and around a word longer than r, which is
+    # left multiplication of B_r and leaves out the identity
+    g, center = FreeGroup(rank), (1, 2, -1, -2, 1, 2)
+    for r in range(6 if rank == 2 else 4):
+        ball = oracles.enumerate_reduced_words(rank, r)
+        moved = {reduced(center + w) for w in ball}
+        assert () not in moved
+        for members in (ball, moved):
+            assert assert_routes_agree(g, members, oracles_too=r <= 3) == r + 1
+
+
+def test_free_group_sets_without_the_identity_disconnected_and_single():
+    g = FreeGroup(2)
+    for w in [(), (1,), (-2, 1), (1, 2, -1, -2, 1, 2)]:
+        assert assert_routes_agree(g, {w}) == 1
+    # B_2, B_1 around a word six letters out (three steps from B_2), and a
+    # word four steps from both
+    far = (2, 2, 2, 2, 2, 2)
+    pieces = [oracles.enumerate_reduced_words(2, 2),
+              {reduced(far + w) for w in oracles.enumerate_reduced_words(2, 1)},
+              {(-1, -1, -1, -1, -1, -1)}]
+    assert assert_routes_agree(g, set().union(*pieces)) == 3
+    assert assert_routes_agree(g, pieces[1] | pieces[2]) == 2
+    rng = random.Random(29)
+    for _ in range(20):
+        members = set()
+        for _ in range(rng.randint(2, 4)):
+            start = oracles.random_vertex(g, rng)
+            members |= {reduced(start + w) for w in
+                        random_connected_set(g, rng.randint(1, 40), seed=rng.randrange(99))}
+        assert_routes_agree(g, members)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 26])
+def test_free_group_a_vertex_with_all_or_all_but_one_neighbor(rank):
+    # {v} and its 2r neighbors has depth 2; without any one of them, 1.
+    # At the identity all 2r neighbors are children, elsewhere one is the parent
+    g = FreeGroup(rank)
+    for v in [(), (1,), (-rank, 1, 2)]:
+        star = g.neighbors(v)
+        assert assert_routes_agree(g, {v, *star}) == 2
+        for u in star:
+            assert assert_routes_agree(g, {v, *star} - {u}) == 1

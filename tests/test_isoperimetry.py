@@ -419,14 +419,12 @@ def test_a_set_computes_its_boundary_once(monkeypatch):
         A = random_connected_set(g, 200, seed=7)
         grown = checks(A)
         # depth, kept on the set for every later depth call, erodes a bitmap
-        # on z^1, z^2 and cyl:3, and on free:2 runs one BFS from the members
-        # next to the complement
-        depth_searches = [len(A._inner)] if g.family == "free:2" else []
-        assert scans == [] and searches == depth_searches
+        # on z^1, z^2 and cyl:3 and parent keys on free:2: no BFS
+        assert scans == [] and searches == []
         scans.clear(), searches.clear()
         assert checks(VertexSet(g, A)) == grown
         # the copy adds the connectivity BFS from one member
-        assert scans == [200] and searches == [1] + depth_searches
+        assert scans == [200] and searches == [1]
         scans.clear(), searches.clear()
 
 

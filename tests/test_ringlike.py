@@ -282,6 +282,18 @@ def test_interval_cover_contains_a():
         assert cover.to_dict()["sizeQ"] == (cover.j_hi - cover.j_lo + 1) * 3
 
 
+def test_interval_cover_reads_its_blocks_from_the_extreme_keys():
+    # a key z*m + r grows with its block z, so the least and greatest keys
+    # lie in the least and greatest blocks, negative ones included
+    for host in (Cylinder(2), Cylinder(3), Cylinder(4, [(2, 1), (1, 0)])):
+        sysm = cyclic_system(host)
+        for seed, z0 in enumerate((-1, -40, -3, 0, 7, -10**12)):
+            A = random_connected_set(host, 10 + 30 * seed, seed=seed, start=(z0, seed % host.m))
+            cover = interval_cover(sysm, A)
+            assert cover.j_lo == min(map(host._block, A._keys)) == min(z for z, _ in A)
+            assert cover.j_hi == max(map(host._block, A._keys)) == max(z for z, _ in A)
+
+
 def test_interval_cover_holds_on_random_sets():
     for host in (Cylinder(3), Cylinder(2), Cylinder(4, [(2, 1), (1, 0)])):
         sysm = cyclic_system(host)
