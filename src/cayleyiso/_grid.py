@@ -15,14 +15,15 @@ bitmap's size at once, at one bit per padded cell each:
 under 1 s on a 2-vCPU Xeon and peaks at 90 MB, about 0.8 bytes per cell
 above the interpreter's start (``ru_maxrss`` in a fresh process, Python 3.11).
 
-A ``Bitmap`` pads Z^2's rows; ``wrapped_depth`` reads Z x Z_m (Z if m = 1),
-Z^2 modulo (0, m), in rows of m bits whose columns wrap. Its ball B_r is the
-image of Z^2's, so it erodes by the same split, and a shift by (dz, dr) moves
-residue r by dz*m + dr bits, or by m fewer where r + dr wraps past m - 1.
-z^2 sets take it too, with one empty column. It refuses a set whose bitmap
-would take over 64 bits per member, past a slack: its caller runs a BFS.
-Its keys are packed through one byte per cell (``_pack``), about 1.4 bytes
-per cell at peak, so a set at that cap peaks near 100 bytes per member.
+A ``Bitmap`` holds keys x*width + y in whole rows (``Bitmap.from_keys``):
+z^1 sets take width 1 and z^2 sets their column span plus 2, and ``depth``
+erodes both. ``wrapped_depth`` erodes a standard cylinder's rows of Z x Z_m,
+whose columns wrap: its ball B_r is the image of Z^2's, and a shift by
+(dz, dr) moves residue r by dz*m + dr bits, or by m fewer where r + dr
+wraps past m - 1. ``from_keys`` refuses a set whose bitmap would take over
+64 bits per member, past a slack: its caller runs a BFS. Keys are packed
+through one byte per cell (``_pack``), about 1.4 bytes per cell at peak,
+so a set at that cap peaks near 100 bytes per member.
 """
 
 from __future__ import annotations
@@ -30,27 +31,26 @@ from __future__ import annotations
 from collections import deque
 from itertools import repeat
 from operator import setitem, sub
-from typing import Callable, Collection, Iterable, Optional, Tuple
+from typing import Callable, Collection, Iterable, Optional
 
 
 class Bitmap:
-    """A set of lattice points stored row by row in the bits of one int.
+    """A finite set stored row by row in the bits of one int.
 
-    Cell (r, c) is bit ``r * width + c``, and (x, y) is in the set iff cell
-    (x - x0 + 1, y - y0 + 1) is set, for the least coordinates x0, y0 of the
-    set. ``width`` is a multiple of 8, so that rows start on byte boundaries,
-    and leaves at least one zero column on each side of every row; a zero row
-    lies above and below. A shift by 1 or by ``width`` therefore moves every
-    member onto its 4-neighbor's cell and never into another row's cells.
-    Boundary size and depth are translation-invariant, so the kernels never
-    need (x0, y0) and it is not kept.
+    Cell (r, c) is bit ``r * width + c``; the ``size`` cells are whole rows,
+    with a zero row above and below the members. A plane set leaves two zero
+    columns per row, one at each end (``perforated_block``) or both where a
+    row wraps into the next (``from_keys`` on z^2), so a shift by 1 or by
+    ``width`` moves every member onto its 4-neighbor's cell and no two
+    neighbors onto one cell. Width 1 holds Z, and ``wrapped_depth`` reads
+    rows of Z x Z_m. The kernels are translation-invariant, so the
+    coordinates of cell 0 are not kept.
     """
 
-    def __init__(self, bits: int, width: int, height: int):
+    def __init__(self, bits: int, width: int, size: int):
         self.bits = bits
         self.width = width
-        self.height = height
-        self.size = width * height
+        self.size = size
 
     @property
     def mask(self) -> "Bitmap":
@@ -58,24 +58,18 @@ class Bitmap:
         return self
 
     @classmethod
-    def from_points(cls, points: Iterable[Tuple[int, int]]) -> "Bitmap":
-        pts = list(points)
-        if not pts:
-            raise ValueError("cannot build a bitmap from an empty point set")
-        xs, ys = zip(*pts)
-        x0, y0 = min(xs), min(ys)
-        height, width = max(xs) - x0 + 3, 8 * _row_bytes(max(ys) - y0 + 1)
-        offset = (1 - x0) * width + 1 - y0
-        return cls(_pack((x * width + y + offset for x, y in pts), height * width),
-                   width, height)
+    def from_keys(cls, keys: Collection[int], width: int) -> Optional["Bitmap"]:
+        """The nonempty ``keys``, less a whole number of rows, as cells with a
+        zero row above and below, or None where those rows would take over 64
+        bits per member, past a slack of 16 members."""
+        base = (min(keys) // width - 1) * width
+        size = (max(keys) // width + 2) * width - base
+        if size > 64 * (len(keys) + 16):
+            return None
+        return cls(_pack(map(sub, keys, repeat(base)), size), width, size)
 
     def count(self) -> int:
         return self.bits.bit_count()
-
-
-def _row_bytes(cols: int) -> int:
-    """Bytes per row for ``cols`` member columns and a zero column each side."""
-    return (cols + 2 + 7) // 8
 
 
 def _pack(cells: Iterable[int], size: int) -> int:
@@ -108,7 +102,9 @@ def depth(bm: Bitmap, guess: int = 0) -> int:
     two erosions, E_{d-1}(A) nonempty and E_d(A) empty, or searched past.
     The zero padding counts as complement, which is correct: every cell
     beyond the bitmap is farther from a member than the padding cell on the
-    same ray.
+    same ray. Width 1 holds Z, one cell per row: B_r of Z is the image of
+    Z^2's under (x, y) -> x + y, which is what the shifts by 1 and by
+    w ± 1 = 2, 0 erode by, and a line has no other row to run into.
     """
     return _gallop(bm.bits, lambda x, r: _erode(x, r, bm.width), guess)
 
@@ -136,9 +132,9 @@ def _erode(x: int, r: int, w: int) -> int:
     even one nearer c, or to (r - 2, 0) if it is c. The segment erosions double the
     run they test per pass, x &= x >> s·d with d = w ± 1 the offset of
     (1, ±1); erosions commute, so they share one loop. Each pass keeps a
-    subset of x, so the padding columns stay zero, and a run of members
-    along (1, ±1) meets column w - 1 or 0 before it could wrap into
-    another row.
+    subset of x, so the zero columns stay zero, and a run of members along
+    (1, ±1) steps through the columns one at a time, so it meets a zero
+    column before it could leave its row's members.
     """
     run = 1
     while run < r:
@@ -149,14 +145,11 @@ def _erode(x: int, r: int, w: int) -> int:
     return x & (x << 1) & (x >> 1) & (x << w) & (x >> w)
 
 
-def wrapped_depth(keys: Collection[int], m: int) -> Optional[int]:
-    """``depth`` of a nonempty set of keys z*m + r of Z x Z_m, standard
-    generators, or None past the bits cap; bit i holds residue i mod m."""
-    base = min(keys) // m * m
-    size = max(keys) // m * m + m - base  # whole rows, so the masks fit too
-    if size > 64 * (len(keys) + 16):  # over 64 bits per member, past a slack
-        return None
-    ones = ((1 << size) - 1) // ((1 << m) - 1)  # residue 0 of every row
+def wrapped_depth(bm: Bitmap) -> int:
+    """``depth`` of a bitmap of Z x Z_m, m = ``bm.width``, standard
+    generators: bit i holds residue i mod m, and rows wrap."""
+    m = bm.width
+    ones = ((1 << bm.size) - 1) // ((1 << m) - 1)  # residue 0 of every row
 
     def at(x, dz, dr):  # x at v + (dz, dr) for every cell v, dz >= 0
         low = ones * ((1 << m - dr % m) - 1)  # residues r + dr % m < m: no wrap
@@ -172,22 +165,23 @@ def wrapped_depth(keys: Collection[int], m: int) -> Optional[int]:
             run += s
         return x & x >> m & x << m & at(x, 0, 1) & at(x, 0, -1)
 
-    return _gallop(_pack(map(sub, keys, repeat(base)), size), erode)
+    return _gallop(bm.bits, erode)
 
 
 def perforated_block(i: int, k: int) -> Bitmap:
     """The square {0..ki}^2 minus interior pins {(m*i, n*i) : 1 <= m,n <= k-1}.
 
     Built directly at bitmap resolution, by repeating one row's bytes, so
-    multi-million-vertex instances never materialize point lists. Its caller
-    passes ``GridParams``, which holds i, k > 1.
+    multi-million-vertex instances never materialize point lists: a row is
+    the fewest whole bytes that hold a zero column, the side and another
+    zero column. Its caller passes ``GridParams``, which holds i, k > 1.
     """
     side = k * i + 1
-    stride = _row_bytes(side)
+    stride = (side + 2 + 7) // 8
     row = (((1 << side) - 1) << 1).to_bytes(stride, "little")
     buf = bytearray(stride) + row * side + bytearray(stride)
     for m in range(1, k):
         for n in range(1, k):
             c = n * i + 1
             buf[(m * i + 1) * stride + (c >> 3)] &= ~(1 << (c & 7))
-    return Bitmap(int.from_bytes(buf, "little"), 8 * stride, side + 2)
+    return Bitmap(int.from_bytes(buf, "little"), 8 * stride, 8 * stride * (side + 2))

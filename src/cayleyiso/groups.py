@@ -36,7 +36,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, compress, count, islice, repeat
 from math import comb, gcd, inf
-from operator import add, and_, ge, mul, rshift, sub
+from operator import add, and_, ge, mul, rshift
 from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 Vertex = Tuple[int, ...]
@@ -304,22 +304,22 @@ class IntegerLattice(GroupGraph):
             return None
         from . import _grid
 
-        if self.d == 1:  # Z x Z_1
-            return _grid.wrapped_depth(keys, 1)
-        # key + S/2 is x*S + c for the column c = y + S/2. Read as the key
-        # x*m + c - c0 of Z x Z_m, c0 the least column and m the span plus
-        # one, a member keeps its member neighbors, and its neighbors outside
-        # the set stay outside: columns c0 - 1 and c0 + m - 1 both become
-        # residue m - 1, which is empty. So the set has one depth on both
-        # hosts, one BFS inside it from the members next to the outside. Both
-        # passes add S/2 afresh: a list of 10^4 sums would peak 0.4 MB higher
-        # to save about 0.6 ms
-        h, low = 1 << _LATTICE_BITS - 1, (1 << _LATTICE_BITS) - 1
-        columns = list(map(and_, map(add, keys, repeat(h)), repeat(low)))
-        c0 = min(columns)
-        m = max(columns) - c0 + 2
-        rows = map(mul, map(rshift, map(add, keys, repeat(h)), repeat(_LATTICE_BITS)), repeat(m))
-        return _grid.wrapped_depth(list(map(add, rows, map(sub, columns, repeat(c0)))), m)
+        if self.d == 1:  # the key is the point: rows of one cell
+            bm = _grid.Bitmap.from_keys(keys, 1)
+        else:
+            # key + S/2 is x*S + c for the column c = y + S/2. Read as the
+            # key x*w + c, w the column span plus 2, the columns fill w - 2
+            # consecutive residues mod w and leave two empty, so a member
+            # keeps its member neighbors, its neighbors outside the set stay
+            # outside, and the bitmap erodes as the plane does. Both passes
+            # add S/2 afresh: a list of 10^4 sums would peak 0.4 MB higher to
+            # save about 0.6 ms
+            h, low = 1 << _LATTICE_BITS - 1, (1 << _LATTICE_BITS) - 1
+            columns = list(map(and_, map(add, keys, repeat(h)), repeat(low)))
+            w = max(columns) - min(columns) + 3
+            rows = map(rshift, map(add, keys, repeat(h)), repeat(_LATTICE_BITS))
+            bm = _grid.Bitmap.from_keys(list(map(add, map(mul, rows, repeat(w)), columns)), w)
+        return bm and _grid.depth(bm)
 
     def _ball_counts(self) -> Iterator[int]:
         # the generating function (1+x)^d / (1-x)^(d+1) of the sizes gives
@@ -630,7 +630,8 @@ class Cylinder(GroupGraph):
             return None
         from . import _grid
 
-        return _grid.wrapped_depth(keys, self.m)
+        bm = _grid.Bitmap.from_keys(keys, self.m)
+        return bm and _grid.wrapped_depth(bm)
 
     def validate_vertex(self, v) -> None:
         if (

@@ -16,8 +16,7 @@ import json
 import math
 import random
 from functools import cached_property
-from itertools import chain
-from typing import AbstractSet, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .groups import (
     Cylinder,
@@ -38,11 +37,10 @@ class VertexSet:
     sets the library builds from keys it produced use ``_trusted``, which
     does not check them again. ``elements``, iteration, membership and
     serialization see vertices, decoded once per set on first use.
-    Immutable: its exterior boundary, the members next to the complement,
-    the connectivity of A union boundary(A) and its depth are kept once
-    known (``_boundary``, ``_inner``, ``_closure_is_connected``,
-    ``_depth``). ``random_connected_set`` hands over the first and the
-    third; any other set computes each on first use.
+    Immutable: its exterior boundary, the connectivity of A union
+    boundary(A) and its depth are kept once known (``_boundary``,
+    ``_closure_is_connected``, ``_depth``). ``random_connected_set`` hands
+    over the first two; any other set computes each on first use.
     """
 
     def __init__(self, host: GroupGraph, elements: Iterable[Vertex]):
@@ -101,16 +99,6 @@ class VertexSet:
         return _boundary_elements(self)
 
     @cached_property
-    def _inner(self) -> AbstractSet:
-        # the members next to the complement, read from the smaller side:
-        # every host's generators are symmetric, so they are the members
-        # next to some boundary vertex (a tree's boundary outgrows A)
-        keys, step = self._keys, self.host._step
-        if len(self._boundary) < len(keys):
-            return keys.intersection(chain.from_iterable(map(step, self._boundary)))
-        return {v for v in keys if not keys.issuperset(step(v))}
-
-    @cached_property
     def _closure_is_connected(self) -> bool:
         # every boundary vertex has a neighbor in A, so A connected implies
         # A union boundary(A) connected; only a disconnected A needs the
@@ -127,8 +115,9 @@ class VertexSet:
     @cached_property
     def _depth(self) -> int:
         # a depth is at least 1, so a host's None falls through to the BFS
+        # from the boundary, whose level r is the members at distance r
         return self.host._erosion_depth(self._keys) or sum(
-            1 for _ in _bfs_levels(self.host, self._inner, within=self._keys))
+            1 for _ in _bfs_levels(self.host, self._boundary, within=self._keys)) - 1
 
 
 def load_set(path: str) -> VertexSet:
@@ -196,12 +185,11 @@ def depth(A: VertexSet) -> int:
     The host erodes A in its own key layout (``_erosion_depth``): a bitmap
     by L1 balls on z^1, z^2 and standard cylinders, unless it would take
     over 64 bits per member, and the keys of parents and children on free
-    groups. Other sets take one multi-source BFS inside A, seeded at level
-    1 with the members that have a neighbor outside A: a geodesic from u to
-    its nearest complement vertex stays inside A until its final step, so
-    d(u, complement) = 1 + d(u, those members) along paths within A. Every
-    finite component of A has such a member, so the BFS covers all of A
-    even when A is disconnected. The set keeps the result.
+    groups. Other sets take one multi-source BFS from ∂A into A: a geodesic
+    from u to its nearest complement vertex stays inside A until its final
+    step into ∂A, so level r of the BFS holds the members at distance r
+    from the complement, and every finite component of A is next to ∂A.
+    The set keeps the result.
     """
     _require_nonempty(A)
     # hosts are connected, so only a set that is the whole host has no

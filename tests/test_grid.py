@@ -1,10 +1,12 @@
-"""The bitmap kernels against the in-set BFS levels and the slow oracles:
-every row width modulo 8, negative coordinates, long one-row strips, L1
-diamonds deep enough to cross each power of two in depth's gallop, a deep
-member under a memory cap and a deep patch under a timeout; packing cells
-against a byte loop; the wrapped rows of z^1, z^2 and cylinders, across the
-residue seam, and sets past the bits cap, which take the BFS; free groups'
-erosions by parent keys, at the identity and elsewhere."""
+"""The bitmap kernels against the in-set BFS from the boundary and the slow
+oracles: plane bitmaps built from keys, one-row and one-column strips of
+every width up to 24, negative coordinates, long strips, L1 diamonds deep
+enough to cross each power of two in depth's gallop, a deep member under a
+memory cap and a deep patch under a timeout; ``perforated_block``'s byte
+rows for every side modulo 8; packing cells against a byte loop; z^1, z^2
+and cylinders, across the residue seam, and sets at and past the bits cap,
+which take the BFS; free groups' erosions by parent keys, at the identity
+and elsewhere."""
 
 import random
 import tracemalloc
@@ -24,15 +26,25 @@ from cayleyiso import (
     isoperimetry,
     random_connected_set,
 )
+from cayleyiso.counterexample import GridParams, depth_closed_form
 from cayleyiso.groups import _bfs_levels
 
 Z1, Z2 = IntegerLattice(1), IntegerLattice(2)
 
 
 def bfs_depth(A):
-    """depth by the in-set BFS levels, called directly, so that they stay an
-    oracle on the hosts whose ``depth`` erodes a bitmap."""
-    return sum(1 for _ in _bfs_levels(A.host, A._inner, within=A._keys))
+    """depth by the BFS levels from the boundary into A, called directly,
+    so that they stay an oracle on the hosts whose ``depth`` erodes a
+    bitmap: level r holds the members at distance r from the complement."""
+    return sum(1 for _ in _bfs_levels(A.host, A._boundary, within=A._keys)) - 1
+
+
+def bitmap(points):
+    """The plane points (x, y) as keys x*w + y, w the column span plus 2, in
+    ``Bitmap.from_keys``: rows wrap where y does modulo w, as z^2's do."""
+    ys = [y for _, y in points]
+    w = max(ys) - min(ys) + 3
+    return _grid.Bitmap.from_keys([x * w + y for x, y in points], w)
 
 
 def blown_up(A, sx, sy):
@@ -52,7 +64,7 @@ def random_sets(scale):
 
 
 def assert_kernels_match(A):
-    bm = _grid.Bitmap.from_points(A)
+    bm = bitmap(A)
     assert bm.count() == len(A)
     assert _grid.depth(bm) == depth(A) == bfs_depth(A) == oracles.per_vertex_depth(
         Z2, A.elements)
@@ -66,7 +78,7 @@ def diamond(r, x0=0, y0=0):
 
 
 def assert_depth_matches_oracles(points, per_vertex=True):
-    d = _grid.depth(_grid.Bitmap.from_points(points))
+    d = _grid.depth(bitmap(points))
     assert d == oracles.erosion_depth(points)
     if per_vertex:
         assert d == oracles.per_vertex_depth(Z2, points)
@@ -84,7 +96,7 @@ def test_depth_of_thick_blocks_with_holes():
     rng = random.Random(5)
     for h, w in [(13, 30), (31, 9), (22, 23)]:
         A = VertexSet(Z2, ((x, y) for x in range(h) for y in range(w) if rng.random() > 0.01))
-        bm = _grid.Bitmap.from_points(A)
+        bm = bitmap(A)
         assert _grid.depth(bm) == depth(A) == bfs_depth(A) == oracles.per_vertex_depth(
             Z2, A.elements)
         assert _grid.boundary_count(bm) == len(boundary(A))
@@ -92,16 +104,19 @@ def test_depth_of_thick_blocks_with_holes():
 
 @pytest.mark.parametrize("cols", range(1, 25))
 def test_row_padding_for_every_width_mod_8(cols):
-    # rows of 8 * stride bits hold cols members and a zero column on each
-    # side; a cols-wide block with one hole, and a diagonal, on every residue
-    bm = _grid.Bitmap.from_points([(0, c) for c in range(cols)])
-    assert bm.width % 8 == 0 and cols + 2 <= bm.width < cols + 10
-    assert bm.height == 3
+    # from_keys rows of any width hold the column span and two zero
+    # columns: a one-row and a one-column strip, a cols-wide block with one
+    # hole, and a diagonal
+    for points in ([(0, c) for c in range(cols)], [(c, 0) for c in range(cols)]):
+        bm = bitmap(points)
+        assert bm.size == bm.width * (len({x for x, _ in points}) + 2)
+        assert bm.width == len({y for _, y in points}) + 2
+        assert_kernels_match(VertexSet(Z2, points))
     block = VertexSet(Z2, ((x, y) for x in range(4) for y in range(cols) if (x, y) != (1, 1)))
     assert_kernels_match(block)
     assert_kernels_match(VertexSet(Z2, ((c, c) for c in range(cols))))
     if cols >= 6:
-        # depth's runs along (1, 1) and (1, -1) end on a padding column and
+        # depth's runs along (1, 1) and (1, -1) end on a zero column and
         # must not wrap into the next row: a holed block and bands along
         # both diagonals, all cols wide and of depth 3 or more
         rng = random.Random(cols)
@@ -112,6 +127,17 @@ def test_row_padding_for_every_width_mod_8(cols):
         for points in (deep, up, down, deep | {(x + 2 * cols, y) for x, y in up}):
             assert {y for _, y in points} == set(range(cols))
             assert assert_depth_matches_oracles(points) >= 3
+    # perforated_block pads each row to whole bytes, so it is checked on a
+    # side 3i + 1 of each residue mod 8, as 3 is a unit mod 8
+    i = next(i for i in range(2 + 8 * ((cols - 1) // 8), 26) if (3 * i + 1 - cols) % 8 == 0)
+    side, points = 3 * i + 1, oracles.perforated_points(i, 3)
+    bm = _grid.perforated_block(i, 3)
+    assert bm.width % 8 == 0 and side + 2 <= bm.width < side + 10
+    assert bm.size == bm.width * (side + 2)
+    A = VertexSet(Z2, points)
+    assert bm.count() == len(points)
+    assert _grid.boundary_count(bm) == len(boundary(A)) == len(oracles.z2_boundary_scan(points))
+    assert _grid.depth(bm) == depth(A) == bfs_depth(A) == depth_closed_form(GridParams(i, 3))
 
 
 def test_sets_at_negative_coordinates():
@@ -123,7 +149,7 @@ def test_sets_at_negative_coordinates():
 
 
 def test_a_single_point():
-    bm = _grid.Bitmap.from_points([(-3, 4)])
+    bm = bitmap([(-3, 4)])
     assert (bm.count(), _grid.depth(bm), _grid.boundary_count(bm)) == (1, 1, 4)
 
 
@@ -132,7 +158,7 @@ def test_depth_of_diamonds_across_every_power_of_two():
     # 2^j <= 64; the erosion oracle, cubic in r, checks r <= 33 and r = 63
     for r in range(71):
         points = diamond(r)
-        assert _grid.depth(_grid.Bitmap.from_points(points)) == r + 1
+        assert _grid.depth(bitmap(points)) == r + 1
         if r <= 33 or r == 63:
             assert assert_depth_matches_oracles(points, per_vertex=r <= 12) == r + 1
 
@@ -155,7 +181,7 @@ def test_depth_of_unions_of_diamonds_and_holed_rectangles():
 def test_a_guessed_depth_is_confirmed_or_searched_past():
     # a right guess is confirmed, a wrong one leaves the search to go on
     for r in range(40):
-        bm = _grid.Bitmap.from_points(diamond(r))
+        bm = bitmap(diamond(r))
         for guess in range(r + 5):
             assert _grid.depth(bm, guess) == r + 1
 
@@ -163,15 +189,14 @@ def test_a_guessed_depth_is_confirmed_or_searched_past():
 # the ids name the integer type that a two-pass L1 distance transform's
 # field needs on each strip (int16 while 2 * length + 8 <= 32767);
 # the bit kernels need none, and the strips stay as long-row inputs
-@pytest.mark.parametrize("length, width", [(16378, 16384), (32998, 33000)],
-                         ids=["16378-int16", "32998-int32"])
+@pytest.mark.parametrize("length", [16378, 32998], ids=["16378-int16", "32998-int32"])
 @pytest.mark.parametrize("transpose", [False, True])
-def test_one_row_strips_on_both_sides_of_the_dtype_threshold(length, width, transpose):
-    # one row of ``length`` cells, padded to a multiple of 8, or one column
-    # of them in rows of 8
+def test_one_row_strips_on_both_sides_of_the_dtype_threshold(length, transpose):
+    # one row of ``length`` cells and two zero columns, or one column of
+    # them in rows of three cells; either way three rows of length + 2
     points = [(y, 0) if transpose else (0, y) for y in range(length)]
-    bm = _grid.Bitmap.from_points(points)
-    assert (bm.height, bm.width) == ((length + 2, 8) if transpose else (3, width))
+    bm = bitmap(points)
+    assert (bm.size, bm.width) == (3 * (length + 2), 3 if transpose else length + 2)
     A = VertexSet(Z2, points)
     assert _grid.depth(bm) == depth(A) == bfs_depth(A) == 1
     assert _grid.boundary_count(bm) == len(boundary(A)) == 2 * length + 2
@@ -181,7 +206,7 @@ def test_depth_of_a_thick_strip_near_the_int16_limit():
     # a 5-wide strip 16375 long, and its transpose: depth 3
     points = [(x, y) for x in range(5) for y in range(16375)]
     for pts in (points, [(y, x) for x, y in points]):
-        bm = _grid.Bitmap.from_points(pts)
+        bm = bitmap(pts)
         assert (_grid.depth(bm), _grid.boundary_count(bm)) == (3, 2 * 16375 + 10)
 
 
@@ -242,7 +267,7 @@ def test_pack_matches_a_byte_loop():
 
 
 def test_pack_at_the_bits_cap_peaks_under_two_bytes_per_cell():
-    # wrapped_depth's cap: 64 cells per member, here for 10^5 members
+    # from_keys' cap: 64 cells per member, here for 10^5 members
     size = 64 * 10**5
     cells = list(range(0, size, 64))
     tracemalloc.start()
@@ -357,6 +382,32 @@ def test_sets_past_the_bits_cap_take_the_bfs(run_capped):
     ), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "1", "2", "1"]
+
+
+def test_a_bitmap_at_the_cap_is_built_and_one_cell_further_is_not(monkeypatch):
+    # n members whose padded bitmap is exactly 64 (n + 16) bits take it;
+    # moved one cell further, they take the BFS. A z^1 row is one bit, so
+    # that adds one bit; on z^2 and cyl:5 it adds a row. The z^2 columns
+    # start on residue 1 mod w = 13, so its rows do not wrap
+    sizes = []
+    for name in ("depth", "wrapped_depth"):
+        kernel = getattr(_grid, name)
+        monkeypatch.setattr(_grid, name, lambda bm, k=kernel: sizes.append(bm.size) or k(bm))
+    y0 = (1 - 2**39) % 13
+    block = {(x, y0 + y) for x in range(3) for y in range(3)}
+    cases = [  # host, members at the cap and the one moved out, depth
+        (Z1, lambda t: {(x,) for x in range(8)} | {(1597 + t,)}, 4),
+        (Z2, lambda t: block | {(125 + t, y0 + 10)}, 2),
+        (Cylinder(5), lambda t: {(z, r) for z in range(3) for r in range(5)}
+         | {(445 + t, r) for r in range(4)}, 2),
+    ]
+    for g, members, expected in cases:
+        for t in (0, 1):
+            A = VertexSet(g, members(t))
+            sizes.clear()
+            assert depth(A) == expected == oracles.per_vertex_depth(g, A.elements)
+            assert sizes == ([] if t else [64 * (len(A) + 16)])
+            assert bfs_depth(A) == expected
 
 
 # --- free groups: erosions by parent keys ------------------------------------

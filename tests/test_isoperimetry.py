@@ -3,7 +3,7 @@ classifier, checked against slow per-vertex oracles."""
 
 import math
 import random
-from itertools import count
+from itertools import count, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -119,12 +119,13 @@ def test_depth_of_disconnected_set():
 
 
 def test_depth_of_components_that_stop_at_different_levels():
-    # the depth search runs on inside the ball after the strip is used up
+    # the depth search from the boundary (level 0: 28 around the ball, 8
+    # around the strip) runs on inside the ball after the strip is used up
     members = ball(Z2, (0, 0), 6) | {(40, y) for y in range(3)}
     A = VertexSet(Z2, members)
     assert depth(A) == 7 == oracles.per_vertex_depth(Z2, members)
-    levels = _bfs_levels(Z2, A._inner, None, within=A._keys)
-    assert [len(sphere) for sphere in levels] == [24 + 3, 20, 16, 12, 8, 4, 1]
+    levels = _bfs_levels(Z2, A._boundary, None, within=A._keys)
+    assert [len(sphere) for sphere in levels] == [28 + 8, 24 + 3, 20, 16, 12, 8, 4, 1]
 
 
 def test_depth_of_a_long_interval_takes_a_level_per_step():
@@ -133,8 +134,8 @@ def test_depth_of_a_long_interval_takes_a_level_per_step():
     g = IntegerLattice(1)
     A = VertexSet(g, ((x,) for x in range(10**4)))
     assert depth(A) == 5000
-    levels = _bfs_levels(g, A._inner, None, within=A._keys)
-    assert [len(sphere) for sphere in levels] == [2] * 5000
+    levels = _bfs_levels(g, A._boundary, None, within=A._keys)
+    assert [len(sphere) for sphere in levels] == [2] * 5001
     members = {(x,) for x in range(-200, 201)}
     assert depth(VertexSet(g, members)) == 201 == oracles.per_vertex_depth(g, members)
 
@@ -161,12 +162,12 @@ def test_a_search_inside_a_set_may_start_outside_it():
 
 def test_in_set_levels_pulled_where_the_frontier_outgrows_the_rest():
     # a level is pulled into the unreached members when they are fewer than
-    # the frontier: from the inner members of an accreted free:2 set, and in
-    # the last levels of a Euclidean z^2 disc searched from its centre
+    # the frontier: from the boundary of an accreted free:2 set, and in the
+    # last levels of a Euclidean z^2 disc searched from its centre
     g = FreeGroup(2)
     tree = oracles.accretion_set(g, 400, seed=2)
     disc = {(x, y) for x in range(-15, 16) for y in range(-15, 16) if x * x + y * y <= 225}
-    cases = [(g, tree, list(map(g._decode, VertexSet(g, tree)._inner))), (Z2, disc, [(0, 0)])]
+    cases = [(g, tree, list(oracles.boundary_by_distance(g, tree))), (Z2, disc, [(0, 0)])]
     for g, members, sources in cases:
         expected = oracles.levels_within(g, sources, members)
         reached = set()
@@ -180,8 +181,9 @@ def test_in_set_levels_pulled_where_the_frontier_outgrows_the_rest():
 
 
 def test_inner_members_on_both_sides_of_the_boundary_switch():
-    # read from the boundary where it is the smaller side (z^2, holes
-    # included), else from A (free:3, whose boundary outgrows A)
+    # level 1 of the search from the boundary, the members next to it, is
+    # pushed from the boundary where it is the smaller side (z^2, holes
+    # included), else pulled into A (free:3, whose boundary outgrows A)
     cases = [("free:3", random_connected_set(FreeGroup(3), 300, seed=4).elements, True),
              ("z^2", random_connected_set(Z2, 300, seed=4).elements, False),
              ("z^2", perforated(3, 4).elements, False)]
@@ -191,7 +193,9 @@ def test_inner_members_on_both_sides_of_the_boundary_switch():
         assert (len(A._boundary) > len(A)) is larger
         neighbors = oracles.neighbor_function(g)
         expected = {v for v in members if any(u not in members for u in neighbors(v))}
-        assert set(map(g._decode, A._inner)) == expected
+        levels = _bfs_levels(g, A._boundary, within=A._keys)
+        assert set(map(g._decode, next(levels))) == oracles.boundary_by_distance(g, members)
+        assert set(map(g._decode, next(levels))) == expected
 
 
 def test_depth_of_lattice_balls_is_radius_plus_one():
@@ -496,15 +500,17 @@ def test_a_grown_set_carries_the_facts_the_independent_routes_find():
             A = random_connected_set(g, size, seed=seed)
             copy = VertexSet(g, A)
             assert {"_boundary", "_closure_is_connected"} <= set(vars(A))
-            assert not {"_boundary", "_inner", "_closure_is_connected"} & set(vars(copy))
+            assert not {"_boundary", "_closure_is_connected"} & set(vars(copy))
             members = A.elements
             outside = oracles.boundary_by_distance(g, members)
             assert A._boundary == copy._boundary
             assert boundary(A).elements == boundary(copy).elements == outside
             next_to_outside = {v for v in members
                                if any(u not in members for u in g.neighbors(v))}
-            assert {g._decode(v) for v in A._inner} == next_to_outside
-            assert A._inner == copy._inner
+            inner = [list(islice(_bfs_levels(g, B._boundary, within=B._keys), 2))[1]
+                     for B in (A, copy)]
+            assert {g._decode(v) for v in inner[0]} == next_to_outside
+            assert inner[0] == inner[1]
             assert depth(A) == depth(copy) == oracles.per_vertex_depth(g, members)
             closure = oracles.connected_within(g, members | outside)
             assert is_connected_with_boundary(A) is closure is True

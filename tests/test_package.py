@@ -1,11 +1,14 @@
 """The package's public surface: every name in ``cayleyiso.__all__``
 resolves, a star import works, every name in the export table is defined in
 the submodule it names, no name exported before the exports were bound
-lazily is dropped, and the report records are immutable named tuples whose
-``to_dict`` keys keep their order."""
+lazily is dropped, the report records are immutable named tuples whose
+``to_dict`` keys keep their order, and no submodule imports a name at
+module level that it never uses."""
 
+import ast
 import inspect
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -105,3 +108,20 @@ def test_record_keys_keep_their_order():
         ["name", "lhs", "rhs", "holds", "required"]] * len(separation["inequalities"])
     assert list(records["CounterexampleStats"].to_dict())[:3] == ["i", "k", "sizeA"]
     assert records["CounterexampleStats"].to_dict()["ratio"] == "64/45"
+
+
+def test_no_submodule_imports_a_name_it_never_uses():
+    # ``__init__`` re-exports what it imports, so it is left out
+    unused = []
+    for path in sorted(Path(cayleyiso.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for statement in tree.body:
+            if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
+                continue
+            if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                names = (alias.asname or alias.name.partition(".")[0] for alias in statement.names)
+                unused += [f"{path.name}: {name}" for name in names if name not in used]
+    assert unused == []
