@@ -267,12 +267,16 @@ def _cmd_sweep_ratio(args, budget):
             raise ValueError(f"--diag expects comma-separated integers, got {args.diag!r}")
         pairs = [(j, j) for j in diag]
     elif args.imax is not None and args.kmax is not None:
-        pairs = [(i, k) for i in range(2, args.imax + 1) for k in range(2, args.kmax + 1)]
+        # stats would refuse the largest member's patch only after every
+        # smaller member ran, so refuse the range before the first
+        if args.imax >= 2 and args.kmax >= 2:
+            counterexample._patch(counterexample.GridParams(args.imax, args.kmax), budget)
+        pairs = ((i, k) for i in range(2, args.imax + 1) for k in range(2, args.kmax + 1))
     else:
         raise ValueError("provide --imax and --kmax, or --diag LIST")
     rows = []
     violations = []
-    for i, k in sorted(pairs):
+    for i, k in pairs:
         st = counterexample.stats(counterexample.GridParams(i, k), budget=budget)
         violations += [f"{name} at i={i}, k={k}" for name in st.violations()]
         rows.append([i, k, st.sizeA, st.boundarySize, st.depthOracle, st.ratio])

@@ -154,9 +154,11 @@ class CounterexampleStats(NamedTuple):
         return [] if self.closedFormsMatch else ["closed forms match enumeration"]
 
 
-def _patch(params: GridParams) -> GridParams:
-    """A(i, min(k, 3)): the member whose bitmap ``stats`` builds for A(i, k)."""
-    return GridParams(params.i, min(params.k, 3))
+def _patch(params: GridParams, budget: Optional[int]) -> GridParams:
+    """A(i, min(k, 3)), the member ``stats`` builds for A(i, k), if ``budget`` admits it."""
+    patch = GridParams(params.i, min(params.k, 3))
+    _require_budget(budget, enumerated_size(patch))
+    return patch
 
 
 def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleStats:
@@ -171,8 +173,7 @@ def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleSta
     first, which two erosions confirm exactly when it is the depth. The
     budget counts the patch's vertices, the bitmap that is built.
     """
-    measured = _patch(params)
-    _require_budget(budget, enumerated_size(measured))
+    measured = _patch(params, budget)
     bm = _grid.perforated_block(measured.i, measured.k)
     d = _grid.depth(bm, depth_closed_form(measured))
     size, bsize = enumerated_size(params), boundary_closed_form(params)
@@ -260,7 +261,7 @@ def find_params(
         raise ValueError(f"target ratio must be positive, got {target}")
     for j in count(2):
         params = GridParams(j, j)
-        _require_budget(budget, enumerated_size(_patch(params)))
+        _patch(params, budget)
         bd = boundary_closed_form(params) * depth_closed_form(params)
         if Fraction(bd, enumerated_size(params)) < target:
             return params, stats(params, budget=budget)

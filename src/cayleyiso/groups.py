@@ -36,7 +36,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, compress, count, islice, repeat
 from math import comb, gcd, inf
-from operator import add, and_, ge, mul, rshift
+from operator import add, and_, ge, mul, rshift, xor
 from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 Vertex = Tuple[int, ...]
@@ -176,6 +176,30 @@ class GroupGraph:
         """The depth of a nonempty key set by erosions in the host's own key
         layout, or None where the host has none or the set is past its cap."""
         return None
+
+    def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
+        """The member and boundary keys of ``random_connected_set``'s set from the
+        key ``start``; a host whose shape needs no ``seen`` set overrides it."""
+        # the candidate list is exactly the keys seen but not absorbed
+        getrandbits, step = rng.getrandbits, self._step
+        candidates = step(start)
+        seen = {start, *candidates}
+        add, append, pop = seen.add, candidates.append, candidates.pop
+        for _ in range(size - 1):
+            n = len(candidates)
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            # swap-and-pop: the last candidate takes slot j
+            v = pop()
+            if j < n - 1:
+                v, candidates[j] = candidates[j], v
+            for u in step(v):
+                if u not in seen:
+                    add(u)
+                    append(u)
+        return seen.difference(candidates), candidates
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupGraph) and self.family == other.family
@@ -320,6 +344,27 @@ class IntegerLattice(GroupGraph):
             rows = map(rshift, map(add, keys, repeat(h)), repeat(_LATTICE_BITS))
             bm = _grid.Bitmap.from_keys(list(map(add, map(mul, rows, repeat(w)), columns)), w)
         return bm and _grid.depth(bm)
+
+    def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
+        if self.d > 1:
+            return super()._accrete(start, size, rng)
+        # A is an interval [hi - size + 1, hi] whose candidates are its two
+        # ends, so each draw is getrandbits(2), the top two bits of one
+        # 32-bit word: a top byte >= 128 is rejected, and one < 64 (j = 0)
+        # takes the first candidate, after which the other end is first.
+        # Either way the end taken is then the last candidate; up is 1 while
+        # that is hi + 1 (_step lists hi + 1 first, so up starts at 0).
+        # getrandbits(32 N) returns N words least significant first; the
+        # generator is the caller's own, so words drawn past the last
+        # absorption are harmless
+        hi, up, left = start, 0, size - 1
+        while left:
+            words = rng.getrandbits(64 * left).to_bytes(8 * left, "little")
+            taken = words[3::4].translate(None, bytes(range(128, 256)))[:left]
+            # the end taken at each draw, 1 for hi + 1: the parity of the flips
+            ends = list(accumulate(taken.translate(b"\1" * 64 + bytes(192)), xor, initial=up))
+            hi, up, left = hi + sum(ends) - up, ends[-1], left - len(taken)
+        return range(hi - size + 1, hi + 1), (hi - size, hi + 1)
 
     def _ball_counts(self) -> Iterator[int]:
         # the generating function (1+x)^d / (1-x)^(d+1) of the sizes gives
@@ -479,6 +524,35 @@ class FreeGroup(GroupGraph):
             keys = set(compress(full, map(keys.__contains__, map(rshift, full, repeat(bits)))))
             t += 1
         return t
+
+    def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
+        if start:
+            return super()._accrete(start, size, rng)
+        # from the identity A is a subtree, and a candidate's only neighbor
+        # in A is its parent. Its children were never seen, as in a tree
+        # their only path to A runs through it. So an absorbed v appends the
+        # keys base + 1 .. base + degree but c, base plus the digit that
+        # cancels v's last one, whose slot _step gives to the parent; no
+        # seen set is kept
+        getrandbits, bits, mask, cancels = rng.getrandbits, self._bits, self._mask, self._cancels
+        top = self.degree + 1
+        members, candidates = [0], list(range(1, top))
+        absorb, extend, pop = members.append, candidates.extend, candidates.pop
+        for _ in range(size - 1):
+            n = len(candidates)
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            v = pop()
+            if j < n - 1:
+                v, candidates[j] = candidates[j], v
+            absorb(v)
+            base = v << bits
+            c = base + 1 + cancels[v & mask]
+            extend(range(base + 1, c))
+            extend(range(c + 1, base + top))
+        return members, candidates
 
     def vertex_to_json(self, v: Vertex) -> str:
         return self.vertex_str(v)

@@ -327,13 +327,14 @@ def random_connected_set(
     budget: Optional[int] = None,
 ) -> VertexSet:
     """Grow a connected set by BFS accretion: repeatedly absorb a boundary
-    vertex chosen uniformly at random.
+    vertex chosen uniformly at random, by the host's ``_accrete``.
 
-    Deterministic for a given (seed, size, start): the candidate list is kept
-    in insertion order and sampled by index with swap-and-pop removal. The
-    index is drawn by ``randrange``'s own rejection loop on ``getrandbits``,
-    inlined, so the sets are those ``randrange`` grows; a test pins the two
-    draws against each other.
+    Deterministic for a given (seed, size, start): candidates are kept in
+    discovery order and drawn by index with ``randrange``'s own rejection
+    loop on ``getrandbits``, inlined (a test pins the two), and swap-and-pop
+    removal. A free group from the identity and ``z^1`` keep no ``seen``
+    set yet grow the same sets: a tree's new candidates are an absorbed
+    word's children, never seen, and an interval's are its two ends.
     A ``size`` over ``budget`` (DEFAULT_BUDGET if None) raises BudgetExceeded.
     The set carries its boundary, the final candidates (a candidate leaves
     only by joining A), and a connected closure, as A grew by neighbors.
@@ -343,31 +344,11 @@ def random_connected_set(
     _require_budget(budget, size)
     if g.is_finite and size > g.vertex_count:
         raise ValueError(f"size {size} exceeds |V| = {g.vertex_count} on {g.family}")
-    rng = random.Random(seed)
     if start is None:
         start = g.identity()
     g.validate_vertex(start)
-    start = g._encode(start)
-    # the candidate list is exactly the keys seen but not absorbed
-    getrandbits, step = rng.getrandbits, g._step
-    candidates = step(start)
-    seen = {start, *candidates}
-    add, append, pop = seen.add, candidates.append, candidates.pop
-    for _ in range(size - 1):
-        n = len(candidates)
-        k = n.bit_length()
-        j = getrandbits(k)
-        while j >= n:
-            j = getrandbits(k)
-        # swap-and-pop: the last candidate takes slot j
-        v = pop()
-        if j < n - 1:
-            v, candidates[j] = candidates[j], v
-        for u in step(v):
-            if u not in seen:
-                add(u)
-                append(u)
-    A = VertexSet._trusted(g, seen.difference(candidates))
+    keys, candidates = g._accrete(g._encode(start), size, random.Random(seed))
+    A = VertexSet._trusted(g, keys)
     A._boundary = frozenset(candidates)
     A._closure_is_connected = True
     return A

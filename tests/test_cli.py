@@ -9,6 +9,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -403,6 +404,17 @@ def test_sweep_ratio_requires_a_range(capsys):
     rc, out, err = run(["sweep", "ratio"], capsys)
     assert rc == 1
     assert "provide" in err
+
+
+def test_sweep_ratio_refuses_a_range_past_the_budget_before_running_it(capsys, monkeypatch):
+    # the largest member's patch, A(10^5, 3), is over the budget, so the
+    # range is refused before its first member runs or its pairs are listed
+    monkeypatch.delenv("ISO_BUDGET", raising=False)
+    started = time.perf_counter()
+    rc, out, err = run(["sweep", "ratio", "--imax", "100000", "--kmax", "100000"], capsys)
+    assert time.perf_counter() - started < 0.5
+    assert (rc, out) == (1, "")
+    assert err == "error: vertex budget 10000000 exceeded: needs 90000599997 vertices\n"
 
 
 # --- error paths -------------------------------------------------------------

@@ -3,6 +3,7 @@ classifier, checked against slow per-vertex oracles."""
 
 import math
 import random
+from collections import Counter
 from itertools import count, islice
 
 import pytest
@@ -32,7 +33,7 @@ from cayleyiso import (
 )
 from cayleyiso import isoperimetry
 from cayleyiso.counterexample import GridParams
-from cayleyiso.groups import _bfs_levels
+from cayleyiso.groups import GroupGraph, _bfs_levels
 from cayleyiso.isoperimetry import set_from_json_obj
 
 Z2 = IntegerLattice(2)
@@ -641,6 +642,103 @@ def test_the_inlined_draw_is_randranges_own():
             draws.append(j)
         assert draws == [reference.randrange(n) for n in bounds]
         assert inlined.getstate() == reference.getstate()
+
+
+def _widening_sizes(degree: int, top: int) -> list:
+    """Sizes up to ``top`` on both sides of each draw-width change of a
+    free-group set grown from the identity: the draw that takes it from
+    s - 1 to s members picks among degree + (s - 2)(degree - 2) candidates,
+    so it widens by a bit where that count passes a power of two."""
+    width = [(degree + (s - 2) * (degree - 2)).bit_length() for s in range(top + 1)]
+    return [t for s in range(3, top + 1) if width[s] > width[s - 1] for t in (s - 1, s)]
+
+
+def assert_grows_the_oracle_set(g, size, seed, start=None):
+    A = random_connected_set(g, size, seed=seed, start=start)
+    members = oracles.accretion_set(g, size, seed=seed, start=start)
+    assert A.elements == members, (g.family, size, seed, start)
+    assert set(map(g._decode, A._boundary)) == oracles.boundary_by_distance(g, members)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 26])
+def test_free_group_sets_grown_as_trees_match_the_accretion_oracle(rank):
+    # from the identity a free group grows its sets as trees, with no seen
+    # set; the oracle keeps one and grows them vertex by vertex. Seeds cycle
+    # through sizes 1, 2, 3 and both sides of every draw-width change. The
+    # distance oracle scans the 2-ball of every member, about 40 ms per
+    # member on free:26, so there sizes stop at 22 and only the first sets
+    # of sizes 1 to 3 meet it; the other boundaries are the members'
+    # neighbors outside A
+    g = FreeGroup(rank)
+    neighbors = oracles.neighbor_function(g)
+    top = 22 if rank == 26 else 140
+    sizes = sorted({1, 2, 3, *_widening_sizes(g.degree, top)})
+    assert sizes[-1] > top // 2
+    for seed in range(120):
+        size = sizes[seed % len(sizes)]
+        if rank < 26 or seed < 3:
+            assert_grows_the_oracle_set(g, size, seed)
+            continue
+        A = random_connected_set(g, size, seed=seed)
+        members = oracles.accretion_set(g, size, seed=seed)
+        assert A.elements == members, (size, seed)
+        outside = {u for v in members for u in neighbors(v)} - members
+        assert set(map(g._decode, A._boundary)) == outside
+
+
+def test_free_group_sets_from_another_start_take_the_generic_loop(monkeypatch):
+    # the tree route holds only from the identity: any other start runs the
+    # base class's loop, and grows the oracle's set
+    g = FreeGroup(2)
+    calls = []
+    generic = GroupGraph._accrete
+
+    def spy(host, start, size, rng):
+        calls.append(start)
+        return generic(host, start, size, rng)
+
+    monkeypatch.setattr(GroupGraph, "_accrete", spy)
+    for seed, size in enumerate([1, 2, 3, 4, 9, 60, 300]):
+        assert_grows_the_oracle_set(g, size, seed, start=(1, 2))
+        assert_grows_the_oracle_set(g, size, seed, start=(-2,))
+    assert calls == [g._encode(v) for _ in range(7) for v in [(1, 2), (-2,)]]
+    random_connected_set(g, 300, seed=1)
+    assert len(calls) == 14
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts its ``getrandbits`` calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_line_sets_grown_as_intervals_are_the_generic_loops():
+    # z^1 reads each getrandbits(2) draw of the generic loop as the top two
+    # bits of one 32-bit word of getrandbits(32 N). That pins CPython's word
+    # order for k > 32, least significant word first: an interpreter that
+    # packs the words otherwise turns this red instead of growing other sets.
+    # Sizes run from 1 to 2000 with starts on both sides of 0; the route
+    # draws 2 words per member still to absorb and draws again for those
+    # that rejections leave, so sizes 2 and 3 and most larger ones meet both
+    # a first draw that suffices and one that does not
+    g = IntegerLattice(1)
+    rng = random.Random(27)
+    sizes = [1, 2, 3, 4, 5, 2000, *(rng.randint(1, 2000) for _ in range(40))]
+    calls = Counter()
+    for seed in range(520):
+        size, start = sizes[seed % len(sizes)], rng.choice([0, 0, 7, -10**12])
+        counting = _CountingRandom(seed)
+        keys, ends = g._accrete(start, size, counting)
+        base_keys, base_ends = GroupGraph._accrete(g, start, size, random.Random(seed))
+        assert (set(keys), set(ends)) == (base_keys, set(base_ends)), (size, seed, start)
+        assert len(keys) == size and keys[0] - 1 == ends[0] and keys[-1] + 1 == ends[1]
+        calls[min(counting.calls, 3)] += 1
+    assert calls[0] >= 520 // len(sizes)  # size 1 draws nothing
+    assert calls[1] > 50 and calls[2] > 50 and calls[3] > 10
 
 
 # --- vertex sets and set files -----------------------------------------------
