@@ -179,7 +179,7 @@ class GroupGraph:
 
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
         """The member and boundary keys of ``random_connected_set``'s set from the
-        key ``start``; a host whose shape needs no ``seen`` set overrides it."""
+        key ``start``; trees, intervals and offset-row hosts override it."""
         # the candidate list is exactly the keys seen but not absorbed
         getrandbits, step = rng.getrandbits, self._step
         candidates = step(start)
@@ -196,6 +196,30 @@ class GroupGraph:
             if j < n - 1:
                 v, candidates[j] = candidates[j], v
             for u in step(v):
+                if u not in seen:
+                    add(u)
+                    append(u)
+        return seen.difference(candidates), candidates
+
+    def _accrete_by_offsets(self, start: int, size: int, rng, rows,
+                            period: int) -> Tuple[Collection, Collection]:
+        """``_accrete``'s loop where key v's neighbors are v + o for o in
+        ``rows[v % period]``, in ``_step`` order, stepped inline: no ``_step``."""
+        getrandbits = rng.getrandbits
+        candidates = [start + o for o in rows[start % period]]
+        seen = {start, *candidates}
+        add, append, pop = seen.add, candidates.append, candidates.pop
+        for _ in range(size - 1):
+            n = len(candidates)
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            v = pop()
+            if j < n - 1:
+                v, candidates[j] = candidates[j], v
+            for o in rows[v % period]:
+                u = v + o
                 if u not in seen:
                     add(u)
                     append(u)
@@ -347,7 +371,7 @@ class IntegerLattice(GroupGraph):
 
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
         if self.d > 1:
-            return super()._accrete(start, size, rng)
+            return self._accrete_by_offsets(start, size, rng, (self._offsets,), 1)
         # A is an interval [hi - size + 1, hi] whose candidates are its two
         # ends, so each draw is getrandbits(2), the top two bits of one
         # 32-bit word: a top byte >= 128 is rejected, and one < 64 (j = 0)
@@ -530,13 +554,13 @@ class FreeGroup(GroupGraph):
             return super()._accrete(start, size, rng)
         # from the identity A is a subtree, and a candidate's only neighbor
         # in A is its parent. Its children were never seen, as in a tree
-        # their only path to A runs through it. So an absorbed v appends the
-        # keys base + 1 .. base + degree but c, base plus the digit that
-        # cancels v's last one, whose slot _step gives to the parent; no
-        # seen set is kept
-        getrandbits, bits, mask, cancels = rng.getrandbits, self._bits, self._mask, self._cancels
-        top = self.degree + 1
-        members, candidates = [0], list(range(1, top))
+        # their only path to A runs through it. So an absorbed v appends
+        # v << _bits plus each digit of kids[last], last = v & _mask: the
+        # digits 1 .. degree but the one that cancels last, whose slot _step
+        # gives to the parent (the identity's row keeps all). No seen set
+        getrandbits, bits, mask = rng.getrandbits, self._bits, self._mask
+        kids = [[d for d in range(1, self.degree + 1) if d - 1 != c] for c in self._cancels]
+        members, candidates = [0], kids[0][:]
         absorb, extend, pop = members.append, candidates.extend, candidates.pop
         for _ in range(size - 1):
             n = len(candidates)
@@ -549,9 +573,7 @@ class FreeGroup(GroupGraph):
                 v, candidates[j] = candidates[j], v
             absorb(v)
             base = v << bits
-            c = base + 1 + cancels[v & mask]
-            extend(range(base + 1, c))
-            extend(range(c + 1, base + top))
+            extend([base + d for d in kids[v & mask]])
         return members, candidates
 
     def vertex_to_json(self, v: Vertex) -> str:
@@ -591,6 +613,7 @@ class _ResidueRows(dict):
     what each generator (dz, dr) adds to a key z*m + r. Each row is built on
     first use, so a cylinder of any width costs only the residues a search
     reaches; filling in a row is idempotent, so sharing the host stays safe.
+    ``_step`` and accretion both read the rows directly.
     """
 
     def __init__(self, m: int, generators: Sequence[Tuple[int, int]]):
@@ -731,6 +754,9 @@ class Cylinder(GroupGraph):
     def _step(self, key: int) -> list:
         # the generators are distinct (dz, dr mod m) pairs, so these are too
         return [key + o for o in self._rows[key % self.m]]
+
+    def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
+        return self._accrete_by_offsets(start, size, rng, self._rows, self.m)
 
 
 # one anchored pattern for the whole grammar; ASCII digits only, so int()

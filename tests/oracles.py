@@ -115,9 +115,10 @@ def neighbor_function(g):
 def accretion_set(g, size: int, seed: int = 0, start=None) -> set:
     """The vertices ``random_connected_set`` grows, by the same protocol on
     vertices: candidates in discovery order, one ``randrange`` per absorbed
-    vertex, swap-and-pop removal."""
+    vertex, swap-and-pop removal. ``seed`` may also be a ``random.Random``
+    to draw from, so that a caller can watch the draws."""
     neighbors = neighbor_function(g)
-    rng = random.Random(seed)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     start = g.identity() if start is None else start
     members = {start}
     candidates = neighbors(start)
@@ -206,21 +207,12 @@ def cylinder_generates(m: int, gens) -> tuple:
 
 
 def boundary_by_distance(g, elements) -> set:
-    """{u : d(u, A) = 1}: candidates within distance 2 of A, kept when their
-    own neighbor scan finds A at distance exactly 1."""
+    """{u : d(u, A) = 1}: the members' neighbors outside A, each kept when
+    its own neighbor scan finds a member at distance exactly 1."""
     neighbors = neighbor_function(g)
     members = set(elements)
-    candidates = set()
-    for v in members:
-        for u in neighbors(v):
-            candidates.add(u)
-            for w in neighbors(u):
-                candidates.add(w)
-    out = set()
-    for u in candidates - members:
-        if any(w in members for w in neighbors(u)):
-            out.add(u)
-    return out
+    candidates = {u for v in members for u in neighbors(v)} - members
+    return {u for u in candidates if any(w in members for w in neighbors(u))}
 
 
 def per_vertex_depth(g, elements) -> int:

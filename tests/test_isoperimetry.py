@@ -665,25 +665,14 @@ def test_free_group_sets_grown_as_trees_match_the_accretion_oracle(rank):
     # from the identity a free group grows its sets as trees, with no seen
     # set; the oracle keeps one and grows them vertex by vertex. Seeds cycle
     # through sizes 1, 2, 3 and both sides of every draw-width change. The
-    # distance oracle scans the 2-ball of every member, about 40 ms per
-    # member on free:26, so there sizes stop at 22 and only the first sets
-    # of sizes 1 to 3 meet it; the other boundaries are the members'
-    # neighbors outside A
+    # boundary oracle scans the neighbors of every member's neighbors,
+    # degree^2 work per member, so on free:26 sizes stop at 22
     g = FreeGroup(rank)
-    neighbors = oracles.neighbor_function(g)
     top = 22 if rank == 26 else 140
     sizes = sorted({1, 2, 3, *_widening_sizes(g.degree, top)})
     assert sizes[-1] > top // 2
     for seed in range(120):
-        size = sizes[seed % len(sizes)]
-        if rank < 26 or seed < 3:
-            assert_grows_the_oracle_set(g, size, seed)
-            continue
-        A = random_connected_set(g, size, seed=seed)
-        members = oracles.accretion_set(g, size, seed=seed)
-        assert A.elements == members, (size, seed)
-        outside = {u for v in members for u in neighbors(v)} - members
-        assert set(map(g._decode, A._boundary)) == outside
+        assert_grows_the_oracle_set(g, sizes[seed % len(sizes)], seed)
 
 
 def test_free_group_sets_from_another_start_take_the_generic_loop(monkeypatch):
@@ -739,6 +728,83 @@ def test_line_sets_grown_as_intervals_are_the_generic_loops():
         calls[min(counting.calls, 3)] += 1
     assert calls[0] >= 520 // len(sizes)  # size 1 draws nothing
     assert calls[1] > 50 and calls[2] > 50 and calls[3] > 10
+
+
+OFFSET_FAMILIES = ["z^2", "z^3", "cyl:2", "cyl:3", "cyl:7",
+                   "cyl:4:[(2,1),(1,0)]", "cyl:5:[(1,2),(0,1)]"]
+
+
+class _RecordingRandom(random.Random):
+    """A generator that records the bound of each ``randrange`` call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.bounds = []
+
+    def randrange(self, n):
+        self.bounds.append(n)
+        return super().randrange(n)
+
+
+def _crossing_sizes(g, start, seed, top) -> list:
+    """Sizes up to ``top`` on both sides of each draw that is wider than the
+    one before it, for the set grown from ``start`` at ``seed``: the oracle
+    draws randrange(n) from n candidates, and draw i takes A from i + 1 to
+    i + 2 members, so it widens where n passes a power of two."""
+    rng = _RecordingRandom(seed)
+    oracles.accretion_set(g, top, seed=rng, start=start)
+    widths = [n.bit_length() for n in rng.bounds]
+    return [s for i in range(1, len(widths)) if widths[i] > widths[i - 1] for s in (i + 1, i + 2)]
+
+
+@pytest.mark.parametrize("family", OFFSET_FAMILIES)
+def test_offset_hosts_accrete_as_the_step_loop(family):
+    # z^d and cylinders step by their rows of key offsets inline; with the
+    # same draws the base class's step loop must grow the same set and list
+    # the same boundary in the same order. Each seed takes one of sizes 1, 2
+    # and 3, both sides of one draw that widens, and a random size up to
+    # 1000, from the identity, a start below z = 0 or one off residue 0;
+    # the first seeds' widening sets also meet both oracles
+    g = parse_group(family)
+    d = len(g.identity())
+    starts = [g.identity(), (-5,) + (0,) * (d - 1), (9,) + (1,) * (d - 1)]
+    rng = random.Random(28)
+    for seed in range(120):
+        start = starts[seed % 3]
+        key, crossing = g._encode(start), _crossing_sizes(g, start, seed, 150)
+        pair = crossing[seed % (len(crossing) // 2) * 2:][:2]
+        for size in [1 + seed // 3 % 3, *pair, rng.randint(4, 1000)]:
+            route = g._accrete(key, size, random.Random(seed))
+            assert route == GroupGraph._accrete(g, key, size, random.Random(seed)), (size, seed)
+        if seed < 12:
+            assert_grows_the_oracle_set(g, pair[1], seed, start=start)
+
+
+def test_offset_hosts_never_step_and_the_others_keep_the_step_loop(monkeypatch):
+    # z^d (d >= 2) and every cylinder accrete by their offset rows with no
+    # _step call; a torus and a free group off the identity run the base
+    # class's step loop, and a tree or an interval neither
+    steps, generic = Counter(), []
+    for cls in (IntegerLattice, Torus, FreeGroup, Cylinder):
+        def step(host, key, original=cls._step):
+            steps[host.family] += 1
+            return original(host, key)
+
+        monkeypatch.setattr(cls, "_step", step)
+    base = GroupGraph._accrete
+    monkeypatch.setattr(GroupGraph, "_accrete",
+                        lambda host, *args: generic.append(host.family) or base(host, *args))
+    for family in OFFSET_FAMILIES:
+        g = parse_group(family)
+        for start in [None, (3,) + (1,) * (len(g.identity()) - 1)]:
+            assert len(random_connected_set(g, 300, seed=1, start=start)) == 300
+    random_connected_set(parse_group("z^1"), 300, seed=1)
+    random_connected_set(FreeGroup(2), 300, seed=1)
+    assert not steps and not generic
+    random_connected_set(Torus(9, 2), 50, seed=1)
+    random_connected_set(FreeGroup(2), 50, seed=1, start=(1, 2))
+    assert generic == ["torus:9x9", "free:2"]
+    assert steps["torus:9x9"] >= 49 and steps["free:2"] >= 49
 
 
 # --- vertex sets and set files -----------------------------------------------
