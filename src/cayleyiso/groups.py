@@ -177,35 +177,18 @@ class GroupGraph:
         layout, or None where the host has none or the set is past its cap."""
         return None
 
+    def _offset_rows(self, start: int, size: int):
+        """(rows, period): accretion steps key v to v + o for each o in
+        ``rows[v % period]``, in ``_step`` order. By default row v is built from
+        ``_step(v)`` for the call; ``vertex_count`` exceeds every torus key."""
+        return _Rows(lambda v: [u - v for u in self._step(v)]), self.vertex_count
+
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
         """The member and boundary keys of ``random_connected_set``'s set from the
-        key ``start``; trees, intervals and offset-row hosts override it."""
+        key ``start``, stepped by ``_offset_rows``; trees and intervals override it."""
         # the candidate list is exactly the keys seen but not absorbed
-        getrandbits, step = rng.getrandbits, self._step
-        candidates = step(start)
-        seen = {start, *candidates}
-        add, append, pop = seen.add, candidates.append, candidates.pop
-        for _ in range(size - 1):
-            n = len(candidates)
-            k = n.bit_length()
-            j = getrandbits(k)
-            while j >= n:
-                j = getrandbits(k)
-            # swap-and-pop: the last candidate takes slot j
-            v = pop()
-            if j < n - 1:
-                v, candidates[j] = candidates[j], v
-            for u in step(v):
-                if u not in seen:
-                    add(u)
-                    append(u)
-        return seen.difference(candidates), candidates
-
-    def _accrete_by_offsets(self, start: int, size: int, rng, rows,
-                            period: int) -> Tuple[Collection, Collection]:
-        """``_accrete``'s loop where key v's neighbors are v + o for o in
-        ``rows[v % period]``, in ``_step`` order, stepped inline: no ``_step``."""
         getrandbits = rng.getrandbits
+        rows, period = self._offset_rows(start, size)
         candidates = [start + o for o in rows[start % period]]
         seen = {start, *candidates}
         add, append, pop = seen.add, candidates.append, candidates.pop
@@ -215,6 +198,7 @@ class GroupGraph:
             j = getrandbits(k)
             while j >= n:
                 j = getrandbits(k)
+            # swap-and-pop: the last candidate takes slot j
             v = pop()
             if j < n - 1:
                 v, candidates[j] = candidates[j], v
@@ -369,9 +353,12 @@ class IntegerLattice(GroupGraph):
             bm = _grid.Bitmap.from_keys(list(map(add, map(mul, rows, repeat(w)), columns)), w)
         return bm and _grid.depth(bm)
 
+    def _offset_rows(self, start: int, size: int):
+        return (self._offsets,), 1
+
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
         if self.d > 1:
-            return self._accrete_by_offsets(start, size, rng, (self._offsets,), 1)
+            return super()._accrete(start, size, rng)
         # A is an interval [hi - size + 1, hi] whose candidates are its two
         # ends, so each draw is getrandbits(2), the top two bits of one
         # 32-bit word: a top byte >= 128 is rejected, and one < 64 (j = 0)
@@ -549,6 +536,15 @@ class FreeGroup(GroupGraph):
             t += 1
         return t
 
+    def _offset_rows(self, start: int, size: int):
+        # the default per-key rows, with a period above every key they are
+        # read for: the start and the size - 1 keys absorbed, all within size
+        # steps of it. A word of L letters has a key below 2^(_bits L) and, its
+        # first digit being nonzero, at least 2^(_bits (L - 1)). So for
+        # l = len(start), a word within size steps has at most l + size letters
+        # and a key below 2^(_bits (l + size)) <= start << _bits (size + 1)
+        return super()._offset_rows(start, size)[0], (start + 1) << self._bits * (size + 1)
+
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
         if start:
             return super()._accrete(start, size, rng)
@@ -608,23 +604,19 @@ class FreeGroup(GroupGraph):
 
 STANDARD_CYLINDER_GENERATORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
-class _ResidueRows(dict):
-    """A cylinder's key offsets by residue: row r lists, in generator order,
-    what each generator (dz, dr) adds to a key z*m + r. Each row is built on
-    first use, so a cylinder of any width costs only the residues a search
-    reaches; filling in a row is idempotent, so sharing the host stays safe.
-    ``_step`` and accretion both read the rows directly.
+class _Rows(dict):
+    """Rows of key offsets, row r built as ``row_fn(r)`` on first use and kept,
+    so a cylinder's rows by residue cost only the residues a search reaches and
+    a per-call table of ``_offset_rows`` only the keys accretion reads. Filling
+    in a row is idempotent, so sharing a host stays safe.
     """
 
-    def __init__(self, m: int, generators: Sequence[Tuple[int, int]]):
+    def __init__(self, row_fn):
         super().__init__()
-        self._m = m
-        self._generators = generators
+        self._row_fn = row_fn
 
     def __missing__(self, r: int) -> list:
-        m = self._m
-        row = self[r] = [dz * m + (r + dr) % m - r for dz, dr in self._generators]
-        return row
+        return self.setdefault(r, self._row_fn(r))
 
 
 class Cylinder(GroupGraph):
@@ -682,7 +674,9 @@ class Cylinder(GroupGraph):
         else:
             self.family = f"cyl:{m}:{list(self.generators)!r}".replace(" ", "")
         self.vertex_count = None
-        self._rows = _ResidueRows(m, self.generators)
+        # row r: what each generator (dz, dr) adds to a key z*m + r
+        gens = self.generators
+        self._rows = _Rows(lambda r: [dz * m + (r + dr) % m - r for dz, dr in gens])
 
     def _check_generates(self) -> None:
         m = self.m
@@ -755,8 +749,8 @@ class Cylinder(GroupGraph):
         # the generators are distinct (dz, dr mod m) pairs, so these are too
         return [key + o for o in self._rows[key % self.m]]
 
-    def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
-        return self._accrete_by_offsets(start, size, rng, self._rows, self.m)
+    def _offset_rows(self, start: int, size: int):
+        return self._rows, self.m
 
 
 # one anchored pattern for the whole grammar; ASCII digits only, so int()

@@ -335,7 +335,7 @@ def random_connected_set(
     removal. A free group from the identity and ``z^1`` keep no ``seen``
     set yet grow the same sets: a tree's new candidates are an absorbed
     word's children, never seen, and an interval's are its two ends. Other
-    ``z^d`` and cylinders step by their offset table inline, not by ``_step``.
+    hosts step a key by the row of offsets their ``_offset_rows`` gives it.
     A ``size`` over ``budget`` (DEFAULT_BUDGET if None) raises BudgetExceeded.
     The set carries its boundary, the final candidates (a candidate leaves
     only by joining A), and a connected closure, as A grew by neighbors.

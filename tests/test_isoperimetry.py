@@ -33,7 +33,7 @@ from cayleyiso import (
 )
 from cayleyiso import isoperimetry
 from cayleyiso.counterexample import GridParams
-from cayleyiso.groups import GroupGraph, _bfs_levels
+from cayleyiso.groups import LATTICE_COORDINATE_BOUND, GroupGraph, _bfs_levels
 from cayleyiso.isoperimetry import set_from_json_obj
 
 Z2 = IntegerLattice(2)
@@ -757,54 +757,141 @@ def _crossing_sizes(g, start, seed, top) -> list:
     return [s for i in range(1, len(widths)) if widths[i] > widths[i - 1] for s in (i + 1, i + 2)]
 
 
-@pytest.mark.parametrize("family", OFFSET_FAMILIES)
+def _random_word(g, length: int, rng) -> tuple:
+    """A random reduced word of ``length`` letters on the free group ``g``."""
+    word = []
+    while len(word) < length:
+        x = rng.choice([i for i in range(-g.rank, g.rank + 1) if i])
+        if not word or x != -word[-1]:
+            word.append(x)
+    return tuple(word)
+
+
+def _longest_absorbable(g, start: tuple, size: int) -> tuple:
+    """The word of largest key that accretion from ``start`` can absorb in
+    ``size`` - 1 draws: ``start`` and then size - 1 maximal digits, each the
+    inverse of the last generator unless it would cancel the letter before."""
+    word = list(start)
+    for _ in range(size - 1):
+        word.append(-g.rank if not word or word[-1] != g.rank else g.rank)
+    return tuple(word)
+
+
+def _row_tables(g, rng) -> list:
+    """(rows, period, keys): a host's offset rows and keys whose rows accretion
+    may read. z^d and cylinders get keys at z = 0, below it and far out on
+    both sides, at every residue; tori every key; free groups, from starts of
+    1, 5 and 40 letters, the keys of random walks of size - 1 steps and of the
+    longest word the size can absorb."""
+    if isinstance(g, FreeGroup):
+        tables = []
+        for length in (1, 5, 40):
+            start = _random_word(g, length, rng)
+            for size in (1, 2, 7, 60):
+                words = {start, _longest_absorbable(g, start, size)}
+                for _ in range(5):
+                    v = g._encode(start)
+                    for _ in range(size - 1):
+                        v = rng.choice(g._step(v))
+                        words.add(g._decode(v))
+                tables.append((*g._offset_rows(g._encode(start), size),
+                               sorted(map(g._encode, words))))
+        return tables
+    if isinstance(g, Torus):
+        return [(*g._offset_rows(0, g.vertex_count), range(g.vertex_count))]
+    zs = [0, 1, -1, -5, 9, 10**12, -10**12, *(rng.randint(-10**15, 10**15) for _ in range(20))]
+    if isinstance(g, Cylinder):
+        keys = [g._encode((z, r)) for z in zs for r in range(g.m)]
+    else:
+        bound = LATTICE_COORDINATE_BOUND - 1
+        lower = [0, bound, -bound, *(rng.randint(-bound, bound) for _ in range(4))]
+        keys = [g._encode((z, *(rng.choice(lower) for _ in range(g.d - 1)))) for z in zs]
+    return [(*g._offset_rows(keys[0], 1), keys)]
+
+
+ROW_FAMILIES = ["z^1", *OFFSET_FAMILIES[:2], "torus:5x5", "torus:3x3x3",
+                *OFFSET_FAMILIES[2:], "free:2", "free:26"]
+
+
+@pytest.mark.parametrize("family", ROW_FAMILIES)
 def test_offset_hosts_accrete_as_the_step_loop(family):
-    # z^d and cylinders step by their rows of key offsets inline; with the
-    # same draws the base class's step loop must grow the same set and list
-    # the same boundary in the same order. Each seed takes one of sizes 1, 2
-    # and 3, both sides of one draw that widens, and a random size up to
-    # 1000, from the identity, a start below z = 0 or one off residue 0;
-    # the first seeds' widening sets also meet both oracles
+    # accretion steps key v to v + o for o in rows[v % period]; those must be
+    # _step(v), in its order, or the sets and boundaries change. The offset
+    # hosts' first seeds also grow the oracle's set on both sides of a draw
+    # that widens, from the identity, a start below z = 0 and one off residue 0
     g = parse_group(family)
+    rng = random.Random(29)
+    for rows, period, keys in _row_tables(g, rng):
+        for v in keys:
+            assert [v + o for o in rows[v % period]] == g._step(v), (family, v)
+    if family not in OFFSET_FAMILIES:
+        return
     d = len(g.identity())
     starts = [g.identity(), (-5,) + (0,) * (d - 1), (9,) + (1,) * (d - 1)]
-    rng = random.Random(28)
-    for seed in range(120):
+    for seed in range(12):
         start = starts[seed % 3]
-        key, crossing = g._encode(start), _crossing_sizes(g, start, seed, 150)
+        crossing = _crossing_sizes(g, start, seed, 150)
         pair = crossing[seed % (len(crossing) // 2) * 2:][:2]
-        for size in [1 + seed // 3 % 3, *pair, rng.randint(4, 1000)]:
-            route = g._accrete(key, size, random.Random(seed))
-            assert route == GroupGraph._accrete(g, key, size, random.Random(seed)), (size, seed)
-        if seed < 12:
-            assert_grows_the_oracle_set(g, pair[1], seed, start=start)
+        assert_grows_the_oracle_set(g, pair[1], seed, start=start)
 
 
-def test_offset_hosts_never_step_and_the_others_keep_the_step_loop(monkeypatch):
-    # z^d (d >= 2) and every cylinder accrete by their offset rows with no
-    # _step call; a torus and a free group off the identity run the base
-    # class's step loop, and a tree or an interval neither
-    steps, generic = Counter(), []
+@pytest.mark.parametrize("rank", [2, 26])
+def test_a_free_group_period_exceeds_every_key_accretion_absorbs(rank):
+    # off the identity a free group's rows are indexed by key % period, so the
+    # period must exceed the key of every word within size - 1 steps of the
+    # start, the largest being the start with size - 1 maximal digits appended
+    g = FreeGroup(rank)
+    rng = random.Random(29)
+    for length in (1, 5, 40):
+        for start in (_random_word(g, length, rng), (-rank,) * length, (rank,) * length):
+            for size in range(1, 61):
+                _, period = g._offset_rows(g._encode(start), size)
+                top = _longest_absorbable(g, start, size)
+                assert len(top) == length + size - 1
+                assert g._encode(top) < period, (start, size)
+
+
+@pytest.mark.parametrize("rank", [2, 26])
+def test_free_group_sets_from_a_long_word_match_the_accretion_oracle(rank):
+    # sizes 1-60 from a 40-letter start, four seeds each on free:2; the
+    # boundary oracle scans degree^2 keys per member, so free:26 takes one
+    g = FreeGroup(rank)
+    start = _random_word(g, 40, random.Random(40))
+    for seed in range(240 if rank == 2 else 60):
+        assert_grows_the_oracle_set(g, seed % 60 + 1, seed, start=start)
+
+
+def test_one_loop_grows_every_host_but_trees_and_intervals(monkeypatch):
+    # every host but a free group from the identity (a tree) and z^1 (an
+    # interval) runs the base class's loop. z^d (d >= 2) and cylinders step
+    # by their fixed rows and never call _step; a torus and a free group off
+    # the identity build one row per key they read, by one _step call each
+    steps, generic, tables = Counter(), [], []
     for cls in (IntegerLattice, Torus, FreeGroup, Cylinder):
         def step(host, key, original=cls._step):
             steps[host.family] += 1
             return original(host, key)
 
         monkeypatch.setattr(cls, "_step", step)
-    base = GroupGraph._accrete
+    base, offset_rows = GroupGraph._accrete, GroupGraph._offset_rows
     monkeypatch.setattr(GroupGraph, "_accrete",
                         lambda host, *args: generic.append(host.family) or base(host, *args))
+    monkeypatch.setattr(GroupGraph, "_offset_rows",
+                        lambda host, *args: tables.append(offset_rows(host, *args)) or tables[-1])
     for family in OFFSET_FAMILIES:
         g = parse_group(family)
         for start in [None, (3,) + (1,) * (len(g.identity()) - 1)]:
             assert len(random_connected_set(g, 300, seed=1, start=start)) == 300
+    assert generic == [parse_group(family).family for family in OFFSET_FAMILIES for _ in range(2)]
     random_connected_set(parse_group("z^1"), 300, seed=1)
     random_connected_set(FreeGroup(2), 300, seed=1)
-    assert not steps and not generic
+    assert not steps and len(generic) == 14 and not tables
     random_connected_set(Torus(9, 2), 50, seed=1)
+    random_connected_set(Torus(3, 3), 27, seed=2)
     random_connected_set(FreeGroup(2), 50, seed=1, start=(1, 2))
-    assert generic == ["torus:9x9", "free:2"]
-    assert steps["torus:9x9"] >= 49 and steps["free:2"] >= 49
+    assert generic[14:] == ["torus:9x9", "torus:3x3x3", "free:2"]
+    assert [len(table) for table, _ in tables] == [50, 27, 50]
+    assert steps == {"torus:9x9": 50, "torus:3x3x3": 27, "free:2": 50}
 
 
 # --- vertex sets and set files -----------------------------------------------

@@ -2,8 +2,8 @@
 resolves, a star import works, every name in the export table is defined in
 the submodule it names, no name exported before the exports were bound
 lazily is dropped, the report records are immutable named tuples whose
-``to_dict`` keys keep their order, and no submodule imports a name at
-module level that it never uses."""
+``to_dict`` keys keep their order, no submodule imports a name at module
+level that it never uses, and the source stays under its line ceiling."""
 
 import ast
 import inspect
@@ -125,3 +125,15 @@ def test_no_submodule_imports_a_name_it_never_uses():
                 names = (alias.asname or alias.name.partition(".")[0] for alias in statement.names)
                 unused += [f"{path.name}: {name}" for name in names if name not in used]
     assert unused == []
+
+
+#: the most non-blank, non-comment lines ``src/cayleyiso/*.py`` may hold,
+#: docstrings counted, as ROADMAP counts them: a change that adds lines has to
+#: raise it in its own diff
+SOURCE_LINE_CEILING = 1965
+
+
+def test_the_source_stays_under_its_line_ceiling():
+    lines = [line.strip() for path in Path(cayleyiso.__file__).parent.glob("*.py")
+             for line in path.read_text(encoding="utf-8").splitlines()]
+    assert sum(1 for line in lines if line and not line.startswith("#")) <= SOURCE_LINE_CEILING
