@@ -180,8 +180,8 @@ class GroupGraph:
     def _offset_rows(self, start: int, size: int):
         """(rows, period): accretion steps key v to v + o for each o in
         ``rows[v % period]``, in ``_step`` order. By default row v is built from
-        ``_step(v)`` for the call; ``vertex_count`` exceeds every torus key."""
-        return _Rows(lambda v: [u - v for u in self._step(v)]), self.vertex_count
+        ``_step(v)`` on each read; ``vertex_count`` exceeds every torus key."""
+        return _StepRows(self._step), self.vertex_count
 
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
         """The member and boundary keys of ``random_connected_set``'s set from the
@@ -605,11 +605,9 @@ class FreeGroup(GroupGraph):
 STANDARD_CYLINDER_GENERATORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 class _Rows(dict):
-    """Rows of key offsets, row r built as ``row_fn(r)`` on first use and kept,
-    so a cylinder's rows by residue cost only the residues a search reaches and
-    a per-call table of ``_offset_rows`` only the keys accretion reads. Filling
-    in a row is idempotent, so sharing a host stays safe.
-    """
+    """Rows of key offsets, row r built as ``row_fn(r)`` on first use and kept
+    (idempotently, so a shared host stays safe): a cylinder's rows by residue
+    cost only the residues a search reaches."""
 
     def __init__(self, row_fn):
         super().__init__()
@@ -617,6 +615,16 @@ class _Rows(dict):
 
     def __missing__(self, r: int) -> list:
         return self.setdefault(r, self._row_fn(r))
+
+
+class _StepRows:
+    # the default rows: row v is built from _step(v) on each read and never
+    # kept, as accretion reads each absorbed key's row once
+    def __init__(self, step):
+        self._step = step
+
+    def __getitem__(self, v: int) -> list:
+        return [u - v for u in self._step(v)]
 
 
 class Cylinder(GroupGraph):

@@ -865,7 +865,8 @@ def test_one_loop_grows_every_host_but_trees_and_intervals(monkeypatch):
     # every host but a free group from the identity (a tree) and z^1 (an
     # interval) runs the base class's loop. z^d (d >= 2) and cylinders step
     # by their fixed rows and never call _step; a torus and a free group off
-    # the identity build one row per key they read, by one _step call each
+    # the identity build each row from one _step call as it is read and keep
+    # none, so reading a start's row again steps again
     steps, generic, tables = Counter(), [], []
     for cls in (IntegerLattice, Torus, FreeGroup, Cylinder):
         def step(host, key, original=cls._step):
@@ -890,8 +891,10 @@ def test_one_loop_grows_every_host_but_trees_and_intervals(monkeypatch):
     random_connected_set(Torus(3, 3), 27, seed=2)
     random_connected_set(FreeGroup(2), 50, seed=1, start=(1, 2))
     assert generic[14:] == ["torus:9x9", "torus:3x3x3", "free:2"]
-    assert [len(table) for table, _ in tables] == [50, 27, 50]
     assert steps == {"torus:9x9": 50, "torus:3x3x3": 27, "free:2": 50}
+    for (rows, _), start in zip(tables, [0, 0, FreeGroup(2)._encode((1, 2))]):
+        rows[start]
+    assert steps == {"torus:9x9": 51, "torus:3x3x3": 28, "free:2": 51}
 
 
 # --- vertex sets and set files -----------------------------------------------

@@ -130,7 +130,7 @@ def test_no_submodule_imports_a_name_it_never_uses():
 #: the most non-blank, non-comment lines ``src/cayleyiso/*.py`` may hold,
 #: docstrings counted, as ROADMAP counts them: a change that adds lines has to
 #: raise it in its own diff
-SOURCE_LINE_CEILING = 1965
+SOURCE_LINE_CEILING = 1968
 
 
 def test_the_source_stays_under_its_line_ceiling():
