@@ -185,29 +185,8 @@ class GroupGraph:
 
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
         """The member and boundary keys of ``random_connected_set``'s set from the
-        key ``start``, stepped by ``_offset_rows``; trees and intervals override it."""
-        # the candidate list is exactly the keys seen but not absorbed
-        getrandbits = rng.getrandbits
-        rows, period = self._offset_rows(start, size)
-        candidates = [start + o for o in rows[start % period]]
-        seen = {start, *candidates}
-        add, append, pop = seen.add, candidates.append, candidates.pop
-        for _ in range(size - 1):
-            n = len(candidates)
-            k = n.bit_length()
-            j = getrandbits(k)
-            while j >= n:
-                j = getrandbits(k)
-            # swap-and-pop: the last candidate takes slot j
-            v = pop()
-            if j < n - 1:
-                v, candidates[j] = candidates[j], v
-            for o in rows[v % period]:
-                u = v + o
-                if u not in seen:
-                    add(u)
-                    append(u)
-        return seen.difference(candidates), candidates
+        key ``start``, stepped by ``_offset_rows``; trees, intervals and z^2 override it."""
+        return _swap_and_pop(start, size, rng, *self._offset_rows(start, size))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupGraph) and self.family == other.family
@@ -217,6 +196,32 @@ class GroupGraph:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.family!r})"
+
+
+def _swap_and_pop(start: int, size: int, rng, rows, period: int) -> Tuple[set, list]:
+    """``_accrete``'s loop: the members and the candidates, in discovery order,
+    of ``size`` - 1 draws from ``start``, stepping v to v + o, o in ``rows[v % period]``."""
+    # the candidate list is exactly the keys seen but not absorbed
+    getrandbits = rng.getrandbits
+    candidates = [start + o for o in rows[start % period]]
+    seen = {start, *candidates}
+    add, append, pop = seen.add, candidates.append, candidates.pop
+    for _ in range(size - 1):
+        n = len(candidates)
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        # swap-and-pop: the last candidate takes slot j
+        v = pop()
+        if j < n - 1:
+            v, candidates[j] = candidates[j], v
+        for o in rows[v % period]:
+            u = v + o
+            if u not in seen:
+                add(u)
+                append(u)
+    return seen.difference(candidates), candidates
 
 
 #: a ``z^d`` key's digits are 2^_LATTICE_BITS apart
@@ -337,6 +342,8 @@ class IntegerLattice(GroupGraph):
         from . import _grid
 
         if self.d == 1:  # the key is the point: rows of one cell
+            if max(keys) - min(keys) + 1 == len(keys):  # an interval: its middle is deepest
+                return (len(keys) + 1) // 2
             bm = _grid.Bitmap.from_keys(keys, 1)
         else:
             # key + S/2 is x*S + c for the column c = y + S/2. Read as the
@@ -357,7 +364,19 @@ class IntegerLattice(GroupGraph):
         return (self._offsets,), 1
 
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
-        if self.d > 1:
+        if self.d == 2:
+            # Host keys a row apart differ by S = 2^40, so their low hash bits
+            # collide. A and its candidates lie within size steps of the
+            # start, so the offset (x, y) from it has the window key
+            # v = (x + size)*w + y + size, w = 2 size + 1, two digits in
+            # 0 .. 2 size: the loop hashes small ints with the host keys'
+            # draws and order, and v lifts to the host key
+            # start + x*S + y = base + v + (v // w)*(S - w)
+            S, w = 1 << _LATTICE_BITS, 2 * size + 1
+            base, lift = start - size * (S + 1), S - w
+            window = _swap_and_pop(size * w + size, size, rng, ((w, -w, 1, -1),), 1)
+            return tuple([base + v + v // w * lift for v in keys] for keys in window)
+        if self.d > 2:
             return super()._accrete(start, size, rng)
         # A is an interval [hi - size + 1, hi] whose candidates are its two
         # ends, so each draw is getrandbits(2), the top two bits of one

@@ -185,11 +185,12 @@ def depth(A: VertexSet) -> int:
     The host erodes A in its own key layout (``_erosion_depth``): a bitmap
     by L1 balls on z^1, z^2 and standard cylinders, unless it would take
     over 64 bits per member, and the keys of parents and children on free
-    groups. Other sets take one multi-source BFS from ∂A into A: a geodesic
-    from u to its nearest complement vertex stays inside A until its final
-    step into ∂A, so level r of the BFS holds the members at distance r
-    from the complement, and every finite component of A is next to ∂A.
-    The set keeps the result.
+    groups; a z^1 interval of n keys has depth (n + 1) // 2. Other sets
+    take one multi-source BFS from ∂A into A: a geodesic from u to its
+    nearest complement vertex stays inside A until its final step into ∂A,
+    so level r of the BFS holds the members at distance r from the
+    complement, and every finite component of A is next to ∂A. The set
+    keeps the result.
     """
     _require_nonempty(A)
     # hosts are connected, so only a set that is the whole host has no
@@ -335,7 +336,8 @@ def random_connected_set(
     removal. A free group from the identity and ``z^1`` keep no ``seen``
     set yet grow the same sets: a tree's new candidates are an absorbed
     word's children, never seen, and an interval's are its two ends. Other
-    hosts step a key by the row of offsets their ``_offset_rows`` gives it.
+    hosts step a key by the row of offsets their ``_offset_rows`` gives it,
+    z^2 on window keys: offsets from the start, lifted to host keys once.
     A ``size`` over ``budget`` (DEFAULT_BUDGET if None) raises BudgetExceeded.
     The set carries its boundary, the final candidates (a candidate leaves
     only by joining A), and a connected closure, as A grew by neighbors.

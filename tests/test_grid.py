@@ -308,6 +308,36 @@ def test_z1_intervals_components_and_isolated_points():
         assert_routes_agree(Z1, members)
 
 
+def test_z1_intervals_take_the_closed_form_and_other_sets_the_bitmap(monkeypatch):
+    # an interval's depth is (n + 1) // 2 without a bitmap; a set with one
+    # gap builds its bitmap, and one with a far outlier, past the bits cap,
+    # has none and takes the BFS. The per-vertex oracle, quadratic in n,
+    # checks every size to 40 and every 23rd after it
+    built = []
+    from_keys = _grid.Bitmap.from_keys
+    monkeypatch.setattr(_grid.Bitmap, "from_keys",
+                        lambda keys, width: built.append(width) or from_keys(keys, width))
+    for n in range(1, 301):
+        for x0 in (0, -10**12, 10**15):
+            keys = frozenset(range(x0, x0 + n))
+            d = Z1._erosion_depth(keys)
+            assert not built and d == (n + 1) // 2 == _grid.depth(from_keys(keys, 1))
+            if n <= 40 or n % 23 == 0:
+                assert d == oracles.per_vertex_depth(Z1, {(x,) for x in keys})
+    rng = random.Random(30)
+    for n in (3, 4, 9, 60, 300):
+        for x0 in (0, -10**12, 10**15):
+            members = {(x0 + x,) for x in range(n)} - {(x0 + rng.randrange(1, n - 1),)}
+            assert assert_routes_agree(Z1, members) == oracles.erosion_depth(members, Z1)
+            assert built == [1, 1]
+            built.clear()
+            members = {(x0 + x,) for x in range(n)} | {(x0 + 10**15,)}
+            A = VertexSet(Z1, members)
+            assert Z1._erosion_depth(A._keys) is None and built == [1]
+            assert depth(A) == (n + 1) // 2 == oracles.per_vertex_depth(Z1, members)
+            built.clear()
+
+
 def test_z2_holed_sets():
     rng = random.Random(17)
     for _ in range(25):

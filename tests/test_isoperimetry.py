@@ -31,7 +31,7 @@ from cayleyiso import (
     save_set,
     varopoulos_check,
 )
-from cayleyiso import isoperimetry
+from cayleyiso import groups, isoperimetry
 from cayleyiso.counterexample import GridParams
 from cayleyiso.groups import LATTICE_COORDINATE_BOUND, GroupGraph, _bfs_levels
 from cayleyiso.isoperimetry import set_from_json_obj
@@ -730,6 +730,37 @@ def test_line_sets_grown_as_intervals_are_the_generic_loops():
     assert calls[1] > 50 and calls[2] > 50 and calls[3] > 10
 
 
+def test_plane_sets_grown_on_window_keys_are_the_host_key_loops():
+    # z^2 runs the one loop on window keys, the offsets from the start in
+    # base 2 size + 1, and lifts them to host keys: the members, and the
+    # candidates in their order, must be those of the loop on host keys.
+    # Starts: the identity, the four far corners of the validated plane, a
+    # lower coordinate at the bound itself (its keys are still exact) and a
+    # start near the origin. Seeds cycle through sizes 1, 2, 3 and 2000, and
+    # three in seven take both sides of a draw of their own set that widens;
+    # each run of seven takes the next start, so every size meets every start
+    g = IntegerLattice(2)
+    bound = LATTICE_COORDINATE_BOUND
+    corners = [(sx * 10**15, sy * (bound - 1)) for sx in (1, -1) for sy in (1, -1)]
+    starts = [(0, 0), *corners, (3, -bound), (-5, 7)]
+    widened = 0
+    for seed in range(560):
+        start = starts[seed // 7 % len(starts)]
+        if seed % 7 < 4:
+            sizes = [(1, 2, 3, 2000)[seed % 7]]
+        else:
+            crossing = _crossing_sizes(g, start, seed, 300)
+            sizes = crossing[seed % (len(crossing) // 2) * 2:][:2]
+            widened += 1
+        for size in sizes:
+            key = g._encode(start)
+            members, candidates = g._accrete(key, size, random.Random(seed))
+            host = GroupGraph._accrete(g, key, size, random.Random(seed))
+            assert (set(members), candidates) == host, (size, seed, start)
+            assert len(members) == size
+    assert widened == 240
+
+
 OFFSET_FAMILIES = ["z^2", "z^3", "cyl:2", "cyl:3", "cyl:7",
                    "cyl:4:[(2,1),(1,0)]", "cyl:5:[(1,2),(0,1)]"]
 
@@ -863,34 +894,40 @@ def test_free_group_sets_from_a_long_word_match_the_accretion_oracle(rank):
 
 def test_one_loop_grows_every_host_but_trees_and_intervals(monkeypatch):
     # every host but a free group from the identity (a tree) and z^1 (an
-    # interval) runs the base class's loop. z^d (d >= 2) and cylinders step
-    # by their fixed rows and never call _step; a torus and a free group off
-    # the identity build each row from one _step call as it is read and keep
-    # none, so reading a start's row again steps again
-    steps, generic, tables = Counter(), [], []
+    # interval) runs the one swap-and-pop loop: z^2 on window keys, with the
+    # row (w, -w, 1, -1) for w = 2 size + 1, and the others through the base
+    # class's _accrete. z^d and cylinders step by their fixed rows and never
+    # call _step; a torus and a free group off the identity build each row
+    # from one _step call as it is read and keep none, so reading a start's
+    # row again steps again
+    steps, generic, tables, loops = Counter(), [], [], []
     for cls in (IntegerLattice, Torus, FreeGroup, Cylinder):
         def step(host, key, original=cls._step):
             steps[host.family] += 1
             return original(host, key)
 
         monkeypatch.setattr(cls, "_step", step)
-    base, offset_rows = GroupGraph._accrete, GroupGraph._offset_rows
+    base, offset_rows, loop = GroupGraph._accrete, GroupGraph._offset_rows, groups._swap_and_pop
     monkeypatch.setattr(GroupGraph, "_accrete",
                         lambda host, *args: generic.append(host.family) or base(host, *args))
     monkeypatch.setattr(GroupGraph, "_offset_rows",
                         lambda host, *args: tables.append(offset_rows(host, *args)) or tables[-1])
+    monkeypatch.setattr(groups, "_swap_and_pop",
+                        lambda *args: loops.append(args[3:]) or loop(*args))
     for family in OFFSET_FAMILIES:
         g = parse_group(family)
         for start in [None, (3,) + (1,) * (len(g.identity()) - 1)]:
             assert len(random_connected_set(g, 300, seed=1, start=start)) == 300
-    assert generic == [parse_group(family).family for family in OFFSET_FAMILIES for _ in range(2)]
+    assert OFFSET_FAMILIES[0] == "z^2" and loops[:2] == [(((601, -601, 1, -1),), 1)] * 2
+    assert generic == [parse_group(family).family
+                       for family in OFFSET_FAMILIES[1:] for _ in range(2)]
     random_connected_set(parse_group("z^1"), 300, seed=1)
     random_connected_set(FreeGroup(2), 300, seed=1)
-    assert not steps and len(generic) == 14 and not tables
+    assert not steps and len(generic) == 12 and len(loops) == 14 and not tables
     random_connected_set(Torus(9, 2), 50, seed=1)
     random_connected_set(Torus(3, 3), 27, seed=2)
     random_connected_set(FreeGroup(2), 50, seed=1, start=(1, 2))
-    assert generic[14:] == ["torus:9x9", "torus:3x3x3", "free:2"]
+    assert generic[12:] == ["torus:9x9", "torus:3x3x3", "free:2"] and len(loops) == 17
     assert steps == {"torus:9x9": 50, "torus:3x3x3": 27, "free:2": 50}
     for (rows, _), start in zip(tables, [0, 0, FreeGroup(2)._encode((1, 2))]):
         rows[start]
