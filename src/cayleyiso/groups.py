@@ -13,10 +13,11 @@ keys, so a step is a few integer additions from a per-host offset table.
 ``_bfs_levels`` is the one BFS loop: a search of the host under the vertex
 budget, or a search inside a set the caller holds, built level by level
 by set algebra.
-A ``z^d`` key reads the coordinates as digits in base 2^40, a torus key as
-digits in base n, a cylinder key (z, r) is z*m + r, and a free-group key
-packs the reduced word. Public functions take and return vertices; only
-this module knows the key layout.
+On ``z^d``, tori and cylinders the key is the coordinates read as one
+mixed-radix number, first coordinate most significant (``_MixedRadix``); a
+free-group key packs the reduced word. Key 0 is the identity on every host.
+Public functions take and return vertices; only this module knows the key
+layout.
 
 Supported families and vertex representations:
 
@@ -36,7 +37,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, compress, count, islice, repeat
 from math import comb, gcd, inf
-from operator import add, and_, ge, mul, rshift, xor
+from operator import add, and_, ge, le, lt, mul, rshift, xor
 from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 Vertex = Tuple[int, ...]
@@ -112,7 +113,7 @@ class GroupGraph:
     vertex_count: Optional[int]
 
     def identity(self) -> Vertex:
-        raise NotImplementedError
+        return self._decode(0)
 
     def neighbors(self, v: Vertex) -> list:
         """All vertices adjacent to ``v``, deduplicated, in a fixed order."""
@@ -224,11 +225,62 @@ def _swap_and_pop(start: int, size: int, rng, rows, period: int) -> Tuple[set, l
     return seen.difference(candidates), candidates
 
 
+#: ``int`` without end, shared: ``map(isinstance, v, _INTS)`` checks each
+#: coordinate's type without building an iterator per call
+_INTS = repeat(int)
+
+
+class _MixedRadix(GroupGraph):
+    """A host on Z^a x (Z_n)^b whose key is its coordinates read as one
+    mixed-radix number.
+
+    Each lower axis i >= 1 has the radix R and the half h of its family,
+    and the key of (x_0, ..., x_{k-1}) is the sum of x_i * R^(k-1-i), x_0
+    most significant. Axis i's coordinate is the digit of key + h at place
+    R^(k-1-i), minus h, so h = R/2 gives balanced digits (``z^d``,
+    R = 2^40) and h = 0 residues (a torus, R = n; a cylinder (z, r), key
+    z*m + r). The first coordinate is the quotient left over, and key 0 is
+    the identity. A key determines its vertex while every lower coordinate
+    lies in [-h, R - h). ``validate_vertex`` admits tuples of ints with
+    lo_i <= x_i < hi_i, the bounds +-inf on an unbounded axis.
+    """
+
+    def __init__(self, radix: int, half: int, lo: tuple, hi: tuple, malformed: str,
+                 out_of_bounds: str):
+        #: (R, h) of each lower axis, least significant first, for decoding
+        self._axes = [(radix, half)] * (len(lo) - 1)
+        self._radix, self._lo, self._hi = radix, lo, hi
+        # the ends of the two errors: a malformed tuple, a coordinate out of bounds
+        self._malformed, self._out_of_bounds = malformed, out_of_bounds
+
+    def validate_vertex(self, v) -> None:
+        lo, hi = self._lo, self._hi
+        if not isinstance(v, tuple) or len(v) != len(lo) or not all(map(isinstance, v, _INTS)):
+            raise InvalidVertexError(f"{_clip(v)} {self._malformed}")
+        if not (all(map(le, lo, v)) and all(map(lt, v, hi))):
+            raise InvalidVertexError(f"{_clip(v)} {self._out_of_bounds}")
+
+    def _encode(self, v: Vertex) -> int:
+        key, radix = v[0], self._radix
+        for x in v[1:]:  # Horner's rule
+            key = key * radix + x
+        return key
+
+    def _decode(self, key: int) -> Vertex:
+        digits = []
+        for radix, half in self._axes:
+            key, x = divmod(key + half, radix)
+            digits.append(x - half)
+        digits.append(key)
+        return tuple(reversed(digits))
+
+
 #: a ``z^d`` key's digits are 2^_LATTICE_BITS apart
 _LATTICE_BITS = 40
 #: from this dimension on a ``z^d`` key is read and written through one bytes
 #: string, linear in d; below it the digit loop, quadratic in d, is faster
-#: (measured crossovers: decoding near d = 25, encoding near d = 50)
+#: (measured crossovers of the shared codec: decoding near d = 12, encoding
+#: near d = 40)
 _BYTES_FROM_DIMENSION = 40
 #: a byte's sign fill: 0xFF where its top bit is set, else 0
 _SIGN_FILL = bytes(128) + b"\xff" * 128
@@ -236,16 +288,13 @@ _SIGN_FILL = bytes(128) + b"\xff" * 128
 LATTICE_COORDINATE_BOUND = 1 << 38
 
 
-class IntegerLattice(GroupGraph):
+class IntegerLattice(_MixedRadix):
     """Cayley graph of Z^d with the standard generating set.
 
-    The key of (x_0, ..., x_{d-1}) is (...(x_0*S + x_1)*S + ...)*S + x_{d-1}
-    with S = 2^40: the lower coordinates are balanced digits in base S and
-    the first is the quotient, so on z^1 the key is the coordinate itself
-    and no coordinate there is bounded. Stepping along e_i adds
-    +-S^(d-1-i). A key determines its vertex while every lower coordinate
-    has magnitude below S/2 = 2^39. For d >= 2 ``validate_vertex`` admits
-    only lower coordinates below 2^38 in magnitude, and a step moves one
+    The key has radix S = 2^40 and balanced lower digits, so on z^1 it is
+    the coordinate itself, and stepping along e_i adds +-S^(d-1-i). For
+    d >= 2 ``validate_vertex`` admits only lower coordinates below 2^38 in
+    magnitude, half the exact range of 2^39, and a step moves one
     coordinate by one, so a key the library forms is exact unless a search
     walks about 2^38 steps from a valid vertex; a search holds every vertex
     it visits, so that needs far more memory than any run has. S is a power
@@ -266,51 +315,25 @@ class IntegerLattice(GroupGraph):
         self.declared_ends = 2 if d == 1 else 1
         self.family = f"z^{d}"
         self.vertex_count = None
+        bound = LATTICE_COORDINATE_BOUND
+        super().__init__(
+            1 << _LATTICE_BITS, 1 << _LATTICE_BITS - 1,
+            (-inf,) + (1 - bound,) * (d - 1), (inf,) + (bound,) * (d - 1),
+            f"is not a length-{d} integer tuple",
+            "has a coordinate after the first of magnitude >= 2^38")
         # +e_0, -e_0, +e_1, -e_1, ...: the order ``neighbors`` lists them
         self._offsets = [sign << _LATTICE_BITS * (d - 1 - i)
                          for i in range(d) for sign in (1, -1)]
         # H: 2^39 in each of the d - 1 lower digits
         self._bias = int.from_bytes(b"\x80\0\0\0\0" * (d - 1), "big")
+        if d >= _BYTES_FROM_DIMENSION:
+            self._encode, self._decode = self._encode_bytes, self._decode_bytes
 
-    def identity(self) -> Vertex:
-        return (0,) * self.d
-
-    def validate_vertex(self, v) -> None:
-        if (
-            not isinstance(v, tuple)
-            or len(v) != self.d
-            or not all(isinstance(x, int) for x in v)
-        ):
-            raise InvalidVertexError(f"{_clip(v)} is not a length-{self.d} integer tuple")
-        bound = LATTICE_COORDINATE_BOUND
-        if not all(-bound < x < bound for x in v[1:]):
-            raise InvalidVertexError(
-                f"{_clip(v)} has a coordinate after the first of magnitude >= 2^38"
-            )
-
-    def _encode(self, v: Vertex) -> int:
-        if self.d >= _BYTES_FROM_DIMENSION:
-            half = 1 << _LATTICE_BITS - 1
-            lower = b"".join([(x + half).to_bytes(5, "big") for x in v[1:]])
-            shift = _LATTICE_BITS * (self.d - 1)
-            return (v[0] << shift) + int.from_bytes(lower, "big") - self._bias
-        key = v[0]
-        for x in v[1:]:
-            key = (key << _LATTICE_BITS) + x
-        return key
-
-    def _decode(self, key: int) -> Vertex:
-        if self.d >= _BYTES_FROM_DIMENSION:
-            return self._decode_bytes(key)
+    def _encode_bytes(self, v: Vertex) -> int:
         half = 1 << _LATTICE_BITS - 1
-        mask = (1 << _LATTICE_BITS) - 1
-        digits = []
-        for _ in range(self.d - 1):
-            x = ((key + half) & mask) - half  # the balanced digit
-            digits.append(x)
-            key = (key - x) >> _LATTICE_BITS
-        digits.append(key)
-        return tuple(reversed(digits))
+        lower = b"".join([(x + half).to_bytes(5, "big") for x in v[1:]])
+        shift = _LATTICE_BITS * (self.d - 1)
+        return (v[0] << shift) + int.from_bytes(lower, "big") - self._bias
 
     def _decode_bytes(self, key: int) -> Vertex:
         lower = self.d - 1
@@ -405,11 +428,10 @@ class IntegerLattice(GroupGraph):
             prev, cur = cur, ((2 * self.d + 1) * cur + r * prev) // (r + 1)
 
 
-class Torus(GroupGraph):
+class Torus(_MixedRadix):
     """Cayley graph of (Z_n)^d with the standard generating set; n >= 3.
 
-    The key of (x_0, ..., x_{d-1}) is the number with digits x_0 ... x_{d-1}
-    in base n, x_0 most significant: an exact bijection onto 0 .. n^d - 1.
+    The key has radix n on every axis, an exact bijection onto 0 .. n^d - 1.
     Stepping along +-e_i adds +-n^(d-1-i), or subtracts or adds
     (n-1)*n^(d-1-i) where the digit x_i wraps around.
     """
@@ -424,35 +446,11 @@ class Torus(GroupGraph):
         self.declared_ends = 0
         self.family = f"torus:{'x'.join(str(n) for _ in range(d))}"
         self.vertex_count = n**d
+        malformed = f"is not a length-{d} tuple of residues mod {n}"
+        super().__init__(n, 0, (0,) * d, (n,) * d, malformed, malformed)
         # per coordinate, in ``neighbors`` order: its place value and the
         # offset that wraps its digit from n - 1 to 0
         self._places = [(n ** (d - 1 - i), (n - 1) * n ** (d - 1 - i)) for i in range(d)]
-
-    def identity(self) -> Vertex:
-        return (0,) * self.d
-
-    def validate_vertex(self, v) -> None:
-        if (
-            not isinstance(v, tuple)
-            or len(v) != self.d
-            or not all(isinstance(x, int) and 0 <= x < self.n for x in v)
-        ):
-            raise InvalidVertexError(
-                f"{_clip(v)} is not a length-{self.d} tuple of residues mod {self.n}"
-            )
-
-    def _encode(self, v: Vertex) -> int:
-        key = 0
-        for x in v:
-            key = key * self.n + x
-        return key
-
-    def _decode(self, key: int) -> Vertex:
-        digits = []
-        for _ in range(self.d):
-            key, x = divmod(key, self.n)
-            digits.append(x)
-        return tuple(reversed(digits))
 
     def _step(self, key: int) -> list:
         top = self.n - 1
@@ -503,9 +501,6 @@ class FreeGroup(GroupGraph):
         # _step lists digit d at index d - 1; _cancels[d] is the index of
         # the digit that undoes d (the identity's 0 has none)
         self._cancels = [None] + [d if d % 2 else d - 2 for d in range(1, 2 * rank + 1)]
-
-    def identity(self) -> Vertex:
-        return ()
 
     def _encode(self, v: Vertex) -> int:
         return int("".join(map(self._chunk.__getitem__, v)) or "0", 2)
@@ -646,7 +641,7 @@ class _StepRows:
         return [u - v for u in self._step(v)]
 
 
-class Cylinder(GroupGraph):
+class Cylinder(_MixedRadix):
     """Cayley graph of Z x Z_m with an explicit symmetrized generating set.
 
     The generator list is closed under inverses (missing inverses are added)
@@ -661,7 +656,6 @@ class Cylinder(GroupGraph):
     minor of (dz, dr) with (0, m) is dz*m), so exactly the residues 0, D,
     2D, ... are reachable at z = 0.
 
-    The key of (z, r) is z*m + r, an exact bijection onto the integers.
     Generator (dz, dr) moves key z*m + r by dz*m + (r + dr) % m - r, so the
     offsets depend on the residue alone: ``_step`` adds the row of
     ``_rows`` for key % m.
@@ -701,6 +695,8 @@ class Cylinder(GroupGraph):
         else:
             self.family = f"cyl:{m}:{list(self.generators)!r}".replace(" ", "")
         self.vertex_count = None
+        malformed = f"is not a (z, residue mod {m}) pair"
+        super().__init__(m, 0, (-inf, 0), (inf, m), malformed, malformed)
         # row r: what each generator (dz, dr) adds to a key z*m + r
         gens = self.generators
         self._rows = _Rows(lambda r: [dz * m + (r + dr) % m - r for dz, dr in gens])
@@ -731,9 +727,6 @@ class Cylinder(GroupGraph):
                 f"Z x Z_{m}: only residues {_clip(residues)} are reachable at z=0"
             )
 
-    def identity(self) -> Vertex:
-        return (0, 0)
-
     def _ball_count(self, r: int) -> Optional[int]:
         if not self._standard:
             return None
@@ -751,20 +744,8 @@ class Cylinder(GroupGraph):
         bm = _grid.Bitmap.from_keys(keys, self.m)
         return bm and _grid.wrapped_depth(bm)
 
-    def validate_vertex(self, v) -> None:
-        if (
-            not isinstance(v, tuple)
-            or len(v) != 2
-            or not isinstance(v[0], int)
-            or not isinstance(v[1], int)
-            or not 0 <= v[1] < self.m
-        ):
-            raise InvalidVertexError(f"{_clip(v)} is not a (z, residue mod {self.m}) pair")
-
-    def _encode(self, v: Vertex) -> int:
-        return v[0] * self.m + v[1]
-
     def _decode(self, key: int) -> Vertex:
+        # one lower axis: a single divmod, about 4x faster than the digit loop
         return divmod(key, self.m)
 
     def _block(self, key: int) -> int:
@@ -902,6 +883,15 @@ def _ball_keys(g: GroupGraph, center: Vertex, r: int, budget: Optional[int]) -> 
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     g.validate_vertex(center)
+    if g._ball_count(0) is not None:
+        # the BFS holds the center whatever the budget, and trips adding the
+        # vertex after max(budget, 1) while it builds the first radius m
+        # whose ball holds that many: refuse a ball that reaches m up front
+        budget = DEFAULT_BUDGET if budget is None else budget
+        visited = max(budget, 1) + 1
+        m = minimal_ball_radius(g, visited)
+        if r >= m:
+            raise BudgetExceeded(budget, visited, m - 1)
     keys: set = set()
     # a range, unlike islice, takes radii past sys.maxsize (a whole finite host)
     for _, sphere in zip(range(r + 1), _bfs_levels(g, (g._encode(center),), budget)):

@@ -112,6 +112,47 @@ def neighbor_function(g):
     raise TypeError(f"no neighbor rule for {type(g).__name__}")
 
 
+def identity(g):
+    """The identity of ``g``: the empty word on a free group, else the zero
+    tuple of its coordinates."""
+    if isinstance(g, FreeGroup):
+        return ()
+    return (0, 0) if isinstance(g, Cylinder) else (0,) * g.d
+
+
+def vertex_error(g, v):
+    """The message ``g.validate_vertex(v)`` raises InvalidVertexError with,
+    or None if ``v`` is a vertex of the ``z^d``, torus or cylinder ``g``.
+
+    Each family's rule is written out on its own: a tuple of ints (bools
+    among them) of the host's length, whose ``z^d`` coordinates after the
+    first have magnitude below 2^38, whose torus coordinates are residues
+    mod n, and whose cylinder residue (the second coordinate) is one mod m.
+    """
+    text = repr(v)
+    text = text if len(text) <= 100 else text[:97] + "..."
+    ints = isinstance(v, tuple) and all(isinstance(x, int) for x in v)
+    if isinstance(g, IntegerLattice):
+        if not ints or len(v) != g.d:
+            return f"{text} is not a length-{g.d} integer tuple"
+        if any(abs(x) >= 2**38 for x in v[1:]):
+            return f"{text} has a coordinate after the first of magnitude >= 2^38"
+        return None
+    if isinstance(g, Torus):
+        if ints and len(v) == g.d and all(0 <= x < g.n for x in v):
+            return None
+        return f"{text} is not a length-{g.d} tuple of residues mod {g.n}"
+    if isinstance(g, Cylinder):
+        if ints and len(v) == 2 and 0 <= v[1] < g.m:
+            return None
+        return f"{text} is not a (z, residue mod {g.m}) pair"
+    raise TypeError(f"no validation rule for {type(g).__name__}")
+
+
+def vertex_is_valid(g, v) -> bool:
+    return vertex_error(g, v) is None
+
+
 def accretion_set(g, size: int, seed: int = 0, start=None) -> set:
     """The vertices ``random_connected_set`` grows, by the same protocol on
     vertices: candidates in discovery order, one ``randrange`` per absorbed

@@ -109,6 +109,17 @@ def test_ball_and_emit_set(tmp_path, capsys):
     assert len(stored["vertices"]) == 13
 
 
+def test_a_counted_ball_past_the_budget_is_refused_before_the_search(run_capped):
+    # free:26 has b(4) = 7,035,809 and b(5) = 358,826,261: a BFS would hold
+    # about 1.3 GB before it tripped the budget at radius 5, more than the
+    # cap allows; the count refuses the ball first, with the BFS's error
+    proc = run_capped("-m", "cayleyiso.cli", "ball", "--group", "free:26", "--radius", "6",
+                      timeout=20)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: vertex budget 10000000 exceeded: "
+                           "needs 10000001 vertices (complete up to radius 4)\n")
+
+
 def test_boundary_from_set_file(tmp_path, capsys):
     g = IntegerLattice(2)
     A = VertexSet(g, [(0, 0), (1, 0)])

@@ -227,6 +227,73 @@ def test_cylinder_keys_round_trip_and_step_like_the_oracle(g, data):
     _keys_agree_with_the_oracle(g, (z, r))
 
 
+@pytest.mark.parametrize("g", [
+    IntegerLattice(1), IntegerLattice(2), IntegerLattice(WIDE), IntegerLattice(2236),
+    Torus(31, 2), Torus(3, 3), FreeGroup(2), FreeGroup(26), *KEYED_CYLINDERS[:4]])
+def test_the_identity_is_key_zero_on_every_family(g):
+    assert type(g.identity()) is tuple and g.identity() == oracles.identity(g)
+    assert g._encode(g.identity()) == 0 and g._decode(0) == g.identity()
+
+
+VALIDATED_HOSTS = [
+    IntegerLattice(1), IntegerLattice(2), IntegerLattice(3), IntegerLattice(WIDE),
+    Torus(31, 2), Torus(3, 3), Cylinder(2), Cylinder(3), Cylinder(4, [(2, 1), (1, 0)]),
+]
+
+
+def _edge_values(g) -> list:
+    """Coordinates at the edges of every host's bounds, and foreign ones."""
+    side = g.n if isinstance(g, Torus) else g.m if isinstance(g, Cylinder) else 5
+    return [LOWER_BOUND, -LOWER_BOUND, LOWER_BOUND + 1, -LOWER_BOUND - 1, -1, 0, side - 1,
+            side, 10**400, -(10**400), True, False, 0.0, 2.5, math.nan, None, "1"]
+
+
+def _edge_cases() -> list:
+    """(host, vertex) probes: the identity with one coordinate set to each
+    edge value, and the identity cut, lengthened, listed or not a sequence."""
+    cases = []
+    for g in VALIDATED_HOSTS:
+        zero = oracles.identity(g)
+        for i in sorted({0, 1, len(zero) - 1} & set(range(len(zero)))):
+            cases += [(g, zero[:i] + (x,) + zero[i + 1:]) for x in _edge_values(g)]
+        cases += [(g, v) for v in (list(zero), (), zero[1:], (*zero, 0), 0, None, "0")]
+    return cases
+
+
+def _with_edge_examples(test):
+    for case in _edge_cases():
+        test = example(case=case)(test)
+    return test
+
+
+@st.composite
+def vertices_near_the_identity(draw, g):
+    """A vertex near the identity with one or two coordinates replaced by an
+    edge or a foreign value, now and then cut or lengthened, or a list."""
+    k = len(oracles.identity(g))
+    v = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    for i in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2)):
+        v[i] = draw(st.sampled_from(_edge_values(g)) | st.integers() | st.floats())
+    if draw(st.booleans()):
+        v = v[:draw(st.integers(0, k))] + draw(st.lists(st.integers(0, 2), max_size=1))
+    return draw(st.sampled_from([tuple(v), v]))
+
+
+@settings(max_examples=300)
+@_with_edge_examples
+@given(case=st.sampled_from(VALIDATED_HOSTS).flatmap(
+    lambda g: st.tuples(st.just(g), vertices_near_the_identity(g))))
+def test_abelian_hosts_validate_as_the_oracle_does(case):
+    g, v = case
+    expected = oracles.vertex_error(g, v)
+    try:
+        g.validate_vertex(v)
+    except InvalidVertexError as error:
+        assert str(error) == expected
+    else:
+        assert oracles.vertex_is_valid(g, v)
+
+
 def test_lattice_lower_coordinates_are_bounded():
     bound = groups.LATTICE_COORDINATE_BOUND
     for d in (2, 3):
@@ -341,6 +408,18 @@ def test_budget_exceeded_reports_partial_radius():
     assert exc.value.visited == 101
     # radius 3 takes levels 0..3 and builds no level past them
     assert len(ball(g, (), 3, budget=53)) == 53
+
+
+def test_an_uncounted_ball_trips_its_budget_in_the_search():
+    # a counted host refuses before the search; this one has no counting
+    # rule, so the BFS itself trips, with the same fields
+    g = Cylinder(4, [(2, 1), (1, 0)])
+    sizes = [len(oracles.bfs_ball(g, g.identity(), r)) for r in range(6)]
+    with pytest.raises(BudgetExceeded) as exc:
+        ball(g, (3, 2), 9, budget=sizes[4])
+    assert (exc.value.budget, exc.value.visited) == (sizes[4], sizes[4] + 1)
+    assert exc.value.radius_reached == 4
+    assert len(ball(g, (3, 2), 4, budget=sizes[4])) == sizes[4]
 
 
 def test_minimal_ball_radius():
