@@ -117,7 +117,7 @@ def build(params: GridParams, budget: Optional[int] = None) -> VertexSet:
 
     _require_budget(budget, enumerated_size(params))
     host = IntegerLattice(2)
-    return VertexSet._trusted(host, map(host._encode, _points(params)))
+    return VertexSet._trusted(host, frozenset(map(host._encode, _points(params))))
 
 
 class CounterexampleStats(NamedTuple):

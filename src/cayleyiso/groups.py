@@ -541,6 +541,7 @@ class FreeGroup(GroupGraph):
         # needs degree children, one more than the others: its count drops by 2.
         # A induces a forest, so |E_1(A)| < 2|A| / degree: O(|A|) in all
         bits, need, t = self._bits, self.degree - 1, 0
+        keys = frozenset(keys)  # erosion tests membership
         while keys:
             counts = Counter(map(rshift, keys, repeat(bits)))
             if 0 in keys:
@@ -735,6 +736,12 @@ class Cylinder(_MixedRadix):
         h = min(r, (self.m - 1) // 2)
         columns = (h + 1) ** 2 + (r - h) * self.m  # sum of min(m, 2j+1), j <= r
         return 2 * columns - min(self.m, 2 * r + 1)
+
+    def _cohesiveness(self) -> Optional[int]:
+        """``cyclic_system``'s q by a counting rule, or None if there is none."""
+        # the farthest vertex of blocks 0 and 1 from (0, 0) is (1, m // 2):
+        # d((0, 0), (1, x)) = 1 + the circular distance of x
+        return 1 + self.m // 2 if self._standard else None
 
     def _erosion_depth(self, keys: Collection) -> Optional[int]:
         if not self._standard:

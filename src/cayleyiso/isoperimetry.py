@@ -16,10 +16,11 @@ import json
 import math
 import random
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 from .groups import (
     Cylinder,
+    FreeGroup,
     GroupGraph,
     Vertex,
     _bfs_levels,
@@ -32,11 +33,13 @@ from .groups import (
 class VertexSet:
     """A finite set of vertices with O(1) membership, bound to its host graph.
 
-    The set holds host keys (``_keys``), integers whose layout only the
-    host knows. The constructor validates every element and encodes it;
-    sets the library builds from keys it produced use ``_trusted``, which
-    does not check them again. ``elements``, iteration, membership and
-    serialization see vertices, decoded once per set on first use.
+    The set holds host keys, integers whose layout only the host knows:
+    ``_members`` keeps the distinct keys its producer handed over (a list,
+    a range, a set or a frozenset) as given, and ``_keys`` hashes them into
+    a frozenset on the first membership test, equality or hash. The
+    constructor validates and encodes every element; ``_trusted`` takes
+    keys the library produced unchecked. ``elements``, iteration,
+    membership and serialization see vertices, decoded once on first use.
     Immutable: its exterior boundary, the connectivity of A union
     boundary(A) and its depth are kept once known (``_boundary``,
     ``_closure_is_connected``, ``_depth``). ``random_connected_set`` hands
@@ -49,22 +52,26 @@ class VertexSet:
         for v in elements:
             host.validate_vertex(v)
             keys.add(host._encode(v))
-        self._keys = frozenset(keys)
+        self._members = frozenset(keys)
 
     @classmethod
-    def _trusted(cls, host: GroupGraph, keys: Iterable) -> "VertexSet":
-        """A set of host keys the library produced as valid, not checked again."""
+    def _trusted(cls, host: GroupGraph, keys: Collection) -> "VertexSet":
+        """Distinct keys the library produced as valid, kept as given (see ``VertexSet``)."""
         A = cls.__new__(cls)
         A.host = host
-        A._keys = frozenset(keys)
+        A._members = keys
         return A
 
     @cached_property
+    def _keys(self) -> frozenset:
+        return frozenset(self._members)
+
+    @cached_property
     def elements(self) -> frozenset:
-        return frozenset(map(self.host._decode, self._keys))
+        return frozenset(map(self.host._decode, self._members))
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._members)
 
     def __iter__(self):
         return iter(self.elements)
@@ -83,7 +90,7 @@ class VertexSet:
         return hash((self.host, self._keys))
 
     def __repr__(self) -> str:
-        return f"VertexSet({self.host.family!r}, {len(self._keys)} vertices)"
+        return f"VertexSet({self.host.family!r}, {len(self._members)} vertices)"
 
     def sorted_elements(self) -> list:
         return sorted(self.elements, key=self.host.sort_key)
@@ -108,7 +115,7 @@ class VertexSet:
         levels = _bfs_levels(self.host, start, within=keys)
         if sum(len(sphere) for sphere in levels) == len(keys):
             return True
-        closure = keys | self._boundary
+        closure = keys.union(self._boundary)
         levels = _bfs_levels(self.host, start, within=closure)
         return sum(len(sphere) for sphere in levels) == len(closure)
 
@@ -116,7 +123,7 @@ class VertexSet:
     def _depth(self) -> int:
         # a depth is at least 1, so a host's None falls through to the BFS
         # from the boundary, whose level r is the members at distance r
-        return self.host._erosion_depth(self._keys) or sum(
+        return self.host._erosion_depth(self._members) or sum(
             1 for _ in _bfs_levels(self.host, self._boundary, within=self._keys)) - 1
 
 
@@ -138,7 +145,8 @@ def set_from_json_obj(obj) -> VertexSet:
         raise ValueError('"vertices" must be a list')
     # vertex_from_json validates each item
     vertices = (host.vertex_from_json(item) for item in obj["vertices"])
-    return VertexSet._trusted(host, map(host._encode, vertices))
+    # a set file may list a vertex twice
+    return VertexSet._trusted(host, frozenset(map(host._encode, vertices)))
 
 
 def set_file_text(A: VertexSet) -> str:
@@ -159,7 +167,7 @@ def save_set(A: VertexSet, path: str) -> None:
 
 
 def _require_nonempty(A: VertexSet) -> None:
-    if not A._keys:
+    if not A._members:
         raise ValueError(f"operation needs a non-empty set on {A.host.family}")
 
 
@@ -338,13 +346,16 @@ def random_connected_set(
     word's children, never seen, and an interval's are its two ends. Other
     hosts step a key by the row of offsets their ``_offset_rows`` gives it,
     z^2 on window keys: offsets from the start, lifted to host keys once.
-    A ``size`` over ``budget`` (DEFAULT_BUDGET if None) raises BudgetExceeded.
-    The set carries its boundary, the final candidates (a candidate leaves
-    only by joining A), and a connected closure, as A grew by neighbors.
+    ``budget`` (DEFAULT_BUDGET if None) is charged before growth runs: ``size``,
+    or on a free group the size(degree - 1) + 2 keys growth holds. The set
+    keeps the members and candidates ``_accrete`` returns (see ``VertexSet``):
+    its boundary is the final candidates (a candidate leaves only by joining
+    A), and its closure is connected, as A grew by neighbors.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    _require_budget(budget, size)
+    # a connected n-set in a tree has n(degree - 2) + 2 boundary vertices, from any start
+    _require_budget(budget, size * (g.degree - 1) + 2 if isinstance(g, FreeGroup) else size)
     if g.is_finite and size > g.vertex_count:
         raise ValueError(f"size {size} exceeds |V| = {g.vertex_count} on {g.family}")
     if start is None:
@@ -352,6 +363,6 @@ def random_connected_set(
     g.validate_vertex(start)
     keys, candidates = g._accrete(g._encode(start), size, random.Random(seed))
     A = VertexSet._trusted(g, keys)
-    A._boundary = frozenset(candidates)
+    A._boundary = candidates
     A._closure_is_connected = True
     return A

@@ -14,8 +14,8 @@ vertices, and a generator (dz, dr) moves the block index by dz, where
 |dz| <= t by the definition of t. They are reported, not checked. What is
 checked is cohesiveness, exactly, and the slack bound of each cover.
 Cohesiveness depends on the host alone: translations are automorphisms, so
-one BFS from the identity gives it. This module instantiates the known block
-system; it does not search for block systems on arbitrary graphs.
+a counting rule or one BFS from the identity gives it. This module
+instantiates the known block system; it does not search for others.
 """
 
 from __future__ import annotations
@@ -79,10 +79,11 @@ def cyclic_system(
     generator set is symmetric, so d((0, 0), (-1, x)) = d((0, 0), (1, -x)).
     The largest distance between two vertices in the same or adjacent blocks
     is therefore the largest distance from (0, 0) to a vertex of
-    ({0, 1} x Z_m) minus (0, 0). One BFS from (0, 0), capped at radius
-    2st + 1 and under ``budget`` (DEFAULT_BUDGET if None), reads it: it
-    stops at the level where the last of these 2m - 1 vertices appears, and
-    a vertex it does not reach counts as the cap, which refutes q <= 2st.
+    ({0, 1} x Z_m) minus (0, 0): the host's ``_cohesiveness`` rule, or one
+    BFS from (0, 0) capped at radius 2st + 1 and under ``budget``
+    (DEFAULT_BUDGET if None). It stops at the level where the last of these
+    2m - 1 vertices appears; a vertex it does not reach counts as the cap,
+    which refutes q <= 2st.
     ``window`` is only validated (>= 1) and echoed. Partition and edge
     locality hold by construction (see the module docstring).
     """
@@ -93,14 +94,16 @@ def cyclic_system(
     s = host.m
     t = host.max_z_shift
     cap = 2 * s * t + 1
-    found = 0  # vertices of blocks 0 and 1 reached, (0, 0) included
-    origin = host._encode(host.identity())
-    for q, sphere in zip(range(cap + 1), _bfs_levels(host, (origin,), budget)):
-        found += sum(1 for key in sphere if 0 <= host._block(key) <= 1)
-        if found == 2 * s:
-            break
-    else:
-        q = cap
+    q = host._cohesiveness()
+    if q is None:
+        found = 0  # vertices of blocks 0 and 1 reached, (0, 0) included
+        origin = host._encode(host.identity())
+        for q, sphere in zip(range(cap + 1), _bfs_levels(host, (origin,), budget)):
+            found += sum(1 for key in sphere if 0 <= host._block(key) <= 1)
+            if found == 2 * s:
+                break
+        else:
+            q = cap
     return CyclicSystem(host, s, t, q, window, q <= 2 * s * t)
 
 
@@ -161,7 +164,7 @@ def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
         )
     if not is_connected_with_boundary(A):
         raise ValueError("interval cover requires A union boundary(A) connected")
-    lo, hi = A.host._block(min(A._keys)), A.host._block(max(A._keys))
+    lo, hi = A.host._block(min(A._members)), A.host._block(max(A._members))
     s, t, k = system.s, system.t, len(A._boundary)
     slack = (hi - lo + 1) * s - len(A)
     bound = 2 * s * s * t * t * k + 2 * s * t * k

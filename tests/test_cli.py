@@ -38,8 +38,7 @@ def _reject_float(text):
     raise AssertionError(f"float literal in JSON output: {text}")
 
 
-def save_block_set(tmp_path, name="blocks.json", n_blocks=1000):
-    g = Cylinder(3)
+def save_block_set(tmp_path, name="blocks.json", n_blocks=1000, g=Cylinder(3)):
     A = VertexSet(g, ((z, r) for z in range(n_blocks) for r in range(3)))
     path = tmp_path / name
     save_set(A, str(path))
@@ -120,6 +119,26 @@ def test_a_counted_ball_past_the_budget_is_refused_before_the_search(run_capped)
                            "needs 10000001 vertices (complete up to radius 4)\n")
 
 
+@pytest.mark.parametrize("command, needed", [
+    (["boundary", "--random", "300000"], 15300002),
+    (["depth", "--random", "1000000"], 51000002),
+])
+def test_free_group_growth_is_charged_before_it_runs(run_capped, command, needed):
+    # a connected n-set in the 52-regular tree has 50n + 2 boundary vertices,
+    # so growing it holds 51n + 2 keys: more than the cap allows
+    proc = run_capped("-m", "cayleyiso.cli", *command, "--group", "free:26", timeout=20)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: vertex budget 10000000 exceeded: needs {needed} vertices\n"
+
+
+def test_a_wide_standard_cylinder_counts_its_cohesiveness(run_capped):
+    # a search would take about 5 * 10^9 vertices out to radius 50001
+    proc = run_capped("-m", "cayleyiso.cli", "ringlike", "check", "--group", "cyl:100000",
+                      timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["q"] == 50001
+
+
 def test_boundary_from_set_file(tmp_path, capsys):
     g = IntegerLattice(2)
     A = VertexSet(g, [(0, 0), (1, 0)])
@@ -160,14 +179,16 @@ def test_varopoulos_ok(capsys):
 
 def test_varopoulos_on_free_group_counts_growth_outside_the_budget(capsys):
     # the free group's ball sizes are counted, not enumerated, so a budget of
-    # 100 binds only the set, as it does for `growth`
-    rc, payload, err = run_json(
-        ["varopoulos", "--group", "free:2", "--random", "50", "--budget", "100"],
-        capsys,
-    )
+    # 152 binds only the set, as it does for `growth`: growing 50 words
+    # holds them and their 3 * 50 + 2 - 50 candidates
+    command = ["varopoulos", "--group", "free:2", "--random", "50", "--budget"]
+    rc, payload, err = run_json([*command, "152"], capsys)
     assert rc == 0, err
     assert payload["m"] == 4  # b(3) = 53 < 100 <= b(4) = 161
     assert payload["holds"] is True
+    rc, out, err = run([*command, "151"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: vertex budget 151 exceeded: needs 152 vertices\n"
 
 
 def test_counted_growth_on_lattices_and_cylinders_is_outside_the_budget(capsys):
@@ -361,13 +382,15 @@ def test_ringlike_cover(tmp_path, capsys):
 
 
 def test_ringlike_honours_budget(tmp_path, monkeypatch, capsys):
-    # the cohesiveness BFS of cyl:3 visits 11 vertices, so 5 stops it
-    rc, out, err = run(["ringlike", "check", "--group", "cyl:3", "--budget", "5"],
+    # the cohesiveness BFS of cyl:3 with sheared generators visits 11
+    # vertices, so 5 stops it
+    sheared = Cylinder(3, [(1, 1), (0, 1)])
+    rc, out, err = run(["ringlike", "check", "--group", sheared.family, "--budget", "5"],
                        capsys)
     assert (rc, out) == (1, "")
     assert err.startswith("error: vertex budget 5 exceeded")
     monkeypatch.setenv("ISO_BUDGET", "5")
-    blocks = save_block_set(tmp_path)
+    blocks = save_block_set(tmp_path, g=sheared)
     for command in (["ringlike", "cover"], ["separation"]):
         rc, out, err = run([*command, "--set", blocks], capsys)
         assert (rc, out) == (1, ""), command
@@ -786,7 +809,7 @@ def test_violation_exit_on_broken_cohesiveness(monkeypatch, capsys):
         "cayleyiso.ringlike._bfs_levels",
         lambda host, sources, budget: iter([set(sources)]),
     )
-    rc, out, err = run(["ringlike", "check", "--group", "cyl:3"], capsys)
+    rc, out, err = run(["ringlike", "check", "--group", "cyl:3:[(1,1),(0,1)]"], capsys)
     assert rc == 2
     payload = json.loads(out)
     assert payload["cohesiveOk"] is False

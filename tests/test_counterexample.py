@@ -53,6 +53,8 @@ def test_build_sizes_match_enumeration():
     assert len(build(GridParams(2, 5))) == 105
     assert len(build(GridParams(2, 2))) == 24
     assert len(build(GridParams(3, 2))) == 48
+    for params in (GridParams(2, 5), GridParams(4, 3), GridParams(3, 7)):
+        assert len(build(params)) == enumerated_size(params)
 
 
 def test_build_is_square_minus_pins():

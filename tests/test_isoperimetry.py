@@ -502,9 +502,11 @@ def test_a_grown_set_carries_the_facts_the_independent_routes_find():
             copy = VertexSet(g, A)
             assert {"_boundary", "_closure_is_connected"} <= set(vars(A))
             assert not {"_boundary", "_closure_is_connected"} & set(vars(copy))
+            assert A == copy and hash(A) == hash(copy) and len(A) == len(copy) == size
             members = A.elements
             outside = oracles.boundary_by_distance(g, members)
-            assert A._boundary == copy._boundary
+            assert frozenset(A._boundary) == copy._boundary
+            assert boundary(A) == boundary(copy)
             assert boundary(A).elements == boundary(copy).elements == outside
             next_to_outside = {v for v in members
                                if any(u not in members for u in g.neighbors(v))}
@@ -522,7 +524,7 @@ def test_a_grown_set_that_exhausts_a_torus_carries_an_empty_boundary():
     g = Torus(3, 2)
     A = random_connected_set(g, 9, seed=5)
     copy = VertexSet(g, A)
-    assert A._boundary == copy._boundary == frozenset()
+    assert frozenset(A._boundary) == copy._boundary == frozenset()
     assert is_connected_with_boundary(A) and is_connected_with_boundary(copy)
     errors = []
     for B in (A, copy):
@@ -530,6 +532,18 @@ def test_a_grown_set_that_exhausts_a_torus_carries_an_empty_boundary():
             depth(B)
         errors.append(str(exc_info.value))
     assert errors[0] == errors[1] == "depth undefined: set exhausts the finite host torus:3x3"
+
+
+@pytest.mark.parametrize("family", ["z^1", "z^2", "cyl:3", "free:2"])
+def test_the_sweep_never_hashes_a_grown_set(family):
+    # the sweep's checks read sizes, extremes and erosions, so a grown set
+    # keeps the key lists its growth returned and builds no frozenset
+    g = parse_group(family)
+    for size, seed in [(1, 0), (37, 1), (400, 3), (3000, 4)]:
+        A = random_connected_set(g, size, seed=seed)
+        assert varopoulos_check(A).holds and not classify_separation(A).violations()
+        assert depth(A) >= 1 and len(A) == size
+        assert "_keys" not in vars(A)
 
 
 def test_only_grown_sets_carry_facts(monkeypatch, tmp_path):
@@ -940,6 +954,8 @@ def test_one_loop_grows_every_host_but_trees_and_intervals(monkeypatch):
 def test_vertex_set_validates_and_deduplicates():
     A = VertexSet(Z2, [(0, 0), (0, 0), (1, 0)])
     assert len(A) == 2
+    B = set_from_json_obj({"group": "z^2", "vertices": [[0, 0], [1, 0], [0, 0]]})
+    assert len(B) == 2 and B == A
     with pytest.raises(InvalidVertexError):
         VertexSet(Torus(5, 2), [(5, 0)])
     # a free-group word is a tuple; a list is named, not read letter by letter

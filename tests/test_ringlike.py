@@ -138,6 +138,11 @@ def test_cohesiveness_matches_pairwise_bfs_oracle():
         assert sysm.cohesive_ok == (sysm.q <= 2 * sysm.s * sysm.t)
 
 
+# the standard generators sheared by (z, r) -> (z, r + z): a host isomorphic
+# to cyl:3 by a map that keeps every block, so its q is 2, but with no rule
+SHEARED = Cylinder(3, [(1, 1), (0, 1)])
+
+
 def test_cohesiveness_runs_one_bfs(monkeypatch):
     calls = []
 
@@ -147,11 +152,15 @@ def test_cohesiveness_runs_one_bfs(monkeypatch):
 
     original = ringlike._bfs_levels
     monkeypatch.setattr(ringlike, "_bfs_levels", counted)
-    for host, q in ((Cylinder(3), 2), (Cylinder(7), 4), (Cylinder(4, [(2, 1), (1, 0)]), 6)):
+    for host, q in ((SHEARED, 2), (Cylinder(7, [(1, 1), (0, 1)]), 4),
+                    (Cylinder(4, [(2, 1), (1, 0)]), 6)):
         calls.clear()
         assert cyclic_system(host).q == q
         # one search, from the identity's key
         assert calls == [(host._encode(host.identity()),)]
+    # the standard generators read q from their counting rule
+    calls.clear()
+    assert cyclic_system(Cylinder(7)).q == 4 and calls == []
 
 
 def test_cohesiveness_takes_no_level_past_the_cap(monkeypatch):
@@ -165,7 +174,7 @@ def test_cohesiveness_takes_no_level_past_the_cap(monkeypatch):
             yield set(sources) if r == 0 else set()
 
     monkeypatch.setattr(ringlike, "_bfs_levels", endless)
-    system = cyclic_system(Cylinder(3))
+    system = cyclic_system(SHEARED)
     assert (system.q, system.cohesive_ok) == (7, False)
     assert taken == list(range(8))
 
@@ -180,13 +189,13 @@ def test_cohesiveness_of_standard_cylinders():
 
 def test_cohesiveness_search_is_budgeted(run_capped):
     # the BFS runs under the default vertex budget, so a wide cylinder
-    # raises instead of filling the child's memory
+    # without a counting rule raises instead of filling the child's memory
     proc = run_capped(
         "-c",
         "from cayleyiso import BudgetExceeded, Cylinder, cyclic_system, groups\n"
         "groups.DEFAULT_BUDGET = 10**5\n"
         "try:\n"
-        "    cyclic_system(Cylinder(10**4))\n"
+        "    cyclic_system(Cylinder(10**4, [(1, 1), (0, 1)]))\n"
         "except BudgetExceeded:\n"
         "    print('budget')\n",
     )
@@ -195,10 +204,19 @@ def test_cohesiveness_search_is_budgeted(run_capped):
 
 
 def test_cohesiveness_search_takes_a_budget():
-    # on cyl:3 the search stops at radius q = 2, whose ball has 11 vertices
+    # on the sheared cyl:3 the search stops at radius q = 2, whose ball has
+    # 11 vertices; the standard cyl:3 counts q and searches nothing
     with pytest.raises(BudgetExceeded):
-        cyclic_system(Cylinder(3), budget=10)
-    assert cyclic_system(Cylinder(3), budget=11).q == 2
+        cyclic_system(SHEARED, budget=10)
+    assert cyclic_system(SHEARED, budget=11).q == 2
+    assert cyclic_system(Cylinder(3), budget=1).q == 2
+
+
+def test_the_standard_cohesiveness_rule_is_the_search(monkeypatch):
+    rules = [Cylinder(m)._cohesiveness() for m in range(2, 40)]
+    monkeypatch.setattr(Cylinder, "_cohesiveness", lambda self: None)
+    assert rules == [cyclic_system(Cylinder(m)).q for m in range(2, 40)]
+    assert SHEARED._cohesiveness() is None
 
 
 def test_cohesiveness_with_a_huge_shift(run_capped):
