@@ -178,16 +178,12 @@ class GroupGraph:
         layout, or None where the host has none or the set is past its cap."""
         return None
 
-    def _offset_rows(self, start: int, size: int):
-        """(rows, period): accretion steps key v to v + o for each o in
-        ``rows[v % period]``, in ``_step`` order. By default row v is built from
-        ``_step(v)`` on each read; ``vertex_count`` exceeds every torus key."""
-        return _StepRows(self._step), self.vertex_count
-
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
-        """The member and boundary keys of ``random_connected_set``'s set from the
-        key ``start``, stepped by ``_offset_rows``; trees, intervals and z^2 override it."""
-        return _swap_and_pop(start, size, rng, *self._offset_rows(start, size))
+        """The members and the candidates, distinct keys, of the set that
+        ``size`` - 1 draws grow from the key ``start``: those ``_swap_and_pop``
+        returns when it steps each key to ``_step``'s keys, in their order.
+        Each host grows that set its own way."""
+        raise NotImplementedError
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupGraph) and self.family == other.family
@@ -243,6 +239,11 @@ class _MixedRadix(GroupGraph):
     the identity. A key determines its vertex while every lower coordinate
     lies in [-h, R - h). ``validate_vertex`` admits tuples of ints with
     lo_i <= x_i < hi_i, the bounds +-inf on an unbounded axis.
+
+    Each family sets ``_rows`` and ``_period``: the neighbors of key v are
+    v + o for o in ``_rows[v % _period]``, in ``neighbors`` order. ``_step``
+    reads them, and so does growth, ``_swap_and_pop``, on every family but
+    z^1 and z^2, which grow the same sets another way.
     """
 
     def __init__(self, radix: int, half: int, lo: tuple, hi: tuple, malformed: str,
@@ -273,6 +274,12 @@ class _MixedRadix(GroupGraph):
             digits.append(x - half)
         digits.append(key)
         return tuple(reversed(digits))
+
+    def _step(self, key: int) -> list:
+        return [key + o for o in self._rows[key % self._period]]
+
+    def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
+        return _swap_and_pop(start, size, rng, self._rows, self._period)
 
 
 #: a ``z^d`` key's digits are 2^_LATTICE_BITS apart
@@ -321,9 +328,9 @@ class IntegerLattice(_MixedRadix):
             (-inf,) + (1 - bound,) * (d - 1), (inf,) + (bound,) * (d - 1),
             f"is not a length-{d} integer tuple",
             "has a coordinate after the first of magnitude >= 2^38")
-        # +e_0, -e_0, +e_1, -e_1, ...: the order ``neighbors`` lists them
-        self._offsets = [sign << _LATTICE_BITS * (d - 1 - i)
-                         for i in range(d) for sign in (1, -1)]
+        # one row, +e_0, -e_0, +e_1, -e_1, ...: the order ``neighbors`` lists them
+        self._rows, self._period = ([sign << _LATTICE_BITS * (d - 1 - i)
+                                     for i in range(d) for sign in (1, -1)],), 1
         # H: 2^39 in each of the d - 1 lower digits
         self._bias = int.from_bytes(b"\x80\0\0\0\0" * (d - 1), "big")
         if d >= _BYTES_FROM_DIMENSION:
@@ -350,9 +357,6 @@ class IntegerLattice(_MixedRadix):
         coordinates = memoryview(words).cast("q").tolist()
         coordinates.insert(0, biased >> shift)
         return tuple(coordinates)
-
-    def _step(self, key: int) -> list:
-        return [key + o for o in self._offsets]
 
     def _ball_count(self, r: int) -> int:
         # Delannoy numbers: choose the k nonzero coordinates, their signs,
@@ -382,9 +386,6 @@ class IntegerLattice(_MixedRadix):
             rows = map(rshift, map(add, keys, repeat(h)), repeat(_LATTICE_BITS))
             bm = _grid.Bitmap.from_keys(list(map(add, map(mul, rows, repeat(w)), columns)), w)
         return bm and _grid.depth(bm)
-
-    def _offset_rows(self, start: int, size: int):
-        return (self._offsets,), 1
 
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
         if self.d == 2:
@@ -451,6 +452,8 @@ class Torus(_MixedRadix):
         # per coordinate, in ``neighbors`` order: its place value and the
         # offset that wraps its digit from n - 1 to 0
         self._places = [(n ** (d - 1 - i), (n - 1) * n ** (d - 1 - i)) for i in range(d)]
+        # a row depends on the digits that wrap: built from _step as it is read
+        self._rows, self._period = _StepRows(self._step), n**d
 
     def _step(self, key: int) -> list:
         top = self.n - 1
@@ -551,18 +554,17 @@ class FreeGroup(GroupGraph):
             t += 1
         return t
 
-    def _offset_rows(self, start: int, size: int):
-        # the default per-key rows, with a period above every key they are
-        # read for: the start and the size - 1 keys absorbed, all within size
-        # steps of it. A word of L letters has a key below 2^(_bits L) and, its
-        # first digit being nonzero, at least 2^(_bits (L - 1)). So for
-        # l = len(start), a word within size steps has at most l + size letters
-        # and a key below 2^(_bits (l + size)) <= start << _bits (size + 1)
-        return super()._offset_rows(start, size)[0], (start + 1) << self._bits * (size + 1)
-
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
         if start:
-            return super()._accrete(start, size, rng)
+            # rows built from _step, with a period above every key they are
+            # read for: the start and the size - 1 keys absorbed, all within
+            # size steps of it. A word of L letters has a key below
+            # 2^(_bits L) and, its first digit being nonzero, at least
+            # 2^(_bits (L - 1)). So for l = len(start), a word within size
+            # steps has at most l + size letters and a key below
+            # 2^(_bits (l + size)) <= start << _bits (size + 1)
+            period = (start + 1) << self._bits * (size + 1)
+            return _swap_and_pop(start, size, rng, _StepRows(self._step), period)
         # from the identity A is a subtree, and a candidate's only neighbor
         # in A is its parent. Its children were never seen, as in a tree
         # their only path to A runs through it. So an absorbed v appends
@@ -633,8 +635,8 @@ class _Rows(dict):
 
 
 class _StepRows:
-    # the default rows: row v is built from _step(v) on each read and never
-    # kept, as accretion reads each absorbed key's row once
+    # row v is built from _step(v) on each read and never kept, as
+    # accretion reads each absorbed key's row once
     def __init__(self, step):
         self._step = step
 
@@ -658,8 +660,7 @@ class Cylinder(_MixedRadix):
     2D, ... are reachable at z = 0.
 
     Generator (dz, dr) moves key z*m + r by dz*m + (r + dr) % m - r, so the
-    offsets depend on the residue alone: ``_step`` adds the row of
-    ``_rows`` for key % m.
+    offsets depend on the residue alone: one row per residue, period m.
     """
 
     def __init__(self, m: int, generators: Optional[Sequence[Tuple[int, int]]] = None):
@@ -698,8 +699,9 @@ class Cylinder(_MixedRadix):
         self.vertex_count = None
         malformed = f"is not a (z, residue mod {m}) pair"
         super().__init__(m, 0, (-inf, 0), (inf, m), malformed, malformed)
-        # row r: what each generator (dz, dr) adds to a key z*m + r
-        gens = self.generators
+        # row r: what each generator (dz, dr) adds to a key z*m + r; the
+        # generators are distinct (dz, dr mod m) pairs, so its keys are too
+        gens, self._period = self.generators, m
         self._rows = _Rows(lambda r: [dz * m + (r + dr) % m - r for dz, dr in gens])
 
     def _check_generates(self) -> None:
@@ -759,13 +761,6 @@ class Cylinder(_MixedRadix):
         """The block index z of a key: the z-fibre {z} x Z_m it lies in. It is
         key // m, so it never decreases as the key grows."""
         return key // self.m
-
-    def _step(self, key: int) -> list:
-        # the generators are distinct (dz, dr mod m) pairs, so these are too
-        return [key + o for o in self._rows[key % self.m]]
-
-    def _offset_rows(self, start: int, size: int):
-        return self._rows, self.m
 
 
 # one anchored pattern for the whole grammar; ASCII digits only, so int()

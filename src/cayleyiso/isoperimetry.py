@@ -190,15 +190,12 @@ def boundary(A: VertexSet) -> VertexSet:
 def depth(A: VertexSet) -> int:
     """max over u in A of d(u, complement of A), distances in the whole graph.
 
-    The host erodes A in its own key layout (``_erosion_depth``): a bitmap
-    by L1 balls on z^1, z^2 and standard cylinders, unless it would take
-    over 64 bits per member, and the keys of parents and children on free
-    groups; a z^1 interval of n keys has depth (n + 1) // 2. Other sets
-    take one multi-source BFS from ∂A into A: a geodesic from u to its
-    nearest complement vertex stays inside A until its final step into ∂A,
-    so level r of the BFS holds the members at distance r from the
-    complement, and every finite component of A is next to ∂A. The set
-    keeps the result.
+    The host erodes A in its own key layout where it can
+    (``_erosion_depth``). Other sets take one multi-source BFS from ∂A into
+    A: a geodesic from u to its nearest complement vertex stays inside A
+    until its final step into ∂A, so level r of the BFS holds the members
+    at distance r from the complement, and every finite component of A is
+    next to ∂A. The set keeps the result.
     """
     _require_nonempty(A)
     # hosts are connected, so only a set that is the whole host has no
@@ -341,16 +338,12 @@ def random_connected_set(
     Deterministic for a given (seed, size, start): candidates are kept in
     discovery order and drawn by index with ``randrange``'s own rejection
     loop on ``getrandbits``, inlined (a test pins the two), and swap-and-pop
-    removal. A free group from the identity and ``z^1`` keep no ``seen``
-    set yet grow the same sets: a tree's new candidates are an absorbed
-    word's children, never seen, and an interval's are its two ends. Other
-    hosts step a key by the row of offsets their ``_offset_rows`` gives it,
-    z^2 on window keys: offsets from the start, lifted to host keys once.
-    ``budget`` (DEFAULT_BUDGET if None) is charged before growth runs: ``size``,
-    or on a free group the size(degree - 1) + 2 keys growth holds. The set
-    keeps the members and candidates ``_accrete`` returns (see ``VertexSet``):
-    its boundary is the final candidates (a candidate leaves only by joining
-    A), and its closure is connected, as A grew by neighbors.
+    removal. ``budget`` (DEFAULT_BUDGET if None) is charged before growth
+    runs: ``size``, or on a free group the size(degree - 1) + 2 keys growth
+    holds. The set keeps the members and candidates ``_accrete`` returns
+    (see ``VertexSet``): its boundary is the final candidates (a candidate
+    leaves only by joining A), and its closure is connected, as A grew by
+    neighbors.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")

@@ -33,7 +33,7 @@ from cayleyiso import (
 )
 from cayleyiso import groups, isoperimetry
 from cayleyiso.counterexample import GridParams
-from cayleyiso.groups import LATTICE_COORDINATE_BOUND, GroupGraph, _bfs_levels
+from cayleyiso.groups import LATTICE_COORDINATE_BOUND, _bfs_levels
 from cayleyiso.isoperimetry import set_from_json_obj
 
 Z2 = IntegerLattice(2)
@@ -689,24 +689,31 @@ def test_free_group_sets_grown_as_trees_match_the_accretion_oracle(rank):
         assert_grows_the_oracle_set(g, sizes[seed % len(sizes)], seed)
 
 
+def _spy_on_the_loop(monkeypatch) -> list:
+    """Patch ``groups._swap_and_pop`` to record the (start, size, rows,
+    period) of each call, and return the record."""
+    calls, loop = [], groups._swap_and_pop
+
+    def spy(start, size, rng, rows, period):
+        calls.append((start, size, rows, period))
+        return loop(start, size, rng, rows, period)
+
+    monkeypatch.setattr(groups, "_swap_and_pop", spy)
+    return calls
+
+
 def test_free_group_sets_from_another_start_take_the_generic_loop(monkeypatch):
     # the tree route holds only from the identity: any other start runs the
-    # base class's loop, and grows the oracle's set
+    # one swap-and-pop loop, and grows the oracle's set
     g = FreeGroup(2)
-    calls = []
-    generic = GroupGraph._accrete
-
-    def spy(host, start, size, rng):
-        calls.append(start)
-        return generic(host, start, size, rng)
-
-    monkeypatch.setattr(GroupGraph, "_accrete", spy)
+    loops = _spy_on_the_loop(monkeypatch)
     for seed, size in enumerate([1, 2, 3, 4, 9, 60, 300]):
         assert_grows_the_oracle_set(g, size, seed, start=(1, 2))
         assert_grows_the_oracle_set(g, size, seed, start=(-2,))
-    assert calls == [g._encode(v) for _ in range(7) for v in [(1, 2), (-2,)]]
+    starts = [g._encode(v) for _ in range(7) for v in [(1, 2), (-2,)]]
+    assert [start for start, *_ in loops] == starts
     random_connected_set(g, 300, seed=1)
-    assert len(calls) == 14
+    assert len(loops) == 14
 
 
 class _CountingRandom(random.Random):
@@ -736,7 +743,8 @@ def test_line_sets_grown_as_intervals_are_the_generic_loops():
         size, start = sizes[seed % len(sizes)], rng.choice([0, 0, 7, -10**12])
         counting = _CountingRandom(seed)
         keys, ends = g._accrete(start, size, counting)
-        base_keys, base_ends = GroupGraph._accrete(g, start, size, random.Random(seed))
+        base_keys, base_ends = groups._swap_and_pop(start, size, random.Random(seed),
+                                                    g._rows, g._period)
         assert (set(keys), set(ends)) == (base_keys, set(base_ends)), (size, seed, start)
         assert len(keys) == size and keys[0] - 1 == ends[0] and keys[-1] + 1 == ends[1]
         calls[min(counting.calls, 3)] += 1
@@ -769,7 +777,7 @@ def test_plane_sets_grown_on_window_keys_are_the_host_key_loops():
         for size in sizes:
             key = g._encode(start)
             members, candidates = g._accrete(key, size, random.Random(seed))
-            host = GroupGraph._accrete(g, key, size, random.Random(seed))
+            host = groups._swap_and_pop(key, size, random.Random(seed), g._rows, g._period)
             assert (set(members), candidates) == host, (size, seed, start)
             assert len(members) == size
     assert widened == 240
@@ -822,36 +830,32 @@ def _longest_absorbable(g, start: tuple, size: int) -> tuple:
     return tuple(word)
 
 
-def _row_tables(g, rng) -> list:
-    """(rows, period, keys): a host's offset rows and keys whose rows accretion
-    may read. z^d and cylinders get keys at z = 0, below it and far out on
-    both sides, at every residue; tori every key; free groups, from starts of
-    1, 5 and 40 letters, the keys of random walks of size - 1 steps and of the
-    longest word the size can absorb."""
+def _stepped_keys(g, rng) -> list:
+    """Keys that growth may step from. z^d and cylinders get keys at z = 0,
+    below it and far out on both sides, at every residue, with z^d's lower
+    coordinates at 0, at the bound and between; tori every key; free
+    groups, from starts of 1, 5 and 40 letters, the keys of random walks of
+    size - 1 steps and of the longest word the size can absorb."""
     if isinstance(g, FreeGroup):
-        tables = []
+        words = set()
         for length in (1, 5, 40):
             start = _random_word(g, length, rng)
             for size in (1, 2, 7, 60):
-                words = {start, _longest_absorbable(g, start, size)}
+                words |= {start, _longest_absorbable(g, start, size)}
                 for _ in range(5):
                     v = g._encode(start)
                     for _ in range(size - 1):
                         v = rng.choice(g._step(v))
                         words.add(g._decode(v))
-                tables.append((*g._offset_rows(g._encode(start), size),
-                               sorted(map(g._encode, words))))
-        return tables
+        return sorted(map(g._encode, words))
     if isinstance(g, Torus):
-        return [(*g._offset_rows(0, g.vertex_count), range(g.vertex_count))]
+        return range(g.vertex_count)
     zs = [0, 1, -1, -5, 9, 10**12, -10**12, *(rng.randint(-10**15, 10**15) for _ in range(20))]
     if isinstance(g, Cylinder):
-        keys = [g._encode((z, r)) for z in zs for r in range(g.m)]
-    else:
-        bound = LATTICE_COORDINATE_BOUND - 1
-        lower = [0, bound, -bound, *(rng.randint(-bound, bound) for _ in range(4))]
-        keys = [g._encode((z, *(rng.choice(lower) for _ in range(g.d - 1)))) for z in zs]
-    return [(*g._offset_rows(keys[0], 1), keys)]
+        return [g._encode((z, r)) for z in zs for r in range(g.m)]
+    bound = LATTICE_COORDINATE_BOUND - 1
+    lower = [0, bound, -bound, *(rng.randint(-bound, bound) for _ in range(4))]
+    return [g._encode((z, *(rng.choice(lower) for _ in range(g.d - 1)))) for z in zs]
 
 
 ROW_FAMILIES = ["z^1", *OFFSET_FAMILIES[:2], "torus:5x5", "torus:3x3x3",
@@ -860,15 +864,17 @@ ROW_FAMILIES = ["z^1", *OFFSET_FAMILIES[:2], "torus:5x5", "torus:3x3x3",
 
 @pytest.mark.parametrize("family", ROW_FAMILIES)
 def test_offset_hosts_accrete_as_the_step_loop(family):
-    # accretion steps key v to v + o for o in rows[v % period]; those must be
-    # _step(v), in its order, or the sets and boundaries change. The offset
-    # hosts' first seeds also grow the oracle's set on both sides of a draw
-    # that widens, from the identity, a start below z = 0 and one off residue 0
+    # accretion steps key v to _step(v), in its order: through the rows
+    # _step reads on z^d, tori and cylinders, and through rows built from
+    # _step on a free group off the identity. Those keys must be the
+    # oracle's neighbors, in order, or the sets and boundaries change. The
+    # offset hosts' first seeds also grow the oracle's set on both sides of
+    # a draw that widens, from the identity, a start below z = 0 and one
+    # off residue 0
     g = parse_group(family)
-    rng = random.Random(29)
-    for rows, period, keys in _row_tables(g, rng):
-        for v in keys:
-            assert [v + o for o in rows[v % period]] == g._step(v), (family, v)
+    neighbors = oracles.neighbor_function(g)
+    for v in _stepped_keys(g, random.Random(29)):
+        assert list(map(g._decode, g._step(v))) == neighbors(g._decode(v)), (family, v)
     if family not in OFFSET_FAMILIES:
         return
     d = len(g.identity())
@@ -881,19 +887,22 @@ def test_offset_hosts_accrete_as_the_step_loop(family):
 
 
 @pytest.mark.parametrize("rank", [2, 26])
-def test_a_free_group_period_exceeds_every_key_accretion_absorbs(rank):
+def test_a_free_group_period_exceeds_every_key_accretion_absorbs(rank, monkeypatch):
     # off the identity a free group's rows are indexed by key % period, so the
     # period must exceed the key of every word within size - 1 steps of the
     # start, the largest being the start with size - 1 maximal digits appended
     g = FreeGroup(rank)
+    loops = _spy_on_the_loop(monkeypatch)
     rng = random.Random(29)
     for length in (1, 5, 40):
         for start in (_random_word(g, length, rng), (-rank,) * length, (rank,) * length):
             for size in range(1, 61):
-                _, period = g._offset_rows(g._encode(start), size)
+                g._accrete(g._encode(start), size, random.Random(size))
+                *_, period = loops[-1]
                 top = _longest_absorbable(g, start, size)
                 assert len(top) == length + size - 1
                 assert g._encode(top) < period, (start, size)
+    assert len(loops) == 3 * 3 * 60
 
 
 @pytest.mark.parametrize("rank", [2, 26])
@@ -909,43 +918,88 @@ def test_free_group_sets_from_a_long_word_match_the_accretion_oracle(rank):
 def test_one_loop_grows_every_host_but_trees_and_intervals(monkeypatch):
     # every host but a free group from the identity (a tree) and z^1 (an
     # interval) runs the one swap-and-pop loop: z^2 on window keys, with the
-    # row (w, -w, 1, -1) for w = 2 size + 1, and the others through the base
-    # class's _accrete. z^d and cylinders step by their fixed rows and never
-    # call _step; a torus and a free group off the identity build each row
+    # row (w, -w, 1, -1) for w = 2 size + 1, and the other z^d and the
+    # cylinders on their own rows, which they keep, so their growth never
+    # calls _step. A torus and a free group off the identity build each row
     # from one _step call as it is read and keep none, so reading a start's
     # row again steps again
-    steps, generic, tables, loops = Counter(), [], [], []
-    for cls in (IntegerLattice, Torus, FreeGroup, Cylinder):
+    steps = Counter()
+    for cls in (groups._MixedRadix, Torus, FreeGroup):
         def step(host, key, original=cls._step):
             steps[host.family] += 1
             return original(host, key)
 
         monkeypatch.setattr(cls, "_step", step)
-    base, offset_rows, loop = GroupGraph._accrete, GroupGraph._offset_rows, groups._swap_and_pop
-    monkeypatch.setattr(GroupGraph, "_accrete",
-                        lambda host, *args: generic.append(host.family) or base(host, *args))
-    monkeypatch.setattr(GroupGraph, "_offset_rows",
-                        lambda host, *args: tables.append(offset_rows(host, *args)) or tables[-1])
-    monkeypatch.setattr(groups, "_swap_and_pop",
-                        lambda *args: loops.append(args[3:]) or loop(*args))
-    for family in OFFSET_FAMILIES:
-        g = parse_group(family)
+    loops = _spy_on_the_loop(monkeypatch)
+    hosts = [parse_group(family) for family in OFFSET_FAMILIES]
+    for g in hosts:
         for start in [None, (3,) + (1,) * (len(g.identity()) - 1)]:
             assert len(random_connected_set(g, 300, seed=1, start=start)) == 300
-    assert OFFSET_FAMILIES[0] == "z^2" and loops[:2] == [(((601, -601, 1, -1),), 1)] * 2
-    assert generic == [parse_group(family).family
-                       for family in OFFSET_FAMILIES[1:] for _ in range(2)]
+    assert OFFSET_FAMILIES[0] == "z^2"
+    assert [loop[1:] for loop in loops[:2]] == [(300, ((601, -601, 1, -1),), 1)] * 2
+    own = [(g._rows, g._period) for g in hosts[1:] for _ in range(2)]
+    assert len(loops) == 14 and all(
+        rows is g_rows and period == g_period
+        for (*_, rows, period), (g_rows, g_period) in zip(loops[2:], own))
     random_connected_set(parse_group("z^1"), 300, seed=1)
     random_connected_set(FreeGroup(2), 300, seed=1)
-    assert not steps and len(generic) == 12 and len(loops) == 14 and not tables
+    assert not steps and len(loops) == 14
     random_connected_set(Torus(9, 2), 50, seed=1)
     random_connected_set(Torus(3, 3), 27, seed=2)
     random_connected_set(FreeGroup(2), 50, seed=1, start=(1, 2))
-    assert generic[12:] == ["torus:9x9", "torus:3x3x3", "free:2"] and len(loops) == 17
+    assert len(loops) == 17 and [period for *_, period in loops[14:16]] == [81, 27]
     assert steps == {"torus:9x9": 50, "torus:3x3x3": 27, "free:2": 50}
-    for (rows, _), start in zip(tables, [0, 0, FreeGroup(2)._encode((1, 2))]):
+    for start, _, rows, _ in loops[14:]:
         rows[start]
     assert steps == {"torus:9x9": 51, "torus:3x3x3": 28, "free:2": 51}
+
+
+DIFFERENTIAL_FAMILIES = ["z^1", "z^2", "z^3", "torus:5x5", "torus:3x3x3", "cyl:2", "cyl:3",
+                         "cyl:4:[(2,1),(1,0)]", "free:2", "free:3"]
+
+
+def _starts(g):
+    """The identity of ``g``, or a start at its edges: z^d lower coordinates
+    within 150 of the bound +-(LATTICE_COORDINATE_BOUND - 1), a cylinder's
+    residue m - 1 next to the seam, a random reduced word, any torus vertex."""
+    if isinstance(g, FreeGroup):
+        other = st.builds(lambda n, rng: _random_word(g, n, rng),
+                          st.integers(1, 8), st.randoms(use_true_random=False))
+    elif isinstance(g, Torus):
+        other = st.tuples(*[st.integers(0, g.n - 1)] * g.d)
+    elif isinstance(g, Cylinder):
+        other = st.tuples(st.integers(-10**15, 10**15), st.just(g.m - 1))
+    else:
+        edge = st.builds(lambda sign, k: sign * (LATTICE_COORDINATE_BOUND - 1 - k),
+                         st.sampled_from([1, -1]), st.integers(0, 150))
+        other = st.tuples(st.integers(-10**15, 10**15), *[edge] * (g.d - 1))
+    return st.just(g.identity()) | other
+
+
+@st.composite
+def _growths(draw):
+    """(host, size, seed, start) for ``random_connected_set``: a size from 1
+    to 150, or to the whole of a smaller torus."""
+    g = parse_group(draw(st.sampled_from(DIFFERENTIAL_FAMILIES)))
+    size = draw(st.integers(1, min(150, g.vertex_count or 150)))
+    return g, size, draw(st.integers(0, 2**32)), draw(_starts(g))
+
+
+@settings(max_examples=1200, deadline=None, derandomize=True, database=None)
+@given(growth=_growths())
+def test_grown_sets_match_the_oracles(growth):
+    # every growth route, and every depth route a grown set reaches, against
+    # the per-vertex oracles: the members, the boundary and the depth
+    g, size, seed, start = growth
+    A = random_connected_set(g, size, seed=seed, start=start)
+    members = oracles.accretion_set(g, size, seed=seed, start=start)
+    assert A.elements == members
+    assert boundary(A).elements == oracles.boundary_by_distance(g, members)
+    if size == g.vertex_count:
+        with pytest.raises(ValueError, match="exhausts"):
+            depth(A)
+    else:
+        assert depth(A) == oracles.per_vertex_depth(g, members)
 
 
 # --- vertex sets and set files -----------------------------------------------
