@@ -16,14 +16,14 @@ under 1 s on a 2-vCPU Xeon and peaks at 90 MB, about 0.8 bytes per cell
 above the interpreter's start (``ru_maxrss`` in a fresh process, Python 3.11).
 
 A ``Bitmap`` holds keys x*width + y in whole rows (``Bitmap.from_keys``):
-z^1 sets take width 1 and z^2 sets their column span plus 2, and ``depth``
-erodes both. ``wrapped_depth`` erodes a standard cylinder's rows of Z x Z_m,
-whose columns wrap: its ball B_r is the image of Z^2's, and a shift by
-(dz, dr) moves residue r by dz*m + dr bits, or by m fewer where r + dr
-wraps past m - 1. ``from_keys`` refuses a set whose bitmap would take over
-64 bits per member, past a slack: its caller runs a BFS. Keys are packed
-through one byte per cell (``_pack``), about 1.4 bytes per cell at peak,
-so a set at that cap peaks near 100 bytes per member.
+z^2 sets take their column span plus 2, and ``depth`` erodes them.
+``wrapped_depth`` erodes a standard cylinder's rows of Z x Z_m, whose
+columns wrap: its ball B_r is the image of Z^2's, and a shift by (dz, dr)
+moves residue r by dz*m + dr bits, or by m fewer where r + dr wraps past
+m - 1. ``from_keys`` refuses a set whose bitmap would take over 64 bits
+per member, past a slack: its caller runs a BFS. Keys are packed through
+one byte per cell (``_pack``), about 1.4 bytes per cell at peak, so a set
+at that cap peaks near 100 bytes per member.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ class Bitmap:
     columns per row, one at each end (``perforated_block``) or both where a
     row wraps into the next (``from_keys`` on z^2), so a shift by 1 or by
     ``width`` moves every member onto its 4-neighbor's cell and no two
-    neighbors onto one cell. Width 1 holds Z, and ``wrapped_depth`` reads
-    rows of Z x Z_m. The kernels are translation-invariant, so the
-    coordinates of cell 0 are not kept.
+    neighbors onto one cell. ``wrapped_depth`` reads rows of Z x Z_m. The
+    kernels are translation-invariant, so the coordinates of cell 0 are not
+    kept.
     """
 
     def __init__(self, bits: int, width: int, size: int):
@@ -102,9 +102,7 @@ def depth(bm: Bitmap, guess: int = 0) -> int:
     two erosions, E_{d-1}(A) nonempty and E_d(A) empty, or searched past.
     The zero padding counts as complement, which is correct: every cell
     beyond the bitmap is farther from a member than the padding cell on the
-    same ray. Width 1 holds Z, one cell per row: B_r of Z is the image of
-    Z^2's under (x, y) -> x + y, which is what the shifts by 1 and by
-    w ± 1 = 2, 0 erode by, and a line has no other row to run into.
+    same ray.
     """
     return _gallop(bm.bits, lambda x, r: _erode(x, r, bm.width), guess)
 

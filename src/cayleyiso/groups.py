@@ -37,7 +37,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, compress, count, islice, repeat
 from math import comb, gcd, inf
-from operator import add, and_, ge, le, lt, mul, rshift, xor
+from operator import add, and_, ge, le, lt, mul, rshift, sub, xor
 from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 Vertex = Tuple[int, ...]
@@ -364,27 +364,32 @@ class IntegerLattice(_MixedRadix):
         return sum(2**k * comb(self.d, k) * comb(r, k) for k in range(min(self.d, r) + 1))
 
     def _erosion_depth(self, keys: Collection) -> Optional[int]:
+        if self.d == 1:
+            # the key is the point, and a run of n consecutive keys has depth
+            # ceil(n / 2) at its middle: a set's depth is its longest run's.
+            # An interval is one run and needs no sort; any other set is cut
+            # wherever consecutive keys skip
+            if max(keys) - min(keys) + 1 == len(keys):
+                return (len(keys) + 1) // 2
+            ks = sorted(keys)
+            cuts = [0, *compress(count(1), map(lt, repeat(1), map(sub, ks[1:], ks))), len(ks)]
+            return (max(map(sub, cuts[1:], cuts)) + 1) // 2
         if self.d > 2:
             return None
         from . import _grid
 
-        if self.d == 1:  # the key is the point: rows of one cell
-            if max(keys) - min(keys) + 1 == len(keys):  # an interval: its middle is deepest
-                return (len(keys) + 1) // 2
-            bm = _grid.Bitmap.from_keys(keys, 1)
-        else:
-            # key + S/2 is x*S + c for the column c = y + S/2. Read as the
-            # key x*w + c, w the column span plus 2, the columns fill w - 2
-            # consecutive residues mod w and leave two empty, so a member
-            # keeps its member neighbors, its neighbors outside the set stay
-            # outside, and the bitmap erodes as the plane does. Both passes
-            # add S/2 afresh: a list of 10^4 sums would peak 0.4 MB higher to
-            # save about 0.6 ms
-            h, low = 1 << _LATTICE_BITS - 1, (1 << _LATTICE_BITS) - 1
-            columns = list(map(and_, map(add, keys, repeat(h)), repeat(low)))
-            w = max(columns) - min(columns) + 3
-            rows = map(rshift, map(add, keys, repeat(h)), repeat(_LATTICE_BITS))
-            bm = _grid.Bitmap.from_keys(list(map(add, map(mul, rows, repeat(w)), columns)), w)
+        # key + S/2 is x*S + c for the column c = y + S/2. Read as the key
+        # x*w + c, w the column span plus 2, the columns fill w - 2
+        # consecutive residues mod w and leave two empty, so a member keeps
+        # its member neighbors, its neighbors outside the set stay outside,
+        # and the bitmap erodes as the plane does. Both passes add S/2
+        # afresh: a list of 10^4 sums would peak 0.4 MB higher to save about
+        # 0.6 ms
+        h, low = 1 << _LATTICE_BITS - 1, (1 << _LATTICE_BITS) - 1
+        columns = list(map(and_, map(add, keys, repeat(h)), repeat(low)))
+        w = max(columns) - min(columns) + 3
+        rows = map(rshift, map(add, keys, repeat(h)), repeat(_LATTICE_BITS))
+        bm = _grid.Bitmap.from_keys(list(map(add, map(mul, rows, repeat(w)), columns)), w)
         return bm and _grid.depth(bm)
 
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
@@ -555,25 +560,21 @@ class FreeGroup(GroupGraph):
         return t
 
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
-        if start:
-            # rows built from _step, with a period above every key they are
-            # read for: the start and the size - 1 keys absorbed, all within
-            # size steps of it. A word of L letters has a key below
-            # 2^(_bits L) and, its first digit being nonzero, at least
-            # 2^(_bits (L - 1)). So for l = len(start), a word within size
-            # steps has at most l + size letters and a key below
-            # 2^(_bits (l + size)) <= start << _bits (size + 1)
-            period = (start + 1) << self._bits * (size + 1)
-            return _swap_and_pop(start, size, rng, _StepRows(self._step), period)
-        # from the identity A is a subtree, and a candidate's only neighbor
-        # in A is its parent. Its children were never seen, as in a tree
-        # their only path to A runs through it. So an absorbed v appends
-        # v << _bits plus each digit of kids[last], last = v & _mask: the
-        # digits 1 .. degree but the one that cancels last, whose slot _step
-        # gives to the parent (the identity's row keeps all). No seen set
+        # A is a subtree, and an absorbed key's only neighbor in A is the one
+        # it was reached from: its other neighbors were never seen, as in a
+        # tree their only path to A runs through it. That neighbor is its
+        # parent, so v appends v << _bits plus each digit of kids[last],
+        # last = v & _mask: the digits 1 .. degree but the one that cancels
+        # last, whose slot _step gives to the parent (the identity's row
+        # keeps all). Only a proper prefix of the start is reached from its
+        # child toward the start instead, and appends rows[v], _step(v) less
+        # that child; rows holds the size - 1 prefixes nearest the start, all
+        # that growth can reach, and none from the identity. No seen set
         getrandbits, bits, mask = rng.getrandbits, self._bits, self._mask
         kids = [[d for d in range(1, self.degree + 1) if d - 1 != c] for c in self._cancels]
-        members, candidates = [0], kids[0][:]
+        prefixes = (start >> bits * i for i in range(min(size - 1, start.bit_length())))
+        rows = {v >> bits: [u for u in self._step(v >> bits) if u != v] for v in prefixes if v}
+        members, candidates = [start], self._step(start)
         absorb, extend, pop = members.append, candidates.extend, candidates.pop
         for _ in range(size - 1):
             n = len(candidates)
@@ -586,7 +587,7 @@ class FreeGroup(GroupGraph):
                 v, candidates[j] = candidates[j], v
             absorb(v)
             base = v << bits
-            extend([base + d for d in kids[v & mask]])
+            extend(rows.get(v) or [base + d for d in kids[v & mask]])
         return members, candidates
 
     def vertex_to_json(self, v: Vertex) -> str:

@@ -257,7 +257,9 @@ def boundary_by_distance(g, elements) -> set:
 
 
 def per_vertex_depth(g, elements) -> int:
-    """max over members of d(u, complement), one full-graph BFS per member."""
+    """max over members of d(u, complement), one full-graph BFS per member.
+    The search stops at the first non-member it meets: BFS meets vertices
+    in order of distance, so that one is nearest."""
     neighbors = neighbor_function(g)
     members = set(elements)
     best = 0
@@ -266,13 +268,13 @@ def per_vertex_depth(g, elements) -> int:
         queue = deque([u])
         while queue:
             v = queue.popleft()
-            if v not in members:
-                best = max(best, dist[v])
+            near = [w for w in neighbors(v) if w not in dist]
+            if not members.issuperset(near):
+                best = max(best, dist[v] + 1)
                 break
-            for w in neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
+            for w in near:
+                dist[w] = dist[v] + 1
+                queue.append(w)
     return best
 
 

@@ -2,21 +2,30 @@
 no-floats-in-JSON guarantee."""
 
 import argparse
+import contextlib
 import glob
+import io
 import json
 import os
 import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cayleyiso import Cylinder, IntegerLattice, VertexSet, cli, groups, save_set
+from cayleyiso import (
+    Cylinder, FreeGroup, IntegerLattice, VertexSet, cli, groups, parse_group, save_set,
+)
 from cayleyiso.cli import main
+from cayleyiso.groups import LATTICE_COORDINATE_BOUND
+from test_isoperimetry import DIFFERENTIAL_FAMILIES
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -530,6 +539,68 @@ def test_malformed_set_file_exits_one_with_one_error_line(tmp_path, capsys):
     assert str(path) in err
 
 
+# JSON values of every type, nested a few levels
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+# coordinates near 0, and at and past the bounds of z^d, tori and cylinders
+COORDINATES = st.integers(-6, 6) | st.sampled_from([
+    LATTICE_COORDINATE_BOUND - 1, LATTICE_COORDINATE_BOUND, 1 - LATTICE_COORDINATE_BOUND,
+    -LATTICE_COORDINATE_BOUND, 10**15, -10**15, 2**64, -10**40])
+# a vertex of the wrong type or length
+MALFORMED_VERTICES = (st.lists(COORDINATES, max_size=4) | st.text(alphabet="abcAB?", max_size=5)
+                      | JSON_VALUES)
+
+
+def _set_files_on(family):
+    """Set files of ``family`` whose vertices are well formed, out of bounds
+    or unreduced ("aA") included, or also malformed; each file repeats its
+    first two vertices."""
+    g = parse_group(family)
+    if isinstance(g, FreeGroup):
+        vertex = st.text(alphabet="abAB", max_size=5)
+    else:
+        # 0 and 1 are valid coordinates on every host
+        d = len(g.identity())
+        vertex = st.lists(st.integers(0, 1) | COORDINATES, min_size=d, max_size=d)
+    vertices = (st.lists(vertex, min_size=1, max_size=6)
+                | st.lists(vertex | MALFORMED_VERTICES, max_size=6))
+    return st.fixed_dictionaries(
+        {"group": st.just(family), "vertices": vertices.map(lambda vs: vs + vs[:2])})
+
+
+SET_FILES = st.sampled_from(DIFFERENTIAL_FAMILIES).flatmap(_set_files_on) | JSON_VALUES
+SET_COMMANDS = [["boundary"], ["depth"], ["varopoulos"], ["separation"], ["ringlike", "cover"]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=SET_FILES.map(json.dumps))
+@example(text="[" * 10**5 + "]" * 10**5)
+@example(text=json.dumps({"group": "free:2", "vertices": [[1, 2]]}))
+def test_every_set_file_exits_with_a_code_and_at_most_one_error_line(text):
+    # in process, twice per command: no exception leaves main, the exit
+    # code is 0, 1 or 2, and stdout repeats
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "set.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in SET_COMMANDS:
+            outputs = []
+            for _ in range(2):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = main([*command, "--set", path])
+                assert rc in (0, 1, 2), command
+                errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+                assert len(errors) <= 1, (command, errors)
+                outputs.append(out.getvalue())
+            assert outputs[0] == outputs[1], command
+
+
 def test_error_lines_clip_echoed_values(tmp_path, capsys):
     # a malformed value of 2*10^5 items is echoed as a short prefix
     huge = list(range(200_000))
@@ -1031,7 +1102,7 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
     # output, ast only to read a cylinder's generator list, isoperimetry
     # under counterexample and sweep only where a set is built, and the
     # bitmap kernels under counterexample and sweep, and where a depth is
-    # taken on a bitmap host
+    # taken on a bitmap host: z^2 is one, z^1 (closed form) is not
     emitted = str(tmp_path / "set.json")
     runs = {
         "growth": ["growth", "--group", "z^2", "--max-radius", "3"],
@@ -1040,6 +1111,8 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
         "ball": ["ball", "--group", "cyl:3", "--radius", "2"],
         **{name: [name, "--group", "z^2", "--random", "30"]
            for name in ("boundary", "depth", "varopoulos", "separation")},
+        **{f"{name} z^1": [name, "--group", "z^1", "--random", "300"]
+           for name in ("depth", "separation")},
         "counterexample stats": ["counterexample", "stats", "--i", "3", "--k", "3"],
         "counterexample stats --emit-set": ["counterexample", "stats", "--i", "3", "--k", "3",
                                             "--emit-set", emitted],
@@ -1060,7 +1133,8 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
     assert loading("csv") == {"growth", "sweep ratio"}
     assert loading("ast") == {"growth cyl:m:[...]"}
     assert loading("cayleyiso.isoperimetry") == {
-        "boundary", "depth", "varopoulos", "separation", "counterexample stats --emit-set",
-        "counterexample torus", "ringlike check", "ringlike cover"}
+        "boundary", "depth", "varopoulos", "separation", "depth z^1", "separation z^1",
+        "counterexample stats --emit-set", "counterexample torus", "ringlike check",
+        "ringlike cover"}
     assert loading("cayleyiso._grid") == {
         name for name in runs if name.startswith(("counter", "sweep"))} | {"depth", "separation"}

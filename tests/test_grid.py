@@ -3,13 +3,14 @@ oracles: plane bitmaps built from keys, one-row and one-column strips of
 every width up to 24, negative coordinates, long strips, L1 diamonds deep
 enough to cross each power of two in depth's gallop, a deep member under a
 memory cap and a deep patch under a timeout; ``perforated_block``'s byte
-rows for every side modulo 8; packing cells against a byte loop; z^1, z^2
-and cylinders, across the residue seam, and sets at and past the bits cap,
-which take the BFS; free groups' erosions by parent keys, at the identity
-and elsewhere."""
+rows for every side modulo 8; packing cells against a byte loop; z^1 runs
+in closed form; z^2 and cylinders, across the residue seam, and sets at
+and past the bits cap, which take the BFS; free groups' erosions by parent
+keys, at the identity and elsewhere."""
 
 import random
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 
@@ -280,7 +281,7 @@ def test_pack_at_the_bits_cap_peaks_under_two_bytes_per_cell():
     assert peak <= 2 * size
 
 
-# --- z^1, z^2 and cylinders: rows of m bits whose columns wrap ---------------
+# --- z^1 runs; z^2 and cylinders: rows of m bits whose columns wrap ----------
 
 
 def assert_routes_agree(g, members, oracles_too=True):
@@ -308,11 +309,11 @@ def test_z1_intervals_components_and_isolated_points():
         assert_routes_agree(Z1, members)
 
 
-def test_z1_intervals_take_the_closed_form_and_other_sets_the_bitmap(monkeypatch):
-    # an interval's depth is (n + 1) // 2 without a bitmap; a set with one
-    # gap builds its bitmap, and one with a far outlier, past the bits cap,
-    # has none and takes the BFS. The per-vertex oracle, quadratic in n,
-    # checks every size to 40 and every 23rd after it
+def test_z1_sets_take_the_closed_form_and_build_no_bitmap(monkeypatch):
+    # a set's depth is ceil(L / 2), L its longest run of consecutive keys,
+    # without a bitmap: an interval, a set with one gap, and one with a far
+    # outlier, whose bitmap would be past the bits cap. The per-vertex
+    # oracle, quadratic in n, checks every interval to 40 and every 23rd after
     built = []
     from_keys = _grid.Bitmap.from_keys
     monkeypatch.setattr(_grid.Bitmap, "from_keys",
@@ -321,21 +322,24 @@ def test_z1_intervals_take_the_closed_form_and_other_sets_the_bitmap(monkeypatch
         for x0 in (0, -10**12, 10**15):
             keys = frozenset(range(x0, x0 + n))
             d = Z1._erosion_depth(keys)
-            assert not built and d == (n + 1) // 2 == _grid.depth(from_keys(keys, 1))
+            assert d == (n + 1) // 2
             if n <= 40 or n % 23 == 0:
                 assert d == oracles.per_vertex_depth(Z1, {(x,) for x in keys})
     rng = random.Random(30)
     for n in (3, 4, 9, 60, 300):
         for x0 in (0, -10**12, 10**15):
-            members = {(x0 + x,) for x in range(n)} - {(x0 + rng.randrange(1, n - 1),)}
-            assert assert_routes_agree(Z1, members) == oracles.erosion_depth(members, Z1)
-            assert built == [1, 1]
-            built.clear()
+            gap = rng.randrange(1, n - 1)
+            members = {(x0 + x,) for x in range(n)} - {(x0 + gap,)}
+            assert assert_routes_agree(Z1, members) == (max(gap, n - 1 - gap) + 1) // 2
             members = {(x0 + x,) for x in range(n)} | {(x0 + 10**15,)}
-            A = VertexSet(Z1, members)
-            assert Z1._erosion_depth(A._keys) is None and built == [1]
-            assert depth(A) == (n + 1) // 2 == oracles.per_vertex_depth(Z1, members)
-            built.clear()
+            assert assert_routes_agree(Z1, members) == (n + 1) // 2
+    # the longest run first, in the middle and last, runs one or more keys apart
+    for lengths in ((9, 4, 1), (4, 9, 1), (1, 4, 9), (2, 2, 2)):
+        for apart in (2, 3, 10**15):
+            starts = accumulate((length + apart for length in lengths[:-1]), initial=0)
+            members = {(x0 + x,) for x0, length in zip(starts, lengths) for x in range(length)}
+            assert assert_routes_agree(Z1, members) == (max(lengths) + 1) // 2
+    assert built == []
 
 
 def test_z2_holed_sets():
@@ -391,16 +395,19 @@ def test_only_tori_z3_and_other_cylinders_take_the_depth_bfs(monkeypatch):
 
 
 def test_sets_past_the_bits_cap_take_the_bfs(run_capped):
+    # z^2 and cylinder sets past the cap have no erosion depth and take the
+    # BFS; z^1 has no cap, and its far-apart members take the closed form
     far = 10**14
     blocks = {(z, r) for z in (0, 1, 2, far, far + 1, far + 2) for r in range(7)}
     cases = [(Z1, {(0,), (10**15,)}, 1), (Z2, {(i, i) for i in range(100)}, 1),
              (Cylinder(7), blocks, 2)]
     for g, members, expected in cases:
         A = VertexSet(g, members)
-        assert g._erosion_depth(A._keys) is None
+        assert g._erosion_depth(A._keys) == (expected if g is Z1 else None)
         assert depth(A) == expected == oracles.per_vertex_depth(g, members)
-    # bitmaps of 10^15, 10^10 and 7 * 10^14 bits, and residue masks of 10^12
-    # bits on a row of two members, all past the child's 1 GiB cap
+    # members 10^15 apart on z^1, and bitmaps of 10^10 and 7 * 10^14 bits
+    # and residue masks of 10^12 bits on a row of two members, all past the
+    # child's 1 GiB cap
     proc = run_capped("-c", (
         "from cayleyiso import Cylinder, IntegerLattice, VertexSet, depth; "
         f"far = {far}; "
@@ -416,9 +423,9 @@ def test_sets_past_the_bits_cap_take_the_bfs(run_capped):
 
 def test_a_bitmap_at_the_cap_is_built_and_one_cell_further_is_not(monkeypatch):
     # n members whose padded bitmap is exactly 64 (n + 16) bits take it;
-    # moved one cell further, they take the BFS. A z^1 row is one bit, so
-    # that adds one bit; on z^2 and cyl:5 it adds a row. The z^2 columns
-    # start on residue 1 mod w = 13, so its rows do not wrap
+    # moved one cell further, which adds a row, they take the BFS. The z^2
+    # columns start on residue 1 mod w = 13, so its rows do not wrap. z^1 has
+    # no cap: the same sets of one-cell rows take the closed form, no bitmap
     sizes = []
     for name in ("depth", "wrapped_depth"):
         kernel = getattr(_grid, name)
@@ -436,7 +443,8 @@ def test_a_bitmap_at_the_cap_is_built_and_one_cell_further_is_not(monkeypatch):
             A = VertexSet(g, members(t))
             sizes.clear()
             assert depth(A) == expected == oracles.per_vertex_depth(g, A.elements)
-            assert sizes == ([] if t else [64 * (len(A) + 16)])
+            assert sizes == ([] if t or g is Z1 else [64 * (len(A) + 16)])
+            assert g._erosion_depth(A._keys) == (expected if t == 0 or g is Z1 else None)
             assert bfs_depth(A) == expected
 
 

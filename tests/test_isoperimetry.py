@@ -702,20 +702,6 @@ def _spy_on_the_loop(monkeypatch) -> list:
     return calls
 
 
-def test_free_group_sets_from_another_start_take_the_generic_loop(monkeypatch):
-    # the tree route holds only from the identity: any other start runs the
-    # one swap-and-pop loop, and grows the oracle's set
-    g = FreeGroup(2)
-    loops = _spy_on_the_loop(monkeypatch)
-    for seed, size in enumerate([1, 2, 3, 4, 9, 60, 300]):
-        assert_grows_the_oracle_set(g, size, seed, start=(1, 2))
-        assert_grows_the_oracle_set(g, size, seed, start=(-2,))
-    starts = [g._encode(v) for _ in range(7) for v in [(1, 2), (-2,)]]
-    assert [start for start, *_ in loops] == starts
-    random_connected_set(g, 300, seed=1)
-    assert len(loops) == 14
-
-
 class _CountingRandom(random.Random):
     """A generator that counts its ``getrandbits`` calls."""
 
@@ -865,12 +851,12 @@ ROW_FAMILIES = ["z^1", *OFFSET_FAMILIES[:2], "torus:5x5", "torus:3x3x3",
 @pytest.mark.parametrize("family", ROW_FAMILIES)
 def test_offset_hosts_accrete_as_the_step_loop(family):
     # accretion steps key v to _step(v), in its order: through the rows
-    # _step reads on z^d, tori and cylinders, and through rows built from
-    # _step on a free group off the identity. Those keys must be the
-    # oracle's neighbors, in order, or the sets and boundaries change. The
-    # offset hosts' first seeds also grow the oracle's set on both sides of
-    # a draw that widens, from the identity, a start below z = 0 and one
-    # off residue 0
+    # _step reads on z^d, tori and cylinders, and on a free group through
+    # _step's children and, for the start's prefixes, _step itself. Those
+    # keys must be the oracle's neighbors, in order, or the sets and
+    # boundaries change. The offset hosts' first seeds also grow the
+    # oracle's set on both sides of a draw that widens, from the identity, a
+    # start below z = 0 and one off residue 0
     g = parse_group(family)
     neighbors = oracles.neighbor_function(g)
     for v in _stepped_keys(g, random.Random(29)):
@@ -886,23 +872,39 @@ def test_offset_hosts_accrete_as_the_step_loop(family):
         assert_grows_the_oracle_set(g, pair[1], seed, start=start)
 
 
-@pytest.mark.parametrize("rank", [2, 26])
-def test_a_free_group_period_exceeds_every_key_accretion_absorbs(rank, monkeypatch):
-    # off the identity a free group's rows are indexed by key % period, so the
-    # period must exceed the key of every word within size - 1 steps of the
-    # start, the largest being the start with size - 1 maximal digits appended
-    g = FreeGroup(rank)
+def test_free_group_sets_from_another_start_grow_as_trees(monkeypatch):
+    # off the identity a free group grows a tree too, with no swap-and-pop
+    # call: its sets are the oracle's, and its members and candidates, in
+    # order, are those of the one loop stepping each key to _step's keys
+    # through rows built from _step. That loop reads row key % period, so the
+    # period must exceed every key within size - 1 steps of the start: a word
+    # of L letters has a key below 2^(_bits L) and, its first digit being
+    # nonzero, at least 2^(_bits (L - 1)), so for l = len(start) such a word
+    # has a key below 2^(_bits (l + size)) <= start << _bits (size + 1). The
+    # largest is the start with size - 1 maximal digits appended. Starts:
+    # random words, all -rank and all +rank, of 1, 5 and 40 letters
+    loop = groups._swap_and_pop
     loops = _spy_on_the_loop(monkeypatch)
+    g = FreeGroup(2)
+    for seed, size in enumerate([1, 2, 3, 4, 9, 60, 300]):
+        assert_grows_the_oracle_set(g, size, seed, start=(1, 2))
+        assert_grows_the_oracle_set(g, size, seed, start=(-2,))
     rng = random.Random(29)
-    for length in (1, 5, 40):
-        for start in (_random_word(g, length, rng), (-rank,) * length, (rank,) * length):
-            for size in range(1, 61):
-                g._accrete(g._encode(start), size, random.Random(size))
-                *_, period = loops[-1]
-                top = _longest_absorbable(g, start, size)
-                assert len(top) == length + size - 1
-                assert g._encode(top) < period, (start, size)
-    assert len(loops) == 3 * 3 * 60
+    for rank in (2, 26):
+        g = FreeGroup(rank)
+        for length in (1, 5, 40):
+            for start in (_random_word(g, length, rng), (-rank,) * length, (rank,) * length):
+                key = g._encode(start)
+                for size in range(1, 61):
+                    period = (key + 1) << g._bits * (size + 1)
+                    top = _longest_absorbable(g, start, size)
+                    assert len(top) == length + size - 1 and g._encode(top) < period
+                    members, candidates = g._accrete(key, size, random.Random(size))
+                    rows = groups._StepRows(g._step)
+                    reference = loop(key, size, random.Random(size), rows, period)
+                    assert (set(members), candidates) == reference, (start, size)
+                    assert len(members) == size
+    assert loops == []
 
 
 @pytest.mark.parametrize("rank", [2, 26])
@@ -916,13 +918,14 @@ def test_free_group_sets_from_a_long_word_match_the_accretion_oracle(rank):
 
 
 def test_one_loop_grows_every_host_but_trees_and_intervals(monkeypatch):
-    # every host but a free group from the identity (a tree) and z^1 (an
+    # every host but a free group (a tree, from any start) and z^1 (an
     # interval) runs the one swap-and-pop loop: z^2 on window keys, with the
     # row (w, -w, 1, -1) for w = 2 size + 1, and the other z^d and the
     # cylinders on their own rows, which they keep, so their growth never
-    # calls _step. A torus and a free group off the identity build each row
-    # from one _step call as it is read and keep none, so reading a start's
-    # row again steps again
+    # calls _step. A torus builds each row from one _step call as it is read
+    # and keeps none, so reading a start's row again steps again. A free
+    # group steps its start, and the proper prefixes of it that growth can
+    # reach: () from the identity, (1, 2), (1,) and () from (1, 2)
     steps = Counter()
     for cls in (groups._MixedRadix, Torus, FreeGroup):
         def step(host, key, original=cls._step):
@@ -943,15 +946,15 @@ def test_one_loop_grows_every_host_but_trees_and_intervals(monkeypatch):
         for (*_, rows, period), (g_rows, g_period) in zip(loops[2:], own))
     random_connected_set(parse_group("z^1"), 300, seed=1)
     random_connected_set(FreeGroup(2), 300, seed=1)
-    assert not steps and len(loops) == 14
+    assert steps == {"free:2": 1} and len(loops) == 14
     random_connected_set(Torus(9, 2), 50, seed=1)
     random_connected_set(Torus(3, 3), 27, seed=2)
     random_connected_set(FreeGroup(2), 50, seed=1, start=(1, 2))
-    assert len(loops) == 17 and [period for *_, period in loops[14:16]] == [81, 27]
-    assert steps == {"torus:9x9": 50, "torus:3x3x3": 27, "free:2": 50}
+    assert len(loops) == 16 and [period for *_, period in loops[14:]] == [81, 27]
+    assert steps == {"torus:9x9": 50, "torus:3x3x3": 27, "free:2": 4}
     for start, _, rows, _ in loops[14:]:
         rows[start]
-    assert steps == {"torus:9x9": 51, "torus:3x3x3": 28, "free:2": 51}
+    assert steps == {"torus:9x9": 51, "torus:3x3x3": 28, "free:2": 4}
 
 
 DIFFERENTIAL_FAMILIES = ["z^1", "z^2", "z^3", "torus:5x5", "torus:3x3x3", "cyl:2", "cyl:3",
@@ -978,28 +981,55 @@ def _starts(g):
 
 @st.composite
 def _growths(draw):
-    """(host, size, seed, start) for ``random_connected_set``: a size from 1
-    to 150, or to the whole of a smaller torus."""
+    """(host, size, seed, start, pick) for ``random_connected_set``: a size
+    from 1 to 150, or to the whole of a smaller torus, and an index that
+    picks the member and the boundary vertex of its copies."""
     g = parse_group(draw(st.sampled_from(DIFFERENTIAL_FAMILIES)))
     size = draw(st.integers(1, min(150, g.vertex_count or 150)))
-    return g, size, draw(st.integers(0, 2**32)), draw(_starts(g))
+    return g, size, draw(st.integers(0, 2**32)), draw(_starts(g)), draw(st.integers(0, 2**16))
 
 
-@settings(max_examples=1200, deadline=None, derandomize=True, database=None)
+def assert_set_calculus_matches_the_oracles(A):
+    """``boundary``, ``depth`` and closure connectivity of A against the
+    per-vertex oracles; a set with no boundary is a whole torus, whose depth
+    is refused."""
+    g, members = A.host, A.elements
+    outside = oracles.boundary_by_distance(g, members)
+    assert boundary(A).elements == outside
+    assert is_connected_with_boundary(A) == oracles.connected_within(g, members | outside)
+    if outside:
+        assert depth(A) == oracles.per_vertex_depth(g, members)
+    else:
+        with pytest.raises(ValueError, match="exhausts"):
+            depth(A)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
 @given(growth=_growths())
 def test_grown_sets_match_the_oracles(growth):
     # every growth route, and every depth route a grown set reaches, against
-    # the per-vertex oracles: the members, the boundary and the depth
-    g, size, seed, start = growth
+    # the per-vertex oracles: the members, the boundary, the depth and
+    # closure connectivity. So are three copies: one with a member removed
+    # (cut trees, holed planes, z^1 sets of two runs), one with a boundary
+    # vertex added, and on z^d and cylinders one with a member 10^15 further
+    # along the first coordinate, past the bits cap of every bitmap
+    g, size, seed, start, pick = growth
     A = random_connected_set(g, size, seed=seed, start=start)
     members = oracles.accretion_set(g, size, seed=seed, start=start)
     assert A.elements == members
-    assert boundary(A).elements == oracles.boundary_by_distance(g, members)
-    if size == g.vertex_count:
-        with pytest.raises(ValueError, match="exhausts"):
-            depth(A)
-    else:
-        assert depth(A) == oracles.per_vertex_depth(g, members)
+    assert_set_calculus_matches_the_oracles(A)
+    v = sorted(members, key=g.sort_key)[pick % size]
+    outside = sorted(boundary(A).elements, key=g.sort_key)
+    copies = [members - {v}] if size > 1 else []
+    if outside:
+        copies.append(members | {outside[pick % len(outside)]})
+    if isinstance(g, (IntegerLattice, Cylinder)):
+        copies.append(members | {(v[0] + 10**15, *v[1:])})
+    # a z^d set grown near the coordinate bound may step past it, which the
+    # grown set allows and a caller's set does not: the copies are built as
+    # the library builds its own sets, unvalidated
+    for copy in copies:
+        assert_set_calculus_matches_the_oracles(VertexSet._trusted(g, list(map(g._encode, copy))))
 
 
 # --- vertex sets and set files -----------------------------------------------
