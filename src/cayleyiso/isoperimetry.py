@@ -19,8 +19,6 @@ from functools import cached_property
 from typing import Collection, Iterable, NamedTuple, Optional
 
 from .groups import (
-    Cylinder,
-    FreeGroup,
     GroupGraph,
     Vertex,
     _bfs_levels,
@@ -318,6 +316,8 @@ def classify_separation(A: VertexSet, budget: Optional[int] = None) -> Separatio
         )
     elif A.host.declared_ends == 2:
         branch = "RingLike"
+        from ._lattice import Cylinder  # loaded already if the host is one
+
         if isinstance(A.host, Cylinder):
             from . import ringlike
 
@@ -339,22 +339,26 @@ def random_connected_set(
     discovery order and drawn by index with ``randrange``'s own rejection
     loop on ``getrandbits``, inlined (a test pins the two), and swap-and-pop
     removal. ``budget`` (DEFAULT_BUDGET if None) is charged before growth
-    runs: ``size``, or on a free group the size(degree - 1) + 2 keys growth
-    holds. The set keeps the members and candidates ``_accrete`` returns
-    (see ``VertexSet``): its boundary is the final candidates (a candidate
-    leaves only by joining A), and its closure is connected, as A grew by
-    neighbors.
+    runs: ``size``, or with infinitely many ends the size(degree - 1) + 2
+    keys growth may hold; a member ``validate_vertex`` refuses raises. The
+    set keeps the members and candidates ``_accrete`` returns (see
+    ``VertexSet``): its boundary is the final candidates (a candidate leaves
+    only by joining A), and its closure is connected, as A grew by neighbors.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    # a connected n-set in a tree has n(degree - 2) + 2 boundary vertices, from any start
-    _require_budget(budget, size * (g.degree - 1) + 2 if isinstance(g, FreeGroup) else size)
+    # growth holds at most size(degree - 1) + 2 keys, as each absorbed key adds
+    # at most degree - 1 candidates, and exactly that many on a tree. A host
+    # with infinitely many ends is non-amenable (Stallings), so its candidates
+    # grow with the set; the others are charged the set
+    _require_budget(budget, size * (g.degree - 1) + 2 if g.declared_ends == math.inf else size)
     if g.is_finite and size > g.vertex_count:
         raise ValueError(f"size {size} exceeds |V| = {g.vertex_count} on {g.family}")
     if start is None:
         start = g.identity()
     g.validate_vertex(start)
     keys, candidates = g._accrete(g._encode(start), size, random.Random(seed))
+    g._check_grown(start, size, keys)
     A = VertexSet._trusted(g, keys)
     A._boundary = candidates
     A._closure_is_connected = True

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .groups import Cylinder, GroupGraph, _bfs_levels
+from .groups import GroupGraph, _bfs_levels
 from .isoperimetry import Inequality, VertexSet, is_connected_with_boundary
 
 
@@ -87,6 +87,8 @@ def cyclic_system(
     ``window`` is only validated (>= 1) and echoed. Partition and edge
     locality hold by construction (see the module docstring).
     """
+    from ._lattice import Cylinder  # loaded already if the host is one
+
     if not isinstance(host, Cylinder):
         raise ValueError(f"block system requires a cylinder host, got {host.family}")
     if window < 1:

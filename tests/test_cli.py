@@ -601,6 +601,55 @@ def test_every_set_file_exits_with_a_code_and_at_most_one_error_line(text):
             assert outputs[0] == outputs[1], command
 
 
+# a spec of each family with small numbers and a few at the grammar's edges,
+# then up to three edits, each replacing a span of at most two characters
+# with nothing or one character the grammar uses, or does not ("٣" is a
+# non-ASCII digit)
+SPEC_NUMBERS = st.integers(0, 9).map(str) | st.sampled_from(["003", "26", "27", "2237", "9" * 5000])
+VALID_SPECS = st.one_of(
+    st.builds("z^{}".format, SPEC_NUMBERS),
+    st.builds(lambda n, k: "torus:" + "x".join([n] * k), SPEC_NUMBERS, st.integers(1, 3)),
+    st.builds("free:{}".format, SPEC_NUMBERS),
+    st.builds("cyl:{}".format, SPEC_NUMBERS),
+    st.builds("cyl:{}:{!r}".format, SPEC_NUMBERS,
+              st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=4)),
+)
+
+
+@st.composite
+def _mutated_specs(draw):
+    text = draw(VALID_SPECS)
+    for _ in range(draw(st.integers(0, 3))):
+        i, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 2))
+        edit = draw(st.sampled_from(["", *"z^torusfreecyl:x0123456789[](),- \n٣"]))
+        text = text[:i] + edit + text[i + cut:]
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=_mutated_specs())
+def test_every_group_string_names_its_family_or_exits_one(text):
+    # parse_group dispatches on the family and loads its module: a string
+    # either raises ValueError or gives a host that its own family string
+    # gives again. ``growth`` then exits 0 on that host or 1 with one error
+    # line, never with a traceback. Radius 1 would exit 1 on every string
+    # (the profile needs 2); --group=... keeps a spec that starts with "-"
+    # from reading as a flag
+    try:
+        g = parse_group(text)
+    except ValueError:
+        g = None
+    else:
+        assert parse_group(g.family) == g
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["growth", f"--group={text}", "--max-radius", "2"])
+    assert rc == (0 if g else 1), text
+    assert "Traceback" not in err.getvalue()
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == rc and bool(out.getvalue()) == (rc == 0)
+
+
 def test_error_lines_clip_echoed_values(tmp_path, capsys):
     # a malformed value of 2*10^5 items is echoed as a short prefix
     huge = list(range(200_000))
@@ -1102,10 +1151,14 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
     # output, ast only to read a cylinder's generator list, isoperimetry
     # under counterexample and sweep only where a set is built, and the
     # bitmap kernels under counterexample and sweep, and where a depth is
-    # taken on a bitmap host: z^2 is one, z^1 (closed form) is not
+    # taken on a bitmap host: z^2 is one, z^1 (closed form) is not. A host
+    # family's module loads only where a command names a host of it:
+    # _lattice for z^d, tori and cylinders, _free for free groups
     emitted = str(tmp_path / "set.json")
     runs = {
         "growth": ["growth", "--group", "z^2", "--max-radius", "3"],
+        "growth free:2": ["growth", "--group", "free:2", "--max-radius", "3", "--format", "json"],
+        "depth free:2": ["depth", "--group", "free:2", "--random", "30"],
         "growth json": ["growth", "--group", "z^2", "--max-radius", "3", "--format", "json"],
         "growth cyl:m:[...]": ["growth", "--group", "cyl:3:[(1,0),(0,1)]", "--format", "json"],
         "ball": ["ball", "--group", "cyl:3", "--radius", "2"],
@@ -1134,7 +1187,11 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
     assert loading("ast") == {"growth cyl:m:[...]"}
     assert loading("cayleyiso.isoperimetry") == {
         "boundary", "depth", "varopoulos", "separation", "depth z^1", "separation z^1",
-        "counterexample stats --emit-set", "counterexample torus", "ringlike check",
-        "ringlike cover"}
+        "depth free:2", "counterexample stats --emit-set", "counterexample torus",
+        "ringlike check", "ringlike cover"}
+    hostless = {"counterexample stats", "counterexample find", "sweep ratio", "sweep ratio json"}
+    assert loading("cayleyiso._free") == {"growth free:2", "depth free:2"}
+    assert loading("cayleyiso._lattice") == set(runs) - hostless - loading("cayleyiso._free")
+    assert "counterexample torus" in loading("cayleyiso._lattice")
     assert loading("cayleyiso._grid") == {
         name for name in runs if name.startswith(("counter", "sweep"))} | {"depth", "separation"}

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cayleyiso import groups
+from cayleyiso import _lattice, groups
 from cayleyiso import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -186,7 +186,7 @@ def test_lattice_keys_round_trip_and_step_like_the_oracle(d, data):
     _keys_agree_with_the_oracle(IntegerLattice(d), (first, *rest))
 
 
-WIDE = groups._BYTES_FROM_DIMENSION
+WIDE = _lattice._BYTES_FROM_DIMENSION
 
 
 @settings(max_examples=40, deadline=None)

@@ -31,7 +31,7 @@ from cayleyiso import (
     save_set,
     varopoulos_check,
 )
-from cayleyiso import groups, isoperimetry
+from cayleyiso import _lattice, isoperimetry
 from cayleyiso.counterexample import GridParams
 from cayleyiso.groups import LATTICE_COORDINATE_BOUND, _bfs_levels
 from cayleyiso.isoperimetry import set_from_json_obj
@@ -690,15 +690,15 @@ def test_free_group_sets_grown_as_trees_match_the_accretion_oracle(rank):
 
 
 def _spy_on_the_loop(monkeypatch) -> list:
-    """Patch ``groups._swap_and_pop`` to record the (start, size, rows,
+    """Patch ``_lattice._swap_and_pop`` to record the (start, size, rows,
     period) of each call, and return the record."""
-    calls, loop = [], groups._swap_and_pop
+    calls, loop = [], _lattice._swap_and_pop
 
     def spy(start, size, rng, rows, period):
         calls.append((start, size, rows, period))
         return loop(start, size, rng, rows, period)
 
-    monkeypatch.setattr(groups, "_swap_and_pop", spy)
+    monkeypatch.setattr(_lattice, "_swap_and_pop", spy)
     return calls
 
 
@@ -729,8 +729,8 @@ def test_line_sets_grown_as_intervals_are_the_generic_loops():
         size, start = sizes[seed % len(sizes)], rng.choice([0, 0, 7, -10**12])
         counting = _CountingRandom(seed)
         keys, ends = g._accrete(start, size, counting)
-        base_keys, base_ends = groups._swap_and_pop(start, size, random.Random(seed),
-                                                    g._rows, g._period)
+        base_keys, base_ends = _lattice._swap_and_pop(start, size, random.Random(seed),
+                                                      g._rows, g._period)
         assert (set(keys), set(ends)) == (base_keys, set(base_ends)), (size, seed, start)
         assert len(keys) == size and keys[0] - 1 == ends[0] and keys[-1] + 1 == ends[1]
         calls[min(counting.calls, 3)] += 1
@@ -763,7 +763,7 @@ def test_plane_sets_grown_on_window_keys_are_the_host_key_loops():
         for size in sizes:
             key = g._encode(start)
             members, candidates = g._accrete(key, size, random.Random(seed))
-            host = groups._swap_and_pop(key, size, random.Random(seed), g._rows, g._period)
+            host = _lattice._swap_and_pop(key, size, random.Random(seed), g._rows, g._period)
             assert (set(members), candidates) == host, (size, seed, start)
             assert len(members) == size
     assert widened == 240
@@ -883,7 +883,7 @@ def test_free_group_sets_from_another_start_grow_as_trees(monkeypatch):
     # has a key below 2^(_bits (l + size)) <= start << _bits (size + 1). The
     # largest is the start with size - 1 maximal digits appended. Starts:
     # random words, all -rank and all +rank, of 1, 5 and 40 letters
-    loop = groups._swap_and_pop
+    loop = _lattice._swap_and_pop
     loops = _spy_on_the_loop(monkeypatch)
     g = FreeGroup(2)
     for seed, size in enumerate([1, 2, 3, 4, 9, 60, 300]):
@@ -900,7 +900,7 @@ def test_free_group_sets_from_another_start_grow_as_trees(monkeypatch):
                     top = _longest_absorbable(g, start, size)
                     assert len(top) == length + size - 1 and g._encode(top) < period
                     members, candidates = g._accrete(key, size, random.Random(size))
-                    rows = groups._StepRows(g._step)
+                    rows = _lattice._StepRows(g._step)
                     reference = loop(key, size, random.Random(size), rows, period)
                     assert (set(members), candidates) == reference, (start, size)
                     assert len(members) == size
@@ -927,7 +927,7 @@ def test_one_loop_grows_every_host_but_trees_and_intervals(monkeypatch):
     # group steps its start, and the proper prefixes of it that growth can
     # reach: () from the identity, (1, 2), (1,) and () from (1, 2)
     steps = Counter()
-    for cls in (groups._MixedRadix, Torus, FreeGroup):
+    for cls in (_lattice._MixedRadix, Torus, FreeGroup):
         def step(host, key, original=cls._step):
             steps[host.family] += 1
             return original(host, key)
@@ -1014,8 +1014,14 @@ def test_grown_sets_match_the_oracles(growth):
     # vertex added, and on z^d and cylinders one with a member 10^15 further
     # along the first coordinate, past the bits cap of every bitmap
     g, size, seed, start, pick = growth
-    A = random_connected_set(g, size, seed=seed, start=start)
     members = oracles.accretion_set(g, size, seed=seed, start=start)
+    if not _all_valid(g, members):
+        # a z^d set grown within size - 1 steps of the coordinate bound that
+        # steps past it is refused, not handed over as a set no caller can load
+        with pytest.raises(ValueError, match=r"magnitude >= 2\^38"):
+            random_connected_set(g, size, seed=seed, start=start)
+        return
+    A = random_connected_set(g, size, seed=seed, start=start)
     assert A.elements == members
     assert_set_calculus_matches_the_oracles(A)
     v = sorted(members, key=g.sort_key)[pick % size]
@@ -1025,11 +1031,33 @@ def test_grown_sets_match_the_oracles(growth):
         copies.append(members | {outside[pick % len(outside)]})
     if isinstance(g, (IntegerLattice, Cylinder)):
         copies.append(members | {(v[0] + 10**15, *v[1:])})
-    # a z^d set grown near the coordinate bound may step past it, which the
-    # grown set allows and a caller's set does not: the copies are built as
-    # the library builds its own sets, unvalidated
+    # a boundary vertex added next to the z^d coordinate bound may lie past
+    # it: the validating constructor refuses that copy
     for copy in copies:
-        assert_set_calculus_matches_the_oracles(VertexSet._trusted(g, list(map(g._encode, copy))))
+        if _all_valid(g, copy):
+            assert_set_calculus_matches_the_oracles(VertexSet(g, copy))
+        else:
+            with pytest.raises(InvalidVertexError, match=r"magnitude >= 2\^38"):
+                VertexSet(g, copy)
+
+
+def _all_valid(g, vertices) -> bool:
+    """Whether ``validate_vertex`` admits every vertex, by the oracle's rules;
+    a free group's steps keep every word reduced."""
+    return isinstance(g, FreeGroup) or all(oracles.vertex_is_valid(g, v) for v in vertices)
+
+
+def test_growth_past_the_lattice_coordinate_bound_is_refused(tmp_path):
+    # the second member of this draw is (0, -2^38): a set the library grew
+    # must load back through VertexSet and save_set, or not be grown at all
+    g = IntegerLattice(2)
+    with pytest.raises(InvalidVertexError, match=r"^\(0, -274877906944\) has a coordinate "
+                                                 r"after the first of magnitude >= 2\^38$"):
+        random_connected_set(g, 2, seed=0, start=(0, 1 - 2**38))
+    for start, size in [((0, 1 - 2**38), 1), ((5, 2**38 - 150), 150), ((0, 0, 2**38 - 3), 3)]:
+        A = random_connected_set(IntegerLattice(len(start)), size, seed=1, start=start)
+        save_set(A, str(tmp_path / "near.json"))
+        assert load_set(str(tmp_path / "near.json")) == VertexSet(A.host, A.elements) == A
 
 
 # --- vertex sets and set files -----------------------------------------------

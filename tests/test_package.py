@@ -59,6 +59,32 @@ def test_every_imported_public_name_is_exported():
     assert not hasattr(cayleyiso, "no_such_name")
 
 
+def test_the_families_resolve_under_groups_as_the_benchmark_reads_them(monkeypatch):
+    # bench/tracer.py reads the four families and parse_group as attributes
+    # of ``groups`` and rebinds each family's ``neighbors`` on its class;
+    # the families are defined in ``_lattice`` and ``_free``
+    from cayleyiso import _free, _lattice, groups
+
+    assert groups.parse_group is vars(groups)["parse_group"]
+    calls = []
+    for name, module in [("IntegerLattice", _lattice), ("Torus", _lattice),
+                         ("FreeGroup", _free), ("Cylinder", _lattice)]:
+        cls = getattr(groups, name)
+        assert cls is vars(module)[name] and cls.__module__ == module.__name__, name
+
+        def traced(*args, fn=cls.neighbors, name=name):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(cls, "neighbors", traced)
+    for family in ("z^2", "torus:5x5", "free:2", "cyl:3"):
+        g = groups.parse_group(family)
+        assert len(g.neighbors(g.identity())) == g.degree
+    assert calls == ["IntegerLattice", "Torus", "FreeGroup", "Cylinder"]
+    with pytest.raises(AttributeError, match="has no attribute '_swap_and_pop'"):
+        groups._swap_and_pop
+
+
 def _records() -> dict:
     """One record of each report type, made by the function that returns it."""
     A = random_connected_set(Cylinder(3), 300, seed=2)
@@ -156,7 +182,7 @@ def test_every_private_definition_is_referenced():
 #: the non-blank, non-comment lines ``src/cayleyiso/*.py`` holds, docstrings
 #: counted, as ROADMAP counts them: a change that moves the count moves it in
 #: its own diff, so a reduction leaves no slack for a later addition
-SOURCE_LINE_CEILING = 1965
+SOURCE_LINE_CEILING = 1995
 
 
 def test_the_source_stays_under_its_line_ceiling():
