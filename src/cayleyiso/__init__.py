@@ -14,10 +14,11 @@ __version__ = "0.1.0"
 
 # each public name and the submodule that defines it; a submodule maps to itself
 _EXPORTS = {
-    **dict.fromkeys(["groups", "DEFAULT_BUDGET", "BudgetExceeded", "GroupGraph",
-                     "GrowthReport", "InvalidVertexError", "ball", "ball_profile",
-                     "classify_growth", "minimal_ball_radius", "parse_group"], "groups"),
-    **dict.fromkeys(["IntegerLattice", "Torus", "Cylinder"], "_lattice"), "FreeGroup": "_free",
+    **dict.fromkeys(["groups", "GroupGraph", "GrowthReport", "InvalidVertexError", "ball",
+                     "ball_profile", "classify_growth", "minimal_ball_radius",
+                     "parse_group"], "groups"),
+    **dict.fromkeys(["DEFAULT_BUDGET", "BudgetExceeded"], "_budget"),
+    "IntegerLattice": "_zd", "Torus": "_torus", "Cylinder": "_cylinder", "FreeGroup": "_free",
     **dict.fromkeys(["isoperimetry", "Inequality", "SeparationReport", "VaropoulosReport",
                      "VertexSet", "boundary", "classify_separation", "depth",
                      "is_connected_with_boundary", "load_set", "random_connected_set",

@@ -1,0 +1,40 @@
+"""The vertex budget and its error, which ``groups`` re-exports: a command
+that builds no host (``counterexample stats``/``find``, ``sweep ratio``)
+loads this module and not ``groups``."""
+
+from __future__ import annotations
+
+from typing import Optional
+
+DEFAULT_BUDGET = 10_000_000
+
+
+def _clip(value) -> str:
+    """``repr(value)`` for an error message, cut to 100 characters with an
+    ellipsis."""
+    text = repr(value)
+    return text if len(text) <= 100 else text[:97] + "..."
+
+
+class BudgetExceeded(RuntimeError):
+    """An operation would touch more vertices than the budget allows.
+
+    For breadth-first expansions ``radius_reached`` is the last radius whose
+    sphere was fully generated before the budget tripped; operations that
+    size their work up front leave it as None.
+    """
+
+    def __init__(self, budget: int, visited: int, radius_reached: Optional[int] = None):
+        self.budget = budget
+        self.visited = visited
+        self.radius_reached = radius_reached
+        detail = "" if radius_reached is None else f" (complete up to radius {radius_reached})"
+        super().__init__(f"vertex budget {budget} exceeded: needs {visited} vertices{detail}")
+
+
+def _require_budget(budget: Optional[int], needed: int) -> None:
+    """Raise BudgetExceeded(budget, needed) if work sized up front needs more
+    than ``budget`` vertices (DEFAULT_BUDGET if None)."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if needed > budget:
+        raise BudgetExceeded(budget, needed)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import stat
 import sys
 
-from .groups import DEFAULT_BUDGET, BudgetExceeded, _ball_keys, classify_growth, parse_group
+from ._budget import DEFAULT_BUDGET, BudgetExceeded
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -35,41 +34,57 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _jsonify(obj):
-    """Restrict payloads to ints, bools, strings, rationals, lists, dicts.
-
-    Fractions become "p/q" strings; floats are rejected outright so no
+def _exact(obj):
+    """``obj``, or "p/q" for a Fraction; floats are rejected outright so no
     inexact number can reach persisted output. Until some module imports
-    ``fractions``, no value can be a Fraction, so this does not import it.
-    """
-    if isinstance(obj, bool) or isinstance(obj, int):
-        return obj
+    ``fractions``, no value can be a Fraction, so this does not import it."""
+    if isinstance(obj, float):
+        raise TypeError(f"refusing to serialize a float: {obj!r}")
     fractions = sys.modules.get("fractions")
     if fractions is not None and isinstance(obj, fractions.Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, float):
-        raise TypeError(f"refusing to serialize a float: {obj!r}")
-    if isinstance(obj, str) or obj is None:
-        return obj
+    return obj
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` of a payload of ints, bools, None,
+    strings, rationals (``_exact``), lists, tuples and dicts (keys as
+    ``str(key)``), without loading ``json`` unless a string needs escaping."""
+    obj = _exact(obj)
+    if isinstance(obj, str):
+        if obj.isascii() and obj.isprintable() and '"' not in obj and "\\" not in obj:
+            return f'"{obj}"'
+        import json
+
+        return json.dumps(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__} value {obj!r}")
+        items = [f"{_json_text(str(k))}: {_json_text(v, inner)}" for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = [_json_text(x, inner) for x in obj], "[]"
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} value {obj!r}")
+    inside = f",{inner}".join(items)
+    return f"{brackets[0]}{inner}{inside}{indent}{brackets[1]}" if items else brackets
 
 
 def _render(result: tuple) -> str:
     """The whole text of a handler's ``("json", payload)`` or
     ``("csv", header, rows)`` result, before any of it is written."""
     if result[0] == "json":
-        return json.dumps(_jsonify(result[1]), indent=2) + "\n"
+        return _json_text(result[1]) + "\n"
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(result[1])
     for row in result[2]:
-        writer.writerow([_jsonify(cell) for cell in row])
+        writer.writerow([_exact(cell) for cell in row])
     return buf.getvalue()
 
 
@@ -130,6 +145,7 @@ def _resolve_budget(args) -> int:
 def _resolve_set(args, budget: int) -> isoperimetry.VertexSet:
     """Load --set PATH, or grow --random SIZE on --group with --seed."""
     from . import isoperimetry
+    from .groups import parse_group
 
     if args.set is not None:
         A = isoperimetry.load_set(args.set)
@@ -149,6 +165,8 @@ def _resolve_set(args, budget: int) -> isoperimetry.VertexSet:
 
 
 def _cmd_growth(args, budget):
+    from .groups import classify_growth, parse_group
+
     g = parse_group(args.group)
     report = classify_growth(g, args.max_radius, budget=budget)
     if args.format == "csv":
@@ -158,6 +176,8 @@ def _cmd_growth(args, budget):
 
 
 def _cmd_ball(args, budget):
+    from .groups import _ball_keys, parse_group
+
     g = parse_group(args.group)
     keys = _ball_keys(g, g.identity(), args.radius, budget)
     payload = {"group": g.family, "radius": args.radius, "size": len(keys)}
@@ -242,6 +262,7 @@ def _cmd_counterexample_torus(args, budget):
 
 def _cmd_ringlike_check(args, budget):
     from . import ringlike
+    from .groups import parse_group
 
     host = parse_group(args.group)
     system = ringlike.cyclic_system(host, window=args.window, budget=budget)

@@ -33,7 +33,7 @@ from itertools import count
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 from . import _grid
-from .groups import _clip, _require_budget
+from ._budget import _clip, _require_budget
 
 
 class _Params(NamedTuple):
@@ -113,10 +113,10 @@ def _points(params: GridParams) -> Iterator[Tuple[int, int]]:
 
 def build(params: GridParams, budget: Optional[int] = None) -> VertexSet:
     """Materialize A(i,k) as a VertexSet on the square lattice."""
-    from . import _lattice, isoperimetry  # loaded only where a set is built
+    from . import _zd, isoperimetry  # loaded only where a set is built
 
     _require_budget(budget, enumerated_size(params))
-    host = _lattice.IntegerLattice(2)
+    host = _zd.IntegerLattice(2)
     return isoperimetry.VertexSet._trusted(host, frozenset(map(host._encode, _points(params))))
 
 
@@ -312,7 +312,7 @@ def embed_torus(params: GridParams, budget: Optional[int] = None) -> TorusEmbedd
     and 2|A| <= n^2 must hold; both are recorded, and a False is a claim
     violation for callers.
     """
-    from ._lattice import Torus  # as in build
+    from ._torus import Torus  # as in build
     from .isoperimetry import VertexSet, boundary, depth
 
     i, k = params.i, params.k

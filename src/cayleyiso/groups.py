@@ -14,9 +14,10 @@ keys, so a step is a few integer additions from a per-host offset table.
 budget, or a search inside a set the caller holds, built level by level
 by set algebra. Key 0 is the identity on every host. Public functions take
 and return vertices; only a family's module knows its vertices and key
-layout: ``_lattice`` holds ``IntegerLattice``, ``Torus`` and ``Cylinder``,
-``_free`` holds ``FreeGroup``. ``parse_group`` imports only the module of
-the family its spec names; their names resolve here too (PEP 562).
+layout: ``_zd`` (``IntegerLattice``), ``_torus``, ``_cylinder`` and
+``_free``, the first three on ``_lattice``'s shared layout. ``parse_group``
+imports only the module of the family its spec names; the family names
+resolve here too (PEP 562).
 """
 
 from __future__ import annotations
@@ -27,50 +28,13 @@ from importlib import import_module
 from itertools import accumulate, chain, count, islice
 from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Tuple
 
+from ._budget import DEFAULT_BUDGET, BudgetExceeded, _clip
+
 Vertex = Tuple[int, ...]
-
-DEFAULT_BUDGET = 10_000_000
-
-
-def _clip(value) -> str:
-    """``repr(value)`` for an error message, cut to 100 characters with an
-    ellipsis."""
-    text = repr(value)
-    return text if len(text) <= 100 else text[:97] + "..."
 
 
 class InvalidVertexError(ValueError):
     """A vertex value is malformed for its host graph."""
-
-
-class BudgetExceeded(RuntimeError):
-    """An operation would touch more vertices than the budget allows.
-
-    For breadth-first expansions ``radius_reached`` is the last radius whose
-    sphere was fully generated before the budget tripped; operations that
-    size their work up front leave it as None.
-    """
-
-    def __init__(self, budget: int, visited: int, radius_reached: Optional[int] = None):
-        self.budget = budget
-        self.visited = visited
-        self.radius_reached = radius_reached
-        detail = (
-            f" (complete up to radius {radius_reached})"
-            if radius_reached is not None
-            else ""
-        )
-        super().__init__(
-            f"vertex budget {budget} exceeded: needs {visited} vertices{detail}"
-        )
-
-
-def _require_budget(budget: Optional[int], needed: int) -> None:
-    """Raise BudgetExceeded(budget, needed) if work sized up front needs more
-    than ``budget`` vertices (DEFAULT_BUDGET if None)."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if needed > budget:
-        raise BudgetExceeded(budget, needed)
 
 
 class GroupGraph:
@@ -207,17 +171,21 @@ def parse_group(text: str) -> GroupGraph:
         from ._free import FreeGroup
 
         return FreeGroup(number(match["free"]))
-    from . import _lattice
-
     if match["z"]:
-        return _lattice.IntegerLattice(number(match["z"]))
+        from ._zd import IntegerLattice
+
+        return IntegerLattice(number(match["z"]))
     if match["torus"]:
+        from ._torus import Torus
+
         ns = [number(x) for x in match["torus"].split("x")]
         if any(n != ns[0] for n in ns):
             raise ValueError(
                 f"torus spec {_clip(text)} must repeat one side, e.g. torus:31x31"
             )
-        return _lattice.Torus(ns[0], len(ns))
+        return Torus(ns[0], len(ns))
+    from ._cylinder import Cylinder
+
     gens = match["gens"]
     if gens is not None:
         import ast
@@ -230,16 +198,20 @@ def parse_group(text: str) -> GroupGraph:
             raise ValueError(f"bad cylinder generators in {_clip(text)}") from None
         if not isinstance(gens, (list, tuple)):
             raise ValueError(f"cylinder generators in {_clip(text)} must be a list of pairs")
-    return _lattice.Cylinder(number(match["cyl"]), gens)
+    return Cylinder(number(match["cyl"]), gens)
+
+
+#: the names ``__getattr__`` resolves, each in the module of its family
+_FAMILY_NAMES = {"FreeGroup": "_free", "IntegerLattice": "_zd", "Torus": "_torus",
+                 "Cylinder": "_cylinder", "LATTICE_COORDINATE_BOUND": "_zd",
+                 "STANDARD_CYLINDER_GENERATORS": "_cylinder"}
 
 
 def __getattr__(name):
-    # PEP 562, as in the package: ``groups.Torus`` loads ``_lattice`` on first use
-    module = "._free" if name == "FreeGroup" else "._lattice"
-    if name not in ("FreeGroup", "IntegerLattice", "Torus", "Cylinder",
-                    "LATTICE_COORDINATE_BOUND", "STANDARD_CYLINDER_GENERATORS"):
+    # PEP 562, as in the package: ``groups.Torus`` loads ``_torus`` on first use
+    if name not in _FAMILY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(module, __package__), name)
+    return getattr(import_module(f".{_FAMILY_NAMES[name]}", __package__), name)
 
 
 def _bfs_levels(

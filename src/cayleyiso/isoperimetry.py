@@ -12,20 +12,13 @@ connected, from the ``VertexSet`` itself, which computes each at most once.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from functools import cached_property
 from typing import Collection, Iterable, NamedTuple, Optional
 
-from .groups import (
-    GroupGraph,
-    Vertex,
-    _bfs_levels,
-    _require_budget,
-    minimal_ball_radius,
-    parse_group,
-)
+from ._budget import _require_budget
+from .groups import GroupGraph, Vertex, _bfs_levels, minimal_ball_radius, parse_group
 
 
 class VertexSet:
@@ -127,6 +120,8 @@ class VertexSet:
 
 def load_set(path: str) -> VertexSet:
     """Read a set file: {"group": "<grammar>", "vertices": [...]}."""
+    import json  # loaded only for set files
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -154,6 +149,8 @@ def set_file_text(A: VertexSet) -> str:
     to load, so no set file is written that cannot be read back: the
     boundary of a ``z^d`` set can reach a coordinate bound its members keep.
     """
+    import json
+
     for v in A.elements:
         A.host.validate_vertex(v)
     return json.dumps(A.to_json_obj(), indent=2) + "\n"
@@ -309,6 +306,8 @@ def classify_separation(A: VertexSet, budget: Optional[int] = None) -> Separatio
     ]
     if small:
         branch = "SmallSet"
+        # d^2 = 32k^2 has no solution with k >= 1, as sqrt(32) is irrational,
+        # so this test reads the same with <=
         inequalities.append(
             Inequality(
                 "depth^2 < 32k^2", d * d, 32 * k * k, d * d < 32 * k * k, unconditional
@@ -316,9 +315,7 @@ def classify_separation(A: VertexSet, budget: Optional[int] = None) -> Separatio
         )
     elif A.host.declared_ends == 2:
         branch = "RingLike"
-        from ._lattice import Cylinder  # loaded already if the host is one
-
-        if isinstance(A.host, Cylinder):
+        if hasattr(A.host, "_block"):  # a cylinder: the one host with a block system
             from . import ringlike
 
             system = ringlike.cyclic_system(A.host, budget=budget)

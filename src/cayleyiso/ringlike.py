@@ -87,9 +87,7 @@ def cyclic_system(
     ``window`` is only validated (>= 1) and echoed. Partition and edge
     locality hold by construction (see the module docstring).
     """
-    from ._lattice import Cylinder  # loaded already if the host is one
-
-    if not isinstance(host, Cylinder):
+    if not hasattr(host, "_block"):  # only a cylinder has blocks
         raise ValueError(f"block system requires a cylinder host, got {host.family}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")

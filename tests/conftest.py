@@ -29,6 +29,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 settings.register_profile("cayleyiso", derandomize=True, database=None)
 settings.load_profile("cayleyiso")
 
+# pytester runs a test session of its own (test_settings.py)
+pytest_plugins = ["pytester"]
+
 CHILD_MEMORY_CAP = 1 << 30
 
 _CRITERIA: dict = {}

@@ -2,6 +2,7 @@
 no-floats-in-JSON guarantee."""
 
 import argparse
+import ast
 import contextlib
 import glob
 import io
@@ -1052,16 +1053,48 @@ def test_no_floats_anywhere_in_json_payloads(capsys):
     run_json(["sweep", "ratio", "--diag", "4,8", "--format", "json"], capsys)
 
 
-def test_jsonify_rejects_floats_directly():
-    with pytest.raises(TypeError):
-        cli._jsonify({"x": 1.5})
+def test_json_text_rejects_floats_directly():
+    with pytest.raises(TypeError, match="refusing to serialize a float"):
+        cli._json_text({"x": 1.5})
 
 
-def test_jsonify_writes_rationals_as_p_over_q():
-    assert cli._jsonify(Fraction(1, 3)) == "1/3"
-    assert cli._jsonify({"r": [Fraction(-2, 4), Fraction(6, 3)]}) == {"r": ["-1/2", "2/1"]}
+def test_json_text_writes_rationals_as_p_over_q():
+    assert cli._json_text(Fraction(1, 3)) == '"1/3"'
+    assert cli._json_text({"r": [Fraction(-2, 4), Fraction(6, 3)]}) == json.dumps(
+        {"r": ["-1/2", "2/1"]}, indent=2)
     with pytest.raises(TypeError):
-        cli._jsonify([Fraction(1, 3), 1 / 3])
+        cli._json_text([Fraction(1, 3), 1 / 3])
+
+
+def _p_over_q(payload):
+    """``payload`` with every Fraction written "p/q", as ``json.dumps`` reads it."""
+    if isinstance(payload, Fraction):
+        return f"{payload.numerator}/{payload.denominator}"
+    if isinstance(payload, dict):
+        return {k: _p_over_q(v) for k, v in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_p_over_q(x) for x in payload]
+    return payload
+
+
+# strings drawn whole, and from the characters json escapes or passes through
+_TEXT = st.text() | st.text(st.sampled_from('ab "\\/\n\t\x00\x1f\x7f\x80é€\U0001f600'))
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**1000, 10**1000)
+    | _TEXT | st.fractions(),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(_PAYLOADS)
+def test_json_text_is_json_dumps_with_rationals_as_strings(payload):
+    # the CLI writes JSON without loading json: its text must be that of
+    # json.dumps(indent=2) byte for byte, and a float anywhere is refused
+    assert cli._json_text(payload) == json.dumps(_p_over_q(payload), indent=2)
+    with pytest.raises(TypeError, match="refusing to serialize a float"):
+        cli._json_text({"payload": payload, "x": [0.5]})
 
 
 def _declared_console_script():
@@ -1112,19 +1145,20 @@ def test_console_script_runs():
         assert installed.stdout == proc.stdout
 
 
-def _modules_loaded_by(*argv):
+def _modules_loaded_by(*argv, code=0):
     """The modules loaded by a fresh interpreter, where importing numpy fails,
-    once ``cli.main(argv)`` has returned 0; the PYTHONPATH set by conftest
-    points it at the checkout."""
-    probe = ("import json, sys\n"
+    once ``cli.main(argv)`` has returned ``code``; the PYTHONPATH set by
+    conftest points it at the checkout. The probe itself loads no module
+    that a command might, json included."""
+    probe = ("import sys\n"
              "sys.modules['numpy'] = None\n"
              "from cayleyiso import cli\n"
              f"code = cli.main({list(argv)!r})\n"
-             "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)")
+             "print(repr([code, sorted(sys.modules)]), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stderr.splitlines()[-1])
-    assert code == 0, proc.stderr
+    returned, modules = ast.literal_eval(proc.stderr.splitlines()[-1])
+    assert returned == code, proc.stderr
     return set(modules)
 
 
@@ -1145,38 +1179,51 @@ def test_no_subcommand_loads_numpy():
         assert modules.isdisjoint({"counterexample", "ringlike"})
 
 
+#: the module of each host family
+FAMILY_MODULES = {"cayleyiso._zd", "cayleyiso._torus", "cayleyiso._cylinder", "cayleyiso._free"}
+
+
 def test_a_command_loads_only_the_modules_it_uses(tmp_path):
     # dataclasses (which loads inspect, dis, ast and tokenize) loads under no
     # command, fractions only where a rational is made, csv only for CSV
-    # output, ast only to read a cylinder's generator list, isoperimetry
-    # under counterexample and sweep only where a set is built, and the
-    # bitmap kernels under counterexample and sweep, and where a depth is
-    # taken on a bitmap host: z^2 is one, z^1 (closed form) is not. A host
-    # family's module loads only where a command names a host of it:
-    # _lattice for z^d, tori and cylinders, _free for free groups
+    # output, json only where a set file is read or written, ast only to
+    # read a cylinder's generator list, isoperimetry under counterexample
+    # and sweep only where a set is built, and the bitmap kernels under
+    # counterexample and sweep, and where a depth is taken on a bitmap host:
+    # z^2 is one, z^1 (closed form) is not. groups loads only where a
+    # command builds a host, and then with the module of that host's family
+    # alone, and _lattice with z^d, tori and cylinders
     emitted = str(tmp_path / "set.json")
-    runs = {
-        "growth": ["growth", "--group", "z^2", "--max-radius", "3"],
-        "growth free:2": ["growth", "--group", "free:2", "--max-radius", "3", "--format", "json"],
-        "depth free:2": ["depth", "--group", "free:2", "--random", "30"],
-        "growth json": ["growth", "--group", "z^2", "--max-radius", "3", "--format", "json"],
-        "growth cyl:m:[...]": ["growth", "--group", "cyl:3:[(1,0),(0,1)]", "--format", "json"],
-        "ball": ["ball", "--group", "cyl:3", "--radius", "2"],
-        **{name: [name, "--group", "z^2", "--random", "30"]
+    source = str(tmp_path / "source.json")
+    save_set(VertexSet(IntegerLattice(2), [(0, 0), (1, 0), (1, 1)]), source)
+    runs = {  # each command and the family modules it loads; torus compares z^2 with a torus
+        "growth": (["growth", "--group", "z^2", "--max-radius", "3"], "_zd"),
+        "growth free:2": (["growth", "--group", "free:2", "--max-radius", "3",
+                           "--format", "json"], "_free"),
+        "depth free:2": (["depth", "--group", "free:2", "--random", "30"], "_free"),
+        "growth json": (["growth", "--group", "z^2", "--max-radius", "3", "--format", "json"],
+                        "_zd"),
+        "growth cyl:m:[...]": (["growth", "--group", "cyl:3:[(1,0),(0,1)]", "--format", "json"],
+                               "_cylinder"),
+        "ball": (["ball", "--group", "cyl:3", "--radius", "2"], "_cylinder"),
+        **{name: ([name, "--group", "z^2", "--random", "30"], "_zd")
            for name in ("boundary", "depth", "varopoulos", "separation")},
-        **{f"{name} z^1": [name, "--group", "z^1", "--random", "300"]
+        **{f"{name} z^1": ([name, "--group", "z^1", "--random", "300"], "_zd")
            for name in ("depth", "separation")},
-        "counterexample stats": ["counterexample", "stats", "--i", "3", "--k", "3"],
-        "counterexample stats --emit-set": ["counterexample", "stats", "--i", "3", "--k", "3",
-                                            "--emit-set", emitted],
-        "counterexample find": ["counterexample", "find", "--c", "1/2"],
-        "counterexample torus": ["counterexample", "torus", "--i", "2", "--k", "2"],
-        "ringlike check": ["ringlike", "check", "--group", "cyl:3"],
-        "ringlike cover": ["ringlike", "cover", "--group", "cyl:3", "--random", "30"],
-        "sweep ratio": ["sweep", "ratio", "--diag", "4,8"],
-        "sweep ratio json": ["sweep", "ratio", "--diag", "4,8", "--format", "json"],
+        "depth --set": (["depth", "--set", source], "_zd"),
+        "counterexample stats": (["counterexample", "stats", "--i", "3", "--k", "3"], ""),
+        "counterexample stats --emit-set": (["counterexample", "stats", "--i", "3", "--k", "3",
+                                             "--emit-set", emitted], "_zd"),
+        "counterexample find": (["counterexample", "find", "--c", "1/2"], ""),
+        "counterexample torus": (["counterexample", "torus", "--i", "2", "--k", "2"],
+                                 "_zd _torus"),
+        "ringlike check": (["ringlike", "check", "--group", "cyl:3"], "_cylinder"),
+        "ringlike cover": (["ringlike", "cover", "--group", "cyl:3", "--random", "30"],
+                           "_cylinder"),
+        "sweep ratio": (["sweep", "ratio", "--diag", "4,8"], ""),
+        "sweep ratio json": (["sweep", "ratio", "--diag", "4,8", "--format", "json"], ""),
     }
-    loaded = {name: _modules_loaded_by(*argv) for name, argv in runs.items()}
+    loaded = {name: _modules_loaded_by(*argv) for name, (argv, _) in runs.items()}
 
     def loading(module):
         return {name for name, modules in loaded.items() if module in modules}
@@ -1184,14 +1231,23 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
     assert loading("dataclasses") == set()
     assert loading("fractions") == {name for name in runs if name.startswith(("counter", "sweep"))}
     assert loading("csv") == {"growth", "sweep ratio"}
+    assert loading("json") == {"depth --set", "counterexample stats --emit-set"}
     assert loading("ast") == {"growth cyl:m:[...]"}
     assert loading("cayleyiso.isoperimetry") == {
         "boundary", "depth", "varopoulos", "separation", "depth z^1", "separation z^1",
-        "depth free:2", "counterexample stats --emit-set", "counterexample torus",
-        "ringlike check", "ringlike cover"}
-    hostless = {"counterexample stats", "counterexample find", "sweep ratio", "sweep ratio json"}
-    assert loading("cayleyiso._free") == {"growth free:2", "depth free:2"}
+        "depth free:2", "depth --set", "counterexample stats --emit-set",
+        "counterexample torus", "ringlike check", "ringlike cover"}
+    hostless = {name for name, (_, families) in runs.items() if not families}
+    assert hostless == {"counterexample stats", "counterexample find", "sweep ratio",
+                        "sweep ratio json"}
+    assert loading("cayleyiso.groups") == set(runs) - hostless
+    for name, (_, families) in runs.items():
+        assert loaded[name] & FAMILY_MODULES == {f"cayleyiso.{m}" for m in families.split()}, name
     assert loading("cayleyiso._lattice") == set(runs) - hostless - loading("cayleyiso._free")
-    assert "counterexample torus" in loading("cayleyiso._lattice")
     assert loading("cayleyiso._grid") == {
-        name for name in runs if name.startswith(("counter", "sweep"))} | {"depth", "separation"}
+        name for name in runs if name.startswith(("counter", "sweep"))} | {
+        "depth", "separation", "depth --set"}
+    # a free group is refused before any lattice family loads
+    refused = _modules_loaded_by("ringlike", "check", "--group", "free:2", code=1)
+    assert refused & FAMILY_MODULES == {"cayleyiso._free"}
+    assert "cayleyiso._lattice" not in refused

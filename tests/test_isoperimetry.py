@@ -31,7 +31,7 @@ from cayleyiso import (
     save_set,
     varopoulos_check,
 )
-from cayleyiso import _lattice, isoperimetry
+from cayleyiso import _lattice, _torus, _zd, isoperimetry
 from cayleyiso.counterexample import GridParams
 from cayleyiso.groups import LATTICE_COORDINATE_BOUND, _bfs_levels
 from cayleyiso.isoperimetry import set_from_json_obj
@@ -333,6 +333,18 @@ def test_separation_small_cylinder_set_records_failed_depth_bound():
     assert not depth_ineq.holds
     assert not depth_ineq.required
     assert report.violations() == []
+
+
+def test_separation_size_bound_is_met_with_equality_on_a_tube():
+    # 64m full columns of cyl:m have k = 2m and |A| = 64m^2 = 16k^2: on cyl:3,
+    # 192 columns meet the bound with equality and stay SmallSet, one column
+    # more is RingLike, so the branch test must read |A| <= 16k^2, not <
+    g = Cylinder(3)
+    for columns, branch in [(192, "SmallSet"), (193, "RingLike")]:
+        A = VertexSet(g, ((z, r) for z in range(columns) for r in range(3)))
+        report = classify_separation(A)
+        assert (report.boundarySize, report.branch) == (6, branch)
+        assert report.inequalities[0] == ("|A| <= 16k^2", 3 * columns, 576, columns == 192, False)
 
 
 def test_separation_ring_like_cylinder_set():
@@ -690,15 +702,18 @@ def test_free_group_sets_grown_as_trees_match_the_accretion_oracle(rank):
 
 
 def _spy_on_the_loop(monkeypatch) -> list:
-    """Patch ``_lattice._swap_and_pop`` to record the (start, size, rows,
-    period) of each call, and return the record."""
+    """Patch ``_lattice._swap_and_pop``, under ``_lattice`` (cylinders, z^d for
+    d >= 3) and ``_zd`` (z^2's window keys), to record the (start, size,
+    rows, period) of each call, and return the record."""
     calls, loop = [], _lattice._swap_and_pop
 
     def spy(start, size, rng, rows, period):
         calls.append((start, size, rows, period))
         return loop(start, size, rng, rows, period)
 
-    monkeypatch.setattr(_lattice, "_swap_and_pop", spy)
+    for module in (_lattice, _zd):
+        assert module._swap_and_pop is loop
+        monkeypatch.setattr(module, "_swap_and_pop", spy)
     return calls
 
 
@@ -900,7 +915,7 @@ def test_free_group_sets_from_another_start_grow_as_trees(monkeypatch):
                     top = _longest_absorbable(g, start, size)
                     assert len(top) == length + size - 1 and g._encode(top) < period
                     members, candidates = g._accrete(key, size, random.Random(size))
-                    rows = _lattice._StepRows(g._step)
+                    rows = _torus._StepRows(g._step)
                     reference = loop(key, size, random.Random(size), rows, period)
                     assert (set(members), candidates) == reference, (start, size)
                     assert len(members) == size

@@ -62,13 +62,13 @@ def test_every_imported_public_name_is_exported():
 def test_the_families_resolve_under_groups_as_the_benchmark_reads_them(monkeypatch):
     # bench/tracer.py reads the four families and parse_group as attributes
     # of ``groups`` and rebinds each family's ``neighbors`` on its class;
-    # the families are defined in ``_lattice`` and ``_free``
-    from cayleyiso import _free, _lattice, groups
+    # each family is defined in a module of its own
+    from cayleyiso import _cylinder, _free, _torus, _zd, groups
 
     assert groups.parse_group is vars(groups)["parse_group"]
     calls = []
-    for name, module in [("IntegerLattice", _lattice), ("Torus", _lattice),
-                         ("FreeGroup", _free), ("Cylinder", _lattice)]:
+    for name, module in [("IntegerLattice", _zd), ("Torus", _torus),
+                         ("FreeGroup", _free), ("Cylinder", _cylinder)]:
         cls = getattr(groups, name)
         assert cls is vars(module)[name] and cls.__module__ == module.__name__, name
 
@@ -182,7 +182,7 @@ def test_every_private_definition_is_referenced():
 #: the non-blank, non-comment lines ``src/cayleyiso/*.py`` holds, docstrings
 #: counted, as ROADMAP counts them: a change that moves the count moves it in
 #: its own diff, so a reduction leaves no slack for a later addition
-SOURCE_LINE_CEILING = 1995
+SOURCE_LINE_CEILING = 2025
 
 
 def test_the_source_stays_under_its_line_ceiling():
