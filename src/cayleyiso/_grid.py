@@ -2,28 +2,13 @@
 
 The generic set routines in :mod:`cayleyiso.isoperimetry` walk hash sets of
 keys, which is fine up to ~10^5 vertices. Perforated-grid families reach
-millions of vertices, so this module redoes the two hot statistics (boundary
-size and depth) on a bitmap held in one Python ``int``, whose word-parallel
-shifts, ands and ors are the kernels. Results are exact and must agree with
-the generic path; the unit tests compare both routes.
-
-Boundary size is one pass. Depth gallops over erosions by L1 balls, each
-split into two diagonal segments and one 4-neighborhood (Zhuang–Haralick
-1986), in O(log^2 depth) passes. Each kernel holds a few ints of the
-bitmap's size at once, at one bit per padded cell each:
+millions of vertices, so this module redoes boundary size and depth on a
+bitmap held in one Python ``int``, whose word-parallel shifts, ands and ors
+are the kernels; the unit tests compare both routes. Each kernel holds a few
+ints of the bitmap's size at once, at one bit per padded cell each:
 ``perforated_block(100, 100)`` followed by ``depth``, on 10^8 cells, takes
 under 1 s on a 2-vCPU Xeon and peaks at 90 MB, about 0.8 bytes per cell
 above the interpreter's start (``ru_maxrss`` in a fresh process, Python 3.11).
-
-A ``Bitmap`` holds keys x*width + y in whole rows (``Bitmap.from_keys``):
-z^2 sets take their column span plus 2, and ``depth`` erodes them.
-``wrapped_depth`` erodes a standard cylinder's rows of Z x Z_m, whose
-columns wrap: its ball B_r is the image of Z^2's, and a shift by (dz, dr)
-moves residue r by dz*m + dr bits, or by m fewer where r + dr wraps past
-m - 1. ``from_keys`` refuses a set whose bitmap would take over 64 bits
-per member, past a slack: its caller runs a BFS. Keys are packed through
-one byte per cell (``_pack``), about 1.4 bytes per cell at peak, so a set
-at that cap peaks near 100 bytes per member.
 """
 
 from __future__ import annotations
@@ -42,9 +27,8 @@ class Bitmap:
     columns per row, one at each end (``perforated_block``) or both where a
     row wraps into the next (``from_keys`` on z^2), so a shift by 1 or by
     ``width`` moves every member onto its 4-neighbor's cell and no two
-    neighbors onto one cell. ``wrapped_depth`` reads rows of Z x Z_m. The
-    kernels are translation-invariant, so the coordinates of cell 0 are not
-    kept.
+    neighbors onto one cell. The kernels are translation-invariant, so the
+    coordinates of cell 0 are not kept.
     """
 
     def __init__(self, bits: int, width: int, size: int):
@@ -68,14 +52,13 @@ class Bitmap:
             return None
         return cls(_pack(map(sub, keys, repeat(base)), size), width, size)
 
-    def count(self) -> int:
-        return self.bits.bit_count()
-
 
 def _pack(cells: Iterable[int], size: int) -> int:
     """The int whose set bits are ``cells``, each below ``size``: byte c is
     set for each cell c, at C speed, and bytes j, j + 8, … read as one int
-    hold bit j of every packed byte, so eight strided slices pack them."""
+    hold bit j of every packed byte, so eight strided slices pack them. It
+    peaks near 1.4 bytes per cell, so a set at ``from_keys``' cap peaks near
+    100 bytes per member."""
     buf = bytearray(size)
     deque(map(setitem, repeat(buf), cells, repeat(1)), maxlen=0)
     x = 0
@@ -121,7 +104,7 @@ def _gallop(a: int, erode: Callable[[int, int], int], guess: int = 0) -> int:
 
 
 def _erode(x: int, r: int, w: int) -> int:
-    """x eroded by B_r, up to a translation.
+    """x eroded by B_r, up to a translation (Zhuang–Haralick 1986).
 
     B_r(c) = D+ ⊕ D- ⊕ B_1 for c = (r - 1, 0) and the diagonal segments
     D± = {j(1, ±1) : 0 <= j < r}. D+ ⊕ D- is the points of B_{r-1}(c) with
@@ -145,7 +128,9 @@ def _erode(x: int, r: int, w: int) -> int:
 
 def wrapped_depth(bm: Bitmap) -> int:
     """``depth`` of a bitmap of Z x Z_m, m = ``bm.width``, standard
-    generators: bit i holds residue i mod m, and rows wrap."""
+    generators: bit i holds residue i mod m, and rows wrap. B_r is the image
+    of Z^2's, and a shift by (dz, dr) moves residue r by dz*m + dr bits, or
+    by m fewer where r + dr wraps past m - 1."""
     m = bm.width
     ones = ((1 << bm.size) - 1) // ((1 << m) - 1)  # residue 0 of every row
 

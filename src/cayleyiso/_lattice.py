@@ -1,9 +1,5 @@
-"""The key layout that ``_zd``'s ``IntegerLattice``, ``_torus``'s ``Torus``
-and ``_cylinder``'s ``Cylinder`` share on Z^a x (Z_n)^b: a vertex is a tuple
-of coordinates, ints on an unbounded axis and residues on the others, and
-its key reads them as one mixed-radix number (``_MixedRadix``); the sets
-these hosts grow come from ``_swap_and_pop`` except on z^1 and z^2.
-"""
+"""``_MixedRadix``, the key layout that ``IntegerLattice`` (``_zd``),
+``Torus`` (``_torus``) and ``Cylinder`` (``_cylinder``) share."""
 
 from __future__ import annotations
 
@@ -55,8 +51,9 @@ _INTS = repeat(int)
 
 
 class _MixedRadix(GroupGraph):
-    """A host on Z^a x (Z_n)^b whose key is its coordinates read as one
-    mixed-radix number.
+    """A host on Z^a x (Z_n)^b: a vertex is a tuple of coordinates, ints on
+    an unbounded axis and residues on the others, and its key reads them as
+    one mixed-radix number.
 
     Each lower axis i >= 1 has the radix R and the half h of its family,
     and the key of (x_0, ..., x_{k-1}) is the sum of x_i * R^(k-1-i), x_0
@@ -70,8 +67,8 @@ class _MixedRadix(GroupGraph):
 
     Each family sets ``_rows`` and ``_period``: the neighbors of key v are
     v + o for o in ``_rows[v % _period]``, in ``neighbors`` order. ``_step``
-    reads them, and so does growth, ``_swap_and_pop``, on every family but
-    z^1 and z^2, which grow the same sets another way.
+    and growth (``_swap_and_pop``) read them; z^1 and z^2 grow the same sets
+    another way.
     """
 
     def __init__(self, radix: int, half: int, lo: tuple, hi: tuple, malformed: str,

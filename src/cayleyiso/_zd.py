@@ -122,6 +122,15 @@ class IntegerLattice(_MixedRadix):
         return bm and _grid.depth(bm)
 
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
+        if max(map(abs, self._decode(start)[1:]), default=0) + size > LATTICE_COORDINATE_BOUND:
+            # a draw moves one coordinate by one, so only a start within size
+            # - 1 steps of the bound can grow a member ``validate_vertex``
+            # refuses: the loop on host keys grows it and each member is
+            # checked, and every other start keeps its route unchecked
+            keys, candidates = super()._accrete(start, size, rng)
+            for key in keys:
+                self.validate_vertex(self._decode(key))
+            return keys, candidates
         if self.d == 2:
             # Host keys a row apart differ by S = 2^40, so their low hash bits
             # collide. A and its candidates lie within size steps of the
@@ -153,13 +162,6 @@ class IntegerLattice(_MixedRadix):
             ends = list(accumulate(taken.translate(b"\1" * 64 + bytes(192)), xor, initial=up))
             hi, up, left = hi + sum(ends) - up, ends[-1], left - len(taken)
         return range(hi - size + 1, hi + 1), (hi - size, hi + 1)
-
-    def _check_grown(self, start: Vertex, size: int, keys: Collection) -> None:
-        # a draw moves one coordinate by one, so only a start within size - 1
-        # steps of the bound has members to check: the loops stay untouched
-        if max(map(abs, start[1:]), default=0) + size > LATTICE_COORDINATE_BOUND:
-            for key in keys:
-                self.validate_vertex(self._decode(key))
 
     def _ball_counts(self) -> Iterator[int]:
         # the generating function (1+x)^d / (1-x)^(d+1) of the sizes gives

@@ -14,7 +14,6 @@ ISO_BUDGET environment variable overrides the BFS vertex budget; the
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import stat
 import sys
@@ -75,17 +74,12 @@ def _json_text(obj, indent: str = "\n") -> str:
 
 def _render(result: tuple) -> str:
     """The whole text of a handler's ``("json", payload)`` or
-    ``("csv", header, rows)`` result, before any of it is written."""
+    ``("csv", header, rows)`` result, before any of it is written. A CSV
+    cell is an int, a "p/q" or a header name, so none needs quoting."""
     if result[0] == "json":
         return _json_text(result[1]) + "\n"
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(result[1])
-    for row in result[2]:
-        writer.writerow([_exact(cell) for cell in row])
-    return buf.getvalue()
+    rows = [result[1], *result[2]]
+    return "".join(",".join(str(_exact(cell)) for cell in row) + "\n" for row in rows)
 
 
 def _write_all(targets: list) -> None:

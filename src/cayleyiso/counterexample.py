@@ -6,21 +6,8 @@ A(i, k) is the square {0..ki}^2 with the (k-1)^2 interior pins
 near i while the boundary stays near 4ki + k^2, so the ratio
 |boundary| * depth / |A| tends to 0 along the diagonal i = k. This makes the
 family a witness against any hoped-for lower bound of the form
-|boundary| * depth >= c * |A|.
-
-Size, boundary and depth have closed forms, which ``find_params`` walks on.
-``stats`` measures a member's patch A(i, min(k, 3)), of side 3i + 1, with
-bitmap kernels (exact, tested against the generic set path in the unit
-suite), checks the closed forms against them, and reads the member's depth
-off the patch: for k >= 3, depth(A(i, k)) = depth(A(i, 3)), since every
-cell of A(i, k) is a corner, edge or interior cell, A(i, 3) has all three
-kinds, and ``depth_closed_form``'s proof bounds each kind by its own
-corners and the square's edge alone. The torus embedding recomputes
-everything on the torus host as an independent route. The kernels hold the
-padded patch, about (3i+3)^2 cells, at one bit per cell in each of a few
-Python ints, so ``stats(GridParams(200, 200))`` builds about 3.6 * 10^5
-cells, where the whole member has 1.6 * 10^9. ``build`` and
-``embed_torus`` still materialise the whole member.
+|boundary| * depth >= c * |A|. Size, boundary and depth have closed forms,
+which ``find_params`` walks on and ``stats`` checks on a bitmap.
 """
 
 from __future__ import annotations
@@ -166,12 +153,16 @@ def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleSta
 
     The bitmap kernels measure the patch A(i, min(k, 3)), whose side is
     3i + 1, and its size, boundary and depth must equal the closed forms at
-    the patch. Its depth is the member's by the lemma in the module
-    docstring, which ``depth_closed_form`` at (i, k) must confirm; size and
-    boundary are the closed forms at (i, k). ``closedFormsMatch`` is False
-    when any of these checks fails. The depth search tries the closed form
-    first, which two erosions confirm exactly when it is the depth. The
-    budget counts the patch's vertices, the bitmap that is built.
+    the patch. Its depth is the member's, which ``depth_closed_form`` at
+    (i, k) must confirm: every i x i cell of A(i, k) is a corner, edge or
+    interior cell, A(i, 3) has all three kinds, and that function's proof
+    bounds each kind by its own corners and the square's edge alone. Size
+    and boundary are the closed forms at (i, k). ``closedFormsMatch`` is
+    False when any of these checks fails. The depth search tries the closed
+    form first, which two erosions confirm exactly when it is the depth. The
+    budget counts the patch's vertices, the bitmap that is built:
+    ``stats(GridParams(200, 200))`` builds about 3.6 * 10^5 bits, where the
+    whole member has 1.6 * 10^9 vertices.
     """
     measured = _patch(params, budget)
     bm = _grid.perforated_block(measured.i, measured.k)
@@ -184,7 +175,7 @@ def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleSta
         depthOracle=d,
         ratio=Fraction(bsize * d, size),
         closedFormsMatch=(
-            bm.count() == enumerated_size(measured)
+            bm.bits.bit_count() == enumerated_size(measured)
             and _grid.boundary_count(bm) == boundary_closed_form(measured)
             and d == depth_closed_form(measured) == depth_closed_form(params)
         ),

@@ -1,23 +1,13 @@
 """Implicit Cayley graphs: the core that every family of groups shares.
 
 Each graph exposes only local structure (neighbor enumeration from an exact
-vertex representation). Balls and growth statistics are computed by
-breadth-first expansion under an explicit vertex budget, except that ball
-sizes are counted, outside the budget, on free groups, ``z^d`` and cylinders
-with the standard generators. Public entry points validate a caller's
-vertices; internal loops step from the library's own vertices unchecked.
-
-Internally a vertex is an integer *key*: ``_encode`` maps a vertex to its
-key and ``_decode`` maps it back, and ``_step`` and ``_bfs_levels`` run on
-keys, so a step is a few integer additions from a per-host offset table.
-``_bfs_levels`` is the one BFS loop: a search of the host under the vertex
-budget, or a search inside a set the caller holds, built level by level
-by set algebra. Key 0 is the identity on every host. Public functions take
-and return vertices; only a family's module knows its vertices and key
-layout: ``_zd`` (``IntegerLattice``), ``_torus``, ``_cylinder`` and
-``_free``, the first three on ``_lattice``'s shared layout. ``parse_group``
-imports only the module of the family its spec names; the family names
-resolve here too (PEP 562).
+vertex representation); balls and growth come from ``_bfs_levels`` under
+an explicit vertex budget, or from the host's counting rule. Internally a
+vertex is an integer *key* (``_encode``, ``_decode``), key 0 is the
+identity, and a step is a few integer additions from a per-host offset
+table. Public functions take, validate and return vertices; internal loops
+step from the library's own keys unchecked. Each family lives in a module
+of its own (``_FAMILY_NAMES``), which alone knows its vertices and keys.
 """
 
 from __future__ import annotations
@@ -126,9 +116,6 @@ class GroupGraph:
         ``_lattice._swap_and_pop`` returns stepping each key to ``_step``'s
         keys in order. Each host grows that set its own way."""
         raise NotImplementedError
-
-    def _check_grown(self, start: Vertex, size: int, keys: Collection) -> None:
-        """Raise ValueError for a grown key that ``validate_vertex`` refuses."""
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupGraph) and self.family == other.family
@@ -325,9 +312,8 @@ def ball_profile(g: GroupGraph, r: int, budget: Optional[int] = None) -> list:
 
     The host is vertex-transitive, so ball sizes do not depend on the
     center. Counted hosts (free groups, ``z^d``, cylinders with the standard
-    generators) are exempt from the budget; the others are enumerated by
-    BFS. On a finite host the profile is padded with the saturated total
-    once the frontier empties. r may not exceed MAX_PROFILE_RADIUS.
+    generators) are exempt from the budget. A finite host's profile is
+    padded with its total. r may not exceed MAX_PROFILE_RADIUS.
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")

@@ -5,9 +5,6 @@ deepest member is from the complement), closure connectivity, the Varopoulos
 inequality check, and the small-set / ring-like separation classifier. Also
 houses the seedable random connected-set generator and the JSON set-file
 format shared with the CLI.
-
-Every checker reads a set's boundary, and whether A union boundary(A) is
-connected, from the ``VertexSet`` itself, which computes each at most once.
 """
 
 from __future__ import annotations
@@ -28,13 +25,12 @@ class VertexSet:
     ``_members`` keeps the distinct keys its producer handed over (a list,
     a range, a set or a frozenset) as given, and ``_keys`` hashes them into
     a frozenset on the first membership test, equality or hash. The
-    constructor validates and encodes every element; ``_trusted`` takes
-    keys the library produced unchecked. ``elements``, iteration,
-    membership and serialization see vertices, decoded once on first use.
-    Immutable: its exterior boundary, the connectivity of A union
-    boundary(A) and its depth are kept once known (``_boundary``,
-    ``_closure_is_connected``, ``_depth``). ``random_connected_set`` hands
-    over the first two; any other set computes each on first use.
+    constructor validates and encodes every element. ``elements``,
+    iteration, membership and serialization see vertices, decoded once on
+    first use. Immutable: every checker reads its exterior boundary, the
+    connectivity of A union boundary(A) and its depth from the set, which
+    computes each on first use unless ``random_connected_set`` handed over
+    the first two.
     """
 
     def __init__(self, host: GroupGraph, elements: Iterable[Vertex]):
@@ -47,7 +43,7 @@ class VertexSet:
 
     @classmethod
     def _trusted(cls, host: GroupGraph, keys: Collection) -> "VertexSet":
-        """Distinct keys the library produced as valid, kept as given (see ``VertexSet``)."""
+        """Distinct keys the library produced as valid, unchecked."""
         A = cls.__new__(cls)
         A.host = host
         A._members = keys
@@ -336,11 +332,10 @@ def random_connected_set(
     discovery order and drawn by index with ``randrange``'s own rejection
     loop on ``getrandbits``, inlined (a test pins the two), and swap-and-pop
     removal. ``budget`` (DEFAULT_BUDGET if None) is charged before growth
-    runs: ``size``, or with infinitely many ends the size(degree - 1) + 2
-    keys growth may hold; a member ``validate_vertex`` refuses raises. The
-    set keeps the members and candidates ``_accrete`` returns (see
-    ``VertexSet``): its boundary is the final candidates (a candidate leaves
-    only by joining A), and its closure is connected, as A grew by neighbors.
+    runs, and a member ``validate_vertex`` refuses raises. The set keeps the
+    members and candidates ``_accrete`` returns (see ``VertexSet``): its
+    boundary is the final candidates (a candidate leaves only by joining
+    A), and its closure is connected, as A grew by neighbors.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -355,7 +350,6 @@ def random_connected_set(
         start = g.identity()
     g.validate_vertex(start)
     keys, candidates = g._accrete(g._encode(start), size, random.Random(seed))
-    g._check_grown(start, size, keys)
     A = VertexSet._trusted(g, keys)
     A._boundary = candidates
     A._closure_is_connected = True

@@ -6,16 +6,9 @@ generators, every edge joins blocks at distance <= t (the partition is
 (s,t)-ring-like) and any two vertices in the same or adjacent blocks are
 joined by a path of length <= 2st (2st-cohesiveness). For a finite connected
 set A with connected closure and |boundary(A)| = k, the interval of blocks
-spanned by A covers A with slack |Q \\ A| <= 2s^2t^2k + 2stk.
-
-The partition and edge-locality properties hold by construction: the blocks
-are the z-fibres, so they partition the vertices into blocks of exactly s
-vertices, and a generator (dz, dr) moves the block index by dz, where
-|dz| <= t by the definition of t. They are reported, not checked. What is
-checked is cohesiveness, exactly, and the slack bound of each cover.
-Cohesiveness depends on the host alone: translations are automorphisms, so
-a counting rule or one BFS from the identity gives it. This module
-instantiates the known block system; it does not search for others.
+spanned by A covers A with slack |Q \\ A| <= 2s^2t^2k + 2stk. Only
+cohesiveness and the slack are checked. This module instantiates the known
+block system; it does not search for others.
 """
 
 from __future__ import annotations
@@ -35,16 +28,17 @@ class CyclicSystem(NamedTuple):
     no work: q does not depend on it.
     """
 
-    host: Cylinder
+    host: GroupGraph
     s: int
     t: int
     q: int
     window: int
     cohesive_ok: bool
 
-    #: true by construction: the blocks are the z-fibres
+    #: true by construction: the blocks are the z-fibres, s vertices each
     partition_ok = True
-    #: true by construction: t is the largest |zShift| of a generator
+    #: true by construction: a generator (dz, dr) moves the block index by
+    #: dz, and t is the largest |dz|
     ring_like_ok = True
 
     def _cohesion(self) -> Inequality:
@@ -83,9 +77,7 @@ def cyclic_system(
     BFS from (0, 0) capped at radius 2st + 1 and under ``budget``
     (DEFAULT_BUDGET if None). It stops at the level where the last of these
     2m - 1 vertices appears; a vertex it does not reach counts as the cap,
-    which refutes q <= 2st.
-    ``window`` is only validated (>= 1) and echoed. Partition and edge
-    locality hold by construction (see the module docstring).
+    which refutes q <= 2st. ``window`` is only validated (>= 1) and echoed.
     """
     if not hasattr(host, "_block"):  # only a cylinder has blocks
         raise ValueError(f"block system requires a cylinder host, got {host.family}")

@@ -307,6 +307,10 @@ def test_counterexample_find(capsys):
     assert payload["target"] == "1/2"
     assert (payload["i"], payload["k"]) == (9, 9)
     assert payload["ratio"] == "784/1665"
+    # a target equal to A(9, 9)'s ratio passes it: the ratio must be below c
+    rc, payload, _ = run_json(["counterexample", "find", "--c", "784/1665"], capsys)
+    assert rc == 0
+    assert (payload["i"], payload["k"], payload["ratio"]) == (11, 11, "35/88")
 
 
 def test_counterexample_find_decimal_target(capsys):
@@ -1184,15 +1188,15 @@ FAMILY_MODULES = {"cayleyiso._zd", "cayleyiso._torus", "cayleyiso._cylinder", "c
 
 
 def test_a_command_loads_only_the_modules_it_uses(tmp_path):
-    # dataclasses (which loads inspect, dis, ast and tokenize) loads under no
-    # command, fractions only where a rational is made, csv only for CSV
-    # output, json only where a set file is read or written, ast only to
-    # read a cylinder's generator list, isoperimetry under counterexample
-    # and sweep only where a set is built, and the bitmap kernels under
-    # counterexample and sweep, and where a depth is taken on a bitmap host:
-    # z^2 is one, z^1 (closed form) is not. groups loads only where a
-    # command builds a host, and then with the module of that host's family
-    # alone, and _lattice with z^d, tori and cylinders
+    # dataclasses (which loads inspect, dis, ast and tokenize) and csv load
+    # under no command, fractions only where a rational is made, json only
+    # where a set file is read or written, ast only to read a cylinder's
+    # generator list, isoperimetry under counterexample and sweep only where
+    # a set is built, and the bitmap kernels under counterexample and sweep,
+    # and where a depth is taken on a bitmap host: z^2 is one, z^1 (closed
+    # form) is not. groups loads only where a command builds a host, and
+    # then with the module of that host's family alone, and _lattice with
+    # z^d, tori and cylinders
     emitted = str(tmp_path / "set.json")
     source = str(tmp_path / "source.json")
     save_set(VertexSet(IntegerLattice(2), [(0, 0), (1, 0), (1, 1)]), source)
@@ -1230,7 +1234,7 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
 
     assert loading("dataclasses") == set()
     assert loading("fractions") == {name for name in runs if name.startswith(("counter", "sweep"))}
-    assert loading("csv") == {"growth", "sweep ratio"}
+    assert loading("csv") == set()
     assert loading("json") == {"depth --set", "counterexample stats --emit-set"}
     assert loading("ast") == {"growth cyl:m:[...]"}
     assert loading("cayleyiso.isoperimetry") == {

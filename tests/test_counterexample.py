@@ -148,7 +148,7 @@ def test_full_members_on_the_diagonal_match_the_closed_forms():
     for j in (4, 8, 16, 32, 64):
         params = GridParams(j, j)
         bm = _grid.perforated_block(j, j)
-        assert bm.count() == enumerated_size(params)
+        assert bm.bits.bit_count() == enumerated_size(params)
         assert _grid.boundary_count(bm) == boundary_closed_form(params)
         assert _grid.depth(bm) == depth_closed_form(params)
 
@@ -251,6 +251,15 @@ def test_find_params_half():
     assert params == GridParams(9, 9)
     assert st.ratio == Fraction(784, 1665)
     assert st.ratio < Fraction(1, 2)
+
+
+def test_find_params_passes_a_member_whose_ratio_equals_the_target():
+    # the search wants ratio < c strictly: A(9, 9) has exactly 784/1665, so
+    # the first member below it is A(11, 11), as A(10, 10) lies above it
+    assert stats(GridParams(9, 9)).ratio == Fraction(784, 1665)
+    params, st = find_params(Fraction(784, 1665))
+    assert params == GridParams(11, 11)
+    assert st.ratio == Fraction(35, 88) < Fraction(784, 1665)
 
 
 def test_find_params_accepts_string_targets():

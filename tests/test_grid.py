@@ -66,7 +66,7 @@ def random_sets(scale):
 
 def assert_kernels_match(A):
     bm = bitmap(A)
-    assert bm.count() == len(A)
+    assert bm.bits.bit_count() == len(A)
     assert _grid.depth(bm) == depth(A) == bfs_depth(A) == oracles.per_vertex_depth(
         Z2, A.elements)
     assert _grid.boundary_count(bm) == len(boundary(A)) == len(
@@ -136,7 +136,7 @@ def test_row_padding_for_every_width_mod_8(cols):
     assert bm.width % 8 == 0 and side + 2 <= bm.width < side + 10
     assert bm.size == bm.width * (side + 2)
     A = VertexSet(Z2, points)
-    assert bm.count() == len(points)
+    assert bm.bits.bit_count() == len(points)
     assert _grid.boundary_count(bm) == len(boundary(A)) == len(oracles.z2_boundary_scan(points))
     assert _grid.depth(bm) == depth(A) == bfs_depth(A) == depth_closed_form(GridParams(i, 3))
 
@@ -151,7 +151,7 @@ def test_sets_at_negative_coordinates():
 
 def test_a_single_point():
     bm = bitmap([(-3, 4)])
-    assert (bm.count(), _grid.depth(bm), _grid.boundary_count(bm)) == (1, 1, 4)
+    assert (bm.bits.bit_count(), _grid.depth(bm), _grid.boundary_count(bm)) == (1, 1, 4)
 
 
 def test_depth_of_diamonds_across_every_power_of_two():
@@ -217,7 +217,7 @@ def test_kernels_100_fit_in_one_gib(run_capped):
     proc = run_capped("-c", (
         "from cayleyiso import _grid; "
         "bm = _grid.perforated_block(100, 100); "
-        "print(bm.count(), _grid.boundary_count(bm), _grid.depth(bm))"
+        "print(bm.bits.bit_count(), _grid.boundary_count(bm), _grid.depth(bm))"
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(10001**2 - 99**2), str(99**2 + 4 * 10001), "100"]

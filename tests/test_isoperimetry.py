@@ -757,16 +757,18 @@ def test_plane_sets_grown_on_window_keys_are_the_host_key_loops():
     # z^2 runs the one loop on window keys, the offsets from the start in
     # base 2 size + 1, and lifts them to host keys: the members, and the
     # candidates in their order, must be those of the loop on host keys.
-    # Starts: the identity, the four far corners of the validated plane, a
-    # lower coordinate at the bound itself (its keys are still exact) and a
-    # start near the origin. Seeds cycle through sizes 1, 2, 3 and 2000, and
+    # Starts: the identity, the four far corners of the plane that sets of up
+    # to 2000 members grow from on window keys (members reach 2^38 - 1 in
+    # magnitude), a start near the origin and one at the coordinate bound.
+    # From that one the loop runs on host keys, and a set with a member past
+    # the bound is refused. Seeds cycle through sizes 1, 2, 3 and 2000, and
     # three in seven take both sides of a draw of their own set that widens;
     # each run of seven takes the next start, so every size meets every start
     g = IntegerLattice(2)
     bound = LATTICE_COORDINATE_BOUND
-    corners = [(sx * 10**15, sy * (bound - 1)) for sx in (1, -1) for sy in (1, -1)]
-    starts = [(0, 0), *corners, (3, -bound), (-5, 7)]
-    widened = 0
+    corners = [(sx * 10**15, sy * (bound - 2000)) for sx in (1, -1) for sy in (1, -1)]
+    starts = [(0, 0), *corners, (3, 1 - bound), (-5, 7)]
+    widened, refused = 0, 0
     for seed in range(560):
         start = starts[seed // 7 % len(starts)]
         if seed % 7 < 4:
@@ -777,11 +779,16 @@ def test_plane_sets_grown_on_window_keys_are_the_host_key_loops():
             widened += 1
         for size in sizes:
             key = g._encode(start)
-            members, candidates = g._accrete(key, size, random.Random(seed))
             host = _lattice._swap_and_pop(key, size, random.Random(seed), g._rows, g._period)
+            if not all(oracles.vertex_is_valid(g, g._decode(v)) for v in host[0]):
+                with pytest.raises(InvalidVertexError, match=r"magnitude >= 2\^38"):
+                    g._accrete(key, size, random.Random(seed))
+                refused += 1
+                continue
+            members, candidates = g._accrete(key, size, random.Random(seed))
             assert (set(members), candidates) == host, (size, seed, start)
             assert len(members) == size
-    assert widened == 240
+    assert widened == 240 and refused > 0
 
 
 OFFSET_FAMILIES = ["z^2", "z^3", "cyl:2", "cyl:3", "cyl:7",

@@ -2,6 +2,7 @@
 and the interval-cover slack bound."""
 
 import random
+import typing
 from itertools import count
 
 import pytest
@@ -11,6 +12,7 @@ from cayleyiso import isoperimetry, ringlike
 from cayleyiso import (
     BudgetExceeded,
     Cylinder,
+    GroupGraph,
     IntegerLattice,
     VertexSet,
     classify_separation,
@@ -89,6 +91,14 @@ def test_cyclic_system_serialization():
         "ringLikeOk": True,
         "cohesiveOk": True,
     }
+
+
+def test_cyclic_system_annotations_resolve():
+    # every annotation names a type bound in ringlike, so the record can be
+    # introspected without a NameError
+    hints = typing.get_type_hints(CyclicSystem)
+    assert hints["host"] is GroupGraph
+    assert [hints[name] for name in CyclicSystem._fields[1:]] == [int, int, int, int, bool]
 
 
 def test_cyclic_system_rejects_bad_inputs():
