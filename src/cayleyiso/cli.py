@@ -9,29 +9,23 @@ errors. JSON output carries numbers only as exact integers or rational
 strings "p/q"; CSV is available for growth tables and parameter sweeps. The
 ISO_BUDGET environment variable overrides the BFS vertex budget; the
 --budget flag overrides both. Whichever applies must be a positive integer.
+
+A well-formed command line is read off the command tree without loading
+argparse; argparse, built for the whole tree, writes help and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import stat
 import sys
+from types import SimpleNamespace
 
 from ._budget import DEFAULT_BUDGET, BudgetExceeded
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; this CLI reserves 2 for
-    claim violations, so usage errors are remapped to exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
-
 
 def _exact(obj):
     """``obj``, or "p/q" for a Fraction; floats are rejected outright so no
@@ -304,21 +298,18 @@ def _cmd_sweep_ratio(args, budget):
     return ("csv", header, rows), violations, None
 
 
-def _flag(*names, **options):
-    """A flag, as a function that adds it to the parser of a leaf taking it."""
-    return lambda parser: parser.add_argument(*names, **options)
+def _flag(name, **options):
+    """A flag, as its name and the options that ``add_argument`` takes."""
+    return name, options
 
 
-def _source(parser) -> None:
-    """The flags that give a command its set: --set PATH, or --random SIZE on --group."""
-    parser.add_argument("--group", help="group grammar string, e.g. z^2 or cyl:3")
-    one_of = parser.add_mutually_exclusive_group()
-    one_of.add_argument("--set", help="path to a JSON set file")
-    one_of.add_argument("--random", type=int, metavar="SIZE",
-                        help="grow a random connected set of SIZE vertices")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="PRNG seed for --random (default 0)")
-
+# the flags that give a command its set: --set PATH, or --random SIZE on --group
+_SOURCE = (_flag("--group", help="group grammar string, e.g. z^2 or cyl:3"),
+           _flag("--set", help="path to a JSON set file"),
+           _flag("--random", type=int, metavar="SIZE",
+                 help="grow a random connected set of SIZE vertices"),
+           _flag("--seed", type=int, default=0, help="PRNG seed for --random (default 0)"))
+_ONE_OF = ("--set", "--random")  # mutually exclusive
 
 # every leaf takes these, after its own flags
 _COMMON = (_flag("--out", help="write output to this path instead of stdout"),
@@ -339,10 +330,10 @@ _COMMANDS = {
                _flag("--max-radius", type=int, default=20), _FORMAT),
     "ball": (_cmd_ball, "ball around the identity", _GROUP,
              _flag("--radius", type=int, required=True), _EMIT),
-    "boundary": (_cmd_boundary, "exterior vertex boundary of a set", _source, _EMIT),
-    "depth": (_cmd_depth, "max distance from a member to the complement", _source),
-    "varopoulos": (_cmd_varopoulos, "|A| <= 2m|boundary(A)| check", _source),
-    "separation": (_cmd_separation, "small-set / ring-like classification", _source),
+    "boundary": (_cmd_boundary, "exterior vertex boundary of a set", *_SOURCE, _EMIT),
+    "depth": (_cmd_depth, "max distance from a member to the complement", *_SOURCE),
+    "varopoulos": (_cmd_varopoulos, "|A| <= 2m|boundary(A)| check", *_SOURCE),
+    "separation": (_cmd_separation, "small-set / ring-like classification", *_SOURCE),
     "counterexample": ("perforated-grid family operations", {
         "stats": (_cmd_counterexample_stats, "exact statistics of A(i,k)", *_GRID, _EMIT),
         "find": (_cmd_counterexample_find, "first diagonal member with ratio < c",
@@ -354,7 +345,7 @@ _COMMANDS = {
         "check": (_cmd_ringlike_check, "block system of a cylinder and its cohesiveness",
                   _GROUP, _WINDOW),
         "cover": (_cmd_ringlike_cover, "interval cover slack bound for a set",
-                  _source, _WINDOW),
+                  *_SOURCE, _WINDOW),
     }),
     "sweep": ("parameter sweeps", {
         "ratio": (_cmd_sweep_ratio, "ratio table over (i,k) parameters",
@@ -367,52 +358,89 @@ _COMMANDS = {
 
 def _leaf_path(argv) -> tuple:
     """The names of the leaf command that the first words of ``argv`` name,
-    e.g. ``("counterexample", "stats")``; empty when they name none."""
-    commands, words = _COMMANDS, tuple(argv or ())[:2]
+    e.g. ``("counterexample", "stats")``, and the leaf; ``((), None)`` when
+    they name none."""
+    commands, words = _COMMANDS, tuple(argv)[:2]
     for n, word in enumerate(words):
         spec = commands.get(word)
         if spec is None:
-            return ()
+            break
         if not isinstance(spec[1], dict):
-            return words[:n + 1]
+            return words[:n + 1], spec
         commands = spec[1]
-    return ()
+    return (), None
 
 
-def _add_commands(parser, dest: str, commands: dict, path: tuple) -> None:
-    """Add ``commands`` as subcommands of ``parser``: all of them, or with a
-    ``path``, only the one it names, down to its leaf. The usage still lists
-    every name."""
-    listing = "{" + ",".join(commands) + "}" if path else None
-    sub = parser.add_subparsers(dest=dest, required=True, metavar=listing)
+def _fast_args(argv):
+    """The namespace that ``build_parser().parse_args(argv)`` returns, read
+    without argparse where ``argv`` is a leaf's words, then each of its flags
+    at most once, spelled whole and followed by a value that does not start
+    with "-". None for anything else (help, "--", "--flag=value", a bad int
+    or choice, a missing required flag, --set with --random, a stray word),
+    so that argparse alone writes help and usage errors."""
+    path, spec = _leaf_path(argv)
+    if spec is None:
+        return None
+    handler, _, *flags = spec
+    flags = dict((*flags, *_COMMON))
+    given, words = {}, iter(argv[len(path):])
+    for word in words:
+        options, value = flags.get(word), next(words, "-")  # "-": no value left
+        # choices are tested on the string: no flag with choices has a type
+        if (options is None or word in given or value.startswith("-")
+                or value not in options.get("choices", [value])):
+            return None
+        try:
+            given[word] = options.get("type", str)(value)
+        except ValueError:
+            return None
+    if all(name in given for name in _ONE_OF) or any(
+            options.get("required") and name not in given for name, options in flags.items()):
+        return None
+    args = dict(zip(("command", "subcommand"), path), handler=handler)
+    for name, options in flags.items():
+        args[name[2:].replace("-", "_")] = given.get(name, options.get("default"))
+    return SimpleNamespace(**args)
+
+
+def _add_commands(parser, dest: str, commands: dict) -> None:
+    """Add ``commands`` as subcommands of ``parser``, down to every leaf."""
+    sub = parser.add_subparsers(dest=dest, required=True)
     for name, spec in commands.items():
-        if path and name != path[0]:
-            continue
         if isinstance(spec[1], dict):
-            _add_commands(sub.add_parser(name, help=spec[0]), "subcommand", spec[1], path[1:])
+            _add_commands(sub.add_parser(name, help=spec[0]), "subcommand", spec[1])
             continue
         handler, description, *flags = spec
-        leaf = sub.add_parser(name, help=description)
-        for add in (*flags, *_COMMON):
-            add(leaf)
+        leaf, one_of = sub.add_parser(name, help=description), None
+        for flag, options in (*flags, *_COMMON):
+            if flag in _ONE_OF:
+                one_of = one_of or leaf.add_mutually_exclusive_group()
+            (one_of if flag in _ONE_OF else leaf).add_argument(flag, **options)
         leaf.set_defaults(handler=handler)
 
 
-def build_parser(argv=None) -> _Parser:
-    """The parser of every command or, when the first words of ``argv`` name
-    a leaf command (``growth``, ``counterexample stats``), of that leaf
-    alone, with the same flags, help and usage. ``argv`` missing, starting
-    with an option or naming no leaf selects every command, so help and
-    usage errors read as from the whole tree."""
+def build_parser():
+    """The argparse parser of every command, which ``main`` builds only for
+    a command line that ``_fast_args`` does not read."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits with code 2 on usage errors; this CLI reserves 2 for
+        claim violations, so usage errors are remapped to exit code 1."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="cayleyiso",
                      description="Isoperimetry on implicit Cayley graphs.")
-    _add_commands(parser, "command", _COMMANDS, _leaf_path(argv))
+    _add_commands(parser, "command", _COMMANDS)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _fast_args(argv) or build_parser().parse_args(argv)
     try:
         budget = _resolve_budget(args)
         result, violations, emitted = args.handler(args, budget)

@@ -12,7 +12,6 @@ of its own (``_FAMILY_NAMES``), which alone knows its vertices and keys.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from importlib import import_module
 from itertools import accumulate, chain, count, islice
@@ -127,24 +126,24 @@ class GroupGraph:
         return f"{type(self).__name__}({self.family!r})"
 
 
-# one anchored pattern for the whole grammar; ASCII digits only, so int()
-# never sees a sign, an underscore or a non-ASCII digit. DOTALL lets a
-# cylinder's generator list span lines.
-_GRAMMAR = re.compile(
-    r"z\^(?P<z>[0-9]+)|torus:(?P<torus>[0-9]+(?:x[0-9]+)*)|free:(?P<free>[0-9]+)"
-    r"|cyl:(?P<cyl>[0-9]+)(?::(?P<gens>.*))?",
-    re.DOTALL,
-)
-
-
 def parse_group(text: str) -> GroupGraph:
     """Build a GroupGraph from the compact grammar used by the CLI and set files.
 
     Examples: ``z^2``, ``torus:31x31``, ``free:2``, ``cyl:3``,
     ``cyl:3:[(1,0),(-1,0),(0,1),(0,-1)]``. The stripped spec must match whole.
     """
-    match = _GRAMMAR.fullmatch(text.strip()) if isinstance(text, str) else None
-    if match is None:
+    spec = text.strip() if isinstance(text, str) else ""
+    family, _, body = spec.partition(":")
+    gens = None
+    if spec.startswith("z^"):
+        family, body = "z^", spec[2:]
+    elif family == "cyl" and ":" in body:  # the generator list may span lines
+        body, _, gens = body.partition(":")
+    numbers = body.split("x") if family == "torus" else [body]
+    # ASCII digits only, so int() never sees a sign, an underscore or a
+    # non-ASCII digit
+    if family not in ("z^", "torus", "free", "cyl") or not all(
+            n.isascii() and n.isdigit() for n in numbers):
         raise ValueError(f"unknown group grammar {_clip(text)}")
 
     def number(digits: str) -> int:
@@ -154,18 +153,18 @@ def parse_group(text: str) -> GroupGraph:
             raise ValueError(f"number too long in group spec {_clip(text)}") from None
 
     # each branch imports the module of its family only
-    if match["free"]:
+    if family == "free":
         from ._free import FreeGroup
 
-        return FreeGroup(number(match["free"]))
-    if match["z"]:
+        return FreeGroup(number(body))
+    if family == "z^":
         from ._zd import IntegerLattice
 
-        return IntegerLattice(number(match["z"]))
-    if match["torus"]:
+        return IntegerLattice(number(body))
+    if family == "torus":
         from ._torus import Torus
 
-        ns = [number(x) for x in match["torus"].split("x")]
+        ns = [number(x) for x in numbers]
         if any(n != ns[0] for n in ns):
             raise ValueError(
                 f"torus spec {_clip(text)} must repeat one side, e.g. torus:31x31"
@@ -173,7 +172,6 @@ def parse_group(text: str) -> GroupGraph:
         return Torus(ns[0], len(ns))
     from ._cylinder import Cylinder
 
-    gens = match["gens"]
     if gens is not None:
         import ast
 
@@ -185,7 +183,7 @@ def parse_group(text: str) -> GroupGraph:
             raise ValueError(f"bad cylinder generators in {_clip(text)}") from None
         if not isinstance(gens, (list, tuple)):
             raise ValueError(f"cylinder generators in {_clip(text)} must be a list of pairs")
-    return Cylinder(number(match["cyl"]), gens)
+    return Cylinder(number(body), gens)
 
 
 #: the names ``__getattr__`` resolves, each in the module of its family

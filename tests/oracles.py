@@ -8,6 +8,7 @@ values in the test suite are pinned from these.
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from math import gcd
 
@@ -368,3 +369,23 @@ def random_vertex(g, rng: random.Random):
             word.append(rng.choice(options))
         return tuple(word)
     raise TypeError(f"no random vertex rule for {type(g).__name__}")
+
+
+# the group grammar as one anchored pattern; ASCII digits only, and DOTALL
+# lets a cylinder's generator list span lines
+GROUP_GRAMMAR = re.compile(
+    r"z\^(?P<z>[0-9]+)|torus:(?P<torus>[0-9]+(?:x[0-9]+)*)|free:(?P<free>[0-9]+)"
+    r"|cyl:(?P<cyl>[0-9]+)(?::(?P<gens>.*))?",
+    re.DOTALL,
+)
+
+
+def group_spec_parts(text: str):
+    """``(family, digit strings, generator text or None)`` of a group spec
+    that the grammar matches whole once stripped, e.g. ``("torus", ["31",
+    "31"], None)``; None for any other spec."""
+    match = GROUP_GRAMMAR.fullmatch(text.strip())
+    if match is None:
+        return None
+    family = next(name for name in ("z", "torus", "free", "cyl") if match[name])
+    return family, match[family].split("x"), match["gens"]

@@ -26,6 +26,7 @@ from cayleyiso import (
 )
 from cayleyiso.cli import main
 from cayleyiso.groups import LATTICE_COORDINATE_BOUND
+import oracles
 from test_isoperimetry import DIFFERENTIAL_FAMILIES
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -608,8 +609,8 @@ def test_every_set_file_exits_with_a_code_and_at_most_one_error_line(text):
 
 # a spec of each family with small numbers and a few at the grammar's edges,
 # then up to three edits, each replacing a span of at most two characters
-# with nothing or one character the grammar uses, or does not ("٣" is a
-# non-ASCII digit)
+# with nothing or one character the grammar uses, or does not ("٣" and "²"
+# are non-ASCII digits, "+" and "_" are read by int())
 SPEC_NUMBERS = st.integers(0, 9).map(str) | st.sampled_from(["003", "26", "27", "2237", "9" * 5000])
 VALID_SPECS = st.one_of(
     st.builds("z^{}".format, SPEC_NUMBERS),
@@ -626,26 +627,38 @@ def _mutated_specs(draw):
     text = draw(VALID_SPECS)
     for _ in range(draw(st.integers(0, 3))):
         i, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 2))
-        edit = draw(st.sampled_from(["", *"z^torusfreecyl:x0123456789[](),- \n٣"]))
+        edit = draw(st.sampled_from(["", *"z^torusfreecyl:x0123456789[](),- \n٣²+_"]))
         text = text[:i] + edit + text[i + cut:]
     return text
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(text=_mutated_specs())
+@example(text=" cyl:3:[(1,0),\n(0,1)]\n")  # a generator list over two lines
+@example(text="free:2x2")  # only a torus takes sides
 def test_every_group_string_names_its_family_or_exits_one(text):
     # parse_group dispatches on the family and loads its module: a string
     # either raises ValueError or gives a host that its own family string
-    # gives again. ``growth`` then exits 0 on that host or 1 with one error
-    # line, never with a traceback. Radius 1 would exit 1 on every string
-    # (the profile needs 2); --group=... keeps a spec that starts with "-"
-    # from reading as a flag
+    # gives again. It refuses as unknown grammar exactly the strings that
+    # the grammar's pattern (oracles.GROUP_GRAMMAR) refuses, and reads the
+    # numbers and generators that the pattern reads. ``growth`` then exits 0
+    # on that host or 1 with one error line, never with a traceback. Radius
+    # 1 would exit 1 on every string (the profile needs 2); --group=...
+    # keeps a spec that starts with "-" from reading as a flag
+    parts = oracles.group_spec_parts(text)
     try:
         g = parse_group(text)
-    except ValueError:
+    except ValueError as exc:
         g = None
+        assert str(exc).startswith("unknown group grammar") == (parts is None), text
     else:
         assert parse_group(g.family) == g
+        assert parts is not None, text
+        family, numbers, gens = parts
+        head = "z^" if family == "z" else f"{family}:"
+        assert f"{g.family}:".startswith(f"{head}{'x'.join(str(int(n)) for n in numbers)}:")
+        if family == "cyl":
+            assert g == Cylinder(int(numbers[0]), None if gens is None else ast.literal_eval(gens))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(["growth", f"--group={text}", "--max-radius", "2"])
@@ -772,16 +785,9 @@ def _leaves(parser, path=()):
     yield " ".join(path), parser
 
 
-def _settings(parser):
-    """Each flag of ``parser`` as it parses, in order, and its defaults."""
-    flags = [(a.option_strings, a.dest, a.default, a.required, a.type, a.choices,
-              a.metavar, a.help, a.nargs) for a in parser._actions]
-    groups = [[a.dest for a in g._group_actions] for g in parser._mutually_exclusive_groups]
-    return flags, groups, parser._defaults
-
-
 def test_parser_shape():
-    leaves = dict(_leaves(cli.build_parser()))
+    parser = cli.build_parser()
+    leaves = dict(_leaves(parser))
     assert len(leaves) == 12
 
     def accepting(flag):
@@ -791,28 +797,91 @@ def test_parser_shape():
     assert accepting("--emit-set") == {"ball", "boundary", "counterexample stats",
                                        "counterexample find", "counterexample torus"}
     assert accepting("--window") == {"ringlike check", "ringlike cover"}
-    assert all(type(p) is cli._Parser for p in leaves.values())
+    # every subparser is of the top parser's class, whose usage errors exit 1
+    assert issubclass(type(parser), argparse.ArgumentParser)
+    assert type(parser) is not argparse.ArgumentParser
+    assert all(type(p) is type(parser) for p in leaves.values())
 
 
-def test_a_command_builds_only_its_own_parser():
-    full = cli.build_parser()
-    for path, leaf in _leaves(full):
-        # the leaf's words, then anything: only the first two words choose
-        partial = cli.build_parser([*path.split(), "--budget", "5"])
-        (only, built), = _leaves(partial)
-        assert only == path
-        assert built.format_help() == leaf.format_help()
-        assert _settings(built) == _settings(leaf)
-        assert type(built) is cli._Parser
-        # an unrecognized argument is reported with the whole tree's usage
-        assert partial.format_usage() == full.format_usage()
-    # no argv, an option first or a word that names no leaf: the whole tree
-    for argv in (None, [], ["--help"], ["bogus"], ["counterexample"],
+#: (words, flags) of every leaf in ``cli._COMMANDS``, its flags as the
+#: ``(name, options)`` that the parser and the reader both read
+LEAVES = [((name, *filter(None, [sub])), [*leaf[2:], *cli._COMMON])
+          for name, spec in cli._COMMANDS.items()
+          for sub, leaf in (spec[1].items() if isinstance(spec[1], dict) else [(None, spec)])]
+
+
+def _well_formed(flags):
+    """A value for each flag of ``flags`` that argparse accepts, flag first."""
+    return [word for name, options in flags
+            for word in (name, options.get("choices", ["3" if "type" in options else "x"])[-1])]
+
+
+def test_a_well_formed_command_is_read_without_argparse():
+    parser = cli.build_parser()
+    assert sorted(" ".join(words) for words, _ in LEAVES) == sorted(dict(_leaves(parser)))
+    for words, flags in LEAVES:
+        # every flag but --random (which --set excludes), in either order, or
+        # the required ones alone
+        chosen = [f for f in flags if f[0] != "--random"]
+        every, backwards = _well_formed(chosen), _well_formed(chosen[::-1])
+        required = _well_formed(f for f in flags if f[1].get("required"))
+        for argv in ([*words, *every], (*words, *backwards), [*words, *required]):
+            fast = cli._fast_args(argv)
+            assert fast is not None, argv
+            assert vars(fast) == vars(parser.parse_args(argv)), argv
+        for tail in (["-h"], ["--"], every[:2], [every[0]], ["extra"]):
+            assert cli._fast_args([*words, *every, *tail]) is None, (words, tail)
+    # no argv, an option first or a word that names no leaf
+    for argv in ([], ["--help"], ["bogus"], ["counterexample"],
                  ["counterexample", "statz"], ["counterexample", "-h", "stats"]):
-        assert len(dict(_leaves(cli.build_parser(argv)))) == 12, argv
+        assert cli._fast_args(argv) is None, argv
 
 
-@pytest.mark.parametrize("argv, code, line", [
+# flags drawn from one leaf: mostly spelled whole with a value argparse may
+# accept, else abbreviated, as --flag=value, without a value, or next to a
+# stray word, "-h", "--help" or "--"; values at the edges of int() and of
+# the --format choices. Repeats, missing required flags and --set with
+# --random come from drawing flags with replacement
+_ACCEPTED = st.integers(0, 10**30).map(str) | st.sampled_from(
+    ["+5", "5_0", " 7", "7 ", " -2", "csv", "json", "z^2", "cyl:3", "", "x.json", "1/2"])
+_VALUES = st.one_of(_ACCEPTED, _ACCEPTED, _ACCEPTED,
+                    st.sampled_from(["-3", "9" * 5000, "٣", "3.0", "xml", "-", "-x"]))
+
+
+@st.composite
+def _command_lines(draw):
+    words, flags = draw(st.sampled_from(LEAVES))
+    argv, drawn = list(words), flags
+    if draw(st.integers(0, 3)):
+        argv += _well_formed(f for f in flags if f[1].get("required"))
+        drawn = [f for f in flags if not f[1].get("required")]
+    drawn = draw(st.permutations(drawn))[:draw(st.integers(0, 3))]
+    if not draw(st.integers(0, 4)):
+        drawn.append(draw(st.sampled_from(flags)))
+    for name, _ in drawn:
+        value = draw(_VALUES)
+        form = draw(st.sampled_from(["whole"] * 6 + ["abbreviated", "=", "bare", "word"]))
+        if form == "abbreviated":
+            name = name[:draw(st.integers(3, len(name)))]
+        argv += {"=": [f"{name}={value}"], "bare": [name],
+                 "word": [draw(st.sampled_from([value, "-h", "--help", "--"]))]}.get(
+            form, [name, value])
+    return argv
+
+
+_PARSER = cli.build_parser()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(argv=_command_lines())
+def test_the_reader_gives_argparse_namespace_wherever_it_reads(argv):
+    fast = cli._fast_args(argv)
+    if fast is not None:
+        assert vars(fast) == vars(_PARSER.parse_args(argv))
+
+
+#: argv, exit code and a line of the help or usage error it writes
+USAGE_CASES = [
     (["--help"], 0, "Isoperimetry on implicit Cayley graphs."),
     (["bogus"], 1, "cayleyiso: error: argument command: invalid choice: 'bogus' "),
     (["counterexample"], 1, "cayleyiso counterexample: error: the following arguments "
@@ -823,7 +892,10 @@ def test_a_command_builds_only_its_own_parser():
                                                  "the following arguments are required: --k"),
     (["growth", "--group", "z^2", "extra"], 1, "cayleyiso: error: unrecognized arguments: extra"),
     (["sweep", "ratio", "-h"], 0, "usage: cayleyiso sweep ratio [-h] [--imax IMAX]"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, code, line", USAGE_CASES)
 def test_help_and_usage_errors_read_as_from_the_whole_tree(argv, code, line, capsys):
     with pytest.raises(SystemExit) as whole:
         cli.build_parser().parse_args(argv)
@@ -1149,20 +1221,26 @@ def test_console_script_runs():
         assert installed.stdout == proc.stdout
 
 
-def _modules_loaded_by(*argv, code=0):
+def _modules_loaded_by(*argv, code=0, line=None):
     """The modules loaded by a fresh interpreter, where importing numpy fails,
-    once ``cli.main(argv)`` has returned ``code``; the PYTHONPATH set by
-    conftest points it at the checkout. The probe itself loads no module
-    that a command might, json included."""
+    once ``cli.main(argv)`` has returned ``code`` or exited with it, having
+    written a line that starts with ``line`` where one is given; the
+    PYTHONPATH set by conftest points it at the checkout. The probe itself
+    loads no module that a command might, json included."""
     probe = ("import sys\n"
              "sys.modules['numpy'] = None\n"
              "from cayleyiso import cli\n"
-             f"code = cli.main({list(argv)!r})\n"
+             "try:\n"
+             f"    code = cli.main({list(argv)!r})\n"
+             "except SystemExit as stop:\n"
+             "    code = stop.code\n"
              "print(repr([code, sorted(sys.modules)]), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    returned, modules = ast.literal_eval(proc.stderr.splitlines()[-1])
+    *written, last = (proc.stdout + proc.stderr).splitlines()
+    returned, modules = ast.literal_eval(last)
     assert returned == code, proc.stderr
+    assert line is None or any(out.startswith(line) for out in written), proc.stdout
     return set(modules)
 
 
@@ -1188,15 +1266,15 @@ FAMILY_MODULES = {"cayleyiso._zd", "cayleyiso._torus", "cayleyiso._cylinder", "c
 
 
 def test_a_command_loads_only_the_modules_it_uses(tmp_path):
-    # dataclasses (which loads inspect, dis, ast and tokenize) and csv load
-    # under no command, fractions only where a rational is made, json only
-    # where a set file is read or written, ast only to read a cylinder's
-    # generator list, isoperimetry under counterexample and sweep only where
-    # a set is built, and the bitmap kernels under counterexample and sweep,
-    # and where a depth is taken on a bitmap host: z^2 is one, z^1 (closed
-    # form) is not. groups loads only where a command builds a host, and
-    # then with the module of that host's family alone, and _lattice with
-    # z^d, tori and cylinders
+    # dataclasses (which loads inspect, dis, ast and tokenize), csv and
+    # argparse load under no command, fractions only where a rational is
+    # made, json only where a set file is read or written, ast only to read
+    # a cylinder's generator list, isoperimetry under counterexample and
+    # sweep only where a set is built, and the bitmap kernels under
+    # counterexample and sweep, and where a depth is taken on a bitmap host:
+    # z^2 is one, z^1 (closed form) is not. groups loads only where a
+    # command builds a host, and then with the module of that host's family
+    # alone, and _lattice with z^d, tori and cylinders
     emitted = str(tmp_path / "set.json")
     source = str(tmp_path / "source.json")
     save_set(VertexSet(IntegerLattice(2), [(0, 0), (1, 0), (1, 1)]), source)
@@ -1233,6 +1311,12 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
         return {name for name, modules in loaded.items() if module in modules}
 
     assert loading("dataclasses") == set()
+    # a well-formed command is read without argparse, and so without gettext
+    # and locale, which argparse loads; help and usage errors still load it
+    assert loading("argparse") == loading("gettext") == loading("locale") == set()
+    for argv, code, line in USAGE_CASES:
+        if argv in (["--help"], ["growth", "--group", "z^2", "extra"]):
+            assert "argparse" in _modules_loaded_by(*argv, code=code, line=line), argv
     assert loading("fractions") == {name for name in runs if name.startswith(("counter", "sweep"))}
     assert loading("csv") == set()
     assert loading("json") == {"depth --set", "counterexample stats --emit-set"}

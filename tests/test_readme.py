@@ -1,4 +1,4 @@
-"""The README's examples: every CLI line parses, and the Library block runs
+"""The README's examples: every CLI line parses, without argparse too, and the Library block runs
 with the values its comments state."""
 
 import ast
@@ -6,7 +6,7 @@ import shlex
 from fractions import Fraction
 from pathlib import Path
 
-from cayleyiso.cli import build_parser
+from cayleyiso.cli import _fast_args, build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,8 +24,12 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for line in lines:
         # a usage error raises SystemExit, which fails the test
-        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        argv = shlex.split(line, comments=True)[1:]
+        args = parser.parse_args(argv)
         assert callable(args.handler), line
+        # and every example is read without argparse, to the same namespace
+        fast = _fast_args(argv)
+        assert fast is not None and vars(fast) == vars(args), line
 
 
 def test_readme_library_example_runs_and_its_comments_hold():
