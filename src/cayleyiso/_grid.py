@@ -13,6 +13,7 @@ above the interpreter's start (``ru_maxrss`` in a fresh process, Python 3.11).
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from itertools import repeat
 from operator import setitem, sub
@@ -158,9 +159,14 @@ def perforated_block(i: int, k: int) -> Bitmap:
     multi-million-vertex instances never materialize point lists: a row is
     the fewest whole bytes that hold a zero column, the side and another
     zero column. Its caller passes ``GridParams``, which holds i, k > 1.
+    A bitmap of more bytes than one Python object can hold is refused
+    before any of it is built.
     """
     side = k * i + 1
     stride = (side + 2 + 7) // 8
+    if stride * (side + 2) > sys.maxsize:
+        raise ValueError(f"A({i}, {k}) needs a bitmap of {stride * (side + 2)} bytes, "
+                         f"more than one object can hold ({sys.maxsize})")
     row = (((1 << side) - 1) << 1).to_bytes(stride, "little")
     buf = bytearray(stride) + row * side + bytearray(stride)
     for m in range(1, k):

@@ -10,15 +10,21 @@ strings "p/q"; CSV is available for growth tables and parameter sweeps. The
 ISO_BUDGET environment variable overrides the BFS vertex budget; the
 --budget flag overrides both. Whichever applies must be a positive integer.
 
-A well-formed command line is read off the command tree without loading
-argparse; argparse, built for the whole tree, writes help and usage errors.
+This module holds only what every command runs: the command tree, its
+reader, the budget and the renderer. A leaf of the tree names its
+handler's module and function, and a command loads that one module:
+``_cli_sets`` for the commands on a vertex set, ``_cli_hosts`` for those on
+a host alone and ``_cli_grid`` for the perforated family. A well-formed
+command line is read off the tree without loading argparse; ``_cli_parser``
+builds argparse for the whole tree to write help and usage errors, and
+``_cli_write`` writes --out and --emit-set files.
 """
 
 from __future__ import annotations
 
 import os
-import stat
 import sys
+from importlib import import_module
 from types import SimpleNamespace
 
 from ._budget import DEFAULT_BUDGET, BudgetExceeded
@@ -76,46 +82,6 @@ def _render(result: tuple) -> str:
     return "".join(",".join(str(_exact(cell)) for cell in row) + "\n" for row in rows)
 
 
-def _write_all(targets: list) -> None:
-    """Write the text of every ``(path, text)`` target.
-
-    A target that is a regular file, or does not exist yet, is written to a
-    temporary beside it, after symlinks are followed; the temporaries are
-    renamed onto their targets only after every write has succeeded, and
-    are removed if one fails. An existing file keeps its permission bits.
-    Other targets (``/dev/null``, a FIFO, a terminal) cannot be replaced and
-    are written directly, after the temporaries and before the renames.
-    """
-    staged, direct = [], []
-    for n, (path, text) in enumerate(targets):
-        if os.path.exists(path) and not os.path.isfile(path):
-            direct.append((path, text))
-        else:
-            real = os.path.realpath(path)
-            staged.append((path, real, f"{real}.{os.getpid()}.{n}.tmp", text))
-    try:
-        for path, real, tmp, text in staged:
-            try:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                if os.path.exists(real):
-                    os.chmod(tmp, stat.S_IMODE(os.stat(real).st_mode))
-            except OSError as exc:  # name the target, not the temporary
-                raise OSError(exc.errno, exc.strerror, path) from None
-        for path, text in direct:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        for path, real, tmp, _ in staged:
-            try:
-                os.replace(tmp, real)
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, path) from None
-    finally:
-        for _, _, tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-
-
 def _resolve_budget(args) -> int:
     """--budget, else ISO_BUDGET, else DEFAULT_BUDGET; it must be positive."""
     source, raw = "--budget", args.budget
@@ -128,174 +94,6 @@ def _resolve_budget(args) -> int:
     if value < 1:
         raise ValueError(f"{source} must be a positive integer, got {raw!r}")
     return value
-
-
-def _resolve_set(args, budget: int) -> isoperimetry.VertexSet:
-    """Load --set PATH, or grow --random SIZE on --group with --seed."""
-    from . import isoperimetry
-    from .groups import parse_group
-
-    if args.set is not None:
-        A = isoperimetry.load_set(args.set)
-        if args.group is not None and parse_group(args.group).family != A.host.family:
-            raise ValueError(
-                f"--group {args.group!r} does not match set file group "
-                f"{A.host.family!r}"
-            )
-        return A
-    if args.random is not None:
-        if args.group is None:
-            raise ValueError("--random requires --group")
-        g = parse_group(args.group)
-        return isoperimetry.random_connected_set(g, args.random, seed=args.seed,
-                                                 budget=budget)
-    raise ValueError("provide a set via --set PATH or --random SIZE")
-
-
-def _cmd_growth(args, budget):
-    from .groups import classify_growth, parse_group
-
-    g = parse_group(args.group)
-    report = classify_growth(g, args.max_radius, budget=budget)
-    if args.format == "csv":
-        rows = list(enumerate(report.ball_sizes))
-        return ("csv", ["r", "ballSize"], rows), [], None
-    return ("json", report.to_dict()), [], None
-
-
-def _cmd_ball(args, budget):
-    from .groups import _ball_keys, parse_group
-
-    g = parse_group(args.group)
-    keys = _ball_keys(g, g.identity(), args.radius, budget)
-    payload = {"group": g.family, "radius": args.radius, "size": len(keys)}
-    if not args.emit_set:
-        return ("json", payload), [], None
-    from .isoperimetry import VertexSet
-
-    return ("json", payload), [], VertexSet._trusted(g, keys)
-
-
-def _cmd_boundary(args, budget):
-    from . import isoperimetry
-
-    A = _resolve_set(args, budget)
-    B = isoperimetry.boundary(A)
-    payload = {
-        "group": A.host.family,
-        "sizeA": len(A),
-        "boundarySize": len(B),
-    }
-    return ("json", payload), [], B if args.emit_set else None
-
-
-def _cmd_depth(args, budget):
-    from . import isoperimetry
-
-    A = _resolve_set(args, budget)
-    payload = {
-        "group": A.host.family,
-        "sizeA": len(A),
-        "depth": isoperimetry.depth(A),
-    }
-    return ("json", payload), [], None
-
-
-def _cmd_varopoulos(args, budget):
-    from . import isoperimetry
-
-    A = _resolve_set(args, budget)
-    report = isoperimetry.varopoulos_check(A, budget=budget)
-    payload = {"group": A.host.family, "sizeA": len(A)}
-    payload.update(report.to_dict())
-    return ("json", payload), report.violations(), None
-
-
-def _cmd_separation(args, budget):
-    from . import isoperimetry
-
-    A = _resolve_set(args, budget)
-    report = isoperimetry.classify_separation(A, budget=budget)
-    return ("json", report.to_dict()), report.violations(), None
-
-
-def _cmd_counterexample_stats(args, budget):
-    from . import counterexample
-
-    params = counterexample.GridParams(args.i, args.k)
-    st = counterexample.stats(params, budget=budget)
-    emitted = counterexample.build(params, budget=budget) if args.emit_set else None
-    return ("json", st.to_dict()), st.violations(), emitted
-
-
-def _cmd_counterexample_find(args, budget):
-    from . import counterexample
-
-    target = counterexample._parse_fraction(args.c, "--c")
-    params, st = counterexample.find_params(target, budget=budget)
-    emitted = counterexample.build(params, budget=budget) if args.emit_set else None
-    payload = {"target": target}
-    payload.update(st.to_dict())
-    return ("json", payload), st.violations(), emitted
-
-
-def _cmd_counterexample_torus(args, budget):
-    from . import counterexample
-
-    params = counterexample.GridParams(args.i, args.k)
-    embedding = counterexample.embed_torus(params, budget=budget)
-    emitted = embedding.vertex_set if args.emit_set else None
-    return ("json", embedding.report.to_dict()), embedding.report.violations(), emitted
-
-
-def _cmd_ringlike_check(args, budget):
-    from . import ringlike
-    from .groups import parse_group
-
-    host = parse_group(args.group)
-    system = ringlike.cyclic_system(host, window=args.window, budget=budget)
-    return ("json", system.to_dict()), system.violations(), None
-
-
-def _cmd_ringlike_cover(args, budget):
-    from . import ringlike
-
-    A = _resolve_set(args, budget)
-    system = ringlike.cyclic_system(A.host, window=args.window, budget=budget)
-    report = ringlike.interval_cover(system, A)
-    return ("json", report.to_dict()), report.violations(), None
-
-
-def _cmd_sweep_ratio(args, budget):
-    from . import counterexample
-
-    if args.diag is not None:
-        try:
-            diag = sorted({int(x) for x in args.diag.split(",") if x.strip()})
-        except ValueError:
-            raise ValueError(f"--diag expects comma-separated integers, got {args.diag!r}")
-        pairs = [(j, j) for j in diag]
-    elif args.imax is not None and args.kmax is not None:
-        # stats would refuse the largest member's patch only after every
-        # smaller member ran, so refuse the range before the first
-        if args.imax >= 2 and args.kmax >= 2:
-            counterexample._patch(counterexample.GridParams(args.imax, args.kmax), budget)
-        pairs = ((i, k) for i in range(2, args.imax + 1) for k in range(2, args.kmax + 1))
-    else:
-        raise ValueError("provide --imax and --kmax, or --diag LIST")
-    rows = []
-    violations = []
-    for i, k in pairs:
-        st = counterexample.stats(counterexample.GridParams(i, k), budget=budget)
-        violations += [f"{name} at i={i}, k={k}" for name in st.violations()]
-        rows.append([i, k, st.sizeA, st.boundarySize, st.depthOracle, st.ratio])
-    header = ["i", "k", "sizeA", "boundarySize", "depthOracle", "ratio"]
-    if args.format == "json":
-        payload = {
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        return ("json", payload), violations, None
-    return ("csv", header, rows), violations, None
 
 
 def _flag(name, **options):
@@ -323,32 +121,39 @@ _WINDOW = _flag("--window", type=int, default=50,
 _GRID = (_flag("--i", type=int, required=True), _flag("--k", type=int, required=True))
 _FORMAT = _flag("--format", choices=["csv", "json"], default="csv")
 
-# the command tree, in help order: a leaf is (handler, help, its flags in
-# help order), a branch is (help, {name: leaf})
+# the command tree, in help order: a leaf is ((handler module, handler
+# function), help, its flags in help order), a branch is (help, {name: leaf}).
+# A handler takes (args, budget) and returns (result, violations, set or None)
 _COMMANDS = {
-    "growth": (_cmd_growth, "ball sizes and growth dichotomy branch", _GROUP,
-               _flag("--max-radius", type=int, default=20), _FORMAT),
-    "ball": (_cmd_ball, "ball around the identity", _GROUP,
+    "growth": (("_cli_hosts", "_cmd_growth"), "ball sizes and growth dichotomy branch",
+               _GROUP, _flag("--max-radius", type=int, default=20), _FORMAT),
+    "ball": (("_cli_hosts", "_cmd_ball"), "ball around the identity", _GROUP,
              _flag("--radius", type=int, required=True), _EMIT),
-    "boundary": (_cmd_boundary, "exterior vertex boundary of a set", *_SOURCE, _EMIT),
-    "depth": (_cmd_depth, "max distance from a member to the complement", *_SOURCE),
-    "varopoulos": (_cmd_varopoulos, "|A| <= 2m|boundary(A)| check", *_SOURCE),
-    "separation": (_cmd_separation, "small-set / ring-like classification", *_SOURCE),
+    "boundary": (("_cli_sets", "_cmd_boundary"), "exterior vertex boundary of a set",
+                 *_SOURCE, _EMIT),
+    "depth": (("_cli_sets", "_cmd_depth"), "max distance from a member to the complement",
+              *_SOURCE),
+    "varopoulos": (("_cli_sets", "_cmd_varopoulos"), "|A| <= 2m|boundary(A)| check",
+                   *_SOURCE),
+    "separation": (("_cli_sets", "_cmd_separation"), "small-set / ring-like classification",
+                   *_SOURCE),
     "counterexample": ("perforated-grid family operations", {
-        "stats": (_cmd_counterexample_stats, "exact statistics of A(i,k)", *_GRID, _EMIT),
-        "find": (_cmd_counterexample_find, "first diagonal member with ratio < c",
-                 _flag("--c", required=True, help="target ratio, e.g. 0.5 or 1/2"), _EMIT),
-        "torus": (_cmd_counterexample_torus, "embed A(i,k) into the torus of side 3ki+1",
+        "stats": (("_cli_grid", "_cmd_counterexample_stats"), "exact statistics of A(i,k)",
                   *_GRID, _EMIT),
+        "find": (("_cli_grid", "_cmd_counterexample_find"),
+                 "first diagonal member with ratio < c",
+                 _flag("--c", required=True, help="target ratio, e.g. 0.5 or 1/2"), _EMIT),
+        "torus": (("_cli_grid", "_cmd_counterexample_torus"),
+                  "embed A(i,k) into the torus of side 3ki+1", *_GRID, _EMIT),
     }),
     "ringlike": ("cylinder block-system checks", {
-        "check": (_cmd_ringlike_check, "block system of a cylinder and its cohesiveness",
-                  _GROUP, _WINDOW),
-        "cover": (_cmd_ringlike_cover, "interval cover slack bound for a set",
+        "check": (("_cli_hosts", "_cmd_ringlike_check"),
+                  "block system of a cylinder and its cohesiveness", _GROUP, _WINDOW),
+        "cover": (("_cli_sets", "_cmd_ringlike_cover"), "interval cover slack bound for a set",
                   *_SOURCE, _WINDOW),
     }),
     "sweep": ("parameter sweeps", {
-        "ratio": (_cmd_sweep_ratio, "ratio table over (i,k) parameters",
+        "ratio": (("_cli_grid", "_cmd_sweep_ratio"), "ratio table over (i,k) parameters",
                   _flag("--imax", type=int), _flag("--kmax", type=int),
                   _flag("--diag", help="comma-separated diagonal values, e.g. 4,8,16"),
                   _FORMAT),
@@ -372,12 +177,12 @@ def _leaf_path(argv) -> tuple:
 
 
 def _fast_args(argv):
-    """The namespace that ``build_parser().parse_args(argv)`` returns, read
-    without argparse where ``argv`` is a leaf's words, then each of its flags
-    at most once, spelled whole and followed by a value that does not start
-    with "-". None for anything else (help, "--", "--flag=value", a bad int
-    or choice, a missing required flag, --set with --random, a stray word),
-    so that argparse alone writes help and usage errors."""
+    """The namespace argparse, built for this tree by ``_cli_parser``,
+    returns for ``argv``, read without it where ``argv`` is a leaf's words,
+    then each of its flags at most once, spelled whole, with a value not
+    starting with "-"; None for anything else (help, "--", "--flag=value",
+    a bad int or choice, a missing required flag, --set with --random, a
+    stray word), so that argparse alone writes help and usage errors."""
     path, spec = _leaf_path(argv)
     if spec is None:
         return None
@@ -403,47 +208,18 @@ def _fast_args(argv):
     return SimpleNamespace(**args)
 
 
-def _add_commands(parser, dest: str, commands: dict) -> None:
-    """Add ``commands`` as subcommands of ``parser``, down to every leaf."""
-    sub = parser.add_subparsers(dest=dest, required=True)
-    for name, spec in commands.items():
-        if isinstance(spec[1], dict):
-            _add_commands(sub.add_parser(name, help=spec[0]), "subcommand", spec[1])
-            continue
-        handler, description, *flags = spec
-        leaf, one_of = sub.add_parser(name, help=description), None
-        for flag, options in (*flags, *_COMMON):
-            if flag in _ONE_OF:
-                one_of = one_of or leaf.add_mutually_exclusive_group()
-            (one_of if flag in _ONE_OF else leaf).add_argument(flag, **options)
-        leaf.set_defaults(handler=handler)
-
-
-def build_parser():
-    """The argparse parser of every command, which ``main`` builds only for
-    a command line that ``_fast_args`` does not read."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """argparse exits with code 2 on usage errors; this CLI reserves 2 for
-        claim violations, so usage errors are remapped to exit code 1."""
-
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
-
-    parser = _Parser(prog="cayleyiso",
-                     description="Isoperimetry on implicit Cayley graphs.")
-    _add_commands(parser, "command", _COMMANDS)
-    return parser
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _fast_args(argv) or build_parser().parse_args(argv)
+    args = _fast_args(argv)
+    if args is None:
+        from ._cli_parser import build_parser
+
+        args = build_parser(_COMMANDS, _COMMON, _ONE_OF).parse_args(argv)
     try:
         budget = _resolve_budget(args)
-        result, violations, emitted = args.handler(args, budget)
+        module, name = args.handler
+        handler = getattr(import_module(f".{module}", __package__), name)
+        result, violations, emitted = handler(args, budget)
         # rendered whole, and the files written together, so a run that fails
         # leaves no partial output and no set file
         text = _render(result)
@@ -454,7 +230,10 @@ def main(argv=None) -> int:
             targets.append((args.emit_set, set_file_text(emitted)))
         if args.out:
             targets.append((args.out, text))
-        _write_all(targets)
+        if targets:
+            from ._cli_write import _write_all
+
+            _write_all(targets)
         if not args.out:
             sys.stdout.write(text)
     except (ValueError, OSError, BudgetExceeded) as exc:

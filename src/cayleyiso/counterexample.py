@@ -16,11 +16,10 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import count
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 from . import _grid
-from ._budget import _clip, _require_budget
+from ._budget import DEFAULT_BUDGET, _clip, _require_budget
 
 
 class _Params(NamedTuple):
@@ -234,28 +233,59 @@ def _parse_fraction(text: str, name: str = "c") -> Fraction:
     return -value if match["sign"] == "-" else value
 
 
+def _first(stop, j: int) -> int:
+    """The least of j, j + 2, j + 4, ... at which ``stop`` holds, where it
+    holds from some point on and never fails after it: the steps double
+    until one passes it, and the last gap is then bisected."""
+    if stop(j):
+        return j
+    step = 2  # stop fails at j and holds at j + step, once the gallop ends
+    while not stop(j + step):
+        j, step = j + step, 2 * step
+    while step > 2:
+        step //= 2
+        if not stop(j + step):
+            j += step
+    return j + 2
+
+
 def find_params(
     c: Union[Fraction, int, str], budget: Optional[int] = None
 ) -> Tuple[GridParams, CounterexampleStats]:
-    """Walk the diagonal i = k = 2, 3, ... and return the first member with
-    ratio < c, with its ``stats``.
+    """The first member on the diagonal i = k = 2, 3, ... with ratio < c,
+    with its ``stats``.
 
-    The walk reads each ratio from the closed forms and runs the bitmap once,
-    on the patch of the member it returns. The diagonal ratio behaves like
-    5/i, so the walk terminates for any reachable c. The vertex budget
-    bounds it against smaller targets: the first member whose patch
-    A(j, min(j, 3)) does not fit stops the walk with that patch's
+    The search reads each ratio from the closed forms and runs the bitmap
+    once, on the patch of the member it returns. The diagonal ratio behaves
+    like 5/i, so the search ends for any reachable c, and it takes
+    O(log i) steps. The vertex budget bounds it against smaller targets: as
+    on a walk along the diagonal, the first member whose patch
+    A(j, min(j, 3)) does not fit stops it with that patch's
     ``BudgetExceeded``. A string c too long for p/q raises ValueError.
     """
     target = _parse_fraction(c) if isinstance(c, str) else Fraction(c)
     if target <= 0:
         raise ValueError(f"target ratio must be positive, got {target}")
-    for j in count(2):
-        params = GridParams(j, j)
-        _patch(params, budget)
-        bd = boundary_closed_form(params) * depth_closed_form(params)
-        if Fraction(bd, enumerated_size(params)) < target:
-            return params, stats(params, budget=budget)
+    p, q = target.numerator, target.denominator
+    budget = DEFAULT_BUDGET if budget is None else budget
+
+    # At i = k = j the closed forms give |A| = j^4 + j^2 + 2j, |boundary| =
+    # 5j^2 - 2j + 5 and depth j - j % 2 (j = 2 included), so the ratio is
+    # (5j^2 - 2j + 5) / (j^3 + j + 2) for even j and
+    # (5j^3 - 7j^2 + 7j - 5) / (j^4 + j^2 + 2j) for odd j. Each falls
+    # strictly on the reals from 2, resp. 3, on: the numerators of their
+    # derivatives, -j^3(5j - 4) - 10j(j - 2) - 9 and
+    # -j^3(5j^3 - 14j^2 + 16j - 40) - 21j^2 + 10j + 10, are negative there,
+    # as 5j^3 - 14j^2 + 16j - 40 is 17 at j = 3 and increasing. The patch
+    # grows with j too, so whether the walk stops at j changes once along
+    # each parity, and its first stop is the earlier of the two.
+    def stop(j):  # on unchecked _Params: j > 1 holds on both progressions
+        member, patch = _Params(j, j), _Params(j, min(j, 3))
+        bd = boundary_closed_form(member) * depth_closed_form(member)
+        return enumerated_size(patch) > budget or bd * q < p * enumerated_size(member)
+
+    params = GridParams(*[min(_first(stop, 2), _first(stop, 3))] * 2)
+    return params, stats(params, budget=budget)  # which refuses an over-budget patch
 
 
 class EmbedReport(NamedTuple):

@@ -38,8 +38,8 @@ MUTANTS = {
            "minimal_ball_radius(A.host, 2 * len(A) - 1,"),
     "M7": ("ringlike.py", "bound = 2 * s * s * t * t * k + 2 * s * t * k",
            "bound = 2 * s * s * t * t * k + 2 * s * t * k + 1"),
-    "M8": ("counterexample.py", "enumerated_size(params)) < target",
-           "enumerated_size(params)) <= target"),
+    "M8": ("counterexample.py", "bd * q < p * enumerated_size(member)",
+           "bd * q <= p * enumerated_size(member)"),
 }
 
 TIER_1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

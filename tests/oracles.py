@@ -7,9 +7,11 @@ values in the test suite are pinned from these.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from collections import deque
+from fractions import Fraction
 from math import gcd
 
 from cayleyiso.groups import Cylinder, FreeGroup, IntegerLattice, Torus
@@ -389,3 +391,22 @@ def group_spec_parts(text: str):
         return None
     family = next(name for name in ("z", "torus", "free", "cyl") if match[name])
     return family, match[family].split("x"), match["gens"]
+
+
+def diagonal_walk(target, budget: int):
+    """``find_params``' answer by its definition: walk i = k = j = 2, 3, ...
+    one member at a time and return the first j whose ratio is below
+    ``target``, or ``("budget", n)`` for the first patch A(j, min(j, 3)) of
+    n > ``budget`` vertices met before it. The counts are the family's
+    definitions: the square's points less the pins, the pins plus the rim,
+    and the depth of each cell kind."""
+    for j in itertools.count(2):
+        m = min(j, 3)
+        patch = (m * j + 1) ** 2 - (m - 1) ** 2
+        if patch > budget:
+            return "budget", patch
+        size = (j * j + 1) ** 2 - (j - 1) ** 2
+        boundary = (j - 1) ** 2 + 4 * (j * j + 1)
+        depth = 2 * (j // 2) if j >= 3 else (2 * j + 2) // 3
+        if Fraction(boundary * depth, size) < target:
+            return j

@@ -22,7 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cayleyiso import (
-    Cylinder, FreeGroup, IntegerLattice, VertexSet, cli, groups, parse_group, save_set,
+    Cylinder, FreeGroup, IntegerLattice, VertexSet, _cli_parser, cli, groups, parse_group,
+    save_set,
 )
 from cayleyiso.cli import main
 from cayleyiso.groups import LATTICE_COORDINATE_BOUND
@@ -47,6 +48,11 @@ def run_json(argv, capsys):
 
 def _reject_float(text):
     raise AssertionError(f"float literal in JSON output: {text}")
+
+
+def build_parser():
+    """The argparse parser that ``main`` builds for help and usage errors."""
+    return _cli_parser.build_parser(cli._COMMANDS, cli._COMMON, cli._ONE_OF)
 
 
 def save_block_set(tmp_path, name="blocks.json", n_blocks=1000, g=Cylinder(3)):
@@ -714,10 +720,24 @@ def test_find_refuses_a_target_with_too_many_digits(run_capped):
     assert (proc.returncode, proc.stderr) == (1, "error: target ratio must be positive, got 0\n")
 
 
+def test_a_patch_past_the_largest_object_is_refused_before_it_is_built(run_capped):
+    # under a budget of 10^30, A(10^10, 3) fits the vertex count, but its
+    # bitmap would take 1.1 * 10^20 bytes, more than sys.maxsize; find
+    # reaches j = 5 * 10^12 in O(log j) steps, and the sweep the same stats
+    huge = str(10**30)
+    for command in (["counterexample", "stats", "--i", str(10**10), "--k", "3"],
+                    ["counterexample", "find", "--c", "1e-12"],
+                    ["sweep", "ratio", "--diag", str(10**10)]):
+        proc = run_capped("-m", "cayleyiso.cli", *command, "--budget", huge, timeout=20)
+        assert (proc.returncode, proc.stdout) == (1, ""), command
+        assert proc.stderr.startswith("error: A("), proc.stderr
+        assert proc.stderr.count("\n") == 1 and "more than one object can hold" in proc.stderr
+
+
 def test_find_targets_within_the_digit_limit_behave_as_before(capsys):
     rc, out, err = run(["counterexample", "find", "--c", "1e-3"], capsys)
     assert (rc, out) == (1, "")
-    # the walk stops at j = 1054, whose patch A(1054, 3) has 3163^2 - 4 vertices
+    # the search stops at j = 1054, whose patch A(1054, 3) has 3163^2 - 4 vertices
     assert err == "error: vertex budget 10000000 exceeded: needs 10004565 vertices\n"
     for c in ("x", "1/0"):
         rc, out, err = run(["counterexample", "find", "--c", c], capsys)
@@ -786,7 +806,7 @@ def _leaves(parser, path=()):
 
 
 def test_parser_shape():
-    parser = cli.build_parser()
+    parser = build_parser()
     leaves = dict(_leaves(parser))
     assert len(leaves) == 12
 
@@ -817,7 +837,7 @@ def _well_formed(flags):
 
 
 def test_a_well_formed_command_is_read_without_argparse():
-    parser = cli.build_parser()
+    parser = build_parser()
     assert sorted(" ".join(words) for words, _ in LEAVES) == sorted(dict(_leaves(parser)))
     for words, flags in LEAVES:
         # every flag but --random (which --set excludes), in either order, or
@@ -869,7 +889,7 @@ def _command_lines(draw):
     return argv
 
 
-_PARSER = cli.build_parser()
+_PARSER = build_parser()
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
@@ -898,7 +918,7 @@ USAGE_CASES = [
 @pytest.mark.parametrize("argv, code, line", USAGE_CASES)
 def test_help_and_usage_errors_read_as_from_the_whole_tree(argv, code, line, capsys):
     with pytest.raises(SystemExit) as whole:
-        cli.build_parser().parse_args(argv)
+        build_parser().parse_args(argv)
     expected = capsys.readouterr()
     with pytest.raises(SystemExit) as ran:
         main(argv)
@@ -1263,6 +1283,8 @@ def test_no_subcommand_loads_numpy():
 
 #: the module of each host family
 FAMILY_MODULES = {"cayleyiso._zd", "cayleyiso._torus", "cayleyiso._cylinder", "cayleyiso._free"}
+#: the CLI's handler modules, one per kind of command
+HANDLER_MODULES = {"cayleyiso._cli_sets", "cayleyiso._cli_hosts", "cayleyiso._cli_grid"}
 
 
 def test_a_command_loads_only_the_modules_it_uses(tmp_path):
@@ -1274,7 +1296,10 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
     # counterexample and sweep, and where a depth is taken on a bitmap host:
     # z^2 is one, z^1 (closed form) is not. groups loads only where a
     # command builds a host, and then with the module of that host's family
-    # alone, and _lattice with z^d, tori and cylinders
+    # alone, and _lattice with z^d, tori and cylinders. Each command loads
+    # the one handler module its leaf names, the argparse builder loads only
+    # for help and usage errors, and the file writer only for --out or
+    # --emit-set
     emitted = str(tmp_path / "set.json")
     source = str(tmp_path / "source.json")
     save_set(VertexSet(IntegerLattice(2), [(0, 0), (1, 0), (1, 1)]), source)
@@ -1288,6 +1313,8 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
         "growth cyl:m:[...]": (["growth", "--group", "cyl:3:[(1,0),(0,1)]", "--format", "json"],
                                "_cylinder"),
         "ball": (["ball", "--group", "cyl:3", "--radius", "2"], "_cylinder"),
+        "ball --out": (["ball", "--group", "cyl:3", "--radius", "2", "--out",
+                        str(tmp_path / "out.json")], "_cylinder"),
         **{name: ([name, "--group", "z^2", "--random", "30"], "_zd")
            for name in ("boundary", "depth", "varopoulos", "separation")},
         **{f"{name} z^1": ([name, "--group", "z^1", "--random", "300"], "_zd")
@@ -1314,9 +1341,16 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
     # a well-formed command is read without argparse, and so without gettext
     # and locale, which argparse loads; help and usage errors still load it
     assert loading("argparse") == loading("gettext") == loading("locale") == set()
+    assert loading("cayleyiso._cli_parser") == set()
     for argv, code, line in USAGE_CASES:
-        if argv in (["--help"], ["growth", "--group", "z^2", "extra"]):
-            assert "argparse" in _modules_loaded_by(*argv, code=code, line=line), argv
+        modules = _modules_loaded_by(*argv, code=code, line=line)
+        assert {"argparse", "cayleyiso._cli_parser"} <= modules, argv
+    # every leaf runs, and loads its own handler module and no other
+    leaves = {name: cli._leaf_path(argv) for name, (argv, _) in runs.items()}
+    assert len({words for words, _ in leaves.values()}) == len(LEAVES) == 12
+    for name, (_, spec) in leaves.items():
+        assert loaded[name] & HANDLER_MODULES == {f"cayleyiso.{spec[0][0]}"}, name
+    assert loading("cayleyiso._cli_write") == {"ball --out", "counterexample stats --emit-set"}
     assert loading("fractions") == {name for name in runs if name.startswith(("counter", "sweep"))}
     assert loading("csv") == set()
     assert loading("json") == {"depth --set", "counterexample stats --emit-set"}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cayleyiso import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     IntegerLattice,
     VertexSet,
@@ -340,6 +341,37 @@ def test_find_params_budget_stop_carries_best():
     with pytest.raises(BudgetExceeded) as exc_info:
         find_params(Fraction(1, 10), budget=660)
     assert (exc_info.value.budget, exc_info.value.visited) == (660, 780)
+
+
+def _diagonal_ratio(j):
+    params = GridParams(j, j)
+    return Fraction(boundary_closed_form(params) * depth_closed_form(params),
+                    enumerated_size(params))
+
+
+# a target at, or a hair off, the ratio of a member j <= 400, or a rational
+# of small terms; a budget at, or one off, the patch of a member j <= 500,
+# or the default
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(target=st.one_of(
+           st.builds(lambda j, off: _diagonal_ratio(j) + off, st.integers(2, 400),
+                     st.sampled_from([0, Fraction(1, 10**12), -Fraction(1, 10**12)])),
+           st.fractions(Fraction(1, 80), 3, max_denominator=1000).filter(bool)),
+       budget=st.one_of(st.none(), st.builds(
+           lambda j, off: enumerated_size(GridParams(j, min(j, 3))) + off,
+           st.integers(2, 500), st.integers(-1, 1))))
+def test_find_params_answers_as_the_walk_along_the_diagonal(target, budget):
+    # the search steps by doubling and bisecting; the walk tries every member
+    expected = oracles.diagonal_walk(target, DEFAULT_BUDGET if budget is None else budget)
+    if isinstance(expected, tuple):
+        with pytest.raises(BudgetExceeded) as exc_info:
+            find_params(target, budget=budget)
+        assert (exc_info.value.budget, exc_info.value.visited) == (
+            budget or DEFAULT_BUDGET, expected[1])
+        return
+    params, st_ = find_params(target, budget=budget)
+    assert params == GridParams(expected, expected)
+    assert st_.ratio == _diagonal_ratio(expected) < target
 
 
 def test_find_params_builds_one_bitmap(monkeypatch):

@@ -182,7 +182,7 @@ def test_every_private_definition_is_referenced():
 #: the non-blank, non-comment lines ``src/cayleyiso/*.py`` holds, docstrings
 #: counted, as ROADMAP counts them: a change that moves the count moves it in
 #: its own diff, so a reduction leaves no slack for a later addition
-SOURCE_LINE_CEILING = 1998
+SOURCE_LINE_CEILING = 2049
 
 
 def test_the_source_stays_under_its_line_ceiling():

@@ -4,9 +4,10 @@ with the values its comments state."""
 import ast
 import shlex
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
-from cayleyiso.cli import _fast_args, build_parser
+from cayleyiso import _cli_parser, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,14 +22,15 @@ def test_readme_cli_examples_parse():
     lines = [line for line in readme_block("CLI", "sh").splitlines()
              if line.startswith("cayleyiso ")]
     assert len(lines) == 14
-    parser = build_parser()
+    parser = _cli_parser.build_parser(cli._COMMANDS, cli._COMMON, cli._ONE_OF)
     for line in lines:
         # a usage error raises SystemExit, which fails the test
         argv = shlex.split(line, comments=True)[1:]
         args = parser.parse_args(argv)
-        assert callable(args.handler), line
+        module, name = args.handler
+        assert callable(getattr(import_module(f"cayleyiso.{module}"), name)), line
         # and every example is read without argparse, to the same namespace
-        fast = _fast_args(argv)
+        fast = cli._fast_args(argv)
         assert fast is not None and vars(fast) == vars(args), line
 
 

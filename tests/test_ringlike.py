@@ -101,6 +101,15 @@ def test_cyclic_system_annotations_resolve():
     assert [hints[name] for name in CyclicSystem._fields[1:]] == [int, int, int, int, bool]
 
 
+def test_the_cli_set_loader_annotations_resolve():
+    # the set commands' module imports isoperimetry at its top, so the
+    # loader's return annotation names a bound type
+    from cayleyiso import _cli_sets
+
+    hints = typing.get_type_hints(_cli_sets._resolve_set)
+    assert hints == {"budget": int, "return": isoperimetry.VertexSet}
+
+
 def test_cyclic_system_rejects_bad_inputs():
     with pytest.raises(ValueError):
         cyclic_system(IntegerLattice(2))
