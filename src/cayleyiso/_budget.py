@@ -1,6 +1,6 @@
-"""The vertex budget and its error, which ``groups`` re-exports: a command
-that builds no host (``counterexample stats``/``find``, ``sweep ratio``)
-loads this module and not ``groups``."""
+"""The vertex budget, its error and the monotone search ``_least``, which
+``groups`` and ``counterexample`` share: a command that builds no host
+(``counterexample stats``/``find``, ``sweep ratio``) loads it, not ``groups``."""
 
 from __future__ import annotations
 
@@ -38,3 +38,19 @@ def _require_budget(budget: Optional[int], needed: int) -> None:
     budget = DEFAULT_BUDGET if budget is None else budget
     if needed > budget:
         raise BudgetExceeded(budget, needed)
+
+
+def _least(holds, lo: int, stride: int = 1) -> int:
+    """The least of lo, lo + stride, lo + 2 * stride, ... at which ``holds``
+    holds, where it holds from some point on and never fails after it: the
+    step doubles until a point holds, and only the last gap is bisected."""
+    if holds(lo):
+        return lo
+    step = stride  # holds fails at lo and holds at lo + step, once the gallop ends
+    while not holds(lo + step):
+        lo, step = lo + step, 2 * step
+    while step > stride:
+        step //= 2
+        if not holds(lo + step):
+            lo += step
+    return lo + stride

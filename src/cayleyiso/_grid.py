@@ -88,43 +88,8 @@ def depth(bm: Bitmap, guess: int = 0) -> int:
     beyond the bitmap is farther from a member than the padding cell on the
     same ray.
     """
-    return _gallop(bm.bits, lambda x, r: _erode(x, r, bm.width), guess)
-
-
-def _gallop(a: int, erode: Callable[[int, int], int], guess: int = 0) -> int:
-    """``depth``'s search: the least r with ``erode(a, r)`` empty, plus 1."""
-    t, s = 0, 1  # a is E_t(A), up to a translation, and not empty unless A is
-    if guess > 1 and (b := erode(a, guess - 1)):
-        a, t = b, guess - 1
-    while b := erode(a, s):
-        a, t, s = b, t + s, 2 * s
-    while s := s // 2:  # E_{t+2s}(A) is empty
-        if b := erode(a, s):
-            a, t = b, t + s
-    return t + 1 if a else 0
-
-
-def _erode(x: int, r: int, w: int) -> int:
-    """x eroded by B_r, up to a translation (Zhuang–Haralick 1986).
-
-    B_r(c) = D+ ⊕ D- ⊕ B_1 for c = (r - 1, 0) and the diagonal segments
-    D± = {j(1, ±1) : 0 <= j < r}. D+ ⊕ D- is the points of B_{r-1}(c) with
-    x + y even, which are all the even points of B_r(c) (their distance to
-    c has the parity of r - 1), and an odd point of B_r(c) is next to an
-    even one nearer c, or to (r - 2, 0) if it is c. The segment erosions double the
-    run they test per pass, x &= x >> s·d with d = w ± 1 the offset of
-    (1, ±1); erosions commute, so they share one loop. Each pass keeps a
-    subset of x, so the zero columns stay zero, and a run of members along
-    (1, ±1) steps through the columns one at a time, so it meets a zero
-    column before it could leave its row's members.
-    """
-    run = 1
-    while run < r:
-        s = min(run, r - run)
-        x &= x >> s * (w + 1)
-        x &= x >> s * (w - 1)
-        run += s
-    return x & (x << 1) & (x >> 1) & (x << w) & (x >> w)
+    w = bm.width
+    return _gallop(bm.bits, lambda x, dz, dr: x >> dz * w + dr, guess)
 
 
 def wrapped_depth(bm: Bitmap) -> int:
@@ -135,21 +100,54 @@ def wrapped_depth(bm: Bitmap) -> int:
     m = bm.width
     ones = ((1 << bm.size) - 1) // ((1 << m) - 1)  # residue 0 of every row
 
-    def at(x, dz, dr):  # x at v + (dz, dr) for every cell v, dz >= 0
-        low = ones * ((1 << m - dr % m) - 1)  # residues r + dr % m < m: no wrap
-        k = dz * m + dr % m
-        return x >> k & low | x << m >> k & ~low
+    def at(x, dz, dr):
+        d, k = dr % m, dz * m + dr % m
+        if not d:  # no residue wraps: a plain shift, no mask
+            return x >> k
+        low = ones * ((1 << m - d) - 1)  # residues r + d < m: no wrap
+        return x >> k & low | x >> k - m & ~low
 
-    def erode(x, r):  # ``_erode`` on wrapping rows; rows beyond x are complement
-        run = 1
-        while run < r:
-            s = min(run, r - run)
-            x &= at(x, s, s)
-            x &= at(x, s, -s)
-            run += s
-        return x & x >> m & x << m & at(x, 0, 1) & at(x, 0, -1)
+    return _gallop(bm.bits, at)
 
-    return _gallop(bm.bits, erode)
+
+def _gallop(a: int, at: Callable[[int, int, int], int], guess: int = 0) -> int:
+    """``depth``'s search: the least r with ``_erode(a, r, at)`` empty, plus 1."""
+    t, s = 0, 1  # a is E_t(A), up to a translation, and not empty unless A is
+    if guess > 1 and (b := _erode(a, guess - 1, at)):
+        a, t = b, guess - 1
+    while b := _erode(a, s, at):
+        a, t, s = b, t + s, 2 * s
+    while s := s // 2:  # E_{t+2s}(A) is empty
+        if b := _erode(a, s, at):
+            a, t = b, t + s
+    return t + 1 if a else 0
+
+
+def _erode(x: int, r: int, at: Callable[[int, int, int], int]) -> int:
+    """x eroded by B_r, up to a translation (Zhuang–Haralick 1986): the one
+    loop, where ``at(x, dz, dr)`` holds at each cell v the bit of x at
+    v + (dz, dr), dz >= 0, by the rule of plane rows (``depth``) or of
+    wrapping rows (``wrapped_depth``).
+
+    B_r(c) = D+ ⊕ D- ⊕ B_1 for c = (r - 1, 0) and the diagonal segments
+    D± = {j(1, ±1) : 0 <= j < r}. D+ ⊕ D- is the points of B_{r-1}(c) with
+    x + y even, which are all the even points of B_r(c) (their distance to
+    c has the parity of r - 1), and an odd point of B_r(c) is next to an
+    even one nearer c, or to (r - 2, 0) if it is c. The segment erosions
+    double the run they test per pass, x &= at(x, s, ±s); erosions commute,
+    so they share one loop. The last erosion is by B_1 + (1, 0), which no
+    shift by dz < 0 reads. Each pass keeps a subset of x, so a plane
+    bitmap's zero columns stay zero, and a run of members along (1, ±1)
+    steps through the columns one at a time, so it meets a zero column
+    before it could leave its row's members.
+    """
+    run = 1
+    while run < r:
+        s = min(run, r - run)
+        x &= at(x, s, s)
+        x &= at(x, s, -s)
+        run += s
+    return x & at(x, 1, 0) & at(x, 2, 0) & at(x, 1, 1) & at(x, 1, -1)
 
 
 def perforated_block(i: int, k: int) -> Bitmap:

@@ -236,8 +236,9 @@ def main(argv=None) -> int:
             _write_all(targets)
         if not args.out:
             sys.stdout.write(text)
-    except (ValueError, OSError, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, BudgetExceeded, MemoryError) as exc:
+        # a MemoryError's text is often empty
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
     if violations:
         for name in violations:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 from . import _grid
-from ._budget import DEFAULT_BUDGET, _clip, _require_budget
+from ._budget import DEFAULT_BUDGET, _clip, _least, _require_budget
 
 
 class _Params(NamedTuple):
@@ -233,22 +233,6 @@ def _parse_fraction(text: str, name: str = "c") -> Fraction:
     return -value if match["sign"] == "-" else value
 
 
-def _first(stop, j: int) -> int:
-    """The least of j, j + 2, j + 4, ... at which ``stop`` holds, where it
-    holds from some point on and never fails after it: the steps double
-    until one passes it, and the last gap is then bisected."""
-    if stop(j):
-        return j
-    step = 2  # stop fails at j and holds at j + step, once the gallop ends
-    while not stop(j + step):
-        j, step = j + step, 2 * step
-    while step > 2:
-        step //= 2
-        if not stop(j + step):
-            j += step
-    return j + 2
-
-
 def find_params(
     c: Union[Fraction, int, str], budget: Optional[int] = None
 ) -> Tuple[GridParams, CounterexampleStats]:
@@ -284,7 +268,7 @@ def find_params(
         bd = boundary_closed_form(member) * depth_closed_form(member)
         return enumerated_size(patch) > budget or bd * q < p * enumerated_size(member)
 
-    params = GridParams(*[min(_first(stop, 2), _first(stop, 3))] * 2)
+    params = GridParams(*[min(_least(stop, 2, 2), _least(stop, 3, 2))] * 2)
     return params, stats(params, budget=budget)  # which refuses an over-budget patch
 
 

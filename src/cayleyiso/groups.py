@@ -7,17 +7,16 @@ vertex is an integer *key* (``_encode``, ``_decode``), key 0 is the
 identity, and a step is a few integer additions from a per-host offset
 table. Public functions take, validate and return vertices; internal loops
 step from the library's own keys unchecked. Each family lives in a module
-of its own (``_FAMILY_NAMES``), which alone knows its vertices and keys.
+of its own, which alone knows its vertices and keys.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from importlib import import_module
 from itertools import accumulate, chain, count, islice
 from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Tuple
 
-from ._budget import DEFAULT_BUDGET, BudgetExceeded, _clip
+from ._budget import DEFAULT_BUDGET, BudgetExceeded, _clip, _least
 
 Vertex = Tuple[int, ...]
 
@@ -186,17 +185,12 @@ def parse_group(text: str) -> GroupGraph:
     return Cylinder(number(body), gens)
 
 
-#: the names ``__getattr__`` resolves, each in the module of its family
-_FAMILY_NAMES = {"FreeGroup": "_free", "IntegerLattice": "_zd", "Torus": "_torus",
-                 "Cylinder": "_cylinder", "LATTICE_COORDINATE_BOUND": "_zd",
-                 "STANDARD_CYLINDER_GENERATORS": "_cylinder"}
-
-
 def __getattr__(name):
-    # PEP 562, as in the package: ``groups.Torus`` loads ``_torus`` on first use
-    if name not in _FAMILY_NAMES:
+    # PEP 562: the benchmark's tracer reads the four families here, which the
+    # package's export table places, each in a module of its own
+    if name not in ("FreeGroup", "IntegerLattice", "Torus", "Cylinder"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_FAMILY_NAMES[name]}", __package__), name)
+    return getattr(import_module(__package__), name)
 
 
 def _bfs_levels(
@@ -326,8 +320,8 @@ def minimal_ball_radius(
 ) -> int:
     """Smallest positive m with b(m) >= target; the host must be infinite.
 
-    Where the host has a counting rule, a gallop and bisection over
-    ``_ball_count`` finds m with O(log m) single-radius counts; otherwise
+    Where the host has a counting rule, ``_least`` gallops and bisects over
+    ``_ball_count`` for m, with O(log m) single-radius counts; otherwise
     ``_ball_sizes`` is scanned up to m.
     """
     if target < 1:
@@ -338,11 +332,7 @@ def minimal_ball_radius(
     if rule(1) is None:
         sizes = enumerate(_ball_sizes(g, budget))
         return next(r for r, b in sizes if r >= 1 and b >= target)
-    hi = 1  # gallop to a radius that reaches the target, then bisect below it
-    while rule(hi) < target:
-        hi *= 2
-    lo = hi // 2 + 1
-    return lo + bisect_left(range(lo, hi + 1), target, key=rule)
+    return _least(lambda m: rule(m) >= target, 1)
 
 
 class GrowthReport(NamedTuple):

@@ -14,7 +14,7 @@ from collections import deque
 from fractions import Fraction
 from math import gcd
 
-from cayleyiso.groups import Cylinder, FreeGroup, IntegerLattice, Torus
+from cayleyiso import Cylinder, FreeGroup, IntegerLattice, Torus
 
 
 def z1_ball_size(r: int) -> int:

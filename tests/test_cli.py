@@ -26,7 +26,7 @@ from cayleyiso import (
     save_set,
 )
 from cayleyiso.cli import main
-from cayleyiso.groups import LATTICE_COORDINATE_BOUND
+from cayleyiso._zd import LATTICE_COORDINATE_BOUND
 import oracles
 from test_isoperimetry import DIFFERENTIAL_FAMILIES
 
@@ -734,6 +734,19 @@ def test_a_patch_past_the_largest_object_is_refused_before_it_is_built(run_cappe
         assert proc.stderr.count("\n") == 1 and "more than one object can hold" in proc.stderr
 
 
+def test_a_patch_past_the_memory_exits_with_one_error_line(run_capped, tmp_path):
+    # under a budget of 10^30, A(10^9, 3) and the patch A(49999999, 3) that
+    # find reaches for c = 10^-7 fit both the vertex count and sys.maxsize,
+    # but their bitmaps (about 1.1 * 10^18 and 2.8 * 10^15 bytes) not the
+    # child's cap
+    out = tmp_path / "stats.json"
+    for command in (["counterexample", "stats", "--i", str(10**9), "--k", "3", "--out", str(out)],
+                    ["counterexample", "find", "--c", "1e-7"]):
+        proc = run_capped("-m", "cayleyiso.cli", *command, "--budget", str(10**30), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: MemoryError\n")
+    assert not out.exists() and list(tmp_path.iterdir()) == []
+
+
 def test_find_targets_within_the_digit_limit_behave_as_before(capsys):
     rc, out, err = run(["counterexample", "find", "--c", "1e-3"], capsys)
     assert (rc, out) == (1, "")
@@ -1152,6 +1165,12 @@ def test_no_floats_anywhere_in_json_payloads(capsys):
 def test_json_text_rejects_floats_directly():
     with pytest.raises(TypeError, match="refusing to serialize a float"):
         cli._json_text({"x": 1.5})
+
+
+def test_json_text_refuses_a_value_that_json_has_no_form_for():
+    # a set has no order to write it in, and no handler returns one
+    with pytest.raises(TypeError, match=r"^cannot serialize set value \{7\}$"):
+        cli._json_text({"x": [{7}]})
 
 
 def test_json_text_writes_rationals_as_p_over_q():

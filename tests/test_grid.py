@@ -4,9 +4,10 @@ every width up to 24, negative coordinates, long strips, L1 diamonds deep
 enough to cross each power of two in depth's gallop, a deep member under a
 memory cap and a deep patch under a timeout; ``perforated_block``'s byte
 rows for every side modulo 8; packing cells against a byte loop; z^1 runs
-in closed form; z^2 and cylinders, across the residue seam, and sets at
-and past the bits cap, which take the BFS; free groups' erosions by parent
-keys, at the identity and elsewhere."""
+in closed form; z^2 and cylinders, across the residue seam and off it
+under both translation rules of the one erosion loop, and sets at and past
+the bits cap, which take the BFS; free groups' erosions by parent keys, at
+the identity and elsewhere."""
 
 import random
 import tracemalloc
@@ -363,9 +364,18 @@ def test_cylinder_sets_across_the_residue_seam(m):
         "full rings": {(z, r) for z in rows for r in range(m)},
         "a single block": {(7, r) for r in range(m)},
     }
+    if m > 2:  # residues m - 2 and m - 1 empty, and a hole
+        cases["off the seam"] = {(z, r) for z in rows for r in range(m - 2)} - {(m, (m - 3) // 2)}
     for name, members in cases.items():
         d = assert_routes_agree(g, members)
         assert d == {"full rings": m + 2, "a single block": 1}.get(name, d)
+        if name == "off the seam":
+            # every path out of these cells crosses the two empty residues, so
+            # the one erosion loop gives the same depth under either
+            # translation rule: plane rows of width m, padded by those two
+            # zero columns, and wrapping rows
+            bm = _grid.Bitmap.from_keys(VertexSet(g, members)._keys, m)
+            assert _grid.depth(bm) == _grid.wrapped_depth(bm) == d
     for seed in range(6):
         # arcs from a random residue, with holes, and accreted sets
         start, width = rng.randrange(m), rng.randint(1, m)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cayleyiso import _zd, groups
+from cayleyiso._budget import _least
 from cayleyiso import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -162,7 +163,7 @@ def test_invalid_vertices_rejected():
 # --- integer keys on the abelian hosts ----------------------------------------
 
 # lower z^d coordinates: anywhere, or at the edge of the validated range
-LOWER_BOUND = groups.LATTICE_COORDINATE_BOUND - 1
+LOWER_BOUND = _zd.LATTICE_COORDINATE_BOUND - 1
 LOWER = st.integers(-10**6, 10**6) | st.sampled_from([LOWER_BOUND, -LOWER_BOUND, 0])
 KEYED_CYLINDERS = [
     Cylinder(2), Cylinder(3), Cylinder(7), Cylinder(4, [(2, 1), (1, 0)]),
@@ -295,7 +296,7 @@ def test_abelian_hosts_validate_as_the_oracle_does(case):
 
 
 def test_lattice_lower_coordinates_are_bounded():
-    bound = groups.LATTICE_COORDINATE_BOUND
+    bound = _zd.LATTICE_COORDINATE_BOUND
     for d in (2, 3):
         g = IntegerLattice(d)
         for x in (bound, -bound, 10**40):
@@ -474,6 +475,26 @@ def test_minimal_ball_radius_counts_each_radius_o_log_m_times():
     m = 10**12
     assert minimal_ball_radius(g, 2 * m + 1) == m
     assert len(counted) <= 2 * 41  # gallop and bisect, 2^40 < 10^12 < 2^41
+
+
+@settings(max_examples=400)
+@example(lo=1, stride=1, offset=10**12)
+@given(lo=st.integers(0, 3), stride=st.sampled_from([1, 2]),
+       offset=st.one_of(st.integers(-3, 40), st.integers(0, 5000), st.integers(0, 10**15)))
+def test_least_is_the_linear_scan_in_logarithmically_many_calls(lo, stride, offset):
+    # the one gallop-and-bisect behind find_params (stride 2) and
+    # minimal_ball_radius (stride 1), on a threshold offset from lo
+    threshold, calls = lo + offset, []
+
+    def holds(j):
+        calls.append(j)
+        return j >= threshold
+
+    answer = _least(holds, lo, stride)
+    i = max(0, -(-offset // stride))  # the answer's term, counting from 0
+    assert answer == lo + i * stride
+    assert all(j >= lo and (j - lo) % stride == 0 for j in calls)
+    assert len(calls) <= 2 * (i + 1).bit_length() + 2  # 2 ceil(log2(i + 2)) + 2
 
 
 def test_minimal_ball_radius_scans_bfs_levels_without_a_counting_rule():

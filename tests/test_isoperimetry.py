@@ -32,8 +32,9 @@ from cayleyiso import (
     varopoulos_check,
 )
 from cayleyiso import _lattice, _torus, _zd, isoperimetry
+from cayleyiso._zd import LATTICE_COORDINATE_BOUND
 from cayleyiso.counterexample import GridParams
-from cayleyiso.groups import LATTICE_COORDINATE_BOUND, _bfs_levels
+from cayleyiso.groups import _bfs_levels
 from cayleyiso.isoperimetry import set_from_json_obj
 
 Z2 = IntegerLattice(2)
@@ -369,6 +370,17 @@ def test_separation_ring_like_on_z1_has_no_delegated_checks():
     assert report.branch == "RingLike"
     assert report.boundarySize == 2
     assert len(report.inequalities) == 1
+
+
+def test_separation_on_a_host_of_another_end_count_is_inapplicable():
+    # a host declaring one end makes the size bound required; past it, a
+    # host of one or infinitely many ends has no ring-like branch
+    g = IntegerLattice(1)
+    g.declared_ends = 1
+    report = classify_separation(VertexSet(g, ((x,) for x in range(100))))
+    assert (report.branch, report.sizeA, report.boundarySize) == ("Inapplicable", 100, 2)
+    assert report.inequalities == [("|A| <= 16k^2", 100, 64, False, True)]
+    assert report.violations() == ["|A| <= 16k^2"]
 
 
 def test_separation_rejects_disconnected_closure_and_finite_host():
@@ -1095,6 +1107,7 @@ def test_vertex_set_validates_and_deduplicates():
     # a free-group word is a tuple; a list is named, not read letter by letter
     with pytest.raises(InvalidVertexError, match=r"^\[1\] is not a word tuple$"):
         VertexSet(FreeGroup(2), [[1]])
+    assert repr(A) == "VertexSet('z^2', 2 vertices)"
 
 
 def test_set_file_round_trip(tmp_path):

@@ -36,6 +36,7 @@ def test_all_names_resolve_and_star_import_works():
     assert len(set(cayleyiso.__all__)) == len(cayleyiso.__all__)
     missing = [name for name in cayleyiso.__all__ if not hasattr(cayleyiso, name)]
     assert missing == []
+    assert set(cayleyiso.__all__) <= set(dir(cayleyiso))
     namespace = {}
     exec("from cayleyiso import *", namespace)
     assert set(cayleyiso.__all__) <= set(namespace)
@@ -61,16 +62,24 @@ def test_every_imported_public_name_is_exported():
 
 def test_the_families_resolve_under_groups_as_the_benchmark_reads_them(monkeypatch):
     # bench/tracer.py reads the four families and parse_group as attributes
-    # of ``groups`` and rebinds each family's ``neighbors`` on its class;
-    # each family is defined in a module of its own
+    # of ``groups`` and rebinds each family's ``neighbors`` on its class. The
+    # shim serves exactly those four, as the package's export table places
+    # them, each in a module of its own: no other name of those modules or
+    # of the package resolves under ``groups``
     from cayleyiso import _cylinder, _free, _torus, _zd, groups
 
+    families = {"IntegerLattice": _zd, "Torus": _torus, "FreeGroup": _free,
+                "Cylinder": _cylinder}
+    names = set(cayleyiso._EXPORTS).union(*map(vars, families.values())) - set(vars(groups))
+    assert {name for name in names if hasattr(groups, name)} == set(families)
+    assert {"LATTICE_COORDINATE_BOUND", "STANDARD_CYLINDER_GENERATORS", "_swap_and_pop",
+            "varopoulos_check"} <= names
     assert groups.parse_group is vars(groups)["parse_group"]
     calls = []
-    for name, module in [("IntegerLattice", _zd), ("Torus", _torus),
-                         ("FreeGroup", _free), ("Cylinder", _cylinder)]:
+    for name, module in families.items():
         cls = getattr(groups, name)
-        assert cls is vars(module)[name] and cls.__module__ == module.__name__, name
+        assert cls is vars(module)[name] is getattr(cayleyiso, name), name
+        assert cls.__module__ == module.__name__, name
 
         def traced(*args, fn=cls.neighbors, name=name):
             calls.append(name)
@@ -81,8 +90,8 @@ def test_the_families_resolve_under_groups_as_the_benchmark_reads_them(monkeypat
         g = groups.parse_group(family)
         assert len(g.neighbors(g.identity())) == g.degree
     assert calls == ["IntegerLattice", "Torus", "FreeGroup", "Cylinder"]
-    with pytest.raises(AttributeError, match="has no attribute '_swap_and_pop'"):
-        groups._swap_and_pop
+    with pytest.raises(AttributeError, match="has no attribute 'LATTICE_COORDINATE_BOUND'"):
+        groups.LATTICE_COORDINATE_BOUND
 
 
 def _records() -> dict:
@@ -182,7 +191,7 @@ def test_every_private_definition_is_referenced():
 #: the non-blank, non-comment lines ``src/cayleyiso/*.py`` holds, docstrings
 #: counted, as ROADMAP counts them: a change that moves the count moves it in
 #: its own diff, so a reduction leaves no slack for a later addition
-SOURCE_LINE_CEILING = 2049
+SOURCE_LINE_CEILING = 2040
 
 
 def test_the_source_stays_under_its_line_ceiling():
