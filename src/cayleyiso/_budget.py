@@ -1,6 +1,7 @@
 """The vertex budget, its error and the monotone search ``_least``, which
 ``groups`` and ``counterexample`` share: a command that builds no host
-(``counterexample stats``/``find``, ``sweep ratio``) loads it, not ``groups``."""
+(``counterexample stats``/``find``, ``sweep ratio``) loads it, not ``groups``.
+A ``budget`` of None, wherever the package takes one, is DEFAULT_BUDGET."""
 
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ class BudgetExceeded(RuntimeError):
 
 def _require_budget(budget: Optional[int], needed: int) -> None:
     """Raise BudgetExceeded(budget, needed) if work sized up front needs more
-    than ``budget`` vertices (DEFAULT_BUDGET if None)."""
+    than ``budget`` vertices."""
     budget = DEFAULT_BUDGET if budget is None else budget
     if needed > budget:
         raise BudgetExceeded(budget, needed)

@@ -38,9 +38,6 @@ class Cylinder(_MixedRadix):
     have gcd 1, L meets the column z = 0 in {0} x DZ, and D divides m (the
     minor of (dz, dr) with (0, m) is dz*m), so exactly the residues 0, D,
     2D, ... are reachable at z = 0.
-
-    Generator (dz, dr) moves key z*m + r by dz*m + (r + dr) % m - r, so the
-    offsets depend on the residue alone: one row per residue, period m.
     """
 
     def __init__(self, m: int, generators: Optional[Sequence[Tuple[int, int]]] = None):

@@ -1,7 +1,4 @@
-"""``FreeGroup(rank)``: reduced words as tuples of signed generator indices
-(+i for the i-th generator, -i for its inverse), keyed by packing one digit
-per letter. ``parse_group`` imports this module only for a ``free:`` spec.
-"""
+"""Free groups: ``FreeGroup`` on reduced words."""
 
 from __future__ import annotations
 
@@ -17,13 +14,13 @@ from .groups import GroupGraph, InvalidVertexError, Vertex, _clip
 class FreeGroup(GroupGraph):
     """Cayley graph of the free group on ``rank`` generators (a 2*rank-regular tree).
 
-    Vertices are reduced words stored as tuples of signed generator indices;
-    the string form uses lowercase letters for generators and uppercase for
-    their inverses (``"aB"`` is a * b^-1).
+    Vertices are reduced words stored as tuples of signed generator indices
+    (+i for the i-th generator, -i for its inverse); the string form uses
+    lowercase letters for generators and uppercase for their inverses
+    (``"aB"`` is a * b^-1).
     """
 
-    #: a word's letters: generator i is the i-th lowercase letter, its
-    #: inverse the uppercase one (ranks above 26 are rejected)
+    #: the letters of the string form (ranks above 26 are rejected)
     _char_index = {chr(ord(a) + i - 1): sign * i
                    for i in range(1, 27) for a, sign in (("a", 1), ("A", -1))}
     _index_char = {x: ch for ch, x in _char_index.items()}

@@ -1,14 +1,13 @@
 """Bitmap kernels for finite subsets of the square lattice and its quotients.
 
-The generic set routines in :mod:`cayleyiso.isoperimetry` walk hash sets of
-keys, which is fine up to ~10^5 vertices. Perforated-grid families reach
-millions of vertices, so this module redoes boundary size and depth on a
+Perforated-grid families reach millions of vertices, past the ~10^5 that
+hash sets of keys serve well, so boundary size and depth run here on a
 bitmap held in one Python ``int``, whose word-parallel shifts, ands and ors
-are the kernels; the unit tests compare both routes. Each kernel holds a few
-ints of the bitmap's size at once, at one bit per padded cell each:
-``perforated_block(100, 100)`` followed by ``depth``, on 10^8 cells, takes
-under 1 s on a 2-vCPU Xeon and peaks at 90 MB, about 0.8 bytes per cell
-above the interpreter's start (``ru_maxrss`` in a fresh process, Python 3.11).
+are the kernels. Each kernel holds a few ints of the bitmap's size at once,
+at one bit per padded cell each: ``perforated_block(100, 100)`` followed
+by ``depth``, on 10^8 cells, takes under 1 s on a 2-vCPU Xeon and peaks at
+90 MB, about 0.8 bytes per cell above the interpreter's start
+(``ru_maxrss`` in a fresh process, Python 3.11).
 """
 
 from __future__ import annotations

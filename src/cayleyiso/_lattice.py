@@ -1,5 +1,4 @@
-"""``_MixedRadix``, the key layout that ``IntegerLattice`` (``_zd``),
-``Torus`` (``_torus``) and ``Cylinder`` (``_cylinder``) share."""
+"""``_MixedRadix``, the key layout that the lattice families share."""
 
 from __future__ import annotations
 
@@ -21,7 +20,9 @@ def _check_dimension(kind: str, d: int) -> None:
 
 def _swap_and_pop(start: int, size: int, rng, rows, period: int) -> Tuple[set, list]:
     """``_accrete``'s loop: the members and the candidates, in discovery order,
-    of ``size`` - 1 draws from ``start``, stepping v to v + o, o in ``rows[v % period]``."""
+    of ``size`` - 1 draws from ``start``, stepping v to v + o, o in ``rows[v % period]``.
+    A draw is ``randrange``'s own rejection loop on ``getrandbits``, inlined
+    (a test pins the two)."""
     # the candidate list is exactly the keys seen but not absorbed
     getrandbits = rng.getrandbits
     candidates = [start + o for o in rows[start % period]]
@@ -60,15 +61,14 @@ class _MixedRadix(GroupGraph):
     most significant. Axis i's coordinate is the digit of key + h at place
     R^(k-1-i), minus h, so h = R/2 gives balanced digits (``z^d``,
     R = 2^40) and h = 0 residues (a torus, R = n; a cylinder (z, r), key
-    z*m + r). The first coordinate is the quotient left over, and key 0 is
-    the identity. A key determines its vertex while every lower coordinate
-    lies in [-h, R - h). ``validate_vertex`` admits tuples of ints with
-    lo_i <= x_i < hi_i, the bounds +-inf on an unbounded axis.
+    z*m + r). The first coordinate is the quotient left over. A key
+    determines its vertex while every lower coordinate lies in [-h, R - h).
+    ``validate_vertex`` admits tuples of ints with lo_i <= x_i < hi_i, the
+    bounds +-inf on an unbounded axis.
 
     Each family sets ``_rows`` and ``_period``: the neighbors of key v are
     v + o for o in ``_rows[v % _period]``, in ``neighbors`` order. ``_step``
-    and growth (``_swap_and_pop``) read them; z^1 and z^2 grow the same sets
-    another way.
+    and growth (``_swap_and_pop``) read them.
     """
 
     def __init__(self, radix: int, half: int, lo: tuple, hi: tuple, malformed: str,

@@ -6,12 +6,7 @@ from ._lattice import _MixedRadix, _check_dimension
 
 
 class Torus(_MixedRadix):
-    """Cayley graph of (Z_n)^d with the standard generating set; n >= 3.
-
-    The key has radix n on every axis, an exact bijection onto 0 .. n^d - 1.
-    Stepping along +-e_i adds +-n^(d-1-i), or subtracts or adds
-    (n-1)*n^(d-1-i) where the digit x_i wraps around.
-    """
+    """Cayley graph of (Z_n)^d with the standard generating set; n >= 3."""
 
     def __init__(self, n: int, d: int = 2):
         if n < 3:

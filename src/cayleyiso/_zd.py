@@ -27,15 +27,14 @@ LATTICE_COORDINATE_BOUND = 1 << 38
 class IntegerLattice(_MixedRadix):
     """Cayley graph of Z^d with the standard generating set.
 
-    The key has radix S = 2^40 and balanced lower digits, so on z^1 it is
-    the coordinate itself, and stepping along e_i adds +-S^(d-1-i). For
-    d >= 2 ``validate_vertex`` admits only lower coordinates below 2^38 in
-    magnitude, half the exact range of 2^39, and a step moves one
-    coordinate by one, so a key the library forms is exact unless a search
-    walks about 2^38 steps from a valid vertex; a search holds every vertex
-    it visits, so that needs far more memory than any run has. S is a power
-    of two below 2^61: CPython hashes an int modulo 2^61 - 1, so S = 2^64
-    (8 modulo 2^61 - 1) would give (x, y) and (x - 1, y + 8) one hash.
+    The radix is S = 2^40. For d >= 2 ``validate_vertex`` admits only lower
+    coordinates below 2^38 in magnitude, half the exact range of 2^39, and
+    a step moves one coordinate by one, so a key the library forms is exact
+    unless a search walks about 2^38 steps from a valid vertex; a search
+    holds every vertex it visits, so that needs far more memory than any
+    run has. S is a power of two below 2^61: CPython hashes an int modulo
+    2^61 - 1, so S = 2^64 (8 modulo 2^61 - 1) would give (x, y) and
+    (x - 1, y + 8) one hash.
 
     From d = 40 on (``_BYTES_FROM_DIMENSION``) a key is decoded and
     encoded in time linear in d: adding the bias H, with 2^39 in every
@@ -109,11 +108,9 @@ class IntegerLattice(_MixedRadix):
 
         # key + S/2 is x*S + c for the column c = y + S/2. Read as the key
         # x*w + c, w the column span plus 2, the columns fill w - 2
-        # consecutive residues mod w and leave two empty, so a member keeps
-        # its member neighbors, its neighbors outside the set stay outside,
-        # and the bitmap erodes as the plane does. Both passes add S/2
-        # afresh: a list of 10^4 sums would peak 0.4 MB higher to save about
-        # 0.6 ms
+        # consecutive residues mod w and leave two empty (``Bitmap``). Both
+        # passes add S/2 afresh: a list of 10^4 sums would peak 0.4 MB
+        # higher to save about 0.6 ms
         h, low = 1 << _LATTICE_BITS - 1, (1 << _LATTICE_BITS) - 1
         columns = list(map(and_, map(add, keys, repeat(h)), repeat(low)))
         w = max(columns) - min(columns) + 3

@@ -6,18 +6,11 @@ counterexample {stats|find|torus}, ringlike {check|cover}, sweep ratio.
 Exit codes: 0 when every asserted claim holds, 2 when a checked mathematical
 claim fails (the report is still emitted), 1 for usage, input, and resource
 errors. JSON output carries numbers only as exact integers or rational
-strings "p/q"; CSV is available for growth tables and parameter sweeps. The
-ISO_BUDGET environment variable overrides the BFS vertex budget; the
---budget flag overrides both. Whichever applies must be a positive integer.
+strings "p/q"; CSV is available for growth tables and parameter sweeps.
 
 This module holds only what every command runs: the command tree, its
-reader, the budget and the renderer. A leaf of the tree names its
-handler's module and function, and a command loads that one module:
-``_cli_sets`` for the commands on a vertex set, ``_cli_hosts`` for those on
-a host alone and ``_cli_grid`` for the perforated family. A well-formed
-command line is read off the tree without loading argparse; ``_cli_parser``
-builds argparse for the whole tree to write help and usage errors, and
-``_cli_write`` writes --out and --emit-set files.
+reader, the budget and the renderer. A command loads the one handler
+module its leaf names, and argparse only for help and usage errors.
 """
 
 from __future__ import annotations

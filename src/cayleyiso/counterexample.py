@@ -97,7 +97,7 @@ def _points(params: GridParams) -> Iterator[Tuple[int, int]]:
     return ((x, y) for x in side for y in side if (x, y) not in pins)
 
 
-def build(params: GridParams, budget: Optional[int] = None) -> VertexSet:
+def build(params: GridParams, budget: Optional[int] = None):
     """Materialize A(i,k) as a VertexSet on the square lattice."""
     from . import _zd, isoperimetry  # loaded only where a set is built
 
@@ -110,9 +110,8 @@ class CounterexampleStats(NamedTuple):
     """Exact statistics of one family member.
 
     ``ratio`` is |boundary| * depth / |A| as an exact rational.
-    ``closedFormsMatch`` asserts that the patch bitmap's size, boundary and
-    depth equal the closed forms, and its depth the member's (strict;
-    ``violations()`` names it when False; see ``stats``).
+    ``closedFormsMatch`` is the verdict of ``stats``' checks (strict:
+    ``violations()`` names it when False).
     ``claimedSizeMatches`` compares against the historically claimed
     (ki)^2-based size and is advisory: it is expected to be False.
     ``depthMeetsHalfIBound`` records whether depth <= i/2, a stronger depth
@@ -157,11 +156,10 @@ def stats(params: GridParams, budget: Optional[int] = None) -> CounterexampleSta
     interior cell, A(i, 3) has all three kinds, and that function's proof
     bounds each kind by its own corners and the square's edge alone. Size
     and boundary are the closed forms at (i, k). ``closedFormsMatch`` is
-    False when any of these checks fails. The depth search tries the closed
-    form first, which two erosions confirm exactly when it is the depth. The
-    budget counts the patch's vertices, the bitmap that is built:
-    ``stats(GridParams(200, 200))`` builds about 3.6 * 10^5 bits, where the
-    whole member has 1.6 * 10^9 vertices.
+    False when any of these checks fails. The budget counts the patch's
+    vertices, the bitmap that is built: ``stats(GridParams(200, 200))``
+    builds about 3.6 * 10^5 bits, where the whole member has 1.6 * 10^9
+    vertices.
     """
     measured = _patch(params, budget)
     bm = _grid.perforated_block(measured.i, measured.k)
@@ -242,10 +240,9 @@ def find_params(
     The search reads each ratio from the closed forms and runs the bitmap
     once, on the patch of the member it returns. The diagonal ratio behaves
     like 5/i, so the search ends for any reachable c, and it takes
-    O(log i) steps. The vertex budget bounds it against smaller targets: as
-    on a walk along the diagonal, the first member whose patch
-    A(j, min(j, 3)) does not fit stops it with that patch's
-    ``BudgetExceeded``. A string c too long for p/q raises ValueError.
+    O(log i) steps. The vertex budget bounds it against smaller targets: it
+    stops, as a walk along the diagonal would, at the first member whose
+    patch is over budget. A string c too long for p/q raises ValueError.
     """
     target = _parse_fraction(c) if isinstance(c, str) else Fraction(c)
     if target <= 0:
@@ -305,7 +302,9 @@ class EmbedReport(NamedTuple):
 
 
 class TorusEmbedding(NamedTuple):
-    vertex_set: VertexSet
+    """The torus side of ``embed_torus``, a VertexSet, and its report."""
+
+    vertex_set: object
     report: EmbedReport
 
 
@@ -314,8 +313,7 @@ def embed_torus(params: GridParams, budget: Optional[int] = None) -> TorusEmbedd
 
     The margin n - (ki+1) = 2ki keeps the embedded set and its boundary away
     from wraparound, so (|A|, |boundary|, depth) must be preserved exactly
-    and 2|A| <= n^2 must hold; both are recorded, and a False is a claim
-    violation for callers.
+    and 2|A| <= n^2 must hold.
     """
     from ._torus import Torus  # as in build
     from .isoperimetry import VertexSet, boundary, depth

@@ -99,13 +99,11 @@ class GroupGraph:
         return None
 
     def _ball_counts(self) -> Iterator[int]:
-        """b(0), b(1), ... by the counting rule, one ``_ball_count`` per
-        radius; a host with a cheaper exact recurrence overrides it."""
+        """b(0), b(1), ... by ``_ball_count``; a cheaper exact recurrence may override it."""
         return map(self._ball_count, count())
 
     def _erosion_depth(self, keys: Collection) -> Optional[int]:
-        """The depth of a nonempty key set by erosions in the host's own key
-        layout, or None where the host has none or the set is past its cap."""
+        """The depth of a nonempty key set by ``depth``'s erosion route, or None."""
         return None
 
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
@@ -203,20 +201,16 @@ def _bfs_levels(
 
     Sources, ``within`` and the yielded spheres hold host keys. The search
     stops when the frontier empties or when its consumer stops taking
-    levels: level r + 1 is built only when asked for. Sources are not
-    validated and are expanded by the unchecked ``_step``: ``ball`` checks
-    a caller's center.
+    levels: level r + 1 is built only when asked for.
 
-    ``budget`` applies to a host search (no ``within``) only: it raises
-    BudgetExceeded when the visited set would grow past ``budget``
-    (DEFAULT_BUDGET if None), recording the last completed radius. A search
-    inside ``within`` enters only keys it contains (the sources themselves
-    need not be in it). It builds each level by set algebra on one mutable
-    copy of ``within``, which sheds every level it reaches, and holds no
-    more keys than the caller already holds. A level is pushed from the
-    frontier, or pulled into the unreached keys when they are fewer
-    (Beamer et al. 2012): every host's generators are symmetric, so the
-    two agree.
+    ``budget`` bounds the visited set of a host search (no ``within``)
+    only. A search inside ``within`` enters only keys it contains (the
+    sources themselves need not be in it). It builds each level by set
+    algebra on one mutable copy of ``within``, which sheds every level it
+    reaches, and holds no more keys than the caller already holds. A level
+    is pushed from the frontier, or pulled into the unreached keys when
+    they are fewer (Beamer et al. 2012): every host's generators are
+    symmetric, so the two agree.
     """
     frontier = set(sources)
     yield frontier
@@ -280,16 +274,12 @@ def _ball_keys(g: GroupGraph, center: Vertex, r: int, budget: Optional[int]) -> 
 
 
 def _ball_sizes(g: GroupGraph, budget: Optional[int]) -> Iterator[int]:
-    """The sequence b(0), b(1), ... of the host, the one route to its growth.
-
-    Where the host has a counting rule the sequence is ``g._ball_counts()``,
-    endless and outside the budget; otherwise it comes from a
-    BFS from the identity under ``budget`` and ends when the frontier empties
-    (a finite host).
-    """
+    """The sequence b(0), b(1), ... of the host, the one route to its growth:
+    ``g._ball_counts()`` where the host has a counting rule, else a BFS from
+    the identity under ``budget``, which ends on a finite host."""
     if g._ball_count(0) is not None:
         return g._ball_counts()
-    levels = _bfs_levels(g, (g._encode(g.identity()),), budget)
+    levels = _bfs_levels(g, (0,), budget)
     return accumulate(len(sphere) for sphere in levels)
 
 
@@ -303,9 +293,8 @@ def ball_profile(g: GroupGraph, r: int, budget: Optional[int] = None) -> list:
     """Cumulative ball sizes [b(0), b(1), ..., b(r)], read from ``_ball_sizes``.
 
     The host is vertex-transitive, so ball sizes do not depend on the
-    center. Counted hosts (free groups, ``z^d``, cylinders with the standard
-    generators) are exempt from the budget. A finite host's profile is
-    padded with its total. r may not exceed MAX_PROFILE_RADIUS.
+    center. A finite host's profile is padded with its total. r may not
+    exceed MAX_PROFILE_RADIUS.
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
@@ -320,19 +309,17 @@ def minimal_ball_radius(
 ) -> int:
     """Smallest positive m with b(m) >= target; the host must be infinite.
 
-    Where the host has a counting rule, ``_least`` gallops and bisects over
-    ``_ball_count`` for m, with O(log m) single-radius counts; otherwise
-    ``_ball_sizes`` is scanned up to m.
+    Where the host has a counting rule, ``_least`` finds m in O(log m)
+    single-radius counts; otherwise ``_ball_sizes`` is scanned up to m.
     """
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
     if g.is_finite:
         raise ValueError(f"minimal_ball_radius needs an infinite host, got {g.family}")
-    rule = g._ball_count
-    if rule(1) is None:
+    if g._ball_count(0) is None:
         sizes = enumerate(_ball_sizes(g, budget))
         return next(r for r, b in sizes if r >= 1 and b >= target)
-    return _least(lambda m: rule(m) >= target, 1)
+    return _least(lambda m: g._ball_count(m) >= target, 1)
 
 
 class GrowthReport(NamedTuple):

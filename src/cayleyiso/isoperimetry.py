@@ -1,10 +1,9 @@
 """Finite vertex-set calculus and inequality checkers on implicit Cayley graphs.
 
-Provides the exterior vertex boundary, the depth of a set (how far its
-deepest member is from the complement), closure connectivity, the Varopoulos
-inequality check, and the small-set / ring-like separation classifier. Also
-houses the seedable random connected-set generator and the JSON set-file
-format shared with the CLI.
+Provides the exterior vertex boundary, the depth of a set, closure
+connectivity, the Varopoulos inequality check, and the small-set /
+ring-like separation classifier. Also houses the seedable random
+connected-set generator and the JSON set-file format shared with the CLI.
 """
 
 from __future__ import annotations
@@ -21,16 +20,14 @@ from .groups import GroupGraph, Vertex, _bfs_levels, minimal_ball_radius, parse_
 class VertexSet:
     """A finite set of vertices with O(1) membership, bound to its host graph.
 
-    The set holds host keys, integers whose layout only the host knows:
-    ``_members`` keeps the distinct keys its producer handed over (a list,
-    a range, a set or a frozenset) as given, and ``_keys`` hashes them into
-    a frozenset on the first membership test, equality or hash. The
-    constructor validates and encodes every element. ``elements``,
-    iteration, membership and serialization see vertices, decoded once on
-    first use. Immutable: every checker reads its exterior boundary, the
-    connectivity of A union boundary(A) and its depth from the set, which
-    computes each on first use unless ``random_connected_set`` handed over
-    the first two.
+    The set holds host keys: ``_members`` keeps the distinct keys its
+    producer handed over (a list, a range, a set or a frozenset) as given,
+    and ``_keys`` hashes them into a frozenset on the first membership
+    test, equality or hash. The constructor validates and encodes every
+    element. ``elements``, iteration, membership and serialization see
+    vertices, decoded once on first use. Immutable: every checker reads its
+    exterior boundary, the connectivity of A union boundary(A) and its
+    depth from the set, which computes each at most once.
     """
 
     def __init__(self, host: GroupGraph, elements: Iterable[Vertex]):
@@ -109,7 +106,6 @@ class VertexSet:
     @cached_property
     def _depth(self) -> int:
         # a depth is at least 1, so a host's None falls through to the BFS
-        # from the boundary, whose level r is the members at distance r
         return self.host._erosion_depth(self._members) or sum(
             1 for _ in _bfs_levels(self.host, self._boundary, within=self._keys)) - 1
 
@@ -259,10 +255,9 @@ class SeparationReport(NamedTuple):
     recorded in the exact integer form depth^2 < 32k^2 (required only when
     the host has 1 or infinitely many ends; two-ended hosts admit deep small
     sets). branch RingLike: |A| > 16k^2 on a two-ended host, with the
-    cohesiveness and interval-cover obligations delegated to the ringlike
-    module for cylinder hosts. branch Inapplicable: |A| > 16k^2 on a host
-    with 1 or infinitely many ends, which the small-set bound rules out, so
-    its required inequality is recorded as failed.
+    ``ringlike`` obligations on a cylinder. branch Inapplicable: |A| >
+    16k^2 on a host with 1 or infinitely many ends, which the small-set
+    bound rules out, so its required inequality is recorded as failed.
     """
 
     group: str
@@ -284,9 +279,8 @@ def classify_separation(A: VertexSet, budget: Optional[int] = None) -> Separatio
     """Classify a finite set with connected closure per the separation dichotomy.
 
     Requires an infinite host and A union boundary(A) connected. This is the
-    one place that decides the |A| <= 16k^2 branch; on a cylinder the
-    ring-like branch takes its obligations from ``ringlike.interval_cover``,
-    with ``budget`` bounding the cohesiveness search of ``cyclic_system``.
+    one place that decides the |A| <= 16k^2 branch; ``budget`` bounds the
+    cohesiveness search of ``ringlike.cyclic_system`` on a cylinder.
     """
     if A.host.is_finite:
         raise ValueError(f"separation dichotomy needs an infinite host, got {A.host.family}")
@@ -328,14 +322,11 @@ def random_connected_set(
     """Grow a connected set by BFS accretion: repeatedly absorb a boundary
     vertex chosen uniformly at random, by the host's ``_accrete``.
 
-    Deterministic for a given (seed, size, start): candidates are kept in
-    discovery order and drawn by index with ``randrange``'s own rejection
-    loop on ``getrandbits``, inlined (a test pins the two), and swap-and-pop
-    removal. ``budget`` (DEFAULT_BUDGET if None) is charged before growth
-    runs, and a member ``validate_vertex`` refuses raises. The set keeps the
-    members and candidates ``_accrete`` returns (see ``VertexSet``): its
-    boundary is the final candidates (a candidate leaves only by joining
-    A), and its closure is connected, as A grew by neighbors.
+    Deterministic for a given (seed, size, start). ``budget`` is charged
+    before growth runs, and a member ``validate_vertex`` refuses raises. The
+    set keeps the members and candidates ``_accrete`` returns: its boundary
+    is the final candidates (a candidate leaves only by joining A), and its
+    closure is connected, as A grew by neighbors.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")

@@ -74,10 +74,10 @@ def cyclic_system(
     The largest distance between two vertices in the same or adjacent blocks
     is therefore the largest distance from (0, 0) to a vertex of
     ({0, 1} x Z_m) minus (0, 0): the host's ``_cohesiveness`` rule, or one
-    BFS from (0, 0) capped at radius 2st + 1 and under ``budget``
-    (DEFAULT_BUDGET if None). It stops at the level where the last of these
-    2m - 1 vertices appears; a vertex it does not reach counts as the cap,
-    which refutes q <= 2st. ``window`` is only validated (>= 1) and echoed.
+    BFS from (0, 0) capped at radius 2st + 1 and under ``budget``. It stops
+    at the level where the last of these 2m - 1 vertices appears; a vertex
+    it does not reach counts as the cap, which refutes q <= 2st. ``window``
+    must be >= 1.
     """
     if not hasattr(host, "_block"):  # only a cylinder has blocks
         raise ValueError(f"block system requires a cylinder host, got {host.family}")
@@ -89,8 +89,7 @@ def cyclic_system(
     q = host._cohesiveness()
     if q is None:
         found = 0  # vertices of blocks 0 and 1 reached, (0, 0) included
-        origin = host._encode(host.identity())
-        for q, sphere in zip(range(cap + 1), _bfs_levels(host, (origin,), budget)):
+        for q, sphere in zip(range(cap + 1), _bfs_levels(host, (0,), budget)):
             found += sum(1 for key in sphere if 0 <= host._block(key) <= 1)
             if found == 2 * s:
                 break
@@ -103,10 +102,9 @@ class IntervalCover(NamedTuple):
     """The ring-like report of a set A on a cylinder: the host's block
     system, the interval of blocks A touches, and the slack of their union Q.
 
-    slack = |Q \\ A| = (j_hi - j_lo + 1)s - |A| (Q contains A) and
-    bound = 2s^2t^2k + 2stk with k = |boundary(A)|; ``holds`` records
-    slack <= bound, a claim for every connected A with connected closure.
-    ``violations()`` gives the combined verdict, cohesiveness and slack.
+    slack = |Q \\ A| = (j_hi - j_lo + 1)s - |A| (Q contains A), ``bound`` is
+    the slack bound at k = |boundary(A)|, and ``holds`` records slack <=
+    bound. ``violations()`` gives the combined verdict, cohesiveness and slack.
     """
 
     system: CyclicSystem
@@ -145,9 +143,8 @@ class IntervalCover(NamedTuple):
 
 def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
     """The ring-like report of A: cover A by the blocks it touches and check
-    the slack bound. ``classify_separation`` decides when the ring-like
-    branch applies (|A| > 16k^2). Building ``system`` first keeps the error
-    order: non-cylinder host, bad window, then the set's own errors.
+    the slack bound. Building ``system`` first keeps the error order:
+    non-cylinder host, bad window, then the set's own errors.
     """
     if A.host != system.host:
         raise ValueError(

@@ -1,16 +1,19 @@
 """Shared test configuration: imports the package from ``src``, loads one
 hypothesis profile for the whole suite, prints one PASS/FAIL line per
 acceptance criterion in the terminal summary, regardless of capture
-settings, and provides the ``run_capped`` fixture."""
+settings, and provides the ``run_capped`` fixture and the ``record_calls``
+helper."""
 
 from __future__ import annotations
 
+import inspect
 import os
 import re
 import resource
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -75,3 +78,27 @@ def run_capped():
                               text=True, preexec_fn=limit, timeout=timeout)
 
     return run
+
+
+def record_calls(monkeypatch, owner, name, summary=None, calls=None) -> list:
+    """Wrap ``owner.name``, a module's function or a class's method, so that
+    each call appends a record to ``calls`` (a new list unless given) before
+    it runs, and return ``calls``.
+
+    A record is ``summary`` of the call's arguments, bound to the parameter
+    names as a namespace with the defaults filled in, or the namespace itself
+    without a ``summary``. Pass one list to several wrappers to record their
+    calls in one order."""
+    original = getattr(owner, name)
+    signature = inspect.signature(original)
+    calls = [] if calls is None else calls
+
+    def recorded(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        call = SimpleNamespace(**bound.arguments)
+        calls.append(call if summary is None else summary(call))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls

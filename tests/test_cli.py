@@ -1155,6 +1155,27 @@ def test_output_is_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_output_does_not_depend_on_the_hash_seed(tmp_path, monkeypatch, run_capped):
+    # str and bytes hashes are seeded per process (z^d keys for d >= 40 pass
+    # through bytes, free-group keys through strings): output that followed
+    # a hash order would differ between two children with different seeds
+    runs = []
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        ball, bounds = tmp_path / f"ball{seed}.json", tmp_path / f"boundary{seed}.json"
+        commands = [["ball", "--group", "z^40", "--radius", "1", "--emit-set", str(ball)],
+                    ["boundary", "--set", str(ball), "--emit-set", str(bounds)],
+                    ["depth", "--set", str(ball)],
+                    ["depth", "--group", "z^64", "--random", "200"],
+                    ["separation", "--group", "free:3", "--random", "300"]]
+        procs = [run_capped("-m", "cayleyiso.cli", *argv, timeout=60) for argv in commands]
+        assert [proc.returncode for proc in procs] == [0] * 5, [proc.stderr for proc in procs]
+        runs.append([proc.stdout for proc in procs] + [ball.read_bytes(), bounds.read_bytes()])
+    assert runs[0] == runs[1]
+    # the boundary of the unit ball is the sphere of radius 2: 2d + 4 C(d, 2)
+    assert json.loads(runs[0][1])["boundarySize"] == 80 + 4 * 780
+
+
 def test_no_floats_anywhere_in_json_payloads(capsys):
     # parse_float raising inside run_json is the guard; exercise the payloads
     # with rationals in them

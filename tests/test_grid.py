@@ -16,6 +16,7 @@ from itertools import accumulate
 import pytest
 
 import oracles
+from conftest import record_calls
 from cayleyiso import (
     Cylinder,
     FreeGroup,
@@ -387,14 +388,7 @@ def test_cylinder_sets_across_the_residue_seam(m):
 
 
 def test_only_tori_z3_and_other_cylinders_take_the_depth_bfs(monkeypatch):
-    searches = []
-
-    def counted(g, sources, budget=None, within=None):
-        searches.append(g.family)
-        return search(g, sources, budget, within)
-
-    search = isoperimetry._bfs_levels
-    monkeypatch.setattr(isoperimetry, "_bfs_levels", counted)
+    searches = record_calls(monkeypatch, isoperimetry, "_bfs_levels", lambda call: call.g.family)
     erosion_hosts = [Z1, Z2, *map(Cylinder, range(2, 18)), FreeGroup(2), FreeGroup(3)]
     bfs_hosts = [Torus(9, 2), IntegerLattice(3), Cylinder(5, [(1, 0), (0, 2)])]
     for g in erosion_hosts + bfs_hosts:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import record_calls
 from cayleyiso import (
     BudgetExceeded,
     Cylinder,
@@ -423,19 +424,9 @@ def test_a_set_computes_its_boundary_once(monkeypatch):
     # never twice: a grown set carries its boundary and connected closure,
     # so it scans for neither; a copy of it scans A once for its boundary
     # and runs the connectivity BFS once, however many checks read them
-    scans, searches = [], []
-
-    def counted_scan(A):
-        scans.append(len(A))
-        return scan(A)
-
-    def counted_search(g, sources, budget=None, within=None):
-        searches.append(len(sources))
-        return search(g, sources, budget, within)
-
-    scan, search = isoperimetry._boundary_elements, isoperimetry._bfs_levels
-    monkeypatch.setattr(isoperimetry, "_boundary_elements", counted_scan)
-    monkeypatch.setattr(isoperimetry, "_bfs_levels", counted_search)
+    scans = record_calls(monkeypatch, isoperimetry, "_boundary_elements", lambda call: len(call.A))
+    searches = record_calls(monkeypatch, isoperimetry, "_bfs_levels",
+                            lambda call: len(call.sources))
 
     def checks(A):
         var = varopoulos_check(A)
@@ -457,21 +448,11 @@ def test_a_set_computes_its_boundary_once(monkeypatch):
         scans.clear(), searches.clear()
 
 
-def _count_validations(monkeypatch, *hosts):
-    """Record every vertex that ``validate_vertex`` checks on these hosts' classes."""
-    calls = []
-    for cls in {type(g) for g in hosts}:
-        def counted(self, v, original=cls.validate_vertex):
-            calls.append(v)
-            return original(self, v)
-
-        monkeypatch.setattr(cls, "validate_vertex", counted)
-    return calls
-
-
 def test_the_set_calculus_validates_only_the_start_vertex(monkeypatch):
     hosts = [IntegerLattice(2), FreeGroup(2), Cylinder(3)]
-    calls = _count_validations(monkeypatch, *hosts)
+    # the lattice families share one validate_vertex
+    calls = record_calls(monkeypatch, _lattice._MixedRadix, "validate_vertex", lambda call: call.v)
+    record_calls(monkeypatch, FreeGroup, "validate_vertex", lambda call: call.v, calls)
     for g in hosts:
         calls.clear()
         A = random_connected_set(g, 300, seed=3)
@@ -487,7 +468,7 @@ def test_sets_the_library_builds_are_not_validated_again(monkeypatch, capsys):
     A = random_connected_set(host, 300, seed=3)
     system = ringlike.cyclic_system(host)
     obj = A.to_json_obj()
-    calls = _count_validations(monkeypatch, Z2, host, Torus(3, 2))
+    calls = record_calls(monkeypatch, _lattice._MixedRadix, "validate_vertex", lambda call: call.v)
     boundary(A)
     ringlike.interval_cover(system, A)
     counterexample.build(GridParams(3, 3))
@@ -574,14 +555,7 @@ def test_only_grown_sets_carry_facts(monkeypatch, tmp_path):
     # sets from files, balls, the perforated family and both sides of the
     # torus embedding scan A for their boundary, which on z^2 neither the
     # closure check of a connected set nor depth reads: ask for it
-    scans = []
-
-    def counted(A):
-        scans.append(len(A))
-        return scan(A)
-
-    scan = isoperimetry._boundary_elements
-    monkeypatch.setattr(isoperimetry, "_boundary_elements", counted)
+    scans = record_calls(monkeypatch, isoperimetry, "_boundary_elements", lambda call: len(call.A))
     path = tmp_path / "grown.json"
     save_set(random_connected_set(Z2, 50, seed=1), str(path))
     assert scans == []

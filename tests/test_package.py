@@ -2,12 +2,14 @@
 resolves, a star import works, every name in the export table is defined in
 the submodule it names, no name exported before the exports were bound
 lazily is dropped, the report records are immutable named tuples whose
-``to_dict`` keys keep their order, no submodule imports a name at module
-level that it never uses, every private definition is referenced, and the
-source holds exactly its recorded line count."""
+``to_dict`` keys keep their order, every annotation in the package
+resolves, no submodule imports a name at module level that it never uses,
+every private definition is referenced, and the source holds exactly its
+recorded counts of lines and of comment lines."""
 
 import ast
 import inspect
+import typing
 from importlib import import_module
 from pathlib import Path
 
@@ -146,6 +148,35 @@ def test_record_keys_keep_their_order():
     assert records["CounterexampleStats"].to_dict()["ratio"] == "64/45"
 
 
+def test_every_annotation_resolves():
+    # a module annotates only with names it binds, so ``get_type_hints``
+    # raises no NameError on any function, class or method it defines, and
+    # a name that a module binds only inside a function (to load lazily)
+    # never appears in an annotation
+    checked = []
+    for path in sorted(Path(cayleyiso.__file__).parent.glob("*.py")):
+        module = import_module(f"cayleyiso.{path.stem}".replace(".__init__", ""))
+        for value in vars(module).values():
+            if not (inspect.isfunction(value) or inspect.isclass(value)):
+                continue
+            if value.__module__ != module.__name__:
+                continue
+            checked.append(value)
+            if inspect.isclass(value):
+                for member in vars(value).values():
+                    member = getattr(member, "__func__", getattr(member, "fget", member))
+                    if inspect.isfunction(member):
+                        checked.append(member)
+    hints = {obj: typing.get_type_hints(obj) for obj in checked}
+    from cayleyiso import _cli_sets, counterexample, groups, isoperimetry, ringlike
+
+    assert hints[ringlike.CyclicSystem]["host"] is groups.GroupGraph
+    assert [hints[ringlike.CyclicSystem][name] for name in ringlike.CyclicSystem._fields[1:]] == [
+        int, int, int, int, bool]
+    assert hints[_cli_sets._resolve_set] == {"budget": int, "return": isoperimetry.VertexSet}
+    assert counterexample.build in hints and counterexample.TorusEmbedding in hints
+
+
 def test_no_submodule_imports_a_name_it_never_uses():
     # ``__init__`` re-exports what it imports, so it is left out
     unused = []
@@ -191,10 +222,14 @@ def test_every_private_definition_is_referenced():
 #: the non-blank, non-comment lines ``src/cayleyiso/*.py`` holds, docstrings
 #: counted, as ROADMAP counts them: a change that moves the count moves it in
 #: its own diff, so a reduction leaves no slack for a later addition
-SOURCE_LINE_CEILING = 2040
+SOURCE_LINE_CEILING = 1998
+#: the whole-line ``#`` comments the same files hold, pinned the same way, so
+#: that prose moved out of a docstring into comments shows in the diff
+SOURCE_COMMENT_CEILING = 167
 
 
 def test_the_source_stays_under_its_line_ceiling():
     lines = [line.strip() for path in Path(cayleyiso.__file__).parent.glob("*.py")
              for line in path.read_text(encoding="utf-8").splitlines()]
     assert sum(1 for line in lines if line and not line.startswith("#")) == SOURCE_LINE_CEILING
+    assert sum(1 for line in lines if line.startswith("#")) == SOURCE_COMMENT_CEILING

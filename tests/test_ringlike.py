@@ -2,17 +2,16 @@
 and the interval-cover slack bound."""
 
 import random
-import typing
 from itertools import count
 
 import pytest
 
 import oracles
+from conftest import record_calls
 from cayleyiso import isoperimetry, ringlike
 from cayleyiso import (
     BudgetExceeded,
     Cylinder,
-    GroupGraph,
     IntegerLattice,
     VertexSet,
     classify_separation,
@@ -20,7 +19,6 @@ from cayleyiso import (
     random_connected_set,
 )
 from cayleyiso.ringlike import (
-    CyclicSystem,
     IntervalCover,
     cyclic_system,
     interval_cover,
@@ -93,23 +91,6 @@ def test_cyclic_system_serialization():
     }
 
 
-def test_cyclic_system_annotations_resolve():
-    # every annotation names a type bound in ringlike, so the record can be
-    # introspected without a NameError
-    hints = typing.get_type_hints(CyclicSystem)
-    assert hints["host"] is GroupGraph
-    assert [hints[name] for name in CyclicSystem._fields[1:]] == [int, int, int, int, bool]
-
-
-def test_the_cli_set_loader_annotations_resolve():
-    # the set commands' module imports isoperimetry at its top, so the
-    # loader's return annotation names a bound type
-    from cayleyiso import _cli_sets
-
-    hints = typing.get_type_hints(_cli_sets._resolve_set)
-    assert hints == {"budget": int, "return": isoperimetry.VertexSet}
-
-
 def test_cyclic_system_rejects_bad_inputs():
     with pytest.raises(ValueError):
         cyclic_system(IntegerLattice(2))
@@ -163,14 +144,7 @@ SHEARED = Cylinder(3, [(1, 1), (0, 1)])
 
 
 def test_cohesiveness_runs_one_bfs(monkeypatch):
-    calls = []
-
-    def counted(g, sources, budget=None, within=None):
-        calls.append(tuple(sources))
-        return original(g, sources, budget, within)
-
-    original = ringlike._bfs_levels
-    monkeypatch.setattr(ringlike, "_bfs_levels", counted)
+    calls = record_calls(monkeypatch, ringlike, "_bfs_levels", lambda call: tuple(call.sources))
     for host, q in ((SHEARED, 2), (Cylinder(7, [(1, 1), (0, 1)]), 4),
                     (Cylinder(4, [(2, 1), (1, 0)]), 6)):
         calls.clear()
@@ -447,28 +421,15 @@ def test_branch2_error_order():
 
 
 def test_branch2_computes_the_boundary_once(monkeypatch):
-    calls = []
-
-    def counted(A):
-        calls.append(len(A))
-        return original(A)
-
-    original = isoperimetry._boundary_elements
-    monkeypatch.setattr(isoperimetry, "_boundary_elements", counted)
+    calls = record_calls(monkeypatch, isoperimetry, "_boundary_elements", lambda call: len(call.A))
     report = ring_like_report(block_interval(Cylinder(3), 1000))
     assert report.k == 6
     assert calls == [3000]
 
 
 def test_ring_like_separation_runs_the_closure_bfs_once(monkeypatch):
-    calls = []
-
-    def counted(g, sources, budget=None, within=None):
-        calls.append((len(sources), len(within)))
-        return original(g, sources, budget, within)
-
-    original = isoperimetry._bfs_levels
-    monkeypatch.setattr(isoperimetry, "_bfs_levels", counted)
+    calls = record_calls(monkeypatch, isoperimetry, "_bfs_levels",
+                         lambda call: (len(call.sources), len(call.within)))
     report = classify_separation(block_interval(Cylinder(3), 1000))
     assert report.branch == "RingLike" and not report.violations()
     # the connectivity BFS from one member over A, which reaches all of A,
