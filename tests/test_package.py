@@ -168,13 +168,12 @@ def test_every_annotation_resolves():
                     if inspect.isfunction(member):
                         checked.append(member)
     hints = {obj: typing.get_type_hints(obj) for obj in checked}
-    from cayleyiso import _cli_sets, counterexample, groups, isoperimetry, ringlike
+    from cayleyiso import _cli_sets, counterexample, ringlike
 
-    assert hints[ringlike.CyclicSystem]["host"] is groups.GroupGraph
-    assert [hints[ringlike.CyclicSystem][name] for name in ringlike.CyclicSystem._fields[1:]] == [
-        int, int, int, int, bool]
-    assert hints[_cli_sets._resolve_set] == {"budget": int, "return": isoperimetry.VertexSet}
-    assert counterexample.build in hints and counterexample.TorusEmbedding in hints
+    # test_ringlike.py pins what CyclicSystem's and _resolve_set's hints are
+    for obj in (ringlike.CyclicSystem, _cli_sets._resolve_set,
+                counterexample.build, counterexample.TorusEmbedding):
+        assert obj in hints
 
 
 def test_no_submodule_imports_a_name_it_never_uses():

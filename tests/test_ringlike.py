@@ -2,6 +2,7 @@
 and the interval-cover slack bound."""
 
 import random
+import typing
 from itertools import count
 
 import pytest
@@ -12,6 +13,7 @@ from cayleyiso import isoperimetry, ringlike
 from cayleyiso import (
     BudgetExceeded,
     Cylinder,
+    GroupGraph,
     IntegerLattice,
     VertexSet,
     classify_separation,
@@ -19,6 +21,7 @@ from cayleyiso import (
     random_connected_set,
 )
 from cayleyiso.ringlike import (
+    CyclicSystem,
     IntervalCover,
     cyclic_system,
     interval_cover,
@@ -89,6 +92,23 @@ def test_cyclic_system_serialization():
         "ringLikeOk": True,
         "cohesiveOk": True,
     }
+
+
+def test_cyclic_system_annotations_resolve():
+    # every annotation names a type bound in ringlike, so the record can be
+    # introspected without a NameError
+    hints = typing.get_type_hints(CyclicSystem)
+    assert hints["host"] is GroupGraph
+    assert [hints[name] for name in CyclicSystem._fields[1:]] == [int, int, int, int, bool]
+
+
+def test_the_cli_set_loader_annotations_resolve():
+    # the set commands' module imports isoperimetry at its top, so the
+    # loader's return annotation names a bound type
+    from cayleyiso import _cli_sets
+
+    hints = typing.get_type_hints(_cli_sets._resolve_set)
+    assert hints == {"budget": int, "return": isoperimetry.VertexSet}
 
 
 def test_cyclic_system_rejects_bad_inputs():
