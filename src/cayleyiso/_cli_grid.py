@@ -17,9 +17,7 @@ def _cmd_counterexample_find(args, budget):
     target = counterexample._parse_fraction(args.c, "--c")
     params, st = counterexample.find_params(target, budget=budget)
     emitted = counterexample.build(params, budget=budget) if args.emit_set else None
-    payload = {"target": target}
-    payload.update(st.to_dict())
-    return ("json", payload), st.violations(), emitted
+    return ("json", {"target": target, **st.to_dict()}), st.violations(), emitted
 
 
 def _cmd_counterexample_torus(args, budget):
@@ -44,16 +42,12 @@ def _cmd_sweep_ratio(args, budget):
         pairs = ((i, k) for i in range(2, args.imax + 1) for k in range(2, args.kmax + 1))
     else:
         raise ValueError("provide --imax and --kmax, or --diag LIST")
-    rows = []
-    violations = []
+    rows, violations = [], []
     for i, k in pairs:
         st = counterexample.stats(counterexample.GridParams(i, k), budget=budget)
         violations += [f"{name} at i={i}, k={k}" for name in st.violations()]
         rows.append([i, k, st.sizeA, st.boundarySize, st.depthOracle, st.ratio])
     header = ["i", "k", "sizeA", "boundarySize", "depthOracle", "ratio"]
     if args.format == "json":
-        payload = {
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        return ("json", payload), violations, None
+        return ("json", {"rows": [dict(zip(header, row)) for row in rows]}), violations, None
     return ("csv", header, rows), violations, None

@@ -11,10 +11,8 @@ def _resolve_set(args, budget: int) -> isoperimetry.VertexSet:
     if args.set is not None:
         A = isoperimetry.load_set(args.set)
         if args.group is not None and groups.parse_group(args.group).family != A.host.family:
-            raise ValueError(
-                f"--group {args.group!r} does not match set file group "
-                f"{A.host.family!r}"
-            )
+            raise ValueError(f"--group {args.group!r} does not match set file group "
+                             f"{A.host.family!r}")
         return A
     if args.random is not None:
         if args.group is None:
@@ -28,29 +26,20 @@ def _resolve_set(args, budget: int) -> isoperimetry.VertexSet:
 def _cmd_boundary(args, budget):
     A = _resolve_set(args, budget)
     B = isoperimetry.boundary(A)
-    payload = {
-        "group": A.host.family,
-        "sizeA": len(A),
-        "boundarySize": len(B),
-    }
+    payload = {"group": A.host.family, "sizeA": len(A), "boundarySize": len(B)}
     return ("json", payload), [], B if args.emit_set else None
 
 
 def _cmd_depth(args, budget):
     A = _resolve_set(args, budget)
-    payload = {
-        "group": A.host.family,
-        "sizeA": len(A),
-        "depth": isoperimetry.depth(A),
-    }
+    payload = {"group": A.host.family, "sizeA": len(A), "depth": isoperimetry.depth(A)}
     return ("json", payload), [], None
 
 
 def _cmd_varopoulos(args, budget):
     A = _resolve_set(args, budget)
     report = isoperimetry.varopoulos_check(A, budget=budget)
-    payload = {"group": A.host.family, "sizeA": len(A)}
-    payload.update(report.to_dict())
+    payload = {"group": A.host.family, "sizeA": len(A), **report.to_dict()}
     return ("json", payload), report.violations(), None
 
 

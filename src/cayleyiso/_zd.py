@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 from itertools import accumulate, compress, count, repeat
 from math import comb, inf
-from operator import add, and_, lt, mul, rshift, sub, xor
+from operator import add, and_, floordiv, lt, mod, mul, rshift, sub, xor
 from typing import Collection, Iterator, Optional, Tuple
 
 from ._lattice import _MixedRadix, _check_dimension, _swap_and_pop
@@ -22,6 +22,25 @@ _BYTES_FROM_DIMENSION = 40
 _SIGN_FILL = bytes(128) + b"\xff" * 128
 #: ``validate_vertex`` bounds every ``z^d`` coordinate but the first below this
 LATTICE_COORDINATE_BOUND = 1 << 38
+
+
+class _Window:
+    """The window keys of a set ``z^2`` grew to n members, held as a
+    ``range`` holds a z^1 interval: the offset (x, y) from the start has the
+    key v = (x + n)w + y + n, w = 2n + 1, two small digits (host keys a row
+    apart differ by S = 2^40, so their low hash bits collide). Iterating
+    lifts v to the host key start + xS + y = base + v + (v // w)(S - w)."""
+
+    def __init__(self, keys: Collection[int], w: int, base: int):
+        self.keys, self.w, self.base = keys, w, base
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[int]:
+        w, lift = self.w, (1 << _LATTICE_BITS) - self.w
+        return map(add, map(mul, map(floordiv, self.keys, repeat(w)), repeat(lift)),
+                   map(add, self.keys, repeat(self.base)))
 
 
 class IntegerLattice(_MixedRadix):
@@ -110,12 +129,23 @@ class IntegerLattice(_MixedRadix):
         # x*w + c, w the column span plus 2, the columns fill w - 2
         # consecutive residues mod w and leave two empty (``Bitmap``). Both
         # passes add S/2 afresh: a list of 10^4 sums would peak 0.4 MB
-        # higher to save about 0.6 ms
+        # higher to save about 0.6 ms. A window's digits v // w and v % w are
+        # its lift's row and column less those of its base: the base's column
+        # mod the width, added to each row start, gives the lift's cells less
+        # whole rows, which ``from_keys`` drops: the bitmap, and so whether it
+        # passes the cap, is the lift's
         h, low = 1 << _LATTICE_BITS - 1, (1 << _LATTICE_BITS) - 1
-        columns = list(map(and_, map(add, keys, repeat(h)), repeat(low)))
+        if isinstance(keys, _Window):
+            columns = list(map(mod, keys.keys, repeat(keys.w)))
+            rows, corner = map(floordiv, keys.keys, repeat(keys.w)), keys.base + h & low
+        else:
+            columns = list(map(and_, map(add, keys, repeat(h)), repeat(low)))
+            rows, corner = map(rshift, map(add, keys, repeat(h)), repeat(_LATTICE_BITS)), 0
         w = max(columns) - min(columns) + 3
-        rows = map(rshift, map(add, keys, repeat(h)), repeat(_LATTICE_BITS))
-        bm = _grid.Bitmap.from_keys(list(map(add, map(mul, rows, repeat(w)), columns)), w)
+        rows = map(mul, rows, repeat(w))
+        if corner % w:
+            rows = map(add, rows, repeat(corner % w))
+        bm = _grid.Bitmap.from_keys(list(map(add, rows, columns)), w)
         return bm and _grid.depth(bm)
 
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
@@ -129,17 +159,12 @@ class IntegerLattice(_MixedRadix):
                 self.validate_vertex(self._decode(key))
             return keys, candidates
         if self.d == 2:
-            # Host keys a row apart differ by S = 2^40, so their low hash bits
-            # collide. A and its candidates lie within size steps of the
-            # start, so the offset (x, y) from it has the window key
-            # v = (x + size)*w + y + size, w = 2 size + 1, two digits in
-            # 0 .. 2 size: the loop hashes small ints with the host keys'
-            # draws and order, and v lifts to the host key
-            # start + x*S + y = base + v + (v // w)*(S - w)
-            S, w = 1 << _LATTICE_BITS, 2 * size + 1
-            base, lift = start - size * (S + 1), S - w
-            window = _swap_and_pop(size * w + size, size, rng, ((w, -w, 1, -1),), 1)
-            return tuple([base + v + v // w * lift for v in keys] for keys in window)
+            # the one loop on window keys (``_Window``) takes the host keys'
+            # draws and order; a list holds the members in under a quarter of
+            # the bytes of the loop's set table
+            w, base = 2 * size + 1, start - size * ((1 << _LATTICE_BITS) + 1)
+            members, candidates = _swap_and_pop(size * w + size, size, rng, ((w, -w, 1, -1),), 1)
+            return _Window(list(members), w, base), _Window(candidates, w, base)
         if self.d > 2:
             return super()._accrete(start, size, rng)
         # A is an interval [hi - size + 1, hi] whose candidates are its two

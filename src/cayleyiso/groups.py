@@ -110,7 +110,8 @@ class GroupGraph:
         """The members and the candidates, distinct keys, of the set that
         ``size`` - 1 draws grow from the key ``start``: those the loop
         ``_lattice._swap_and_pop`` returns stepping each key to ``_step``'s
-        keys in order. Each host grows that set its own way."""
+        keys in order. Each host grows that set its own way, and may hand
+        over a lazy collection that yields them (``range``, ``_zd._Window``)."""
         raise NotImplementedError
 
     def __eq__(self, other) -> bool:

@@ -21,13 +21,14 @@ class VertexSet:
     """A finite set of vertices with O(1) membership, bound to its host graph.
 
     The set holds host keys: ``_members`` keeps the distinct keys its
-    producer handed over (a list, a range, a set or a frozenset) as given,
-    and ``_keys`` hashes them into a frozenset on the first membership
-    test, equality or hash. The constructor validates and encodes every
-    element. ``elements``, iteration, membership and serialization see
-    vertices, decoded once on first use. Immutable: every checker reads its
-    exterior boundary, the connectivity of A union boundary(A) and its
-    depth from the set, which computes each at most once.
+    producer handed over (a list, a range, a set, a frozenset or a z^2
+    ``_Window``, which lifts its keys when iterated) as given, and
+    ``_keys`` hashes them into a frozenset on the first membership test,
+    equality or hash. The constructor validates and encodes every element.
+    ``elements``, iteration, membership and serialization see vertices,
+    decoded once on first use. Immutable: every checker reads its exterior
+    boundary, the connectivity of A union boundary(A) and its depth from
+    the set, which computes each at most once.
     """
 
     def __init__(self, host: GroupGraph, elements: Iterable[Vertex]):
@@ -188,9 +189,7 @@ def depth(A: VertexSet) -> int:
     # hosts are connected, so only a set that is the whole host has no
     # member next to the complement
     if A.host.is_finite and len(A) == A.host.vertex_count:
-        raise ValueError(
-            f"depth undefined: set exhausts the finite host {A.host.family}"
-        )
+        raise ValueError(f"depth undefined: set exhausts the finite host {A.host.family}")
     return A._depth
 
 
@@ -224,9 +223,7 @@ def varopoulos_check(A: VertexSet, budget: Optional[int] = None) -> VaropoulosRe
     """
     _require_nonempty(A)
     if A.host.is_finite:
-        raise ValueError(
-            f"Varopoulos check needs an infinite host, got {A.host.family}"
-        )
+        raise ValueError(f"Varopoulos check needs an infinite host, got {A.host.family}")
     m = minimal_ball_radius(A.host, 2 * len(A), budget=budget)
     lhs = len(A)
     rhs = 2 * m * len(A._boundary)
@@ -291,18 +288,13 @@ def classify_separation(A: VertexSet, budget: Optional[int] = None) -> Separatio
     size = len(A)
     unconditional = A.host.declared_ends in (1, math.inf)
     small = size <= 16 * k * k
-    inequalities = [
-        Inequality("|A| <= 16k^2", size, 16 * k * k, small, unconditional)
-    ]
+    inequalities = [Inequality("|A| <= 16k^2", size, 16 * k * k, small, unconditional)]
     if small:
         branch = "SmallSet"
         # d^2 = 32k^2 has no solution with k >= 1, as sqrt(32) is irrational,
         # so this test reads the same with <=
-        inequalities.append(
-            Inequality(
-                "depth^2 < 32k^2", d * d, 32 * k * k, d * d < 32 * k * k, unconditional
-            )
-        )
+        inequalities.append(Inequality("depth^2 < 32k^2", d * d, 32 * k * k, d * d < 32 * k * k,
+                                       unconditional))
     elif A.host.declared_ends == 2:
         branch = "RingLike"
         if hasattr(A.host, "_block"):  # a cylinder: the one host with a block system

@@ -22,8 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cayleyiso import (
-    Cylinder, FreeGroup, IntegerLattice, VertexSet, _cli_parser, cli, groups, parse_group,
-    save_set,
+    Cylinder, FreeGroup, IntegerLattice, VertexSet, _cli_parser, boundary, classify_separation,
+    cli, depth, groups, parse_group, random_connected_set, save_set,
 )
 from cayleyiso.cli import main
 from cayleyiso._zd import LATTICE_COORDINATE_BOUND
@@ -179,6 +179,25 @@ def test_depth_from_random_set(capsys):
     assert payload["group"] == "z^2"
     assert payload["sizeA"] == 40
     assert payload["depth"] >= 1
+
+
+def test_a_grown_plane_boundary_round_trips_through_its_set_file(tmp_path, capsys):
+    # a grown z^2 set and its boundary keep their window keys and lift them
+    # only when read: the emitted file lists the boundary's vertices, and
+    # its depth from the file (host keys) is the one grown in process
+    # (window keys), as is the separation report's
+    path = tmp_path / "boundary.json"
+    grown = ["--group", "z^2", "--random", "300", "--seed", "5"]
+    rc, payload, _ = run_json(["boundary", *grown, "--emit-set", str(path)], capsys)
+    A = random_connected_set(IntegerLattice(2), 300, seed=5)
+    B = boundary(A)
+    assert (rc, payload["boundarySize"]) == (0, len(B))
+    stored = json.loads(path.read_text())
+    assert [tuple(v) for v in stored["vertices"]] == B.sorted_elements()
+    rc, payload, _ = run_json(["depth", "--set", str(path)], capsys)
+    assert (rc, payload) == (0, {"group": "z^2", "sizeA": len(B), "depth": depth(B)})
+    rc, payload, _ = run_json(["separation", *grown], capsys)
+    assert (rc, payload) == (0, classify_separation(A).to_dict())
 
 
 # --- varopoulos / separation -------------------------------------------------

@@ -6,8 +6,9 @@ memory cap and a deep patch under a timeout; ``perforated_block``'s byte
 rows for every side modulo 8; packing cells against a byte loop; z^1 runs
 in closed form; z^2 and cylinders, across the residue seam and off it
 under both translation rules of the one erosion loop, and sets at and past
-the bits cap, which take the BFS; free groups' erosions by parent keys, at
-the identity and elsewhere."""
+the bits cap, which take the BFS; grown z^2 sets on their window keys,
+whose bitmap is their lift's; free groups' erosions by parent keys, at the
+identity and elsewhere."""
 
 import random
 import tracemalloc
@@ -29,6 +30,7 @@ from cayleyiso import (
     isoperimetry,
     random_connected_set,
 )
+from cayleyiso._zd import LATTICE_COORDINATE_BOUND, _Window
 from cayleyiso.counterexample import GridParams, depth_closed_form
 from cayleyiso.groups import _bfs_levels
 
@@ -450,6 +452,53 @@ def test_a_bitmap_at_the_cap_is_built_and_one_cell_further_is_not(monkeypatch):
             assert sizes == ([] if t or g is Z1 else [64 * (len(A) + 16)])
             assert g._erosion_depth(A._keys) == (expected if t == 0 or g is Z1 else None)
             assert bfs_depth(A) == expected
+
+
+def test_a_grown_plane_set_builds_its_lifts_bitmap_from_window_keys(monkeypatch):
+    # z^2 keeps the window keys it grew on (``_Window``) and reads their
+    # rows and columns as v // w and v % w: the bitmap must be the one its
+    # lifted host keys give, bit for bit, for sizes 1, 2, 3, 50 and 2000 from
+    # the identity, (-5, 7) and a far corner, with the depth of the
+    # per-vertex oracle up to 200 members. The boundary the set keeps is a
+    # window too, and must take the depth of its lifted copy
+    built = []
+    kernel = _grid.depth
+    monkeypatch.setattr(_grid, "depth", lambda bm, guess=0: built.append(bm) or kernel(bm, guess))
+    corner = (-10**15, LATTICE_COORDINATE_BOUND - 2001)
+    for start in [(0, 0), (-5, 7), corner]:
+        for seed in range(3):
+            for size in (1, 2, 3, 50, 2000):
+                A = random_connected_set(Z2, size, seed=seed, start=start)
+                for S in (A, boundary(A)):
+                    assert isinstance(S._members, _Window)
+                    built.clear()
+                    d = Z2._erosion_depth(S._members)
+                    assert d == Z2._erosion_depth(list(S._members))
+                    assert len(built) == 2, (start, seed, size)
+                    window, lifted = built
+                    assert (window.bits, window.width, window.size) == (
+                        lifted.bits, lifted.width, lifted.size)
+                    assert depth(S) == d == depth(VertexSet(Z2, S.elements))
+                    if size <= 200:
+                        assert d == oracles.per_vertex_depth(Z2, S.elements)
+
+
+def test_a_window_past_the_bits_cap_takes_the_bfs():
+    # a diagonal staircase of 600 window keys spans 300 rows and 301
+    # columns, past 64 bits per member: no bitmap, and the BFS from its
+    # boundary, kept as a window as growth keeps it, gives the oracle's depth
+    n, start = 700, (4, -9)
+    w, base = 2 * n + 1, Z2._encode(start) - n * ((1 << 40) + 1)
+    steps = [(i, i + j) for i in range(300) for j in (0, 1)]
+    window = _Window([(x + n) * w + y + n for x, y in steps], w, base)
+    A = VertexSet._trusted(Z2, window)
+    members = {(4 + x, y - 9) for x, y in steps}
+    assert A.elements == members
+    outside = oracles.boundary_by_distance(Z2, members)
+    A._boundary = _Window([(x - 4 + n) * w + y + 9 + n for x, y in outside], w, base)
+    assert set(map(Z2._decode, A._boundary)) == outside
+    assert Z2._erosion_depth(window) is None
+    assert depth(A) == 1 == oracles.per_vertex_depth(Z2, members) == bfs_depth(A)
 
 
 # --- free groups: erosions by parent keys ------------------------------------

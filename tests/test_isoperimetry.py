@@ -772,7 +772,7 @@ def test_plane_sets_grown_on_window_keys_are_the_host_key_loops():
                 refused += 1
                 continue
             members, candidates = g._accrete(key, size, random.Random(seed))
-            assert (set(members), candidates) == host, (size, seed, start)
+            assert (set(members), list(candidates)) == host, (size, seed, start)
             assert len(members) == size
     assert widened == 240 and refused > 0
 

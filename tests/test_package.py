@@ -221,7 +221,7 @@ def test_every_private_definition_is_referenced():
 #: the non-blank, non-comment lines ``src/cayleyiso/*.py`` holds, docstrings
 #: counted, as ROADMAP counts them: a change that moves the count moves it in
 #: its own diff, so a reduction leaves no slack for a later addition
-SOURCE_LINE_CEILING = 1998
+SOURCE_LINE_CEILING = 1994
 #: the whole-line ``#`` comments the same files hold, pinned the same way, so
 #: that prose moved out of a docstring into comments shows in the diff
 SOURCE_COMMENT_CEILING = 167
