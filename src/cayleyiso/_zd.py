@@ -25,11 +25,12 @@ LATTICE_COORDINATE_BOUND = 1 << 38
 
 
 class _Window:
-    """The window keys of a set ``z^2`` grew to n members, held as a
-    ``range`` holds a z^1 interval: the offset (x, y) from the start has the
-    key v = (x + n)w + y + n, w = 2n + 1, two small digits (host keys a row
-    apart differ by S = 2^40, so their low hash bits collide). Iterating
-    lifts v to the host key start + xS + y = base + v + (v // w)(S - w)."""
+    """The window keys of a set ``z^2`` grew to n members, from any start,
+    held as a ``range`` holds a z^1 interval: the offset (x, y) from the
+    start has the key v = (x + n)w + y + n, w = 2n + 1, two small digits
+    (host keys a row apart differ by S = 2^40, so their low hash bits
+    collide). Iterating lifts v to the host key start + xS + y = base + v +
+    (v // w)(S - w), and depth reads v // w and v % w as rows and columns."""
 
     def __init__(self, keys: Collection[int], w: int, base: int):
         self.keys, self.w, self.base = keys, w, base
@@ -130,60 +131,54 @@ class IntegerLattice(_MixedRadix):
         # consecutive residues mod w and leave two empty (``Bitmap``). Both
         # passes add S/2 afresh: a list of 10^4 sums would peak 0.4 MB
         # higher to save about 0.6 ms. A window's digits v // w and v % w are
-        # its lift's row and column less those of its base: the base's column
-        # mod the width, added to each row start, gives the lift's cells less
-        # whole rows, which ``from_keys`` drops: the bitmap, and so whether it
-        # passes the cap, is the lift's
+        # its lift's rows and columns less constants, which move every cell
+        # by one constant: the depth is the lift's
         h, low = 1 << _LATTICE_BITS - 1, (1 << _LATTICE_BITS) - 1
         if isinstance(keys, _Window):
             columns = list(map(mod, keys.keys, repeat(keys.w)))
-            rows, corner = map(floordiv, keys.keys, repeat(keys.w)), keys.base + h & low
+            rows = map(floordiv, keys.keys, repeat(keys.w))
         else:
             columns = list(map(and_, map(add, keys, repeat(h)), repeat(low)))
-            rows, corner = map(rshift, map(add, keys, repeat(h)), repeat(_LATTICE_BITS)), 0
+            rows = map(rshift, map(add, keys, repeat(h)), repeat(_LATTICE_BITS))
         w = max(columns) - min(columns) + 3
-        rows = map(mul, rows, repeat(w))
-        if corner % w:
-            rows = map(add, rows, repeat(corner % w))
-        bm = _grid.Bitmap.from_keys(list(map(add, rows, columns)), w)
+        bm = _grid.Bitmap.from_keys(list(map(add, map(mul, rows, repeat(w)), columns)), w)
         return bm and _grid.depth(bm)
 
     def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
-        if max(map(abs, self._decode(start)[1:]), default=0) + size > LATTICE_COORDINATE_BOUND:
-            # a draw moves one coordinate by one, so only a start within size
-            # - 1 steps of the bound can grow a member ``validate_vertex``
-            # refuses: the loop on host keys grows it and each member is
-            # checked, and every other start keeps its route unchecked
-            keys, candidates = super()._accrete(start, size, rng)
-            for key in keys:
-                self.validate_vertex(self._decode(key))
-            return keys, candidates
+        if self.d == 1:
+            # A is an interval [hi - size + 1, hi] whose candidates are its two
+            # ends, so each draw is getrandbits(2), the top two bits of one
+            # 32-bit word: a top byte >= 128 is rejected, and one < 64 (j = 0)
+            # takes the first candidate, after which the other end is first.
+            # Either way the end taken is then the last candidate; up is 1 while
+            # that is hi + 1 (_step lists hi + 1 first, so up starts at 0).
+            # getrandbits(32 N) returns N words least significant first; the
+            # generator is the caller's own, so words drawn past the last
+            # absorption are harmless
+            hi, up, left = start, 0, size - 1
+            while left:
+                words = rng.getrandbits(64 * left).to_bytes(8 * left, "little")
+                taken = words[3::4].translate(None, bytes(range(128, 256)))[:left]
+                # the end taken at each draw, 1 for hi + 1: the parity of the flips
+                ends = list(accumulate(taken.translate(b"\1" * 64 + bytes(192)), xor, initial=up))
+                hi, up, left = hi + sum(ends) - up, ends[-1], left - len(taken)
+            return range(hi - size + 1, hi + 1), (hi - size, hi + 1)
         if self.d == 2:
             # the one loop on window keys (``_Window``) takes the host keys'
             # draws and order; a list holds the members in under a quarter of
             # the bytes of the loop's set table
             w, base = 2 * size + 1, start - size * ((1 << _LATTICE_BITS) + 1)
             members, candidates = _swap_and_pop(size * w + size, size, rng, ((w, -w, 1, -1),), 1)
-            return _Window(list(members), w, base), _Window(candidates, w, base)
-        if self.d > 2:
-            return super()._accrete(start, size, rng)
-        # A is an interval [hi - size + 1, hi] whose candidates are its two
-        # ends, so each draw is getrandbits(2), the top two bits of one
-        # 32-bit word: a top byte >= 128 is rejected, and one < 64 (j = 0)
-        # takes the first candidate, after which the other end is first.
-        # Either way the end taken is then the last candidate; up is 1 while
-        # that is hi + 1 (_step lists hi + 1 first, so up starts at 0).
-        # getrandbits(32 N) returns N words least significant first; the
-        # generator is the caller's own, so words drawn past the last
-        # absorption are harmless
-        hi, up, left = start, 0, size - 1
-        while left:
-            words = rng.getrandbits(64 * left).to_bytes(8 * left, "little")
-            taken = words[3::4].translate(None, bytes(range(128, 256)))[:left]
-            # the end taken at each draw, 1 for hi + 1: the parity of the flips
-            ends = list(accumulate(taken.translate(b"\1" * 64 + bytes(192)), xor, initial=up))
-            hi, up, left = hi + sum(ends) - up, ends[-1], left - len(taken)
-        return range(hi - size + 1, hi + 1), (hi - size, hi + 1)
+            members, candidates = _Window(list(members), w, base), _Window(candidates, w, base)
+        else:
+            members, candidates = super()._accrete(start, size, rng)
+        if max(map(abs, self._decode(start)[1:])) + size > LATTICE_COORDINATE_BOUND:
+            # a draw moves one coordinate by one, so only a start within
+            # size - 1 steps of the bound can grow a member that
+            # ``validate_vertex`` refuses: only such a set is checked
+            for key in members:
+                self.validate_vertex(self._decode(key))
+        return members, candidates
 
     def _ball_counts(self) -> Iterator[int]:
         # the generating function (1+x)^d / (1-x)^(d+1) of the sizes gives

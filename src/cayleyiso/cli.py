@@ -20,7 +20,7 @@ import sys
 from importlib import import_module
 from types import SimpleNamespace
 
-from ._budget import DEFAULT_BUDGET, BudgetExceeded
+from . import DEFAULT_BUDGET, BudgetExceeded
 
 EXIT_OK = 0
 EXIT_ERROR = 1

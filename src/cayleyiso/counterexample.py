@@ -18,8 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
-from . import _grid
-from ._budget import DEFAULT_BUDGET, _clip, _least, _require_budget
+from . import DEFAULT_BUDGET, _clip, _grid, _least, _require_budget
 
 
 class _Params(NamedTuple):

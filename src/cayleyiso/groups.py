@@ -16,7 +16,7 @@ from importlib import import_module
 from itertools import accumulate, chain, count, islice
 from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Tuple
 
-from ._budget import DEFAULT_BUDGET, BudgetExceeded, _clip, _least
+from . import DEFAULT_BUDGET, BudgetExceeded, _clip, _least
 
 Vertex = Tuple[int, ...]
 
@@ -110,8 +110,8 @@ class GroupGraph:
         """The members and the candidates, distinct keys, of the set that
         ``size`` - 1 draws grow from the key ``start``: those the loop
         ``_lattice._swap_and_pop`` returns stepping each key to ``_step``'s
-        keys in order. Each host grows that set its own way, and may hand
-        over a lazy collection that yields them (``range``, ``_zd._Window``)."""
+        keys in order. Each host grows it one way from every start, and may
+        hand over a lazy collection that yields them (``range``, ``_zd._Window``)."""
         raise NotImplementedError
 
     def __eq__(self, other) -> bool:

@@ -13,7 +13,7 @@ import random
 from functools import cached_property
 from typing import Collection, Iterable, NamedTuple, Optional
 
-from ._budget import _require_budget
+from . import _require_budget
 from .groups import GroupGraph, Vertex, _bfs_levels, minimal_ball_radius, parse_group
 
 
@@ -21,14 +21,14 @@ class VertexSet:
     """A finite set of vertices with O(1) membership, bound to its host graph.
 
     The set holds host keys: ``_members`` keeps the distinct keys its
-    producer handed over (a list, a range, a set, a frozenset or a z^2
-    ``_Window``, which lifts its keys when iterated) as given, and
-    ``_keys`` hashes them into a frozenset on the first membership test,
-    equality or hash. The constructor validates and encodes every element.
-    ``elements``, iteration, membership and serialization see vertices,
-    decoded once on first use. Immutable: every checker reads its exterior
-    boundary, the connectivity of A union boundary(A) and its depth from
-    the set, which computes each at most once.
+    producer handed over (a list, a range, a set, a frozenset or, for every
+    set grown on z^2, a ``_Window``, which lifts its keys when iterated) as
+    given, and ``_keys`` hashes them into a frozenset on the first
+    membership test, equality or hash. The constructor validates and encodes
+    every element. ``elements``, iteration, membership and serialization see
+    vertices, decoded once on first use. Immutable: every checker reads its
+    exterior boundary, the connectivity of A union boundary(A) and its depth
+    from the set, which computes each at most once.
     """
 
     def __init__(self, host: GroupGraph, elements: Iterable[Vertex]):

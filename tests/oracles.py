@@ -7,10 +7,11 @@ values in the test suite are pinned from these.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from math import gcd
 
@@ -410,3 +411,98 @@ def diagonal_walk(target, budget: int):
         depth = 2 * (j // 2) if j >= 3 else (2 * j + 2) // 3
         if Fraction(boundary * depth, size) < target:
             return j
+
+
+def connected_sets(g, top: int) -> list:
+    """Every connected set of at most ``top`` vertices of ``g`` that contains
+    the identity, as tuples, listed by size (entry n holds the sets of n
+    vertices), by Redelmeier's method (D. H. Redelmeier, "Counting
+    polyominoes: yet another attack", Discrete Math. 36, 1981): a set grows
+    by one vertex of its untried frontier at a time, and a vertex once
+    tried at a level is never offered again below it, so each set is met
+    once. On ``z^d`` only vertices lexicographically at or above the
+    identity are offered, so each set is the one of its translation class
+    whose least vertex is the identity."""
+    neighbors = neighbor_function(g)
+    root = identity(g)
+    allowed = (lambda v: v >= root) if isinstance(g, IntegerLattice) else (lambda v: True)
+    out = [[] for _ in range(top + 1)]
+
+    def grow(members: tuple, untried: list, seen: set) -> None:
+        while untried:  # each call owns its list
+            v = untried.pop()
+            current = members + (v,)
+            out[len(current)].append(current)
+            if len(current) < top:
+                fresh = [u for u in dict.fromkeys(neighbors(v)) if u not in seen and allowed(u)]
+                grow(current, untried + fresh, seen | set(fresh))
+
+    grow((), [root], {root})
+    return out
+
+
+def perforated_depth(i: int, k: int) -> int:
+    """depth(A(i, k)) from the definition, with no bitmap: the largest t for
+    which some member lies at graph distance >= t from every non-member,
+    found by binary search on t.
+
+    The distance from a member (x, y) to the outside of [0, ki]^2 is at
+    least t iff x and y lie in [t - 1, ki - t + 1]. In row y the pin (a, b)
+    leaves out the x with |x - a| <= t - 1 - |y - b|, an L1 interval about
+    a, and the nearest pin row b gives the widest of them at every column a:
+    radius t - 1 - g(y), with g(z) the distance from z to the nearest of the
+    pin coordinates i, 2i, ..., (k - 1)i. So row y keeps an x iff some x in
+    the window has g(x) >= t - g(y), and some row does iff twice the
+    largest g on the window is at least t. On the window g peaks at its two
+    ends or at a point midway between two pin coordinates, which are
+    listed once."""
+    side = k * i
+
+    def gap(z: int) -> int:
+        below = min(max(z // i * i, i), side - i)
+        return min(abs(z - below), abs(z - min(below + i, side - i)))
+
+    middles = [p + h for p in range(i, side - i, i) for h in sorted({i // 2, (i + 1) // 2})]
+    peaks = list(map(gap, middles))
+
+    def reaches(t: int) -> bool:
+        lo, hi = t - 1, side - t + 1
+        if lo > hi:
+            return False
+        inside = peaks[bisect.bisect_left(middles, lo):bisect.bisect_right(middles, hi)]
+        return 2 * max(gap(lo), gap(hi), *inside) >= t
+
+    lo, hi = 1, side // 2 + 2  # reaches(lo) holds and reaches(hi) does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if reaches(mid) else (lo, mid)
+    return lo
+
+
+def perforated_pins(i: int, k: int) -> set:
+    """The (k - 1)^2 pins (a i, b i), 0 < a, b < k, of A(i, k)."""
+    return {(a, b) for a in range(i, k * i, i) for b in range(i, k * i, i)}
+
+
+def perforated_size(i: int, k: int) -> int:
+    """|A(i, k)| counted row by row: the ki + 1 points of each row of the
+    square less the pins in that row, in O(k^2 + ki)."""
+    per_row = Counter(b for _, b in perforated_pins(i, k))
+    return sum(k * i + 1 - per_row[y] for y in range(k * i + 1))
+
+
+def perforated_boundary(i: int, k: int) -> int:
+    """|boundary(A(i, k))| from the definition, in O(k^2 + ki): the
+    non-members with a member among their neighbors. A non-member next to a
+    member is a pin or lies next to the square, on the ring around it; the
+    rest of the complement is farther, so only those are scanned."""
+    side = k * i
+    pins = perforated_pins(i, k)
+    neighbors = neighbor_function(IntegerLattice(2))
+
+    def member(v) -> bool:
+        return 0 <= v[0] <= side and 0 <= v[1] <= side and v not in pins
+
+    ring = [(x, y) for x in (-1, side + 1) for y in range(-1, side + 2)]
+    ring += [(x, y) for y in (-1, side + 1) for x in range(side + 1)]
+    return sum(any(map(member, neighbors(u))) for u in [*pins, *ring])

@@ -1346,6 +1346,36 @@ FAMILY_MODULES = {"cayleyiso._zd", "cayleyiso._torus", "cayleyiso._cylinder", "c
 HANDLER_MODULES = {"cayleyiso._cli_sets", "cayleyiso._cli_hosts", "cayleyiso._cli_grid"}
 
 
+#: the ``cayleyiso`` modules that each run of the load test below loads
+#: besides the package root, which holds the budget, and ``cli``
+PACKAGE_LOADS = {
+    "growth": "_cli_hosts _lattice _zd groups",
+    "growth free:2": "_cli_hosts _free groups",
+    "depth free:2": "_cli_sets _free groups isoperimetry",
+    "growth json": "_cli_hosts _lattice _zd groups",
+    "growth cyl:m:[...]": "_cli_hosts _cylinder _lattice groups",
+    "ball": "_cli_hosts _cylinder _lattice groups",
+    "ball --out": "_cli_hosts _cli_write _cylinder _lattice groups",
+    "boundary": "_cli_sets _lattice _zd groups isoperimetry",
+    "depth": "_cli_sets _grid _lattice _zd groups isoperimetry",
+    "varopoulos": "_cli_sets _lattice _zd groups isoperimetry",
+    "separation": "_cli_sets _grid _lattice _zd groups isoperimetry",
+    "depth z^1": "_cli_sets _lattice _zd groups isoperimetry",
+    "separation z^1": "_cli_sets _lattice _zd groups isoperimetry",
+    "depth --set": "_cli_sets _grid _lattice _zd groups isoperimetry",
+    "counterexample stats": "_cli_grid _grid counterexample",
+    "counterexample stats --emit-set": "_cli_grid _cli_write _grid _lattice _zd counterexample "
+                                       "groups isoperimetry",
+    "counterexample find": "_cli_grid _grid counterexample",
+    "counterexample torus": "_cli_grid _grid _lattice _torus _zd counterexample groups "
+                            "isoperimetry",
+    "ringlike check": "_cli_hosts _cylinder _lattice groups isoperimetry ringlike",
+    "ringlike cover": "_cli_sets _cylinder _lattice groups isoperimetry ringlike",
+    "sweep ratio": "_cli_grid _grid counterexample",
+    "sweep ratio json": "_cli_grid _grid counterexample",
+}
+
+
 def test_a_command_loads_only_the_modules_it_uses(tmp_path):
     # dataclasses (which loads inspect, dis, ast and tokenize), csv and
     # argparse load under no command, fractions only where a rational is
@@ -1392,6 +1422,14 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
         "sweep ratio json": (["sweep", "ratio", "--diag", "4,8", "--format", "json"], ""),
     }
     loaded = {name: _modules_loaded_by(*argv) for name, (argv, _) in runs.items()}
+    # every command loads the package root and cli, and no package module
+    # beyond its own: the budget is the root's, in no module of its own
+    package = {name: {m for m in modules if m.partition(".")[0] == "cayleyiso"}
+               for name, modules in loaded.items()}
+    assert set.intersection(*package.values()) == {"cayleyiso", "cayleyiso.cli"}
+    assert package == {name: {"cayleyiso", "cayleyiso.cli",
+                              *(f"cayleyiso.{m}" for m in PACKAGE_LOADS[name].split())}
+                       for name in runs}
 
     def loading(module):
         return {name for name, modules in loaded.items() if module in modules}

@@ -374,6 +374,56 @@ def test_find_params_answers_as_the_walk_along_the_diagonal(target, budget):
     assert st_.ratio == _diagonal_ratio(expected) < target
 
 
+def test_the_bitmap_free_oracles_match_stats():
+    # depth, boundary and size of A(i, k) from the definition, with no
+    # bitmap, against ``stats`` wherever both run: i <= 200, k <= 6
+    for i in [*range(2, 41), 63, 64, 99, 100, 101, 150, 199, 200]:
+        for k in range(2, 7):
+            s = stats(GridParams(i, k))
+            assert s.closedFormsMatch, (i, k)
+            assert (s.depthOracle, s.boundarySize, s.sizeA) == (
+                oracles.perforated_depth(i, k), oracles.perforated_boundary(i, k),
+                oracles.perforated_size(i, k)), (i, k)
+
+
+# members far past any bitmap: depth alone up to i = 10^9 and k = 10^4, and
+# boundary and size, which scan the pins and the ring around the square, up
+# to k = 100 and ki = 10^4
+@settings(max_examples=30, deadline=None)
+@given(i=st.integers(2, 10**9), k=st.integers(2, 10**4), small=st.integers(2, 100),
+       spread=st.integers(0, 10**4))
+def test_the_closed_forms_match_the_bitmap_free_oracles(i, k, small, spread):
+    assert oracles.perforated_depth(i, k) == depth_closed_form(GridParams(i, k))
+    counted = GridParams(2 + spread % (10**4 // small - 1), small)
+    assert oracles.perforated_boundary(*counted) == boundary_closed_form(counted)
+    assert oracles.perforated_size(*counted) == enumerated_size(counted)
+
+
+def test_find_params_members_down_to_a_ten_thousandth(monkeypatch):
+    # the member the search returns for c down to 10^-4 (j near 5 * 10^4,
+    # whose patch no bitmap could hold, so ``stats`` is left out), with its
+    # depth from the definition: its ratio is below c, and the two members
+    # before it, one of each parity, are not. Boundary and size are the
+    # closed forms, which the property above holds to the oracles
+    monkeypatch.setattr(counterexample, "stats", lambda params, budget=None: None)
+
+    def ratio(j):
+        member = GridParams(j, j)
+        d = oracles.perforated_depth(j, j)
+        assert d == depth_closed_form(member)
+        return Fraction(boundary_closed_form(member) * d, enumerated_size(member))
+
+    found = []
+    for c in [Fraction(1, 2), Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000),
+              Fraction(3, 10**4), Fraction(1, 10**4)]:
+        params, _ = find_params(c, budget=10**12)
+        j = params.i
+        assert params == GridParams(j, j) and ratio(j) < c
+        assert all(ratio(before) >= c for before in (j - 1, j - 2) if before >= 2)
+        found.append(j)
+    assert found == [9, 49, 499, 4999, 16_667, 49_999]
+
+
 def test_find_params_builds_one_bitmap(monkeypatch):
     built = []
     real = _grid.perforated_block

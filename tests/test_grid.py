@@ -7,8 +7,8 @@ rows for every side modulo 8; packing cells against a byte loop; z^1 runs
 in closed form; z^2 and cylinders, across the residue seam and off it
 under both translation rules of the one erosion loop, and sets at and past
 the bits cap, which take the BFS; grown z^2 sets on their window keys,
-whose bitmap is their lift's; free groups' erosions by parent keys, at the
-identity and elsewhere."""
+whose bitmap is their lift's moved by a constant; free groups' erosions
+by parent keys, at the identity and elsewhere."""
 
 import random
 import tracemalloc
@@ -454,17 +454,25 @@ def test_a_bitmap_at_the_cap_is_built_and_one_cell_further_is_not(monkeypatch):
             assert bfs_depth(A) == expected
 
 
+def lowest_cell(bits: int) -> int:
+    """The index of the lowest set bit of a nonzero ``bits``."""
+    return (bits & -bits).bit_length() - 1
+
+
 def test_a_grown_plane_set_builds_its_lifts_bitmap_from_window_keys(monkeypatch):
     # z^2 keeps the window keys it grew on (``_Window``) and reads their
-    # rows and columns as v // w and v % w: the bitmap must be the one its
-    # lifted host keys give, bit for bit, for sizes 1, 2, 3, 50 and 2000 from
-    # the identity, (-5, 7) and a far corner, with the depth of the
-    # per-vertex oracle up to 200 members. The boundary the set keeps is a
-    # window too, and must take the depth of its lifted copy
+    # rows and columns as v // w and v % w, which are its lift's less two
+    # constants: the bitmap must be the one its lifted host keys give, of the
+    # same width, with every bit moved by one constant number of cells and
+    # within one row of its size, for sizes 1, 2, 3, 50 and 2000 from the
+    # identity, (-5, 7) and a far corner. The depth must be the host-key
+    # copy's, and the per-vertex oracle's up to 50 members. The boundary the
+    # set keeps is a window too, and must meet the same checks
     built = []
     kernel = _grid.depth
     monkeypatch.setattr(_grid, "depth", lambda bm, guess=0: built.append(bm) or kernel(bm, guess))
     corner = (-10**15, LATTICE_COORDINATE_BOUND - 2001)
+    shifts = set()
     for start in [(0, 0), (-5, 7), corner]:
         for seed in range(3):
             for size in (1, 2, 3, 50, 2000):
@@ -476,11 +484,17 @@ def test_a_grown_plane_set_builds_its_lifts_bitmap_from_window_keys(monkeypatch)
                     assert d == Z2._erosion_depth(list(S._members))
                     assert len(built) == 2, (start, seed, size)
                     window, lifted = built
-                    assert (window.bits, window.width, window.size) == (
-                        lifted.bits, lifted.width, lifted.size)
+                    assert window.width == lifted.width
+                    shift = lowest_cell(window.bits) - lowest_cell(lifted.bits)
+                    moved = lifted.bits << shift if shift >= 0 else lifted.bits >> -shift
+                    assert window.bits == moved, (start, seed, size)
+                    assert abs(window.size - lifted.size) <= window.width
+                    shifts.add(shift)
                     assert depth(S) == d == depth(VertexSet(Z2, S.elements))
-                    if size <= 200:
+                    if size <= 50:
                         assert d == oracles.per_vertex_depth(Z2, S.elements)
+    # the window does not copy the lift's column phase
+    assert shifts != {0}
 
 
 def test_a_window_past_the_bits_cap_takes_the_bfs():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import oracles
 from cayleyiso import _zd, groups
-from cayleyiso._budget import _least
 from cayleyiso import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -20,6 +19,7 @@ from cayleyiso import (
     IntegerLattice,
     InvalidVertexError,
     Torus,
+    _least,
     ball,
     ball_profile,
     classify_growth,

@@ -3,7 +3,9 @@ classifier, checked against slow per-vertex oracles."""
 
 import math
 import random
+import re
 from collections import Counter
+from fractions import Fraction
 from itertools import count, islice
 
 import pytest
@@ -484,6 +486,47 @@ def test_sets_the_library_builds_are_not_validated_again(monkeypatch, capsys):
     assert len(calls) == len(embedding.vertex_set)
 
 
+# --- every small connected set ------------------------------------------------
+
+
+def test_the_census_counts_the_known_sequences():
+    # fixed polyominoes (OEIS A001168) and fixed polycubes (OEIS A001931):
+    # one set per translation class, by size
+    assert [len(sets) for sets in oracles.connected_sets(Z2, 8)] == [
+        0, 1, 2, 6, 19, 63, 216, 760, 2725]
+    assert [len(sets) for sets in oracles.connected_sets(IntegerLattice(3), 6)] == [
+        0, 1, 3, 15, 86, 534, 3481]
+
+
+#: each census family, the largest size it enumerates, and its largest
+#: Varopoulos lhs/rhs, |A| / (2m|boundary(A)|)
+CENSUS = [("z^1", 30, Fraction(1, 4)), ("z^2", 8, Fraction(1, 6)), ("z^3", 6, Fraction(3, 26)),
+          ("free:2", 6, Fraction(1, 6)), ("cyl:2", 8, Fraction(1, 4)),
+          ("cyl:3", 7, Fraction(5, 24))]
+
+
+@pytest.mark.parametrize("family, top, largest", CENSUS, ids=[row[0] for row in CENSUS])
+def test_every_small_connected_set_meets_every_claim(family, top, largest):
+    # every connected set of up to ``top`` vertices through the identity (one
+    # per translation class on z^d): depth by the host's own route and the
+    # boundary equal the oracles', A with its boundary is connected, and the
+    # Varopoulos and separation checks find no violation. The largest
+    # Varopoulos lhs/rhs is pinned, so that a fast path which moves any
+    # claim on any of these sets fails here
+    g = parse_group(family)
+    largest_seen = Fraction(0)
+    for sets in oracles.connected_sets(g, top):
+        for members in sets:
+            A = VertexSet(g, members)
+            assert depth(A) == oracles.per_vertex_depth(g, members), members
+            assert boundary(A).elements == oracles.boundary_by_distance(g, members), members
+            assert is_connected_with_boundary(A)
+            report = varopoulos_check(A)
+            assert report.violations() == classify_separation(A).violations() == [], members
+            largest_seen = max(largest_seen, Fraction(report.lhs, report.rhs))
+    assert largest_seen == largest
+
+
 # --- random connected sets ---------------------------------------------------
 
 
@@ -745,9 +788,9 @@ def test_plane_sets_grown_on_window_keys_are_the_host_key_loops():
     # candidates in their order, must be those of the loop on host keys.
     # Starts: the identity, the four far corners of the plane that sets of up
     # to 2000 members grow from on window keys (members reach 2^38 - 1 in
-    # magnitude), a start near the origin and one at the coordinate bound.
-    # From that one the loop runs on host keys, and a set with a member past
-    # the bound is refused. Seeds cycle through sizes 1, 2, 3 and 2000, and
+    # magnitude), a start near the origin and one at the coordinate bound,
+    # from which the window loop runs too and a set with a member past the
+    # bound is refused. Seeds cycle through sizes 1, 2, 3 and 2000, and
     # three in seven take both sides of a draw of their own set that widens;
     # each run of seven takes the next start, so every size meets every start
     g = IntegerLattice(2)
@@ -1066,6 +1109,34 @@ def test_growth_past_the_lattice_coordinate_bound_is_refused(tmp_path):
         A = random_connected_set(IntegerLattice(len(start)), size, seed=1, start=start)
         save_set(A, str(tmp_path / "near.json"))
         assert load_set(str(tmp_path / "near.json")) == VertexSet(A.host, A.elements) == A
+
+
+def test_plane_sets_near_the_coordinate_bound_grow_on_window_keys(tmp_path):
+    # z^2 grows on window keys from every start. From y = +-(2^38 - size),
+    # x = +-10^15, the set is a window, the oracle's set, and loads back from
+    # its set file. Moved toward the bound until its farthest member has the
+    # last valid y, it is still all that; one step further, that member's y
+    # is +-2^38 and the set is refused
+    path = str(tmp_path / "near.json")
+    refused = re.compile(r"^\(-?\d+, -?274877906944\) has a coordinate "
+                         r"after the first of magnitude >= 2\^38$")
+    for size in (1, 2, 3, 50, 400):
+        for seed in range(2):
+            for sx in (1, -1):
+                for sy in (1, -1):
+                    far = (sx * 10**15, sy * (LATTICE_COORDINATE_BOUND - size))
+                    A = random_connected_set(Z2, size, seed=seed, start=far)
+                    reach = max(sy * (y - far[1]) for _, y in A.elements)
+                    tight = (far[0], sy * (LATTICE_COORDINATE_BOUND - 1 - reach))
+                    for start in (far, tight):
+                        A = random_connected_set(Z2, size, seed=seed, start=start)
+                        assert isinstance(A._members, _zd._Window)
+                        assert A.elements == oracles.accretion_set(Z2, size, seed, start)
+                        save_set(A, path)
+                        assert load_set(path) == A
+                    closer = (far[0], tight[1] + sy)
+                    with pytest.raises(InvalidVertexError, match=refused):
+                        random_connected_set(Z2, size, seed=seed, start=closer)
 
 
 # --- vertex sets and set files -----------------------------------------------

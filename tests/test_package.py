@@ -44,10 +44,17 @@ def test_all_names_resolve_and_star_import_works():
     assert set(cayleyiso.__all__) <= set(namespace)
 
 
+#: the public names the package root defines itself, outside the export table
+ROOT_EXPORTS = {"DEFAULT_BUDGET", "BudgetExceeded"}
+
+
 def test_every_imported_public_name_is_exported():
     table = cayleyiso._EXPORTS
-    assert set(cayleyiso.__all__) == set(table)
-    assert set(EAGER_EXPORTS) <= set(table)
+    assert set(cayleyiso.__all__) == set(table) | ROOT_EXPORTS
+    assert ROOT_EXPORTS.isdisjoint(table)
+    assert cayleyiso.BudgetExceeded.__module__ == "cayleyiso"
+    assert "DEFAULT_BUDGET" in vars(cayleyiso)
+    assert set(EAGER_EXPORTS) <= set(cayleyiso.__all__)
     for name, source in table.items():
         module = import_module(f"cayleyiso.{source}")
         if name == source:
@@ -221,10 +228,10 @@ def test_every_private_definition_is_referenced():
 #: the non-blank, non-comment lines ``src/cayleyiso/*.py`` holds, docstrings
 #: counted, as ROADMAP counts them: a change that moves the count moves it in
 #: its own diff, so a reduction leaves no slack for a later addition
-SOURCE_LINE_CEILING = 1994
+SOURCE_LINE_CEILING = 1987
 #: the whole-line ``#`` comments the same files hold, pinned the same way, so
 #: that prose moved out of a docstring into comments shows in the diff
-SOURCE_COMMENT_CEILING = 167
+SOURCE_COMMENT_CEILING = 164
 
 
 def test_the_source_stays_under_its_line_ceiling():
