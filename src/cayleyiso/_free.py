@@ -110,13 +110,17 @@ class FreeGroup(GroupGraph):
         # keeps all). Only a proper prefix of the start is reached from its
         # child toward the start instead, and appends rows[v], _step(v) less
         # that child; rows holds the size - 1 prefixes nearest the start, all
-        # that growth can reach, and none from the identity. No seen set
+        # that growth can reach, and none from the identity. No seen set.
+        # On rank 2 from the identity no key is a prefix and every kids[last]
+        # holds three digits: they are appended as one tuple, with no list
+        # built and no rows lookup
         getrandbits, bits, mask = rng.getrandbits, self._bits, self._mask
         kids = [[d for d in range(1, self.degree + 1) if d - 1 != c] for c in self._cancels]
         prefixes = (start >> bits * i for i in range(min(size - 1, start.bit_length())))
         rows = {v >> bits: [u for u in self._step(v >> bits) if u != v] for v in prefixes if v}
         members, candidates = [start], self._step(start)
         absorb, extend, pop = members.append, candidates.extend, candidates.pop
+        three = self.rank == 2 and not rows
         for _ in range(size - 1):
             n = len(candidates)
             k = n.bit_length()
@@ -128,7 +132,11 @@ class FreeGroup(GroupGraph):
                 v, candidates[j] = candidates[j], v
             absorb(v)
             base = v << bits
-            extend(rows.get(v) or [base + d for d in kids[v & mask]])
+            if three:
+                x, y, z = kids[v & mask]
+                extend((base + x, base + y, base + z))
+            else:
+                extend(rows.get(v) or [base + d for d in kids[v & mask]])
         return members, candidates
 
     def vertex_to_json(self, v: Vertex) -> str:

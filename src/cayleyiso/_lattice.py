@@ -22,12 +22,14 @@ def _swap_and_pop(start: int, size: int, rng, rows, period: int) -> Tuple[set, l
     """``_accrete``'s loop: the members and the candidates, in discovery order,
     of ``size`` - 1 draws from ``start``, stepping v to v + o, o in ``rows[v % period]``.
     A draw is ``randrange``'s own rejection loop on ``getrandbits``, inlined
-    (a test pins the two)."""
+    (a test pins the two). Rows of four offsets (the ``z^2`` window, 2-D tori,
+    four-generator cylinders; a host's rows share one length) step in line."""
     # the candidate list is exactly the keys seen but not absorbed
     getrandbits = rng.getrandbits
     candidates = [start + o for o in rows[start % period]]
     seen = {start, *candidates}
     add, append, pop = seen.add, candidates.append, candidates.pop
+    four = len(candidates) == 4
     for _ in range(size - 1):
         n = len(candidates)
         k = n.bit_length()
@@ -38,9 +40,23 @@ def _swap_and_pop(start: int, size: int, rng, rows, period: int) -> Tuple[set, l
         v = pop()
         if j < n - 1:
             v, candidates[j] = candidates[j], v
+        if four:
+            a, b, c, d = rows[v % period]
+            if (u := v + a) not in seen:
+                add(u)
+                append(u)
+            if (u := v + b) not in seen:
+                add(u)
+                append(u)
+            if (u := v + c) not in seen:
+                add(u)
+                append(u)
+            if (u := v + d) not in seen:
+                add(u)
+                append(u)
+            continue
         for o in rows[v % period]:
-            u = v + o
-            if u not in seen:
+            if (u := v + o) not in seen:
                 add(u)
                 append(u)
     return seen.difference(candidates), candidates

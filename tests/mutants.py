@@ -1,15 +1,16 @@
-"""Mutation probe for the checked inequalities, kept out of Tier-1.
+"""Mutation probe for the checked inequalities and growth order, kept out of Tier-1.
 
 Each mutant M1-M8 changes one token of a checked relation in
-``src/cayleyiso``. The probe copies the checkout to a temporary directory,
-applies one mutant there, runs Tier-1 on the copy and prints ``caught``
-when Tier-1 fails or ``survived`` when it passes. The checkout is never
-written. Tier-1 stops at its first failure, so a caught mutant costs less
-than a full run.
+``src/cayleyiso``; M9 and M10 swap two steps of growth's in-line degree-4
+step, which changes the order of the candidates, not their set. The probe
+copies the checkout to a temporary directory, applies one mutant there,
+runs Tier-1 on the copy and prints ``caught`` when Tier-1 fails or
+``survived`` when it passes. The checkout is never written. Tier-1 stops
+at its first failure, so a caught mutant costs less than a full run.
 
 Run it from any directory, on a checkout whose Tier-1 passes:
 
-    python tests/mutants.py          # all eight
+    python tests/mutants.py          # all ten
     python tests/mutants.py M4 M8    # some of them
 
 Pytest does not collect this file: its name lacks the ``test_`` prefix.
@@ -40,6 +41,9 @@ MUTANTS = {
            "bound = 2 * s * s * t * t * k + 2 * s * t * k + 1"),
     "M8": ("counterexample.py", "bd * q < p * enumerated_size(member)",
            "bd * q <= p * enumerated_size(member)"),
+    "M9": ("_free.py", "extend((base + x, base + y, base + z))",
+           "extend((base + y, base + x, base + z))"),
+    "M10": ("_lattice.py", "a, b, c, d = rows[v % period]", "b, a, c, d = rows[v % period]"),
 }
 
 TIER_1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

@@ -181,6 +181,53 @@ def accretion_set(g, size: int, seed: int = 0, start=None) -> set:
     return members
 
 
+def _swap_and_pop_draw(candidates: list, rng: random.Random):
+    """Take a candidate drawn uniformly by ``randrange``: the last one takes its slot."""
+    j = rng.randrange(len(candidates))
+    v = candidates.pop()
+    if j < len(candidates):
+        v, candidates[j] = candidates[j], v
+    return v
+
+
+def lattice_growth_loop(start: int, size: int, rng: random.Random, rows, period: int) -> tuple:
+    """The lattice hosts' growth loop on keys in its generic form, one offset
+    at a time, for every degree: the members (a set) and the candidates (a
+    list, in discovery order) of ``size`` - 1 draws from the key ``start``,
+    stepping v to v + o for o in ``rows[v % period]``. The in-line step of
+    ``_lattice._swap_and_pop`` on rows of four offsets must match it list
+    for list, and not only set for set."""
+    candidates = [start + o for o in rows[start % period]]
+    seen = {start, *candidates}
+    for _ in range(size - 1):
+        v = _swap_and_pop_draw(candidates, rng)
+        for o in rows[v % period]:
+            u = v + o
+            if u not in seen:
+                seen.add(u)
+                candidates.append(u)
+    return seen.difference(candidates), candidates
+
+
+def free_growth_loop(g, start: int, size: int, rng: random.Random) -> tuple:
+    """``FreeGroup``'s growth loop on keys in its generic form, for every rank
+    and start: the members and the candidates, two lists in discovery order,
+    of ``size`` - 1 draws from the key ``start``. An absorbed key appends its
+    children digit by digit, except a proper prefix of the start, which
+    appends its neighbors but the one it was reached from. free:2's tuple of
+    three children must match it list for list."""
+    bits = g._bits
+    kids = [[d for d in range(1, g.degree + 1) if d - 1 != c] for c in g._cancels]
+    prefixes = (start >> bits * i for i in range(min(size - 1, start.bit_length())))
+    rows = {v >> bits: [u for u in g._step(v >> bits) if u != v] for v in prefixes if v}
+    members, candidates = [start], g._step(start)
+    for _ in range(size - 1):
+        v = _swap_and_pop_draw(candidates, rng)
+        members.append(v)
+        candidates.extend(rows.get(v) or [(v << bits) + d for d in kids[v & g._mask]])
+    return members, candidates
+
+
 def bfs_ball(g, center, r: int) -> set:
     neighbors = neighbor_function(g)
     out = {center}

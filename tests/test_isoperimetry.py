@@ -499,10 +499,12 @@ def test_the_census_counts_the_known_sequences():
 
 
 #: each census family, the largest size it enumerates, and its largest
-#: Varopoulos lhs/rhs, |A| / (2m|boundary(A)|)
+#: Varopoulos lhs/rhs, |A| / (2m|boundary(A)|); None on the torus, a finite
+#: host, where neither claim applies
 CENSUS = [("z^1", 30, Fraction(1, 4)), ("z^2", 8, Fraction(1, 6)), ("z^3", 6, Fraction(3, 26)),
-          ("free:2", 6, Fraction(1, 6)), ("cyl:2", 8, Fraction(1, 4)),
-          ("cyl:3", 7, Fraction(5, 24))]
+          ("free:2", 6, Fraction(1, 6)), ("free:3", 5, Fraction(3, 28)),
+          ("cyl:2", 8, Fraction(1, 4)), ("cyl:3", 7, Fraction(5, 24)),
+          ("cyl:4:[(2,1),(1,0)]", 7, Fraction(1, 6)), ("torus:5x5", 6, None)]
 
 
 @pytest.mark.parametrize("family, top, largest", CENSUS, ids=[row[0] for row in CENSUS])
@@ -512,19 +514,25 @@ def test_every_small_connected_set_meets_every_claim(family, top, largest):
     # boundary equal the oracles', A with its boundary is connected, and the
     # Varopoulos and separation checks find no violation. The largest
     # Varopoulos lhs/rhs is pinned, so that a fast path which moves any
-    # claim on any of these sets fails here
+    # claim on any of these sets fails here. On the torus both checks refuse
     g = parse_group(family)
-    largest_seen = Fraction(0)
+    largest_seen = None if g.is_finite else Fraction(0)
     for sets in oracles.connected_sets(g, top):
         for members in sets:
             A = VertexSet(g, members)
             assert depth(A) == oracles.per_vertex_depth(g, members), members
             assert boundary(A).elements == oracles.boundary_by_distance(g, members), members
             assert is_connected_with_boundary(A)
+            if g.is_finite:
+                continue
             report = varopoulos_check(A)
             assert report.violations() == classify_separation(A).violations() == [], members
             largest_seen = max(largest_seen, Fraction(report.lhs, report.rhs))
     assert largest_seen == largest
+    if g.is_finite:
+        for check in (varopoulos_check, classify_separation):
+            with pytest.raises(ValueError, match="needs an infinite host"):
+                check(A)
 
 
 # --- random connected sets ---------------------------------------------------
@@ -744,6 +752,44 @@ def _spy_on_the_loop(monkeypatch) -> list:
         assert module._swap_and_pop is loop
         monkeypatch.setattr(module, "_swap_and_pop", spy)
     return calls
+
+
+#: hosts whose growth steps a key's four offsets, or a word's three children,
+#: in line (the first five), and hosts of other degrees, which keep the loop
+IN_LINE_HOSTS = ["z^2", "cyl:3", "cyl:4:[(2,1),(1,0)]", "torus:31x31", "free:2", "cyl:2",
+                 "cyl:6:[(1,0),(0,2),(0,3)]", "z^3", "torus:7x7x7", "free:3"]
+
+
+def test_growth_lists_the_generic_loops_members_and_candidates_in_order(monkeypatch):
+    # the in-line steps and the loops kept beside them must return the lists
+    # that the generic loops of ``oracles`` return for the same draws: the
+    # members in order (a set's order on the lattices, which only the same
+    # insertions reproduce) and the candidates in order, where a set
+    # comparison would miss a swapped pair of candidates that no later draw
+    # happens to tell apart. free:2 also grows from a word off the identity,
+    # whose prefixes take the loop. Sizes 1, 2, 2000 and both sides of every
+    # draw-width change below it, capped at a torus's vertex count, three
+    # seeds each
+    loops = _spy_on_the_loop(monkeypatch)
+    for family in IN_LINE_HOSTS:
+        g = parse_group(family)
+        starts = [0, g._encode(g.parse_word("abAB"))] if family == "free:2" else [0]
+        sizes = sorted({min(s, g.vertex_count or s)
+                        for s in (1, 2, 2000, *_widening_sizes(g.degree, 2000))})
+        for start in starts:
+            for seed in range(3 * len(sizes)):
+                size = sizes[seed % len(sizes)]
+                loops.clear()
+                grown = [list(getattr(keys, "keys", keys))  # a z^2 ``_Window``'s own keys
+                         for keys in g._accrete(start, size, random.Random(seed))]
+                if isinstance(g, FreeGroup):
+                    members, candidates = oracles.free_growth_loop(g, start, size,
+                                                                   random.Random(seed))
+                else:
+                    (key, _, rows, period), = loops
+                    members, candidates = oracles.lattice_growth_loop(key, size, random.Random(seed),
+                                                                      rows, period)
+                assert grown == [list(members), candidates], (family, start, size, seed)
 
 
 class _CountingRandom(random.Random):
