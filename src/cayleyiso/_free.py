@@ -100,27 +100,20 @@ class FreeGroup(GroupGraph):
             t += 1
         return t
 
-    def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
-        # A is a subtree, and an absorbed key's only neighbor in A is the one
-        # it was reached from: its other neighbors were never seen, as in a
-        # tree their only path to A runs through it. That neighbor is its
-        # parent, so v appends v << _bits plus each digit of kids[last],
-        # last = v & _mask: the digits 1 .. degree but the one that cancels
-        # last, whose slot _step gives to the parent (the identity's row
-        # keeps all). Only a proper prefix of the start is reached from its
-        # child toward the start instead, and appends rows[v], _step(v) less
-        # that child; rows holds the size - 1 prefixes nearest the start, all
-        # that growth can reach, and none from the identity. No seen set.
-        # On rank 2 from the identity no key is a prefix and every kids[last]
-        # holds three digits: they are appended as one tuple, with no list
-        # built and no rows lookup
+    def _accrete(self, size: int, rng) -> Tuple[Collection, Collection]:
+        # A is a subtree grown from the identity, and an absorbed key's only
+        # neighbor in A is the one it was reached from: its other neighbors
+        # were never seen, as in a tree their only path to A runs through it.
+        # That neighbor is its parent, so v appends v << _bits plus each digit
+        # of kids[last], last = v & _mask: the digits 1 .. degree but the one
+        # that cancels last, whose slot _step gives to the parent. No seen
+        # set. On rank 2 every kids[last] holds three digits: they are
+        # appended as one tuple, with no list built
         getrandbits, bits, mask = rng.getrandbits, self._bits, self._mask
         kids = [[d for d in range(1, self.degree + 1) if d - 1 != c] for c in self._cancels]
-        prefixes = (start >> bits * i for i in range(min(size - 1, start.bit_length())))
-        rows = {v >> bits: [u for u in self._step(v >> bits) if u != v] for v in prefixes if v}
-        members, candidates = [start], self._step(start)
+        members, candidates = [0], self._step(0)
         absorb, extend, pop = members.append, candidates.extend, candidates.pop
-        three = self.rank == 2 and not rows
+        three = self.rank == 2
         for _ in range(size - 1):
             n = len(candidates)
             k = n.bit_length()
@@ -136,7 +129,7 @@ class FreeGroup(GroupGraph):
                 x, y, z = kids[v & mask]
                 extend((base + x, base + y, base + z))
             else:
-                extend(rows.get(v) or [base + d for d in kids[v & mask]])
+                extend([base + d for d in kids[v & mask]])
         return members, candidates
 
     def vertex_to_json(self, v: Vertex) -> str:

@@ -119,5 +119,5 @@ class _MixedRadix(GroupGraph):
     def _step(self, key: int) -> list:
         return [key + o for o in self._rows[key % self._period]]
 
-    def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
-        return _swap_and_pop(start, size, rng, self._rows, self._period)
+    def _accrete(self, size: int, rng) -> Tuple[Collection, Collection]:
+        return _swap_and_pop(0, size, rng, self._rows, self._period)

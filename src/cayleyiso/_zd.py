@@ -25,12 +25,12 @@ LATTICE_COORDINATE_BOUND = 1 << 38
 
 
 class _Window:
-    """The window keys of a set ``z^2`` grew to n members, from any start,
-    held as a ``range`` holds a z^1 interval: the offset (x, y) from the
-    start has the key v = (x + n)w + y + n, w = 2n + 1, two small digits
-    (host keys a row apart differ by S = 2^40, so their low hash bits
-    collide). Iterating lifts v to the host key start + xS + y = base + v +
-    (v // w)(S - w), and depth reads v // w and v % w as rows and columns."""
+    """The window keys of a set ``z^2`` grew to n members from the identity,
+    held as a ``range`` holds a z^1 interval: the vertex (x, y) has the key
+    v = (x + n)w + y + n, w = 2n + 1, two small digits (host keys a row
+    apart differ by S = 2^40, so their low hash bits collide). Iterating
+    lifts v to the host key xS + y = base + v + (v // w)(S - w), and depth
+    reads v // w and v % w as rows and columns."""
 
     def __init__(self, keys: Collection[int], w: int, base: int):
         self.keys, self.w, self.base = keys, w, base
@@ -144,7 +144,7 @@ class IntegerLattice(_MixedRadix):
         bm = _grid.Bitmap.from_keys(list(map(add, map(mul, rows, repeat(w)), columns)), w)
         return bm and _grid.depth(bm)
 
-    def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
+    def _accrete(self, size: int, rng) -> Tuple[Collection, Collection]:
         if self.d == 1:
             # A is an interval [hi - size + 1, hi] whose candidates are its two
             # ends, so each draw is getrandbits(2), the top two bits of one
@@ -155,7 +155,7 @@ class IntegerLattice(_MixedRadix):
             # getrandbits(32 N) returns N words least significant first; the
             # generator is the caller's own, so words drawn past the last
             # absorption are harmless
-            hi, up, left = start, 0, size - 1
+            hi, up, left = 0, 0, size - 1
             while left:
                 words = rng.getrandbits(64 * left).to_bytes(8 * left, "little")
                 taken = words[3::4].translate(None, bytes(range(128, 256)))[:left]
@@ -163,22 +163,14 @@ class IntegerLattice(_MixedRadix):
                 ends = list(accumulate(taken.translate(b"\1" * 64 + bytes(192)), xor, initial=up))
                 hi, up, left = hi + sum(ends) - up, ends[-1], left - len(taken)
             return range(hi - size + 1, hi + 1), (hi - size, hi + 1)
-        if self.d == 2:
-            # the one loop on window keys (``_Window``) takes the host keys'
-            # draws and order; a list holds the members in under a quarter of
-            # the bytes of the loop's set table
-            w, base = 2 * size + 1, start - size * ((1 << _LATTICE_BITS) + 1)
-            members, candidates = _swap_and_pop(size * w + size, size, rng, ((w, -w, 1, -1),), 1)
-            members, candidates = _Window(list(members), w, base), _Window(candidates, w, base)
-        else:
-            members, candidates = super()._accrete(start, size, rng)
-        if max(map(abs, self._decode(start)[1:])) + size > LATTICE_COORDINATE_BOUND:
-            # a draw moves one coordinate by one, so only a start within
-            # size - 1 steps of the bound can grow a member that
-            # ``validate_vertex`` refuses: only such a set is checked
-            for key in members:
-                self.validate_vertex(self._decode(key))
-        return members, candidates
+        if self.d > 2:
+            return super()._accrete(size, rng)
+        # the one loop on window keys (``_Window``) takes the host keys' draws
+        # and order; a list holds the members in under a quarter of the bytes
+        # of the loop's set table
+        w, base = 2 * size + 1, -size * ((1 << _LATTICE_BITS) + 1)
+        members, candidates = _swap_and_pop(size * w + size, size, rng, ((w, -w, 1, -1),), 1)
+        return _Window(list(members), w, base), _Window(candidates, w, base)
 
     def _ball_counts(self) -> Iterator[int]:
         # the generating function (1+x)^d / (1-x)^(d+1) of the sizes gives

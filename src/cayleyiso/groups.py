@@ -106,12 +106,12 @@ class GroupGraph:
         """The depth of a nonempty key set by ``depth``'s erosion route, or None."""
         return None
 
-    def _accrete(self, start: int, size: int, rng) -> Tuple[Collection, Collection]:
+    def _accrete(self, size: int, rng) -> Tuple[Collection, Collection]:
         """The members and the candidates, distinct keys, of the set that
-        ``size`` - 1 draws grow from the key ``start``: those the loop
+        ``size`` - 1 draws grow from the identity, key 0: those the loop
         ``_lattice._swap_and_pop`` returns stepping each key to ``_step``'s
-        keys in order. Each host grows it one way from every start, and may
-        hand over a lazy collection that yields them (``range``, ``_zd._Window``)."""
+        keys in order. Each host grows it one way, and may hand over a lazy
+        collection that yields them (``range``, ``_zd._Window``)."""
         raise NotImplementedError
 
     def __eq__(self, other) -> bool:

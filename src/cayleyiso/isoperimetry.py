@@ -307,18 +307,16 @@ def classify_separation(A: VertexSet, budget: Optional[int] = None) -> Separatio
     return SeparationReport(A.host.family, size, k, d, True, branch, inequalities)
 
 
-def random_connected_set(
-    g: GroupGraph, size: int, seed: int = 0, start: Optional[Vertex] = None,
-    budget: Optional[int] = None,
-) -> VertexSet:
-    """Grow a connected set by BFS accretion: repeatedly absorb a boundary
-    vertex chosen uniformly at random, by the host's ``_accrete``.
+def random_connected_set(g: GroupGraph, size: int, seed: int = 0,
+                         budget: Optional[int] = None) -> VertexSet:
+    """Grow a connected set from the identity by BFS accretion: repeatedly
+    absorb a boundary vertex chosen uniformly at random, by the host's
+    ``_accrete``.
 
-    Deterministic for a given (seed, size, start). ``budget`` is charged
-    before growth runs, and a member ``validate_vertex`` refuses raises. The
-    set keeps the members and candidates ``_accrete`` returns: its boundary
-    is the final candidates (a candidate leaves only by joining A), and its
-    closure is connected, as A grew by neighbors.
+    Deterministic for a given (seed, size). ``budget`` is charged before
+    growth runs. The set keeps the members and candidates ``_accrete``
+    returns: its boundary is the final candidates (a candidate leaves only
+    by joining A), and its closure is connected, as A grew by neighbors.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -329,10 +327,7 @@ def random_connected_set(
     _require_budget(budget, size * (g.degree - 1) + 2 if g.declared_ends == math.inf else size)
     if g.is_finite and size > g.vertex_count:
         raise ValueError(f"size {size} exceeds |V| = {g.vertex_count} on {g.family}")
-    if start is None:
-        start = g.identity()
-    g.validate_vertex(start)
-    keys, candidates = g._accrete(g._encode(start), size, random.Random(seed))
+    keys, candidates = g._accrete(size, random.Random(seed))
     A = VertexSet._trusted(g, keys)
     A._boundary = candidates
     A._closure_is_connected = True

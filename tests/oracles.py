@@ -157,16 +157,16 @@ def vertex_is_valid(g, v) -> bool:
     return vertex_error(g, v) is None
 
 
-def accretion_set(g, size: int, seed: int = 0, start=None) -> set:
+def accretion_set(g, size: int, seed: int = 0) -> set:
     """The vertices ``random_connected_set`` grows, by the same protocol on
-    vertices: candidates in discovery order, one ``randrange`` per absorbed
-    vertex, swap-and-pop removal. ``seed`` may also be a ``random.Random``
-    to draw from, so that a caller can watch the draws."""
+    vertices from the identity: candidates in discovery order, one
+    ``randrange`` per absorbed vertex, swap-and-pop removal. ``seed`` may
+    also be a ``random.Random`` to draw from, so that a caller can watch the
+    draws."""
     neighbors = neighbor_function(g)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    start = g.identity() if start is None else start
-    members = {start}
-    candidates = neighbors(start)
+    members = {identity(g)}
+    candidates = neighbors(identity(g))
     pending = set(candidates)
     while len(members) < size:
         j = rng.randrange(len(candidates))
@@ -209,23 +209,42 @@ def lattice_growth_loop(start: int, size: int, rng: random.Random, rows, period:
     return seen.difference(candidates), candidates
 
 
-def free_growth_loop(g, start: int, size: int, rng: random.Random) -> tuple:
-    """``FreeGroup``'s growth loop on keys in its generic form, for every rank
-    and start: the members and the candidates, two lists in discovery order,
-    of ``size`` - 1 draws from the key ``start``. An absorbed key appends its
-    children digit by digit, except a proper prefix of the start, which
-    appends its neighbors but the one it was reached from. free:2's tuple of
-    three children must match it list for list."""
+def free_growth_loop(g, size: int, rng: random.Random) -> tuple:
+    """``FreeGroup``'s growth loop on keys in its generic form, for every
+    rank: the members and the candidates, two lists in discovery order, of
+    ``size`` - 1 draws from the identity, key 0. An absorbed key appends its
+    children digit by digit. free:2's tuple of three children must match it
+    list for list."""
     bits = g._bits
     kids = [[d for d in range(1, g.degree + 1) if d - 1 != c] for c in g._cancels]
-    prefixes = (start >> bits * i for i in range(min(size - 1, start.bit_length())))
-    rows = {v >> bits: [u for u in g._step(v >> bits) if u != v] for v in prefixes if v}
-    members, candidates = [start], g._step(start)
+    members, candidates = [0], g._step(0)
     for _ in range(size - 1):
         v = _swap_and_pop_draw(candidates, rng)
         members.append(v)
-        candidates.extend(rows.get(v) or [(v << bits) + d for d in kids[v & g._mask]])
+        candidates.extend((v << bits) + d for d in kids[v & g._mask])
     return members, candidates
+
+
+def translate(g, s, v):
+    """The group product s * v of two vertices of ``g``, read off the
+    definitions: coordinate sums on ``z^d``, sums mod n on a torus, the
+    z-sum and the residue sum mod m on a cylinder Z x Z_m, and on a free
+    group the concatenation of the two words, freely reduced. Left
+    multiplication by s is a graph automorphism, as the generators act on
+    the right."""
+    if isinstance(g, FreeGroup):
+        word = list(s)
+        for x in v:
+            if word and word[-1] == -x:
+                word.pop()
+            else:
+                word.append(x)
+        return tuple(word)
+    if isinstance(g, Torus):
+        return tuple((a + b) % g.n for a, b in zip(s, v))
+    if isinstance(g, Cylinder):
+        return (s[0] + v[0], (s[1] + v[1]) % g.m)
+    return tuple(a + b for a, b in zip(s, v))
 
 
 def bfs_ball(g, center, r: int) -> set:

@@ -932,6 +932,98 @@ def test_the_reader_gives_argparse_namespace_wherever_it_reads(argv):
         assert vars(fast) == vars(_PARSER.parse_args(argv))
 
 
+# flag values for command lines that run, each list led by an ordinary
+# value, which hypothesis draws first: ints near 0, negative and huge, the
+# census families with a family the grammar refuses and one whose
+# constructor does, and --c and --diag texts at their edges. {set} names a
+# set file on a census family, {missing} no file, {out} and {emit} paths
+# that the run may write
+_NEAR_ZERO = ["3", "2", "0", "1", "4", "6", "-1", "-3"]
+_RUN_VALUES = {
+    "--group": st.sampled_from(["z^2", "z^1", "z^3", "free:2", "free:3", "cyl:2", "cyl:3",
+                                "cyl:4:[(2,1),(1,0)]", "torus:5x5", "z^0", "bogus"]),
+    "--set": st.sampled_from(["{set}", "{set}", "{missing}"]),
+    "--c": st.sampled_from(["1/2", "0.25", "1/10", "1e-3", "1e-400", "0", "-1", "3", "1/0", "x"]),
+    "--diag": st.sampled_from(["4,8", "2", "2,3,2", "0", "-3", "", "x", str(10**30)]),
+    "--format": st.sampled_from(["csv", "json"]),
+    "--out": st.just("{out}"),
+    "--emit-set": st.just("{emit}"),
+}
+
+
+def _runs(capped: bool):
+    """Command lines for ``main``: a leaf's words, then each of its flags, a
+    required one mostly and an optional one a third of the time, with a
+    value from ``_RUN_VALUES`` or an int. A leaf that reads a set mostly
+    takes one of --set and --random, the latter mostly with --group. A run
+    that may allocate (``capped``) takes the default budget or 10^30 and
+    ints near 0 only; the others take a budget near 0, negative or up to
+    10^5 vertices, which bounds their work."""
+    ints = st.sampled_from(_NEAR_ZERO + ([] if capped else ["-1000000", "10000", str(2**63),
+                                                           str(10**30)]))
+    budgets = [None, str(10**30)] if capped else ["100000", "10000", "100000", "100", "7",
+                                                  "1", "0", "-1"]
+
+    @st.composite
+    def runs(draw):
+        words, flags = draw(st.sampled_from(LEAVES))
+        sources = draw(st.sampled_from([["--random"], ["--set"]] * 2 + [[], cli._ONE_OF]))
+        argv = list(words)
+        for name, options in flags:
+            if name in cli._ONE_OF:
+                wanted = name in sources
+            elif name == "--group" and "--random" in sources:
+                wanted = draw(st.sampled_from([True] * 4 + [False]))
+            else:
+                wanted = name != "--budget" and draw(st.sampled_from(
+                    [True] * 4 + [False] if options.get("required") else [False, True, False]))
+            if wanted:
+                argv += [name, draw(_RUN_VALUES.get(name, ints))]
+        budget = draw(st.sampled_from(budgets))
+        return argv + (["--budget", budget] if budget else [])
+
+    return runs()
+
+
+@pytest.mark.parametrize("capped, examples", [(False, 90), (True, 10)])
+def test_drawn_command_lines_exit_with_a_code_and_at_most_one_error_line(capped, examples,
+                                                                         run_capped):
+    # each drawn command line runs twice: the exit code is 0, 1 or 2, no
+    # traceback is written, at most one "error:" line, and stdout repeats.
+    # Runs that may allocate run in a capped child, the others in process,
+    # where a run that raised would fail here with its traceback
+    def once(argv):
+        if capped:
+            proc = run_capped("-m", "cayleyiso.cli", *argv, timeout=120)
+            return proc.returncode, proc.stdout, proc.stderr
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+        return rc, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(argv=_runs(capped), family=st.sampled_from(DIFFERENTIAL_FAMILIES))
+    def check(argv, family):
+        with tempfile.TemporaryDirectory() as folder:
+            paths = {name: os.path.join(folder, f"{name}.json")
+                     for name in ("set", "missing", "out", "emit")}
+            save_set(random_connected_set(parse_group(family), 20, seed=1), paths["set"])
+            argv = [word.format(**paths) if word.startswith("{") else word for word in argv]
+            outputs = []
+            for _ in range(2):
+                rc, out, err = once(argv)
+                assert rc in (0, 1, 2), (argv, err)
+                assert "Traceback" not in err, argv
+                assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, argv
+                outputs.append(out)
+            assert outputs[0] == outputs[1], argv
+
+    check()
+
+
 #: argv, exit code and a line of the help or usage error it writes
 USAGE_CASES = [
     (["--help"], 0, "Isoperimetry on implicit Cayley graphs."),

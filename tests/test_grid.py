@@ -462,37 +462,40 @@ def lowest_cell(bits: int) -> int:
 def test_a_grown_plane_set_builds_its_lifts_bitmap_from_window_keys(monkeypatch):
     # z^2 keeps the window keys it grew on (``_Window``) and reads their
     # rows and columns as v // w and v % w, which are its lift's less two
-    # constants: the bitmap must be the one its lifted host keys give, of the
-    # same width, with every bit moved by one constant number of cells and
-    # within one row of its size, for sizes 1, 2, 3, 50 and 2000 from the
-    # identity, (-5, 7) and a far corner. The depth must be the host-key
-    # copy's, and the per-vertex oracle's up to 50 members. The boundary the
-    # set keeps is a window too, and must meet the same checks
+    # constants: the bitmap must be the one the host keys of the set, and of
+    # its copies moved to (-5, 7) and a far corner, give, of the same width,
+    # with every bit moved by one constant number of cells and within one
+    # row of its size, for sizes 1, 2, 3, 50 and 2000. The depth must be the
+    # copies', and the per-vertex oracle's up to 50 members. The boundary
+    # the set keeps is a window too, and must meet the same checks
     built = []
     kernel = _grid.depth
     monkeypatch.setattr(_grid, "depth", lambda bm, guess=0: built.append(bm) or kernel(bm, guess))
     corner = (-10**15, LATTICE_COORDINATE_BOUND - 2001)
     shifts = set()
-    for start in [(0, 0), (-5, 7), corner]:
-        for seed in range(3):
-            for size in (1, 2, 3, 50, 2000):
-                A = random_connected_set(Z2, size, seed=seed, start=start)
-                for S in (A, boundary(A)):
-                    assert isinstance(S._members, _Window)
+    for seed in range(3):
+        for size in (1, 2, 3, 50, 2000):
+            A = random_connected_set(Z2, size, seed=seed)
+            for S in (A, boundary(A)):
+                assert isinstance(S._members, _Window)
+                built.clear()
+                d = Z2._erosion_depth(S._members)
+                window, = built
+                for s in [(0, 0), (-5, 7), corner]:
+                    copy = VertexSet(Z2, {oracles.translate(Z2, s, v) for v in S.elements})
                     built.clear()
-                    d = Z2._erosion_depth(S._members)
-                    assert d == Z2._erosion_depth(list(S._members))
-                    assert len(built) == 2, (start, seed, size)
-                    window, lifted = built
+                    assert Z2._erosion_depth(copy._keys) == d
+                    lifted, = built
                     assert window.width == lifted.width
                     shift = lowest_cell(window.bits) - lowest_cell(lifted.bits)
                     moved = lifted.bits << shift if shift >= 0 else lifted.bits >> -shift
-                    assert window.bits == moved, (start, seed, size)
+                    assert window.bits == moved, (s, seed, size)
                     assert abs(window.size - lifted.size) <= window.width
                     shifts.add(shift)
-                    assert depth(S) == d == depth(VertexSet(Z2, S.elements))
-                    if size <= 50:
-                        assert d == oracles.per_vertex_depth(Z2, S.elements)
+                    assert depth(copy) == d
+                assert depth(S) == d
+                if size <= 50:
+                    assert d == oracles.per_vertex_depth(Z2, S.elements)
     # the window does not copy the lift's column phase
     assert shifts != {0}
 
@@ -526,17 +529,6 @@ def test_free_group_accreted_sets(rank):
         assert_routes_agree(g, A.elements, oracles_too=size <= 400)
 
 
-def reduced(word):
-    """The free reduction of a tuple of signed generator indices."""
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
 @pytest.mark.parametrize("rank", [2, 3])
 def test_free_group_balls_are_one_deeper_than_their_radius(rank):
     # B_r around the identity, and around a word longer than r, which is
@@ -544,7 +536,7 @@ def test_free_group_balls_are_one_deeper_than_their_radius(rank):
     g, center = FreeGroup(rank), (1, 2, -1, -2, 1, 2)
     for r in range(6 if rank == 2 else 4):
         ball = oracles.enumerate_reduced_words(rank, r)
-        moved = {reduced(center + w) for w in ball}
+        moved = {oracles.translate(g, center, w) for w in ball}
         assert () not in moved
         for members in (ball, moved):
             assert assert_routes_agree(g, members, oracles_too=r <= 3) == r + 1
@@ -558,7 +550,7 @@ def test_free_group_sets_without_the_identity_disconnected_and_single():
     # word four steps from both
     far = (2, 2, 2, 2, 2, 2)
     pieces = [oracles.enumerate_reduced_words(2, 2),
-              {reduced(far + w) for w in oracles.enumerate_reduced_words(2, 1)},
+              {oracles.translate(g, far, w) for w in oracles.enumerate_reduced_words(2, 1)},
               {(-1, -1, -1, -1, -1, -1)}]
     assert assert_routes_agree(g, set().union(*pieces)) == 3
     assert assert_routes_agree(g, pieces[1] | pieces[2]) == 2
@@ -566,8 +558,8 @@ def test_free_group_sets_without_the_identity_disconnected_and_single():
     for _ in range(20):
         members = set()
         for _ in range(rng.randint(2, 4)):
-            start = oracles.random_vertex(g, rng)
-            members |= {reduced(start + w) for w in
+            s = oracles.random_vertex(g, rng)
+            members |= {oracles.translate(g, s, w) for w in
                         random_connected_set(g, rng.randint(1, 40), seed=rng.randrange(99))}
         assert_routes_agree(g, members)
 

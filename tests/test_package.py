@@ -228,10 +228,10 @@ def test_every_private_definition_is_referenced():
 #: the non-blank, non-comment lines ``src/cayleyiso/*.py`` holds, docstrings
 #: counted, as ROADMAP counts them: a change that moves the count moves it in
 #: its own diff, so a reduction leaves no slack for a later addition
-SOURCE_LINE_CEILING = 2008
+SOURCE_LINE_CEILING = 1996
 #: the whole-line ``#`` comments the same files hold, pinned the same way, so
 #: that prose moved out of a docstring into comments shows in the diff
-SOURCE_COMMENT_CEILING = 167
+SOURCE_COMMENT_CEILING = 159
 
 
 def test_the_source_stays_under_its_line_ceiling():
@@ -239,3 +239,12 @@ def test_the_source_stays_under_its_line_ceiling():
              for line in path.read_text(encoding="utf-8").splitlines()]
     assert sum(1 for line in lines if line and not line.startswith("#")) == SOURCE_LINE_CEILING
     assert sum(1 for line in lines if line.startswith("#")) == SOURCE_COMMENT_CEILING
+
+
+def test_every_mutant_text_occurs_once_in_its_module():
+    # tests/mutants.py mutates by text replacement: a text that a refactor
+    # changed would leave the probe's copy unmutated, and one that occurs
+    # twice would mutate both places
+    import mutants
+
+    assert mutants.misplaced(mutants.MUTANTS) == []

@@ -315,11 +315,14 @@ def test_interval_cover_contains_a():
 
 def test_interval_cover_reads_its_blocks_from_the_extreme_keys():
     # a key z*m + r grows with its block z, so the least and greatest keys
-    # lie in the least and greatest blocks, negative ones included
+    # lie in the least and greatest blocks, negative ones included: grown
+    # sets moved to (z0, r0)
     for host in (Cylinder(2), Cylinder(3), Cylinder(4, [(2, 1), (1, 0)])):
         sysm = cyclic_system(host)
         for seed, z0 in enumerate((-1, -40, -3, 0, 7, -10**12)):
-            A = random_connected_set(host, 10 + 30 * seed, seed=seed, start=(z0, seed % host.m))
+            s = (z0, seed % host.m)
+            A = VertexSet(host, {oracles.translate(host, s, v) for v in
+                                 random_connected_set(host, 10 + 30 * seed, seed=seed).elements})
             cover = interval_cover(sysm, A)
             assert cover.j_lo == min(map(host._block, A._keys)) == min(z for z, _ in A)
             assert cover.j_hi == max(map(host._block, A._keys)) == max(z for z, _ in A)
