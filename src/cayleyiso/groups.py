@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from importlib import import_module
 from itertools import accumulate, chain, count, islice
-from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Tuple
+from typing import Collection, Iterator, NamedTuple, Optional, Tuple
 
 from . import DEFAULT_BUDGET, BudgetExceeded, _clip, _least
 
@@ -192,58 +192,53 @@ def __getattr__(name):
     return getattr(import_module(__package__), name)
 
 
-def _bfs_levels(
-    g: GroupGraph,
-    sources: Collection,
-    budget: Optional[int] = None,
-    within: Optional[AbstractSet] = None,
-) -> Iterator[set]:
-    """Yield the BFS spheres around the ``sources``: level r is yielded at step r.
-
-    Sources, ``within`` and the yielded spheres hold host keys. The search
-    stops when the frontier empties or when its consumer stops taking
-    levels: level r + 1 is built only when asked for.
-
-    ``budget`` bounds the visited set of a host search (no ``within``)
-    only. A search inside ``within`` enters only keys it contains (the
-    sources themselves need not be in it). It builds each level by set
-    algebra on one mutable copy of ``within``, which sheds every level it
-    reaches, and holds no more keys than the caller already holds. A level
-    is pushed from the frontier, or pulled into the unreached keys when
-    they are fewer (Beamer et al. 2012): every host's generators are
-    symmetric, so the two agree.
-    """
+def _bfs_levels(g: GroupGraph, sources: Collection, budget: Optional[int] = None) -> Iterator[set]:
+    """Yield the BFS spheres of the host around the ``sources``, host keys:
+    level r at step r, level 0 even when empty. Level r + 1 is built only
+    when asked for; ``budget`` bounds the visited set."""
     frontier = set(sources)
-    yield frontier
+    budget = DEFAULT_BUDGET if budget is None else budget
+    seen = set(frontier)
     step = g._step
-    if within is None:
-        budget = DEFAULT_BUDGET if budget is None else budget
-        seen = set(frontier)
-    else:
-        remaining = set(within)
-    r = 0
-    while frontier:
-        if within is None:
-            nxt = set()
-            for v in frontier:
-                for u in step(v):
-                    if u not in seen:
-                        # checked per vertex so memory cannot overshoot the
-                        # budget by a whole level on fast-growing graphs
-                        if len(seen) >= budget:
-                            raise BudgetExceeded(budget, len(seen) + 1, r)
-                        seen.add(u)
-                        nxt.add(u)
-        else:
-            remaining -= frontier
-            if len(frontier) > len(remaining):
-                nxt = {v for v in remaining if not frontier.isdisjoint(step(v))}
-            else:
-                nxt = remaining.intersection(chain.from_iterable(map(step, frontier)))
+    for r in count():
+        yield frontier
+        nxt = set()
+        for v in frontier:
+            for u in step(v):
+                if u not in seen:
+                    # checked per vertex so memory cannot overshoot the
+                    # budget by a whole level on fast-growing graphs
+                    if len(seen) >= budget:
+                        raise BudgetExceeded(budget, len(seen) + 1, r)
+                    seen.add(u)
+                    nxt.add(u)
+        if not nxt:
+            return
         frontier = nxt
-        r += 1
-        if frontier:
-            yield frontier
+
+
+def _levels_within(g: GroupGraph, sources: Collection, remaining: set) -> Iterator[set]:
+    """Yield the BFS spheres around the ``sources`` along paths that enter
+    only the keys of a set, as ``_bfs_levels`` does, with no budget.
+
+    Level 0 is ``frozenset(sources)``, not a copy when the sources are a
+    frozenset; they need not be in the set. ``remaining`` holds the set's
+    keys less the sources, and loses each level as the search builds it:
+    what a finished search leaves there, it never reached. A level is
+    pushed from the frontier, or pulled into the unreached keys when they
+    are fewer (Beamer et al. 2012): the hosts' generators are symmetric.
+    """
+    frontier = frozenset(sources)
+    step = g._step
+    while True:
+        yield frontier
+        if len(frontier) > len(remaining):
+            frontier = {v for v in remaining if not frontier.isdisjoint(step(v))}
+        else:
+            frontier = remaining.intersection(chain.from_iterable(map(step, frontier)))
+        if not frontier:
+            return
+        remaining -= frontier
 
 
 def ball(

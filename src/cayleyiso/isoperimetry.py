@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from functools import cached_property
 from typing import Collection, Iterable, NamedTuple, Optional
 
 from . import _require_budget
-from .groups import GroupGraph, Vertex, _bfs_levels, minimal_ball_radius, parse_group
+from .groups import GroupGraph, Vertex, _levels_within, minimal_ball_radius, parse_group
 
 
 class VertexSet:
@@ -92,23 +93,21 @@ class VertexSet:
 
     @cached_property
     def _closure_is_connected(self) -> bool:
-        # every boundary vertex has a neighbor in A, so A connected implies
-        # A union boundary(A) connected; only a disconnected A needs the
-        # BFS over the closure
-        keys = self._keys
-        start = (next(iter(keys)),)
-        levels = _bfs_levels(self.host, start, within=keys)
-        if sum(len(sphere) for sphere in levels) == len(keys):
-            return True
-        closure = keys.union(self._boundary)
-        levels = _bfs_levels(self.host, start, within=closure)
-        return sum(len(sphere) for sphere in levels) == len(closure)
+        # a boundary vertex has a neighbor in A, so A connected implies A union
+        # boundary(A) connected; else the closure's BFS goes on from the component reached
+        rest = set(self._keys)
+        start = rest.pop()
+        deque(_levels_within(self.host, (start,), rest), 0)
+        if rest:
+            rest.update(self._boundary)
+            deque(_levels_within(self.host, self._keys.difference(rest), rest), 0)
+        return not rest
 
     @cached_property
     def _depth(self) -> int:
         # a depth is at least 1, so a host's None falls through to the BFS
         return self.host._erosion_depth(self._members) or sum(
-            1 for _ in _bfs_levels(self.host, self._boundary, within=self._keys)) - 1
+            1 for _ in _levels_within(self.host, self._boundary, set(self._keys))) - 1
 
 
 def load_set(path: str) -> VertexSet:

@@ -32,7 +32,7 @@ from cayleyiso import (
 )
 from cayleyiso._zd import LATTICE_COORDINATE_BOUND, _Window
 from cayleyiso.counterexample import GridParams, depth_closed_form
-from cayleyiso.groups import _bfs_levels
+from cayleyiso.groups import _levels_within
 
 Z1, Z2 = IntegerLattice(1), IntegerLattice(2)
 
@@ -41,7 +41,7 @@ def bfs_depth(A):
     """depth by the BFS levels from the boundary into A, called directly,
     so that they stay an oracle on the hosts whose ``depth`` erodes a
     bitmap: level r holds the members at distance r from the complement."""
-    return sum(1 for _ in _bfs_levels(A.host, A._boundary, within=A._keys)) - 1
+    return sum(1 for _ in _levels_within(A.host, A._boundary, set(A._keys))) - 1
 
 
 def bitmap(points):
@@ -390,7 +390,7 @@ def test_cylinder_sets_across_the_residue_seam(m):
 
 
 def test_only_tori_z3_and_other_cylinders_take_the_depth_bfs(monkeypatch):
-    searches = record_calls(monkeypatch, isoperimetry, "_bfs_levels", lambda call: call.g.family)
+    searches = record_calls(monkeypatch, isoperimetry, "_levels_within", lambda call: call.g.family)
     erosion_hosts = [Z1, Z2, *map(Cylinder, range(2, 18)), FreeGroup(2), FreeGroup(3)]
     bfs_hosts = [Torus(9, 2), IntegerLattice(3), Cylinder(5, [(1, 0), (0, 2)])]
     for g in erosion_hosts + bfs_hosts:

@@ -36,7 +36,7 @@ from cayleyiso import (
 from cayleyiso import _lattice, _zd, isoperimetry
 from cayleyiso._zd import LATTICE_COORDINATE_BOUND
 from cayleyiso.counterexample import GridParams
-from cayleyiso.groups import _bfs_levels
+from cayleyiso.groups import _levels_within
 from cayleyiso.isoperimetry import set_from_json_obj
 
 Z2 = IntegerLattice(2)
@@ -128,7 +128,7 @@ def test_depth_of_components_that_stop_at_different_levels():
     members = ball(Z2, (0, 0), 6) | {(40, y) for y in range(3)}
     A = VertexSet(Z2, members)
     assert depth(A) == 7 == oracles.per_vertex_depth(Z2, members)
-    levels = _bfs_levels(Z2, A._boundary, None, within=A._keys)
+    levels = _levels_within(Z2, A._boundary, set(A._keys))
     assert [len(sphere) for sphere in levels] == [28 + 8, 24 + 3, 20, 16, 12, 8, 4, 1]
 
 
@@ -138,7 +138,7 @@ def test_depth_of_a_long_interval_takes_a_level_per_step():
     g = IntegerLattice(1)
     A = VertexSet(g, ((x,) for x in range(10**4)))
     assert depth(A) == 5000
-    levels = _bfs_levels(g, A._boundary, None, within=A._keys)
+    levels = _levels_within(g, A._boundary, set(A._keys))
     assert [len(sphere) for sphere in levels] == [2] * 5001
     members = {(x,) for x in range(-200, 201)}
     assert depth(VertexSet(g, members)) == 201 == oracles.per_vertex_depth(g, members)
@@ -156,8 +156,7 @@ def test_a_search_inside_a_set_may_start_outside_it():
         outside = sorted(oracles.boundary_by_distance(g, members), key=g.sort_key)
         cases.append((g, members, rng.choice(outside)))
     for g, members, source in cases:
-        within = frozenset(map(g._encode, members))
-        levels = _bfs_levels(g, (g._encode(source),), None, within=within)
+        levels = _levels_within(g, (g._encode(source),), set(map(g._encode, members)))
         assert [set(map(g._decode, sphere)) for sphere in levels] == (
             oracles.levels_within(g, [source], members))
     assert len(oracles.levels_within(Z2, [(0, 0)], annulus)) == 1
@@ -180,8 +179,58 @@ def test_in_set_levels_pulled_where_the_frontier_outgrows_the_rest():
             reached |= level
             pulls += len(level) > len(members - reached)
         assert pulls
-        levels = _bfs_levels(g, list(map(g._encode, sources)), within=set(map(g._encode, members)))
+        keys, starts = set(map(g._encode, members)), set(map(g._encode, sources))
+        levels = _levels_within(g, starts, keys - starts)
         assert [set(map(g._decode, sphere)) for sphere in levels] == expected
+
+
+def test_the_in_set_search_sheds_only_the_levels_it_builds(monkeypatch):
+    # the depth search (from the boundary) and the connectivity searches
+    # (from one member, then on from its component into the closure) each
+    # hand over a ``remaining`` disjoint from their sources, and the search
+    # takes out of it only the levels it built, each once: never the sources
+    taken = []
+
+    class Shedding(set):
+        def __isub__(self, other):
+            taken.append(other)
+            return super().__isub__(other)
+
+    original = isoperimetry._levels_within
+    searches = []
+
+    def spy(g, sources, remaining):
+        assert frozenset(sources).isdisjoint(remaining)
+        shedding = Shedding(remaining)
+        taken.clear()
+        levels = list(original(g, sources, shedding))
+        assert len(taken) == len(levels) - 1
+        assert all(level is built for level, built in zip(taken, levels[1:]))
+        assert frozenset(sources).isdisjoint(set().union(*taken))
+        remaining &= shedding  # the caller reads what the search left
+        searches.append(len(sources))
+        return iter(levels)
+
+    monkeypatch.setattr(isoperimetry, "_levels_within", spy)
+    z3 = IntegerLattice(3)
+    cases = [(z3, random_connected_set(z3, 300, seed=2).elements),
+             (Torus(9, 2), random_connected_set(Torus(9, 2), 50, seed=1).elements),
+             # two pieces whose closure is connected, and two whose is not
+             (z3, {(0, 0, 0), (0, 0, 1), (3, 0, 0)}), (z3, {(0, 0, 0), (0, 0, 1), (5, 0, 0)})]
+    verdicts = []
+    for g, members in cases:
+        searches.clear()
+        A = VertexSet(g, members)
+        closure = members | oracles.boundary_by_distance(g, members)
+        verdicts.append(is_connected_with_boundary(A))
+        assert verdicts[-1] is oracles.connected_within(g, closure)
+        assert depth(A) == oracles.per_vertex_depth(g, members)
+        # connectivity from one member, on from its component only when it
+        # misses a member, then depth from all of the boundary
+        pieces = 1 if oracles.connected_within(g, members) else 2
+        assert len(searches) == 1 + pieces and searches[0] == 1
+        assert searches[-1] == len(A._boundary)
+    assert verdicts == [True, True, True, False]
 
 
 def test_inner_members_on_both_sides_of_the_boundary_switch():
@@ -197,7 +246,7 @@ def test_inner_members_on_both_sides_of_the_boundary_switch():
         assert (len(A._boundary) > len(A)) is larger
         neighbors = oracles.neighbor_function(g)
         expected = {v for v in members if any(u not in members for u in neighbors(v))}
-        levels = _bfs_levels(g, A._boundary, within=A._keys)
+        levels = _levels_within(g, A._boundary, set(A._keys))
         assert set(map(g._decode, next(levels))) == oracles.boundary_by_distance(g, members)
         assert set(map(g._decode, next(levels))) == expected
 
@@ -427,7 +476,7 @@ def test_a_set_computes_its_boundary_once(monkeypatch):
     # so it scans for neither; a copy of it scans A once for its boundary
     # and runs the connectivity BFS once, however many checks read them
     scans = record_calls(monkeypatch, isoperimetry, "_boundary_elements", lambda call: len(call.A))
-    searches = record_calls(monkeypatch, isoperimetry, "_bfs_levels",
+    searches = record_calls(monkeypatch, isoperimetry, "_levels_within",
                             lambda call: len(call.sources))
 
     def checks(A):
@@ -499,34 +548,43 @@ def test_the_census_counts_the_known_sequences():
 
 
 #: each census family, the largest size it enumerates, its largest Varopoulos
-#: lhs/rhs, |A| / (2m|boundary(A)|), None on the torus, a finite host, where
-#: neither claim applies, and on the cylinders its largest interval-cover
-#: slack/bound, |Q \ A| / (2s^2t^2k + 2stk)
-CENSUS = [("z^1", 30, Fraction(1, 4), None), ("z^2", 8, Fraction(1, 6), None),
-          ("z^3", 6, Fraction(3, 26), None), ("free:2", 6, Fraction(1, 6), None),
-          ("free:3", 5, Fraction(3, 28), None), ("cyl:2", 8, Fraction(1, 4), Fraction(1, 15)),
-          ("cyl:3", 7, Fraction(5, 24), Fraction(7, 192)),
-          ("cyl:4:[(2,1),(1,0)]", 7, Fraction(1, 6), Fraction(37, 1728)),
-          ("torus:5x5", 6, None, None)]
+#: lhs/rhs, |A| / (2m|boundary(A)|), its largest separation ratios |A| / 16k^2
+#: and depth^2 / 32k^2, None on the torus, a finite host, where neither claim
+#: applies, and on the cylinders its largest interval-cover slack/bound,
+#: |Q \ A| / (2s^2t^2k + 2stk)
+CENSUS = [("z^1", 30, Fraction(1, 4), (Fraction(15, 32), Fraction(225, 128)), None),
+          ("z^2", 8, Fraction(1, 6), (Fraction(1, 200), Fraction(1, 512)), None),
+          ("z^3", 6, Fraction(3, 26), (Fraction(1, 576), Fraction(1, 1152)), None),
+          ("free:2", 6, Fraction(1, 6), (Fraction(1, 256), Fraction(1, 512)), None),
+          ("free:3", 5, Fraction(3, 28), (Fraction(1, 576), Fraction(1, 1152)), None),
+          ("cyl:2", 8, Fraction(1, 4), (Fraction(1, 32), Fraction(9, 512)), Fraction(1, 15)),
+          ("cyl:3", 7, Fraction(5, 24), (Fraction(7, 576), Fraction(1, 288)), Fraction(7, 192)),
+          ("cyl:4:[(2,1),(1,0)]", 7, Fraction(1, 6), (Fraction(5, 1024), Fraction(1, 512)),
+           Fraction(37, 1728)),
+          ("torus:5x5", 6, None, None, None)]
 
 
-@pytest.mark.parametrize("family, top, largest, largest_slack", CENSUS,
+@pytest.mark.parametrize("family, top, largest, separation, largest_slack", CENSUS,
                          ids=[row[0] for row in CENSUS])
-def test_every_small_connected_set_meets_every_claim(family, top, largest, largest_slack):
+def test_every_small_connected_set_meets_every_claim(family, top, largest, separation,
+                                                     largest_slack):
     # every connected set of up to ``top`` vertices through the identity (one
     # per translation class on z^d): depth by the host's own route and the
     # boundary equal the oracles', A with its boundary is connected, A comes
     # back from its set file's object, and the Varopoulos and separation
     # checks, and on the cylinders the interval cover, find no violation.
-    # The largest Varopoulos lhs/rhs and slack/bound are pinned, so that a
-    # fast path which moves any claim on any of these sets fails here. On
-    # the torus both checks refuse
+    # The largest Varopoulos lhs/rhs, separation ratios and slack/bound are
+    # pinned, so that a fast path which moves any claim on any of these sets
+    # fails here. On the torus both checks refuse
     from cayleyiso.ringlike import cyclic_system, interval_cover
 
     g = parse_group(family)
     system = cyclic_system(g) if largest_slack is not None else None
     largest_seen = None if g.is_finite else Fraction(0)
     slack_seen = None if system is None else Fraction(0)
+    # the distinct (|A|, k, depth) of the separation reports: few, so the
+    # ratios are taken once each
+    shapes = set()
     for sets in oracles.connected_sets(g, top):
         for members in sets:
             A = VertexSet(g, members)
@@ -536,14 +594,18 @@ def test_every_small_connected_set_meets_every_claim(family, top, largest, large
             assert set_from_json_obj(A.to_json_obj()) == A
             if g.is_finite:
                 continue
-            report = varopoulos_check(A)
-            assert report.violations() == classify_separation(A).violations() == [], members
+            report, split = varopoulos_check(A), classify_separation(A)
+            assert report.violations() == split.violations() == [], members
             largest_seen = max(largest_seen, Fraction(report.lhs, report.rhs))
+            shapes.add((split.sizeA, split.boundarySize, split.depth))
             if system is not None:
                 cover = interval_cover(system, A)
                 assert cover.violations() == [], members
                 slack_seen = max(slack_seen, Fraction(cover.slack, cover.bound))
     assert (largest_seen, slack_seen) == (largest, largest_slack)
+    if not g.is_finite:
+        assert separation == (max(Fraction(size, 16 * k * k) for size, k, _ in shapes),
+                              max(Fraction(d * d, 32 * k * k) for _, k, d in shapes))
     if g.is_finite:
         for check in (varopoulos_check, classify_separation):
             with pytest.raises(ValueError, match="needs an infinite host"):
@@ -581,7 +643,7 @@ def test_a_grown_set_carries_the_facts_the_independent_routes_find():
             assert boundary(A).elements == boundary(copy).elements == outside
             next_to_outside = {v for v in members
                                if any(u not in members for u in g.neighbors(v))}
-            inner = [list(islice(_bfs_levels(g, B._boundary, within=B._keys), 2))[1]
+            inner = [list(islice(_levels_within(g, B._boundary, set(B._keys)), 2))[1]
                      for B in (A, copy)]
             assert {g._decode(v) for v in inner[0]} == next_to_outside
             assert inner[0] == inner[1]

@@ -228,10 +228,10 @@ def test_every_private_definition_is_referenced():
 #: the non-blank, non-comment lines ``src/cayleyiso/*.py`` holds, docstrings
 #: counted, as ROADMAP counts them: a change that moves the count moves it in
 #: its own diff, so a reduction leaves no slack for a later addition
-SOURCE_LINE_CEILING = 1996
+SOURCE_LINE_CEILING = 1990
 #: the whole-line ``#`` comments the same files hold, pinned the same way, so
 #: that prose moved out of a docstring into comments shows in the diff
-SOURCE_COMMENT_CEILING = 159
+SOURCE_COMMENT_CEILING = 158
 
 
 def test_the_source_stays_under_its_line_ceiling():

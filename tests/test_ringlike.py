@@ -451,8 +451,8 @@ def test_branch2_computes_the_boundary_once(monkeypatch):
 
 
 def test_ring_like_separation_runs_the_closure_bfs_once(monkeypatch):
-    calls = record_calls(monkeypatch, isoperimetry, "_bfs_levels",
-                         lambda call: (len(call.sources), len(call.within)))
+    calls = record_calls(monkeypatch, isoperimetry, "_levels_within",
+                         lambda call: (len(call.sources), len(call.remaining) + len(call.sources)))
     report = classify_separation(block_interval(Cylinder(3), 1000))
     assert report.branch == "RingLike" and not report.violations()
     # the connectivity BFS from one member over A, which reaches all of A,
