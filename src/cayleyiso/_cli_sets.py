@@ -18,8 +18,7 @@ def _resolve_set(args, budget: int) -> isoperimetry.VertexSet:
         if args.group is None:
             raise ValueError("--random requires --group")
         g = groups.parse_group(args.group)
-        return isoperimetry.random_connected_set(g, args.random, seed=args.seed,
-                                                 budget=budget)
+        return isoperimetry.random_connected_set(g, args.random, seed=args.seed, budget=budget)
     raise ValueError("provide a set via --set PATH or --random SIZE")
 
 

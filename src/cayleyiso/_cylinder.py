@@ -85,10 +85,8 @@ class Cylinder(_MixedRadix):
         m = self.m
         g = gcd(*(dz for dz, _ in self.generators))
         if g != 1:
-            raise ValueError(
-                f"generators {_clip(list(self.generators))} do not generate "
-                f"Z x Z_{m}: z-shifts have gcd {g}"
-            )
+            raise ValueError(f"generators {_clip(list(self.generators))} do not generate "
+                             f"Z x Z_{m}: z-shifts have gcd {g}")
         # D is the index of L. Fold the rows one at a time into a triangular
         # basis (a, b), (0, d) of L, starting from (0, m): Euclid on a pair
         # of rows keeps the lattice they span and leaves (+-gcd, b), (0, y)
@@ -102,10 +100,8 @@ class Cylinder(_MixedRadix):
         if d != 1:  # D = |a| * d, and |a| = 1 as the z-shifts have gcd 1
             # at most 100 residues: enough to fill the clipped message
             residues = list(range(0, min(m, 100 * d), d))
-            raise ValueError(
-                f"generators {_clip(list(self.generators))} do not generate "
-                f"Z x Z_{m}: only residues {_clip(residues)} are reachable at z=0"
-            )
+            raise ValueError(f"generators {_clip(list(self.generators))} do not generate "
+                             f"Z x Z_{m}: only residues {_clip(residues)} are reachable at z=0")
 
     def _ball_count(self, r: int) -> Optional[int]:
         if not self._standard:
@@ -122,12 +118,21 @@ class Cylinder(_MixedRadix):
         # d((0, 0), (1, x)) = 1 + the circular distance of x
         return 1 + self.m // 2 if self._standard else None
 
-    def _erosion_depth(self, keys: Collection) -> Optional[int]:
+    def _erosion_depth(self, keys: Collection, rim: Optional[Collection] = None) -> Optional[int]:
         if not self._standard:
             return None
         from . import _grid
 
-        bm = _grid.Bitmap.from_keys(keys, self.m)
+        m = self.m
+        if rim is not None:
+            # the fill test (``GroupGraph._erosion_depth``); a set that passes
+            # takes under 15 bits per member, as |∂A| <= 4|A|: no cap refuses it
+            base, top = min(rim) // m * m, max(rim) // m * m
+            holes = [u - base for u in rim if base + m <= u < top]
+            if len(keys) + len(holes) == top - base - m:
+                bits = (1 << top - base - m) - 1 << m ^ _grid._pack(holes, top + m - base)
+                return _grid.wrapped_depth(_grid.Bitmap(bits, m, top + m - base))
+        bm = _grid.Bitmap.from_keys(keys, m)
         return bm and _grid.wrapped_depth(bm)
 
     def _decode(self, key: int) -> Vertex:

@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import compress, repeat
 from math import inf
 from operator import ge, rshift
-from typing import Collection, Tuple
+from typing import Collection, Optional, Tuple
 
 from .groups import GroupGraph, InvalidVertexError, Vertex, _clip
 
@@ -68,9 +68,7 @@ class FreeGroup(GroupGraph):
             raise InvalidVertexError(f"{_clip(v)} is not a word tuple")
         for x in v:
             if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
-                raise InvalidVertexError(
-                    f"letter {_clip(x)} out of range for rank {self.rank}"
-                )
+                raise InvalidVertexError(f"letter {_clip(x)} out of range for rank {self.rank}")
         for a, b in zip(v, v[1:]):
             if a == -b:
                 raise InvalidVertexError(f"word {_clip(v)} is not reduced")
@@ -83,7 +81,7 @@ class FreeGroup(GroupGraph):
             out[self._cancels[key & self._mask]] = key >> self._bits
         return out
 
-    def _erosion_depth(self, keys: Collection) -> int:
+    def _erosion_depth(self, keys: Collection, rim: Optional[Collection] = None) -> int:
         # E_1(A), the members whose neighbors are all members: those whose
         # parent key >> _bits is a member and that have degree - 1 member
         # children. The identity is its own parent, so it counts itself, and
@@ -137,9 +135,7 @@ class FreeGroup(GroupGraph):
 
     def vertex_from_json(self, obj) -> Vertex:
         if not isinstance(obj, str):
-            raise InvalidVertexError(
-                f"free group vertex must be a word string, got {_clip(obj)}"
-            )
+            raise InvalidVertexError(f"free group vertex must be a word string, got {_clip(obj)}")
         return self.parse_word(obj)
 
     def vertex_str(self, v: Vertex) -> str:

@@ -42,12 +42,13 @@ class Bitmap:
         return self
 
     @classmethod
-    def from_keys(cls, keys: Collection[int], width: int) -> Optional["Bitmap"]:
-        """The nonempty ``keys``, less a whole number of rows, as cells with a
-        zero row above and below, or None where those rows would take over 64
-        bits per member, past a slack of 16 members."""
-        base = (min(keys) // width - 1) * width
-        size = (max(keys) // width + 2) * width - base
+    def from_keys(cls, keys: Collection[int], width: int, lo=None, hi=None) -> Optional["Bitmap"]:
+        """The nonempty ``keys``, less a whole number of rows, as cells in the
+        rows of the keys ``lo`` to ``hi``, by default one row below and above
+        them, or None where those take over 64 bits per member past 16 members."""
+        lo, hi = (min(keys) - width, max(keys) + width) if lo is None else (lo, hi)
+        base = lo // width * width
+        size = (hi // width + 1) * width - base
         if size > 64 * (len(keys) + 16):
             return None
         return cls(_pack(map(sub, keys, repeat(base)), size), width, size)

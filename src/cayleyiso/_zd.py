@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 from itertools import accumulate, compress, count, repeat
 from math import comb, inf
-from operator import add, and_, floordiv, lt, mod, mul, rshift, sub, xor
+from operator import add, floordiv, lt, mod, mul, sub, xor
 from typing import Collection, Iterator, Optional, Tuple
 
 from ._lattice import _MixedRadix, _check_dimension, _swap_and_pop
@@ -29,8 +29,7 @@ class _Window:
     held as a ``range`` holds a z^1 interval: the vertex (x, y) has the key
     v = (x + n)w + y + n, w = 2n + 1, two small digits (host keys a row
     apart differ by S = 2^40, so their low hash bits collide). Iterating
-    lifts v to the host key xS + y = base + v + (v // w)(S - w), and depth
-    reads v // w and v % w as rows and columns."""
+    lifts v to the host key xS + y = base + v + (v // w)(S - w)."""
 
     def __init__(self, keys: Collection[int], w: int, base: int):
         self.keys, self.w, self.base = keys, w, base
@@ -111,7 +110,7 @@ class IntegerLattice(_MixedRadix):
         # and positive values summing to at most r (C(r, k) ways)
         return sum(2**k * comb(self.d, k) * comb(r, k) for k in range(min(self.d, r) + 1))
 
-    def _erosion_depth(self, keys: Collection) -> Optional[int]:
+    def _erosion_depth(self, keys: Collection, rim: Optional[Collection] = None) -> Optional[int]:
         if self.d == 1:
             # the key is the point, and a run of n consecutive keys has depth
             # ceil(n / 2) at its middle: a set's depth is its longest run's.
@@ -126,22 +125,23 @@ class IntegerLattice(_MixedRadix):
             return None
         from . import _grid
 
-        # key + S/2 is x*S + c for the column c = y + S/2. Read as the key
-        # x*w + c, w the column span plus 2, the columns fill w - 2
-        # consecutive residues mod w and leave two empty (``Bitmap``). Both
-        # passes add S/2 afresh: a list of 10^4 sums would peak 0.4 MB
-        # higher to save about 0.6 ms. A window's digits v // w and v % w are
-        # its lift's rows and columns less constants, which move every cell
-        # by one constant: the depth is the lift's
-        h, low = 1 << _LATTICE_BITS - 1, (1 << _LATTICE_BITS) - 1
+        # v = key + S/2 is x*S + c for the column c = y + S/2, and a window
+        # key v has row v // w and column v % w. In rows of W cells, W =
+        # max c - min c + 3, v is the cell v - (v // w)(w - W): the columns
+        # fill W - 2 consecutive residues mod W and leave two empty
+        # (``Bitmap``). The frame is ∂A's, or A's one cell wider each way. A
+        # window's cells are its lift's moved by one constant: the same depth
+        w = 1 << _LATTICE_BITS
         if isinstance(keys, _Window):
-            columns = list(map(mod, keys.keys, repeat(keys.w)))
-            rows = map(floordiv, keys.keys, repeat(keys.w))
+            w, keys, rim = keys.w, keys.keys, rim.keys if isinstance(rim, _Window) else None
         else:
-            columns = list(map(and_, map(add, keys, repeat(h)), repeat(low)))
-            rows = map(rshift, map(add, keys, repeat(h)), repeat(_LATTICE_BITS))
-        w = max(columns) - min(columns) + 3
-        bm = _grid.Bitmap.from_keys(list(map(add, map(mul, rows, repeat(w)), columns)), w)
+            keys, rim = list(map(add, keys, repeat(w >> 1))), rim and [u + (w >> 1) for u in rim]
+        frame, pad = (keys, 1) if rim is None else (rim, 0)
+        columns = list(map(mod, frame, repeat(w)))
+        W = max(columns) - min(columns) + 1 + 2 * pad
+        lo, hi = (u - u // w * (w - W) for u in (min(frame), max(frame)))
+        cells = list(map(sub, keys, map(mul, map(floordiv, keys, repeat(w)), repeat(w - W))))
+        bm = _grid.Bitmap.from_keys(cells, W, lo - pad * W, hi + pad * W)
         return bm and _grid.depth(bm)
 
     def _accrete(self, size: int, rng) -> Tuple[Collection, Collection]:

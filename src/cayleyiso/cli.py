@@ -107,8 +107,7 @@ _COMMON = (_flag("--out", help="write output to this path instead of stdout"),
            _flag("--budget", type=int, help=f"BFS vertex budget (default {DEFAULT_BUDGET}; "
                                             "env ISO_BUDGET also honored)"))
 _GROUP = _flag("--group", required=True)
-_EMIT = _flag("--emit-set", metavar="PATH",
-              help="also write the resulting set as a JSON set file")
+_EMIT = _flag("--emit-set", metavar="PATH", help="also write the resulting set as a JSON set file")
 _WINDOW = _flag("--window", type=int, default=50,
                 help="block window, validated (>= 1) and echoed; q does not depend on it")
 _GRID = (_flag("--i", type=int, required=True), _flag("--k", type=int, required=True))

@@ -77,9 +77,7 @@ class GroupGraph:
     def vertex_from_json(self, obj) -> Vertex:
         # type(x) is int: floats, strings and booleans are not coordinates
         if not isinstance(obj, (list, tuple)) or not all(type(x) is int for x in obj):
-            raise InvalidVertexError(
-                f"expected a list of integer coordinates, got {_clip(obj)}"
-            )
+            raise InvalidVertexError(f"expected a list of integer coordinates, got {_clip(obj)}")
         v = tuple(obj)
         self.validate_vertex(v)
         return v
@@ -102,8 +100,16 @@ class GroupGraph:
         """b(0), b(1), ... by ``_ball_count``; a cheaper exact recurrence may override it."""
         return map(self._ball_count, count())
 
-    def _erosion_depth(self, keys: Collection) -> Optional[int]:
-        """The depth of a nonempty key set by ``depth``'s erosion route, or None."""
+    def _erosion_depth(self, keys: Collection, rim: Optional[Collection] = None) -> Optional[int]:
+        """The depth of a nonempty key set A by ``depth``'s erosion route, or None.
+
+        ``rim`` is ∂A where the set holds it, else None. A step moves a block
+        (a cylinder's z, a z^2 row or column) by t at most, and by t both
+        ways, so min block(∂A) = j_lo - t for A's least block j_lo, and
+        span(∂A) = span(A) + 2 per axis where t = 1. A standard cylinder's A
+        is the rows between ∂A's outer blocks less the ∂A keys in them exactly
+        when |A| plus those keys fill the rows: the fill test.
+        """
         return None
 
     def _accrete(self, size: int, rng) -> Tuple[Collection, Collection]:
@@ -164,9 +170,7 @@ def parse_group(text: str) -> GroupGraph:
 
         ns = [number(x) for x in numbers]
         if any(n != ns[0] for n in ns):
-            raise ValueError(
-                f"torus spec {_clip(text)} must repeat one side, e.g. torus:31x31"
-            )
+            raise ValueError(f"torus spec {_clip(text)} must repeat one side, e.g. torus:31x31")
         return Torus(ns[0], len(ns))
     from ._cylinder import Cylinder
 
@@ -357,9 +361,7 @@ def classify_growth(
     if max_radius < 2:
         raise ValueError(f"max_radius must be >= 2, got {max_radius}")
     sizes = ball_profile(g, max_radius, budget=budget)
-    quadratic = all(
-        sizes[n] * 2 >= (n + 1) * (n + 2) for n in range(max_radius + 1)
-    )
+    quadratic = all(sizes[n] * 2 >= (n + 1) * (n + 2) for n in range(max_radius + 1))
     if quadratic:
         return GrowthReport(g.family, max_radius, sizes, 2, None, None)
     alpha = max(sizes[n] - sizes[n - 1] for n in range(1, max_radius + 1))

@@ -105,8 +105,9 @@ class VertexSet:
 
     @cached_property
     def _depth(self) -> int:
-        # a depth is at least 1, so a host's None falls through to the BFS
-        return self.host._erosion_depth(self._members) or sum(
+        # a depth is at least 1, so a host's None falls through to the BFS;
+        # the host gets ∂A only where the set holds it
+        return self.host._erosion_depth(self._members, vars(self).get("_boundary")) or sum(
             1 for _ in _levels_within(self.host, self._boundary, set(self._keys))) - 1
 
 

@@ -147,14 +147,13 @@ def interval_cover(system: CyclicSystem, A: VertexSet) -> IntervalCover:
     non-cylinder host, bad window, then the set's own errors.
     """
     if A.host != system.host:
-        raise ValueError(
-            f"set lives on {A.host.family} but the block system is on "
-            f"{system.host.family}"
-        )
+        raise ValueError(f"set lives on {A.host.family} but the block system is on "
+                         f"{system.host.family}")
     if not is_connected_with_boundary(A):
         raise ValueError("interval cover requires A union boundary(A) connected")
-    lo, hi = A.host._block(min(A._members)), A.host._block(max(A._members))
     s, t, k = system.s, system.t, len(A._boundary)
+    # ∂A's outer blocks lie t outside A's (``GroupGraph._erosion_depth``)
+    lo, hi = A.host._block(min(A._boundary)) + t, A.host._block(max(A._boundary)) - t
     slack = (hi - lo + 1) * s - len(A)
     bound = 2 * s * s * t * t * k + 2 * s * t * k
     return IntervalCover(system, lo, hi, len(A), k, slack, bound, slack <= bound)

@@ -4,7 +4,11 @@ connectivity search, kept out of Tier-1.
 Each mutant M1-M8 changes one token of a checked relation in
 ``src/cayleyiso``; M9 and M10 swap two steps of growth's in-line degree-4
 step, which changes the order of the candidates, not their set; M11 leaves
-the start vertex in the connectivity search's ``remaining``. The probe
+the start vertex in the connectivity search's ``remaining``; M12 and M14
+loosen the fill test of a standard cylinder's depth, to ``>=`` (equivalent,
+as A and the boundary keys it counts lie in the rows it fills) and to
+``<=``; M13 moves the interval cover's lowest block one block inwards from
+the boundary's instead of t. The probe
 copies the checkout to a temporary directory, applies one mutant there,
 runs Tier-1 on the copy, ``tests/test_golden.py`` first as it kills
 fastest, and prints ``caught`` and the first failing test when Tier-1
@@ -15,7 +19,7 @@ full run.
 
 Run it from any directory, on a checkout whose Tier-1 passes:
 
-    python tests/mutants.py          # all eleven
+    python tests/mutants.py          # all fourteen
     python tests/mutants.py M4 M8    # some of them
 
 Pytest does not collect this file: its name lacks the ``test_`` prefix.
@@ -52,6 +56,9 @@ MUTANTS = {
            "extend((base + y, base + x, base + z))"),
     "M10": ("_lattice.py", "a, b, c, d = rows[v % period]", "b, a, c, d = rows[v % period]"),
     "M11": ("isoperimetry.py", "start = rest.pop()", "start = next(iter(rest))"),
+    "M12": ("_cylinder.py", "len(keys) + len(holes) == top", "len(keys) + len(holes) >= top"),
+    "M13": ("ringlike.py", "_block(min(A._boundary)) + t,", "_block(min(A._boundary)) + 1,"),
+    "M14": ("_cylinder.py", "len(keys) + len(holes) == top", "len(keys) + len(holes) <= top"),
 }
 
 #: Tier-1 on a copy less the guard that a mutated copy fails by design;

@@ -28,6 +28,7 @@ from cayleyiso import (
     boundary,
     depth,
     isoperimetry,
+    parse_group,
     random_connected_set,
 )
 from cayleyiso._zd import LATTICE_COORDINATE_BOUND, _Window
@@ -389,6 +390,63 @@ def test_cylinder_sets_across_the_residue_seam(m):
                             oracles_too=seed < 3)
 
 
+def held(A):
+    """A copy of A that holds A's boundary, as a grown set holds its own."""
+    copy = VertexSet._trusted(A.host, A._members)
+    copy._boundary = A._boundary
+    return copy
+
+
+def fills_its_rows(g, members):
+    """The fill test by the definitions: every vertex of the blocks that A
+    spans is a member or at distance 1 from A."""
+    outside = oracles.boundary_by_distance(g, members)
+    zs = [z for z, _ in members]
+    return all((z, r) in members or (z, r) in outside
+               for z in range(min(zs), max(zs) + 1) for r in range(g.m))
+
+
+@pytest.mark.parametrize("m, top", [(2, 8), (3, 7), (5, 6)])
+def test_a_cylinder_bitmap_read_off_the_held_boundary(monkeypatch, m, top):
+    # where A and the boundary keys between the boundary's outer blocks fill
+    # those blocks, the bitmap is drawn from those keys, with no from_keys:
+    # it must be the bitmap from_keys packs from A, bit for bit. Elsewhere
+    # from_keys packs A. Every census set, sets two blocks apart and grown
+    # sets of 1 to 2000 members, without and with the boundary held; the
+    # depth must be the per-vertex oracle's and the BFS's. Every grown set
+    # fills its rows on cyl:2 and cyl:3
+    g = Cylinder(m)
+    drawn = []
+    kernel = _grid.wrapped_depth
+    monkeypatch.setattr(_grid, "wrapped_depth", lambda bm: drawn.append(bm) or kernel(bm))
+    packed = record_calls(monkeypatch, _grid.Bitmap, "from_keys", lambda call: len(call.keys))
+    census = [VertexSet(g, members) for sets in oracles.connected_sets(g, top) for members in sets]
+    apart = [VertexSet(g, {(z, r) for z in (0, 1) for r in range(m)} | {(gap, 0)})
+             for gap in (3, 4, 9)]
+    grown = [random_connected_set(g, n, seed=seed)
+             for seed in range(3) for n in (1, 2, 3, 10, 60, 300, 2000)]
+    verdicts = set()
+    for A in census + apart + grown:
+        plain = VertexSet._trusted(g, A._members)
+        drawn.clear()
+        packed.clear()
+        d = depth(plain)
+        assert packed == [len(A)] and "_boundary" not in vars(plain)
+        expected, = drawn
+        drawn.clear()
+        packed.clear()
+        assert depth(held(A)) == d
+        bm, = drawn
+        fill = fills_its_rows(g, A.elements)
+        assert packed == ([] if fill else [len(A)])
+        assert (bm.bits, bm.width, bm.size) == (expected.bits, expected.width, expected.size)
+        verdicts.add(fill)
+        if len(A) <= 300:
+            assert d == oracles.per_vertex_depth(g, A.elements) == bfs_depth(A)
+    assert verdicts == {True, False}
+    assert m > 3 or all(fills_its_rows(g, A.elements) for A in grown)
+
+
 def test_only_tori_z3_and_other_cylinders_take_the_depth_bfs(monkeypatch):
     searches = record_calls(monkeypatch, isoperimetry, "_levels_within", lambda call: call.g.family)
     erosion_hosts = [Z1, Z2, *map(Cylinder, range(2, 18)), FreeGroup(2), FreeGroup(3)]
@@ -451,6 +509,7 @@ def test_a_bitmap_at_the_cap_is_built_and_one_cell_further_is_not(monkeypatch):
             assert depth(A) == expected == oracles.per_vertex_depth(g, A.elements)
             assert sizes == ([] if t or g is Z1 else [64 * (len(A) + 16)])
             assert g._erosion_depth(A._keys) == (expected if t == 0 or g is Z1 else None)
+            assert g._erosion_depth(A._keys, A._boundary) == g._erosion_depth(A._keys)
             assert bfs_depth(A) == expected
 
 
@@ -517,6 +576,65 @@ def test_a_window_past_the_bits_cap_takes_the_bfs():
     assert Z2._erosion_depth(window) is None
     assert depth(A) == 1 == oracles.per_vertex_depth(Z2, members) == bfs_depth(A)
 
+
+
+def plane_layout(S):
+    """The bitmap of z^2's layout, cell x*W + c in rows of W, the column
+    span plus 3, built by ``from_keys``' default frame from each key's row x
+    and column c: v // w and v % w of a window key v, and x and y + 2^39 of
+    a host key's vertex (x, y)."""
+    if isinstance(S._members, _Window):
+        cells = [divmod(v, S._members.w) for v in S._members.keys]
+    else:
+        cells = [(x, y + 2**39) for x, y in S.elements]
+    columns = [c for _, c in cells]
+    w = max(columns) - min(columns) + 3
+    return _grid.Bitmap.from_keys([x * w + c for x, c in cells], w)
+
+
+def test_a_plane_bitmap_read_off_the_held_boundary(monkeypatch):
+    # z^2 reads the width and the zero rows off the boundary a set holds:
+    # the bitmap must be the one that A's own frame gives and the layout's,
+    # bit for bit, on window keys (grown sets, and their boundaries, which
+    # hold a boundary of host keys) and on host keys (census sets, copies,
+    # holed blocks), and the depth the per-vertex oracle's and the BFS's
+    built = []
+    kernel = _grid.depth
+    monkeypatch.setattr(_grid, "depth", lambda bm, guess=0: built.append(bm) or kernel(bm, guess))
+    census = [VertexSet(Z2, members) for sets in oracles.connected_sets(Z2, 7) for members in sets]
+    grown = [random_connected_set(Z2, n, seed=seed)
+             for seed in range(3) for n in (1, 2, 3, 10, 60, 300, 2000)]
+    rng = random.Random(48)
+    holed = [VertexSet(Z2, {(x0 + x, y0 + y) for x in range(h) for y in range(w)
+                            if rng.random() > 0.05})
+             for x0, y0, h, w in [(0, 0, 9, 30), (-7, 5, 31, 6), (3, -2**37, 12, 12)]]
+    copies = [VertexSet(Z2, A.elements) for A in grown]
+    for A in census + grown + holed + copies + [boundary(A) for A in grown]:
+        plain = VertexSet._trusted(Z2, A._members)
+        built.clear()
+        d = depth(plain)
+        assert "_boundary" not in vars(plain)
+        expected, = built
+        built.clear()
+        assert depth(held(A)) == d
+        bm, = built
+        layout = plane_layout(A)
+        assert (bm.bits, bm.width, bm.size) == (expected.bits, expected.width, expected.size)
+        assert (bm.bits, bm.width, bm.size) == (layout.bits, layout.width, layout.size)
+        if len(A) <= 300:
+            assert d == oracles.per_vertex_depth(Z2, A.elements) == bfs_depth(A)
+
+
+@pytest.mark.parametrize("family", ["z^1", "z^2", "cyl:2", "cyl:3", "cyl:5", "free:2"])
+def test_the_depth_of_a_loaded_set_computes_no_boundary(tmp_path, family):
+    # depth hands the host a boundary only where the set holds one: on the
+    # hosts that erode, a set read from its file keeps its boundary unknown
+    g = parse_group(family)
+    path = tmp_path / "set.json"
+    isoperimetry.save_set(random_connected_set(g, 150, seed=4), str(path))
+    A = isoperimetry.load_set(str(path))
+    assert depth(A) == oracles.per_vertex_depth(g, A.elements)
+    assert "_boundary" not in vars(A)
 
 # --- free groups: erosions by parent keys ------------------------------------
 

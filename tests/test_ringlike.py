@@ -18,6 +18,7 @@ from cayleyiso import (
     VertexSet,
     classify_separation,
     is_connected_with_boundary,
+    parse_group,
     random_connected_set,
 )
 from cayleyiso.ringlike import (
@@ -314,9 +315,9 @@ def test_interval_cover_contains_a():
 
 
 def test_interval_cover_reads_its_blocks_from_the_extreme_keys():
-    # a key z*m + r grows with its block z, so the least and greatest keys
-    # lie in the least and greatest blocks, negative ones included: grown
-    # sets moved to (z0, r0)
+    # a key z*m + r grows with its block z, so the least and greatest
+    # boundary keys lie in the boundary's outer blocks, t outside A's,
+    # negative ones included: grown sets moved to (z0, r0)
     for host in (Cylinder(2), Cylinder(3), Cylinder(4, [(2, 1), (1, 0)])):
         sysm = cyclic_system(host)
         for seed, z0 in enumerate((-1, -40, -3, 0, 7, -10**12)):
@@ -327,6 +328,24 @@ def test_interval_cover_reads_its_blocks_from_the_extreme_keys():
             assert cover.j_lo == min(map(host._block, A._keys)) == min(z for z, _ in A)
             assert cover.j_hi == max(map(host._block, A._keys)) == max(z for z, _ in A)
 
+
+@pytest.mark.parametrize("family, top", [("cyl:2", 8), ("cyl:3", 7), ("cyl:4:[(2,1),(1,0)]", 6)])
+def test_the_cover_reads_the_blocks_of_a_off_its_boundary(family, top):
+    # j_lo and j_hi are the boundary's outer blocks moved t inwards: they
+    # must be the blocks of the lowest and highest member on every census
+    # set and on grown sets of 1 to 2000 members. cyl:4:[(2,1),(1,0)] has
+    # t = 2, so a cover that moved them by one block would fail there
+    host = parse_group(family)
+    sysm = cyclic_system(host)
+    census = [VertexSet(host, members) for sets in oracles.connected_sets(host, top)
+              for members in sets]
+    grown = [random_connected_set(host, n, seed=seed)
+             for seed in range(4) for n in (1, 2, 5, 40, 300, 2000)]
+    for A in census + grown:
+        cover = interval_cover(sysm, A)
+        zs = [z for z, _ in A.elements]
+        assert (cover.j_lo, cover.j_hi) == (min(zs), max(zs)), sorted(A.elements)
+    assert sysm.t == (2 if host.family.startswith("cyl:4") else 1)
 
 def test_interval_cover_holds_on_random_sets():
     for host in (Cylinder(3), Cylinder(2), Cylinder(4, [(2, 1), (1, 0)])):
